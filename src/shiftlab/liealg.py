@@ -1,9 +1,10 @@
 """Exact root-system, lattice, and Weyl-group layer for the finite simple Lie types.
 
-Everything is computed over ``fractions.Fraction``; no floating point enters at
-any stage.  Vectors live in the simple-root basis throughout, so Weyl-group
-elements act by integer matrices and all pairings reduce to exact linear
-algebra against the Gram matrix.
+Everything is computed exactly, over ``fractions.Fraction`` and integers; no
+floating point enters at any stage.  Vectors live in the simple-root basis, so
+Weyl-group elements act by integer matrices and all pairings reduce to exact
+linear algebra against the Gram matrix.  Weyl elements are told apart by the
+integer Dynkin labels of w(rho).
 
 Normalization: the invariant bilinear form is scaled so long roots have
 squared length 2.  B1 is admitted as the rank-1 member of the B series; by
@@ -56,10 +57,6 @@ class CapExceededError(RuntimeError):
 # small exact linear algebra helpers
 # ---------------------------------------------------------------------------
 
-def vec(*xs) -> Vec:
-    return tuple(Fraction(x) for x in xs)
-
-
 def vzero(rank: int) -> Vec:
     return (Fraction(0),) * rank
 
@@ -91,6 +88,13 @@ def mat_mul(a, b):
         tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
         for i in range(n)
     )
+
+
+def reflect_labels(a: tuple[int, ...], i: int, col: tuple[int, ...]) -> tuple[int, ...]:
+    """Dynkin labels of sigma_i(mu) from those ``a`` of mu; ``col`` holds the
+    labels of alpha_i, i.e. column i of the Cartan matrix."""
+    c = a[i]
+    return a if c == 0 else tuple(x - c * y for x, y in zip(a, col))
 
 
 def identity_mat(n: int) -> IntMat:
@@ -269,6 +273,10 @@ class RootSystem:
     minuscule: tuple[Vec, ...]      # transversal of P/Q, zero first
     half_lengths: tuple[Fraction, ...]  # d_i = |alpha_i|^2/2
 
+    def __hash__(self) -> int:
+        # the type fixes every other field; hashing them all is slow
+        return hash(self.lie_type)
+
     # -- basic pairings ----------------------------------------------------
 
     @property
@@ -333,20 +341,25 @@ class RootSystem:
                 count += 1
         return count
 
+    def rho_labels(self, m: IntMat) -> tuple[int, ...]:
+        """Dynkin labels of m(rho); they determine a Weyl element, and i is a
+        left descent of it exactly when label i is negative."""
+        moved = mat_vec(m, self.rho)
+        return tuple(int(self.copairing(moved, i)) for i in range(self.rank))
+
+    def root_labels(self) -> tuple[tuple[int, ...], ...]:
+        """Dynkin labels of the simple roots: the columns of the Cartan matrix."""
+        return tuple(tuple(row[i] for row in self.cartan) for i in range(self.rank))
+
     def element_from_matrix(self, m: IntMat) -> WeylElement:
         """Recover the element with its lex-minimal reduced word."""
+        labels, cols = self.rho_labels(m), self.root_labels()
         word: list[int] = []
-        cur = m
-        length = self.matrix_length(cur)
-        while length > 0:
-            for i in range(self.rank):
-                cand = mat_mul(self.simple_reflection_matrix(i), cur)
-                if self.matrix_length(cand) == length - 1:
-                    word.append(i)
-                    cur, length = cand, length - 1
-                    break
-            else:  # pragma: no cover - impossible for genuine Weyl matrices
-                raise RuntimeError("no descent found; matrix not in the Weyl group")
+        while (i := next((i for i, a in enumerate(labels) if a < 0), None)) is not None:
+            word.append(i)
+            labels = reflect_labels(labels, i, cols[i])
+        if labels != (1,) * self.rank:
+            raise RuntimeError("descent walk missed rho; matrix not in the Weyl group")
         return WeylElement(tuple(word), m, len(word))
 
     def element_from_word(self, word) -> WeylElement:
@@ -354,9 +367,6 @@ class RootSystem:
         for i in word:
             m = mat_mul(m, self.simple_reflection_matrix(i))
         return self.element_from_matrix(m)
-
-    def is_reduced_word(self, word) -> bool:
-        return self.element_from_word(word).length == len(word)
 
     def identity_element(self) -> WeylElement:
         return WeylElement((), identity_mat(self.rank), 0)
@@ -368,7 +378,6 @@ class RootSystem:
         return self.element_from_matrix(mat_mul(a.action, b.action))
 
     def weyl_inv(self, a: WeylElement) -> WeylElement:
-        n = self.rank
         inv = invert_mat(a.action)
         m = tuple(tuple(int(x) for x in row) for row in inv)
         return self.element_from_matrix(m)
@@ -377,60 +386,41 @@ class RootSystem:
         return _enumerate_weyl_cached(self, cap)
 
     def parabolic_longest(self, nodes) -> WeylElement:
-        """Longest element of the standard parabolic on the given nodes."""
-        cur = identity_mat(self.rank)
-        length = 0
-        changed = True
-        while changed:
-            changed = False
-            for i in nodes:
-                cand = mat_mul(self.simple_reflection_matrix(i), cur)
-                if self.matrix_length(cand) == length + 1:
-                    cur, length = cand, length + 1
-                    changed = True
-        return self.element_from_matrix(cur)
+        """Longest element of the standard parabolic on the given nodes: the
+        greedy ascent from the identity (rho towards -rho)."""
+        nodes, cols = tuple(nodes), self.root_labels()
+        labels, m = (1,) * self.rank, identity_mat(self.rank)
+        while (i := next((i for i in nodes if labels[i] > 0), None)) is not None:
+            labels = reflect_labels(labels, i, cols[i])
+            m = mat_mul(self.simple_reflection_matrix(i), m)
+        return self.element_from_matrix(m)
 
     def longest_element(self) -> WeylElement:
-        """w0, via the greedy descent walk taking rho to -rho."""
-        mu = self.rho
-        m = identity_mat(self.rank)
-        steps = 0
-        while True:
-            for i in range(self.rank):
-                if self.copairing(mu, i) > 0:
-                    mu = self.reflect(i, mu)
-                    m = mat_mul(self.simple_reflection_matrix(i), m)
-                    steps += 1
-                    break
-            else:
-                break
-        assert steps == len(self.positive_roots)
-        return self.element_from_matrix(m)
+        """w0, the longest element of the parabolic on every node."""
+        w0 = self.parabolic_longest(range(self.rank))
+        if w0.length != len(self.positive_roots):
+            raise AssertionError(f"w0 of {self.lie_type} has length {w0.length}")
+        return w0
 
     def all_reduced_words(self, w: WeylElement,
                           cap: int = DEFAULT_WORD_CAP) -> list[tuple[int, ...]]:
         """Every reduced word of w, erroring past ``cap`` words."""
-        memo: dict[tuple, list[tuple[int, ...]]] = {}
+        cols = self.root_labels()
+        memo: dict[tuple[int, ...], list[tuple[int, ...]]] = {(1,) * self.rank: [()]}
 
-        def rec(m: IntMat, length: int) -> list[tuple[int, ...]]:
-            key = tuple(mat_vec(m, self.rho))
-            if key in memo:
-                return memo[key]
-            if length == 0:
-                memo[key] = [()]
-                return memo[key]
-            words = []
-            for i in range(self.rank):
-                cand = mat_mul(self.simple_reflection_matrix(i), m)
-                if self.matrix_length(cand) == length - 1:
-                    words.extend((i,) + u for u in rec(cand, length - 1))
-                if len(words) > cap:
-                    raise CapExceededError(
-                        f"more than {cap} reduced words for element of length {w.length}")
-            memo[key] = words
-            return words
+        def rec(labels: tuple[int, ...]) -> list[tuple[int, ...]]:
+            if labels not in memo:
+                words = []
+                for i, a in enumerate(labels):
+                    if a < 0:
+                        words.extend((i,) + u for u in rec(reflect_labels(labels, i, cols[i])))
+                    if len(words) > cap:
+                        raise CapExceededError(
+                            f"more than {cap} reduced words for element of length {w.length}")
+                memo[labels] = words
+            return memo[labels]
 
-        return rec(w.action, w.length)
+        return rec(self.rho_labels(w.action))
 
     # -- representation dimensions -----------------------------------------
 
@@ -622,29 +612,32 @@ def build_root_system(t: SimpleLieType) -> RootSystem:
 
 @lru_cache(maxsize=None)
 def _enumerate_weyl_cached(rs: RootSystem, cap: int) -> tuple[WeylElement, ...]:
+    """W by length, each element keyed by the Dynkin labels of w(rho)."""
     order = weyl_order(rs.lie_type)
     if order > cap:
         raise CapExceededError(
             f"|W({rs.lie_type})| = {order} exceeds the enumeration cap {cap}")
-    refl = [rs.simple_reflection_matrix(i) for i in range(rs.rank)]
+    r = rs.rank
+    refl = [rs.simple_reflection_matrix(i) for i in range(r)]
+    cols = rs.root_labels()
     ident = rs.identity_element()
-    key0 = rs.rho
-    elements: dict[Vec, WeylElement] = {key0: ident}
-    level = [ident]
+    seen = {(1,) * r}
+    level = [(ident, (1,) * r)]
     out = [ident]
     while level:
-        nxt: list[WeylElement] = []
-        # prepending the smallest generator first yields lex-minimal words
-        for i in range(rs.rank):
-            for w in level:
-                m = mat_mul(refl[i], w.action)
-                key = mat_vec(m, rs.rho)
-                if key not in elements:
-                    elt = WeylElement((i,) + w.word, m, w.length + 1)
-                    elements[key] = elt
-                    nxt.append(elt)
-        nxt.sort(key=lambda e: e.word)
-        out.extend(nxt)
+        nxt: list[tuple[WeylElement, tuple[int, ...]]] = []
+        # prepending the smallest generator first yields lex-minimal words;
+        # s_i w is longer than w exactly when label i of w(rho) is positive
+        for i in range(r):
+            for w, labels in level:
+                if labels[i] > 0 and (key := reflect_labels(labels, i, cols[i])) not in seen:
+                    seen.add(key)
+                    nxt.append((WeylElement((i,) + w.word, mat_mul(refl[i], w.action),
+                                            w.length + 1), key))
+        nxt.sort(key=lambda e: e[0].word)
+        out.extend(e for e, _ in nxt)
         level = nxt
-    assert len(out) == order
+    if len(out) != order:
+        raise AssertionError(f"enumerated {len(out)} elements of W({rs.lie_type}), "
+                             f"expected {order}")
     return tuple(out)

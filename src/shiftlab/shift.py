@@ -32,7 +32,9 @@ from .liealg import (
     Vec,
     WeylElement,
     build_root_system,
+    invert_mat,
     mat_vec,
+    reflect_labels,
     vadd,
     vneg,
     vscale,
@@ -115,24 +117,14 @@ class LambdaParam:
 # decomposition and enumeration
 # ---------------------------------------------------------------------------
 
-def in_scaled_coweight_lattice(mu: Vec, case: ShiftCase) -> bool:
-    """Membership of mu in (1/p)Q*: p*(mu, alpha_i) integral for all i."""
-    rs = case.rs
-    g = rs.gram
-    r = rs.rank
-    for i in range(r):
-        v = case.p * sum(g[i][j] * mu[j] for j in range(r))
-        if v.denominator != 1:
-            return False
-    return True
-
-
 def canonical_decompose(mu: Vec, case: ShiftCase) -> tuple[Vec, Vec]:
     """Unique (bullet, box) with mu = -bullet + box, bullet integral,
     and 0 < (box + x, alpha_i^vee) <= 1 for every i."""
-    if not in_scaled_coweight_lattice(mu, case):
-        raise ValueError(f"{mu} is not in (1/p)Q* for p={case.p}")
     rs = case.rs
+    # membership in (1/p)Q*: p*(mu, alpha_i) integral for all i
+    if any((case.p * sum(g * c for g, c in zip(row, mu))).denominator != 1
+           for row in rs.gram):
+        raise ValueError(f"{mu} is not in (1/p)Q* for p={case.p}")
     bullet = vzero(rs.rank)
     for i in range(rs.rank):
         t = rs.copairing(vadd(mu, case.x), i)
@@ -149,22 +141,17 @@ def _digit_bounds(case: ShiftCase) -> tuple[int, ...]:
     if case.variant is Variant.NONSUPER:
         # p * d_i = lacing*m for long simple roots, m for short ones
         bounds = tuple(int(case.p * d) for d in rs.half_lengths)
-        assert all(case.p * d == b for d, b in zip(rs.half_lengths, bounds))
+        if any(case.p * d != b for d, b in zip(rs.half_lengths, bounds)):
+            raise AssertionError(f"p={case.p} does not clear the root lengths")
         return bounds
     return (case.p,) * rs.rank
-
-
-def _digit_basis(case: ShiftCase) -> tuple[Vec, ...]:
-    rs = case.rs
-    if case.variant is Variant.NONSUPER:
-        return rs.fund_coweights
-    return rs.fund_weights
 
 
 def _super_parity_ok(case: ShiftCase, bullet: Vec, digits) -> bool:
     r = case.rank
     par = case.rs.copairing(bullet, r - 1)
-    assert par.denominator == 1
+    if par.denominator != 1:
+        raise AssertionError(f"bullet {bullet} is not an integral weight")
     return (digits[r - 1] + int(par)) % 2 == 1
 
 
@@ -180,7 +167,7 @@ def lambda_from(case: ShiftCase, bullet_index: int, digits) -> LambdaParam:
     bullet = rs.minuscule[bullet_index]
     if case.variant.is_super and not _super_parity_ok(case, bullet, digits):
         raise ValueError(f"digits {digits} violate the parity rule for {case.case_id()}")
-    basis = _digit_basis(case)
+    basis = rs.fund_coweights if case.variant is Variant.NONSUPER else rs.fund_weights
     box = vzero(rs.rank)
     for i, d in enumerate(digits):
         if d > 1:
@@ -202,14 +189,10 @@ def enumerate_lambda(case: ShiftCase) -> tuple[LambdaParam, ...]:
             lam = lambda_from(case, b_idx, digits)
             # round-trip through the canonical decomposition
             dec_bullet, dec_box = canonical_decompose(lam.value, case)
-            assert dec_bullet == bullet and vadd(vneg(bullet), dec_box) == lam.value
+            if dec_bullet != bullet or vadd(vneg(bullet), dec_box) != lam.value:
+                raise AssertionError(f"{lam.label()} does not round-trip")
             out.append(lam)
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _lambda_index(case: ShiftCase) -> dict:
-    return {lam.key(): i for i, lam in enumerate(enumerate_lambda(case))}
 
 
 def _minuscule_rep_index(case: ShiftCase, weight: Vec) -> int:
@@ -226,19 +209,13 @@ def lambda_of_value(case: ShiftCase, mu: Vec) -> LambdaParam:
     rs = case.rs
     bullet, box = canonical_decompose(mu, case)
     b_idx = _minuscule_rep_index(case, bullet)
-    basis = _digit_basis(case)
-    digits = []
-    for i in range(rs.rank):
-        t = rs.copairing(vadd(box, case.x), i)
-        if case.variant is Variant.NONSUPER:
-            d = t * case.p * rs.half_lengths[i]
-        else:
-            d = t * case.p
-        assert d.denominator == 1, "box value off the digit grid"
-        digits.append(int(d))
+    scale = rs.half_lengths if case.variant is Variant.NONSUPER else (1,) * rs.rank
+    digits = [case.p * scale[i] * rs.copairing(vadd(box, case.x), i) for i in range(rs.rank)]
+    if any(d.denominator != 1 for d in digits):
+        raise AssertionError("box value off the digit grid")
     lam = lambda_from(case, b_idx, digits)
-    from_box = vadd(vneg(rs.minuscule[b_idx]), box)
-    assert lam.value == from_box
+    if lam.value != vadd(vneg(rs.minuscule[b_idx]), box):
+        raise AssertionError(f"{mu} does not recompose from its digits")
     return lam
 
 
@@ -246,24 +223,69 @@ def lambda_of_value(case: ShiftCase, mu: Vec) -> LambdaParam:
 # cached per-case machinery
 # ---------------------------------------------------------------------------
 
-class ShiftSystem:
-    """Per-case tables: Weyl elements, the * action, and the shift map."""
+# act and shift rows per (type, family, p): the super and Ramond variants
+# share their combinatorics and therefore their rows
+_ROWS: dict[tuple, tuple[dict, dict]] = {}
 
-    def __init__(self, case: ShiftCase, weyl_cap: int = 10**6):
+
+class ShiftSystem:
+    """Per-case tables: Weyl elements, the * action, and the shift map.
+
+    Internally an ambient vector is kept as its Dynkin labels scaled by p,
+    which makes every vector of (1/p)Q* and the twist x integral.  Row ``l``
+    holds, per Weyl element in enumeration order, the index of
+    ``w * lambda_l`` and the Dynkin labels of ``w ^ lambda_l``; it is filled
+    on first use by one simple reflection per element, following the
+    enumeration.  Root coordinates appear only at the public boundary.
+    """
+
+    def __init__(self, case: ShiftCase):
         self.case = case
-        self.rs = case.rs
+        rs = self.rs = case.rs
+        r, p = rs.rank, case.p
         self.lambdas = enumerate_lambda(case)
-        self.index = _lambda_index(case)
-        self.weyl = self.rs.enumerate_weyl(weyl_cap)
-        self._key_index = {tuple(mat_vec(w.action, self.rs.rho)): i
-                           for i, w in enumerate(self.weyl)}
-        self.w0 = self.weyl[max(range(len(self.weyl)),
-                                key=lambda i: self.weyl[i].length)]
-        self.w0_idx = self.elt_index(self.w0)
-        self._act: dict[tuple[int, int], int] = {}
-        self._shift: dict[tuple[int, int], Vec] = {}
-        self._left: dict[tuple[int, int], int] = {}
+        self.index = {lam.key(): i for i, lam in enumerate(self.lambdas)}
+        self.weyl = rs.enumerate_weyl()
+        self.w0 = self.weyl[-1]
+        self.w0_idx = len(self.weyl) - 1
+        self.cols = rs.root_labels()
+        # element k >= 1 is s_i * (element j); the labels of w(rho) key them
+        pos = {w.word: k for k, w in enumerate(self.weyl)}
+        self._steps = [(w.word[0], pos[w.word[1:]]) for w in self.weyl[1:]]
+        rho_labels = [(1,) * r]
+        for i, j in self._steps:
+            rho_labels.append(reflect_labels(rho_labels[j], i, self.cols[i]))
+        self._key_index = {lab: k for k, lab in enumerate(rho_labels)}
+        # left[i][k] is the index of s_i * (element k)
+        self.left = tuple(tuple(self._key_index[reflect_labels(lab, i, self.cols[i])]
+                                for lab in rho_labels) for i in range(r))
+        self.simple_idx = tuple(self.left[i][0] for i in range(r))
         self._w0_words: tuple[tuple[int, ...], ...] | None = None
+        # bullet classes in P/Q: det * C^{-1} applied to the labels, modulo det
+        self._cinv = invert_mat(rs.cartan)
+        self._det = len(rs.minuscule)
+        self._class_mat = [[int(self._det * c) for c in row] for row in self._cinv]
+
+        def scaled(v: Vec) -> tuple[int, ...]:
+            out = tuple(p * rs.copairing(v, i) for i in range(r))
+            if any(t.denominator != 1 for t in out):
+                raise AssertionError(f"{v} has labels off the 1/{p} grid")
+            return tuple(int(t) for t in out)
+
+        # p * labels of lambda + x and of box + x per coset; the latter,
+        # with the bullet class, identifies the coset
+        x = scaled(case.x)
+        self._start = []
+        self._coset = {}
+        for l_idx, lam in enumerate(self.lambdas):
+            a = tuple(v + c for v, c in zip(scaled(lam.value), x))
+            bullet = tuple(int(rs.copairing(lam.bullet_up, i)) for i in range(r))
+            b = tuple(v + p * c for v, c in zip(a, bullet))
+            self._start.append((a, b))
+            self._coset[self._class_key(bullet), b] = l_idx
+        self._roots: dict[tuple[int, ...], Vec] = {}
+        self._act, self._shift = _ROWS.setdefault(
+            (rs.lie_type, case.variant.is_super, p), ({}, {}))
 
     def w0_words(self, cap: int = 10**4) -> tuple[tuple[int, ...], ...]:
         if self._w0_words is None:
@@ -273,63 +295,85 @@ class ShiftSystem:
                 f"{len(self._w0_words)} reduced words of w0 exceed the cap {cap}")
         return self._w0_words
 
-    def walk_word(self, word) -> list[int]:
-        """Element indices of the prefixes of a w0 word, read from its right
-        end; validates that the word is reduced as it goes."""
-        idx = 0
+    def walk_word(self, word=None) -> tuple[tuple[int, ...], list[int]]:
+        """A reduced word of w0 (default: the canonical one) and the element
+        indices of its prefixes, read from its right end."""
+        word = tuple(self.w0.word if word is None else word)
+        if len(word) != len(self.rs.positive_roots):
+            raise ValueError("word is not a reduced word of the longest element")
         out = [0]
-        for letter in reversed(tuple(word)):
-            nxt = self.left_mul_index(letter, idx)
-            if self.weyl[nxt].length != self.weyl[idx].length + 1:
+        for letter in reversed(word):
+            nxt = self.left[letter][out[-1]]
+            if self.weyl[nxt].length != self.weyl[out[-1]].length + 1:
                 raise ValueError("word is not reduced")
-            idx = nxt
-            out.append(idx)
-        return out
+            out.append(nxt)
+        return word, out
+
+    def walk(self, l_idx: int, word):
+        """Along a word read from its right end: each letter with the labels
+        of its simple shift at the current coset, which then moves on."""
+        for letter in reversed(word):
+            act, shift = self.row(l_idx)
+            yield letter, shift[self.simple_idx[letter]]
+            l_idx = act[self.simple_idx[letter]]
+
+    # -- integer labels ------------------------------------------------------
+
+    def _class_key(self, labels: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(sum(c * a for c, a in zip(row, labels)) % self._det
+                     for row in self._class_mat)
+
+    def root_coords(self, labels: tuple[int, ...]) -> Vec:
+        """Simple-root coordinates of the weight with these Dynkin labels."""
+        got = self._roots.get(labels)
+        if got is None:
+            got = self._roots[labels] = mat_vec(self._cinv, labels)
+        return got
 
     # -- group bookkeeping ---------------------------------------------------
 
     def elt_index(self, w: WeylElement) -> int:
-        return self._key_index[tuple(mat_vec(w.action, self.rs.rho))]
-
-    def left_mul_index(self, i: int, w_idx: int) -> int:
-        key = (i, w_idx)
-        got = self._left.get(key)
-        if got is None:
-            m = self.rs.simple_reflection_matrix(i)
-            got = self._key_index[tuple(mat_vec(m, mat_vec(self.weyl[w_idx].action,
-                                                           self.rs.rho)))]
-            self._left[key] = got
-        return got
+        return self._key_index[self.rs.rho_labels(w.action)]
 
     # -- the action and the shift map ----------------------------------------
 
-    def act_value(self, w: WeylElement, mu: Vec) -> Vec:
-        """sigma * mu = sigma(mu + x) - x on ambient vectors."""
-        return vsub(mat_vec(w.action, vadd(mu, self.case.x)), self.case.x)
+    def row(self, l_idx: int) -> tuple[list[int], list[tuple[int, ...]]]:
+        """(indices of w * lambda, labels of w ^ lambda) over W, in enumeration
+        order."""
+        if l_idx not in self._act:
+            self._act[l_idx], self._shift[l_idx] = self._fill(l_idx)
+        return self._act[l_idx], self._shift[l_idx]
+
+    def _fill(self, l_idx: int) -> tuple[list[int], list[tuple[int, ...]]]:
+        p, cols = self.case.p, self.cols
+        a, b = self._start[l_idx]
+        moved, boxes = [a], [b]
+        for i, j in self._steps:
+            moved.append(reflect_labels(moved[j], i, cols[i]))
+            boxes.append(reflect_labels(boxes[j], i, cols[i]))
+        act: list[int] = []
+        shift: list[tuple[int, ...]] = []
+        for a, b in zip(moved, boxes):
+            # canonical decomposition of w * lambda: the bullet has labels
+            # (p - a) // p, and u = p * labels(box' + x) lies in (0, p]
+            bullet = tuple((p - v) // p for v in a)
+            u = tuple(v + p * c for v, c in zip(a, bullet))
+            target = self._coset.get((self._class_key(bullet), u))
+            if target is None:
+                raise AssertionError(f"box labels {u}/{p} are off the digit grid")
+            # w ^ lambda = w(box + x) - (box' + x), a weight
+            diff = [v - c for v, c in zip(b, u)]
+            if any(d % p for d in diff):
+                raise AssertionError("shift map left the weight lattice")
+            act.append(target)
+            shift.append(tuple(d // p for d in diff))
+        return act, shift
 
     def act_index(self, w_idx: int, l_idx: int) -> int:
-        key = (w_idx, l_idx)
-        got = self._act.get(key)
-        if got is None:
-            lam = self.lambdas[l_idx]
-            moved = self.act_value(self.weyl[w_idx], lam.value)
-            got = self.index[lambda_of_value(self.case, moved).key()]
-            self._act[key] = got
-        return got
+        return self.row(l_idx)[0][w_idx]
 
     def shift_value(self, w_idx: int, l_idx: int) -> Vec:
-        key = (w_idx, l_idx)
-        got = self._shift.get(key)
-        if got is None:
-            lam = self.lambdas[l_idx]
-            target = self.lambdas[self.act_index(w_idx, l_idx)]
-            box = vadd(lam.value, lam.bullet_up)
-            moved_box = self.act_value(self.weyl[w_idx], box)
-            target_box = vadd(target.value, target.bullet_up)
-            got = vsub(moved_box, target_box)
-            assert self.rs.in_weight_lattice(got), "shift map left the weight lattice"
-            self._shift[key] = got
-        return got
+        return self.root_coords(self.row(l_idx)[1][w_idx])
 
 
 @lru_cache(maxsize=None)
@@ -354,46 +398,30 @@ def shift_map(w: WeylElement, lam: LambdaParam, case: ShiftCase) -> Vec:
 def is_fixed(i: int, lam: LambdaParam, case: ShiftCase) -> bool:
     """Whether sigma_i fixes lam; equivalently the i-th digit sits at its bound."""
     sys = system(case)
-    si = sys.elt_index(case.rs.simple_element(i))
-    return sys.act_index(si, sys.index[lam.key()]) == sys.index[lam.key()]
+    l_idx = sys.index[lam.key()]
+    return sys.row(l_idx)[0][sys.simple_idx[i]] == l_idx
 
 
 def check_weak(lam: LambdaParam, case: ShiftCase) -> bool:
     """For all (i, j): lam fixed by sigma_j, or (sigma_j ^ lam, alpha_i^vee) = -delta_ij."""
     sys = system(case)
-    rs = case.rs
     l_idx = sys.index[lam.key()]
-    for j in range(rs.rank):
-        sj = sys.elt_index(rs.simple_element(j))
-        if sys.act_index(sj, l_idx) == l_idx:
+    act, shift = sys.row(l_idx)
+    for j, sj in enumerate(sys.simple_idx):
+        if act[sj] == l_idx:
             continue
-        up = sys.shift_value(sj, l_idx)
-        for i in range(rs.rank):
-            if rs.copairing(up, i) != (-1 if i == j else 0):
-                return False
+        if any(c != (-1 if i == j else 0) for i, c in enumerate(shift[sj])):
+            return False
     return True
-
-
-def canonical_w0_word(case: ShiftCase) -> tuple[int, ...]:
-    return system(case).w0.word
 
 
 def check_strong(lam: LambdaParam, case: ShiftCase, word=None) -> bool:
     """Vanishing of every prefix pairing along a reduced word of w0."""
-    rs = case.rs
     sys = system(case)
-    if word is None:
-        word = sys.w0.word
-    word = tuple(word)
-    if len(word) != len(rs.positive_roots):
-        raise ValueError("word is not a reduced word of the longest element")
-    prefixes = sys.walk_word(word)
-    l_idx = sys.index[lam.key()]
-    for step, letter in enumerate(reversed(word)):
-        up = sys.shift_value(prefixes[step], l_idx)
-        if rs.copairing(up, letter) != 0:
-            return False
-    return True
+    word, prefixes = sys.walk_word(word)
+    shift = sys.row(sys.index[lam.key()])[1]
+    return all(shift[prefixes[step]][letter] == 0
+               for step, letter in enumerate(reversed(word)))
 
 
 def check_strong_all_words(lam: LambdaParam, case: ShiftCase,
@@ -410,22 +438,14 @@ def check_strong_all_words(lam: LambdaParam, case: ShiftCase,
 
 def check_strong_alt(lam: LambdaParam, case: ShiftCase, word=None) -> bool:
     """Telescoped form: every prefix shift equals the plain sum of its steps."""
-    rs = case.rs
     sys = system(case)
-    if word is None:
-        word = sys.w0.word
-    word = tuple(word)
-    if len(word) != len(rs.positive_roots):
-        raise ValueError("word is not a reduced word of the longest element")
-    prefixes = sys.walk_word(word)
+    word, prefixes = sys.walk_word(word)
     l_idx = sys.index[lam.key()]
-    running = vzero(rs.rank)
-    cur = l_idx
-    simple_idx = [sys.elt_index(rs.simple_element(i)) for i in range(rs.rank)]
-    for step, letter in enumerate(reversed(word)):
-        running = vadd(running, sys.shift_value(simple_idx[letter], cur))
-        cur = sys.act_index(simple_idx[letter], cur)
-        if sys.shift_value(prefixes[step + 1], l_idx) != running:
+    shift = sys.row(l_idx)[1]
+    running = (0,) * case.rank
+    for prefix, (_, up) in zip(prefixes[1:], sys.walk(l_idx, word)):
+        running = tuple(a + b for a, b in zip(running, up))
+        if shift[prefix] != running:
             return False
     return True
 
@@ -443,20 +463,15 @@ def alcove_inequality(lam: LambdaParam, case: ShiftCase) -> bool:
 def w0_shift(lam: LambdaParam, case: ShiftCase) -> Vec:
     """w0 ^ lam, computed along the canonical word and checked against the
     closed formula for the shift map."""
-    rs = case.rs
     sys = system(case)
     l_idx = sys.index[lam.key()]
-    direct = sys.shift_value(sys.w0_idx, l_idx)
-    acc = vzero(rs.rank)
-    cur = l_idx
-    refl = [rs.simple_reflection_matrix(i) for i in range(rs.rank)]
-    simple_idx = [sys.elt_index(rs.simple_element(i)) for i in range(rs.rank)]
-    for letter in reversed(sys.w0.word):
-        acc = vadd(mat_vec(refl[letter], acc),
-                   sys.shift_value(simple_idx[letter], cur))
-        cur = sys.act_index(simple_idx[letter], cur)
-    assert acc == direct, "cocycle composition disagrees with the direct shift"
-    return direct
+    acc = (0,) * case.rank
+    for letter, up in sys.walk(l_idx, sys.w0.word):
+        acc = tuple(a + b for a, b in zip(reflect_labels(acc, letter, sys.cols[letter]), up))
+    direct = sys.row(l_idx)[1][sys.w0_idx]
+    if acc != direct:
+        raise AssertionError("cocycle composition disagrees with the direct shift")
+    return sys.root_coords(direct)
 
 
 def screening_degree(i: int, lam: LambdaParam, case: ShiftCase) -> int | None:
@@ -468,13 +483,15 @@ def screening_degree(i: int, lam: LambdaParam, case: ShiftCase) -> int | None:
         val = rs.pairing(vadd(vscale(p, lam.value), rs.rho_check), rs.simple_roots[i])
     else:
         val = rs.copairing(vadd(vscale(p, lam.value), rs.rho), i)
-    assert val.denominator == 1
+    if val.denominator != 1:
+        raise AssertionError(f"screening pairing {val} is not integral")
     s = int(val) % p
     if s == 0:
         if not is_fixed(i, lam, case):
             raise AssertionError("zero residue off a fixed point")
         return None
-    assert not is_fixed(i, lam, case)
+    if is_fixed(i, lam, case):
+        raise AssertionError("fixed point with a nonzero residue")
     return s
 
 
@@ -518,8 +535,8 @@ class ShiftReport:
         return "\n".join(rows) + "\n"
 
 
-def _fail(report: ShiftReport, check: str, **witness):
-    report.failures.append({"check": check, **witness})
+def _fail(report: ShiftReport, check: str, label: str, **witness):
+    report.failures.append({"check": check, "lambda": label, **witness})
 
 
 def verify_axioms(case: ShiftCase) -> ShiftReport:
@@ -531,62 +548,50 @@ def verify_axioms(case: ShiftCase) -> ShiftReport:
     report = ShiftReport(case.case_id(),
                          {"lambdas": nL, "weyl": nW, "rank": r, "checks": 0})
     checks = 0
-    refl = [rs.simple_reflection_matrix(i) for i in range(r)]
-    simple_idx = [sys.elt_index(rs.simple_element(i)) for i in range(r)]
-    alpha = rs.simple_roots
+    cols, simple_idx, left = sys.cols, sys.simple_idx, sys.left
+    lengths = [w.length for w in sys.weyl]
+    zero = (0,) * r
 
     for l_idx, lam in enumerate(sys.lambdas):
         label = lam.label()
+        act, shift = sys.row(l_idx)
         # identity acts and shifts trivially
-        if sys.act_index(0, l_idx) != l_idx or sys.shift_value(0, l_idx) != vzero(r):
-            _fail(report, "identity", **{"lambda": label})
+        if act[0] != l_idx or shift[0] != zero:
+            _fail(report, "identity", label)
         for i in range(r):
             si = simple_idx[i]
-            fixed = sys.act_index(si, l_idx) == l_idx
-            up_i = sys.shift_value(si, l_idx)
+            fixed = act[si] == l_idx
+            up_i = shift[si]
             # simple-reflection dichotomy
-            if fixed:
-                if up_i != vneg(alpha[i]):
-                    _fail(report, "fixed-shift", **{"lambda": label, "i": i + 1,
-                                                    "got": str(up_i)})
-            else:
-                if rs.copairing(up_i, i) != -1:
-                    _fail(report, "pairing-minus-one",
-                          **{"lambda": label, "i": i + 1,
-                             "got": str(rs.copairing(up_i, i))})
+            if fixed and up_i != tuple(-c for c in cols[i]):
+                _fail(report, "fixed-shift", label, i=i + 1,
+                      got=str(sys.root_coords(up_i)))
+            elif not fixed and up_i[i] != -1:
+                _fail(report, "pairing-minus-one", label, i=i + 1, got=str(up_i[i]))
             # paired-shift sum
-            partner = sys.shift_value(si, sys.act_index(si, l_idx))
-            want = vscale(-2 if fixed else -1, alpha[i])
-            if vadd(up_i, partner) != want:
-                _fail(report, "pair-sum", **{"lambda": label, "i": i + 1})
+            partner = sys.row(act[si])[1][si]
+            k = -2 if fixed else -1
+            if any(a + b != k * c for a, b, c in zip(up_i, partner, cols[i])):
+                _fail(report, "pair-sum", label, i=i + 1)
             checks += 3
         for w_idx in range(nW):
-            up_w = sys.shift_value(w_idx, l_idx)
-            len_w = sys.weyl[w_idx].length
-            moved = sys.act_index(w_idx, l_idx)
+            up_w = shift[w_idx]
+            len_w = lengths[w_idx]
+            moved_shift = sys.row(act[w_idx])[1]
             for i in range(r):
-                iw = sys.left_mul_index(i, w_idx)
+                iw = left[i][w_idx]
                 # cocycle axiom
-                lhs = sys.shift_value(iw, l_idx)
-                rhs = vadd(mat_vec(refl[i], up_w), sys.shift_value(simple_idx[i], moved))
-                if lhs != rhs:
-                    _fail(report, "cocycle",
-                          **{"lambda": label, "i": i + 1,
-                             "word": list(sys.weyl[w_idx].word)})
+                c = up_w[i]
+                if shift[iw] != tuple(a - c * b + d for a, b, d in
+                                      zip(up_w, cols[i], moved_shift[simple_idx[i]])):
+                    _fail(report, "cocycle", label, i=i + 1,
+                          word=list(sys.weyl[w_idx].word))
                 # length-increase positivity, length-decrease negativity
-                pairing = rs.copairing(up_w, i)
-                if sys.weyl[iw].length == len_w + 1:
-                    if pairing < 0:
-                        _fail(report, "ascent-nonnegative",
-                              **{"lambda": label, "i": i + 1,
-                                 "word": list(sys.weyl[w_idx].word),
-                                 "pairing": str(pairing)})
-                else:
-                    if pairing >= 0:
-                        _fail(report, "descent-negative",
-                              **{"lambda": label, "i": i + 1,
-                                 "word": list(sys.weyl[w_idx].word),
-                                 "pairing": str(pairing)})
+                ascent = lengths[iw] == len_w + 1
+                if ascent == (c < 0):
+                    _fail(report, "ascent-nonnegative" if ascent else "descent-negative",
+                          label, i=i + 1, word=list(sys.weyl[w_idx].word),
+                          pairing=str(c))
                 checks += 2
         report.weak.append((label, check_weak(lam, case)))
         st = check_strong(lam, case)
@@ -611,10 +616,9 @@ def condition_report(case: ShiftCase, all_words: bool = False,
                   else check_strong(lam, case))
         alc = alcove_inequality(lam, case)
         if strong != alc:
-            _fail(report, "strong-alcove-mismatch",
-                  **{"lambda": label, "strong": strong, "alcove": alc})
+            _fail(report, "strong-alcove-mismatch", label, strong=strong, alcove=alc)
         if check_strong_alt(lam, case) != strong:
-            _fail(report, "strong-alt-mismatch", **{"lambda": label})
+            _fail(report, "strong-alt-mismatch", label)
         report.weak.append((label, check_weak(lam, case)))
         report.strong.append((label, strong))
         report.alcove.append((label, alc))
@@ -622,8 +626,7 @@ def condition_report(case: ShiftCase, all_words: bool = False,
         report.w0_shifts.append((label, [str(v) for v in shift0]))
         if strong:
             if shift0 != strong_w0_target(lam, case):
-                _fail(report, "w0-shift-target", **{"lambda": label,
-                                                    "got": [str(v) for v in shift0]})
+                _fail(report, "w0-shift-target", label, got=[str(v) for v in shift0])
         report.counts["checks"] += 3
     return report
 
@@ -639,6 +642,7 @@ def strong_w0_target(lam: LambdaParam, case: ShiftCase) -> Vec:
     """
     rs = case.rs
     if any(is_fixed(i, lam, case) for i in range(rs.rank)):
-        assert rs.rank == 1
+        if rs.rank != 1:
+            raise AssertionError(f"strong coset {lam.label()} has a frozen digit")
         return vneg(rs.simple_roots[0])
     return vneg(rs.rho)

@@ -1,7 +1,10 @@
 """CLI surface: exit codes, flags, determinism, golden regression."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -150,3 +153,17 @@ def test_golden_files(capsys, name, argv):
     assert code == 0
     want = (GOLDEN / name).read_text(encoding="utf-8")
     assert out == want
+
+
+def test_checks_survive_optimized_mode():
+    # invariants are raised explicitly, so python -O runs the same checks
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["-m", "shiftlab.cli", "check", "axioms", "--algebra", "B2",
+            "--variant", "super", "--m", "2"]
+    plain, optimized = (subprocess.run([sys.executable, *flags, *argv], env=env,
+                                       capture_output=True, text=True, timeout=120)
+                        for flags in ([], ["-O"]))
+    assert plain.returncode == optimized.returncode == 0
+    assert plain.stdout == optimized.stdout != ""

@@ -106,10 +106,24 @@ def test_weyl_enumeration(name):
     w0 = rs.longest_element()
     assert w0.length == len(rs.positive_roots)
     assert rs.weyl_mul(w0, w0).length == 0
+    assert elems[-1].action == w0.action
     # w0 maps positive roots to negative ones
     for a in rs.positive_roots:
         img = rs.weyl_apply(w0, a)
         assert all(x <= 0 for x in img)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "B3"])
+def test_weyl_enumeration_order(name):
+    # by (length, word), each word the lex-minimal reduced word of its element
+    rs = rs_of(name)
+    elems = rs.enumerate_weyl()
+    keys = [(e.length, e.word) for e in elems]
+    assert keys == sorted(keys)
+    assert all(len(e.word) == e.length for e in elems)
+    for e in elems:
+        assert e.word == min(rs.all_reduced_words(e))
+        assert rs.element_from_word(e.word).action == e.action
 
 
 def test_enumeration_cap():

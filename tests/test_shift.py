@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from shiftlab.liealg import det_int, vadd, vneg, vscale, vsub, vzero
+from shiftlab.liealg import det_int, mat_vec, vadd, vneg, vscale, vsub, vzero
 from shiftlab.shift import (
     InvalidCaseError,
     alcove_inequality,
@@ -23,6 +23,7 @@ from shiftlab.shift import (
     screening_degree,
     shift_map,
     strong_w0_target,
+    system,
     verify_axioms,
     w0_shift,
     w_act,
@@ -367,3 +368,41 @@ def test_screening_degree_matches_digits_super():
                 assert s is None
             else:
                 assert s == int(digit) % case.p
+
+
+# -- the integer tables against the Fraction route, cell by cell -----------------
+
+ROUTE_CASES = [(name, variant, m)
+               for name in ("A1", "A2", "A3", "B2", "B3", "C3", "G2")
+               for m in (1, 2)
+               for variant in (("nonsuper", "super", "ramond") if name[0] == "B"
+                               else ("nonsuper",))] + \
+    [("B4", "super", 1), ("D4", "nonsuper", 1), ("A4", "nonsuper", 1)]
+
+
+@pytest.mark.parametrize("name,variant,m", ROUTE_CASES)
+def test_tables_match_fraction_route(name, variant, m):
+    # act: lambda_of_value(sigma(lam + x) - x); shift: sigma(box + x) - (box' + x)
+    case = make_case(name, variant, m)
+    sys = system(case)
+    x = case.x
+    for l_idx, lamp in enumerate(sys.lambdas):
+        box = vadd(lamp.value, lamp.bullet_up)
+        for w_idx, w in enumerate(sys.weyl):
+            moved = vsub(mat_vec(w.action, vadd(lamp.value, x)), x)
+            target = lambda_of_value(case, moved)
+            assert sys.act_index(w_idx, l_idx) == sys.index[target.key()]
+            target_box = vadd(target.value, target.bullet_up)
+            assert sys.shift_value(w_idx, l_idx) == \
+                vsub(mat_vec(w.action, vadd(box, x)), vadd(target_box, x))
+
+
+def test_super_and_ramond_share_tables():
+    sup = system(make_case("B3", "super", 2))
+    ram = system(make_case("B3", "ramond", 2))
+    assert sup is not ram
+    assert sup._act is ram._act and sup._shift is ram._shift
+    for l_idx in range(len(sup.lambdas)):
+        for w_idx in range(len(sup.weyl)):
+            assert sup.act_index(w_idx, l_idx) == ram.act_index(w_idx, l_idx)
+            assert sup.shift_value(w_idx, l_idx) == ram.shift_value(w_idx, l_idx)

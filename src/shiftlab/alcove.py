@@ -92,7 +92,8 @@ class _Family:
         self.theta_s_row = tuple(
             Fraction(2) * sum(rs.gram[j][k] * ts[k] for k in range(r)) / n2
             for j in range(r))
-        assert all(x.denominator == 1 for x in self.theta_s_row)
+        if any(x.denominator != 1 for x in self.theta_s_row):
+            raise AssertionError("coroot pairings of the highest short root are not integral")
         self.theta_s_refl: IntMat = tuple(
             tuple(int((1 if k == j else 0) - ts[k] * self.theta_s_row[j])
                   for j in range(r))
@@ -291,7 +292,8 @@ def dominant_reduce(mu: AffineWeight, case: ShiftCase) -> ReduceResult:
         elt = build(sigma, tvec)
     reduced = dot_act(elt, mu, case)
     inside, wall2 = chamber_position(reduced, case)
-    assert inside and wall == wall2
+    if not inside or wall != wall2:
+        raise AssertionError(f"reduced weight {reduced} left the chamber or changed wall")
     return ReduceResult(elt, reduced, wall)
 
 

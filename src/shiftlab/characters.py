@@ -6,8 +6,9 @@ lattice vector is sqrt(p) times the stored one), which keeps every exponent
 rational.
 
 The alternating Weyl sums are evaluated in two ways, via the dot action on
-the fixed coset and via the * action on moved cosets, and the two are checked
-against each other term by term.
+the fixed coset and via the * action on moved cosets, in one walk over W on
+integer Dynkin labels; the two sparse numerators are checked against each
+other before one of them is multiplied by the shared tail.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import floor, gcd, isqrt, lcm
+from operator import mul
 
 from .liealg import (
     CapExceededError,
@@ -26,7 +29,8 @@ from .liealg import (
     vsub,
     vzero,
 )
-from .qseries import FermionKind, QSeries, eta_inv_pow, fermion_char
+from .qseries import (DEFAULT_GRID_CAP, FermionKind, GridBoundError, QSeries,
+                      eta_inv_pow, fermion_char)
 from .shift import (
     LambdaParam,
     ShiftCase,
@@ -149,7 +153,8 @@ def ramond_constants(case: ShiftCase) -> RamondConstants:
         got = a * rs.pairing(rs.simple_roots[r - 1], nu) + c0
         if r >= 2:
             got += b * rs.pairing(rs.simple_roots[r - 2], nu)
-        assert got == rhs(nu)
+        if got != rhs(nu):
+            raise AssertionError(f"Ramond constants miss the flow map at {nu}")
     return RamondConstants(a, b, c0)
 
 
@@ -237,84 +242,133 @@ def _check_multiplet_inputs(case: ShiftCase, alpha: Vec, lam: LambdaParam):
     return alcove_inequality(lam, case)
 
 
+# ---------------------------------------------------------------------------
+# the integer orbit walk
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _form(case: ShiftCase, twisted: bool):
+    """(quad, lin, den, const): a term whose point nu has u = p*nu - gamma'
+    with integer Dynkin labels u (gamma' = p*rho - rho_check, or (p-1)*rho in
+    the super family) sits at q^(const + (u.quad.u + lin.u)/den); lin is the
+    Ramond flow correction, zero elsewhere."""
+    rs, p, r = case.rs, case.p, case.rank
+    # fock_delta = |u|^2/2p - norm_shift, with the form read on Dynkin labels
+    quad = [[rs.pairing(a, b) / (2 * p) for b in rs.fund_weights] for a in rs.fund_weights]
+    lin = [Fraction(0)] * r
+    const = -norm_shift(case) - case.central_charge / 24
+    if twisted:
+        # (alpha_j, nu) = d_j * label_j(nu), and labels(nu) = (u + labels(gamma'))/p
+        rc = ramond_constants(case)
+        lin[r - 1] = rc.a * rs.half_lengths[r - 1] / p
+        if r >= 2:
+            lin[r - 2] = rc.b * rs.half_lengths[r - 2] / p
+        const += rc.c0 + Fraction(1, 16) + sum(
+            c * p * rs.copairing(case.gamma, i) for i, c in enumerate(lin))
+    den = lcm(*(c.denominator for c in lin + sum(quad, [])))
+    return (tuple(tuple(int(c * den) for c in row) for row in quad),
+            tuple(int(c * den) for c in lin), den, const)
+
+
+def _check_point(sys, point: tuple[int, ...], l_idx: int):
+    """fock_point's checks on labels: the weight lies in the Cartan support
+    coset of coset l_idx (keyed by bullet class and box), with 0 <= p*box < p."""
+    box = sys._start[l_idx][1]
+    if sys._coset.get((sys._class_key(point), box)) != l_idx:
+        raise ValueError(f"weight with labels {point} is not in the Cartan support "
+                         f"coset of {sys.lambdas[l_idx].label()}")
+    if not all(0 <= b - x < sys.case.p for b, x in zip(box, sys.x_labels)):
+        raise AssertionError("ceiling-weight mismatch")
+
+
+def _walk(case: ShiftCase, lam: LambdaParam, beta: Vec, twisted: bool,
+          moved: bool = False):
+    """One pass over W (enumeration order) for the alternating sum at beta:
+    the labels of w(beta + rho) and the exponent numerators (see _form) of the
+    dot terms, u = b_lam - p*labels(w(beta + rho)), and with ``moved`` of the
+    * terms, u = b_{w*lam} - p*labels(beta + rho - w^lam); b = p*labels(box +
+    x).  Both take the Ramond flow correction from the dot point."""
+    sys, (quad, lin, _, _), p = system(case), _form(case, twisted), case.p
+    labels = tuple(case.rs.copairing(beta, i) for i in range(case.rank))
+    if any(c.denominator != 1 for c in labels):
+        raise ValueError(f"{beta} is not an integral weight")
+    labels = tuple(int(c) for c in labels)
+    l_idx = sys.index[lam.key()]
+    orbit = sys.orbit(tuple(c + 1 for c in labels))
+    act, shift = sys.row(l_idx) if moved else (None, None)
+    dot, mov = [], []
+    for w, top in enumerate(orbit):
+        _check_point(sys, tuple(c - 1 for c in top), l_idx)
+        u = [x - p * y for x, y in zip(sys._start[l_idx][1], top)]
+        flow = sum(map(mul, lin, u))
+        dot.append(flow + sum(x * sum(map(mul, row, u)) for x, row in zip(u, quad)))
+        if moved:
+            point = tuple(c - s for c, s in zip(labels, shift[w]))
+            _check_point(sys, point, act[w])
+            u = [x - p * (y + 1) for x, y in zip(sys._start[act[w]][1], point)]
+            mov.append(flow + sum(x * sum(map(mul, row, u)) for x, row in zip(u, quad)))
+    return orbit, dot, mov
+
+
+def _numerator(case: ShiftCase, exps: list[int], signs=None) -> dict[int, int]:
+    """Exponent numerator -> coefficient (signs (-1)^len by default), zeros kept."""
+    num = dict.fromkeys(exps, 0)
+    for e, s in zip(exps, signs or [(-1) ** w.length for w in system(case).weyl]):
+        num[e] += s
+    return num
+
+
+def _times_tail(case: ShiftCase, twisted: bool, num: dict[int, int],
+                tail: QSeries) -> QSeries:
+    """The sparse numerator times the shared tail, up to the cutoff of its
+    lowest term, cancelled or not."""
+    _, _, den, const = _form(case, twisted)
+    lo = min(num)
+    base = const + Fraction(lo, den)
+    live = [(e - lo, c) for e, c in num.items() if c]
+    grid = lcm(tail.grid, den // gcd(den, *(e for e, _ in live)))
+    if grid > DEFAULT_GRID_CAP:
+        raise GridBoundError(f"required exponent grid {grid} exceeds cap {DEFAULT_GRID_CAP}")
+    out = [0] * (floor((tail.cutoff - tail.base) * grid) + 1)
+    step = grid // tail.grid
+    for e, c in live:
+        off = e * grid // den
+        end = min(len(out), off + len(tail.coeffs) * step)
+        out[off:end:step] = [x + c * t for x, t in zip(out[off:end:step], tail.coeffs)]
+    return QSeries.make(base, grid, out, base + tail.cutoff - tail.base)
+
+
 def _alternating_sum(case: ShiftCase, lam: LambdaParam, beta: Vec, order: int,
                      twisted: bool = False) -> QSeries:
     """sum over W of (-1)^len q^(weight of the dot-moved Cartan weight),
     sharing one tail series across the orbit."""
-    sys = system(case)
-    rs = case.rs
-    tail = _tail(case, order, twisted)
-    acc: QSeries | None = None
-    for w in sys.weyl:
-        moved = dot_action(case, w.action, beta)
-        pt = fock_point(case, lam, moved)
-        delta = ramond_delta(pt.nu, case) if twisted else fock_delta(pt.nu, case)
-        term = tail.qshift(delta - case.central_charge / 24 - tail.base)
-        if w.length % 2:
-            term = -term
-        acc = term if acc is None else acc.add(term)
-    return acc
+    num = _numerator(case, _walk(case, lam, beta, twisted)[1])
+    return _times_tail(case, twisted, num, _tail(case, order, twisted))
 
 
 def _alternating_sum_moved(case: ShiftCase, lam: LambdaParam, beta: Vec,
                            order: int) -> QSeries:
     """Same sum through the * action: terms live on the moved cosets."""
-    sys = system(case)
-    acc: QSeries | None = None
-    l_idx = sys.index[lam.key()]
-    for w_idx, w in enumerate(sys.weyl):
-        moved_lam = sys.lambdas[sys.act_index(w_idx, l_idx)]
-        shifted_weight = vsub(beta, sys.shift_value(w_idx, l_idx))
-        term = weight_space_char(moved_lam, shifted_weight, case, order)
-        if w.length % 2:
-            term = -term
-        acc = term if acc is None else acc.add(term)
-    return acc
-
-
-def _alternating_sum_ramond_split(case: ShiftCase, lam: LambdaParam, beta: Vec,
-                                  order: int) -> QSeries:
-    """Twisted sum with the flow-independent part read off the *-moved points
-    and the flow correction off the dot points.  Equal to the coherent sum
-    because untwisted weights agree termwise across the two labelings, while
-    the flow correction itself is not Weyl-equivariant."""
-    sys = system(case)
-    rs = case.rs
-    rc = ramond_constants(case)
-    r = rs.rank
-    tail = _tail(case, order, twisted=True)
-    l_idx = sys.index[lam.key()]
-    acc: QSeries | None = None
-    for w_idx, w in enumerate(sys.weyl):
-        moved_lam = sys.lambdas[sys.act_index(w_idx, l_idx)]
-        nu_moved = fock_point(case, moved_lam,
-                              vsub(beta, sys.shift_value(w_idx, l_idx))).nu
-        nu_dot = fock_point(case, lam, dot_action(case, w.action, beta)).nu
-        delta = fock_delta(nu_moved, case) \
-            + rc.a * rs.pairing(rs.simple_roots[r - 1], nu_dot) + rc.c0 \
-            + Fraction(1, 16)
-        if r >= 2:
-            delta += rc.b * rs.pairing(rs.simple_roots[r - 2], nu_dot)
-        term = tail.qshift(delta - case.central_charge / 24 - tail.base)
-        if w.length % 2:
-            term = -term
-        acc = term if acc is None else acc.add(term)
-    return acc
+    twisted = case.variant is Variant.SUPER_RAMOND
+    num = _numerator(case, _walk(case, lam, beta, twisted, moved=True)[2])
+    return _times_tail(case, twisted, num, _tail(case, order, twisted))
 
 
 def multiplet_char(alpha: Vec, lam: LambdaParam, case: ShiftCase,
                    order: int) -> QSeries:
     """Character of the multiplicity space attached to (alpha, lam)."""
     _check_multiplet_inputs(case, alpha, lam)
-    beta = vadd(alpha, lam.bullet_up)
     twisted = case.variant is Variant.SUPER_RAMOND
-    out = _alternating_sum(case, lam, beta, order, twisted)
-    if twisted:
-        alt = _alternating_sum_ramond_split(case, lam, beta, order)
-    else:
-        alt = _alternating_sum_moved(case, lam, beta, order)
-    assert out.same_series(alt), "the two alternating-sum routes disagree"
-    return out
+    tail = _tail(case, order, twisted)
+    _, dot, mov = _walk(case, lam, vadd(alpha, lam.bullet_up), twisted, moved=True)
+    dot, mov = _numerator(case, dot), _numerator(case, mov)
+    # the routes share the tail, whose leading coefficient is nonzero: their
+    # series agree up to the smaller cutoff exactly when the numerators do
+    top = min(min(dot), min(mov)) + floor((tail.cutoff - tail.base) * _form(case, twisted)[2])
+    if ({e: c for e, c in dot.items() if c and e <= top}
+            != {e: c for e, c in mov.items() if c and e <= top}):
+        raise AssertionError("the two alternating-sum routes disagree")
+    return _times_tail(case, twisted, dot, tail)
 
 
 def multiplet_superchar(alpha: Vec, lam: LambdaParam, case: ShiftCase,
@@ -323,22 +377,12 @@ def multiplet_superchar(alpha: Vec, lam: LambdaParam, case: ShiftCase,
     if case.variant is not Variant.SUPER:
         raise UnsupportedCaseError("supercharacters require the super variant")
     _check_multiplet_inputs(case, alpha, lam)
-    sys = system(case)
-    rs = case.rs
-    beta = vadd(alpha, lam.bullet_up)
-    tail = _sch_tail(case, order)
-    acc: QSeries | None = None
-    for w in sys.weyl:
-        moved = dot_action(case, w.action, beta)
-        f = rs.pairing(moved, rs.simple_roots[rs.rank - 1])
-        fsign = f.numerator // f.denominator  # floor
-        pt = fock_point(case, lam, moved)
-        term = tail.qshift(fock_delta(pt.nu, case)
-                           - case.central_charge / 24 - tail.base)
-        if (w.length + fsign) % 2:
-            term = -term
-        acc = term if acc is None else acc.add(term)
-    return acc
+    r, d = case.rank, case.rs.half_lengths[-1]
+    orbit, dot, _ = _walk(case, lam, vadd(alpha, lam.bullet_up), False)
+    # extra sign floor((w o beta, alpha_r)), where w o beta = w(beta + rho) - rho
+    signs = [-1 if (w.length + d.numerator * (top[r - 1] - 1) // d.denominator) % 2 else 1
+             for w, top in zip(system(case).weyl, orbit)]
+    return _times_tail(case, False, _numerator(case, dot, signs), _sch_tail(case, order))
 
 
 def multiplet_ramond_char(alpha: Vec, lam: LambdaParam, case: ShiftCase,
@@ -355,16 +399,9 @@ def multiplet_ramond_char(alpha: Vec, lam: LambdaParam, case: ShiftCase,
 # ---------------------------------------------------------------------------
 
 def _min_term_base(case: ShiftCase, lam: LambdaParam, alpha: Vec) -> Fraction:
-    sys = system(case)
-    beta = vadd(alpha, lam.bullet_up)
     twisted = case.variant is Variant.SUPER_RAMOND
-    best = None
-    for w in sys.weyl:
-        pt = fock_point(case, lam, dot_action(case, w.action, beta))
-        d = ramond_delta(pt.nu, case) if twisted else fock_delta(pt.nu, case)
-        if best is None or d < best:
-            best = d
-    return best - case.central_charge / 24
+    _, _, den, const = _form(case, twisted)
+    return const + Fraction(min(_walk(case, lam, vadd(alpha, lam.bullet_up), twisted)[1]), den)
 
 
 def _height_bound(case: ShiftCase, lam: LambdaParam, cutoff: Fraction) -> int:
@@ -373,31 +410,27 @@ def _height_bound(case: ShiftCase, lam: LambdaParam, cutoff: Fraction) -> int:
     For dominant alpha of height h, every term exponent is at least
     (1/2p)(p*|alpha + bullet + rho| - B)^2 - shift - c/24 with a fixed B, and
     |alpha + bullet + rho| >= (h + s0)/|rho_check| by Cauchy-Schwarz.  Minimal
-    weights therefore grow quadratically in h; a float scan with a margin
-    finds the first safely-clearing height.
+    weights therefore grow quadratically in h; a rational scan, with B and
+    |rho_check| rounded up, finds the first height clearing it by 2.
     """
-    import math as _m
+    def sqrt_above(x: Fraction) -> Fraction:  # within 2^-32 of sqrt(x)
+        return Fraction(isqrt((x.numerator << 64) // x.denominator) + 1, 1 << 32)
 
     rs = case.rs
     p = case.p
     box = vadd(lam.value, lam.bullet_up)
     shift_vec = rs.rho_check if case.variant is Variant.NONSUPER else rs.rho
-    b0 = _m.sqrt(float(rs.norm2(vadd(vscale(p, box), shift_vec))))
+    b0 = sqrt_above(rs.norm2(vadd(vscale(p, box), shift_vec)))
     if case.variant is Variant.SUPER_RAMOND:
-        b0 += p * _m.sqrt(float(rs.norm2(rs.fund_weights[rs.rank - 1]))) / p
-    rho_chk = _m.sqrt(float(rs.norm2(rs.rho_check)))
-    s0 = float(rs.pairing(vadd(lam.bullet_up, rs.rho), rs.rho_check))
-    floor_const = float(norm_shift(case) + case.central_charge / 24)
-    target = float(cutoff) + 2.0
-    h = 0
-    while True:
-        radius = max(0.0, (h + s0) / rho_chk)
-        lower = max(0.0, p * radius - b0) ** 2 / (2 * p) - floor_const - 1e-9
-        if lower > target and h > 0:
+        b0 += sqrt_above(rs.norm2(rs.fund_weights[rs.rank - 1]))
+    rho_chk = sqrt_above(rs.norm2(rs.rho_check))
+    s0 = rs.pairing(vadd(lam.bullet_up, rs.rho), rs.rho_check)
+    target = cutoff + 2 + norm_shift(case) + case.central_charge / 24
+    for h in range(1, 10**6):
+        lower = max(Fraction(0), p * (h + s0) / rho_chk - b0)
+        if lower * lower / (2 * p) > target:
             return h
-        h += 1
-        if h > 10**6:  # pragma: no cover
-            raise RuntimeError("height bound scan failed to terminate")
+    raise RuntimeError("height bound scan failed to terminate")  # pragma: no cover
 
 
 def ft_char(lam: LambdaParam, case: ShiftCase, order: int,

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import mul
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[tuple[Fraction, ...], ...]
@@ -436,7 +437,8 @@ class RootSystem:
             a = self.pairing(vadd(beta, self.rho), alpha) / d
             b = self.pairing(self.rho, alpha) / d
             num *= a / b
-        assert num.denominator == 1 and num > 0
+        if num.denominator != 1 or num <= 0:
+            raise AssertionError(f"Weyl dimension of {beta} came out as {num}")
         return int(num)
 
     # -- serialization ------------------------------------------------------
@@ -514,7 +516,8 @@ def build_root_system(t: SimpleLieType) -> RootSystem:
         for i in range(r)
     )
     cartan_frac = tuple(tuple(gram[i][j] / d[i] for j in range(r)) for i in range(r))
-    assert all(x.denominator == 1 for row in cartan_frac for x in row)
+    if any(x.denominator != 1 for row in cartan_frac for x in row):
+        raise AssertionError(f"Cartan matrix of {t} is not integral")
     cartan = tuple(tuple(int(x) for x in row) for row in cartan_frac)
 
     simple_roots = tuple(
@@ -539,7 +542,6 @@ def build_root_system(t: SimpleLieType) -> RootSystem:
     roots = _close_roots(cartan, r)
     positive = tuple(sorted((a for a in roots if all(x >= 0 for x in a)),
                             key=lambda a: (sum(a), a)))
-    assert 2 * len(positive) == len(roots)
 
     def norm2(mu: Vec) -> Fraction:
         return sum(mu[i] * sum(gram[i][j] * mu[j] for j in range(r)) for i in range(r))
@@ -561,30 +563,28 @@ def build_root_system(t: SimpleLieType) -> RootSystem:
     coroots = [coroot(a) for a in positive]
     theta_L = max(coroots, key=lambda av: sum(coroot_coords(av)))
     marks_L = coroot_coords(theta_L)
-    assert all(x.denominator == 1 for x in marks_L)
 
     minuscule = (vzero(r),) + tuple(fund_weights[i] for i in range(r)
                                     if marks_L[i] == 1)
     det_c = det_int(cartan)
-    assert len(minuscule) == det_c
 
     lac = _lacing(t)
     coxeter = int(sum(theta)) + 1
     theta_vee = coroot(theta)
     dc = 1 + sum(rho[i] * sum(gram[i][j] * theta_vee[j] for j in range(r))
                  for i in range(r))
-    assert dc.denominator == 1
     lhv = 1 + Fraction(
         sum(rho_check[i] * sum(gram[i][j] * theta_L[j] for j in range(r))
             for i in range(r)), lac)
-    assert lhv.denominator == 1
 
     exps = exponents_of(t)
-    assert sum(exps) == len(positive)
     order = 1
     for e in exps:
         order *= e + 1
-    assert order == weyl_order(t)
+    if (2 * len(positive) != len(roots) or len(minuscule) != det_c
+            or any(x.denominator != 1 for x in (*marks_L, dc, lhv))
+            or sum(exps) != len(positive) or order != weyl_order(t)):
+        raise AssertionError(f"inconsistent root data for {t}")
 
     return RootSystem(
         lie_type=t,
@@ -618,7 +618,6 @@ def _enumerate_weyl_cached(rs: RootSystem, cap: int) -> tuple[WeylElement, ...]:
         raise CapExceededError(
             f"|W({rs.lie_type})| = {order} exceeds the enumeration cap {cap}")
     r = rs.rank
-    refl = [rs.simple_reflection_matrix(i) for i in range(r)]
     cols = rs.root_labels()
     ident = rs.identity_element()
     seen = {(1,) * r}
@@ -632,7 +631,10 @@ def _enumerate_weyl_cached(rs: RootSystem, cap: int) -> tuple[WeylElement, ...]:
             for w, labels in level:
                 if labels[i] > 0 and (key := reflect_labels(labels, i, cols[i])) not in seen:
                     seen.add(key)
-                    nxt.append((WeylElement((i,) + w.word, mat_mul(refl[i], w.action),
+                    # s_i * A changes only row i, to A[i] - sum_k cartan[i][k] * A[k]
+                    a = w.action
+                    row = tuple(col[i] - sum(map(mul, rs.cartan[i], col)) for col in zip(*a))
+                    nxt.append((WeylElement((i,) + w.word, a[:i] + (row,) + a[i + 1:],
                                             w.length + 1), key))
         nxt.sort(key=lambda e: e[0].word)
         out.extend(e for e, _ in nxt)

@@ -20,7 +20,7 @@ from math import gcd, lcm
 
 DEFAULT_GRID_CAP = 10**4
 
-_KARATSUBA_THRESHOLD = 64  # below this, schoolbook convolution wins
+_SCHOOLBOOK_CUTOFF = 64  # below this length, schoolbook convolution wins
 
 
 class GridBoundError(RuntimeError):
@@ -52,7 +52,7 @@ def convolve(a: list[int], b: list[int], n_out: int) -> list[int]:
     """First ``n_out`` coefficients of the product of two integer polynomials."""
     if not a or not b or n_out <= 0:
         return [0] * max(n_out, 0)
-    if min(len(a), len(b)) < _KARATSUBA_THRESHOLD:
+    if min(len(a), len(b)) < _SCHOOLBOOK_CUTOFF:
         out = [0] * n_out
         for i, ai in enumerate(a):
             if ai == 0 or i >= n_out:

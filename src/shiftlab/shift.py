@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from operator import mul
 
 from .liealg import (
     CapExceededError,
@@ -252,9 +253,7 @@ class ShiftSystem:
         # element k >= 1 is s_i * (element j); the labels of w(rho) key them
         pos = {w.word: k for k, w in enumerate(self.weyl)}
         self._steps = [(w.word[0], pos[w.word[1:]]) for w in self.weyl[1:]]
-        rho_labels = [(1,) * r]
-        for i, j in self._steps:
-            rho_labels.append(reflect_labels(rho_labels[j], i, self.cols[i]))
+        rho_labels = self.orbit((1,) * r)
         self._key_index = {lab: k for k, lab in enumerate(rho_labels)}
         # left[i][k] is the index of s_i * (element k)
         self.left = tuple(tuple(self._key_index[reflect_labels(lab, i, self.cols[i])]
@@ -274,7 +273,7 @@ class ShiftSystem:
 
         # p * labels of lambda + x and of box + x per coset; the latter,
         # with the bullet class, identifies the coset
-        x = scaled(case.x)
+        self.x_labels = x = scaled(case.x)
         self._start = []
         self._coset = {}
         for l_idx, lam in enumerate(self.lambdas):
@@ -320,8 +319,7 @@ class ShiftSystem:
     # -- integer labels ------------------------------------------------------
 
     def _class_key(self, labels: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(sum(c * a for c, a in zip(row, labels)) % self._det
-                     for row in self._class_mat)
+        return tuple(sum(map(mul, row, labels)) % self._det for row in self._class_mat)
 
     def root_coords(self, labels: tuple[int, ...]) -> Vec:
         """Simple-root coordinates of the weight with these Dynkin labels."""
@@ -344,16 +342,21 @@ class ShiftSystem:
             self._act[l_idx], self._shift[l_idx] = self._fill(l_idx)
         return self._act[l_idx], self._shift[l_idx]
 
-    def _fill(self, l_idx: int) -> tuple[list[int], list[tuple[int, ...]]]:
-        p, cols = self.case.p, self.cols
-        a, b = self._start[l_idx]
-        moved, boxes = [a], [b]
+    def orbit(self, labels: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """Dynkin labels of w(mu) for every Weyl element w in enumeration
+        order, from those of mu; one simple reflection per element."""
+        cols = self.cols
+        out = [labels]
         for i, j in self._steps:
-            moved.append(reflect_labels(moved[j], i, cols[i]))
-            boxes.append(reflect_labels(boxes[j], i, cols[i]))
+            out.append(reflect_labels(out[j], i, cols[i]))
+        return out
+
+    def _fill(self, l_idx: int) -> tuple[list[int], list[tuple[int, ...]]]:
+        p = self.case.p
+        a, b = self._start[l_idx]
         act: list[int] = []
         shift: list[tuple[int, ...]] = []
-        for a, b in zip(moved, boxes):
+        for a, b in zip(self.orbit(a), self.orbit(b)):
             # canonical decomposition of w * lambda: the bullet has labels
             # (p - a) // p, and u = p * labels(box' + x) lies in (0, p]
             bullet = tuple((p - v) // p for v in a)

@@ -4,10 +4,13 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftlab.characters import (
     UnsupportedCaseError,
     _alternating_sum,
+    _min_term_base,
     _shell,
     displayed_norm_exponent,
     dot_action,
@@ -26,7 +29,8 @@ from shiftlab.characters import (
     weight_space_char,
 )
 from shiftlab.liealg import vadd, vscale, vsub, vzero
-from shiftlab.shift import enumerate_lambda, make_case
+from shiftlab.qseries import FermionKind, eta_inv_pow, fermion_char
+from shiftlab.shift import Variant, enumerate_lambda, make_case
 
 A1P2 = make_case("A1", "nonsuper", 2)
 L0 = enumerate_lambda(A1P2)[0]
@@ -63,6 +67,11 @@ def test_fock_point_coset_errors():
         fock_point(A1P2, L0, (Fraction(1, 2),))  # wrong coset (not in Q)
     with pytest.raises(ValueError):
         fock_point(A1P2, L0, (Fraction(1, 3),))  # not integral
+    # the integer walk makes the same checks
+    with pytest.raises(ValueError):
+        _alternating_sum(A1P2, L0, (Fraction(1, 2),), 5)
+    with pytest.raises(ValueError):
+        _alternating_sum(A1P2, L0, (Fraction(1, 3),), 5)
 
 
 def test_displayed_norm_exponent_matches_delta():
@@ -168,6 +177,65 @@ def test_positivity_on_strong_region():
             for alpha in dominant_alphas(case.rs, 3):
                 ch = multiplet_char(alpha, lam, case, 12)
                 assert all(c >= 0 for c in ch.coeffs), (name, lam.label())
+
+
+# -- the integer walk against the Fraction route, on every coset ---------------------
+
+WALK_CASES = [("A1", "nonsuper", 2), ("A1", "nonsuper", 3), ("A2", "nonsuper", 1),
+              ("A2", "nonsuper", 2), ("B1", "super", 2), ("B2", "nonsuper", 1),
+              ("B2", "super", 2), ("C2", "nonsuper", 1), ("G2", "nonsuper", 1),
+              ("A3", "nonsuper", 1), ("B3", "super", 2)]
+
+
+def fraction_route(case, lam, alpha, order):
+    """multiplet_char, multiplet_superchar (super family, else None) and
+    _min_term_base, summed term by term from weight_space_char/fock_delta of
+    the dot-moved points."""
+    rs = case.rs
+    beta = vadd(alpha, lam.bullet_up)
+    sch_tail = eta_inv_pow(rs.rank, order).mul(fermion_char(FermionKind.NS_SCH, order))
+    ch = sch = low = None
+    for w in rs.enumerate_weyl():
+        moved = dot_action(case, w.action, beta)
+        term = weight_space_char(lam, moved, case, order)
+        delta = fock_delta(fock_point(case, lam, moved).nu, case)
+        low = delta if low is None else min(low, delta)
+        term = term.scale((-1) ** w.length)
+        ch = term if ch is None else ch.add(term)
+        if case.variant is Variant.SUPER:
+            f = rs.pairing(moved, rs.simple_roots[rs.rank - 1])
+            sign = -1 if (w.length + f.numerator // f.denominator) % 2 else 1
+            term = sch_tail.qshift(
+                delta - case.central_charge / 24 - sch_tail.base).scale(sign)
+            sch = term if sch is None else sch.add(term)
+    return ch, sch, low - case.central_charge / 24
+
+
+def assert_walk_matches(case, lam, alpha, order):
+    # serialized, so that a float coefficient cannot pass for an int
+    ch, sch, low = fraction_route(case, lam, alpha, order)
+    assert multiplet_char(alpha, lam, case, order).to_json_dict() == ch.to_json_dict()
+    if sch is not None:
+        got = multiplet_superchar(alpha, lam, case, order)
+        assert got.to_json_dict() == sch.to_json_dict()
+    assert _min_term_base(case, lam, alpha) == low
+
+
+@pytest.mark.parametrize("name,variant,m", WALK_CASES)
+def test_walk_matches_fraction_route_every_coset(name, variant, m):
+    case = make_case(name, variant, m)
+    for lam in enumerate_lambda(case):
+        for alpha in dominant_alphas(case.rs, 2):
+            assert_walk_matches(case, lam, alpha, 8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(WALK_CASES), st.data())
+def test_walk_matches_fraction_route_property(spec, data):
+    case = make_case(*spec)
+    lam = data.draw(st.sampled_from(enumerate_lambda(case)))
+    alpha = data.draw(st.sampled_from(dominant_alphas(case.rs, 3)))
+    assert_walk_matches(case, lam, alpha, data.draw(st.integers(0, 12)))
 
 
 # -- supercharacters ------------------------------------------------------------

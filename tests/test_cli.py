@@ -1,5 +1,6 @@
 """CLI surface: exit codes, flags, determinism, golden regression."""
 
+import ast
 import json
 import os
 import pathlib
@@ -167,3 +168,29 @@ def test_checks_survive_optimized_mode():
                         for flags in ([], ["-O"]))
     assert plain.returncode == optimized.returncode == 0
     assert plain.stdout == optimized.stdout != ""
+
+
+def test_route_check_survives_optimized_mode():
+    # a B2 Ramond coset whose two alternating-sum routes disagree fails the
+    # same way with and without -O
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["-m", "shiftlab.cli", "char", "--algebra", "B2", "--variant", "ramond",
+            "--m", "3", "--lambda", "0,1,3", "--kind", "ramond", "--order", "20"]
+    plain, optimized = (subprocess.run([sys.executable, *flags, *argv], env=env,
+                                       capture_output=True, text=True, timeout=120)
+                        for flags in ([], ["-O"]))
+    assert plain.returncode == optimized.returncode != 0
+    last = [run.stderr.strip().splitlines()[-1] for run in (plain, optimized)]
+    assert last[0] == last[1] == "AssertionError: the two alternating-sum routes disagree"
+
+
+def test_no_bare_asserts_in_package():
+    # python -O strips assert statements; invariants must raise explicitly
+    paths = sorted((pathlib.Path(__file__).parent.parent / "src" / "shiftlab").glob("*.py"))
+    assert len(paths) >= 7
+    found = [f"{path.name}:{node.lineno}" for path in paths
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []

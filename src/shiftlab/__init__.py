@@ -34,14 +34,12 @@ from .shift import (
     w_act,
 )
 from .characters import (
-    RamondConstants,
     UnsupportedCaseError,
     fock_delta,
     ft_char,
     multiplet_char,
     multiplet_ramond_char,
     multiplet_superchar,
-    ramond_constants,
     verma_char_super,
     walg_vacuum_oracle,
     weight_space_char,

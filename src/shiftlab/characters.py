@@ -27,7 +27,6 @@ from .liealg import (
     vneg,
     vscale,
     vsub,
-    vzero,
 )
 from .qseries import (DEFAULT_GRID_CAP, FermionKind, GridBoundError, QSeries,
                       eta_inv_pow, fermion_char)
@@ -35,7 +34,6 @@ from .shift import (
     LambdaParam,
     ShiftCase,
     Variant,
-    alcove_inequality,
     system,
 )
 
@@ -96,109 +94,25 @@ def fock_point(case: ShiftCase, lam: LambdaParam, beta: Vec) -> FockPoint:
 
 
 # ---------------------------------------------------------------------------
-# Ramond constants
+# the Ramond sector
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RamondConstants:
-    """Exact coefficients of the conformal-weight correction in the twisted
-    sector: delta(nu) picks up a(alpha_r, nu) + b(alpha_{r-1}, nu) + c0.
-
-    Derived by matching the correction against the flow map
-    nu -> nu + fund_weight_r/p on spanning sets of lattice points; a rank
-    where no such (a, b, c0) exists is rejected.
-    """
-
-    a: Fraction
-    b: Fraction
-    c0: Fraction
-
-
-@lru_cache(maxsize=None)
-def ramond_constants(case: ShiftCase) -> RamondConstants:
+def _check_ramond(case: ShiftCase) -> None:
     if not case.variant.is_super:
-        raise UnsupportedCaseError("Ramond constants exist only for the super family")
-    rs = case.rs
-    r = rs.rank
-    p = case.p
-    h = vscale(Fraction(1, p), rs.fund_weights[r - 1])
-
-    def rhs(nu: Vec) -> Fraction:
-        # correction = delta(nu + h) - delta(nu) = (w_r, nu) + |w_r|^2/2p - (1-1/p)(w_r, rho)
-        return fock_delta(vadd(nu, h), case) - fock_delta(nu, case)
-
-    samples = [vzero(r)] + list(rs.fund_coweights)
-    samples += [vadd(a, b) for a, b in zip(rs.fund_coweights, rs.fund_coweights[1:])]
-    samples.append(vscale(2, rs.fund_coweights[0]))
-    samples.append(vscale(3, rs.fund_coweights[-1]))
-
-    def coeffs(nu: Vec) -> tuple[Fraction, ...]:
-        cols = [rs.pairing(rs.simple_roots[r - 1], nu)]
-        if r >= 2:
-            cols.append(rs.pairing(rs.simple_roots[r - 2], nu))
-        cols.append(Fraction(1))
-        return tuple(cols)
-
-    unknowns = 2 if r == 1 else 3
-    rows = [list(coeffs(nu)) + [rhs(nu)] for nu in samples]
-    sol = _solve_exact(rows, unknowns)
-    if sol is None:
+        raise UnsupportedCaseError("Ramond weights exist only for the super family")
+    if case.rank > 2:
         raise UnsupportedCaseError(
-            f"no two-root correction reproduces the twisted weights for "
-            f"{case.case_id()} (rank {r})")
-    a = sol[0]
-    b = sol[1] if r >= 2 else Fraction(0)
-    c0 = sol[-1]
-    for nu in samples:
-        got = a * rs.pairing(rs.simple_roots[r - 1], nu) + c0
-        if r >= 2:
-            got += b * rs.pairing(rs.simple_roots[r - 2], nu)
-        if got != rhs(nu):
-            raise AssertionError(f"Ramond constants miss the flow map at {nu}")
-    return RamondConstants(a, b, c0)
-
-
-def _solve_exact(rows: list[list[Fraction]], unknowns: int):
-    """Unique exact solution of an overdetermined augmented system, or None
-    if the system is inconsistent or underdetermined."""
-    mat = [row[:] for row in rows]
-    pivots = []
-    rank = 0
-    for col in range(unknowns):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = Fraction(1) / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    if rank < unknowns:
-        return None
-    for i in range(rank, len(mat)):
-        if mat[i][-1] != 0:
-            return None
-    sol = [Fraction(0)] * unknowns
-    for i, col in enumerate(pivots):
-        sol[col] = mat[i][-1]
-    return sol
+            f"Ramond weights of {case.case_id()} (rank {case.rank}) are not "
+            f"checked against any independent construction")
 
 
 def ramond_delta(nu: Vec, case: ShiftCase) -> Fraction:
-    """Twisted-sector conformal weight of the point sqrt(p)*nu, including the
+    """Twisted-sector conformal weight of the point sqrt(p)*nu: the spectral
+    flow nu -> nu + fund_weight_r/p of the untwisted weight, plus the
     fermionic ground-state energy 1/16."""
-    rc = ramond_constants(case)
-    rs = case.rs
-    r = rs.rank
-    out = fock_delta(nu, case) + rc.a * rs.pairing(rs.simple_roots[r - 1], nu) \
-        + rc.c0 + Fraction(1, 16)
-    if r >= 2:
-        out += rc.b * rs.pairing(rs.simple_roots[r - 2], nu)
-    return out
+    _check_ramond(case)
+    flow = vscale(Fraction(1, case.p), case.rs.fund_weights[case.rank - 1])
+    return fock_delta(vadd(nu, flow), case) + Fraction(1, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +149,10 @@ def dot_action(case: ShiftCase, w_action, beta: Vec) -> Vec:
     return vsub(mat_vec(w_action, vadd(beta, rs.rho)), rs.rho)
 
 
-def _check_multiplet_inputs(case: ShiftCase, alpha: Vec, lam: LambdaParam):
+def _check_multiplet_inputs(case: ShiftCase, alpha: Vec):
     rs = case.rs
     if not rs.in_root_lattice(alpha) or not rs.is_dominant(alpha):
         raise ValueError(f"{alpha} is not a dominant root-lattice weight")
-    return alcove_inequality(lam, case)
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +171,10 @@ def _form(case: ShiftCase, twisted: bool):
     lin = [Fraction(0)] * r
     const = -norm_shift(case) - case.central_charge / 24
     if twisted:
-        # (alpha_j, nu) = d_j * label_j(nu), and labels(nu) = (u + labels(gamma'))/p
-        rc = ramond_constants(case)
-        lin[r - 1] = rc.a * rs.half_lengths[r - 1] / p
-        if r >= 2:
-            lin[r - 2] = rc.b * rs.half_lengths[r - 2] / p
-        const += rc.c0 + Fraction(1, 16) + sum(
-            c * p * rs.copairing(case.gamma, i) for i, c in enumerate(lin))
+        # the flow nu -> nu + fund_weight_r/p moves u by the unit label e_r
+        _check_ramond(case)
+        lin = [2 * c for c in quad[r - 1]]
+        const += quad[r - 1][r - 1] + Fraction(1, 16)
     den = lcm(*(c.denominator for c in lin + sum(quad, [])))
     return (tuple(tuple(int(c * den) for c in row) for row in quad),
             tuple(int(c * den) for c in lin), den, const)
@@ -354,13 +264,9 @@ def _alternating_sum_moved(case: ShiftCase, lam: LambdaParam, beta: Vec,
     return _times_tail(case, twisted, num, _tail(case, order, twisted))
 
 
-def multiplet_char(alpha: Vec, lam: LambdaParam, case: ShiftCase,
-                   order: int) -> QSeries:
-    """Character of the multiplicity space attached to (alpha, lam)."""
-    _check_multiplet_inputs(case, alpha, lam)
-    twisted = case.variant is Variant.SUPER_RAMOND
-    tail = _tail(case, order, twisted)
-    _, dot, mov = _walk(case, lam, vadd(alpha, lam.bullet_up), twisted, moved=True)
+def _checked_numerator(case: ShiftCase, twisted: bool, dot: list[int],
+                       mov: list[int], tail: QSeries) -> dict[int, int]:
+    """The dot route's numerator, after checking the * route against it."""
     dot, mov = _numerator(case, dot), _numerator(case, mov)
     # the routes share the tail, whose leading coefficient is nonzero: their
     # series agree up to the smaller cutoff exactly when the numerators do
@@ -368,7 +274,17 @@ def multiplet_char(alpha: Vec, lam: LambdaParam, case: ShiftCase,
     if ({e: c for e, c in dot.items() if c and e <= top}
             != {e: c for e, c in mov.items() if c and e <= top}):
         raise AssertionError("the two alternating-sum routes disagree")
-    return _times_tail(case, twisted, dot, tail)
+    return dot
+
+
+def multiplet_char(alpha: Vec, lam: LambdaParam, case: ShiftCase,
+                   order: int) -> QSeries:
+    """Character of the multiplicity space attached to (alpha, lam)."""
+    _check_multiplet_inputs(case, alpha)
+    twisted = case.variant is Variant.SUPER_RAMOND
+    tail = _tail(case, order, twisted)
+    _, dot, mov = _walk(case, lam, vadd(alpha, lam.bullet_up), twisted, moved=True)
+    return _times_tail(case, twisted, _checked_numerator(case, twisted, dot, mov, tail), tail)
 
 
 def multiplet_superchar(alpha: Vec, lam: LambdaParam, case: ShiftCase,
@@ -376,7 +292,7 @@ def multiplet_superchar(alpha: Vec, lam: LambdaParam, case: ShiftCase,
     """Signed (supertrace) variant; only meaningful in the super family."""
     if case.variant is not Variant.SUPER:
         raise UnsupportedCaseError("supercharacters require the super variant")
-    _check_multiplet_inputs(case, alpha, lam)
+    _check_multiplet_inputs(case, alpha)
     r, d = case.rank, case.rs.half_lengths[-1]
     orbit, dot, _ = _walk(case, lam, vadd(alpha, lam.bullet_up), False)
     # extra sign floor((w o beta, alpha_r)), where w o beta = w(beta + rho) - rho
@@ -387,22 +303,15 @@ def multiplet_superchar(alpha: Vec, lam: LambdaParam, case: ShiftCase,
 
 def multiplet_ramond_char(alpha: Vec, lam: LambdaParam, case: ShiftCase,
                           order: int) -> QSeries:
-    """Twisted-sector character; needs the derived twist constants."""
+    """Twisted-sector character (rank <= 2, see ramond_delta)."""
     if case.variant is not Variant.SUPER_RAMOND:
         raise UnsupportedCaseError("Ramond characters require the ramond variant")
-    ramond_constants(case)  # raises for unsupported ranks
     return multiplet_char(alpha, lam, case, order)
 
 
 # ---------------------------------------------------------------------------
 # full construction characters
 # ---------------------------------------------------------------------------
-
-def _min_term_base(case: ShiftCase, lam: LambdaParam, alpha: Vec) -> Fraction:
-    twisted = case.variant is Variant.SUPER_RAMOND
-    _, _, den, const = _form(case, twisted)
-    return const + Fraction(min(_walk(case, lam, vadd(alpha, lam.bullet_up), twisted)[1]), den)
-
 
 def _height_bound(case: ShiftCase, lam: LambdaParam, cutoff: Fraction) -> int:
     """Height past which no dominant alpha can contribute below the cutoff.
@@ -441,25 +350,36 @@ def ft_char(lam: LambdaParam, case: ShiftCase, order: int,
     Dominant weights are scanned by height up to a proven quadratic-growth
     bound; each is included only if the minimal conformal weight of its orbit
     clears the cutoff with a safety margin of 2 (an exact per-weight check).
+    The included numerators, each checked against its * route, are summed
+    and multiplied by the shared tail once.
     """
     rs = case.rs
-    vacuum_base = -case.central_charge / 24
-    cutoff = vacuum_base + order
-    acc = QSeries.zero(cutoff)
+    twisted = case.variant is Variant.SUPER_RAMOND
+    cutoff = order - case.central_charge / 24
+    _, _, den, const = _form(case, twisted)
+    num: dict[int, int] = {}  # zero coefficients kept: they fix the cutoff
+    tail = None
     n_terms = 0
     for height in range(_height_bound(case, lam, cutoff) + 1):
         for alpha in _shell(rs, height):
             if not rs.is_dominant(alpha):
                 continue
-            if _min_term_base(case, lam, alpha) > cutoff + 2:
+            beta = vadd(alpha, lam.bullet_up)
+            _, dot, mov = _walk(case, lam, beta, twisted, moved=True)
+            if const + Fraction(min(dot), den) > cutoff + 2:
                 continue
             n_terms += 1
             if n_terms > alpha_cap:
                 raise CapExceededError(
                     f"more than {alpha_cap} dominant weights below the cutoff")
-            dim = rs.weyl_dim(vadd(alpha, lam.bullet_up))
-            acc = acc.add(multiplet_char(alpha, lam, case, order).scale(dim))
-    return acc.truncate(cutoff)
+            if tail is None:
+                tail = _tail(case, order, twisted)
+            dim = rs.weyl_dim(beta)
+            for e, c in _checked_numerator(case, twisted, dot, mov, tail).items():
+                num[e] = num.get(e, 0) + dim * c
+    if not num:
+        return QSeries.zero(cutoff)
+    return _times_tail(case, twisted, num, tail).truncate(cutoff)
 
 
 @lru_cache(maxsize=None)

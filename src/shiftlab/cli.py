@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,28 +31,12 @@ class RunConfig:
     order: int
     fmt: str
     output: str | None
-    jobs: int
-    weyl_cap: int
     word_cap: int
-    grid_cap: int
-
-
-def _caps_from_env() -> dict:
-    caps = {}
-    raw = os.environ.get("SHIFTLAB_CAPS", "")
-    for piece in raw.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        key, _, value = piece.partition("=")
-        if key not in ("weyl", "words", "grid") or not value.isdigit():
-            raise ConfigError(f"bad SHIFTLAB_CAPS entry {piece!r}")
-        caps[key] = int(value)
-    return caps
 
 
 def _config(args) -> RunConfig:
-    caps = _caps_from_env()
+    if args.order < 0:
+        raise ConfigError("--order must be nonnegative")
     try:
         algebra = liealg.SimpleLieType.parse(args.algebra)
     except liealg.InvalidTypeError as exc:
@@ -63,13 +46,10 @@ def _config(args) -> RunConfig:
         algebra=algebra,
         variant=variant,
         m=args.m,
-        order=getattr(args, "order", 20),
+        order=args.order,
         fmt=args.format,
         output=args.output,
-        jobs=args.jobs,
-        weyl_cap=caps.get("weyl", args.weyl_cap),
-        word_cap=caps.get("words", args.word_cap),
-        grid_cap=caps.get("grid", args.grid_cap),
+        word_cap=args.word_cap,
     )
 
 
@@ -145,7 +125,7 @@ def _plainify(payload, indent: int = 0) -> str:
 def cmd_info(cfg: RunConfig, args) -> int:
     rs = liealg.build_root_system(cfg.algebra)
     payload = rs.to_json_dict()
-    payload["enumerated"] = liealg.weyl_order(cfg.algebra) <= cfg.weyl_cap
+    payload["enumerated"] = liealg.weyl_order(cfg.algebra) <= liealg.DEFAULT_WEYL_CAP
     _emit(cfg, payload)
     return 0
 
@@ -164,8 +144,6 @@ def cmd_check(cfg: RunConfig, args) -> int:
     elif args.suite == "weak-strong":
         report = shift.condition_report(case, all_words=True,
                                         word_cap=cfg.word_cap)
-    elif args.suite == "shift-facts":
-        report = shift.verify_axioms(case)
     elif args.suite == "alcove-independence":
         report = _alcove_independence_report(case)
     else:  # pragma: no cover - argparse restricts choices
@@ -326,12 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="truncation depth in q-units above the leading exponent")
         p.add_argument("--format", default="json", choices=["json", "csv", "plain"])
         p.add_argument("--output", default=None)
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallelism degree (reserved; evaluation is exact "
-                            "and single-process)")
-        p.add_argument("--weyl-cap", type=int, default=liealg.DEFAULT_WEYL_CAP)
         p.add_argument("--word-cap", type=int, default=liealg.DEFAULT_WORD_CAP)
-        p.add_argument("--grid-cap", type=int, default=qseries.DEFAULT_GRID_CAP)
 
     p = sub.add_parser("info", help="root-system data as JSON")
     common(p)
@@ -342,8 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lambda)
 
     p = sub.add_parser("check", help="verification suites")
-    p.add_argument("suite", choices=["axioms", "weak-strong", "shift-facts",
-                                     "alcove-independence"])
+    p.add_argument("suite", choices=["axioms", "weak-strong", "alcove-independence"])
     common(p)
     p.set_defaults(func=cmd_check)
 
@@ -380,11 +352,11 @@ def main(argv=None) -> int:
     try:
         cfg = _config(args)
         return args.func(cfg, args)
-    except (ConfigError, shift.InvalidCaseError, liealg.InvalidTypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (liealg.CapExceededError, qseries.GridBoundError,
-            characters.UnsupportedCaseError) as exc:
+    # ValueError covers ConfigError, InvalidCaseError, InvalidTypeError and
+    # UnsupportedCaseError; AssertionError (a failed internal check) is left
+    # to propagate with its traceback
+    except (ValueError, liealg.CapExceededError, qseries.GridBoundError,
+            alcove.WallReductionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -128,13 +128,6 @@ class QSeries:
     def zero(cutoff) -> "QSeries":
         return QSeries(Fraction(0), 1, (), _as_fraction(cutoff))
 
-    @staticmethod
-    def monomial(exponent, coeff: int = 1, cutoff=None) -> "QSeries":
-        e = _as_fraction(exponent)
-        if cutoff is None:
-            cutoff = e
-        return QSeries.make(e, 1, [coeff], cutoff)
-
     # queries ---------------------------------------------------------------
 
     @property
@@ -145,11 +138,6 @@ class QSeries:
     def eff_base(self) -> Fraction:
         """Leading exponent, or the cutoff for the zero series."""
         return self.base if self.coeffs else self.cutoff
-
-    def leading(self) -> tuple[Fraction, int]:
-        if self.is_zero:
-            raise ValueError("zero series has no leading term")
-        return self.base, self.coeffs[0]
 
     def coeff(self, exponent) -> int:
         e = _as_fraction(exponent)

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from shiftlab.characters import (
     UnsupportedCaseError,
     _alternating_sum,
-    _min_term_base,
+    _form,
+    _height_bound,
     _shell,
+    _walk,
     displayed_norm_exponent,
     dot_action,
     fock_delta,
@@ -21,7 +23,6 @@ from shiftlab.characters import (
     multiplet_ramond_char,
     multiplet_superchar,
     norm_shift,
-    ramond_constants,
     ramond_delta,
     verma_char_super,
     walg_vacuum_oracle,
@@ -29,7 +30,7 @@ from shiftlab.characters import (
     weight_space_char,
 )
 from shiftlab.liealg import vadd, vscale, vsub, vzero
-from shiftlab.qseries import FermionKind, eta_inv_pow, fermion_char
+from shiftlab.qseries import FermionKind, QSeries, eta_inv_pow, fermion_char
 from shiftlab.shift import Variant, enumerate_lambda, make_case
 
 A1P2 = make_case("A1", "nonsuper", 2)
@@ -188,17 +189,19 @@ WALK_CASES = [("A1", "nonsuper", 2), ("A1", "nonsuper", 3), ("A2", "nonsuper", 1
 
 
 def fraction_route(case, lam, alpha, order):
-    """multiplet_char, multiplet_superchar (super family, else None) and
-    _min_term_base, summed term by term from weight_space_char/fock_delta of
-    the dot-moved points."""
+    """multiplet_char, multiplet_superchar (super family, else None) and the
+    lowest term exponent, summed term by term from weight_space_char and
+    fock_delta/ramond_delta of the dot-moved points."""
     rs = case.rs
+    twisted = case.variant is Variant.SUPER_RAMOND
     beta = vadd(alpha, lam.bullet_up)
     sch_tail = eta_inv_pow(rs.rank, order).mul(fermion_char(FermionKind.NS_SCH, order))
     ch = sch = low = None
     for w in rs.enumerate_weyl():
         moved = dot_action(case, w.action, beta)
         term = weight_space_char(lam, moved, case, order)
-        delta = fock_delta(fock_point(case, lam, moved).nu, case)
+        nu = fock_point(case, lam, moved).nu
+        delta = ramond_delta(nu, case) if twisted else fock_delta(nu, case)
         low = delta if low is None else min(low, delta)
         term = term.scale((-1) ** w.length)
         ch = term if ch is None else ch.add(term)
@@ -218,7 +221,11 @@ def assert_walk_matches(case, lam, alpha, order):
     if sch is not None:
         got = multiplet_superchar(alpha, lam, case, order)
         assert got.to_json_dict() == sch.to_json_dict()
-    assert _min_term_base(case, lam, alpha) == low
+    # the lowest exponent of the walk's dot terms, which ft_char filters on
+    twisted = case.variant is Variant.SUPER_RAMOND
+    _, _, den, const = _form(case, twisted)
+    dot = _walk(case, lam, vadd(alpha, lam.bullet_up), twisted)[1]
+    assert const + Fraction(min(dot), den) == low
 
 
 @pytest.mark.parametrize("name,variant,m", WALK_CASES)
@@ -267,25 +274,52 @@ def test_superchar_requires_super():
 
 # -- Ramond sector ---------------------------------------------------------------
 
-def test_ramond_constants_rank1():
-    case = make_case("B1", "ramond", 2)
-    rc = ramond_constants(case)
-    assert (rc.a, rc.b, rc.c0) == (Fraction(1, 2), 0, Fraction(-1, 8))
-    # reproduces the flow map on sample points
+# the constants of the correction a*(alpha_r, nu) + b*(alpha_{r-1}, nu) + c0
+# that used to be fitted to sampled lattice points, kept as literals
+RAMOND_FIT = {
+    ("B1", 1): (Fraction(1, 2), 0, Fraction(1, 8)),
+    ("B1", 2): (Fraction(1, 2), 0, Fraction(-1, 8)),
+    ("B1", 3): (Fraction(1, 2), 0, Fraction(-7, 40)),
+    ("B2", 1): (1, Fraction(1, 2), Fraction(1, 4)),
+    ("B2", 2): (1, Fraction(1, 2), Fraction(-7, 12)),
+    ("B2", 3): (1, Fraction(1, 2), Fraction(-3, 4)),
+}
+
+
+@pytest.mark.parametrize("name,m", sorted(RAMOND_FIT))
+def test_ramond_delta_matches_fitted_constants(name, m):
+    case = make_case(name, "ramond", m)
     rs = case.rs
-    flow = vscale(Fraction(1, case.p), rs.fund_weights[0])
-    for k in range(5):
-        nu = vscale(k, rs.fund_coweights[0])
-        assert ramond_delta(nu, case) == \
-            fock_delta(vadd(nu, flow), case) + Fraction(1, 16)
+    r = rs.rank
+    a, b, c0 = RAMOND_FIT[name, m]
+    for coords in product(range(-2, 3), repeat=r):
+        nu = vzero(r)
+        for c, cow in zip(coords, rs.fund_coweights):
+            nu = vadd(nu, vscale(Fraction(c, case.p), cow))
+        want = fock_delta(nu, case) + a * rs.pairing(rs.simple_roots[r - 1], nu) \
+            + c0 + Fraction(1, 16)
+        if r >= 2:
+            want += b * rs.pairing(rs.simple_roots[r - 2], nu)
+        assert ramond_delta(nu, case) == want
+
+
+@pytest.mark.parametrize("name,m", sorted(RAMOND_FIT))
+def test_ramond_dot_route_every_coset(name, m):
+    # the twisted walk against the add chain of weight_space_char, which
+    # reads ramond_delta on the dot-moved points
+    case = make_case(name, "ramond", m)
+    for lam in enumerate_lambda(case):
+        for alpha in dominant_alphas(case.rs, 2):
+            got = _alternating_sum(case, lam, vadd(alpha, lam.bullet_up), 8, twisted=True)
+            assert got.to_json_dict() == fraction_route(case, lam, alpha, 8)[0].to_json_dict()
 
 
 def test_ramond_unsupported_rank3():
+    case = make_case("B3", "ramond", 2)
     with pytest.raises(UnsupportedCaseError):
-        ramond_constants(make_case("B3", "ramond", 2))
+        ramond_delta(vzero(3), case)
     with pytest.raises(UnsupportedCaseError):
-        multiplet_ramond_char(vzero(3), enumerate_lambda(
-            make_case("B3", "ramond", 2))[0], make_case("B3", "ramond", 2), 5)
+        multiplet_ramond_char(vzero(3), enumerate_lambda(case)[0], case, 5)
 
 
 def test_ramond_char_even_coefficients():
@@ -353,6 +387,28 @@ def test_ft_char_symplectic_fermion_cross_check():
     f = ft_char(lams[3], case, n)
     assert f.base == Fraction(11, 24)
     assert list(f.coeffs) == sq_tw[1::2][:len(f.coeffs)]   # ground weight 3/8
+
+
+@pytest.mark.parametrize("name,variant,m", [
+    ("A1", "nonsuper", 3), ("A2", "nonsuper", 1), ("B2", "nonsuper", 1),
+    ("G2", "nonsuper", 1), ("B1", "super", 2), ("B2", "super", 2),
+    ("B1", "ramond", 2), ("B1", "ramond", 3),
+])
+def test_ft_char_matches_add_chain(name, variant, m):
+    # the dimension-weighted add chain of multiplet_char over the weights whose
+    # lowest term, read off the Fraction route, lies within 2 of the cutoff
+    case = make_case(name, variant, m)
+    rs = case.rs
+    order = 4
+    cutoff = order - case.central_charge / 24
+    for lam in enumerate_lambda(case):
+        want = QSeries.zero(cutoff)
+        for alpha in dominant_alphas(rs, _height_bound(case, lam, cutoff)):
+            if fraction_route(case, lam, alpha, order)[2] <= cutoff + 2:
+                dim = rs.weyl_dim(vadd(alpha, lam.bullet_up))
+                want = want.add(multiplet_char(alpha, lam, case, order).scale(dim))
+        got = ft_char(lam, case, order)
+        assert got.to_json_dict() == want.truncate(cutoff).to_json_dict()
 
 
 def test_ft_char_nonnegative_b2():

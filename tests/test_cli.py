@@ -20,6 +20,14 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def cli_env():
+    """The environment for a `python -m shiftlab.cli` child on this checkout."""
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_info_exit_and_shape(capsys):
     code, out, _ = run(capsys, "info", "--algebra", "B2")
     assert code == 0
@@ -115,14 +123,52 @@ def test_char_sch_kind(capsys):
     assert data["strong"] is True
 
 
-def test_caps_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("SHIFTLAB_CAPS", "words=1")
+def test_word_cap_flag(capsys):
     code, _, err = run(capsys, "check", "weak-strong", "--algebra", "A2",
-                       "--m", "2")
+                       "--m", "2", "--word-cap", "1")
     assert code == 2 and "reduced words" in err
-    monkeypatch.setenv("SHIFTLAB_CAPS", "bogus=3")
-    code, _, err = run(capsys, "info", "--algebra", "A1")
-    assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["info", "--algebra", "B2", "--jobs", "2"],
+    ["info", "--algebra", "B2", "--weyl-cap", "10"],
+    ["char", "--algebra", "A1", "--m", "2", "--lambda", "0,1", "--grid-cap", "10"],
+    ["check", "shift-facts", "--algebra", "B2"],
+])
+def test_removed_surface_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    # a weight that is not dominant (ValueError)
+    ["char", "--algebra", "A2", "--m", "2", "--lambda", "0,1,1", "--alpha=1,0"],
+    # a negative truncation order
+    ["char", "--algebra", "A2", "--m", "2", "--lambda", "0,1,1", "--order", "-3"],
+    # a bullet class with no strong coset (WallReductionError)
+    ["alcove", "--algebra", "A2", "--m", "1", "--lambda", "1,1,1"],
+])
+def test_bad_input_exits_2_without_traceback(argv):
+    env = cli_env()
+    done = subprocess.run([sys.executable, "-m", "shiftlab.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ")
+    assert "Traceback" not in done.stderr
+
+
+def test_every_config_field_is_read():
+    # a RunConfig field that no command reads is an inert option
+    tree = ast.parse((pathlib.Path(__file__).parent.parent / "src" / "shiftlab"
+                      / "cli.py").read_text(encoding="utf-8"))
+    config = next(node for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) and node.name == "RunConfig")
+    fields = {node.target.id for node in config.body if isinstance(node, ast.AnnAssign)}
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "cfg" and isinstance(node.ctx, ast.Load)}
+    assert fields and fields <= read, sorted(fields - read)
 
 
 def test_deterministic_output(capsys):
@@ -158,9 +204,7 @@ def test_golden_files(capsys, name, argv):
 
 def test_checks_survive_optimized_mode():
     # invariants are raised explicitly, so python -O runs the same checks
-    src = str(pathlib.Path(__file__).parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = cli_env()
     argv = ["-m", "shiftlab.cli", "check", "axioms", "--algebra", "B2",
             "--variant", "super", "--m", "2"]
     plain, optimized = (subprocess.run([sys.executable, *flags, *argv], env=env,
@@ -173,9 +217,7 @@ def test_checks_survive_optimized_mode():
 def test_route_check_survives_optimized_mode():
     # a B2 Ramond coset whose two alternating-sum routes disagree fails the
     # same way with and without -O
-    src = str(pathlib.Path(__file__).parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = cli_env()
     argv = ["-m", "shiftlab.cli", "char", "--algebra", "B2", "--variant", "ramond",
             "--m", "3", "--lambda", "0,1,3", "--kind", "ramond", "--order", "20"]
     plain, optimized = (subprocess.run([sys.executable, *flags, *argv], env=env,

@@ -16,14 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .liealg import (
-    IntMat,
     Vec,
     WeylElement,
-    identity_mat,
-    mat_mul,
     mat_vec,
+    reflect_labels,
     vadd,
     vneg,
     vscale,
@@ -85,19 +84,15 @@ class _Family:
             self.lattice_scale = 1
             self.form_factor = Fraction(1)
             self.level_in = Fraction(case.m - rs.rank - 1)
-        # coroot-pairing row of the highest short root and its reflection
-        r = rs.rank
-        ts = rs.theta_s
-        n2 = rs.norm2(ts)
-        self.theta_s_row = tuple(
-            Fraction(2) * sum(rs.gram[j][k] * ts[k] for k in range(r)) / n2
-            for j in range(r))
-        if any(x.denominator != 1 for x in self.theta_s_row):
-            raise AssertionError("coroot pairings of the highest short root are not integral")
-        self.theta_s_refl: IntMat = tuple(
-            tuple(int((1 if k == j else 0) - ts[k] * self.theta_s_row[j])
-                  for j in range(r))
-            for k in range(r))
+        # labels of theta_s and the integer marks c of its coroot,
+        # theta_s^vee = sum c_i alpha_i^vee, so (g, theta_s^vee) = sum c_i a_i
+        n2 = rs.norm2(rs.theta_s)
+        marks = tuple(2 * d * x / n2 for d, x in zip(rs.half_lengths, rs.theta_s))
+        if any(x.denominator != 1 for x in marks):
+            raise AssertionError("coroot marks of the highest short root are not integral")
+        self.marks = tuple(int(x) for x in marks)
+        self.cols = rs.root_labels()
+        self.theta_s_labels = tuple(int(x) for x in self.labels(rs.theta_s))
 
     def trans_scale(self, mu: AffineWeight) -> Fraction:
         """Multiplier applied to a translation vector at this weight's level
@@ -112,8 +107,21 @@ class _Family:
             return self.rs.lacing * scale
         return scale
 
-    def pair_theta_s_coroot(self, g: Vec) -> Fraction:
-        return sum(r * x for r, x in zip(self.theta_s_row, g))
+    def labels(self, g: Vec) -> tuple:
+        """Dynkin labels a_i = (g, alpha_i^vee)."""
+        return tuple(self.rs.copairing(g, i) for i in range(self.rs.rank))
+
+    def top(self, a) -> Fraction:
+        """(g, theta_s^vee) from the labels of g."""
+        return sum(c * x for c, x in zip(self.marks, a))
+
+    def reflect(self, a, i, bound=0):
+        """Labels after the simple wall i, or for i None after the affine wall
+        (g, theta_s^vee) = bound; bound 0 gives the linear part alone."""
+        if i is not None:
+            return reflect_labels(a, i, self.cols[i])
+        c = self.top(a) - bound
+        return a if c == 0 else tuple(x - c * y for x, y in zip(a, self.theta_s_labels))
 
     def check_translation(self, b: Vec):
         for x in b:
@@ -181,118 +189,70 @@ def dot_act(w: AffineWeylElt, mu: AffineWeight, case: ShiftCase) -> AffineWeight
 def chamber_position(mu: AffineWeight, case: ShiftCase):
     """(is_inside, is_on_wall) of mu against the shifted chamber."""
     fam = _family(case)
-    rs = case.rs
-    g = vadd(mu.finite, fam.rho_hat_fin)
-    scale = fam.trans_scale(mu)
-    bound = fam.bound(scale)
-    wall = False
-    for i in range(rs.rank):
-        c = rs.copairing(g, i)
-        if c < 0:
-            return False, False
-        if c == 0:
-            wall = True
-    top = fam.pair_theta_s_coroot(g)
-    if top > bound:
+    a = fam.labels(vadd(mu.finite, fam.rho_hat_fin))
+    top, bound = fam.top(a), fam.bound(fam.trans_scale(mu))
+    if min(a) < 0 or top > bound:
         return False, False
-    if top == bound:
-        wall = True
-    return True, wall
+    return True, 0 in a or top == bound
 
 
-def _wall_stabilizer(fam: _Family, g: Vec, bound: Fraction, cap: int = 2000):
-    """All affine maps generated by the chamber walls through g (as
-    (matrix, shift) pairs); g must lie in the closed chamber."""
-    rs = fam.rs
-    r = rs.rank
-    gens: list[tuple[IntMat, Vec]] = []
-    for i in range(r):
-        if rs.copairing(g, i) == 0:
-            gens.append((rs.simple_reflection_matrix(i), vzero(r)))
-    if fam.pair_theta_s_coroot(g) == bound:
-        gens.append((fam.theta_s_refl, vscale(bound, rs.theta_s)))
-    ident = (identity_mat(r), vzero(r))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for mat, vec_ in frontier:
-            for gm, gv in gens:
-                cand = (mat_mul(gm, mat), vadd(mat_vec(gm, vec_), gv))
-                if cand not in seen:
-                    seen.add(cand)
-                    nxt.append(cand)
-                    if len(seen) > cap:  # pragma: no cover
-                        raise RuntimeError("wall stabilizer blew past its cap")
-        frontier = nxt
-    return seen
+def _descend(fam: _Family, rho_labels, a):
+    """Lex-minimal reduced word of sigma from the labels of sigma(rho), and
+    the labels a carried along the descent: those of sigma^{-1}(g)."""
+    word = []
+    while (i := next((i for i, x in enumerate(rho_labels) if x < 0), None)) is not None:
+        word.append(i)
+        rho_labels, a = fam.reflect(rho_labels, i), fam.reflect(a, i)
+    return tuple(word), a
 
 
 def dominant_reduce(mu: AffineWeight, case: ShiftCase) -> ReduceResult:
     """The affine element w with w o mu in the closed shifted chamber,
     found by reflecting across violated walls.
 
-    For regular input the element is unique.  On a wall the valid reducers
-    form a coset of the wall stabilizer; the canonical representative is the
-    minimal one under (finite length, word, translation), which agrees with
-    the unique reducer of nearby regular inputs.
+    The walk carries the labels of g = mu + rho_hat and of sigma(rho) for the
+    finite part sigma; the translation b is read off the end point g_f, as
+    sigma(g + scale*b) = g_f.  For regular input the element is unique.  On a
+    wall the valid reducers are the finite parts that the wall reflections
+    through g_f reach from sigma; the canonical one is the minimal one under
+    (finite length, word), which agrees with the unique reducer of nearby
+    regular inputs.
     """
     fam = _family(case)
     rs = case.rs
-    r = rs.rank
     scale = fam.trans_scale(mu)
     if scale <= 0:
         raise ValueError("nonpositive shifted level; reduction undefined")
-    bound = fam.bound(scale)
-    g = vadd(mu.finite, fam.rho_hat_fin)
-    sigma = identity_mat(r)
-    tvec = vzero(r)
-    refl = [rs.simple_reflection_matrix(i) for i in range(r)]
+    labels = fam.labels(vadd(mu.finite, fam.rho_hat_fin))
+    n = lcm(*(x.denominator for x in (*labels, scale)))  # walk on n * labels
+    bound = int(n * fam.bound(scale))
+    a0 = tuple(int(n * x) for x in labels)
+    a, sigma = a0, (1,) * rs.rank
     guard = 0
     while True:
         guard += 1
         if guard > 100000:  # pragma: no cover
             raise RuntimeError("alcove walk failed to terminate")
-        for i in range(r):
-            if rs.copairing(g, i) < 0:
-                g = mat_vec(refl[i], g)
-                sigma = mat_mul(refl[i], sigma)
-                tvec = mat_vec(refl[i], tvec)
-                break
-        else:
-            top = fam.pair_theta_s_coroot(g)
-            if top > bound:
-                # affine map F -> refl(F) + bound*theta_s
-                g = vadd(mat_vec(fam.theta_s_refl, g),
-                         vscale(bound, rs.theta_s))
-                sigma = mat_mul(fam.theta_s_refl, sigma)
-                tvec = vadd(mat_vec(fam.theta_s_refl, tvec),
-                            vscale(bound, rs.theta_s))
-                continue
+        i = next((i for i, x in enumerate(a) if x < 0), None)
+        if i is None and fam.top(a) <= bound:
             break
-
-    def build(mat: IntMat, vec_: Vec) -> AffineWeylElt:
-        fin_elt = rs.element_from_matrix(mat)
-        inv = rs.weyl_inv(fin_elt)
-        b = vscale(Fraction(1) / scale, mat_vec(inv.action, vec_))
-        return affine_elt(case, fin_elt, b)
-
-    inside, wall = True, False
-    stab = _wall_stabilizer(fam, g, bound)
-    if len(stab) > 1:
-        wall = True
-        best = None
-        for smat, svec in stab:
-            cand = build(mat_mul(smat, sigma), vadd(mat_vec(smat, tvec), svec))
-            key = (cand.finite_part.length, cand.finite_part.word, cand.translation)
-            if best is None or key < best[0]:
-                best = (key, cand)
-        elt = best[1]
-    else:
-        elt = build(sigma, tvec)
+        a, sigma = fam.reflect(a, i, bound), fam.reflect(sigma, i)
+    walls = [i for i, x in enumerate(a) if x == 0] + ([None] if fam.top(a) == bound else [])
+    seen, frontier = {sigma}, {sigma}
+    while frontier:
+        frontier = {fam.reflect(s, i) for s in frontier for i in walls} - seen
+        seen |= frontier
+    word, back = min((_descend(fam, s, a) for s in seen),
+                     key=lambda wb: (len(wb[0]), wb[0]))
+    diff = [(x - y) / (n * scale) for x, y in zip(back, a0)]
+    b = tuple(sum(d * w[j] for d, w in zip(diff, rs.fund_weights)) for j in range(rs.rank))
+    images = [tuple(int(j == k) for k in range(rs.rank)) for j in range(rs.rank)]
+    for i in reversed(word):  # sigma(alpha_j), the columns of its matrix
+        images = [rs.reflect(i, v) for v in images]
+    elt = affine_elt(case, WeylElement(word, tuple(zip(*images)), len(word)), b)
+    wall = len(seen) > 1
     reduced = dot_act(elt, mu, case)
-    inside, wall2 = chamber_position(reduced, case)
-    if not inside or wall != wall2:
+    if chamber_position(reduced, case) != (True, wall):
         raise AssertionError(f"reduced weight {reduced} left the chamber or changed wall")
     return ReduceResult(elt, reduced, wall)
 

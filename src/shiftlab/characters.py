@@ -29,7 +29,7 @@ from .liealg import (
     vsub,
 )
 from .qseries import (DEFAULT_GRID_CAP, FermionKind, GridBoundError, QSeries,
-                      eta_inv_pow, fermion_char)
+                      check_order, eta_inv_pow, fermion_char)
 from .shift import (
     LambdaParam,
     ShiftCase,
@@ -353,6 +353,7 @@ def ft_char(lam: LambdaParam, case: ShiftCase, order: int,
     The included numerators, each checked against its * route, are summed
     and multiplied by the shared tail once.
     """
+    check_order(order)
     rs = case.rs
     twisted = case.variant is Variant.SUPER_RAMOND
     cutoff = order - case.central_charge / 24
@@ -411,6 +412,7 @@ def walg_vacuum_oracle(case: ShiftCase, order: int) -> QSeries:
     modes from 2, one odd with half-integer modes from 3/2).  Higher super
     ranks have no independently constructed oracle and are rejected.
     """
+    check_order(order)
     rs = case.rs
     base = -case.central_charge / 24
     if case.variant is Variant.NONSUPER:
@@ -437,6 +439,7 @@ def walg_vacuum_oracle(case: ShiftCase, order: int) -> QSeries:
 
 def walg_vacuum_superchar_oracle(case: ShiftCase, order: int) -> QSeries:
     """Supertrace analogue of the rank-1 super oracle (odd modes signed)."""
+    check_order(order)
     if case.variant is not Variant.SUPER or case.rank != 1:
         raise UnsupportedCaseError("supertrace oracle only for super rank 1")
     base = -case.central_charge / 24

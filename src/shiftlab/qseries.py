@@ -367,10 +367,16 @@ def _colored_partition_coeffs(r: int, order: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def check_order(order: int) -> None:
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+
+
 def eta_inv_pow(r: int, order: int) -> QSeries:
     """q^(-r/24) * sum of r-colored partition numbers; 1/eta(q)^r truncated."""
     if r < 1:
         raise ValueError("eta power must be positive")
+    check_order(order)
     coeffs = _colored_partition_coeffs(r, order)
     return QSeries.make(Fraction(-r, 24), 1, list(coeffs),
                         Fraction(-r, 24) + order)
@@ -380,6 +386,7 @@ def eta_pow(r: int, order: int) -> QSeries:
     """eta(q)^r = q^(r/24) prod (1-q^n)^r, truncated at depth ``order``."""
     if r < 1:
         raise ValueError("eta power must be positive")
+    check_order(order)
     out = [1] + [0] * order
     base = list(_euler_coeffs(order))
     k = r
@@ -422,8 +429,7 @@ def fermion_char(kind: FermionKind, order: int) -> QSeries:
     * ``NS_SCH``    q^(-1/48) prod (1 - q^(n-1/2))
     * ``R_TWISTED`` 2 q^(1/24) prod (1 + q^n)
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    check_order(order)
     if kind is FermionKind.R_TWISTED:
         coeffs = _binomial_product(order, +1, range(1, order + 1))
         return QSeries.make(Fraction(1, 24), 1, [2 * c for c in coeffs],

@@ -9,6 +9,7 @@ from shiftlab.alcove import (
     AffineWeight,
     AffineWeylElt,
     WallReductionError,
+    _family,
     affine_elt,
     affine_identity,
     affine_input,
@@ -24,7 +25,7 @@ from shiftlab.alcove import (
     y_sigma,
 )
 from shiftlab.characters import _shell
-from shiftlab.liealg import vadd, vneg, vscale, vsub, vzero
+from shiftlab.liealg import invert_mat, mat_vec, vadd, vneg, vscale, vsub, vzero
 from shiftlab.shift import alcove_inequality, enumerate_lambda, make_case
 
 B1S2 = make_case("B1", "super", 2)
@@ -107,6 +108,37 @@ def test_reduce_idempotent_and_unique():
                 combined = affine_mul(case, res2.elt, g)
                 assert combined.finite_part.action == res.elt.finite_part.action
                 assert combined.translation == res.elt.translation
+
+
+@pytest.mark.parametrize("name,variant,m", [
+    ("B1", "super", 2), ("B2", "super", 3), ("B2", "nonsuper", 2),
+    ("A2", "nonsuper", 2), ("G2", "nonsuper", 3), ("C3", "nonsuper", 1)])
+def test_reducer_is_least_over_brute_force(name, variant, m):
+    # w in W reduces mu when b = (w^-1 g_f - g)/scale lies in the translation
+    # lattice (g = mu + rho_hat, g_f its chamber point); every such (w, b)
+    # gives the chamber weight, dominant_reduce returns the least under
+    # (length, word, translation), and it is on a wall when there are several
+    case = make_case(name, variant, m)
+    fam = _family(case)
+    rng = random.Random(31)
+    inverses = [(w, invert_mat(w.action)) for w in case.rs.enumerate_weyl()]
+    inputs = [affine_input(case, vzero(case.rank), lam) for lam in enumerate_lambda(case)]
+    inputs += [rand_weight(case, rng) for _ in range(30)]
+    for mu in inputs:
+        res = dominant_reduce(mu, case)
+        g = vadd(mu.finite, fam.rho_hat_fin)
+        g_f = vadd(res.weight.finite, fam.rho_hat_fin)
+        valid = []
+        for w, inv in inverses:
+            b = vscale(1 / fam.trans_scale(mu), vsub(mat_vec(inv, g_f), g))
+            if all((x / fam.lattice_scale).denominator == 1 for x in b):
+                valid.append(affine_elt(case, w, b))
+        assert all(dot_act(v, mu, case) == res.weight for v in valid)
+        best = min(valid, key=lambda v: (v.finite_part.length, v.finite_part.word,
+                                         v.translation))
+        assert (res.elt.finite_part, res.elt.translation) == \
+            (best.finite_part, best.translation)
+        assert res.on_wall == (len(valid) > 1)
 
 
 def test_rank1_super_reduction_example():

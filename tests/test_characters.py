@@ -30,7 +30,7 @@ from shiftlab.characters import (
     weight_space_char,
 )
 from shiftlab.liealg import vadd, vscale, vsub, vzero
-from shiftlab.qseries import FermionKind, QSeries, eta_inv_pow, fermion_char
+from shiftlab.qseries import FermionKind, QSeries, eta_inv_pow, eta_pow, fermion_char
 from shiftlab.shift import Variant, enumerate_lambda, make_case
 
 A1P2 = make_case("A1", "nonsuper", 2)
@@ -448,3 +448,27 @@ def test_verma_dot_orbit_invariance():
 def test_verma_requires_super():
     with pytest.raises(UnsupportedCaseError):
         verma_char_super(vzero(1), A1P2, 5)
+
+
+B1S2 = make_case("B1", "super", 2)
+LAM01 = next(lam for lam in enumerate_lambda(A1P2) if lam.label() == "0,1")
+
+
+@pytest.mark.parametrize("call", [
+    lambda o: eta_inv_pow(2, o),
+    lambda o: eta_pow(2, o),
+    lambda o: fermion_char(FermionKind.NS_CH, o),
+    lambda o: multiplet_char(vzero(1), L0, A1P2, o),
+    lambda o: multiplet_superchar(vzero(1), enumerate_lambda(B1S2)[0], B1S2, o),
+    lambda o: weight_space_char(L0, vzero(1), A1P2, o),
+    lambda o: ft_char(L0, A1P2, o),
+    lambda o: ft_char(LAM01, A1P2, o),
+    lambda o: walg_vacuum_oracle(A1P2, o),
+    lambda o: walg_vacuum_superchar_oracle(B1S2, o),
+], ids=["eta_inv_pow", "eta_pow", "fermion_char", "multiplet_char",
+        "multiplet_superchar", "weight_space_char", "ft_char", "ft_char_kept",
+        "walg_vacuum_oracle", "walg_vacuum_superchar_oracle"])
+@pytest.mark.parametrize("order", [-1, -2])
+def test_negative_order_is_rejected(call, order):
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        call(order)

@@ -202,11 +202,12 @@ def test_golden_files(capsys, name, argv):
     assert out == want
 
 
-def test_checks_survive_optimized_mode():
+@pytest.mark.parametrize("suite,m", [("axioms", "2"), ("alcove-independence", "3")])
+def test_checks_survive_optimized_mode(suite, m):
     # invariants are raised explicitly, so python -O runs the same checks
     env = cli_env()
-    argv = ["-m", "shiftlab.cli", "check", "axioms", "--algebra", "B2",
-            "--variant", "super", "--m", "2"]
+    argv = ["-m", "shiftlab.cli", "check", suite, "--algebra", "B2",
+            "--variant", "super", "--m", m]
     plain, optimized = (subprocess.run([sys.executable, *flags, *argv], env=env,
                                        capture_output=True, text=True, timeout=120)
                         for flags in ([], ["-O"]))

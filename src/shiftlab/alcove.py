@@ -21,7 +21,6 @@ from math import lcm
 from .liealg import (
     Vec,
     WeylElement,
-    mat_vec,
     reflect_labels,
     vadd,
     vneg,
@@ -153,15 +152,14 @@ def affine_mul(case: ShiftCase, a: AffineWeylElt, b: AffineWeylElt) -> AffineWey
     """(s_a t_A)(s_b t_B) = (s_a s_b) t_{s_b^{-1} A + B}."""
     rs = case.rs
     fin = rs.weyl_mul(a.finite_part, b.finite_part)
-    b_inv = rs.weyl_inv(b.finite_part)
-    trans = vadd(mat_vec(b_inv.action, a.translation), b.translation)
+    trans = vadd(rs.weyl_apply(rs.weyl_inv(b.finite_part), a.translation), b.translation)
     return AffineWeylElt(fin, trans)
 
 
 def affine_inv(case: ShiftCase, a: AffineWeylElt) -> AffineWeylElt:
     rs = case.rs
     fin = rs.weyl_inv(a.finite_part)
-    return AffineWeylElt(fin, vneg(mat_vec(a.finite_part.action, a.translation)))
+    return AffineWeylElt(fin, vneg(rs.weyl_apply(a.finite_part, a.translation)))
 
 
 def dot_act(w: AffineWeylElt, mu: AffineWeight, case: ShiftCase) -> AffineWeight:
@@ -178,7 +176,7 @@ def dot_act(w: AffineWeylElt, mu: AffineWeight, case: ShiftCase) -> AffineWeight
         u = fam.form_factor
         delta = delta - u * rs.pairing(fin, b) - u * scale / 2 * rs.norm2(b)
         fin = vadd(fin, vscale(scale, b))
-    fin = mat_vec(w.finite_part.action, fin)
+    fin = rs.weyl_apply(w.finite_part, fin)
     return AffineWeight(vsub(fin, fam.rho_hat_fin), level - fam.rho_hat_level, delta)
 
 
@@ -206,6 +204,7 @@ def _descend(fam: _Family, rho_labels, a):
     return tuple(word), a
 
 
+@lru_cache(maxsize=None)  # alcove_json reduces its coset in y_alpha and in mu_lambda
 def dominant_reduce(mu: AffineWeight, case: ShiftCase) -> ReduceResult:
     """The affine element w with w o mu in the closed shifted chamber,
     found by reflecting across violated walls.
@@ -242,14 +241,11 @@ def dominant_reduce(mu: AffineWeight, case: ShiftCase) -> ReduceResult:
     while frontier:
         frontier = {fam.reflect(s, i) for s in frontier for i in walls} - seen
         seen |= frontier
-    word, back = min((_descend(fam, s, a) for s in seen),
-                     key=lambda wb: (len(wb[0]), wb[0]))
+    sigma, word, back = min(((s, *_descend(fam, s, a)) for s in seen),
+                            key=lambda swb: (len(swb[1]), swb[1]))
     diff = [(x - y) / (n * scale) for x, y in zip(back, a0)]
     b = tuple(sum(d * w[j] for d, w in zip(diff, rs.fund_weights)) for j in range(rs.rank))
-    images = [tuple(int(j == k) for k in range(rs.rank)) for j in range(rs.rank)]
-    for i in reversed(word):  # sigma(alpha_j), the columns of its matrix
-        images = [rs.reflect(i, v) for v in images]
-    elt = affine_elt(case, WeylElement(word, tuple(zip(*images)), len(word)), b)
+    elt = affine_elt(case, WeylElement(word, sigma), b)
     wall = len(seen) > 1
     reduced = dot_act(elt, mu, case)
     if chamber_position(reduced, case) != (True, wall):
@@ -303,12 +299,9 @@ def y_alpha(alpha: Vec, bullet_index: int, case: ShiftCase) -> AffineWeylElt:
             f"no strong representative with minuscule index {bullet_index} "
             f"in {case.case_id()}")
     candidates: list[tuple[bool, AffineWeylElt]] = []
-    seen_keys = set()
     for lam in strong:
         res = dominant_reduce(affine_input(case, alpha, lam), case)
-        key = (res.elt.finite_part.action, res.elt.translation)
-        if key not in seen_keys:
-            seen_keys.add(key)
+        if all(res.elt != elt for _, elt in candidates):
             candidates.append((res.on_wall, res.elt))
     candidates.sort(key=lambda pair: pair[0])  # interior-derived first
     for _, reducer in candidates:
@@ -328,7 +321,7 @@ def y_sigma(w: WeylElement, alpha: Vec, bullet_index: int,
     rs = case.rs
     fam = _family(case)
     beta = vadd(alpha, rs.minuscule[bullet_index])
-    moved = vsub(mat_vec(w.action, vadd(beta, rs.rho)), rs.rho)
+    moved = vsub(rs.weyl_apply(w, vadd(beta, rs.rho)), rs.rho)
     trans = vscale(fam.lattice_scale, vsub(beta, moved))
     base = y_alpha(alpha, bullet_index, case)
     return affine_mul(case, AffineWeylElt(rs.identity_element(), trans), base)

@@ -22,7 +22,7 @@ from operator import mul
 from .liealg import (
     CapExceededError,
     Vec,
-    mat_vec,
+    WeylElement,
     vadd,
     vneg,
     vscale,
@@ -143,10 +143,10 @@ def weight_space_char(lam: LambdaParam, beta: Vec, case: ShiftCase,
     return tail.qshift(base - tail.base)
 
 
-def dot_action(case: ShiftCase, w_action, beta: Vec) -> Vec:
-    """sigma o beta = sigma(beta + rho) - rho."""
+def dot_action(case: ShiftCase, w: WeylElement, beta: Vec) -> Vec:
+    """w o beta = w(beta + rho) - rho."""
     rs = case.rs
-    return vsub(mat_vec(w_action, vadd(beta, rs.rho)), rs.rho)
+    return vsub(rs.weyl_apply(w, vadd(beta, rs.rho)), rs.rho)
 
 
 def _check_multiplet_inputs(case: ShiftCase, alpha: Vec):
@@ -196,16 +196,19 @@ def _walk(case: ShiftCase, lam: LambdaParam, beta: Vec, twisted: bool,
     """One pass over W (enumeration order) for the alternating sum at beta:
     the labels of w(beta + rho) and the exponent numerators (see _form) of the
     dot terms, u = b_lam - p*labels(w(beta + rho)), and with ``moved`` of the
-    * terms, u = b_{w*lam} - p*labels(beta + rho - w^lam); b = p*labels(box +
-    x).  Both take the Ramond flow correction from the dot point."""
-    sys, (quad, lin, _, _), p = system(case), _form(case, twisted), case.p
-    labels = tuple(case.rs.copairing(beta, i) for i in range(case.rank))
+    * terms, v = b_{w*lam} - p*labels(beta + rho - w^lam); b = p*labels(box +
+    x).  The Ramond flow adds the unit label e_r to the dot point (lin.u) and
+    w(e_r) to the moved point: Q(v + w(e_r)) - Q(e_r) = Q(v) + 2 w(e_r).quad.v,
+    Q being W-invariant."""
+    sys, (quad, lin, _, _), p, r = system(case), _form(case, twisted), case.p, case.rank
+    labels = tuple(case.rs.copairing(beta, i) for i in range(r))
     if any(c.denominator != 1 for c in labels):
         raise ValueError(f"{beta} is not an integral weight")
     labels = tuple(int(c) for c in labels)
     l_idx = sys.index[lam.key()]
     orbit = sys.orbit(tuple(c + 1 for c in labels))
     act, shift = sys.row(l_idx) if moved else (None, None)
+    flows = sys.orbit(tuple(int(i == r - 1) for i in range(r))) if moved and twisted else None
     dot, mov = [], []
     for w, top in enumerate(orbit):
         _check_point(sys, tuple(c - 1 for c in top), l_idx)
@@ -215,8 +218,9 @@ def _walk(case: ShiftCase, lam: LambdaParam, beta: Vec, twisted: bool,
         if moved:
             point = tuple(c - s for c, s in zip(labels, shift[w]))
             _check_point(sys, point, act[w])
-            u = [x - p * (y + 1) for x, y in zip(sys._start[act[w]][1], point)]
-            mov.append(flow + sum(x * sum(map(mul, row, u)) for x, row in zip(u, quad)))
+            v = [x - p * (y + 1) for x, y in zip(sys._start[act[w]][1], point)]
+            qv = [sum(map(mul, row, v)) for row in quad]
+            mov.append(sum(map(mul, v, qv)) + (2 * sum(map(mul, flows[w], qv)) if flows else 0))
     return orbit, dot, mov
 
 
@@ -468,15 +472,11 @@ def verma_char_super(mu: Vec, case: ShiftCase, order: int) -> QSeries:
 
 
 def displayed_norm_exponent(case: ShiftCase, lam: LambdaParam, alpha: Vec,
-                            w_action) -> Fraction:
+                            w: WeylElement) -> Fraction:
     """Closed-form exponent of one alternating-sum term as a squared norm."""
     rs = case.rs
     box = vadd(lam.value, lam.bullet_up)
-    inner = vadd(alpha, vadd(lam.bullet_up, rs.rho))
-    if case.variant is Variant.NONSUPER:
-        v = vadd(vneg(vscale(case.p, mat_vec(w_action, inner))),
-                 vadd(vscale(case.p, box), rs.rho_check))
-    else:
-        v = vadd(vneg(vscale(case.p, mat_vec(w_action, inner))),
-                 vadd(vscale(case.p, box), rs.rho))
+    inner = rs.weyl_apply(w, vadd(alpha, vadd(lam.bullet_up, rs.rho)))
+    shift_vec = rs.rho_check if case.variant is Variant.NONSUPER else rs.rho
+    v = vadd(vneg(vscale(case.p, inner)), vadd(vscale(case.p, box), shift_vec))
     return rs.norm2(v) / (2 * case.p)

@@ -172,8 +172,7 @@ def _alcove_independence_report(case: shift.ShiftCase) -> shift.ShiftReport:
                 continue
             if case.variant.is_super:
                 cf = alcove.closed_form_y_super(alpha, b_idx, case)
-                if (y.finite_part.action, y.translation) != \
-                        (cf.finite_part.action, cf.translation):
+                if y != cf:
                     report.failures.append(
                         {"check": "closed-form", "bullet": b_idx,
                          "alpha": [str(x) for x in alpha],
@@ -293,21 +292,24 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="shiftlab",
         description="Exact shift systems and q-characters for multiplet "
                     "W-(super)algebras.")
+    # the values of the flags a subcommand does not take; it reads none of them
+    parser.set_defaults(variant="nonsuper", m=1, order=0, word_cap=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, order_default=20):
+    def common(p, case=True, order=None):
         p.add_argument("--algebra", required=True, help="e.g. A2, B3, G2")
-        p.add_argument("--variant", default="nonsuper",
-                       choices=[v.value for v in shift.Variant])
-        p.add_argument("--m", type=int, default=1)
-        p.add_argument("--order", type=int, default=order_default,
-                       help="truncation depth in q-units above the leading exponent")
+        if case:
+            p.add_argument("--variant", default="nonsuper",
+                           choices=[v.value for v in shift.Variant])
+            p.add_argument("--m", type=int, default=1)
+        if order is not None:
+            p.add_argument("--order", type=int, default=order,
+                           help="truncation depth in q-units above the leading exponent")
         p.add_argument("--format", default="json", choices=["json", "csv", "plain"])
         p.add_argument("--output", default=None)
-        p.add_argument("--word-cap", type=int, default=liealg.DEFAULT_WORD_CAP)
 
     p = sub.add_parser("info", help="root-system data as JSON")
-    common(p)
+    common(p, case=False)
     p.set_defaults(func=cmd_info)
 
     p = sub.add_parser("lambda", help="coset table with weak/strong/alcove flags")
@@ -317,10 +319,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="verification suites")
     p.add_argument("suite", choices=["axioms", "weak-strong", "alcove-independence"])
     common(p)
+    p.add_argument("--word-cap", type=int, default=liealg.DEFAULT_WORD_CAP)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("char", help="multiplet character")
-    common(p, order_default=30)
+    common(p, order=30)
     p.add_argument("--alpha", default="0")
     p.add_argument("--lambda", dest="lam", required=True,
                    help="minuscule-index,digit1,...,digitr")
@@ -328,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_char)
 
     p = sub.add_parser("ftchar", help="full construction character")
-    common(p, order_default=10)
+    common(p, order=10)
     p.add_argument("--lambda", dest="lam", required=True)
     p.set_defaults(func=cmd_ftchar)
 
@@ -340,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="formula-vs-oracle comparisons")
     p.add_argument("target", choices=["wchar", "verma", "walls"])
-    common(p, order_default=30)
+    common(p, order=30)
     p.set_defaults(func=cmd_verify)
 
     return parser

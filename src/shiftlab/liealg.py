@@ -1,10 +1,10 @@
 """Exact root-system, lattice, and Weyl-group layer for the finite simple Lie types.
 
 Everything is computed exactly, over ``fractions.Fraction`` and integers; no
-floating point enters at any stage.  Vectors live in the simple-root basis, so
-Weyl-group elements act by integer matrices and all pairings reduce to exact
-linear algebra against the Gram matrix.  Weyl elements are told apart by the
-integer Dynkin labels of w(rho).
+floating point enters at any stage.  Vectors live in the simple-root basis,
+and all pairings reduce to exact linear algebra against the Gram matrix.  A
+Weyl element is its lex-minimal reduced word together with the integer Dynkin
+labels of w(rho); it acts by the simple reflections along its word.
 
 Normalization: the invariant bilinear form is scaled so long roots have
 squared length 2.  B1 is admitted as the rank-1 member of the B series; by
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from operator import mul
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[tuple[Fraction, ...], ...]
@@ -83,23 +82,11 @@ def mat_vec(m, v: Vec) -> Vec:
     return tuple(sum(mi[j] * v[j] for j in range(len(v))) for mi in m)
 
 
-def mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
 def reflect_labels(a: tuple[int, ...], i: int, col: tuple[int, ...]) -> tuple[int, ...]:
     """Dynkin labels of sigma_i(mu) from those ``a`` of mu; ``col`` holds the
     labels of alpha_i, i.e. column i of the Cartan matrix."""
     c = a[i]
     return a if c == 0 else tuple(x - c * y for x, y in zip(a, col))
-
-
-def identity_mat(n: int) -> IntMat:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def invert_mat(m: Mat) -> Mat:
@@ -232,16 +219,20 @@ def exponents_of(t: SimpleLieType) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class WeylElement:
-    """A Weyl-group element: lex-minimal reduced word plus its action matrix.
+    """A Weyl-group element: its lex-minimal reduced word and the Dynkin
+    labels of w(rho), each of which determines the element.
 
     ``word`` reads left to right as a composition, i.e. the last letter acts
-    first on a vector.  ``action`` is the integer matrix of the element in
-    simple-root coordinates.
+    first on a vector.  Label i of w(rho) is negative exactly when i is a
+    left descent.
     """
 
     word: tuple[int, ...]
-    action: IntMat
-    length: int
+    labels: tuple[int, ...]
+
+    @property
+    def length(self) -> int:
+        return len(self.word)
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         raise TypeError("compose Weyl elements through RootSystem.weyl_mul")
@@ -322,66 +313,49 @@ class RootSystem:
 
     # -- Weyl group --------------------------------------------------------
 
-    def simple_reflection_matrix(self, i: int) -> IntMat:
-        n = self.rank
-        return tuple(
-            tuple((1 if k == j else 0) - (self.cartan[i][j] if k == i else 0)
-                  for j in range(n))
-            for k in range(n)
-        )
-
     def weyl_apply(self, w: WeylElement, mu: Vec) -> Vec:
-        return mat_vec(w.action, mu)
-
-    def matrix_length(self, m: IntMat) -> int:
-        """Number of positive roots sent to negative ones."""
-        count = 0
-        for root in self.positive_roots:
-            img = mat_vec(m, root)
-            if any(x < 0 for x in img):
-                count += 1
-        return count
-
-    def rho_labels(self, m: IntMat) -> tuple[int, ...]:
-        """Dynkin labels of m(rho); they determine a Weyl element, and i is a
-        left descent of it exactly when label i is negative."""
-        moved = mat_vec(m, self.rho)
-        return tuple(int(self.copairing(moved, i)) for i in range(self.rank))
+        """w(mu): the simple reflections of w's word, last letter first."""
+        for i in reversed(w.word):
+            mu = self.reflect(i, mu)
+        return mu
 
     def root_labels(self) -> tuple[tuple[int, ...], ...]:
         """Dynkin labels of the simple roots: the columns of the Cartan matrix."""
         return tuple(tuple(row[i] for row in self.cartan) for i in range(self.rank))
 
-    def element_from_matrix(self, m: IntMat) -> WeylElement:
-        """Recover the element with its lex-minimal reduced word."""
-        labels, cols = self.rho_labels(m), self.root_labels()
-        word: list[int] = []
-        while (i := next((i for i, a in enumerate(labels) if a < 0), None)) is not None:
-            word.append(i)
+    def _reflect_along(self, word, labels: tuple[int, ...]) -> tuple[int, ...]:
+        """Labels of w(mu) from those of mu, for w the product of ``word``."""
+        cols = self.root_labels()
+        for i in reversed(word):
             labels = reflect_labels(labels, i, cols[i])
-        if labels != (1,) * self.rank:
-            raise RuntimeError("descent walk missed rho; matrix not in the Weyl group")
-        return WeylElement(tuple(word), m, len(word))
+        return labels
+
+    def element_from_labels(self, labels) -> WeylElement:
+        """The element w with these Dynkin labels of w(rho), its lex-minimal
+        reduced word read off by clearing the least left descent first."""
+        labels = a = tuple(labels)
+        cols, word = self.root_labels(), []
+        while (i := next((i for i, x in enumerate(a) if x < 0), None)) is not None:
+            word.append(i)
+            a = reflect_labels(a, i, cols[i])
+        if a != (1,) * self.rank:
+            raise ValueError(f"{labels} are not the labels of w(rho) for any w in W")
+        return WeylElement(tuple(word), labels)
 
     def element_from_word(self, word) -> WeylElement:
-        m = identity_mat(self.rank)
-        for i in word:
-            m = mat_mul(m, self.simple_reflection_matrix(i))
-        return self.element_from_matrix(m)
+        return self.element_from_labels(self._reflect_along(word, (1,) * self.rank))
 
     def identity_element(self) -> WeylElement:
-        return WeylElement((), identity_mat(self.rank), 0)
+        return WeylElement((), (1,) * self.rank)
 
     def simple_element(self, i: int) -> WeylElement:
-        return WeylElement((i,), self.simple_reflection_matrix(i), 1)
+        return self.element_from_word((i,))
 
     def weyl_mul(self, a: WeylElement, b: WeylElement) -> WeylElement:
-        return self.element_from_matrix(mat_mul(a.action, b.action))
+        return self.element_from_labels(self._reflect_along(a.word, b.labels))
 
     def weyl_inv(self, a: WeylElement) -> WeylElement:
-        inv = invert_mat(a.action)
-        m = tuple(tuple(int(x) for x in row) for row in inv)
-        return self.element_from_matrix(m)
+        return self.element_from_word(a.word[::-1])
 
     def enumerate_weyl(self, cap: int = DEFAULT_WEYL_CAP) -> tuple[WeylElement, ...]:
         return _enumerate_weyl_cached(self, cap)
@@ -390,11 +364,10 @@ class RootSystem:
         """Longest element of the standard parabolic on the given nodes: the
         greedy ascent from the identity (rho towards -rho)."""
         nodes, cols = tuple(nodes), self.root_labels()
-        labels, m = (1,) * self.rank, identity_mat(self.rank)
+        labels = (1,) * self.rank
         while (i := next((i for i in nodes if labels[i] > 0), None)) is not None:
             labels = reflect_labels(labels, i, cols[i])
-            m = mat_mul(self.simple_reflection_matrix(i), m)
-        return self.element_from_matrix(m)
+        return self.element_from_labels(labels)
 
     def longest_element(self) -> WeylElement:
         """w0, the longest element of the parabolic on every node."""
@@ -421,7 +394,7 @@ class RootSystem:
                 memo[labels] = words
             return memo[labels]
 
-        return rec(self.rho_labels(w.action))
+        return rec(w.labels)
 
     # -- representation dimensions -----------------------------------------
 
@@ -620,24 +593,19 @@ def _enumerate_weyl_cached(rs: RootSystem, cap: int) -> tuple[WeylElement, ...]:
     r = rs.rank
     cols = rs.root_labels()
     ident = rs.identity_element()
-    seen = {(1,) * r}
-    level = [(ident, (1,) * r)]
-    out = [ident]
+    seen = {ident.labels}
+    level, out = [ident], [ident]
     while level:
-        nxt: list[tuple[WeylElement, tuple[int, ...]]] = []
+        nxt: list[WeylElement] = []
         # prepending the smallest generator first yields lex-minimal words;
         # s_i w is longer than w exactly when label i of w(rho) is positive
         for i in range(r):
-            for w, labels in level:
-                if labels[i] > 0 and (key := reflect_labels(labels, i, cols[i])) not in seen:
+            for w in level:
+                if w.labels[i] > 0 and (key := reflect_labels(w.labels, i, cols[i])) not in seen:
                     seen.add(key)
-                    # s_i * A changes only row i, to A[i] - sum_k cartan[i][k] * A[k]
-                    a = w.action
-                    row = tuple(col[i] - sum(map(mul, rs.cartan[i], col)) for col in zip(*a))
-                    nxt.append((WeylElement((i,) + w.word, a[:i] + (row,) + a[i + 1:],
-                                            w.length + 1), key))
-        nxt.sort(key=lambda e: e[0].word)
-        out.extend(e for e, _ in nxt)
+                    nxt.append(WeylElement((i,) + w.word, key))
+        nxt.sort(key=lambda e: e.word)
+        out.extend(nxt)
         level = nxt
     if len(out) != order:
         raise AssertionError(f"enumerated {len(out)} elements of W({rs.lie_type}), "

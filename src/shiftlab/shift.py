@@ -253,11 +253,10 @@ class ShiftSystem:
         # element k >= 1 is s_i * (element j); the labels of w(rho) key them
         pos = {w.word: k for k, w in enumerate(self.weyl)}
         self._steps = [(w.word[0], pos[w.word[1:]]) for w in self.weyl[1:]]
-        rho_labels = self.orbit((1,) * r)
-        self._key_index = {lab: k for k, lab in enumerate(rho_labels)}
+        self._key_index = {w.labels: k for k, w in enumerate(self.weyl)}
         # left[i][k] is the index of s_i * (element k)
-        self.left = tuple(tuple(self._key_index[reflect_labels(lab, i, self.cols[i])]
-                                for lab in rho_labels) for i in range(r))
+        self.left = tuple(tuple(self._key_index[reflect_labels(w.labels, i, self.cols[i])]
+                                for w in self.weyl) for i in range(r))
         self.simple_idx = tuple(self.left[i][0] for i in range(r))
         self._w0_words: tuple[tuple[int, ...], ...] | None = None
         # bullet classes in P/Q: det * C^{-1} applied to the labels, modulo det
@@ -331,7 +330,7 @@ class ShiftSystem:
     # -- group bookkeeping ---------------------------------------------------
 
     def elt_index(self, w: WeylElement) -> int:
-        return self._key_index[self.rs.rho_labels(w.action)]
+        return self._key_index[w.labels]
 
     # -- the action and the shift map ----------------------------------------
 

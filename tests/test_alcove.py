@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import weyl_matrix
 
 from shiftlab.alcove import (
     AffineWeight,
@@ -106,8 +107,7 @@ def test_reduce_idempotent_and_unique():
             assert res2.weight.level == res.weight.level
             if not res.on_wall:
                 combined = affine_mul(case, res2.elt, g)
-                assert combined.finite_part.action == res.elt.finite_part.action
-                assert combined.translation == res.elt.translation
+                assert combined == res.elt
 
 
 @pytest.mark.parametrize("name,variant,m", [
@@ -121,7 +121,8 @@ def test_reducer_is_least_over_brute_force(name, variant, m):
     case = make_case(name, variant, m)
     fam = _family(case)
     rng = random.Random(31)
-    inverses = [(w, invert_mat(w.action)) for w in case.rs.enumerate_weyl()]
+    inverses = [(w, invert_mat(weyl_matrix(case.rs, w.word)))
+                for w in case.rs.enumerate_weyl()]
     inputs = [affine_input(case, vzero(case.rank), lam) for lam in enumerate_lambda(case)]
     inputs += [rand_weight(case, rng) for _ in range(30)]
     for mu in inputs:
@@ -164,8 +165,7 @@ def test_closed_forms_super():
                     continue
                 found += 1
                 cf = closed_form_y_super(alpha, b_idx, case)
-                assert y.finite_part.action == cf.finite_part.action
-                assert y.translation == cf.translation
+                assert y == cf
         assert found > 0
 
 
@@ -183,8 +183,7 @@ def test_closed_form_rank1_literal():
         B1S2,
         AffineWeylElt(rs.identity_element(), vneg(vadd(alpha, rs.rho_check))),
         AffineWeylElt(rs.simple_element(0), vzero(1)))
-    assert (y1.finite_part.action, y1.translation) == \
-        (lit.finite_part.action, lit.translation)
+    assert y1 == lit
 
 
 def test_y_alpha_digit_independence_nonsuper():
@@ -231,8 +230,7 @@ def test_y_sigma_distinctness():
             assert key not in seen, f"collision {w.word} vs {seen.get(key)}"
             seen[key] = w.word
         ident = y_sigma(rs.identity_element(), vzero(case.rank), 0, case)
-        assert (ident.finite_part.action, ident.translation) == \
-            (base.finite_part.action, base.translation)
+        assert ident == base
 
 
 def test_verma_compatibility_via_reduction():

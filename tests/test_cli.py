@@ -134,6 +134,11 @@ def test_word_cap_flag(capsys):
     ["info", "--algebra", "B2", "--weyl-cap", "10"],
     ["char", "--algebra", "A1", "--m", "2", "--lambda", "0,1", "--grid-cap", "10"],
     ["check", "shift-facts", "--algebra", "B2"],
+    # flags that these subcommands would ignore
+    ["lambda", "--algebra", "A1", "--m", "2", "--order", "5"],
+    ["alcove", "--algebra", "B1", "--variant", "super", "--m", "2", "--lambda", "0,1",
+     "--word-cap", "1"],
+    ["info", "--algebra", "B2", "--m", "2"],
 ])
 def test_removed_surface_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -215,11 +220,23 @@ def test_checks_survive_optimized_mode(suite, m):
     assert plain.stdout == optimized.stdout != ""
 
 
+ROUTE_BREAKER = """
+import sys
+from shiftlab import cli, shift
+case = shift.make_case("B2", "ramond", 3)
+table = shift.system(case)
+row = table.row(table.index[shift.lambda_from(case, 0, (1, 3)).key()])[1]
+# w0 ^ lambda moved by alpha_1: the * route's point stays in its coset
+row[table.w0_idx] = tuple(a + b for a, b in zip(row[table.w0_idx], table.cols[0]))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
 def test_route_check_survives_optimized_mode():
-    # a B2 Ramond coset whose two alternating-sum routes disagree fails the
-    # same way with and without -O
+    # a corrupted shift row makes the two alternating-sum routes disagree;
+    # the check fails the same way with and without -O
     env = cli_env()
-    argv = ["-m", "shiftlab.cli", "char", "--algebra", "B2", "--variant", "ramond",
+    argv = ["-c", ROUTE_BREAKER, "char", "--algebra", "B2", "--variant", "ramond",
             "--m", "3", "--lambda", "0,1,3", "--kind", "ramond", "--order", "20"]
     plain, optimized = (subprocess.run([sys.executable, *flags, *argv], env=env,
                                        capture_output=True, text=True, timeout=120)

@@ -1,10 +1,12 @@
 """Root-system layer: exact data, Weyl enumeration, dimension formula."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import mat_mul, matrix_length, weyl_matrix
 
 from shiftlab.liealg import (
     CapExceededError,
@@ -12,6 +14,8 @@ from shiftlab.liealg import (
     SimpleLieType,
     build_root_system,
     exponents_of,
+    invert_mat,
+    mat_vec,
     vzero,
     weyl_order,
 )
@@ -100,17 +104,29 @@ def test_weyl_enumeration(name):
     elems = rs.enumerate_weyl()
     assert len(elems) == weyl_order(rs.lie_type)
     assert [e.length for e in elems] == sorted(e.length for e in elems)
-    # lengths count inversions
+    # lengths count inversions; labels are those of w(rho)
     for e in elems[:40]:
-        assert rs.matrix_length(e.action) == e.length
+        m = weyl_matrix(rs, e.word)
+        assert matrix_length(rs, m) == e.length
+        moved = mat_vec(m, rs.rho)
+        assert e.labels == tuple(rs.copairing(moved, i) for i in range(rs.rank))
     w0 = rs.longest_element()
     assert w0.length == len(rs.positive_roots)
     assert rs.weyl_mul(w0, w0).length == 0
-    assert elems[-1].action == w0.action
+    assert elems[-1] == w0
     # w0 maps positive roots to negative ones
     for a in rs.positive_roots:
         img = rs.weyl_apply(w0, a)
         assert all(x <= 0 for x in img)
+    # products, inverses and the action against the matrices of their words
+    rng = random.Random(41)
+    for _ in range(40):
+        a, b = rng.choice(elems), rng.choice(elems)
+        ma, mb = weyl_matrix(rs, a.word), weyl_matrix(rs, b.word)
+        assert weyl_matrix(rs, rs.weyl_mul(a, b).word) == mat_mul(ma, mb)
+        assert weyl_matrix(rs, rs.weyl_inv(a).word) == invert_mat(ma)
+        for root in rs.positive_roots:
+            assert rs.weyl_apply(a, root) == mat_vec(ma, root)
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "B3"])
@@ -123,7 +139,7 @@ def test_weyl_enumeration_order(name):
     assert all(len(e.word) == e.length for e in elems)
     for e in elems:
         assert e.word == min(rs.all_reduced_words(e))
-        assert rs.element_from_word(e.word).action == e.action
+        assert rs.element_from_word(e.word) == e
 
 
 def test_enumeration_cap():

@@ -139,10 +139,6 @@ def _family(case: ShiftCase) -> _Family:
 # group elements and the circle action
 # ---------------------------------------------------------------------------
 
-def affine_identity(case: ShiftCase) -> AffineWeylElt:
-    return AffineWeylElt(case.rs.identity_element(), vzero(case.rank))
-
-
 def affine_elt(case: ShiftCase, finite: WeylElement, translation: Vec) -> AffineWeylElt:
     _family(case).check_translation(translation)
     return AffineWeylElt(finite, translation)
@@ -274,9 +270,10 @@ class WallReductionError(RuntimeError):
     """Raised when a y-element is requested outside the strong region."""
 
 
-def _strong_lambdas_with_bullet(case: ShiftCase, bullet_index: int):
-    return [lam for lam in enumerate_lambda(case)
-            if lam.bullet_index == bullet_index and alcove_inequality(lam, case)]
+@lru_cache(maxsize=None)
+def _strong_lambdas_with_bullet(case: ShiftCase, bullet_index: int) -> tuple[LambdaParam, ...]:
+    return tuple(lam for lam in enumerate_lambda(case)
+                 if lam.bullet_index == bullet_index and alcove_inequality(lam, case))
 
 
 def mu_lambda(alpha: Vec, lam: LambdaParam, case: ShiftCase) -> AffineWeight:

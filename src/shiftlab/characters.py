@@ -22,7 +22,7 @@ from operator import mul
 from .liealg import (
     CapExceededError,
     Vec,
-    WeylElement,
+    adjugate,
     vadd,
     vneg,
     vscale,
@@ -143,12 +143,6 @@ def weight_space_char(lam: LambdaParam, beta: Vec, case: ShiftCase,
     return tail.qshift(base - tail.base)
 
 
-def dot_action(case: ShiftCase, w: WeylElement, beta: Vec) -> Vec:
-    """w o beta = w(beta + rho) - rho."""
-    rs = case.rs
-    return vsub(rs.weyl_apply(w, vadd(beta, rs.rho)), rs.rho)
-
-
 def _check_multiplet_inputs(case: ShiftCase, alpha: Vec):
     rs = case.rs
     if not rs.in_root_lattice(alpha) or not rs.is_dominant(alpha):
@@ -166,8 +160,10 @@ def _form(case: ShiftCase, twisted: bool):
     the super family) sits at q^(const + (u.quad.u + lin.u)/den); lin is the
     Ramond flow correction, zero elsewhere."""
     rs, p, r = case.rs, case.p, case.rank
-    # fock_delta = |u|^2/2p - norm_shift, with the form read on Dynkin labels
-    quad = [[rs.pairing(a, b) / (2 * p) for b in rs.fund_weights] for a in rs.fund_weights]
+    # fock_delta = |u|^2/2p - norm_shift, with the form read on Dynkin labels:
+    # (omega_i, omega_j) = d_i (C^-1)_ij
+    adj, det = adjugate(rs.cartan)
+    quad = [[d * c / (2 * p * det) for c in row] for d, row in zip(rs.half_lengths, adj)]
     lin = [Fraction(0)] * r
     const = -norm_shift(case) - case.central_charge / 24
     if twisted:
@@ -257,14 +253,6 @@ def _alternating_sum(case: ShiftCase, lam: LambdaParam, beta: Vec, order: int,
     """sum over W of (-1)^len q^(weight of the dot-moved Cartan weight),
     sharing one tail series across the orbit."""
     num = _numerator(case, _walk(case, lam, beta, twisted)[1])
-    return _times_tail(case, twisted, num, _tail(case, order, twisted))
-
-
-def _alternating_sum_moved(case: ShiftCase, lam: LambdaParam, beta: Vec,
-                           order: int) -> QSeries:
-    """Same sum through the * action: terms live on the moved cosets."""
-    twisted = case.variant is Variant.SUPER_RAMOND
-    num = _numerator(case, _walk(case, lam, beta, twisted, moved=True)[2])
     return _times_tail(case, twisted, num, _tail(case, order, twisted))
 
 
@@ -441,23 +429,6 @@ def walg_vacuum_oracle(case: ShiftCase, order: int) -> QSeries:
     return QSeries.make(base, 2, coeffs, base + order)
 
 
-def walg_vacuum_superchar_oracle(case: ShiftCase, order: int) -> QSeries:
-    """Supertrace analogue of the rank-1 super oracle (odd modes signed)."""
-    check_order(order)
-    if case.variant is not Variant.SUPER or case.rank != 1:
-        raise UnsupportedCaseError("supertrace oracle only for super rank 1")
-    base = -case.central_charge / 24
-    n2 = 2 * order
-    coeffs = [1] + [0] * n2
-    for n in range(2, order + 1):
-        for k in range(2 * n, n2 + 1):
-            coeffs[k] += coeffs[k - 2 * n]
-    for twok in range(3, n2 + 1, 2):
-        for k in range(n2, twok - 1, -1):
-            coeffs[k] -= coeffs[k - twok]
-    return QSeries.make(base, 2, coeffs, base + order)
-
-
 def verma_char_super(mu: Vec, case: ShiftCase, order: int) -> QSeries:
     """Verma-module character over the super W-algebra, parametrized so that
     mu = p*(lam - alpha) matches the weight space at alpha + bullet."""
@@ -469,14 +440,3 @@ def verma_char_super(mu: Vec, case: ShiftCase, order: int) -> QSeries:
         - case.central_charge / 24
     tail = _tail(case, order, twisted=False)
     return tail.qshift(exponent - tail.base)
-
-
-def displayed_norm_exponent(case: ShiftCase, lam: LambdaParam, alpha: Vec,
-                            w: WeylElement) -> Fraction:
-    """Closed-form exponent of one alternating-sum term as a squared norm."""
-    rs = case.rs
-    box = vadd(lam.value, lam.bullet_up)
-    inner = rs.weyl_apply(w, vadd(alpha, vadd(lam.bullet_up, rs.rho)))
-    shift_vec = rs.rho_check if case.variant is Variant.NONSUPER else rs.rho
-    v = vadd(vneg(vscale(case.p, inner)), vadd(vscale(case.p, box), shift_vec))
-    return rs.norm2(v) / (2 * case.p)

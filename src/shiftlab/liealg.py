@@ -1,9 +1,11 @@
 """Exact root-system, lattice, and Weyl-group layer for the finite simple Lie types.
 
 Everything is computed exactly, over ``fractions.Fraction`` and integers; no
-floating point enters at any stage.  Vectors live in the simple-root basis,
-and all pairings reduce to exact linear algebra against the Gram matrix.  A
-Weyl element is its lex-minimal reduced word together with the integer Dynkin
+floating point enters at any stage.  The root-system record is built on
+integers (the Cartan matrix, its adjugate, the roots with their length
+classes) and holds ``Fraction`` vectors in the simple-root basis, whose
+pairings reduce to exact linear algebra against the Gram matrix.  A Weyl
+element is its lex-minimal reduced word together with the integer Dynkin
 labels of w(rho); it acts by the simple reflections along its word.
 
 Normalization: the invariant bilinear form is scaled so long roots have
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import mul
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[tuple[Fraction, ...], ...]
@@ -78,10 +81,6 @@ def vscale(c, a: Vec) -> Vec:
     return tuple(c * x for x in a)
 
 
-def mat_vec(m, v: Vec) -> Vec:
-    return tuple(sum(mi[j] * v[j] for j in range(len(v))) for mi in m)
-
-
 def reflect_labels(a: tuple[int, ...], i: int, col: tuple[int, ...]) -> tuple[int, ...]:
     """Dynkin labels of sigma_i(mu) from those ``a`` of mu; ``col`` holds the
     labels of alpha_i, i.e. column i of the Cartan matrix."""
@@ -89,35 +88,32 @@ def reflect_labels(a: tuple[int, ...], i: int, col: tuple[int, ...]) -> tuple[in
     return a if c == 0 else tuple(x - c * y for x, y in zip(a, col))
 
 
-def invert_mat(m: Mat) -> Mat:
-    """Exact Gauss-Jordan inverse of a square Fraction matrix."""
-    n = len(m)
-    aug = [[Fraction(m[i][j]) for j in range(n)]
-           + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+@lru_cache(maxsize=None)
+def adjugate(m: IntMat) -> tuple[IntMat, int]:
+    """(adj, det) of a square integer matrix whose leading principal minors
+    are nonzero, as those of every finite-type Cartan matrix are, so that
+    m^-1 = adj / det.
 
-
-def det_int(m) -> int:
-    """Determinant of an integer matrix via fraction-free expansion."""
+    Fraction-free Gauss-Jordan elimination (Bareiss) on [m | I]: every
+    division is exact, and the left half ends as det * I, the right as adj.
+    """
     n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = 0
-    for j in range(n):
-        if m[0][j] == 0:
-            continue
-        minor = tuple(tuple(row[k] for k in range(n) if k != j) for row in m[1:])
-        total += (-1) ** j * m[0][j] * det_int(minor)
-    return total
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    prev = 1
+    for k in range(n):
+        piv = aug[k][k]
+        if piv == 0:
+            raise ValueError("a leading principal minor vanishes")
+        for i in range(n):
+            if i != k:
+                f = aug[i][k]
+                aug[i] = [(piv * x - f * y) // prev for x, y in zip(aug[i], aug[k])]
+        prev = piv
+    adj = tuple(tuple(row[n:]) for row in aug)
+    if any(sum(map(mul, row, col)) != prev * (i == j)
+           for i, row in enumerate(m) for j, col in enumerate(zip(*adj))):
+        raise AssertionError("adjugate check m * adj = det * I failed")
+    return adj, prev
 
 
 # ---------------------------------------------------------------------------
@@ -450,134 +446,105 @@ class RootSystem:
 # construction
 # ---------------------------------------------------------------------------
 
-def _close_roots(rs_cartan: IntMat, rank: int) -> tuple[Vec, ...]:
-    """All roots, as the closure of the simple roots under simple reflections."""
-    def reflect(i: int, mu: Vec) -> Vec:
-        c = sum(rs_cartan[i][j] * mu[j] for j in range(rank))
-        out = list(mu)
-        out[i] -= c
-        return tuple(out)
-
-    simple = [tuple(Fraction(1 if j == i else 0) for j in range(rank))
-              for i in range(rank)]
-    seen = set(simple)
-    frontier = list(simple)
+def _close_roots(cartan: IntMat, lengths: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """Every root in integer simple-root coordinates, with its length class:
+    the closure of the simple roots under the simple reflections, which keep
+    the class ``lengths[i]`` of the simple root each orbit starts from."""
+    r = len(cartan)
+    seen = {tuple(int(j == i) for j in range(r)): n for i, n in enumerate(lengths)}
+    frontier = list(seen.items())
     while frontier:
         nxt = []
-        for mu in frontier:
-            for i in range(rank):
-                img = reflect(i, mu)
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
+        for mu, n in frontier:
+            for i, row in enumerate(cartan):
+                if c := sum(map(mul, row, mu)):
+                    img = mu[:i] + (mu[i] - c,) + mu[i + 1:]
+                    if img not in seen:
+                        seen[img] = n
+                        nxt.append((img, n))
         frontier = nxt
-    return tuple(sorted(seen))
+    return seen
 
 
 @lru_cache(maxsize=None)
 def build_root_system(t: SimpleLieType) -> RootSystem:
-    """Construct the full exact root-system record for a valid type."""
-    r = t.rank
+    """Construct the full exact root-system record for a valid type.
+
+    The build runs on integers: the Cartan matrix, its adjugate over its
+    determinant for C^-1, and the roots with their length classes
+    lacing*|a|^2/2 (1 for short roots, lacing for long ones).  Fractions are
+    made only to fill the record's fields."""
+    r, lac = t.rank, _lacing(t)
     d = _root_half_lengths(t)
-    edges = _dynkin_edges(t)
-    adj = {(i, j) for i, j in edges} | {(j, i) for i, j in edges}
-
-    gram = tuple(
-        tuple(
-            2 * d[i] if i == j else (-max(d[i], d[j]) if (i, j) in adj else Fraction(0))
-            for j in range(r))
-        for i in range(r)
-    )
-    cartan_frac = tuple(tuple(gram[i][j] / d[i] for j in range(r)) for i in range(r))
-    if any(x.denominator != 1 for row in cartan_frac for x in row):
+    ell = tuple(int(lac * x) for x in d)
+    # C_ij = (alpha_j, alpha_i^vee) = -max(d_i, d_j) / d_i on an edge
+    links = {(i, j): max(ell[i], ell[j]) for e in _dynkin_edges(t) for i, j in (e, e[::-1])}
+    if any(v % ell[i] for (i, _), v in links.items()) or any(
+            lac * x != n for x, n in zip(d, ell)):
         raise AssertionError(f"Cartan matrix of {t} is not integral")
-    cartan = tuple(tuple(int(x) for x in row) for row in cartan_frac)
+    cartan = tuple(tuple(2 if i == j else -links.get((i, j), 0) // ell[i] for j in range(r))
+                   for i in range(r))
+    adj, det_c = adjugate(cartan)
 
-    simple_roots = tuple(
-        tuple(Fraction(1 if j == i else 0) for j in range(r)) for i in range(r))
-    simple_coroots = tuple(
-        tuple(Fraction(1, 1) / d[i] if j == i else Fraction(0) for j in range(r))
-        for i in range(r))
+    unit = tuple(tuple(Fraction(int(j == i)) for j in range(r)) for i in range(r))
+    gram = tuple(tuple(Fraction(n * c, lac) for c in row) for n, row in zip(ell, cartan))
+    # the coordinates of the i-th fundamental weight form column i of C^-1;
+    # those of the i-th fundamental coweight row i of gram^-1 = C^-1 D^-1
+    fund_weights = tuple(tuple(Fraction(row[i], det_c) for row in adj) for i in range(r))
+    fund_coweights = tuple(tuple(Fraction(lac * c, det_c * n) for c, n in zip(row, ell))
+                           for row in adj)
+    rho = tuple(Fraction(sum(row), det_c) for row in adj)
+    rho_check = tuple(Fraction(lac * sum(col), det_c * n) for col, n in zip(zip(*adj), ell))
 
-    cartan_inv = invert_mat(cartan_frac)
-    # (C w)_j = delta_ij, so the coordinates of the i-th fundamental weight
-    # form the i-th column of C^{-1}; the Gram matrix is symmetric so rows
-    # and columns agree for the coweights.
-    fund_weights = tuple(tuple(cartan_inv[k][i] for k in range(r)) for i in range(r))
-    gram_inv = invert_mat(gram)
-    fund_coweights = tuple(tuple(gram_inv[i]) for i in range(r))
-
-    rho = tuple(sum(fund_weights[i][j] for i in range(r)) for j in range(r))
-    rho = tuple(Fraction(x) for x in rho)
-    rho_check = tuple(Fraction(sum(fund_coweights[i][j] for i in range(r)))
-                      for j in range(r))
-
-    roots = _close_roots(cartan, r)
-    positive = tuple(sorted((a for a in roots if all(x >= 0 for x in a)),
-                            key=lambda a: (sum(a), a)))
-
-    def norm2(mu: Vec) -> Fraction:
-        return sum(mu[i] * sum(gram[i][j] * mu[j] for j in range(r)) for i in range(r))
-
-    heights = {a: sum(a) for a in positive}
-    theta = max(positive, key=lambda a: heights[a])
-    min_len = min(norm2(a) for a in positive)
-    theta_s = max((a for a in positive if norm2(a) == min_len), key=lambda a: heights[a])
-
-    # dual system: coroots 2a/|a|^2; its highest root read off in coroot coordinates
-    def coroot(a: Vec) -> Vec:
-        n2 = norm2(a)
-        return tuple(2 * x / n2 for x in a)
-
-    def coroot_coords(av: Vec) -> Vec:
-        # alpha_i^vee has root coordinates e_i/d_i, so c_i = d_i * (root coord)
-        return tuple(d[i] * av[i] for i in range(r))
-
-    coroots = [coroot(a) for a in positive]
-    theta_L = max(coroots, key=lambda av: sum(coroot_coords(av)))
-    marks_L = coroot_coords(theta_L)
-
-    minuscule = (vzero(r),) + tuple(fund_weights[i] for i in range(r)
-                                    if marks_L[i] == 1)
-    det_c = det_int(cartan)
-
-    lac = _lacing(t)
-    coxeter = int(sum(theta)) + 1
-    theta_vee = coroot(theta)
-    dc = 1 + sum(rho[i] * sum(gram[i][j] * theta_vee[j] for j in range(r))
-                 for i in range(r))
-    lhv = 1 + Fraction(
-        sum(rho_check[i] * sum(gram[i][j] * theta_L[j] for j in range(r))
-            for i in range(r)), lac)
+    roots = _close_roots(cartan, ell)
+    positive = sorted((a for a in roots if min(a) >= 0), key=lambda a: (sum(a), a))
+    theta = max(positive, key=sum)
+    short = min(roots[a] for a in positive)
+    theta_s = max((a for a in positive if roots[a] == short), key=sum)
+    # the coroot of a has coroot coordinates ell_i a_i / ell(a); theta_L is
+    # the highest coroot, the highest root of the dual system
+    top = max(positive, key=lambda a: Fraction(sum(map(mul, ell, a)), roots[a]))
+    marks_L = [divmod(n * x, roots[top]) for n, x in zip(ell, top)]
+    minuscule = (vzero(r),) + tuple(
+        fund_weights[i] for i, (c, _) in enumerate(marks_L) if c == 1)
+    # dual Coxeter numbers: 1 + (rho, theta^vee), the sum of the coroot
+    # coordinates of theta, and 1 + (rho_check, theta_L)/lacing, the height
+    # of top over its length class
+    dc, dc_rem = divmod(sum(map(mul, ell, theta)), roots[theta])
+    lhv, lhv_rem = divmod(sum(top), roots[top])
 
     exps = exponents_of(t)
     order = 1
     for e in exps:
         order *= e + 1
     if (2 * len(positive) != len(roots) or len(minuscule) != det_c
-            or any(x.denominator != 1 for x in (*marks_L, dc, lhv))
+            or any(rest for _, rest in marks_L) or dc_rem or lhv_rem
             or sum(exps) != len(positive) or order != weyl_order(t)):
         raise AssertionError(f"inconsistent root data for {t}")
+
+    def frac(v) -> Vec:
+        return tuple(Fraction(x) for x in v)
 
     return RootSystem(
         lie_type=t,
         gram=gram,
         cartan=cartan,
-        simple_roots=simple_roots,
-        simple_coroots=simple_coroots,
+        simple_roots=unit,
+        simple_coroots=tuple(tuple(Fraction(lac * x, n) for x in u)
+                             for n, u in zip(ell, unit)),
         fund_weights=fund_weights,
         fund_coweights=fund_coweights,
         rho=rho,
         rho_check=rho_check,
-        theta=theta,
-        theta_s=theta_s,
-        theta_L=theta_L,
+        theta=frac(theta),
+        theta_s=frac(theta_s),
+        theta_L=tuple(Fraction(lac * x, roots[top]) for x in top),
         lacing=lac,
-        coxeter=coxeter,
-        dual_coxeter=int(dc),
-        dual_coxeter_L=int(lhv),
+        coxeter=sum(theta) + 1,
+        dual_coxeter=dc + 1,
+        dual_coxeter_L=lhv + 1,
         exponents=exps,
-        positive_roots=positive,
+        positive_roots=tuple(frac(a) for a in positive),
         minuscule=minuscule,
         half_lengths=d,
     )

@@ -32,9 +32,8 @@ from .liealg import (
     SimpleLieType,
     Vec,
     WeylElement,
+    adjugate,
     build_root_system,
-    invert_mat,
-    mat_vec,
     reflect_labels,
     vadd,
     vneg,
@@ -67,6 +66,10 @@ class ShiftCase:
     x: Vec                    # twist vector: rho_check/p or rho/p
     gamma: Vec                # background charge over sqrt(p): rho - rho_check/p, or (1-1/p) rho
     central_charge: Fraction
+
+    def __hash__(self) -> int:
+        # type, variant and m fix every other field; hashing them all is slow
+        return hash((self.rs.lie_type, self.variant, self.m))
 
     @property
     def rank(self) -> int:
@@ -137,60 +140,66 @@ def canonical_decompose(mu: Vec, case: ShiftCase) -> tuple[Vec, Vec]:
     return bullet, box
 
 
-def _digit_bounds(case: ShiftCase) -> tuple[int, ...]:
-    rs = case.rs
-    if case.variant is Variant.NONSUPER:
-        # p * d_i = lacing*m for long simple roots, m for short ones
-        bounds = tuple(int(case.p * d) for d in rs.half_lengths)
-        if any(case.p * d != b for d, b in zip(rs.half_lengths, bounds)):
-            raise AssertionError(f"p={case.p} does not clear the root lengths")
-        return bounds
-    return (case.p,) * rs.rank
-
-
-def _super_parity_ok(case: ShiftCase, bullet: Vec, digits) -> bool:
-    r = case.rank
-    par = case.rs.copairing(bullet, r - 1)
-    if par.denominator != 1:
-        raise AssertionError(f"bullet {bullet} is not an integral weight")
-    return (digits[r - 1] + int(par)) % 2 == 1
+@lru_cache(maxsize=None)
+def _grid(case: ShiftCase):
+    """(x, bounds, bullets): x = p * labels(x), which also scales digit k_i to
+    k_i * x_i = p * labels(box + x)_i, so that k_i runs up to p / x_i (p * d_i
+    in the nonsuper family, p in the super one); and the Dynkin labels of each
+    minuscule weight."""
+    rs, p, r = case.rs, case.p, case.rank
+    x = tuple(p * rs.copairing(case.x, i) for i in range(r))
+    bullets = tuple(tuple(rs.copairing(mn, i) for i in range(r)) for mn in rs.minuscule)
+    if any(t.denominator != 1 for t in x + sum(bullets, ())):
+        raise AssertionError(f"the twist or a minuscule weight of {case.case_id()} "
+                             f"has labels off the 1/{p} grid")
+    x = tuple(map(int, x))
+    if any(p % t for t in x):
+        raise AssertionError(f"p={p} does not clear the root lengths")
+    return x, tuple(p // t for t in x), tuple(tuple(map(int, b)) for b in bullets)
 
 
 def lambda_from(case: ShiftCase, bullet_index: int, digits) -> LambdaParam:
-    rs = case.rs
+    rs, p = case.rs, case.p
     digits = tuple(int(x) for x in digits)
     if len(digits) != rs.rank:
         raise ValueError("digit tuple has wrong length")
-    bounds = _digit_bounds(case)
+    x, bounds, bullets = _grid(case)
     for d, b in zip(digits, bounds):
         if not 1 <= d <= b:
             raise ValueError(f"digit {d} outside 1..{b}")
-    bullet = rs.minuscule[bullet_index]
-    if case.variant.is_super and not _super_parity_ok(case, bullet, digits):
+    bullet = bullets[bullet_index]
+    if case.variant.is_super and (digits[-1] + bullet[-1]) % 2 == 0:
         raise ValueError(f"digits {digits} violate the parity rule for {case.case_id()}")
-    basis = rs.fund_coweights if case.variant is Variant.NONSUPER else rs.fund_weights
-    box = vzero(rs.rank)
-    for i, d in enumerate(digits):
-        if d > 1:
-            box = vadd(box, vscale(Fraction(d - 1, case.p), basis[i]))
-    value = vadd(vneg(bullet), box)
-    return LambdaParam(bullet_index, bullet, digits, value)
+    # value = -bullet + box, from its p-scaled labels k_i x_i - p bullet_i - x_i
+    adj, det = adjugate(rs.cartan)
+    labels = [(k - 1) * s - p * c for k, s, c in zip(digits, x, bullet)]
+    value = tuple(Fraction(sum(map(mul, row, labels)), det * p) for row in adj)
+    return LambdaParam(bullet_index, rs.minuscule[bullet_index], digits, value)
 
 
 @lru_cache(maxsize=None)
 def enumerate_lambda(case: ShiftCase) -> tuple[LambdaParam, ...]:
     """The full transversal of (1/p)Q*/Q, ordered by (minuscule index, digits)."""
-    rs = case.rs
-    bounds = _digit_bounds(case)
+    rs, p = case.rs, case.p
+    x, bounds, bullets = _grid(case)
+    det = adjugate(rs.cartan)[1]
     out = []
-    for b_idx, bullet in enumerate(rs.minuscule):
+    for b_idx, bullet in enumerate(bullets):
         for digits in product(*(range(1, b + 1) for b in bounds)):
-            if case.variant.is_super and not _super_parity_ok(case, bullet, digits):
+            if case.variant.is_super and (digits[-1] + bullet[-1]) % 2 == 0:
                 continue
             lam = lambda_from(case, b_idx, digits)
-            # round-trip through the canonical decomposition
-            dec_bullet, dec_box = canonical_decompose(lam.value, case)
-            if dec_bullet != bullet or vadd(vneg(bullet), dec_box) != lam.value:
+            # round trip: read p * labels(value + x) back off the root
+            # coordinates through the Cartan matrix, and decompose them
+            # into a bullet and 0 < p * labels(box + x) <= p
+            coords = [divmod(c.numerator * det * p, c.denominator) for c in lam.value]
+            a = [sum(map(mul, row, (n for n, _ in coords))) for row in rs.cartan]
+            if any(rest for _, rest in coords) or any(v % det for v in a):
+                raise AssertionError(f"{lam.label()} is off the 1/{p} grid")
+            a = [v // det + s for v, s in zip(a, x)]
+            dec = tuple((p - v) // p for v in a)
+            if dec != bullet or [v + p * c for v, c in zip(a, dec)] != [
+                    k * s for k, s in zip(digits, x)]:
                 raise AssertionError(f"{lam.label()} does not round-trip")
             out.append(lam)
     return tuple(out)
@@ -260,26 +269,17 @@ class ShiftSystem:
         self.simple_idx = tuple(self.left[i][0] for i in range(r))
         self._w0_words: tuple[tuple[int, ...], ...] | None = None
         # bullet classes in P/Q: det * C^{-1} applied to the labels, modulo det
-        self._cinv = invert_mat(rs.cartan)
-        self._det = len(rs.minuscule)
-        self._class_mat = [[int(self._det * c) for c in row] for row in self._cinv]
-
-        def scaled(v: Vec) -> tuple[int, ...]:
-            out = tuple(p * rs.copairing(v, i) for i in range(r))
-            if any(t.denominator != 1 for t in out):
-                raise AssertionError(f"{v} has labels off the 1/{p} grid")
-            return tuple(int(t) for t in out)
-
+        self._class_mat, self._det = adjugate(rs.cartan)
         # p * labels of lambda + x and of box + x per coset; the latter,
         # with the bullet class, identifies the coset
-        self.x_labels = x = scaled(case.x)
+        x, _, bullets = _grid(case)
+        self.x_labels = x
         self._start = []
         self._coset = {}
         for l_idx, lam in enumerate(self.lambdas):
-            a = tuple(v + c for v, c in zip(scaled(lam.value), x))
-            bullet = tuple(int(rs.copairing(lam.bullet_up, i)) for i in range(r))
-            b = tuple(v + p * c for v, c in zip(a, bullet))
-            self._start.append((a, b))
+            bullet = bullets[lam.bullet_index]
+            b = tuple(k * s for k, s in zip(lam.digits, x))
+            self._start.append((tuple(v - p * c for v, c in zip(b, bullet)), b))
             self._coset[self._class_key(bullet), b] = l_idx
         self._roots: dict[tuple[int, ...], Vec] = {}
         self._act, self._shift = _ROWS.setdefault(
@@ -324,7 +324,8 @@ class ShiftSystem:
         """Simple-root coordinates of the weight with these Dynkin labels."""
         got = self._roots.get(labels)
         if got is None:
-            got = self._roots[labels] = mat_vec(self._cinv, labels)
+            got = self._roots[labels] = tuple(
+                Fraction(sum(map(mul, row, labels)), self._det) for row in self._class_mat)
         return got
 
     # -- group bookkeeping ---------------------------------------------------

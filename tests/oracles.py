@@ -1,13 +1,92 @@
-"""Independent reference routes for the tests: a Weyl element as the integer
-matrix of its word in simple-root coordinates."""
+"""Independent reference routes for the tests.
 
-from shiftlab.liealg import mat_vec
+* A Weyl element as the integer matrix of its word in simple-root
+  coordinates.
+* The root-system record built over ``Fraction`` end to end: Gauss-Jordan
+  inverses of the Cartan and Gram matrices, and lengths and coroots from the
+  Gram form.
+* Coset representatives as ``Fraction`` vectors, decomposed by
+  ``canonical_decompose``, and the p-scaled Dynkin labels read off them.
+* Helpers that only the tests call: the dot action, the * route of the
+  alternating sum, the displayed-norm exponent, the supertrace vacuum oracle
+  and the affine identity.
+"""
+
+from fractions import Fraction
+
+from shiftlab.alcove import AffineWeylElt
+from shiftlab.characters import (
+    UnsupportedCaseError,
+    _numerator,
+    _tail,
+    _times_tail,
+    _walk,
+)
+from shiftlab.liealg import (
+    RootSystem,
+    _dynkin_edges,
+    _lacing,
+    _root_half_lengths,
+    exponents_of,
+    vadd,
+    vneg,
+    vscale,
+    vsub,
+    vzero,
+    weyl_order,
+)
+from shiftlab.qseries import QSeries, check_order
+from shiftlab.shift import LambdaParam, Variant, canonical_decompose
+
+# ---------------------------------------------------------------------------
+# exact linear algebra
+# ---------------------------------------------------------------------------
+
+
+def mat_vec(m, v):
+    return tuple(sum(mi[j] * v[j] for j in range(len(v))) for mi in m)
 
 
 def mat_mul(a, b):
     n = len(a)
     return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
                  for i in range(n))
+
+
+def invert_mat(m):
+    """Exact Gauss-Jordan inverse of a square Fraction matrix."""
+    n = len(m)
+    aug = [[Fraction(m[i][j]) for j in range(n)]
+           + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = Fraction(1) / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def det_int(m) -> int:
+    """Determinant of an integer matrix via fraction-free expansion."""
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    total = 0
+    for j in range(n):
+        if m[0][j] == 0:
+            continue
+        minor = tuple(tuple(row[k] for k in range(n) if k != j) for row in m[1:])
+        total += (-1) ** j * m[0][j] * det_int(minor)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Weyl elements as matrices
+# ---------------------------------------------------------------------------
 
 
 def weyl_matrix(rs, word):
@@ -24,3 +103,197 @@ def weyl_matrix(rs, word):
 def matrix_length(rs, m):
     """Number of positive roots the matrix sends to negative ones."""
     return sum(any(x < 0 for x in mat_vec(m, root)) for root in rs.positive_roots)
+
+
+# ---------------------------------------------------------------------------
+# the root system over Fraction
+# ---------------------------------------------------------------------------
+
+
+def _close_roots(cartan, rank):
+    """All roots, as the closure of the simple roots under simple reflections."""
+    def reflect(i, mu):
+        c = sum(cartan[i][j] * mu[j] for j in range(rank))
+        out = list(mu)
+        out[i] -= c
+        return tuple(out)
+
+    simple = [tuple(Fraction(1 if j == i else 0) for j in range(rank))
+              for i in range(rank)]
+    seen = set(simple)
+    frontier = list(simple)
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            for i in range(rank):
+                img = reflect(i, mu)
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return tuple(sorted(seen))
+
+
+def fraction_root_system(t) -> RootSystem:
+    """The root-system record with every field derived over Fraction from the
+    Gram matrix: inverses by Gauss-Jordan, lengths and coroots by the form."""
+    r = t.rank
+    d = _root_half_lengths(t)
+    edges = _dynkin_edges(t)
+    adj = {(i, j) for i, j in edges} | {(j, i) for i, j in edges}
+
+    gram = tuple(
+        tuple(
+            2 * d[i] if i == j else (-max(d[i], d[j]) if (i, j) in adj else Fraction(0))
+            for j in range(r))
+        for i in range(r)
+    )
+    cartan_frac = tuple(tuple(gram[i][j] / d[i] for j in range(r)) for i in range(r))
+    assert all(x.denominator == 1 for row in cartan_frac for x in row)
+    cartan = tuple(tuple(int(x) for x in row) for row in cartan_frac)
+
+    simple_roots = tuple(
+        tuple(Fraction(1 if j == i else 0) for j in range(r)) for i in range(r))
+    simple_coroots = tuple(
+        tuple(Fraction(1, 1) / d[i] if j == i else Fraction(0) for j in range(r))
+        for i in range(r))
+
+    cartan_inv = invert_mat(cartan_frac)
+    fund_weights = tuple(tuple(cartan_inv[k][i] for k in range(r)) for i in range(r))
+    gram_inv = invert_mat(gram)
+    fund_coweights = tuple(tuple(gram_inv[i]) for i in range(r))
+
+    rho = tuple(Fraction(sum(fund_weights[i][j] for i in range(r))) for j in range(r))
+    rho_check = tuple(Fraction(sum(fund_coweights[i][j] for i in range(r)))
+                      for j in range(r))
+
+    roots = _close_roots(cartan, r)
+    positive = tuple(sorted((a for a in roots if all(x >= 0 for x in a)),
+                            key=lambda a: (sum(a), a)))
+
+    def norm2(mu):
+        return sum(mu[i] * sum(gram[i][j] * mu[j] for j in range(r)) for i in range(r))
+
+    theta = max(positive, key=sum)
+    min_len = min(norm2(a) for a in positive)
+    theta_s = max((a for a in positive if norm2(a) == min_len), key=sum)
+
+    def coroot(a):
+        n2 = norm2(a)
+        return tuple(2 * x / n2 for x in a)
+
+    def coroot_coords(av):
+        return tuple(d[i] * av[i] for i in range(r))
+
+    theta_L = max((coroot(a) for a in positive), key=lambda av: sum(coroot_coords(av)))
+    marks_L = coroot_coords(theta_L)
+    minuscule = (vzero(r),) + tuple(fund_weights[i] for i in range(r) if marks_L[i] == 1)
+
+    lac = _lacing(t)
+    theta_vee = coroot(theta)
+    dc = 1 + sum(rho[i] * sum(gram[i][j] * theta_vee[j] for j in range(r))
+                 for i in range(r))
+    lhv = 1 + Fraction(
+        sum(rho_check[i] * sum(gram[i][j] * theta_L[j] for j in range(r))
+            for i in range(r)), lac)
+    exps = exponents_of(t)
+    order = 1
+    for e in exps:
+        order *= e + 1
+    assert 2 * len(positive) == len(roots)
+    assert len(minuscule) == det_int(cartan)
+    assert all(x.denominator == 1 for x in (*marks_L, dc, lhv))
+    assert sum(exps) == len(positive) and order == weyl_order(t)
+    return RootSystem(
+        lie_type=t, gram=gram, cartan=cartan, simple_roots=simple_roots,
+        simple_coroots=simple_coroots, fund_weights=fund_weights,
+        fund_coweights=fund_coweights, rho=rho, rho_check=rho_check, theta=theta,
+        theta_s=theta_s, theta_L=theta_L, lacing=lac, coxeter=int(sum(theta)) + 1,
+        dual_coxeter=int(dc), dual_coxeter_L=int(lhv), exponents=exps,
+        positive_roots=positive, minuscule=minuscule, half_lengths=d)
+
+
+# ---------------------------------------------------------------------------
+# coset representatives over Fraction
+# ---------------------------------------------------------------------------
+
+
+def fraction_lambda_from(case, bullet_index, digits) -> LambdaParam:
+    """-bullet + sum_i (k_i - 1)/p * basis_i, on the fundamental coweights
+    (nonsuper) or weights (super), as Fraction vectors."""
+    rs = case.rs
+    bullet = rs.minuscule[bullet_index]
+    basis = rs.fund_coweights if case.variant is Variant.NONSUPER else rs.fund_weights
+    box = vzero(rs.rank)
+    for i, k in enumerate(digits):
+        box = vadd(box, vscale(Fraction(k - 1, case.p), basis[i]))
+    return LambdaParam(bullet_index, bullet, tuple(digits), vadd(vneg(bullet), box))
+
+
+def fraction_start(case, lam):
+    """(p * labels of lam + x, p * labels of box + x, labels of the bullet),
+    with the box read off canonical_decompose."""
+    rs, p = case.rs, case.p
+
+    def scaled(v):
+        out = tuple(p * rs.copairing(v, i) for i in range(rs.rank))
+        assert all(t.denominator == 1 for t in out)
+        return tuple(int(t) for t in out)
+
+    bullet, box = canonical_decompose(lam.value, case)
+    assert bullet == lam.bullet_up
+    x = scaled(case.x)
+    a = tuple(v + c for v, c in zip(scaled(lam.value), x))
+    b = tuple(v + c for v, c in zip(scaled(box), x))
+    return a, b, tuple(int(rs.copairing(bullet, i)) for i in range(rs.rank))
+
+
+# ---------------------------------------------------------------------------
+# test-only character and alcove helpers
+# ---------------------------------------------------------------------------
+
+
+def dot_action(case, w, beta):
+    """w o beta = w(beta + rho) - rho."""
+    rs = case.rs
+    return vsub(rs.weyl_apply(w, vadd(beta, rs.rho)), rs.rho)
+
+
+def alternating_sum_moved(case, lam, beta, order: int) -> QSeries:
+    """The alternating sum through the * action: terms live on the moved
+    cosets."""
+    twisted = case.variant is Variant.SUPER_RAMOND
+    num = _numerator(case, _walk(case, lam, beta, twisted, moved=True)[2])
+    return _times_tail(case, twisted, num, _tail(case, order, twisted))
+
+
+def displayed_norm_exponent(case, lam, alpha, w) -> Fraction:
+    """Closed-form exponent of one alternating-sum term as a squared norm."""
+    rs = case.rs
+    box = vadd(lam.value, lam.bullet_up)
+    inner = rs.weyl_apply(w, vadd(alpha, vadd(lam.bullet_up, rs.rho)))
+    shift_vec = rs.rho_check if case.variant is Variant.NONSUPER else rs.rho
+    v = vadd(vneg(vscale(case.p, inner)), vadd(vscale(case.p, box), shift_vec))
+    return rs.norm2(v) / (2 * case.p)
+
+
+def walg_vacuum_superchar_oracle(case, order: int) -> QSeries:
+    """Supertrace analogue of the rank-1 super vacuum oracle (odd modes
+    signed)."""
+    check_order(order)
+    if case.variant is not Variant.SUPER or case.rank != 1:
+        raise UnsupportedCaseError("supertrace oracle only for super rank 1")
+    base = -case.central_charge / 24
+    n2 = 2 * order
+    coeffs = [1] + [0] * n2
+    for n in range(2, order + 1):
+        for k in range(2 * n, n2 + 1):
+            coeffs[k] += coeffs[k - 2 * n]
+    for twok in range(3, n2 + 1, 2):
+        for k in range(n2, twok - 1, -1):
+            coeffs[k] -= coeffs[k - twok]
+    return QSeries.make(base, 2, coeffs, base + order)
+
+
+def affine_identity(case) -> AffineWeylElt:
+    return AffineWeylElt(case.rs.identity_element(), vzero(case.rank))

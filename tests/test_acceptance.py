@@ -9,10 +9,11 @@ import time
 from fractions import Fraction
 from itertools import product
 
+from oracles import dot_action
+
 from shiftlab.characters import (
     _alternating_sum,
     _shell,
-    dot_action,
     multiplet_char,
     verma_char_super,
     walg_vacuum_oracle,

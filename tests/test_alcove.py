@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import weyl_matrix
+from oracles import affine_identity, invert_mat, mat_vec, weyl_matrix
 
 from shiftlab.alcove import (
     AffineWeight,
@@ -12,7 +12,6 @@ from shiftlab.alcove import (
     WallReductionError,
     _family,
     affine_elt,
-    affine_identity,
     affine_input,
     affine_inv,
     affine_mul,
@@ -26,7 +25,7 @@ from shiftlab.alcove import (
     y_sigma,
 )
 from shiftlab.characters import _shell
-from shiftlab.liealg import invert_mat, mat_vec, vadd, vneg, vscale, vsub, vzero
+from shiftlab.liealg import vadd, vneg, vscale, vsub, vzero
 from shiftlab.shift import alcove_inequality, enumerate_lambda, make_case
 
 B1S2 = make_case("B1", "super", 2)

@@ -6,6 +6,12 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (
+    alternating_sum_moved,
+    displayed_norm_exponent,
+    dot_action,
+    walg_vacuum_superchar_oracle,
+)
 
 from shiftlab.characters import (
     UnsupportedCaseError,
@@ -14,8 +20,6 @@ from shiftlab.characters import (
     _height_bound,
     _shell,
     _walk,
-    displayed_norm_exponent,
-    dot_action,
     fock_delta,
     fock_point,
     ft_char,
@@ -26,7 +30,6 @@ from shiftlab.characters import (
     ramond_delta,
     verma_char_super,
     walg_vacuum_oracle,
-    walg_vacuum_superchar_oracle,
     weight_space_char,
 )
 from shiftlab.liealg import vadd, vscale, vsub, vzero
@@ -155,7 +158,6 @@ def test_dual_route_equality_all_cosets():
     # the dot-action sum over the fixed coset equals the *-action sum over
     # moved cosets for every coset and every small weight, strong or not; in
     # the Ramond sector the flow is carried through w on the * side
-    from shiftlab.characters import _alternating_sum_moved
     cases = [make_case("A2", "nonsuper", 2), make_case("B2", "super", 3)]
     cases += [make_case(name, "ramond", m) for name in ("B1", "B2") for m in (2, 3, 4)]
     for case in cases:
@@ -167,7 +169,7 @@ def test_dual_route_equality_all_cosets():
                     continue
                 beta = vadd(tuple(Fraction(c) for c in coords), lam.bullet_up)
                 lhs = _alternating_sum(case, lam, beta, 6, twisted=twisted)
-                rhs = _alternating_sum_moved(case, lam, beta, 6)
+                rhs = alternating_sum_moved(case, lam, beta, 6)
                 assert lhs.same_series(rhs), (case.case_id(), lam.label(), coords)
 
 
@@ -307,15 +309,18 @@ def test_ramond_delta_matches_fitted_constants(name, m):
         assert ramond_delta(nu, case) == want
 
 
-@pytest.mark.parametrize("name,m", sorted(RAMOND_FIT))
+@pytest.mark.parametrize("name,m", [(name, m) for name in ("B1", "B2") for m in (1, 2, 3, 4)])
 def test_ramond_dot_route_every_coset(name, m):
-    # the twisted walk against the add chain of weight_space_char, which
-    # reads ramond_delta on the dot-moved points
+    # the twisted walk, and multiplet_char with its * route check, against
+    # the add chain of weight_space_char, which reads ramond_delta on the
+    # dot-moved points
     case = make_case(name, "ramond", m)
     for lam in enumerate_lambda(case):
         for alpha in dominant_alphas(case.rs, 2):
+            want = fraction_route(case, lam, alpha, 8)[0].to_json_dict()
             got = _alternating_sum(case, lam, vadd(alpha, lam.bullet_up), 8, twisted=True)
-            assert got.to_json_dict() == fraction_route(case, lam, alpha, 8)[0].to_json_dict()
+            assert got.to_json_dict() == want
+            assert multiplet_char(alpha, lam, case, 8).to_json_dict() == want
 
 
 def test_ramond_unsupported_rank3():
@@ -341,6 +346,33 @@ def test_ramond_requires_variant():
 
 
 # -- full construction character ---------------------------------------------------
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_ft_char_a1_triplet_closed_form(m):
+    """The triplet algebra W(p), p = m, from the theta functions of Feigin,
+    Gainutdinov, Semikhatov and Tipunin (CMP 265, 2006).  With s the digit of
+    the coset:
+
+        bullet 0:  eta^-1 sum_n (2n + 1) q^(p (n + (p - s)/2p)^2)
+        bullet 1:  eta^-1 sum_n 2n q^(p (n - s/2p)^2)
+
+    over all integers n, equal exactly to ft_char up to its cutoff."""
+    case = make_case("A1", "nonsuper", m)
+    p, order = case.p, 15
+    eta = eta_inv_pow(1, order + 1)
+    for lam in enumerate_lambda(case):
+        got = ft_char(lam, case, order)
+        (s,) = lam.digits
+        want = QSeries.zero(got.cutoff)
+        for n in range(-order - 2, order + 3):
+            if lam.bullet_index == 0:
+                coef, e = 2 * n + 1, p * (n + Fraction(p - s, 2 * p)) ** 2
+            else:
+                coef, e = 2 * n, p * (n - Fraction(s, 2 * p)) ** 2
+            if coef and e + eta.base <= got.cutoff:
+                want = want.add(eta.qshift(e).scale(coef))
+        assert got == want, (m, lam.label())
+
 
 def test_ft_char_rank1():
     # 1 * W_0 + 3 * W_{-alpha} + 5 * W_{-2alpha} + ... with dim = 2n+1

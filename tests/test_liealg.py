@@ -1,21 +1,30 @@
 """Root-system layer: exact data, Weyl enumeration, dimension formula."""
 
+import dataclasses
+import json
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import mat_mul, matrix_length, weyl_matrix
+from oracles import (
+    det_int,
+    fraction_root_system,
+    invert_mat,
+    mat_mul,
+    mat_vec,
+    matrix_length,
+    weyl_matrix,
+)
 
 from shiftlab.liealg import (
     CapExceededError,
     InvalidTypeError,
     SimpleLieType,
+    adjugate,
     build_root_system,
     exponents_of,
-    invert_mat,
-    mat_vec,
     vzero,
     weyl_order,
 )
@@ -84,10 +93,29 @@ def test_normalization_and_rho(name):
             assert rs.cartan[i][j] == 2 * rs.gram[i][j] / rs.gram[i][i]
 
 
+ALL_TYPES = ([f"A{r}" for r in range(1, 9)] + [f"B{r}" for r in range(1, 9)]
+             + [f"C{r}" for r in range(2, 9)] + [f"D{r}" for r in range(3, 9)]
+             + ["E6", "E7", "E8", "F4", "G2"])
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_integer_build_matches_fraction_oracle(name):
+    # the integer build against Gauss-Jordan inverses and Gram-form lengths
+    # over Fraction, field by field (values and Fraction types) and in JSON
+    t = SimpleLieType.parse(name)
+    rs, ref = build_root_system(t), fraction_root_system(t)
+    for f in dataclasses.fields(ref):
+        assert getattr(rs, f.name) == getattr(ref, f.name), f.name
+        assert repr(getattr(rs, f.name)) == repr(getattr(ref, f.name)), f.name
+    assert json.dumps(rs.to_json_dict()) == json.dumps(ref.to_json_dict())
+    adj, det = adjugate(rs.cartan)
+    assert det == det_int(rs.cartan)
+    assert tuple(tuple(Fraction(c, det) for c in row) for row in adj) == invert_mat(rs.cartan)
+
+
 @pytest.mark.parametrize("name", ALL_SMALL)
 def test_minuscule_transversal(name):
     rs = rs_of(name)
-    from shiftlab.liealg import det_int
     assert len(rs.minuscule) == det_int(rs.cartan)
     # pairwise distinct classes modulo Q, and ceiling pairing with theta-coroot
     for i, a in enumerate(rs.minuscule):

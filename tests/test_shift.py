@@ -4,9 +4,9 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from oracles import weyl_matrix
+from oracles import det_int, fraction_lambda_from, fraction_start, mat_vec, weyl_matrix
 
-from shiftlab.liealg import det_int, mat_vec, vadd, vneg, vscale, vsub, vzero
+from shiftlab.liealg import vadd, vneg, vscale, vsub, vzero
 from shiftlab.shift import (
     InvalidCaseError,
     alcove_inequality,
@@ -147,6 +147,39 @@ def test_lambda_super_parity():
     assert got == [(0, (1,)), (0, (3,)), (1, (2,))]
     with pytest.raises(ValueError):
         lambda_from(case, 0, (2,))
+
+
+AXIOM_SWEEP_CASES = [(name, "nonsuper", m) for name in ("A2", "B2", "C2", "G2")
+                     for m in (1, 2, 3)] + \
+    [("B2", variant, m) for variant in ("super", "ramond") for m in (1, 2, 3)] + \
+    [("A3", "nonsuper", 1), ("A3", "nonsuper", 2), ("B3", "nonsuper", 1),
+     ("C3", "nonsuper", 1), ("B3", "super", 2), ("B3", "ramond", 2),
+     ("B4", "super", 1), ("D4", "nonsuper", 1), ("A4", "nonsuper", 1)]
+
+
+@pytest.mark.parametrize("name,variant,m", AXIOM_SWEEP_CASES)
+def test_integer_cosets_match_fraction_route(name, variant, m):
+    # every coset's record, start row and coset key against Fraction vectors
+    # summed on the fundamental (co)weights and decomposed by
+    # canonical_decompose
+    case = make_case(name, variant, m)
+    sys = system(case)
+    bounds = (case.p,) * case.rank if case.variant.is_super else \
+        tuple(int(case.p * d) for d in case.rs.half_lengths)
+    want = [fraction_lambda_from(case, b, digits)
+            for b in range(len(case.rs.minuscule))
+            for digits in product(*(range(1, n + 1) for n in bounds))
+            if not case.variant.is_super
+            or (digits[-1] + case.rs.copairing(case.rs.minuscule[b], case.rank - 1)) % 2]
+    assert len(want) == len(sys.lambdas)
+    for l_idx, (got, ref) in enumerate(zip(sys.lambdas, want)):
+        assert got == ref and repr(got) == repr(ref)
+        assert lambda_from(case, ref.bullet_index, ref.digits) == ref
+        a, b, bullet = fraction_start(case, ref)
+        assert sys._start[l_idx] == (a, b)
+        assert sys._coset[sys._class_key(bullet), b] == l_idx
+    assert sys.x_labels == tuple(case.p * case.rs.copairing(case.x, i) for i in range(case.rank))
+    assert len(sys._coset) == len(want)
 
 
 def test_lambda_round_trip():

@@ -3,11 +3,12 @@
 Each side is a name and a perfbench results directory, e.g. the results of
 a parent checkout and of a changed one.  For every workload and side the
 summary holds the seeds, the git SHA, the ``src/`` hash and line count, the
-correctness and failure counts of each run, and the median and quartiles of
-each end-to-end metric named in BENCHMARK.json.  With two sides, runs on the
-same seed form a pair, and each metric gets the pair count, the number of
-pairs the second side wins, the median change and whether it stays within
-the metric's regression bound.
+Python version and CPU count, the correctness and failure counts of each
+run, and the median and quartiles of each end-to-end metric named in
+BENCHMARK.json.  With two sides, runs on the same seed form a pair, and each
+metric gets the pair count, the number of pairs the second side wins, the
+median change, whether it stays within the metric's regression bound, and
+whether the medians differ by more than the first side's IQR.
 
     python3 tools/bench_summary.py --out BENCH_7.json \\
         parent=../parent/perfbench/results change=perfbench/results
@@ -48,6 +49,8 @@ def side_summary(runs: list[dict], metrics: list[dict]) -> dict:
         "git_sha": sorted({str(p["git_sha"]) for p in prov}),
         "src_sha256": sorted({p["src_sha256"] for p in prov}),
         "src_lines": sorted({p["src_lines"] for p in prov}),
+        "python": sorted({str(p.get("python")) for p in prov}),
+        "nproc": sorted({str(p.get("nproc")) for p in prov}),
         "correct": all(r["correct"] for r in runs),
         "failed": [r["failed"] for r in runs],
         "attempted": [r["attempted"] for r in runs],

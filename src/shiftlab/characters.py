@@ -22,7 +22,6 @@ from operator import mul
 from .liealg import (
     CapExceededError,
     Vec,
-    adjugate,
     vadd,
     vneg,
     vscale,
@@ -162,7 +161,7 @@ def _form(case: ShiftCase, twisted: bool):
     rs, p, r = case.rs, case.p, case.rank
     # fock_delta = |u|^2/2p - norm_shift, with the form read on Dynkin labels:
     # (omega_i, omega_j) = d_i (C^-1)_ij
-    adj, det = adjugate(rs.cartan)
+    adj, det = rs.cartan_adjugate
     quad = [[d * c / (2 * p * det) for c in row] for d, row in zip(rs.half_lengths, adj)]
     lin = [Fraction(0)] * r
     const = -norm_shift(case) - case.central_charge / 24

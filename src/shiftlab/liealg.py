@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 from operator import mul
 
@@ -281,6 +281,17 @@ class RootSystem:
 
     def norm2(self, mu: Vec) -> Fraction:
         return self.pairing(mu, mu)
+
+    @cached_property
+    def cartan_adjugate(self) -> tuple[IntMat, int]:
+        """(adj, det) of the Cartan matrix: C^-1 = adj / det."""
+        return adjugate(self.cartan)
+
+    def from_labels(self, labels, scale: int = 1) -> Vec:
+        """Simple-root coordinates of the weight with Dynkin labels
+        labels / scale."""
+        adj, det = self.cartan_adjugate
+        return tuple(Fraction(sum(map(mul, row, labels)), det * scale) for row in adj)
 
     def copairing(self, mu: Vec, i: int) -> Fraction:
         """(mu, alpha_i^vee), 0-indexed i."""

@@ -32,7 +32,6 @@ from .liealg import (
     SimpleLieType,
     Vec,
     WeylElement,
-    adjugate,
     build_root_system,
     reflect_labels,
     vadd,
@@ -171,10 +170,9 @@ def lambda_from(case: ShiftCase, bullet_index: int, digits) -> LambdaParam:
     if case.variant.is_super and (digits[-1] + bullet[-1]) % 2 == 0:
         raise ValueError(f"digits {digits} violate the parity rule for {case.case_id()}")
     # value = -bullet + box, from its p-scaled labels k_i x_i - p bullet_i - x_i
-    adj, det = adjugate(rs.cartan)
     labels = [(k - 1) * s - p * c for k, s, c in zip(digits, x, bullet)]
-    value = tuple(Fraction(sum(map(mul, row, labels)), det * p) for row in adj)
-    return LambdaParam(bullet_index, rs.minuscule[bullet_index], digits, value)
+    return LambdaParam(bullet_index, rs.minuscule[bullet_index], digits,
+                       rs.from_labels(labels, p))
 
 
 @lru_cache(maxsize=None)
@@ -182,23 +180,17 @@ def enumerate_lambda(case: ShiftCase) -> tuple[LambdaParam, ...]:
     """The full transversal of (1/p)Q*/Q, ordered by (minuscule index, digits)."""
     rs, p = case.rs, case.p
     x, bounds, bullets = _grid(case)
-    det = adjugate(rs.cartan)[1]
     out = []
     for b_idx, bullet in enumerate(bullets):
+        # round trip on the record's weights, apart from the integer labels:
+        # box = value + bullet_up has p * labels(box + x) = k * x
+        up_x = vadd(rs.minuscule[b_idx], case.x)
         for digits in product(*(range(1, b + 1) for b in bounds)):
             if case.variant.is_super and (digits[-1] + bullet[-1]) % 2 == 0:
                 continue
             lam = lambda_from(case, b_idx, digits)
-            # round trip: read p * labels(value + x) back off the root
-            # coordinates through the Cartan matrix, and decompose them
-            # into a bullet and 0 < p * labels(box + x) <= p
-            coords = [divmod(c.numerator * det * p, c.denominator) for c in lam.value]
-            a = [sum(map(mul, row, (n for n, _ in coords))) for row in rs.cartan]
-            if any(rest for _, rest in coords) or any(v % det for v in a):
-                raise AssertionError(f"{lam.label()} is off the 1/{p} grid")
-            a = [v // det + s for v, s in zip(a, x)]
-            dec = tuple((p - v) // p for v in a)
-            if dec != bullet or [v + p * c for v, c in zip(a, dec)] != [
+            box_x = vadd(lam.value, up_x)
+            if [p * sum(map(mul, row, box_x)) for row in rs.cartan] != [
                     k * s for k, s in zip(digits, x)]:
                 raise AssertionError(f"{lam.label()} does not round-trip")
             out.append(lam)
@@ -269,7 +261,7 @@ class ShiftSystem:
         self.simple_idx = tuple(self.left[i][0] for i in range(r))
         self._w0_words: tuple[tuple[int, ...], ...] | None = None
         # bullet classes in P/Q: det * C^{-1} applied to the labels, modulo det
-        self._class_mat, self._det = adjugate(rs.cartan)
+        self._class_mat, self._det = rs.cartan_adjugate
         # p * labels of lambda + x and of box + x per coset; the latter,
         # with the bullet class, identifies the coset
         x, _, bullets = _grid(case)
@@ -324,8 +316,7 @@ class ShiftSystem:
         """Simple-root coordinates of the weight with these Dynkin labels."""
         got = self._roots.get(labels)
         if got is None:
-            got = self._roots[labels] = tuple(
-                Fraction(sum(map(mul, row, labels)), self._det) for row in self._class_mat)
+            got = self._roots[labels] = self.rs.from_labels(labels)
         return got
 
     # -- group bookkeeping ---------------------------------------------------

@@ -12,15 +12,16 @@ _spec.loader.exec_module(bench_summary)
 BENCH = {"end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]}
 
 
-def write_run(results: Path, seed: int, wall: float, sha: str, failed: int = 0):
-    run = {"workload": "axiom_sweep", "seed": seed, "correct": True,
+def write_run(results: Path, seed: int, wall: float, sha: str, failed: int = 0,
+              workload: str = "axiom_sweep"):
+    run = {"workload": workload, "seed": seed, "correct": True,
            "attempted": 54, "failed": failed,
-           "provenance": {"git_sha": sha, "src_sha256": sha[:4], "src_lines": 100},
+           "provenance": {"git_sha": sha, "src_lines": 100},
            "metrics": {"wall_s": {"value": wall, "unit": "s"}}}
-    (results / f"axiom_sweep-seed{seed}-trace0.json").write_text(json.dumps(run))
+    (results / f"{workload}-seed{seed}-trace0.json").write_text(json.dumps(run))
     # ops lists and traced runs are not summarized
-    (results / f"axiom_sweep-seed{seed}-trace0-ops.json").write_text("[]")
-    (results / f"axiom_sweep-seed{seed}-trace1.json").write_text("{}")
+    (results / f"{workload}-seed{seed}-trace0-ops.json").write_text("[]")
+    (results / f"{workload}-seed{seed}-trace1.json").write_text("{}")
 
 
 def test_summary_and_pairs(tmp_path):
@@ -31,8 +32,7 @@ def test_summary_and_pairs(tmp_path):
         write_run(base, seed, b, "aaaaaaaa")
         write_run(new, seed, n, "bbbbbbbb")
     write_run(new, 9, 0.5, "bbbbbbbb")    # unpaired seed
-    out = bench_summary.summarize([("parent", base), ("change", new)], BENCH)
-    entry = out["workloads"]["axiom_sweep"]
+    entry = bench_summary.summarize(base, new, BENCH)["axiom_sweep"]
     assert entry["parent"]["seeds"] == [1, 2, 3, 4]
     assert entry["change"]["seeds"] == [1, 2, 3, 4, 9]
     assert entry["parent"]["git_sha"] == ["aaaaaaaa"]
@@ -47,15 +47,14 @@ def test_summary_and_pairs(tmp_path):
     assert pairs["wall_s"]["within_bound"] and pairs["wall_s"]["gain_beyond_base_iqr"]
 
 
-def test_cli_writes_file(tmp_path):
-    res = tmp_path / "res"
-    res.mkdir()
-    write_run(res, 3, 0.4, "cccccccc", failed=1)
-    bench = tmp_path / "BENCHMARK.json"
-    bench.write_text(json.dumps(BENCH))
-    out = tmp_path / "BENCH.json"
-    assert bench_summary.main([f"only={res}", "--out", str(out), "--benchmark", str(bench)]) == 0
-    got = json.loads(out.read_text())
-    assert got["sides"] == ["only"]
-    assert got["workloads"]["axiom_sweep"]["only"]["failed"] == [1]
-    assert "pairs" not in got["workloads"]["axiom_sweep"]
+def test_failed_counts_and_one_sided_workload(tmp_path):
+    base, new = tmp_path / "base", tmp_path / "new"
+    base.mkdir()
+    new.mkdir()
+    write_run(base, 3, 0.5, "aaaaaaaa")
+    write_run(new, 3, 0.4, "cccccccc", failed=1)
+    write_run(new, 3, 7.0, "cccccccc", workload="cli_cold")   # no parent run
+    out = bench_summary.summarize(base, new, BENCH)
+    assert list(out) == ["axiom_sweep"]
+    assert out["axiom_sweep"]["change"]["failed"] == [1]
+    assert out["axiom_sweep"]["pairs"]["wall_s"]["wins"] == 1

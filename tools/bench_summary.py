@@ -1,17 +1,16 @@
 """Summarize perfbench results into a committed BENCH_*.json file.
 
-Each side is a name and a perfbench results directory, e.g. the results of
-a parent checkout and of a changed one.  For every workload and side the
-summary holds the seeds, the git SHA, the ``src/`` hash and line count, the
-Python version and CPU count, the correctness and failure counts of each
-run, and the median and quartiles of each end-to-end metric named in
-BENCHMARK.json.  With two sides, runs on the same seed form a pair, and each
-metric gets the pair count, the number of pairs the second side wins, the
-median change, whether it stays within the metric's regression bound, and
-whether the medians differ by more than the first side's IQR.
+The two sides are the perfbench results directories of a parent checkout
+and of a changed one.  For every workload and side the summary holds the
+seeds, the git SHA, the ``src/`` line count, the correctness and failure
+counts of each run, and the median and quartiles of each end-to-end metric
+named in BENCHMARK.json.  Runs on the same seed form a pair, and each metric
+gets the pair count, the number of pairs the change wins, the median change,
+whether it stays within the metric's regression bound, and whether the
+medians differ by more than the parent's IQR.
 
     python3 tools/bench_summary.py --out BENCH_7.json \\
-        parent=../parent/perfbench/results change=perfbench/results
+        ../parent/perfbench/results perfbench/results
 """
 
 from __future__ import annotations
@@ -47,10 +46,7 @@ def side_summary(runs: list[dict], metrics: list[dict]) -> dict:
     out = {
         "seeds": [r["seed"] for r in runs],
         "git_sha": sorted({str(p["git_sha"]) for p in prov}),
-        "src_sha256": sorted({p["src_sha256"] for p in prov}),
         "src_lines": sorted({p["src_lines"] for p in prov}),
-        "python": sorted({str(p.get("python")) for p in prov}),
-        "nproc": sorted({str(p.get("nproc")) for p in prov}),
         "correct": all(r["correct"] for r in runs),
         "failed": [r["failed"] for r in runs],
         "attempted": [r["attempted"] for r in runs],
@@ -84,35 +80,28 @@ def compare(base: list[dict], new: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
-def summarize(sides: list[tuple[str, Path]], benchmark: dict) -> dict:
+def summarize(parent: Path, change: Path, benchmark: dict) -> dict:
     metrics = benchmark["end_to_end"]
-    runs = {name: load_runs(path) for name, path in sides}
-    workloads = sorted({w for r in runs.values() for w in r})
-    out: dict = {"sides": [name for name, _ in sides], "workloads": {}}
-    for w in workloads:
-        entry = {name: side_summary(runs[name][w], metrics)
-                 for name, _ in sides if runs[name].get(w)}
-        if len(sides) == 2 and len(entry) == 2:
-            (base, _), (new, _) = sides
-            entry["pairs"] = compare(runs[base][w], runs[new][w], metrics)
-        out["workloads"][w] = entry
+    base, new = load_runs(parent), load_runs(change)
+    out: dict = {}
+    for w in sorted(base.keys() & new.keys()):
+        out[w] = {"parent": side_summary(base[w], metrics),
+                  "change": side_summary(new[w], metrics),
+                  "pairs": compare(base[w], new[w], metrics)}
     return out
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("sides", nargs="+", metavar="NAME=DIR",
-                    help="a side's name and its perfbench results directory")
+    ap.add_argument("parent", type=Path, help="the parent's perfbench results directory")
+    ap.add_argument("change", type=Path, help="the change's perfbench results directory")
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--benchmark", type=Path, default=ROOT / "BENCHMARK.json")
     args = ap.parse_args(argv)
-    sides = []
-    for spec in args.sides:
-        name, sep, path = spec.partition("=")
-        if not sep or not Path(path).is_dir():
-            ap.error(f"{spec!r} is not NAME=DIR with an existing directory")
-        sides.append((name, Path(path)))
-    summary = summarize(sides, json.loads(args.benchmark.read_text(encoding="utf-8")))
+    for path in (args.parent, args.change):
+        if not path.is_dir():
+            ap.error(f"{path} is not a directory")
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    summary = summarize(args.parent, args.change, benchmark)
     args.out.write_text(json.dumps(summary, indent=1) + "\n", encoding="utf-8")
     return 0
 

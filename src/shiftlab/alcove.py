@@ -13,10 +13,10 @@ the circle action is w o mu = w(mu + rho_hat) - rho_hat.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from typing import NamedTuple
 
 from .liealg import (
     Vec,
@@ -31,8 +31,7 @@ from .liealg import (
 from .shift import LambdaParam, ShiftCase, Variant, alcove_inequality, enumerate_lambda
 
 
-@dataclass(frozen=True)
-class AffineWeight:
+class AffineWeight(NamedTuple):
     finite: Vec
     level: Fraction          # coefficient of Lambda_0
     delta_coeff: Fraction
@@ -45,8 +44,7 @@ class AffineWeight:
         }
 
 
-@dataclass(frozen=True)
-class AffineWeylElt:
+class AffineWeylElt(NamedTuple):
     finite_part: WeylElement
     translation: Vec
 
@@ -57,8 +55,7 @@ class AffineWeylElt:
         }
 
 
-@dataclass(frozen=True)
-class ReduceResult:
+class ReduceResult(NamedTuple):
     elt: AffineWeylElt
     weight: AffineWeight
     on_wall: bool

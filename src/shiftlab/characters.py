@@ -13,11 +13,11 @@ other before one of them is multiplied by the shared tail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import floor, gcd, isqrt, lcm
 from operator import mul
+from typing import NamedTuple
 
 from .liealg import (
     CapExceededError,
@@ -67,8 +67,7 @@ def norm_shift(case: ShiftCase) -> Fraction:
     return rs.norm2(v) / (2 * case.p)
 
 
-@dataclass(frozen=True)
-class FockPoint:
+class FockPoint(NamedTuple):
     nu: Vec          # unscaled lattice direction, nu in lambda + Q
     coset: LambdaParam
     weight: Vec      # Cartan weight: ceil(-nu) against the simple coroots

@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import alcove, characters, liealg, qseries, shift
 
@@ -23,8 +23,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     algebra: liealg.SimpleLieType
     variant: shift.Variant
     m: int

@@ -16,11 +16,11 @@ which is what the odd-lattice constructions downstream require.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import factorial
 from operator import mul
+from typing import NamedTuple
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[tuple[Fraction, ...], ...]
@@ -120,26 +120,29 @@ def adjugate(m: IntMat) -> tuple[IntMat, int]:
 # Dynkin data
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class SimpleLieType:
+class _LieTypeFields(NamedTuple):
     series: str
     rank: int
 
-    def __post_init__(self):
-        if self.series not in _SERIES:
-            raise InvalidTypeError(f"unknown series {self.series!r}")
-        r = self.rank
+
+class SimpleLieType(_LieTypeFields):
+    __slots__ = ()
+
+    def __new__(cls, series: str, rank: int):
+        if series not in _SERIES:
+            raise InvalidTypeError(f"unknown series {series!r}")
         ok = {
-            "A": r >= 1,
-            "B": r >= 1,
-            "C": r >= 2,
-            "D": r >= 3,
-            "E": r in (6, 7, 8),
-            "F": r == 4,
-            "G": r == 2,
-        }[self.series]
+            "A": rank >= 1,
+            "B": rank >= 1,
+            "C": rank >= 2,
+            "D": rank >= 3,
+            "E": rank in (6, 7, 8),
+            "F": rank == 4,
+            "G": rank == 2,
+        }[series]
         if not ok:
-            raise InvalidTypeError(f"invalid rank {r} for series {self.series}")
+            raise InvalidTypeError(f"invalid rank {rank} for series {series}")
+        return super().__new__(cls, series, rank)
 
     @classmethod
     def parse(cls, s: str) -> "SimpleLieType":
@@ -213,8 +216,7 @@ def exponents_of(t: SimpleLieType) -> tuple[int, ...]:
 # Weyl elements
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(NamedTuple):
     """A Weyl-group element: its lex-minimal reduced word and the Dynkin
     labels of w(rho), each of which determines the element.
 
@@ -238,8 +240,7 @@ class WeylElement:
 # the root system proper
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     lie_type: SimpleLieType
     gram: Mat
     cartan: IntMat                  # cartan[i][j] = (alpha_j, alpha_i^vee)
@@ -260,6 +261,7 @@ class RootSystem:
     positive_roots: tuple[Vec, ...]
     minuscule: tuple[Vec, ...]      # transversal of P/Q, zero first
     half_lengths: tuple[Fraction, ...]  # d_i = |alpha_i|^2/2
+    cartan_adjugate: tuple[IntMat, int]  # (adj, det): C^-1 = adj / det
 
     def __hash__(self) -> int:
         # the type fixes every other field; hashing them all is slow
@@ -281,11 +283,6 @@ class RootSystem:
 
     def norm2(self, mu: Vec) -> Fraction:
         return self.pairing(mu, mu)
-
-    @cached_property
-    def cartan_adjugate(self) -> tuple[IntMat, int]:
-        """(adj, det) of the Cartan matrix: C^-1 = adj / det."""
-        return adjugate(self.cartan)
 
     def from_labels(self, labels, scale: int = 1) -> Vec:
         """Simple-root coordinates of the weight with Dynkin labels
@@ -406,20 +403,24 @@ class RootSystem:
     # -- representation dimensions -----------------------------------------
 
     def weyl_dim(self, beta: Vec) -> int:
-        """dim of the irreducible module with highest weight beta (dominant integral)."""
-        for i in range(self.rank):
-            c = self.copairing(beta, i)
-            if c.denominator != 1 or c < 0:
-                raise ValueError(f"weight {beta} is not dominant integral")
-        num = Fraction(1)
+        """dim of the irreducible module with highest weight beta (dominant
+        integral): prod (beta + rho, a^vee) / (rho, a^vee) over the positive
+        roots a.  With labels l of beta and c_j = lacing * d_j * a_j, a
+        multiple of the coroot coordinates of a, each factor is
+        sum c_j (l_j + 1) / sum c_j."""
+        labels = [self.copairing(beta, i) for i in range(self.rank)]
+        if any(c.denominator != 1 or c < 0 for c in labels):
+            raise ValueError(f"weight {beta} is not dominant integral")
+        ell = [int(self.lacing * d) for d in self.half_lengths]
+        num = den = 1
         for alpha in self.positive_roots:
-            d = self.norm2(alpha) / 2
-            a = self.pairing(vadd(beta, self.rho), alpha) / d
-            b = self.pairing(self.rho, alpha) / d
-            num *= a / b
-        if num.denominator != 1 or num <= 0:
-            raise AssertionError(f"Weyl dimension of {beta} came out as {num}")
-        return int(num)
+            c = [n * a.numerator for n, a in zip(ell, alpha)]
+            num *= sum(x * (l.numerator + 1) for x, l in zip(c, labels))
+            den *= sum(c)
+        dim, rest = divmod(num, den)
+        if rest or dim <= 0:
+            raise AssertionError(f"Weyl dimension of {beta} came out as {num}/{den}")
+        return dim
 
     # -- serialization ------------------------------------------------------
 
@@ -558,6 +559,7 @@ def build_root_system(t: SimpleLieType) -> RootSystem:
         positive_roots=tuple(frac(a) for a in positive),
         minuscule=minuscule,
         half_lengths=d,
+        cartan_adjugate=(adj, det_c),
     )
 
 

@@ -13,10 +13,10 @@ milliseconds without any approximate arithmetic.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from typing import NamedTuple
 
 DEFAULT_GRID_CAP = 10**4
 
@@ -85,8 +85,7 @@ def convolve(a: list[int], b: list[int], n_out: int) -> list[int]:
 # the series type
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QSeries:
+class QSeries(NamedTuple):
     base: Fraction
     grid: int
     coeffs: tuple[int, ...]

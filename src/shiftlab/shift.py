@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from operator import mul
+from typing import NamedTuple
 
 from .liealg import (
     CapExceededError,
@@ -56,8 +56,7 @@ class InvalidCaseError(ValueError):
     """Raised for (type, variant, m) combinations outside the two families."""
 
 
-@dataclass(frozen=True)
-class ShiftCase:
+class ShiftCase(NamedTuple):
     rs: RootSystem
     variant: Variant
     m: int
@@ -102,8 +101,7 @@ def make_case(lie_type: SimpleLieType | str, variant: Variant | str, m: int) -> 
     return ShiftCase(rs, variant, m, p, x, gamma, Fraction(c))
 
 
-@dataclass(frozen=True)
-class LambdaParam:
+class LambdaParam(NamedTuple):
     bullet_index: int          # index into rs.minuscule
     bullet_up: Vec             # the minuscule weight itself
     digits: tuple[int, ...]
@@ -446,12 +444,14 @@ def check_strong_alt(lam: LambdaParam, case: ShiftCase, word=None) -> bool:
 
 def alcove_inequality(lam: LambdaParam, case: ShiftCase) -> bool:
     """(p*box + rho_check, theta_L) <= p, with rho instead of rho_check in the
-    super family."""
+    super family: p*(box + x) has labels k_j x_j, which pair with theta_L
+    through its integer coroot marks c_j = d_j * theta_L[j]."""
     rs = case.rs
-    box = vadd(lam.value, lam.bullet_up)
-    shift_vec = rs.rho_check if case.variant is Variant.NONSUPER else rs.rho
-    val = rs.pairing(vadd(vscale(case.p, box), shift_vec), rs.theta_L)
-    return val <= case.p
+    marks = [d * t for d, t in zip(rs.half_lengths, rs.theta_L)]
+    if any(c.denominator != 1 for c in marks):
+        raise AssertionError(f"coroot marks of theta_L of {rs.lie_type} are not integral")
+    x = _grid(case)[0]
+    return sum(c.numerator * k * s for c, k, s in zip(marks, lam.digits, x)) <= case.p
 
 
 def w0_shift(lam: LambdaParam, case: ShiftCase) -> Vec:
@@ -493,15 +493,14 @@ def screening_degree(i: int, lam: LambdaParam, case: ShiftCase) -> int | None:
 # the verification report
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ShiftReport:
-    case_id: str
-    counts: dict
-    failures: list = field(default_factory=list)
-    weak: list = field(default_factory=list)      # (label, bool)
-    strong: list = field(default_factory=list)
-    alcove: list = field(default_factory=list)
-    w0_shifts: list = field(default_factory=list)  # (label, coords)
+    def __init__(self, case_id: str, counts: dict):
+        self.case_id, self.counts = case_id, counts
+        self.failures: list = []
+        self.weak: list = []       # (label, bool)
+        self.strong: list = []
+        self.alcove: list = []
+        self.w0_shifts: list = []  # (label, coords)
 
     @property
     def ok(self) -> bool:

@@ -4,15 +4,18 @@
   coordinates.
 * The root-system record built over ``Fraction`` end to end: Gauss-Jordan
   inverses of the Cartan and Gram matrices, and lengths and coroots from the
-  Gram form.
+  Gram form, and the Weyl dimension formula on ``Fraction`` pairings.
 * Coset representatives as ``Fraction`` vectors, decomposed by
-  ``canonical_decompose``, and the p-scaled Dynkin labels read off them.
+  ``canonical_decompose``, the p-scaled Dynkin labels read off them, and
+  the alcove inequality as a ``Fraction`` pairing with theta_L.
 * Helpers that only the tests call: the dot action, the * route of the
   alternating sum, the displayed-norm exponent, the supertrace vacuum oracle
   and the affine identity.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
 from shiftlab.alcove import AffineWeylElt
 from shiftlab.characters import (
@@ -200,8 +203,9 @@ def fraction_root_system(t) -> RootSystem:
     order = 1
     for e in exps:
         order *= e + 1
+    det = det_int(cartan)
     assert 2 * len(positive) == len(roots)
-    assert len(minuscule) == det_int(cartan)
+    assert len(minuscule) == det
     assert all(x.denominator == 1 for x in (*marks_L, dc, lhv))
     assert sum(exps) == len(positive) and order == weyl_order(t)
     return RootSystem(
@@ -210,7 +214,25 @@ def fraction_root_system(t) -> RootSystem:
         fund_coweights=fund_coweights, rho=rho, rho_check=rho_check, theta=theta,
         theta_s=theta_s, theta_L=theta_L, lacing=lac, coxeter=int(sum(theta)) + 1,
         dual_coxeter=int(dc), dual_coxeter_L=int(lhv), exponents=exps,
-        positive_roots=positive, minuscule=minuscule, half_lengths=d)
+        positive_roots=positive, minuscule=minuscule, half_lengths=d,
+        cartan_adjugate=(tuple(tuple(int(det * x) for x in row) for row in cartan_inv), det))
+
+
+@lru_cache(maxsize=None)
+def _coroot_rows(rs):
+    """Per positive root a: gram * a^vee, with a^vee = 2a/|a|^2, and (rho, a^vee)."""
+    rows = [mat_vec(rs.gram, vscale(2 / rs.norm2(a), a)) for a in rs.positive_roots]
+    return [(row, sum(map(mul, row, rs.rho))) for row in rows]
+
+
+def weyl_dim_fraction(rs, beta) -> Fraction:
+    """prod (beta + rho, a^vee) / (rho, a^vee) over the positive roots a, the
+    pairings taken through the Gram form."""
+    mu = vadd(beta, rs.rho)
+    num = Fraction(1)
+    for row, rho_pair in _coroot_rows(rs):
+        num *= sum(map(mul, row, mu)) / rho_pair
+    return num
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +268,15 @@ def fraction_start(case, lam):
     a = tuple(v + c for v, c in zip(scaled(lam.value), x))
     b = tuple(v + c for v, c in zip(scaled(box), x))
     return a, b, tuple(int(rs.copairing(bullet, i)) for i in range(rs.rank))
+
+
+def alcove_inequality_fraction(lam, case) -> bool:
+    """(p*box + rho_check, theta_L) <= p, with rho instead of rho_check in the
+    super family, paired on root coordinates."""
+    rs = case.rs
+    box = vadd(lam.value, lam.bullet_up)
+    shift_vec = rs.rho_check if case.variant is Variant.NONSUPER else rs.rho
+    return rs.pairing(vadd(vscale(case.p, box), shift_vec), rs.theta_L) <= case.p
 
 
 # ---------------------------------------------------------------------------

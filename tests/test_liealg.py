@@ -1,9 +1,9 @@
 """Root-system layer: exact data, Weyl enumeration, dimension formula."""
 
-import dataclasses
 import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +15,7 @@ from oracles import (
     mat_mul,
     mat_vec,
     matrix_length,
+    weyl_dim_fraction,
     weyl_matrix,
 )
 
@@ -104,9 +105,9 @@ def test_integer_build_matches_fraction_oracle(name):
     # over Fraction, field by field (values and Fraction types) and in JSON
     t = SimpleLieType.parse(name)
     rs, ref = build_root_system(t), fraction_root_system(t)
-    for f in dataclasses.fields(ref):
-        assert getattr(rs, f.name) == getattr(ref, f.name), f.name
-        assert repr(getattr(rs, f.name)) == repr(getattr(ref, f.name)), f.name
+    for name in ref._fields:
+        assert getattr(rs, name) == getattr(ref, name), name
+        assert repr(getattr(rs, name)) == repr(getattr(ref, name)), name
     assert json.dumps(rs.to_json_dict()) == json.dumps(ref.to_json_dict())
     adj, det = adjugate(rs.cartan)
     assert det == det_int(rs.cartan)
@@ -220,6 +221,19 @@ def test_weyl_dim_oracles():
     assert rs.weyl_dim(vzero(2)) == 1
     with pytest.raises(ValueError):
         rs.weyl_dim((Fraction(-1), Fraction(0)))
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_weyl_dim_matches_fraction_oracle(name):
+    # the product over coroot coordinates on labels against the Fraction
+    # pairings, on every dominant weight whose labels sum to at most 3
+    rs = build_root_system(SimpleLieType.parse(name))
+    for labels in product(range(4), repeat=rs.rank):
+        if sum(labels) > 3:
+            continue
+        beta = rs.from_labels(labels)
+        want = weyl_dim_fraction(rs, beta)
+        assert want.denominator == 1 and rs.weyl_dim(beta) == want, labels
 
 
 def test_screening_current_weight_identity():

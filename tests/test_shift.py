@@ -4,7 +4,14 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from oracles import det_int, fraction_lambda_from, fraction_start, mat_vec, weyl_matrix
+from oracles import (
+    alcove_inequality_fraction,
+    det_int,
+    fraction_lambda_from,
+    fraction_start,
+    mat_vec,
+    weyl_matrix,
+)
 
 from shiftlab.liealg import vadd, vneg, vscale, vsub, vzero
 from shiftlab.shift import (
@@ -180,6 +187,20 @@ def test_integer_cosets_match_fraction_route(name, variant, m):
         assert sys._coset[sys._class_key(bullet), b] == l_idx
     assert sys.x_labels == tuple(case.p * case.rs.copairing(case.x, i) for i in range(case.rank))
     assert len(sys._coset) == len(want)
+
+
+@pytest.mark.parametrize("name,variant,m", AXIOM_SWEEP_CASES)
+def test_alcove_inequality_matches_fraction_oracle(name, variant, m):
+    # the digits against theta_L's integer coroot marks, on every coset,
+    # against the Fraction pairing on root coordinates
+    case = make_case(name, variant, m)
+    for lamp in enumerate_lambda(case):
+        assert alcove_inequality(lamp, case) == alcove_inequality_fraction(lamp, case), \
+            lamp.label()
+    # a theta_L whose coroot marks are not integral is refused
+    half = case._replace(rs=case.rs._replace(theta_L=vscale(Fraction(1, 2), case.rs.theta_L)))
+    with pytest.raises(AssertionError, match="not integral"):
+        alcove_inequality(lamp, half)
 
 
 def test_lambda_round_trip():

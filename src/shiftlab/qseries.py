@@ -217,6 +217,10 @@ class QSeries(NamedTuple):
     def __mul__(self, other):
         return self.mul(other)
 
+    def __rmul__(self, other):
+        # tuple's would repeat the fields; a scalar multiple is scale()
+        return NotImplemented
+
     def scale(self, c) -> "QSeries":
         c = _as_fraction(c)
         if c == 0:

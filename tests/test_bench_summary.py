@@ -9,7 +9,8 @@ _spec = importlib.util.spec_from_file_location("bench_summary", ROOT / "tools" /
 bench_summary = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_summary)
 
-BENCH = {"end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]}
+BENCH = {"end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}],
+         "per_layer": [{"name": "cli.import_s", "unit": "s", "better": "lower"}]}
 
 
 def write_run(results: Path, seed: int, wall: float, sha: str, failed: int = 0,
@@ -19,9 +20,15 @@ def write_run(results: Path, seed: int, wall: float, sha: str, failed: int = 0,
            "provenance": {"git_sha": sha, "src_lines": 100},
            "metrics": {"wall_s": {"value": wall, "unit": "s"}}}
     (results / f"{workload}-seed{seed}-trace0.json").write_text(json.dumps(run))
-    # ops lists and traced runs are not summarized
+    # ops lists are not summarized
     (results / f"{workload}-seed{seed}-trace0-ops.json").write_text("[]")
-    (results / f"{workload}-seed{seed}-trace1.json").write_text("{}")
+
+
+def write_traced(results: Path, seed: int, import_s: float, workload: str = "cli_cold"):
+    run = {"workload": workload, "seed": seed,
+           "metrics": {"cli.import_s": {"value": import_s, "unit": "s"},
+                       "trace.wall_s": {"value": 1.0, "unit": "s"}}}
+    (results / f"{workload}-seed{seed}-trace1.json").write_text(json.dumps(run))
 
 
 def test_summary_and_pairs(tmp_path):
@@ -58,3 +65,20 @@ def test_failed_counts_and_one_sided_workload(tmp_path):
     assert list(out) == ["axiom_sweep"]
     assert out["axiom_sweep"]["change"]["failed"] == [1]
     assert out["axiom_sweep"]["pairs"]["wall_s"]["wins"] == 1
+
+
+def test_traced_runs_on_both_sides(tmp_path):
+    base, new = tmp_path / "base", tmp_path / "new"
+    base.mkdir()
+    new.mkdir()
+    for workload in ("axiom_sweep", "cli_cold"):
+        write_run(base, 3, 0.5, "aaaaaaaa", workload=workload)
+        write_run(new, 3, 0.4, "bbbbbbbb", workload=workload)
+    write_traced(base, 7, 0.031)
+    write_traced(new, 7, 0.024)
+    write_traced(new, 7, 0.5, workload="axiom_sweep")    # no parent traced run
+    out = bench_summary.summarize(base, new, BENCH)
+    assert "traced" not in out["axiom_sweep"]
+    assert out["cli_cold"]["traced"] == {
+        "parent": {"seeds": [7], "cli.import_s": [0.031]},
+        "change": {"seeds": [7], "cli.import_s": [0.024]}}

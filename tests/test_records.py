@@ -90,6 +90,8 @@ def test_record_guards():
     w = build_root_system(SimpleLieType("A", 2)).simple_element(0)
     with pytest.raises(TypeError):
         w * w
+    with pytest.raises(TypeError):
+        2 * QSeries.make(0, 1, [1, 2], 3)
 
 
 def test_cli_import_leaves_out_dataclasses():

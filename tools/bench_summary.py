@@ -7,9 +7,11 @@ counts of each run, and the median and quartiles of each end-to-end metric
 named in BENCHMARK.json.  Runs on the same seed form a pair, and each metric
 gets the pair count, the number of pairs the change wins, the median change,
 whether it stays within the metric's regression bound, and whether the
-medians differ by more than the parent's IQR.
+medians differ by more than the parent's IQR.  Where both sides have traced
+runs of a workload, the summary adds their seeds and the values of each
+per-layer metric named in BENCHMARK.json.
 
-    python3 tools/bench_summary.py --out BENCH_7.json \\
+    python3 tools/bench_summary.py --out BENCH_8.json \\
         ../parent/perfbench/results perfbench/results
 """
 
@@ -30,10 +32,11 @@ def quartiles(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def load_runs(results: Path) -> dict[str, list[dict]]:
-    """Untraced runs per workload, ordered by seed."""
+def load_runs(results: Path, trace: int = 0) -> dict[str, list[dict]]:
+    """Untraced (trace 0) or traced (trace 1) runs per workload, ordered by
+    seed."""
     runs: dict[str, list[dict]] = {}
-    for path in sorted(results.glob("*-trace0.json")):
+    for path in sorted(results.glob(f"*-trace{trace}.json")):
         run = json.loads(path.read_text(encoding="utf-8"))
         runs.setdefault(run["workload"], []).append(run)
     for rs in runs.values():
@@ -55,6 +58,11 @@ def side_summary(runs: list[dict], metrics: list[dict]) -> dict:
         out[m["name"]] = {"unit": m["unit"],
                           **quartiles([r["metrics"][m["name"]]["value"] for r in runs])}
     return out
+
+
+def traced_summary(runs: list[dict], layers: list[dict]) -> dict:
+    return {"seeds": [r["seed"] for r in runs],
+            **{m["name"]: [r["metrics"][m["name"]]["value"] for r in runs] for m in layers}}
 
 
 def compare(base: list[dict], new: list[dict], metrics: list[dict]) -> dict:
@@ -83,11 +91,15 @@ def compare(base: list[dict], new: list[dict], metrics: list[dict]) -> dict:
 def summarize(parent: Path, change: Path, benchmark: dict) -> dict:
     metrics = benchmark["end_to_end"]
     base, new = load_runs(parent), load_runs(change)
+    traced = load_runs(parent, 1), load_runs(change, 1)
     out: dict = {}
     for w in sorted(base.keys() & new.keys()):
         out[w] = {"parent": side_summary(base[w], metrics),
                   "change": side_summary(new[w], metrics),
                   "pairs": compare(base[w], new[w], metrics)}
+        if all(w in t for t in traced):
+            out[w]["traced"] = {side: traced_summary(t[w], benchmark["per_layer"])
+                                for side, t in zip(("parent", "change"), traced)}
     return out
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .liealg import (
@@ -105,7 +105,27 @@ class _Family:
 
     def labels(self, g: Vec) -> tuple:
         """Dynkin labels a_i = (g, alpha_i^vee)."""
-        return tuple(self.rs.copairing(g, i) for i in range(self.rs.rank))
+        a, d = self.rs.scaled_labels(g)
+        return tuple(Fraction(x, d) for x in a)
+
+    def walk_labels(self, mu: AffineWeight) -> tuple[tuple[int, ...], int, Fraction]:
+        """(n * labels of g = mu + rho_hat, n, scale): n is the least common
+        denominator of those labels and of the translation scale, so that a
+        walk on n * labels stays on integers."""
+        scale = self.trans_scale(mu)
+        a, d = self.rs.scaled_labels(vadd(mu.finite, self.rho_hat_fin))
+        n = lcm(scale.denominator, *(d // gcd(x, d) for x in a))
+        return tuple(x * n // d for x in a), n, scale
+
+    def act_labels(self, w: AffineWeylElt, walk) -> tuple[int, ...]:
+        """n * labels of s(g + scale*B) = w o mu + rho_hat for w = (s, B),
+        from walk = walk_labels(mu)."""
+        a, n, scale = walk
+        k = int(n * scale)
+        a = tuple(x + k * y for x, y in zip(a, self.rs.integral_labels(w.translation)))
+        for i in reversed(w.finite_part.word):
+            a = self.reflect(a, i)
+        return a
 
     def top(self, a) -> Fraction:
         """(g, theta_s^vee) from the labels of g."""
@@ -156,21 +176,21 @@ def affine_inv(case: ShiftCase, a: AffineWeylElt) -> AffineWeylElt:
 
 
 def dot_act(w: AffineWeylElt, mu: AffineWeight, case: ShiftCase) -> AffineWeight:
-    """Circle action w o mu = (s t_B)(mu + rho_hat) - rho_hat."""
+    """Circle action w o mu = (s t_B)(mu + rho_hat) - rho_hat, on the labels
+    a = n * labels(g) of g = mu + rho_hat (see _Family.act_labels); the delta
+    term reads (g, B) = sum_j B_j d_j a_j / n."""
     fam = _family(case)
     rs = case.rs
     fam.check_translation(w.translation)
-    fin = vadd(mu.finite, fam.rho_hat_fin)
-    level = mu.level + fam.rho_hat_level
+    walk = a, n, scale = fam.walk_labels(mu)
     delta = mu.delta_coeff
-    scale = fam.trans_scale(mu)
     b = w.translation
     if any(x != 0 for x in b):
-        u = fam.form_factor
-        delta = delta - u * rs.pairing(fin, b) - u * scale / 2 * rs.norm2(b)
-        fin = vadd(fin, vscale(scale, b))
-    fin = rs.weyl_apply(w.finite_part, fin)
-    return AffineWeight(vsub(fin, fam.rho_hat_fin), level - fam.rho_hat_level, delta)
+        pair = sum(x * d * y for x, d, y in zip(b, rs.half_lengths, a)) / n
+        norm = sum(x * d * y for x, d, y in zip(b, rs.half_lengths, rs.integral_labels(b)))
+        delta = delta - fam.form_factor * (pair + scale / 2 * norm)
+    fin = rs.from_labels(fam.act_labels(w, walk), n)
+    return AffineWeight(vsub(fin, fam.rho_hat_fin), mu.level, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +232,10 @@ def dominant_reduce(mu: AffineWeight, case: ShiftCase) -> ReduceResult:
     """
     fam = _family(case)
     rs = case.rs
-    scale = fam.trans_scale(mu)
+    a0, n, scale = fam.walk_labels(mu)
     if scale <= 0:
         raise ValueError("nonpositive shifted level; reduction undefined")
-    labels = fam.labels(vadd(mu.finite, fam.rho_hat_fin))
-    n = lcm(*(x.denominator for x in (*labels, scale)))  # walk on n * labels
     bound = int(n * fam.bound(scale))
-    a0 = tuple(int(n * x) for x in labels)
     a, sigma = a0, (1,) * rs.rank
     guard = 0
     while True:
@@ -278,6 +295,16 @@ def mu_lambda(alpha: Vec, lam: LambdaParam, case: ShiftCase) -> AffineWeight:
     return dominant_reduce(affine_input(case, alpha, lam), case).weight
 
 
+def _lands_inside(fam: _Family, w: AffineWeylElt, walk) -> bool:
+    """chamber_position(dot_act(w, mu))[0] from walk = fam.walk_labels(mu):
+    w o mu sits at the level of mu, so it lies in the chamber when the labels
+    of w o mu + rho_hat are nonnegative with (., theta_s^vee) at most the
+    bound."""
+    _, n, scale = walk
+    a = fam.act_labels(w, walk)
+    return min(a) >= 0 and fam.top(a) <= n * fam.bound(scale)
+
+
 def y_alpha(alpha: Vec, bullet_index: int, case: ShiftCase) -> AffineWeylElt:
     """Inverse of the common chamber reducer over the strong region.
 
@@ -292,16 +319,17 @@ def y_alpha(alpha: Vec, bullet_index: int, case: ShiftCase) -> AffineWeylElt:
         raise WallReductionError(
             f"no strong representative with minuscule index {bullet_index} "
             f"in {case.case_id()}")
+    fam = _family(case)
+    inputs = [affine_input(case, alpha, lam) for lam in strong]
     candidates: list[tuple[bool, AffineWeylElt]] = []
-    for lam in strong:
-        res = dominant_reduce(affine_input(case, alpha, lam), case)
+    for mu in inputs:
+        res = dominant_reduce(mu, case)
         if all(res.elt != elt for _, elt in candidates):
             candidates.append((res.on_wall, res.elt))
     candidates.sort(key=lambda pair: pair[0])  # interior-derived first
+    walks = [fam.walk_labels(mu) for mu in inputs]
     for _, reducer in candidates:
-        if all(chamber_position(dot_act(reducer, affine_input(case, alpha, lam),
-                                        case), case)[0]
-               for lam in strong):
+        if all(_lands_inside(fam, reducer, walk) for walk in walks):
             return affine_inv(case, reducer)
     raise AssertionError(
         f"reducer depends on the box digits for bullet {bullet_index} "

@@ -188,31 +188,38 @@ def _check_point(sys, point: tuple[int, ...], l_idx: int):
 def _walk(case: ShiftCase, lam: LambdaParam, beta: Vec, twisted: bool,
           moved: bool = False):
     """One pass over W (enumeration order) for the alternating sum at beta:
-    the labels of w(beta + rho) and the exponent numerators (see _form) of the
-    dot terms, u = b_lam - p*labels(w(beta + rho)), and with ``moved`` of the
-    * terms, v = b_{w*lam} - p*labels(beta + rho - w^lam); b = p*labels(box +
-    x).  The Ramond flow adds the unit label e_r to the dot point (lin.u) and
-    w(e_r) to the moved point: Q(v + w(e_r)) - Q(e_r) = Q(v) + 2 w(e_r).quad.v,
-    Q being W-invariant."""
+    the labels t of w(beta + rho) and the exponent numerators (see _form) of
+    the dot terms, u = b_lam - p*t, and with ``moved`` of the * terms,
+    v = b_{w*lam} - p*labels(beta + rho - w^lam); b = p*labels(box + x).
+
+    Q being W-invariant, a dot numerator Q(u) + lin.u is c0 - g.t with
+    g = p*(2 quad.b + lin) and c0 = Q(b) + lin.b + p^2 Q(t_id).  Its point
+    w o beta = w(beta + rho) - rho stays in beta + Q, whose class key
+    (ShiftSystem checks it on the simple roots) and box are those of beta, so
+    fock_point's checks run once, on beta.  The * terms keep the full form
+    and their checks per term.  The Ramond flow adds the unit label e_r to the
+    dot point (lin.u) and w(e_r) to the moved point: Q(v + w(e_r)) - Q(e_r) =
+    Q(v) + 2 w(e_r).quad.v."""
     sys, (quad, lin, _, _), p, r = system(case), _form(case, twisted), case.p, case.rank
-    labels = tuple(case.rs.copairing(beta, i) for i in range(r))
-    if any(c.denominator != 1 for c in labels):
-        raise ValueError(f"{beta} is not an integral weight")
-    labels = tuple(int(c) for c in labels)
+    labels = case.rs.integral_labels(beta)
     l_idx = sys.index[lam.key()]
-    orbit = sys.orbit(tuple(c + 1 for c in labels))
-    act, shift = sys.row(l_idx) if moved else (None, None)
-    flows = sys.orbit(tuple(int(i == r - 1) for i in range(r))) if moved and twisted else None
-    dot, mov = [], []
-    for w, top in enumerate(orbit):
-        _check_point(sys, tuple(c - 1 for c in top), l_idx)
-        u = [x - p * y for x, y in zip(sys._start[l_idx][1], top)]
-        flow = sum(map(mul, lin, u))
-        dot.append(flow + sum(x * sum(map(mul, row, u)) for x, row in zip(u, quad)))
-        if moved:
-            point = tuple(c - s for c, s in zip(labels, shift[w]))
-            _check_point(sys, point, act[w])
-            v = [x - p * (y + 1) for x, y in zip(sys._start[act[w]][1], point)]
+    _check_point(sys, labels, l_idx)
+    b = sys._start[l_idx][1]
+    top = tuple(c + 1 for c in labels)
+    qb = [sum(map(mul, row, b)) for row in quad]
+    g = [p * (2 * x + y) for x, y in zip(qb, lin)]
+    c0 = sum(map(mul, b, qb)) + sum(map(mul, lin, b)) \
+        + p * p * sum(x * sum(map(mul, row, top)) for x, row in zip(top, quad))
+    orbit = sys.orbit(top)
+    dot = [c0 - sum(map(mul, g, t)) for t in orbit]
+    mov = []
+    if moved:
+        act, shift = sys.row(l_idx)
+        flows = sys.orbit(tuple(int(i == r - 1) for i in range(r))) if twisted else None
+        for w, (target, up) in enumerate(zip(act, shift)):
+            point = tuple(c - s for c, s in zip(labels, up))
+            _check_point(sys, point, target)
+            v = [x - p * (y + 1) for x, y in zip(sys._start[target][1], point)]
             qv = [sum(map(mul, row, v)) for row in quad]
             mov.append(sum(map(mul, v, qv)) + (2 * sum(map(mul, flows[w], qv)) if flows else 0))
     return orbit, dot, mov

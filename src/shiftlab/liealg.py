@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -129,7 +129,7 @@ class SimpleLieType(_LieTypeFields):
     __slots__ = ()
 
     def __new__(cls, series: str, rank: int):
-        if series not in _SERIES:
+        if len(series) != 1 or series not in _SERIES:
             raise InvalidTypeError(f"unknown series {series!r}")
         ok = {
             "A": rank >= 1,
@@ -297,6 +297,20 @@ class RootSystem(NamedTuple):
         row = self.cartan[i]
         return sum(row[j] * mu[j] for j in range(self.rank))
 
+    def scaled_labels(self, mu: Vec) -> tuple[tuple[int, ...], int]:
+        """(n * labels, n): the Dynkin labels of mu times the least common
+        denominator n of its coordinates, in integer arithmetic."""
+        n = lcm(*(x.denominator for x in mu))
+        nums = [x.numerator * (n // x.denominator) for x in mu]
+        return tuple(sum(map(mul, row, nums)) for row in self.cartan), n
+
+    def integral_labels(self, mu: Vec) -> tuple[int, ...]:
+        """The Dynkin labels of an integral weight, as integers."""
+        labels, n = self.scaled_labels(mu)
+        if any(x % n for x in labels):
+            raise ValueError(f"{mu} is not an integral weight")
+        return tuple(x // n for x in labels)
+
     def reflect(self, i: int, mu: Vec) -> Vec:
         """sigma_i(mu) = mu - (mu, alpha_i^vee) alpha_i."""
         c = self.copairing(mu, i)
@@ -307,13 +321,14 @@ class RootSystem(NamedTuple):
         return tuple(out)
 
     def is_dominant(self, mu: Vec) -> bool:
-        return all(self.copairing(mu, i) >= 0 for i in range(self.rank))
+        return min(self.scaled_labels(mu)[0]) >= 0
 
     def in_root_lattice(self, mu: Vec) -> bool:
         return all(x.denominator == 1 for x in mu)
 
     def in_weight_lattice(self, mu: Vec) -> bool:
-        return all(self.copairing(mu, i).denominator == 1 for i in range(self.rank))
+        labels, n = self.scaled_labels(mu)
+        return all(x % n == 0 for x in labels)
 
     # -- Weyl group --------------------------------------------------------
 
@@ -408,14 +423,14 @@ class RootSystem(NamedTuple):
         roots a.  With labels l of beta and c_j = lacing * d_j * a_j, a
         multiple of the coroot coordinates of a, each factor is
         sum c_j (l_j + 1) / sum c_j."""
-        labels = [self.copairing(beta, i) for i in range(self.rank)]
-        if any(c.denominator != 1 or c < 0 for c in labels):
+        labels, n = self.scaled_labels(beta)
+        if any(c % n or c < 0 for c in labels):
             raise ValueError(f"weight {beta} is not dominant integral")
         ell = [int(self.lacing * d) for d in self.half_lengths]
         num = den = 1
         for alpha in self.positive_roots:
-            c = [n * a.numerator for n, a in zip(ell, alpha)]
-            num *= sum(x * (l.numerator + 1) for x, l in zip(c, labels))
+            c = [e * a.numerator for e, a in zip(ell, alpha)]
+            num *= sum(x * (l // n + 1) for x, l in zip(c, labels))
             den *= sum(c)
         dim, rest = divmod(num, den)
         if rest or dim <= 0:

@@ -249,17 +249,23 @@ class ShiftSystem:
         self.w0 = self.weyl[-1]
         self.w0_idx = len(self.weyl) - 1
         self.cols = rs.root_labels()
+        # the nonzero entries (k, c) of each column, along which a simple
+        # reflection of labels moves
+        self._sparse = tuple(tuple((k, c) for k, c in enumerate(col) if c) for col in self.cols)
         # element k >= 1 is s_i * (element j); the labels of w(rho) key them
         pos = {w.word: k for k, w in enumerate(self.weyl)}
         self._steps = [(w.word[0], pos[w.word[1:]]) for w in self.weyl[1:]]
         self._key_index = {w.labels: k for k, w in enumerate(self.weyl)}
         # left[i][k] is the index of s_i * (element k)
-        self.left = tuple(tuple(self._key_index[reflect_labels(w.labels, i, self.cols[i])]
-                                for w in self.weyl) for i in range(r))
+        self.left = tuple(tuple(self._key_index[self._reflect(w.labels, i)] for w in self.weyl)
+                          for i in range(r))
         self.simple_idx = tuple(self.left[i][0] for i in range(r))
         self._w0_words: tuple[tuple[int, ...], ...] | None = None
         # bullet classes in P/Q: det * C^{-1} applied to the labels, modulo det
         self._class_mat, self._det = rs.cartan_adjugate
+        # the class key is constant on mu + Q, which the character walk relies on
+        if any(any(self._class_key(col)) for col in self.cols):
+            raise AssertionError(f"a simple root of {rs.lie_type} has a nonzero class key")
         # p * labels of lambda + x and of box + x per coset; the latter,
         # with the bullet class, identifies the coset
         x, _, bullets = _grid(case)
@@ -307,6 +313,16 @@ class ShiftSystem:
 
     # -- integer labels ------------------------------------------------------
 
+    def _reflect(self, a: tuple[int, ...], i: int) -> tuple[int, ...]:
+        """reflect_labels(a, i, cols[i]), on the nonzero entries of column i."""
+        c = a[i]
+        if not c:
+            return a
+        a = list(a)
+        for k, y in self._sparse[i]:
+            a[k] -= c * y
+        return tuple(a)
+
     def _class_key(self, labels: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(sum(map(mul, row, labels)) % self._det for row in self._class_mat)
 
@@ -333,11 +349,10 @@ class ShiftSystem:
 
     def orbit(self, labels: tuple[int, ...]) -> list[tuple[int, ...]]:
         """Dynkin labels of w(mu) for every Weyl element w in enumeration
-        order, from those of mu; one simple reflection per element."""
-        cols = self.cols
+        order, from those of mu; one sparse simple reflection per element."""
         out = [labels]
         for i, j in self._steps:
-            out.append(reflect_labels(out[j], i, cols[i]))
+            out.append(self._reflect(out[j], i))
         return out
 
     def _fill(self, l_idx: int) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -345,12 +360,16 @@ class ShiftSystem:
         a, b = self._start[l_idx]
         act: list[int] = []
         shift: list[tuple[int, ...]] = []
+        keys: dict[tuple[int, ...], tuple[int, ...]] = {}
         for a, b in zip(self.orbit(a), self.orbit(b)):
             # canonical decomposition of w * lambda: the bullet has labels
             # (p - a) // p, and u = p * labels(box' + x) lies in (0, p]
             bullet = tuple((p - v) // p for v in a)
             u = tuple(v + p * c for v, c in zip(a, bullet))
-            target = self._coset.get((self._class_key(bullet), u))
+            key = keys.get(bullet)
+            if key is None:
+                key = keys[bullet] = self._class_key(bullet)
+            target = self._coset.get((key, u))
             if target is None:
                 raise AssertionError(f"box labels {u}/{p} are off the digit grid")
             # w ^ lambda = w(box + x) - (box' + x), a weight

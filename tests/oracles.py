@@ -8,6 +8,10 @@
 * Coset representatives as ``Fraction`` vectors, decomposed by
   ``canonical_decompose``, the p-scaled Dynkin labels read off them, and
   the alcove inequality as a ``Fraction`` pairing with theta_L.
+* The Weyl orbit of a weight by dense label reflections, and the character
+  walk term by term: the full quadratic form and fock_point's checks on
+  every dot term.
+* The circle action of an affine element on ``Fraction`` coordinates.
 * Helpers that only the tests call: the dot action, the * route of the
   alternating sum, the displayed-norm exponent, the supertrace vacuum oracle
   and the affine identity.
@@ -17,9 +21,11 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from shiftlab.alcove import AffineWeylElt
+from shiftlab.alcove import AffineWeight, AffineWeylElt, _family
 from shiftlab.characters import (
     UnsupportedCaseError,
+    _check_point,
+    _form,
     _numerator,
     _tail,
     _times_tail,
@@ -31,6 +37,7 @@ from shiftlab.liealg import (
     _lacing,
     _root_half_lengths,
     exponents_of,
+    reflect_labels,
     vadd,
     vneg,
     vscale,
@@ -39,7 +46,7 @@ from shiftlab.liealg import (
     weyl_order,
 )
 from shiftlab.qseries import QSeries, check_order
-from shiftlab.shift import LambdaParam, Variant, canonical_decompose
+from shiftlab.shift import LambdaParam, Variant, canonical_decompose, system
 
 # ---------------------------------------------------------------------------
 # exact linear algebra
@@ -328,3 +335,69 @@ def walg_vacuum_superchar_oracle(case, order: int) -> QSeries:
 
 def affine_identity(case) -> AffineWeylElt:
     return AffineWeylElt(case.rs.identity_element(), vzero(case.rank))
+
+
+# ---------------------------------------------------------------------------
+# the Weyl orbit and the character walk, term by term
+# ---------------------------------------------------------------------------
+
+
+def orbit_reference(sys, labels, count=None):
+    """Labels of w(mu) over the first ``count`` elements of W (default all)
+    in enumeration order: element k = s_i * w' is the dense reflection of
+    w'(mu) along the whole of column i."""
+    pos = {w.word: k for k, w in enumerate(sys.weyl)}
+    out = [tuple(labels)]
+    for w in sys.weyl[1:count]:
+        i = w.word[0]
+        out.append(reflect_labels(out[pos[w.word[1:]]], i, sys.cols[i]))
+    return out
+
+
+def walk_reference(case, lam, beta, twisted, moved=False):
+    """characters._walk term by term: the labels of beta from Fraction
+    copairings, every dot exponent as the full form Q(u) + lin.u of
+    u = b_lam - p*labels(w(beta + rho)), and fock_point's checks on every dot
+    term as on every * term."""
+    sys, (quad, lin, _, _), p, r = system(case), _form(case, twisted), case.p, case.rank
+    labels = tuple(case.rs.copairing(beta, i) for i in range(r))
+    if any(c.denominator != 1 for c in labels):
+        raise ValueError(f"{beta} is not an integral weight")
+    labels = tuple(int(c) for c in labels)
+    l_idx = sys.index[lam.key()]
+    orbit = orbit_reference(sys, tuple(c + 1 for c in labels))
+    act, shift = sys.row(l_idx) if moved else (None, None)
+    flows = (orbit_reference(sys, tuple(int(i == r - 1) for i in range(r)))
+             if moved and twisted else None)
+    dot, mov = [], []
+    for w, top in enumerate(orbit):
+        _check_point(sys, tuple(c - 1 for c in top), l_idx)
+        u = [x - p * y for x, y in zip(sys._start[l_idx][1], top)]
+        flow = sum(map(mul, lin, u))
+        dot.append(flow + sum(x * sum(map(mul, row, u)) for x, row in zip(u, quad)))
+        if moved:
+            point = tuple(c - s for c, s in zip(labels, shift[w]))
+            _check_point(sys, point, act[w])
+            v = [x - p * (y + 1) for x, y in zip(sys._start[act[w]][1], point)]
+            qv = [sum(map(mul, row, v)) for row in quad]
+            mov.append(sum(map(mul, v, qv)) + (2 * sum(map(mul, flows[w], qv)) if flows else 0))
+    return orbit, dot, mov
+
+
+def dot_act_fraction(w, mu, case) -> AffineWeight:
+    """Circle action w o mu = (s t_B)(mu + rho_hat) - rho_hat on Fraction
+    coordinates: Gram-form pairings and simple reflections along the word."""
+    fam = _family(case)
+    rs = case.rs
+    fam.check_translation(w.translation)
+    fin = vadd(mu.finite, fam.rho_hat_fin)
+    level = mu.level + fam.rho_hat_level
+    delta = mu.delta_coeff
+    scale = fam.trans_scale(mu)
+    b = w.translation
+    if any(x != 0 for x in b):
+        u = fam.form_factor
+        delta = delta - u * rs.pairing(fin, b) - u * scale / 2 * rs.norm2(b)
+        fin = vadd(fin, vscale(scale, b))
+    fin = rs.weyl_apply(w.finite_part, fin)
+    return AffineWeight(vsub(fin, fam.rho_hat_fin), level - fam.rho_hat_level, delta)

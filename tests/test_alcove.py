@@ -4,13 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import affine_identity, invert_mat, mat_vec, weyl_matrix
+from oracles import affine_identity, dot_act_fraction, invert_mat, mat_vec, weyl_matrix
 
 from shiftlab.alcove import (
     AffineWeight,
     AffineWeylElt,
     WallReductionError,
     _family,
+    _lands_inside,
     affine_elt,
     affine_input,
     affine_inv,
@@ -109,9 +110,47 @@ def test_reduce_idempotent_and_unique():
                 assert combined == res.elt
 
 
-@pytest.mark.parametrize("name,variant,m", [
-    ("B1", "super", 2), ("B2", "super", 3), ("B2", "nonsuper", 2),
-    ("A2", "nonsuper", 2), ("G2", "nonsuper", 3), ("C3", "nonsuper", 1)])
+REDUCER_CASES = [("B1", "super", 2), ("B2", "super", 3), ("B2", "nonsuper", 2),
+                 ("A2", "nonsuper", 2), ("G2", "nonsuper", 3), ("C3", "nonsuper", 1)]
+
+
+@pytest.mark.parametrize("name,variant,m", REDUCER_CASES)
+def test_dot_act_matches_fraction_route(name, variant, m):
+    # the circle action on labels against Gram-form pairings and simple
+    # reflections on Fraction coordinates
+    case = make_case(name, variant, m)
+    rng = random.Random(23)
+    for _ in range(40):
+        w, mu = rand_elt(case, rng), rand_weight(case, rng)
+        assert dot_act(w, mu, case) == dot_act_fraction(w, mu, case)
+
+
+@pytest.mark.parametrize("name,variant,m", REDUCER_CASES)
+def test_label_chamber_check_matches_fraction_route(name, variant, m):
+    # y_alpha's re-check reads chamber membership off the labels of
+    # w(mu + rho_hat + scale*b): on every coset (the strong ones are those
+    # y_alpha checks; C3 at m=1 has none) it agrees with chamber_position of
+    # the Fraction dot action, for every candidate reducer and for random
+    # affine elements, with both outcomes seen
+    case = make_case(name, variant, m)
+    fam = _family(case)
+    rng = random.Random(29)
+    inputs = [affine_input(case, alpha, lam) for lam in enumerate_lambda(case)
+              for alpha in [a for a in _shell(case.rs, 1) if case.rs.is_dominant(a)]
+              + [vzero(case.rank)]]
+    elts = list({dominant_reduce(mu, case).elt for mu in inputs})
+    elts += [rand_elt(case, rng) for _ in range(20)]
+    seen = set()
+    for mu in inputs:
+        walk = fam.walk_labels(mu)
+        for w in elts:
+            want = chamber_position(dot_act_fraction(w, mu, case), case)[0]
+            assert _lands_inside(fam, w, walk) == want
+            seen.add(want)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("name,variant,m", REDUCER_CASES)
 def test_reducer_is_least_over_brute_force(name, variant, m):
     # w in W reduces mu when b = (w^-1 g_f - g)/scale lies in the translation
     # lattice (g = mu + rho_hat, g_f its chamber point); every such (w, b)

@@ -11,6 +11,7 @@ from oracles import (
     displayed_norm_exponent,
     dot_action,
     walg_vacuum_superchar_oracle,
+    walk_reference,
 )
 
 from shiftlab.characters import (
@@ -251,6 +252,39 @@ def test_walk_matches_fraction_route_property(spec, data):
     assert_walk_matches(case, lam, alpha, data.draw(st.integers(0, 12)))
 
 
+# -- the walk against its term-by-term reference ------------------------------------
+
+REFERENCE_CASES = WALK_CASES + [(name, "ramond", m) for name in ("B1", "B2") for m in (1, 2, 3)]
+
+
+def assert_walk_matches_reference(case, lam, beta):
+    twisted = case.variant is Variant.SUPER_RAMOND
+    got = _walk(case, lam, beta, twisted, moved=True)
+    assert got == walk_reference(case, lam, beta, twisted, moved=True)
+    assert _walk(case, lam, beta, twisted) == got[:2] + ([],)
+
+
+@pytest.mark.parametrize("name,variant,m", REFERENCE_CASES)
+def test_walk_matches_term_by_term_reference(name, variant, m):
+    # linear dot exponents, the dot checks once per walk and the sparse orbit
+    # give the orbit, dot and * lists of the per-term loop on every coset
+    case = make_case(name, variant, m)
+    for lam in enumerate_lambda(case):
+        for alpha in dominant_alphas(case.rs, 2):
+            assert_walk_matches_reference(case, lam, vadd(alpha, lam.bullet_up))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(REFERENCE_CASES), st.data())
+def test_walk_matches_term_by_term_reference_property(spec, data):
+    # any weight of the coset's support, dominant or not
+    case = make_case(*spec)
+    lam = data.draw(st.sampled_from(enumerate_lambda(case)))
+    coords = data.draw(st.lists(st.integers(-3, 3), min_size=case.rank, max_size=case.rank))
+    beta = vadd(tuple(Fraction(c) for c in coords), lam.bullet_up)
+    assert_walk_matches_reference(case, lam, beta)
+
+
 # -- supercharacters ------------------------------------------------------------
 
 def test_superchar_rank1_oracle():
@@ -445,6 +479,22 @@ def test_ft_char_matches_add_chain(name, variant, m):
                 want = want.add(multiplet_char(alpha, lam, case, order).scale(dim))
         got = ft_char(lam, case, order)
         assert got.to_json_dict() == want.truncate(cutoff).to_json_dict()
+
+
+def test_ft_char_nonnegative_every_coset():
+    # a character counts states: no negative coefficient on any coset of the
+    # Ramond and super cases of rank <= 2
+    specs = [("B1", "ramond", m) for m in (1, 2, 3, 4)]
+    specs += [("B2", "ramond", m) for m in (1, 2, 3)]
+    specs += [(name, "super", m) for name in ("B1", "B2") for m in (2, 3)]
+    cosets = 0
+    for spec in specs:
+        case = make_case(*spec)
+        for lam in enumerate_lambda(case):
+            f = ft_char(lam, case, 10)
+            assert all(c >= 0 for c in f.coeffs), (spec, lam.label())
+            cosets += 1
+    assert cosets == 93
 
 
 def test_ft_char_nonnegative_b2():

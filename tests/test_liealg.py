@@ -50,6 +50,12 @@ def test_type_validation():
     assert str(SimpleLieType.parse("e6")) == "E6"
 
 
+@pytest.mark.parametrize("series", ["", "AB", "BC"])
+def test_series_is_one_letter(series):
+    with pytest.raises(InvalidTypeError):
+        SimpleLieType(series, 2)
+
+
 def test_a1_basics():
     rs = rs_of("A1")
     assert rs.gram == ((Fraction(2),),)

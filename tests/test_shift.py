@@ -1,7 +1,9 @@
 """Shift systems: representatives, actions, axioms, weak/strong conditions."""
 
+import random
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 from oracles import (
@@ -10,12 +12,14 @@ from oracles import (
     fraction_lambda_from,
     fraction_start,
     mat_vec,
+    orbit_reference,
     weyl_matrix,
 )
 
 from shiftlab.liealg import vadd, vneg, vscale, vsub, vzero
 from shiftlab.shift import (
     InvalidCaseError,
+    ShiftSystem,
     alcove_inequality,
     canonical_decompose,
     check_strong,
@@ -462,3 +466,27 @@ def test_super_and_ramond_share_tables():
         for w_idx in range(len(sup.weyl)):
             assert sup.act_index(w_idx, l_idx) == ram.act_index(w_idx, l_idx)
             assert sup.shift_value(w_idx, l_idx) == ram.shift_value(w_idx, l_idx)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "B3", "C3", "G2", "D4", "F4", "E6"])
+def test_sparse_orbit_matches_dense_reflections(name):
+    # orbit reflects along the nonzero entries of each Cartan column only;
+    # W(E6) is compared on its first 2000 elements
+    sys = system(make_case(name, "nonsuper", 1))
+    r = sys.case.rank
+    count = 2000 if name == "E6" else len(sys.weyl)
+    rng = random.Random(17)
+    for labels in [(1,) * r, (0,) * r, tuple(rng.randint(-3, 3) for _ in range(r))]:
+        assert sys.orbit(labels)[:count] == orbit_reference(sys, labels, count)
+
+
+def test_class_key_must_vanish_on_simple_roots(monkeypatch):
+    # the character walk checks the coset of its dot terms once per walk,
+    # which needs the class key to vanish on Q; a key read off the transposed
+    # adjugate does not, and the system refuses it
+    def transposed(self, labels):
+        return tuple(sum(map(mul, col, labels)) % self._det for col in zip(*self._class_mat))
+
+    monkeypatch.setattr(ShiftSystem, "_class_key", transposed)
+    with pytest.raises(AssertionError, match="class key"):
+        ShiftSystem(make_case("B2", "nonsuper", 1))

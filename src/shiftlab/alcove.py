@@ -88,7 +88,7 @@ class _Family:
             raise AssertionError("coroot marks of the highest short root are not integral")
         self.marks = tuple(int(x) for x in marks)
         self.cols = rs.root_labels()
-        self.theta_s_labels = tuple(int(x) for x in self.labels(rs.theta_s))
+        self.theta_s_labels = rs.integral_labels(rs.theta_s)
 
     def trans_scale(self, mu: AffineWeight) -> Fraction:
         """Multiplier applied to a translation vector at this weight's level
@@ -102,11 +102,6 @@ class _Family:
         if self.case.variant is Variant.NONSUPER:
             return self.rs.lacing * scale
         return scale
-
-    def labels(self, g: Vec) -> tuple:
-        """Dynkin labels a_i = (g, alpha_i^vee)."""
-        a, d = self.rs.scaled_labels(g)
-        return tuple(Fraction(x, d) for x in a)
 
     def walk_labels(self, mu: AffineWeight) -> tuple[tuple[int, ...], int, Fraction]:
         """(n * labels of g = mu + rho_hat, n, scale): n is the least common
@@ -200,8 +195,8 @@ def dot_act(w: AffineWeylElt, mu: AffineWeight, case: ShiftCase) -> AffineWeight
 def chamber_position(mu: AffineWeight, case: ShiftCase):
     """(is_inside, is_on_wall) of mu against the shifted chamber."""
     fam = _family(case)
-    a = fam.labels(vadd(mu.finite, fam.rho_hat_fin))
-    top, bound = fam.top(a), fam.bound(fam.trans_scale(mu))
+    a, n, scale = fam.walk_labels(mu)
+    top, bound = fam.top(a), n * fam.bound(scale)
     if min(a) < 0 or top > bound:
         return False, False
     return True, 0 in a or top == bound

@@ -87,7 +87,7 @@ class _Family:
         if any(x.denominator != 1 for x in marks):
             raise AssertionError("coroot marks of the highest short root are not integral")
         self.marks = tuple(int(x) for x in marks)
-        self.cols = rs.root_labels()
+        self.cols = rs.reflect_cols()
         self.theta_s_labels = rs.integral_labels(rs.theta_s)
 
     def trans_scale(self, mu: AffineWeight) -> Fraction:
@@ -125,6 +125,14 @@ class _Family:
     def top(self, a) -> Fraction:
         """(g, theta_s^vee) from the labels of g."""
         return sum(c * x for c, x in zip(self.marks, a))
+
+    def position(self, a, n, scale):
+        """(is_inside, is_on_wall) against the shifted chamber of the weight
+        g - rho_hat at this scale, from the labels a = n * labels(g)."""
+        top, bound = self.top(a), n * self.bound(scale)
+        if min(a) < 0 or top > bound:
+            return False, False
+        return True, 0 in a or top == bound
 
     def reflect(self, a, i, bound=0):
         """Labels after the simple wall i, or for i None after the affine wall
@@ -195,11 +203,7 @@ def dot_act(w: AffineWeylElt, mu: AffineWeight, case: ShiftCase) -> AffineWeight
 def chamber_position(mu: AffineWeight, case: ShiftCase):
     """(is_inside, is_on_wall) of mu against the shifted chamber."""
     fam = _family(case)
-    a, n, scale = fam.walk_labels(mu)
-    top, bound = fam.top(a), n * fam.bound(scale)
-    if min(a) < 0 or top > bound:
-        return False, False
-    return True, 0 in a or top == bound
+    return fam.position(*fam.walk_labels(mu))
 
 
 def _descend(fam: _Family, rho_labels, a):
@@ -290,16 +294,6 @@ def mu_lambda(alpha: Vec, lam: LambdaParam, case: ShiftCase) -> AffineWeight:
     return dominant_reduce(affine_input(case, alpha, lam), case).weight
 
 
-def _lands_inside(fam: _Family, w: AffineWeylElt, walk) -> bool:
-    """chamber_position(dot_act(w, mu))[0] from walk = fam.walk_labels(mu):
-    w o mu sits at the level of mu, so it lies in the chamber when the labels
-    of w o mu + rho_hat are nonnegative with (., theta_s^vee) at most the
-    bound."""
-    _, n, scale = walk
-    a = fam.act_labels(w, walk)
-    return min(a) >= 0 and fam.top(a) <= n * fam.bound(scale)
-
-
 def y_alpha(alpha: Vec, bullet_index: int, case: ShiftCase) -> AffineWeylElt:
     """Inverse of the common chamber reducer over the strong region.
 
@@ -322,9 +316,11 @@ def y_alpha(alpha: Vec, bullet_index: int, case: ShiftCase) -> AffineWeylElt:
         if all(res.elt != elt for _, elt in candidates):
             candidates.append((res.on_wall, res.elt))
     candidates.sort(key=lambda pair: pair[0])  # interior-derived first
+    # w o mu keeps the level of mu, so its chamber position reads off the
+    # labels of w o mu + rho_hat at the scale of mu's walk
     walks = [fam.walk_labels(mu) for mu in inputs]
     for _, reducer in candidates:
-        if all(_lands_inside(fam, reducer, walk) for walk in walks):
+        if all(fam.position(fam.act_labels(reducer, walk), *walk[1:])[0] for walk in walks):
             return affine_inv(case, reducer)
     raise AssertionError(
         f"reducer depends on the box digits for bullet {bullet_index} "

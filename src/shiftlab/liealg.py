@@ -81,11 +81,24 @@ def vscale(c, a: Vec) -> Vec:
     return tuple(c * x for x in a)
 
 
-def reflect_labels(a: tuple[int, ...], i: int, col: tuple[int, ...]) -> tuple[int, ...]:
+def reflect_labels(a: tuple[int, ...], i: int,
+                   col: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     """Dynkin labels of sigma_i(mu) from those ``a`` of mu; ``col`` holds the
-    labels of alpha_i, i.e. column i of the Cartan matrix."""
+    nonzero labels (k, c) of alpha_i, i.e. of column i of the Cartan matrix
+    (RootSystem.reflect_cols)."""
     c = a[i]
-    return a if c == 0 else tuple(x - c * y for x, y in zip(a, col))
+    if not c:
+        return a
+    a = list(a)
+    for k, y in col:
+        a[k] -= c * y
+    return tuple(a)
+
+
+@lru_cache(maxsize=None)
+def _reflect_cols(cartan: IntMat) -> tuple[tuple[tuple[int, int], ...], ...]:
+    return tuple(tuple((k, row[i]) for k, row in enumerate(cartan) if row[i])
+                 for i in range(len(cartan)))
 
 
 @lru_cache(maxsize=None)
@@ -342,9 +355,14 @@ class RootSystem(NamedTuple):
         """Dynkin labels of the simple roots: the columns of the Cartan matrix."""
         return tuple(tuple(row[i] for row in self.cartan) for i in range(self.rank))
 
+    def reflect_cols(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The nonzero labels (k, c) of each simple root, as reflect_labels
+        takes them."""
+        return _reflect_cols(self.cartan)
+
     def _reflect_along(self, word, labels: tuple[int, ...]) -> tuple[int, ...]:
         """Labels of w(mu) from those of mu, for w the product of ``word``."""
-        cols = self.root_labels()
+        cols = self.reflect_cols()
         for i in reversed(word):
             labels = reflect_labels(labels, i, cols[i])
         return labels
@@ -353,7 +371,7 @@ class RootSystem(NamedTuple):
         """The element w with these Dynkin labels of w(rho), its lex-minimal
         reduced word read off by clearing the least left descent first."""
         labels = a = tuple(labels)
-        cols, word = self.root_labels(), []
+        cols, word = self.reflect_cols(), []
         while (i := next((i for i, x in enumerate(a) if x < 0), None)) is not None:
             word.append(i)
             a = reflect_labels(a, i, cols[i])
@@ -382,7 +400,7 @@ class RootSystem(NamedTuple):
     def parabolic_longest(self, nodes) -> WeylElement:
         """Longest element of the standard parabolic on the given nodes: the
         greedy ascent from the identity (rho towards -rho)."""
-        nodes, cols = tuple(nodes), self.root_labels()
+        nodes, cols = tuple(nodes), self.reflect_cols()
         labels = (1,) * self.rank
         while (i := next((i for i in nodes if labels[i] > 0), None)) is not None:
             labels = reflect_labels(labels, i, cols[i])
@@ -398,7 +416,7 @@ class RootSystem(NamedTuple):
     def all_reduced_words(self, w: WeylElement,
                           cap: int = DEFAULT_WORD_CAP) -> list[tuple[int, ...]]:
         """Every reduced word of w, erroring past ``cap`` words."""
-        cols = self.root_labels()
+        cols = self.reflect_cols()
         memo: dict[tuple[int, ...], list[tuple[int, ...]]] = {(1,) * self.rank: [()]}
 
         def rec(labels: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -586,7 +604,7 @@ def _enumerate_weyl_cached(rs: RootSystem, cap: int) -> tuple[WeylElement, ...]:
         raise CapExceededError(
             f"|W({rs.lie_type})| = {order} exceeds the enumeration cap {cap}")
     r = rs.rank
-    cols = rs.root_labels()
+    cols = rs.reflect_cols()
     ident = rs.identity_element()
     seen = {ident.labels}
     level, out = [ident], [ident]

@@ -249,16 +249,14 @@ class ShiftSystem:
         self.w0 = self.weyl[-1]
         self.w0_idx = len(self.weyl) - 1
         self.cols = rs.root_labels()
-        # the nonzero entries (k, c) of each column, along which a simple
-        # reflection of labels moves
-        self._sparse = tuple(tuple((k, c) for k, c in enumerate(col) if c) for col in self.cols)
+        self.reflect_cols = rs.reflect_cols()
         # element k >= 1 is s_i * (element j); the labels of w(rho) key them
         pos = {w.word: k for k, w in enumerate(self.weyl)}
         self._steps = [(w.word[0], pos[w.word[1:]]) for w in self.weyl[1:]]
         self._key_index = {w.labels: k for k, w in enumerate(self.weyl)}
         # left[i][k] is the index of s_i * (element k)
-        self.left = tuple(tuple(self._key_index[self._reflect(w.labels, i)] for w in self.weyl)
-                          for i in range(r))
+        self.left = tuple(tuple(self._key_index[reflect_labels(w.labels, i, self.reflect_cols[i])]
+                                for w in self.weyl) for i in range(r))
         self.simple_idx = tuple(self.left[i][0] for i in range(r))
         self._w0_words: tuple[tuple[int, ...], ...] | None = None
         # bullet classes in P/Q: det * C^{-1} applied to the labels, modulo det
@@ -313,16 +311,6 @@ class ShiftSystem:
 
     # -- integer labels ------------------------------------------------------
 
-    def _reflect(self, a: tuple[int, ...], i: int) -> tuple[int, ...]:
-        """reflect_labels(a, i, cols[i]), on the nonzero entries of column i."""
-        c = a[i]
-        if not c:
-            return a
-        a = list(a)
-        for k, y in self._sparse[i]:
-            a[k] -= c * y
-        return tuple(a)
-
     def _class_key(self, labels: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(sum(map(mul, row, labels)) % self._det for row in self._class_mat)
 
@@ -349,10 +337,11 @@ class ShiftSystem:
 
     def orbit(self, labels: tuple[int, ...]) -> list[tuple[int, ...]]:
         """Dynkin labels of w(mu) for every Weyl element w in enumeration
-        order, from those of mu; one sparse simple reflection per element."""
+        order, from those of mu; one simple reflection per element."""
+        cols = self.reflect_cols
         out = [labels]
         for i, j in self._steps:
-            out.append(self._reflect(out[j], i))
+            out.append(reflect_labels(out[j], i, cols[i]))
         return out
 
     def _fill(self, l_idx: int) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -360,16 +349,12 @@ class ShiftSystem:
         a, b = self._start[l_idx]
         act: list[int] = []
         shift: list[tuple[int, ...]] = []
-        keys: dict[tuple[int, ...], tuple[int, ...]] = {}
         for a, b in zip(self.orbit(a), self.orbit(b)):
             # canonical decomposition of w * lambda: the bullet has labels
             # (p - a) // p, and u = p * labels(box' + x) lies in (0, p]
             bullet = tuple((p - v) // p for v in a)
             u = tuple(v + p * c for v, c in zip(a, bullet))
-            key = keys.get(bullet)
-            if key is None:
-                key = keys[bullet] = self._class_key(bullet)
-            target = self._coset.get((key, u))
+            target = self._coset.get((self._class_key(bullet), u))
             if target is None:
                 raise AssertionError(f"box labels {u}/{p} are off the digit grid")
             # w ^ lambda = w(box + x) - (box' + x), a weight
@@ -478,9 +463,9 @@ def w0_shift(lam: LambdaParam, case: ShiftCase) -> Vec:
     closed formula for the shift map."""
     sys = system(case)
     l_idx = sys.index[lam.key()]
-    acc = (0,) * case.rank
+    acc, cols = (0,) * case.rank, sys.reflect_cols
     for letter, up in sys.walk(l_idx, sys.w0.word):
-        acc = tuple(a + b for a, b in zip(reflect_labels(acc, letter, sys.cols[letter]), up))
+        acc = tuple(a + b for a, b in zip(reflect_labels(acc, letter, cols[letter]), up))
     direct = sys.row(l_idx)[1][sys.w0_idx]
     if acc != direct:
         raise AssertionError("cocycle composition disagrees with the direct shift")

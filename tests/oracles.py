@@ -37,7 +37,6 @@ from shiftlab.liealg import (
     _lacing,
     _root_half_lengths,
     exponents_of,
-    reflect_labels,
     vadd,
     vneg,
     vscale,
@@ -342,6 +341,13 @@ def affine_identity(case) -> AffineWeylElt:
 # ---------------------------------------------------------------------------
 
 
+def reflect_labels_dense(a, i, col):
+    """Labels of sigma_i(mu) from those a of mu, along the whole column i
+    of the Cartan matrix, zeros included."""
+    c = a[i]
+    return tuple(x - c * y for x, y in zip(a, col))
+
+
 def orbit_reference(sys, labels, count=None):
     """Labels of w(mu) over the first ``count`` elements of W (default all)
     in enumeration order: element k = s_i * w' is the dense reflection of
@@ -350,7 +356,7 @@ def orbit_reference(sys, labels, count=None):
     out = [tuple(labels)]
     for w in sys.weyl[1:count]:
         i = w.word[0]
-        out.append(reflect_labels(out[pos[w.word[1:]]], i, sys.cols[i]))
+        out.append(reflect_labels_dense(out[pos[w.word[1:]]], i, sys.cols[i]))
     return out
 
 

@@ -15,6 +15,7 @@ from oracles import (
     mat_mul,
     mat_vec,
     matrix_length,
+    reflect_labels_dense,
     weyl_dim_fraction,
     weyl_matrix,
 )
@@ -26,6 +27,7 @@ from shiftlab.liealg import (
     adjugate,
     build_root_system,
     exponents_of,
+    reflect_labels,
     vzero,
     weyl_order,
 )
@@ -270,6 +272,17 @@ def test_reflections_preserve_pairing(name, data):
     assert rs.reflect(i, rs.reflect(i, mu)) == mu
     assert rs.reflect(i, rs.rho) == tuple(
         x - y for x, y in zip(rs.rho, rs.simple_roots[i]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(ALL_SMALL + ["D5", "E6", "E8"]), st.data())
+def test_reflect_labels_matches_dense_column(name, data):
+    # reflect_labels walks the nonzero labels of alpha_i only
+    rs = rs_of(name)
+    a = tuple(data.draw(st.integers(min_value=-5, max_value=5)) for _ in range(rs.rank))
+    i = data.draw(st.integers(min_value=0, max_value=rs.rank - 1))
+    want = reflect_labels_dense(a, i, rs.root_labels()[i])
+    assert reflect_labels(a, i, rs.reflect_cols()[i]) == want
 
 
 def test_json_emitter():

@@ -87,7 +87,7 @@ class _Family:
         if any(x.denominator != 1 for x in marks):
             raise AssertionError("coroot marks of the highest short root are not integral")
         self.marks = tuple(int(x) for x in marks)
-        self.cols = rs.reflect_cols()
+        self.reflect_cols = rs.reflect_cols()
         self.theta_s_labels = rs.integral_labels(rs.theta_s)
 
     def trans_scale(self, mu: AffineWeight) -> Fraction:
@@ -138,7 +138,7 @@ class _Family:
         """Labels after the simple wall i, or for i None after the affine wall
         (g, theta_s^vee) = bound; bound 0 gives the linear part alone."""
         if i is not None:
-            return reflect_labels(a, i, self.cols[i])
+            return reflect_labels(a, i, self.reflect_cols[i])
         c = self.top(a) - bound
         return a if c == 0 else tuple(x - c * y for x, y in zip(a, self.theta_s_labels))
 

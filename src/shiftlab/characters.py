@@ -6,7 +6,7 @@ lattice vector is sqrt(p) times the stored one), which keeps every exponent
 rational.
 
 The alternating Weyl sums are evaluated in two ways, via the dot action on
-the fixed coset and via the * action on moved cosets, in one walk over W on
+the fixed coset and via the * action on moved cosets, each a walk over W on
 integer Dynkin labels; the two sparse numerators are checked against each
 other before one of them is multiplied by the shared tail.
 """
@@ -28,7 +28,7 @@ from .liealg import (
     vsub,
 )
 from .qseries import (DEFAULT_GRID_CAP, FermionKind, GridBoundError, QSeries,
-                      check_order, eta_inv_pow, fermion_char)
+                      _eta_inv_fermion, check_order)
 from .shift import (
     LambdaParam,
     ShiftCase,
@@ -118,16 +118,10 @@ def ramond_delta(nu: Vec, case: ShiftCase) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def _tail(case: ShiftCase, order: int, twisted: bool) -> QSeries:
-    r = case.rank
-    tail = eta_inv_pow(r, order)
-    if case.variant is Variant.NONSUPER:
-        return tail
-    kind = FermionKind.R_TWISTED if twisted else FermionKind.NS_CH
-    return tail.mul(fermion_char(kind, order))
-
-
-def _sch_tail(case: ShiftCase, order: int) -> QSeries:
-    return eta_inv_pow(case.rank, order).mul(fermion_char(FermionKind.NS_SCH, order))
+    """eta(q)^-rank, times the free-fermion character in the super family."""
+    kind = (None if case.variant is Variant.NONSUPER
+            else FermionKind.R_TWISTED if twisted else FermionKind.NS_CH)
+    return _eta_inv_fermion(case.rank, kind, order)
 
 
 def weight_space_char(lam: LambdaParam, beta: Vec, case: ShiftCase,
@@ -185,22 +179,17 @@ def _check_point(sys, point: tuple[int, ...], l_idx: int):
         raise AssertionError("ceiling-weight mismatch")
 
 
-def _walk(case: ShiftCase, lam: LambdaParam, beta: Vec, twisted: bool,
-          moved: bool = False):
+def _walk(case: ShiftCase, lam: LambdaParam, beta: Vec, twisted: bool):
     """One pass over W (enumeration order) for the alternating sum at beta:
     the labels t of w(beta + rho) and the exponent numerators (see _form) of
-    the dot terms, u = b_lam - p*t, and with ``moved`` of the * terms,
-    v = b_{w*lam} - p*labels(beta + rho - w^lam); b = p*labels(box + x).
+    the dot terms, u = b_lam - p*t; b = p*labels(box + x).
 
     Q being W-invariant, a dot numerator Q(u) + lin.u is c0 - g.t with
     g = p*(2 quad.b + lin) and c0 = Q(b) + lin.b + p^2 Q(t_id).  Its point
     w o beta = w(beta + rho) - rho stays in beta + Q, whose class key
     (ShiftSystem checks it on the simple roots) and box are those of beta, so
-    fock_point's checks run once, on beta.  The * terms keep the full form
-    and their checks per term.  The Ramond flow adds the unit label e_r to the
-    dot point (lin.u) and w(e_r) to the moved point: Q(v + w(e_r)) - Q(e_r) =
-    Q(v) + 2 w(e_r).quad.v."""
-    sys, (quad, lin, _, _), p, r = system(case), _form(case, twisted), case.p, case.rank
+    fock_point's checks run once, on beta."""
+    sys, (quad, lin, _, _), p = system(case), _form(case, twisted), case.p
     labels = case.rs.integral_labels(beta)
     l_idx = sys.index[lam.key()]
     _check_point(sys, labels, l_idx)
@@ -211,18 +200,26 @@ def _walk(case: ShiftCase, lam: LambdaParam, beta: Vec, twisted: bool,
     c0 = sum(map(mul, b, qb)) + sum(map(mul, lin, b)) \
         + p * p * sum(x * sum(map(mul, row, top)) for x, row in zip(top, quad))
     orbit = sys.orbit(top)
-    dot = [c0 - sum(map(mul, g, t)) for t in orbit]
+    return orbit, [c0 - sum(map(mul, g, t)) for t in orbit]
+
+
+def _star_walk(case: ShiftCase, lam: LambdaParam, beta: Vec, twisted: bool) -> list[int]:
+    """The exponent numerators of the * terms over W, in enumeration order:
+    v = b_{w*lam} - p*labels(beta + rho - w^lam), with the full form and
+    fock_point's checks per term.  The Ramond flow adds w(e_r) to the moved
+    point: Q(v + w(e_r)) - Q(e_r) = Q(v) + 2 w(e_r).quad.v."""
+    sys, (quad, _, _, _), p, r = system(case), _form(case, twisted), case.p, case.rank
+    labels = case.rs.integral_labels(beta)
+    act, shift = sys.row(sys.index[lam.key()])
+    flows = sys.orbit(tuple(int(i == r - 1) for i in range(r))) if twisted else None
     mov = []
-    if moved:
-        act, shift = sys.row(l_idx)
-        flows = sys.orbit(tuple(int(i == r - 1) for i in range(r))) if twisted else None
-        for w, (target, up) in enumerate(zip(act, shift)):
-            point = tuple(c - s for c, s in zip(labels, up))
-            _check_point(sys, point, target)
-            v = [x - p * (y + 1) for x, y in zip(sys._start[target][1], point)]
-            qv = [sum(map(mul, row, v)) for row in quad]
-            mov.append(sum(map(mul, v, qv)) + (2 * sum(map(mul, flows[w], qv)) if flows else 0))
-    return orbit, dot, mov
+    for w, (target, up) in enumerate(zip(act, shift)):
+        point = tuple(c - s for c, s in zip(labels, up))
+        _check_point(sys, point, target)
+        v = [x - p * (y + 1) for x, y in zip(sys._start[target][1], point)]
+        qv = [sum(map(mul, row, v)) for row in quad]
+        mov.append(sum(map(mul, v, qv)) + (2 * sum(map(mul, flows[w], qv)) if flows else 0))
+    return mov
 
 
 def _numerator(case: ShiftCase, exps: list[int], signs=None) -> dict[int, int]:
@@ -261,10 +258,10 @@ def _alternating_sum(case: ShiftCase, lam: LambdaParam, beta: Vec, order: int,
     return _times_tail(case, twisted, num, _tail(case, order, twisted))
 
 
-def _checked_numerator(case: ShiftCase, twisted: bool, dot: list[int],
-                       mov: list[int], tail: QSeries) -> dict[int, int]:
-    """The dot route's numerator, after checking the * route against it."""
-    dot, mov = _numerator(case, dot), _numerator(case, mov)
+def _checked_numerator(case: ShiftCase, lam: LambdaParam, beta: Vec, twisted: bool,
+                       dot: list[int], tail: QSeries) -> dict[int, int]:
+    """The dot route's numerator at beta, after checking the * route against it."""
+    dot, mov = _numerator(case, dot), _numerator(case, _star_walk(case, lam, beta, twisted))
     # the routes share the tail, whose leading coefficient is nonzero: their
     # series agree up to the smaller cutoff exactly when the numerators do
     top = min(min(dot), min(mov)) + floor((tail.cutoff - tail.base) * _form(case, twisted)[2])
@@ -280,8 +277,9 @@ def multiplet_char(alpha: Vec, lam: LambdaParam, case: ShiftCase,
     _check_multiplet_inputs(case, alpha)
     twisted = case.variant is Variant.SUPER_RAMOND
     tail = _tail(case, order, twisted)
-    _, dot, mov = _walk(case, lam, vadd(alpha, lam.bullet_up), twisted, moved=True)
-    return _times_tail(case, twisted, _checked_numerator(case, twisted, dot, mov, tail), tail)
+    beta = vadd(alpha, lam.bullet_up)
+    num = _checked_numerator(case, lam, beta, twisted, _walk(case, lam, beta, twisted)[1], tail)
+    return _times_tail(case, twisted, num, tail)
 
 
 def multiplet_superchar(alpha: Vec, lam: LambdaParam, case: ShiftCase,
@@ -291,11 +289,12 @@ def multiplet_superchar(alpha: Vec, lam: LambdaParam, case: ShiftCase,
         raise UnsupportedCaseError("supercharacters require the super variant")
     _check_multiplet_inputs(case, alpha)
     r, d = case.rank, case.rs.half_lengths[-1]
-    orbit, dot, _ = _walk(case, lam, vadd(alpha, lam.bullet_up), False)
+    orbit, dot = _walk(case, lam, vadd(alpha, lam.bullet_up), False)
     # extra sign floor((w o beta, alpha_r)), where w o beta = w(beta + rho) - rho
     signs = [-1 if (w.length + d.numerator * (top[r - 1] - 1) // d.denominator) % 2 else 1
              for w, top in zip(system(case).weyl, orbit)]
-    return _times_tail(case, False, _numerator(case, dot, signs), _sch_tail(case, order))
+    return _times_tail(case, False, _numerator(case, dot, signs),
+                       _eta_inv_fermion(r, FermionKind.NS_SCH, order))
 
 
 def multiplet_ramond_char(alpha: Vec, lam: LambdaParam, case: ShiftCase,
@@ -363,7 +362,7 @@ def ft_char(lam: LambdaParam, case: ShiftCase, order: int,
             if not rs.is_dominant(alpha):
                 continue
             beta = vadd(alpha, lam.bullet_up)
-            _, dot, mov = _walk(case, lam, beta, twisted, moved=True)
+            _, dot = _walk(case, lam, beta, twisted)
             if const + Fraction(min(dot), den) > cutoff + 2:
                 continue
             n_terms += 1
@@ -373,7 +372,7 @@ def ft_char(lam: LambdaParam, case: ShiftCase, order: int,
             if tail is None:
                 tail = _tail(case, order, twisted)
             dim = rs.weyl_dim(beta)
-            for e, c in _checked_numerator(case, twisted, dot, mov, tail).items():
+            for e, c in _checked_numerator(case, lam, beta, twisted, dot, tail).items():
                 num[e] = num.get(e, 0) + dim * c
     if not num:
         return QSeries.zero(cutoff)

@@ -153,14 +153,6 @@ class QSeries(NamedTuple):
 
     # arithmetic --------------------------------------------------------------
 
-    def _unified(self, other: "QSeries", cap: int) -> tuple[int, Fraction]:
-        d = lcm(self.grid, other.grid)
-        delta = self.base - other.base
-        d = lcm(d, delta.denominator)
-        if d > cap:
-            raise GridBoundError(f"required exponent grid {d} exceeds cap {cap}")
-        return d, delta
-
     def add(self, other: "QSeries", cap: int = DEFAULT_GRID_CAP) -> "QSeries":
         cutoff = min(self.cutoff, other.cutoff)
         if self.is_zero and other.is_zero:
@@ -169,7 +161,9 @@ class QSeries(NamedTuple):
             return other.truncate(cutoff)
         if other.is_zero:
             return self.truncate(cutoff)
-        d, _ = self._unified(other, cap)
+        d = lcm(self.grid, other.grid, (self.base - other.base).denominator)
+        if d > cap:
+            raise GridBoundError(f"required exponent grid {d} exceeds cap {cap}")
         base = min(self.base, other.base)
         n = (cutoff - base) * d
         if n < 0:
@@ -247,11 +241,8 @@ class QSeries(NamedTuple):
         d = step.denominator
         if d > cap:
             raise GridBoundError(f"required exponent grid {d} exceeds cap {cap}")
-        m = step.numerator
-        out = [0] * ((len(self.coeffs) - 1) * m + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * m] = c
-        return QSeries.make(self.base * t, d, out, self.cutoff * t)
+        return QSeries.make(self.base * t, d, _spread(self.coeffs, step.numerator),
+                            self.cutoff * t)
 
     def truncate(self, new_cutoff) -> "QSeries":
         new_cutoff = _as_fraction(new_cutoff)
@@ -312,62 +303,23 @@ def _spread(coeffs: tuple[int, ...], step: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# eta powers and free-fermion characters
+# Euler products: eta powers and free-fermion characters
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _euler_coeffs(order: int) -> tuple[int, ...]:
-    """Coefficients of prod_{n>=1} (1 - q^n) up to q^order."""
-    out = [0] * (order + 1)
-    k = 0
-    while True:
-        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
-            if g > order:
-                break
-            out[g] += (-1) ** k
-            if k == 0:
-                break
-        if k * (3 * k - 1) // 2 > order:
-            break
-        k += 1
-    return tuple(out)
+def _times(coeffs: list[int], sign: int, ks) -> list[int]:
+    """coeffs times prod_{k in ks} (1 + sign*q^k), in place, to len(coeffs)."""
+    for k in ks:
+        for i in range(len(coeffs) - 1, k - 1, -1):
+            coeffs[i] += sign * coeffs[i - k]
+    return coeffs
 
 
-@lru_cache(maxsize=None)
-def _partition_coeffs(order: int) -> tuple[int, ...]:
-    """Partition numbers p(0..order) via the pentagonal recurrence."""
-    p = [0] * (order + 1)
-    p[0] = 1
-    for n in range(1, order + 1):
-        total = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            if g1 > n:
-                break
-            sign = -1 if k % 2 == 0 else 1
-            total += sign * p[n - g1]
-            g2 = k * (3 * k + 1) // 2
-            if g2 <= n:
-                total += sign * p[n - g2]
-            k += 1
-        p[n] = total
-    return tuple(p)
-
-
-@lru_cache(maxsize=None)
-def _colored_partition_coeffs(r: int, order: int) -> tuple[int, ...]:
-    cur = list(_partition_coeffs(order))
-    out = [1] + [0] * order
-    base = cur
-    k = r
-    while k:
-        if k & 1:
-            out = convolve(out, base, order + 1)
-        k >>= 1
-        if k:
-            base = convolve(base, base, order + 1)
-    return tuple(out)
+def _over(coeffs: list[int], ks) -> list[int]:
+    """coeffs over prod_{k in ks} (1 - q^k), in place, to len(coeffs)."""
+    for k in ks:
+        for i in range(k, len(coeffs)):
+            coeffs[i] += coeffs[i - k]
+    return coeffs
 
 
 def check_order(order: int) -> None:
@@ -379,10 +331,7 @@ def eta_inv_pow(r: int, order: int) -> QSeries:
     """q^(-r/24) * sum of r-colored partition numbers; 1/eta(q)^r truncated."""
     if r < 1:
         raise ValueError("eta power must be positive")
-    check_order(order)
-    coeffs = _colored_partition_coeffs(r, order)
-    return QSeries.make(Fraction(-r, 24), 1, list(coeffs),
-                        Fraction(-r, 24) + order)
+    return _eta_inv_fermion(r, None, order)
 
 
 def eta_pow(r: int, order: int) -> QSeries:
@@ -390,36 +339,14 @@ def eta_pow(r: int, order: int) -> QSeries:
     if r < 1:
         raise ValueError("eta power must be positive")
     check_order(order)
-    out = [1] + [0] * order
-    base = list(_euler_coeffs(order))
-    k = r
-    while k:
-        if k & 1:
-            out = convolve(out, base, order + 1)
-        k >>= 1
-        if k:
-            base = convolve(base, base, order + 1)
-    return QSeries.make(Fraction(r, 24), 1, out, Fraction(r, 24) + order)
+    coeffs = _times([1] + [0] * order, -1, [*range(1, order + 1)] * r)
+    return QSeries.make(Fraction(r, 24), 1, coeffs, Fraction(r, 24) + order)
 
 
 class FermionKind(enum.Enum):
     NS_CH = "ch"
     NS_SCH = "sch"
     R_TWISTED = "ramond"
-
-
-def _binomial_product(order2: int, sign: int, offsets) -> list[int]:
-    """prod (1 + sign*q^(k/2)) over the half-exponent positions in ``offsets``."""
-    out = [0] * (order2 + 1)
-    out[0] = 1
-    top = 0
-    for k in offsets:
-        if k > order2:
-            break
-        top = min(top + k, order2)
-        for i in range(top, k - 1, -1):
-            out[i] += sign * out[i - k]
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -432,13 +359,22 @@ def fermion_char(kind: FermionKind, order: int) -> QSeries:
     * ``NS_SCH``    q^(-1/48) prod (1 - q^(n-1/2))
     * ``R_TWISTED`` 2 q^(1/24) prod (1 + q^n)
     """
-    check_order(order)
-    if kind is FermionKind.R_TWISTED:
-        coeffs = _binomial_product(order, +1, range(1, order + 1))
-        return QSeries.make(Fraction(1, 24), 1, [2 * c for c in coeffs],
-                            Fraction(1, 24) + order)
-    sign = 1 if kind is FermionKind.NS_CH else -1
-    n2 = 2 * order
-    coeffs = _binomial_product(n2, sign, range(1, n2 + 1, 2))
-    return QSeries.make(Fraction(-1, 48), 2, coeffs, Fraction(-1, 48) + order)
+    return _eta_inv_fermion(0, kind, order)
 
+
+@lru_cache(maxsize=None)
+def _eta_inv_fermion(r: int, kind: FermionKind | None, order: int) -> QSeries:
+    """eta(q)^-r times fermion_char(kind, order) (times 1 for None), to depth
+    ``order``: the fermion product, then r divisions by prod (1 - q^n)."""
+    check_order(order)
+    if kind is None:
+        base, grid, coeffs = Fraction(0), 1, [1] + [0] * order
+    elif kind is FermionKind.R_TWISTED:
+        base, grid, coeffs = Fraction(1, 24), 1, _times([2] + [0] * order, 1, range(1, order + 1))
+    else:
+        sign = 1 if kind is FermionKind.NS_CH else -1
+        base, grid = Fraction(-1, 48), 2
+        coeffs = _times([1] + [0] * (2 * order), sign, range(1, 2 * order + 1, 2))
+    _over(coeffs, [*range(grid, len(coeffs), grid)] * r)
+    base -= Fraction(r, 24)
+    return QSeries.make(base, grid, coeffs, base + order)

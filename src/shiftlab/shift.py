@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from operator import mul
 from typing import NamedTuple
@@ -242,7 +242,7 @@ class ShiftSystem:
     def __init__(self, case: ShiftCase):
         self.case = case
         rs = self.rs = case.rs
-        r, p = rs.rank, case.p
+        p = case.p
         self.lambdas = enumerate_lambda(case)
         self.index = {lam.key(): i for i, lam in enumerate(self.lambdas)}
         self.weyl = rs.enumerate_weyl()
@@ -254,10 +254,8 @@ class ShiftSystem:
         pos = {w.word: k for k, w in enumerate(self.weyl)}
         self._steps = [(w.word[0], pos[w.word[1:]]) for w in self.weyl[1:]]
         self._key_index = {w.labels: k for k, w in enumerate(self.weyl)}
-        # left[i][k] is the index of s_i * (element k)
-        self.left = tuple(tuple(self._key_index[reflect_labels(w.labels, i, self.reflect_cols[i])]
-                                for w in self.weyl) for i in range(r))
-        self.simple_idx = tuple(self.left[i][0] for i in range(r))
+        self.simple_idx = tuple(self._key_index[reflect_labels(self.weyl[0].labels, i, col)]
+                                for i, col in enumerate(self.reflect_cols))
         self._w0_words: tuple[tuple[int, ...], ...] | None = None
         # bullet classes in P/Q: det * C^{-1} applied to the labels, modulo det
         self._class_mat, self._det = rs.cartan_adjugate
@@ -278,6 +276,12 @@ class ShiftSystem:
         self._roots: dict[tuple[int, ...], Vec] = {}
         self._act, self._shift = _ROWS.setdefault(
             (rs.lie_type, case.variant.is_super, p), ({}, {}))
+
+    @cached_property
+    def left(self) -> tuple[tuple[int, ...], ...]:
+        """left[i][k] is the index of s_i * (element k)."""
+        return tuple(tuple(self._key_index[reflect_labels(w.labels, i, col)] for w in self.weyl)
+                     for i, col in enumerate(self.reflect_cols))
 
     def w0_words(self, cap: int = 10**4) -> tuple[tuple[int, ...], ...]:
         if self._w0_words is None:

@@ -12,6 +12,8 @@
   walk term by term: the full quadratic form and fock_point's checks on
   every dot term.
 * The circle action of an affine element on ``Fraction`` coordinates.
+* The eta powers and free-fermion characters by the pentagonal recurrences,
+  square-and-multiply over the Kronecker ``convolve`` and a binomial product.
 * Helpers that only the tests call: the dot action, the * route of the
   alternating sum, the displayed-norm exponent, the supertrace vacuum oracle
   and the affine identity.
@@ -27,9 +29,9 @@ from shiftlab.characters import (
     _check_point,
     _form,
     _numerator,
+    _star_walk,
     _tail,
     _times_tail,
-    _walk,
 )
 from shiftlab.liealg import (
     RootSystem,
@@ -44,7 +46,7 @@ from shiftlab.liealg import (
     vzero,
     weyl_order,
 )
-from shiftlab.qseries import QSeries, check_order
+from shiftlab.qseries import FermionKind, QSeries, check_order, convolve
 from shiftlab.shift import LambdaParam, Variant, canonical_decompose, system
 
 # ---------------------------------------------------------------------------
@@ -300,7 +302,7 @@ def alternating_sum_moved(case, lam, beta, order: int) -> QSeries:
     """The alternating sum through the * action: terms live on the moved
     cosets."""
     twisted = case.variant is Variant.SUPER_RAMOND
-    num = _numerator(case, _walk(case, lam, beta, twisted, moved=True)[2])
+    num = _numerator(case, _star_walk(case, lam, beta, twisted))
     return _times_tail(case, twisted, num, _tail(case, order, twisted))
 
 
@@ -407,3 +409,97 @@ def dot_act_fraction(w, mu, case) -> AffineWeight:
         fin = vadd(fin, vscale(scale, b))
     fin = rs.weyl_apply(w.finite_part, fin)
     return AffineWeight(vsub(fin, fam.rho_hat_fin), level - fam.rho_hat_level, delta)
+
+
+# ---------------------------------------------------------------------------
+# eta powers and free-fermion characters
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def euler_coeffs(order: int) -> tuple[int, ...]:
+    """Coefficients of prod_{n>=1} (1 - q^n) up to q^order, from Euler's
+    pentagonal number theorem."""
+    out = [0] * (order + 1)
+    k = 0
+    while True:
+        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if g > order:
+                break
+            out[g] += (-1) ** k
+            if k == 0:
+                break
+        if k * (3 * k - 1) // 2 > order:
+            break
+        k += 1
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def partition_coeffs(order: int) -> tuple[int, ...]:
+    """Partition numbers p(0..order) via the pentagonal recurrence."""
+    p = [0] * (order + 1)
+    p[0] = 1
+    for n in range(1, order + 1):
+        total = 0
+        k = 1
+        while True:
+            g1 = k * (3 * k - 1) // 2
+            if g1 > n:
+                break
+            sign = -1 if k % 2 == 0 else 1
+            total += sign * p[n - g1]
+            g2 = k * (3 * k + 1) // 2
+            if g2 <= n:
+                total += sign * p[n - g2]
+            k += 1
+        p[n] = total
+    return tuple(p)
+
+
+def power_coeffs(base, r: int, order: int) -> list[int]:
+    """The r-th power of a series with constant term 1, to q^order, by
+    square-and-multiply over convolve."""
+    out = [1] + [0] * order
+    base = list(base)
+    while r:
+        if r & 1:
+            out = convolve(out, base, order + 1)
+        r >>= 1
+        if r:
+            base = convolve(base, base, order + 1)
+    return out
+
+
+def eta_inv_pow_reference(r: int, order: int) -> QSeries:
+    coeffs = power_coeffs(partition_coeffs(order), r, order)
+    return QSeries.make(Fraction(-r, 24), 1, coeffs, Fraction(-r, 24) + order)
+
+
+def eta_pow_reference(r: int, order: int) -> QSeries:
+    coeffs = power_coeffs(euler_coeffs(order), r, order)
+    return QSeries.make(Fraction(r, 24), 1, coeffs, Fraction(r, 24) + order)
+
+
+def binomial_product(order2: int, sign: int, offsets) -> list[int]:
+    """prod (1 + sign*q^(k/2)) over the half-exponent positions in ``offsets``."""
+    out = [0] * (order2 + 1)
+    out[0] = 1
+    top = 0
+    for k in offsets:
+        if k > order2:
+            break
+        top = min(top + k, order2)
+        for i in range(top, k - 1, -1):
+            out[i] += sign * out[i - k]
+    return out
+
+
+def fermion_char_reference(kind, order: int) -> QSeries:
+    if kind is FermionKind.R_TWISTED:
+        coeffs = binomial_product(order, +1, range(1, order + 1))
+        return QSeries.make(Fraction(1, 24), 1, [2 * c for c in coeffs],
+                            Fraction(1, 24) + order)
+    sign = 1 if kind is FermionKind.NS_CH else -1
+    coeffs = binomial_product(2 * order, sign, range(1, 2 * order + 1, 2))
+    return QSeries.make(Fraction(-1, 48), 2, coeffs, Fraction(-1, 48) + order)

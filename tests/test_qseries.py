@@ -1,15 +1,18 @@
 """Truncated exact q-series: ring laws, eta powers, fermion products."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import eta_inv_pow_reference, eta_pow_reference, fermion_char_reference
 
 from shiftlab.qseries import (
     FermionKind,
     GridBoundError,
     QSeries,
+    _eta_inv_fermion,
     convolve,
     eta_inv_pow,
     eta_pow,
@@ -121,6 +124,22 @@ def test_fermion_characters():
     tw = fermion_char(FermionKind.R_TWISTED, 12)
     assert tw.base == Fraction(1, 24)
     assert tw.coeffs[:4] == (2, 2, 2, 4)  # 2 * prod (1 + q^n)
+
+
+@pytest.mark.parametrize("r,order", [*product(range(1, 9), (0, 1, 2, 7, 30, 61)), (1, 200)])
+def test_euler_products_match_reference(r, order):
+    # the in-place Euler products against the pentagonal recurrences, the
+    # square-and-multiply powers over convolve and the binomial products
+    inv = eta_inv_pow(r, order)
+    assert inv == eta_inv_pow_reference(r, order)
+    assert eta_pow(r, order) == eta_pow_reference(r, order)
+    assert _eta_inv_fermion(r, None, order) == inv
+    for kind in FermionKind:
+        ferm = fermion_char(kind, order)
+        assert ferm == fermion_char_reference(kind, order)
+        tail = _eta_inv_fermion(r, kind, order)
+        assert tail == eta_inv_pow_reference(r, order).mul(fermion_char_reference(kind, order))
+        assert tail == inv.mul(ferm)
 
 
 def test_fermion_eta_quotient_identities():

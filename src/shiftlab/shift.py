@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 from operator import mul
 from typing import NamedTuple
@@ -256,6 +256,7 @@ class ShiftSystem:
         self._key_index = {w.labels: k for k, w in enumerate(self.weyl)}
         self.simple_idx = tuple(self._key_index[reflect_labels(self.weyl[0].labels, i, col)]
                                 for i, col in enumerate(self.reflect_cols))
+        self._left: tuple[tuple[int, ...], ...] | None = None
         self._w0_words: tuple[tuple[int, ...], ...] | None = None
         # bullet classes in P/Q: det * C^{-1} applied to the labels, modulo det
         self._class_mat, self._det = rs.cartan_adjugate
@@ -277,11 +278,13 @@ class ShiftSystem:
         self._act, self._shift = _ROWS.setdefault(
             (rs.lie_type, case.variant.is_super, p), ({}, {}))
 
-    @cached_property
+    @property
     def left(self) -> tuple[tuple[int, ...], ...]:
-        """left[i][k] is the index of s_i * (element k)."""
-        return tuple(tuple(self._key_index[reflect_labels(w.labels, i, col)] for w in self.weyl)
-                     for i, col in enumerate(self.reflect_cols))
+        """left[i][k] is the index of s_i * (element k), built on first read."""
+        if self._left is None:
+            self._left = tuple(tuple(self._key_index[reflect_labels(w.labels, i, col)]
+                                     for w in self.weyl) for i, col in enumerate(self.reflect_cols))
+        return self._left
 
     def w0_words(self, cap: int = 10**4) -> tuple[tuple[int, ...], ...]:
         if self._w0_words is None:
@@ -297,9 +300,9 @@ class ShiftSystem:
         word = tuple(self.w0.word if word is None else word)
         if len(word) != len(self.rs.positive_roots):
             raise ValueError("word is not a reduced word of the longest element")
-        out = [0]
+        out, left = [0], self.left
         for letter in reversed(word):
-            nxt = self.left[letter][out[-1]]
+            nxt = left[letter][out[-1]]
             if self.weyl[nxt].length != self.weyl[out[-1]].length + 1:
                 raise ValueError("word is not reduced")
             out.append(nxt)

@@ -117,10 +117,8 @@ class _Family:
         from walk = walk_labels(mu)."""
         a, n, scale = walk
         k = int(n * scale)
-        a = tuple(x + k * y for x, y in zip(a, self.rs.integral_labels(w.translation)))
-        for i in reversed(w.finite_part.word):
-            a = self.reflect(a, i)
-        return a
+        return self.rs.reflect_along(w.finite_part.word, tuple(
+            x + k * y for x, y in zip(a, self.rs.integral_labels(w.translation))))
 
     def top(self, a) -> Fraction:
         """(g, theta_s^vee) from the labels of g."""
@@ -206,16 +204,6 @@ def chamber_position(mu: AffineWeight, case: ShiftCase):
     return fam.position(*fam.walk_labels(mu))
 
 
-def _descend(fam: _Family, rho_labels, a):
-    """Lex-minimal reduced word of sigma from the labels of sigma(rho), and
-    the labels a carried along the descent: those of sigma^{-1}(g)."""
-    word = []
-    while (i := next((i for i, x in enumerate(rho_labels) if x < 0), None)) is not None:
-        word.append(i)
-        rho_labels, a = fam.reflect(rho_labels, i), fam.reflect(a, i)
-    return tuple(word), a
-
-
 @lru_cache(maxsize=None)  # alcove_json reduces its coset in y_alpha and in mu_lambda
 def dominant_reduce(mu: AffineWeight, case: ShiftCase) -> ReduceResult:
     """The affine element w with w o mu in the closed shifted chamber,
@@ -250,11 +238,11 @@ def dominant_reduce(mu: AffineWeight, case: ShiftCase) -> ReduceResult:
     while frontier:
         frontier = {fam.reflect(s, i) for s in frontier for i in walls} - seen
         seen |= frontier
-    sigma, word, back = min(((s, *_descend(fam, s, a)) for s in seen),
-                            key=lambda swb: (len(swb[1]), swb[1]))
+    sigma = min(map(rs.element_from_labels, seen), key=lambda e: (e.length, e.word))
+    back = rs.reflect_along(sigma.word[::-1], a)  # sigma^-1(g_f)
     diff = [(x - y) / (n * scale) for x, y in zip(back, a0)]
     b = tuple(sum(d * w[j] for d, w in zip(diff, rs.fund_weights)) for j in range(rs.rank))
-    elt = affine_elt(case, WeylElement(word, sigma), b)
+    elt = affine_elt(case, sigma, b)
     wall = len(seen) > 1
     reduced = dot_act(elt, mu, case)
     if chamber_position(reduced, case) != (True, wall):

@@ -168,17 +168,6 @@ def _form(case: ShiftCase, twisted: bool):
             tuple(int(c * den) for c in lin), den, const)
 
 
-def _check_point(sys, point: tuple[int, ...], l_idx: int):
-    """fock_point's checks on labels: the weight lies in the Cartan support
-    coset of coset l_idx (keyed by bullet class and box), with 0 <= p*box < p."""
-    box = sys._start[l_idx][1]
-    if sys._coset.get((sys._class_key(point), box)) != l_idx:
-        raise ValueError(f"weight with labels {point} is not in the Cartan support "
-                         f"coset of {sys.lambdas[l_idx].label()}")
-    if not all(0 <= b - x < sys.case.p for b, x in zip(box, sys.x_labels)):
-        raise AssertionError("ceiling-weight mismatch")
-
-
 def _walk(case: ShiftCase, lam: LambdaParam, beta: Vec, twisted: bool):
     """One pass over W (enumeration order) for the alternating sum at beta:
     the labels t of w(beta + rho) and the exponent numerators (see _form) of
@@ -192,7 +181,7 @@ def _walk(case: ShiftCase, lam: LambdaParam, beta: Vec, twisted: bool):
     sys, (quad, lin, _, _), p = system(case), _form(case, twisted), case.p
     labels = case.rs.integral_labels(beta)
     l_idx = sys.index[lam.key()]
-    _check_point(sys, labels, l_idx)
+    sys.check_point(labels, l_idx)
     b = sys._start[l_idx][1]
     top = tuple(c + 1 for c in labels)
     qb = [sum(map(mul, row, b)) for row in quad]
@@ -215,7 +204,7 @@ def _star_walk(case: ShiftCase, lam: LambdaParam, beta: Vec, twisted: bool) -> l
     mov = []
     for w, (target, up) in enumerate(zip(act, shift)):
         point = tuple(c - s for c, s in zip(labels, up))
-        _check_point(sys, point, target)
+        sys.check_point(point, target)
         v = [x - p * (y + 1) for x, y in zip(sys._start[target][1], point)]
         qv = [sum(map(mul, row, v)) for row in quad]
         mov.append(sum(map(mul, v, qv)) + (2 * sum(map(mul, flows[w], qv)) if flows else 0))

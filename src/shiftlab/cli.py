@@ -36,6 +36,8 @@ class RunConfig(NamedTuple):
 def _config(args) -> RunConfig:
     if args.order < 0:
         raise ConfigError("--order must be nonnegative")
+    if args.word_cap is not None and args.word_cap < 1:
+        raise ConfigError("--word-cap must be at least 1")
     try:
         algebra = liealg.SimpleLieType.parse(args.algebra)
     except liealg.InvalidTypeError as exc:
@@ -96,8 +98,11 @@ def _emit(cfg: RunConfig, payload, csv_text: str | None = None) -> None:
     else:
         text = json.dumps(payload, indent=2) + "\n"
     if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --output: {exc}") from exc
     else:
         sys.stdout.write(text)
 

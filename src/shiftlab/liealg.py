@@ -360,7 +360,7 @@ class RootSystem(NamedTuple):
         takes them."""
         return _reflect_cols(self.cartan)
 
-    def _reflect_along(self, word, labels: tuple[int, ...]) -> tuple[int, ...]:
+    def reflect_along(self, word, labels: tuple[int, ...]) -> tuple[int, ...]:
         """Labels of w(mu) from those of mu, for w the product of ``word``."""
         cols = self.reflect_cols()
         for i in reversed(word):
@@ -380,7 +380,7 @@ class RootSystem(NamedTuple):
         return WeylElement(tuple(word), labels)
 
     def element_from_word(self, word) -> WeylElement:
-        return self.element_from_labels(self._reflect_along(word, (1,) * self.rank))
+        return self.element_from_labels(self.reflect_along(word, (1,) * self.rank))
 
     def identity_element(self) -> WeylElement:
         return WeylElement((), (1,) * self.rank)
@@ -389,13 +389,16 @@ class RootSystem(NamedTuple):
         return self.element_from_word((i,))
 
     def weyl_mul(self, a: WeylElement, b: WeylElement) -> WeylElement:
-        return self.element_from_labels(self._reflect_along(a.word, b.labels))
+        return self.element_from_labels(self.reflect_along(a.word, b.labels))
 
     def weyl_inv(self, a: WeylElement) -> WeylElement:
         return self.element_from_word(a.word[::-1])
 
-    def enumerate_weyl(self, cap: int = DEFAULT_WEYL_CAP) -> tuple[WeylElement, ...]:
+    def weyl_table(self, cap: int = DEFAULT_WEYL_CAP) -> WeylTable:
         return _enumerate_weyl_cached(self, cap)
+
+    def enumerate_weyl(self, cap: int = DEFAULT_WEYL_CAP) -> tuple[WeylElement, ...]:
+        return _enumerate_weyl_cached(self, cap).elements
 
     def parabolic_longest(self, nodes) -> WeylElement:
         """Longest element of the standard parabolic on the given nodes: the
@@ -596,9 +599,22 @@ def build_root_system(t: SimpleLieType) -> RootSystem:
     )
 
 
+class WeylTable(NamedTuple):
+    """W laid out by its enumeration: the elements, and their positions."""
+
+    elements: tuple[WeylElement, ...]
+    index: dict[tuple[int, ...], int]          # labels of w(rho) -> position
+    left: tuple[tuple[int, ...], ...]          # left[i][k]: position of s_i * element k
+    steps: tuple[tuple[int, int], ...]         # element k >= 1 is s_i * element j: (i, j)
+
+
 @lru_cache(maxsize=None)
-def _enumerate_weyl_cached(rs: RootSystem, cap: int) -> tuple[WeylElement, ...]:
-    """W by length, each element keyed by the Dynkin labels of w(rho)."""
+def _enumerate_weyl_cached(rs: RootSystem, cap: int) -> WeylTable:
+    """W by length, each element keyed by the Dynkin labels of w(rho).
+
+    Prepending the least generator first to a level in lex order yields the
+    next level in lex order of lex-minimal words; s_i w is longer than w
+    exactly when label i of w(rho) is positive, and fills left[i] both ways."""
     order = weyl_order(rs.lie_type)
     if order > cap:
         raise CapExceededError(
@@ -606,21 +622,23 @@ def _enumerate_weyl_cached(rs: RootSystem, cap: int) -> tuple[WeylElement, ...]:
     r = rs.rank
     cols = rs.reflect_cols()
     ident = rs.identity_element()
-    seen = {ident.labels}
-    level, out = [ident], [ident]
+    index = {ident.labels: 0}
+    left = [[0] * order for _ in range(r)]
+    out, steps, level = [ident], [], range(1)
     while level:
-        nxt: list[WeylElement] = []
-        # prepending the smallest generator first yields lex-minimal words;
-        # s_i w is longer than w exactly when label i of w(rho) is positive
+        start = len(out)
         for i in range(r):
-            for w in level:
-                if w.labels[i] > 0 and (key := reflect_labels(w.labels, i, cols[i])) not in seen:
-                    seen.add(key)
-                    nxt.append(WeylElement((i,) + w.word, key))
-        nxt.sort(key=lambda e: e.word)
-        out.extend(nxt)
-        level = nxt
+            for j in level:
+                w = out[j]
+                if w.labels[i] > 0:
+                    key = reflect_labels(w.labels, i, cols[i])
+                    k = index.setdefault(key, len(out))
+                    if k == len(out):
+                        out.append(WeylElement((i,) + w.word, key))
+                        steps.append((i, j))
+                    left[i][j], left[i][k] = k, j
+        level = range(start, len(out))
     if len(out) != order:
         raise AssertionError(f"enumerated {len(out)} elements of W({rs.lie_type}), "
                              f"expected {order}")
-    return tuple(out)
+    return WeylTable(tuple(out), index, tuple(map(tuple, left)), tuple(steps))

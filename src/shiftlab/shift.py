@@ -118,14 +118,18 @@ class LambdaParam(NamedTuple):
 # decomposition and enumeration
 # ---------------------------------------------------------------------------
 
+def _check_member(mu: Vec, case: ShiftCase) -> None:
+    """Membership in (1/p)Q*: p*(mu, alpha_i) integral for all i."""
+    if any((case.p * sum(g * c for g, c in zip(row, mu))).denominator != 1
+           for row in case.rs.gram):
+        raise ValueError(f"{mu} is not in (1/p)Q* for p={case.p}")
+
+
 def canonical_decompose(mu: Vec, case: ShiftCase) -> tuple[Vec, Vec]:
     """Unique (bullet, box) with mu = -bullet + box, bullet integral,
     and 0 < (box + x, alpha_i^vee) <= 1 for every i."""
     rs = case.rs
-    # membership in (1/p)Q*: p*(mu, alpha_i) integral for all i
-    if any((case.p * sum(g * c for g, c in zip(row, mu))).denominator != 1
-           for row in rs.gram):
-        raise ValueError(f"{mu} is not in (1/p)Q* for p={case.p}")
+    _check_member(mu, case)
     bullet = vzero(rs.rank)
     for i in range(rs.rank):
         t = rs.copairing(vadd(mu, case.x), i)
@@ -195,41 +199,22 @@ def enumerate_lambda(case: ShiftCase) -> tuple[LambdaParam, ...]:
     return tuple(out)
 
 
-def _minuscule_rep_index(case: ShiftCase, weight: Vec) -> int:
-    """Index of the minuscule weight congruent to ``weight`` modulo Q."""
-    rs = case.rs
-    for idx, mn in enumerate(rs.minuscule):
-        if rs.in_root_lattice(vsub(weight, mn)):
-            return idx
-    raise ValueError(f"{weight} has no minuscule representative")
-
-
 def lambda_of_value(case: ShiftCase, mu: Vec) -> LambdaParam:
-    """Canonical representative in Lambda of the coset mu + Q."""
-    rs = case.rs
-    bullet, box = canonical_decompose(mu, case)
-    b_idx = _minuscule_rep_index(case, bullet)
-    scale = rs.half_lengths if case.variant is Variant.NONSUPER else (1,) * rs.rank
-    digits = [case.p * scale[i] * rs.copairing(vadd(box, case.x), i) for i in range(rs.rank)]
-    if any(d.denominator != 1 for d in digits):
-        raise AssertionError("box value off the digit grid")
-    lam = lambda_from(case, b_idx, digits)
-    if lam.value != vadd(vneg(rs.minuscule[b_idx]), box):
-        raise AssertionError(f"{mu} does not recompose from its digits")
-    return lam
+    """Canonical representative in Lambda of the coset mu + Q, located from
+    the p-scaled Dynkin labels of mu + x."""
+    _check_member(mu, case)
+    sys, mu_x = system(case), vadd(mu, case.x)
+    return sys.lambdas[sys.locate([case.p * case.rs.copairing(mu_x, i)
+                                   for i in range(case.rank)])[0]]
 
 
 # ---------------------------------------------------------------------------
 # cached per-case machinery
 # ---------------------------------------------------------------------------
 
-# act and shift rows per (type, family, p): the super and Ramond variants
-# share their combinatorics and therefore their rows
-_ROWS: dict[tuple, tuple[dict, dict]] = {}
-
-
 class ShiftSystem:
-    """Per-case tables: Weyl elements, the * action, and the shift map.
+    """Tables per (type, family, p): the * action and the shift map, laid out
+    by the Weyl enumeration's table; the super and Ramond variants share one.
 
     Internally an ambient vector is kept as its Dynkin labels scaled by p,
     which makes every vector of (1/p)Q* and the twist x integral.  Row ``l``
@@ -245,18 +230,12 @@ class ShiftSystem:
         p = case.p
         self.lambdas = enumerate_lambda(case)
         self.index = {lam.key(): i for i, lam in enumerate(self.lambdas)}
-        self.weyl = rs.enumerate_weyl()
+        self.weyl, self._key_index, self.left, self._steps = rs.weyl_table()
         self.w0 = self.weyl[-1]
         self.w0_idx = len(self.weyl) - 1
         self.cols = rs.root_labels()
         self.reflect_cols = rs.reflect_cols()
-        # element k >= 1 is s_i * (element j); the labels of w(rho) key them
-        pos = {w.word: k for k, w in enumerate(self.weyl)}
-        self._steps = [(w.word[0], pos[w.word[1:]]) for w in self.weyl[1:]]
-        self._key_index = {w.labels: k for k, w in enumerate(self.weyl)}
-        self.simple_idx = tuple(self._key_index[reflect_labels(self.weyl[0].labels, i, col)]
-                                for i, col in enumerate(self.reflect_cols))
-        self._left: tuple[tuple[int, ...], ...] | None = None
+        self.simple_idx = tuple(row[0] for row in self.left)
         self._w0_words: tuple[tuple[int, ...], ...] | None = None
         # bullet classes in P/Q: det * C^{-1} applied to the labels, modulo det
         self._class_mat, self._det = rs.cartan_adjugate
@@ -275,16 +254,7 @@ class ShiftSystem:
             self._start.append((tuple(v - p * c for v, c in zip(b, bullet)), b))
             self._coset[self._class_key(bullet), b] = l_idx
         self._roots: dict[tuple[int, ...], Vec] = {}
-        self._act, self._shift = _ROWS.setdefault(
-            (rs.lie_type, case.variant.is_super, p), ({}, {}))
-
-    @property
-    def left(self) -> tuple[tuple[int, ...], ...]:
-        """left[i][k] is the index of s_i * (element k), built on first read."""
-        if self._left is None:
-            self._left = tuple(tuple(self._key_index[reflect_labels(w.labels, i, col)]
-                                     for w in self.weyl) for i, col in enumerate(self.reflect_cols))
-        return self._left
+        self._act, self._shift = {}, {}
 
     def w0_words(self, cap: int = 10**4) -> tuple[tuple[int, ...], ...]:
         if self._w0_words is None:
@@ -328,11 +298,6 @@ class ShiftSystem:
             got = self._roots[labels] = self.rs.from_labels(labels)
         return got
 
-    # -- group bookkeeping ---------------------------------------------------
-
-    def elt_index(self, w: WeylElement) -> int:
-        return self._key_index[w.labels]
-
     # -- the action and the shift map ----------------------------------------
 
     def row(self, l_idx: int) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -351,19 +316,35 @@ class ShiftSystem:
             out.append(reflect_labels(out[j], i, cols[i]))
         return out
 
+    def locate(self, a) -> tuple[int, tuple[int, ...]]:
+        """(coset index, u) of the point mu with a = p * labels(mu + x): the
+        canonical decomposition mu = -bullet + box has bullet labels
+        (p - a) // p, and u = p * labels(box + x) lies in (0, p]."""
+        p = self.case.p
+        bullet = tuple((p - v) // p for v in a)
+        u = tuple(v + p * c for v, c in zip(a, bullet))
+        target = self._coset.get((self._class_key(bullet), u))
+        if target is None:
+            raise AssertionError(f"box labels {u}/{p} are off the digit grid")
+        return target, u
+
+    def check_point(self, point: tuple[int, ...], l_idx: int):
+        """fock_point's checks on labels: the weight lies in the Cartan support
+        coset of coset l_idx (keyed by bullet class and box), 0 <= p*box < p."""
+        box = self._start[l_idx][1]
+        if self._coset.get((self._class_key(point), box)) != l_idx:
+            raise ValueError(f"weight with labels {point} is not in the Cartan support "
+                             f"coset of {self.lambdas[l_idx].label()}")
+        if not all(0 <= b - x < self.case.p for b, x in zip(box, self.x_labels)):
+            raise AssertionError("ceiling-weight mismatch")
+
     def _fill(self, l_idx: int) -> tuple[list[int], list[tuple[int, ...]]]:
         p = self.case.p
         a, b = self._start[l_idx]
         act: list[int] = []
         shift: list[tuple[int, ...]] = []
         for a, b in zip(self.orbit(a), self.orbit(b)):
-            # canonical decomposition of w * lambda: the bullet has labels
-            # (p - a) // p, and u = p * labels(box' + x) lies in (0, p]
-            bullet = tuple((p - v) // p for v in a)
-            u = tuple(v + p * c for v, c in zip(a, bullet))
-            target = self._coset.get((self._class_key(bullet), u))
-            if target is None:
-                raise AssertionError(f"box labels {u}/{p} are off the digit grid")
+            target, u = self.locate(a)
             # w ^ lambda = w(box + x) - (box' + x), a weight
             diff = [v - c for v, c in zip(b, u)]
             if any(d % p for d in diff):
@@ -381,6 +362,8 @@ class ShiftSystem:
 
 @lru_cache(maxsize=None)
 def system(case: ShiftCase) -> ShiftSystem:
+    if case.variant is Variant.SUPER_RAMOND:
+        return system(case._replace(variant=Variant.SUPER))
     return ShiftSystem(case)
 
 
@@ -390,12 +373,12 @@ def system(case: ShiftCase) -> ShiftSystem:
 
 def w_act(w: WeylElement, lam: LambdaParam, case: ShiftCase) -> LambdaParam:
     sys = system(case)
-    return sys.lambdas[sys.act_index(sys.elt_index(w), sys.index[lam.key()])]
+    return sys.lambdas[sys.act_index(sys._key_index[w.labels], sys.index[lam.key()])]
 
 
 def shift_map(w: WeylElement, lam: LambdaParam, case: ShiftCase) -> Vec:
     sys = system(case)
-    return sys.shift_value(sys.elt_index(w), sys.index[lam.key()])
+    return sys.shift_value(sys._key_index[w.labels], sys.index[lam.key()])
 
 
 def is_fixed(i: int, lam: LambdaParam, case: ShiftCase) -> bool:

@@ -6,8 +6,9 @@
   inverses of the Cartan and Gram matrices, and lengths and coroots from the
   Gram form, and the Weyl dimension formula on ``Fraction`` pairings.
 * Coset representatives as ``Fraction`` vectors, decomposed by
-  ``canonical_decompose``, the p-scaled Dynkin labels read off them, and
-  the alcove inequality as a ``Fraction`` pairing with theta_L.
+  ``canonical_decompose``, the p-scaled Dynkin labels read off them, the
+  representative of a point's coset located the same way, and the alcove
+  inequality as a ``Fraction`` pairing with theta_L.
 * The Weyl orbit of a weight by dense label reflections, and the character
   walk term by term: the full quadratic form and fock_point's checks on
   every dot term.
@@ -26,7 +27,6 @@ from operator import mul
 from shiftlab.alcove import AffineWeight, AffineWeylElt, _family
 from shiftlab.characters import (
     UnsupportedCaseError,
-    _check_point,
     _form,
     _numerator,
     _star_walk,
@@ -47,7 +47,7 @@ from shiftlab.liealg import (
     weyl_order,
 )
 from shiftlab.qseries import FermionKind, QSeries, check_order, convolve
-from shiftlab.shift import LambdaParam, Variant, canonical_decompose, system
+from shiftlab.shift import LambdaParam, Variant, canonical_decompose, lambda_from, system
 
 # ---------------------------------------------------------------------------
 # exact linear algebra
@@ -278,6 +278,25 @@ def fraction_start(case, lam):
     return a, b, tuple(int(rs.copairing(bullet, i)) for i in range(rs.rank))
 
 
+def lambda_of_value_fraction(case, mu) -> LambdaParam:
+    """lambda_of_value over Fraction: canonical_decompose, a scan of the
+    minuscule weights for the bullet's class, and the digits read off the box
+    by copairing."""
+    rs = case.rs
+    bullet, box = canonical_decompose(mu, case)
+    for b_idx, mn in enumerate(rs.minuscule):
+        if rs.in_root_lattice(vsub(bullet, mn)):
+            break
+    else:
+        raise ValueError(f"{bullet} has no minuscule representative")
+    scale = rs.half_lengths if case.variant is Variant.NONSUPER else (1,) * rs.rank
+    digits = [case.p * scale[i] * rs.copairing(vadd(box, case.x), i) for i in range(rs.rank)]
+    assert all(d.denominator == 1 for d in digits), "box value off the digit grid"
+    lam = lambda_from(case, b_idx, digits)
+    assert lam.value == vadd(vneg(rs.minuscule[b_idx]), box), f"{mu} does not recompose"
+    return lam
+
+
 def alcove_inequality_fraction(lam, case) -> bool:
     """(p*box + rho_check, theta_L) <= p, with rho instead of rho_check in the
     super family, paired on root coordinates."""
@@ -379,13 +398,13 @@ def walk_reference(case, lam, beta, twisted, moved=False):
              if moved and twisted else None)
     dot, mov = [], []
     for w, top in enumerate(orbit):
-        _check_point(sys, tuple(c - 1 for c in top), l_idx)
+        sys.check_point(tuple(c - 1 for c in top), l_idx)
         u = [x - p * y for x, y in zip(sys._start[l_idx][1], top)]
         flow = sum(map(mul, lin, u))
         dot.append(flow + sum(x * sum(map(mul, row, u)) for x, row in zip(u, quad)))
         if moved:
             point = tuple(c - s for c, s in zip(labels, shift[w]))
-            _check_point(sys, point, act[w])
+            sys.check_point(point, act[w])
             v = [x - p * (y + 1) for x, y in zip(sys._start[act[w]][1], point)]
             qv = [sum(map(mul, row, v)) for row in quad]
             mov.append(sum(map(mul, v, qv)) + (2 * sum(map(mul, flows[w], qv)) if flows else 0))

@@ -1,13 +1,17 @@
 """CLI surface: exit codes, flags, determinism, golden regression."""
 
 import ast
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftlab.cli import main
 
@@ -129,6 +133,23 @@ def test_word_cap_flag(capsys):
     assert code == 2 and "reduced words" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_word_cap_below_one_is_a_usage_error(capsys, cap):
+    code, out, err = run(capsys, "check", "weak-strong", "--algebra", "A2",
+                         "--m", "2", "--word-cap", cap)
+    assert (code, out, err) == (2, "", "error: --word-cap must be at least 1\n")
+
+
+@pytest.mark.parametrize("target", ["missing-dir/out.json", "."])
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path, target):
+    # a path under a directory that does not exist, and a directory
+    code, out, err = run(capsys, "char", "--algebra", "A1", "--lambda", "0,1",
+                         "--output", str(tmp_path / target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write --output: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["info", "--algebra", "B2", "--jobs", "2"],
     ["info", "--algebra", "B2", "--weyl-cap", "10"],
@@ -161,6 +182,64 @@ def test_bad_input_exits_2_without_traceback(argv):
     assert done.returncode == 2
     assert done.stderr.startswith("error: ")
     assert "Traceback" not in done.stderr
+
+
+# the exit-code contract on generated argv: per subcommand, the flags it
+# takes, each drawn well-formed, malformed or left out (--lambda, which
+# every subcommand that takes it requires, is always given)
+_LABELS = st.one_of(
+    st.builds(lambda i, d: ",".join(map(str, [i, *d])), st.integers(0, 1),
+              st.lists(st.integers(1, 3), min_size=1, max_size=2)),
+    st.lists(st.integers(-1, 4).map(str), min_size=1, max_size=4).map(",".join),
+    st.sampled_from(["", "x", "0,,1", "1,a", " 0 , 1 "]))
+_FLAGS = {
+    "variant": st.sampled_from(["nonsuper", "super", "ramond"]),
+    "m": st.integers(-1, 3).map(str),
+    "order": st.integers(-1, 4).map(str),
+    "lambda": _LABELS,
+    "alpha": st.one_of(st.just("0"), _LABELS),
+    "kind": st.sampled_from(["ch", "sch", "ramond"]),
+    "word-cap": st.integers(-1, 3).map(str),
+    # unwritable: a missing directory, and a directory
+    "output": st.sampled_from([str(GOLDEN / "no-such-dir" / "out.json"), str(GOLDEN)]),
+}
+_COMMANDS = {
+    "info": ("output",),
+    "lambda": ("variant", "m", "output"),
+    "check axioms": ("variant", "m", "word-cap", "output"),
+    "check weak-strong": ("variant", "m", "word-cap", "output"),
+    "check alcove-independence": ("variant", "m", "output"),
+    "char": ("variant", "m", "order", "lambda", "alpha", "kind", "output"),
+    "ftchar": ("variant", "m", "order", "lambda", "output"),
+    "alcove": ("variant", "m", "lambda", "alpha", "output"),
+    "verify wchar": ("variant", "m", "order", "output"),
+    "verify verma": ("variant", "m", "order", "output"),
+    "verify walls": ("variant", "m", "order", "output"),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = command.split() + ["--algebra", draw(st.sampled_from(["A1", "A2", "B1", "B2"]))]
+    for flag in _COMMANDS[command]:
+        value = draw(_FLAGS[flag] if flag == "lambda" else st.one_of(st.none(), _FLAGS[flag]))
+        if value is not None:
+            argv.append(f"--{flag}={value}")
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_exit_contract_on_generated_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
 
 
 def test_every_config_field_is_read():

@@ -179,6 +179,30 @@ def test_weyl_enumeration_order(name):
         assert rs.element_from_word(e.word) == e
 
 
+@pytest.mark.parametrize("name", ALL_SMALL + ["E6"])
+def test_weyl_table(name):
+    # by (length, word), each word the least-descent route of its labels; the
+    # index, left multiplication and steps against weyl_mul; W(E6) is checked
+    # on its first 2000 elements
+    rs = rs_of(name)
+    table = rs.weyl_table()
+    elems = table.elements
+    assert rs.enumerate_weyl() is elems and len(table.index) == len(elems)
+    count = 2000 if name == "E6" else len(elems)
+    keys = [(e.length, e.word) for e in elems[:count]]
+    assert keys == sorted(keys)
+    simple = [rs.simple_element(i) for i in range(rs.rank)]
+    for k, w in enumerate(elems[:count]):
+        assert rs.element_from_labels(w.labels).word == w.word
+        assert table.index[w.labels] == k
+        for i, s in enumerate(simple):
+            assert table.left[i][k] == table.index[rs.weyl_mul(s, w).labels]
+    assert len(table.steps) == len(elems) - 1
+    for k, (i, j) in enumerate(table.steps[:count - 1], start=1):
+        assert elems[k] == rs.weyl_mul(simple[i], elems[j])
+        assert elems[k].word == (i,) + elems[j].word
+
+
 def test_enumeration_cap():
     rs = rs_of("F4")
     with pytest.raises(CapExceededError):

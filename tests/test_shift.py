@@ -6,11 +6,14 @@ from itertools import product
 from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     alcove_inequality_fraction,
     det_int,
     fraction_lambda_from,
     fraction_start,
+    lambda_of_value_fraction,
     mat_vec,
     orbit_reference,
     weyl_matrix,
@@ -205,6 +208,24 @@ def test_alcove_inequality_matches_fraction_oracle(name, variant, m):
     half = case._replace(rs=case.rs._replace(theta_L=vscale(Fraction(1, 2), case.rs.theta_L)))
     with pytest.raises(AssertionError, match="not integral"):
         alcove_inequality(lamp, half)
+
+
+@pytest.mark.parametrize("name,variant,m", AXIOM_SWEEP_CASES)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_lambda_of_value_matches_fraction_route(name, variant, m, data):
+    # mu = lambda.value + gamma for gamma in Q located on labels, against
+    # canonical_decompose and the minuscule scan; mu off (1/p)Q* is refused
+    # by both
+    case = make_case(name, variant, m)
+    lamp = data.draw(st.sampled_from(enumerate_lambda(case)))
+    gamma = data.draw(st.tuples(*[st.integers(-3, 3)] * case.rank))
+    mu = vadd(lamp.value, tuple(Fraction(c) for c in gamma))
+    assert lambda_of_value(case, mu) == lambda_of_value_fraction(case, mu) == lamp
+    off = (mu[0] + Fraction(1, 12 * case.p),) + mu[1:]
+    for route in (lambda_of_value, lambda_of_value_fraction):
+        with pytest.raises(ValueError, match="is not in"):
+            route(case, off)
 
 
 def test_lambda_round_trip():
@@ -460,8 +481,7 @@ def test_tables_match_fraction_route(name, variant, m):
 def test_super_and_ramond_share_tables():
     sup = system(make_case("B3", "super", 2))
     ram = system(make_case("B3", "ramond", 2))
-    assert sup is not ram
-    assert sup._act is ram._act and sup._shift is ram._shift
+    assert sup is ram
     for l_idx in range(len(sup.lambdas)):
         for w_idx in range(len(sup.weyl)):
             assert sup.act_index(w_idx, l_idx) == ram.act_index(w_idx, l_idx)

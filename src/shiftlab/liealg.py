@@ -394,8 +394,8 @@ class RootSystem(NamedTuple):
     def weyl_inv(self, a: WeylElement) -> WeylElement:
         return self.element_from_word(a.word[::-1])
 
-    def weyl_table(self, cap: int = DEFAULT_WEYL_CAP) -> WeylTable:
-        return _enumerate_weyl_cached(self, cap)
+    def weyl_table(self) -> WeylTable:
+        return _enumerate_weyl_cached(self, DEFAULT_WEYL_CAP)
 
     def enumerate_weyl(self, cap: int = DEFAULT_WEYL_CAP) -> tuple[WeylElement, ...]:
         return _enumerate_weyl_cached(self, cap).elements

@@ -203,26 +203,21 @@ def lambda_of_value(case: ShiftCase, mu: Vec) -> LambdaParam:
     """Canonical representative in Lambda of the coset mu + Q, located from
     the p-scaled Dynkin labels of mu + x."""
     _check_member(mu, case)
-    sys, mu_x = system(case), vadd(mu, case.x)
-    return sys.lambdas[sys.locate([case.p * case.rs.copairing(mu_x, i)
-                                   for i in range(case.rank)])[0]]
+    table, mu_x = _cosets(case), vadd(mu, case.x)
+    return table.lambdas[table.locate([case.p * case.rs.copairing(mu_x, i)
+                                       for i in range(case.rank)])[0]]
 
 
 # ---------------------------------------------------------------------------
 # cached per-case machinery
 # ---------------------------------------------------------------------------
 
-class ShiftSystem:
-    """Tables per (type, family, p): the * action and the shift map, laid out
-    by the Weyl enumeration's table; the super and Ramond variants share one.
-
-    Internally an ambient vector is kept as its Dynkin labels scaled by p,
-    which makes every vector of (1/p)Q* and the twist x integral.  Row ``l``
-    holds, per Weyl element in enumeration order, the index of
-    ``w * lambda_l`` and the Dynkin labels of ``w ^ lambda_l``; it is filled
-    on first use by one simple reflection per element, following the
-    enumeration.  Root coordinates appear only at the public boundary.
-    """
+class Cosets:
+    """The coset layout of Lambda, which needs no Weyl group: per coset the
+    p-scaled Dynkin labels of lambda + x and of box + x, and the coset of a
+    bullet class and a box.  Internally an ambient vector is kept as its
+    Dynkin labels scaled by p, which makes every vector of (1/p)Q* and the
+    twist x integral."""
 
     def __init__(self, case: ShiftCase):
         self.case = case
@@ -230,13 +225,7 @@ class ShiftSystem:
         p = case.p
         self.lambdas = enumerate_lambda(case)
         self.index = {lam.key(): i for i, lam in enumerate(self.lambdas)}
-        self.weyl, self._key_index, self.left, self._steps = rs.weyl_table()
-        self.w0 = self.weyl[-1]
-        self.w0_idx = len(self.weyl) - 1
         self.cols = rs.root_labels()
-        self.reflect_cols = rs.reflect_cols()
-        self.simple_idx = tuple(row[0] for row in self.left)
-        self._w0_words: tuple[tuple[int, ...], ...] | None = None
         # bullet classes in P/Q: det * C^{-1} applied to the labels, modulo det
         self._class_mat, self._det = rs.cartan_adjugate
         # the class key is constant on mu + Q, which the character walk relies on
@@ -253,6 +242,54 @@ class ShiftSystem:
             b = tuple(k * s for k, s in zip(lam.digits, x))
             self._start.append((tuple(v - p * c for v, c in zip(b, bullet)), b))
             self._coset[self._class_key(bullet), b] = l_idx
+
+    def _class_key(self, labels: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(sum(map(mul, row, labels)) % self._det for row in self._class_mat)
+
+    def locate(self, a) -> tuple[int, tuple[int, ...]]:
+        """(coset index, u) of the point mu with a = p * labels(mu + x): the
+        canonical decomposition mu = -bullet + box has bullet labels
+        (p - a) // p, and u = p * labels(box + x) lies in (0, p]."""
+        p = self.case.p
+        bullet = tuple((p - v) // p for v in a)
+        u = tuple(v + p * c for v, c in zip(a, bullet))
+        target = self._coset.get((self._class_key(bullet), u))
+        if target is None:
+            raise AssertionError(f"box labels {u}/{p} are off the digit grid")
+        return target, u
+
+    def check_point(self, point: tuple[int, ...], l_idx: int):
+        """fock_point's checks on labels: the weight lies in the Cartan support
+        coset of coset l_idx (keyed by bullet class and box), 0 <= p*box < p."""
+        box = self._start[l_idx][1]
+        if self._coset.get((self._class_key(point), box)) != l_idx:
+            raise ValueError(f"weight with labels {point} is not in the Cartan support "
+                             f"coset of {self.lambdas[l_idx].label()}")
+        if not all(0 <= b - x < self.case.p for b, x in zip(box, self.x_labels)):
+            raise AssertionError("ceiling-weight mismatch")
+
+
+_cosets = lru_cache(maxsize=None)(Cosets)
+
+
+class ShiftSystem(Cosets):
+    """Tables per (type, family, p): the * action and the shift map, laid out
+    by the Weyl enumeration's table; the super and Ramond variants share one.
+
+    Row ``l`` holds, per Weyl element in enumeration order, the index of
+    ``w * lambda_l`` and the Dynkin labels of ``w ^ lambda_l``; it is filled
+    on first use by one simple reflection per element, following the
+    enumeration.  Root coordinates appear only at the public boundary.
+    """
+
+    def __init__(self, case: ShiftCase):
+        super().__init__(case)
+        self.weyl, self._key_index, self.left, self._steps = self.rs.weyl_table()
+        self.w0 = self.weyl[-1]
+        self.w0_idx = len(self.weyl) - 1
+        self.reflect_cols = self.rs.reflect_cols()
+        self.simple_idx = tuple(row[0] for row in self.left)
+        self._w0_words: tuple[tuple[int, ...], ...] | None = None
         self._roots: dict[tuple[int, ...], Vec] = {}
         self._act, self._shift = {}, {}
 
@@ -288,9 +325,6 @@ class ShiftSystem:
 
     # -- integer labels ------------------------------------------------------
 
-    def _class_key(self, labels: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(sum(map(mul, row, labels)) % self._det for row in self._class_mat)
-
     def root_coords(self, labels: tuple[int, ...]) -> Vec:
         """Simple-root coordinates of the weight with these Dynkin labels."""
         got = self._roots.get(labels)
@@ -316,28 +350,6 @@ class ShiftSystem:
             out.append(reflect_labels(out[j], i, cols[i]))
         return out
 
-    def locate(self, a) -> tuple[int, tuple[int, ...]]:
-        """(coset index, u) of the point mu with a = p * labels(mu + x): the
-        canonical decomposition mu = -bullet + box has bullet labels
-        (p - a) // p, and u = p * labels(box + x) lies in (0, p]."""
-        p = self.case.p
-        bullet = tuple((p - v) // p for v in a)
-        u = tuple(v + p * c for v, c in zip(a, bullet))
-        target = self._coset.get((self._class_key(bullet), u))
-        if target is None:
-            raise AssertionError(f"box labels {u}/{p} are off the digit grid")
-        return target, u
-
-    def check_point(self, point: tuple[int, ...], l_idx: int):
-        """fock_point's checks on labels: the weight lies in the Cartan support
-        coset of coset l_idx (keyed by bullet class and box), 0 <= p*box < p."""
-        box = self._start[l_idx][1]
-        if self._coset.get((self._class_key(point), box)) != l_idx:
-            raise ValueError(f"weight with labels {point} is not in the Cartan support "
-                             f"coset of {self.lambdas[l_idx].label()}")
-        if not all(0 <= b - x < self.case.p for b, x in zip(box, self.x_labels)):
-            raise AssertionError("ceiling-weight mismatch")
-
     def _fill(self, l_idx: int) -> tuple[list[int], list[tuple[int, ...]]]:
         p = self.case.p
         a, b = self._start[l_idx]
@@ -360,11 +372,15 @@ class ShiftSystem:
         return self.root_coords(self.row(l_idx)[1][w_idx])
 
 
+_shared = lru_cache(maxsize=None)(ShiftSystem)
+
+
 @lru_cache(maxsize=None)
 def system(case: ShiftCase) -> ShiftSystem:
+    """The case's system; a Ramond case reads its super case's."""
     if case.variant is Variant.SUPER_RAMOND:
-        return system(case._replace(variant=Variant.SUPER))
-    return ShiftSystem(case)
+        case = case._replace(variant=Variant.SUPER)
+    return _shared(case)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from oracles import (
     weyl_matrix,
 )
 
-from shiftlab.liealg import vadd, vneg, vscale, vsub, vzero
+from shiftlab.liealg import RootSystem, vadd, vneg, vscale, vsub, vzero
 from shiftlab.shift import (
     InvalidCaseError,
     ShiftSystem,
@@ -123,7 +123,7 @@ def brute_force_coset_count(case) -> int:
         mu = vzero(rs.rank)
         for i, k in enumerate(coords):
             mu = vadd(mu, vscale(Fraction(k, p), rs.fund_coweights[i]))
-        keys.add(lambda_of_value(case, mu).key())
+        keys.add(lambda_of_value_fraction(case, mu).key())
     return len(keys)
 
 
@@ -226,6 +226,21 @@ def test_lambda_of_value_matches_fraction_route(name, variant, m, data):
     for route in (lambda_of_value, lambda_of_value_fraction):
         with pytest.raises(ValueError, match="is not in"):
             route(case, off)
+
+
+@pytest.mark.parametrize("name", ["E6", "E7", "E8"])
+def test_lambda_of_value_reads_no_weyl_group(name, monkeypatch):
+    # locating a coset needs only the coset tables, so it works on E7 and
+    # E8, whose Weyl groups exceed the enumeration cap
+    def refuse(self):
+        raise AssertionError("the Weyl group was enumerated")
+
+    monkeypatch.setattr(RootSystem, "weyl_table", refuse)
+    case = make_case(name, "nonsuper", 1)
+    for lamp in enumerate_lambda(case):
+        for root in case.rs.positive_roots[:5]:
+            mu = vsub(lamp.value, root)
+            assert lambda_of_value(case, mu) == lambda_of_value_fraction(case, mu) == lamp
 
 
 def test_lambda_round_trip():
@@ -462,7 +477,8 @@ ROUTE_CASES = [(name, variant, m)
 
 @pytest.mark.parametrize("name,variant,m", ROUTE_CASES)
 def test_tables_match_fraction_route(name, variant, m):
-    # act: lambda_of_value(sigma(lam + x) - x); shift: sigma(box + x) - (box' + x)
+    # act: the Fraction route's coset of sigma(lam + x) - x, which
+    # lambda_of_value also finds; shift: sigma(box + x) - (box' + x)
     case = make_case(name, variant, m)
     sys = system(case)
     x = case.x
@@ -471,7 +487,8 @@ def test_tables_match_fraction_route(name, variant, m):
         box = vadd(lamp.value, lamp.bullet_up)
         for w_idx, m in enumerate(mats):
             moved = vsub(mat_vec(m, vadd(lamp.value, x)), x)
-            target = lambda_of_value(case, moved)
+            target = lambda_of_value_fraction(case, moved)
+            assert lambda_of_value(case, moved) == target
             assert sys.act_index(w_idx, l_idx) == sys.index[target.key()]
             target_box = vadd(target.value, target.bullet_up)
             assert sys.shift_value(w_idx, l_idx) == \

@@ -195,7 +195,7 @@ def _walk(case: ShiftCase, lam: LambdaParam, beta: Vec, twisted: bool):
 def _star_walk(case: ShiftCase, lam: LambdaParam, beta: Vec, twisted: bool) -> list[int]:
     """The exponent numerators of the * terms over W, in enumeration order:
     v = b_{w*lam} - p*labels(beta + rho - w^lam), with the full form and
-    fock_point's checks per term.  The Ramond flow adds w(e_r) to the moved
+    fock_point's coset check (check_point) per term.  The Ramond flow adds w(e_r) to the moved
     point: Q(v + w(e_r)) - Q(e_r) = Q(v) + 2 w(e_r).quad.v."""
     sys, (quad, _, _, _), p, r = system(case), _form(case, twisted), case.p, case.rank
     labels = case.rs.integral_labels(beta)
@@ -203,7 +203,7 @@ def _star_walk(case: ShiftCase, lam: LambdaParam, beta: Vec, twisted: bool) -> l
     flows = sys.orbit(tuple(int(i == r - 1) for i in range(r))) if twisted else None
     mov = []
     for w, (target, up) in enumerate(zip(act, shift)):
-        point = tuple(c - s for c, s in zip(labels, up))
+        point = [c - s for c, s in zip(labels, up)]
         sys.check_point(point, target)
         v = [x - p * (y + 1) for x, y in zip(sys._start[target][1], point)]
         qv = [sum(map(mul, row, v)) for row in quad]

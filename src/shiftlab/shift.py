@@ -22,7 +22,7 @@ import enum
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from operator import mul
 from typing import NamedTuple
 
@@ -159,6 +159,17 @@ def _grid(case: ShiftCase):
     return x, tuple(p // t for t in x), tuple(tuple(map(int, b)) for b in bullets)
 
 
+@lru_cache(maxsize=None)
+def _alcove_weights(case: ShiftCase) -> tuple[int, ...]:
+    """c_j * x_j: p*(box + x) has labels k_j x_j, which pair with theta_L
+    through its integer coroot marks c_j = d_j * theta_L[j]."""
+    rs = case.rs
+    marks = [d * t for d, t in zip(rs.half_lengths, rs.theta_L)]
+    if any(c.denominator != 1 for c in marks):
+        raise AssertionError(f"coroot marks of theta_L of {rs.lie_type} are not integral")
+    return tuple(c.numerator * s for c, s in zip(marks, _grid(case)[0]))
+
+
 def lambda_from(case: ShiftCase, bullet_index: int, digits) -> LambdaParam:
     rs, p = case.rs, case.p
     digits = tuple(int(x) for x in digits)
@@ -184,16 +195,15 @@ def enumerate_lambda(case: ShiftCase) -> tuple[LambdaParam, ...]:
     x, bounds, bullets = _grid(case)
     out = []
     for b_idx, bullet in enumerate(bullets):
-        # round trip on the record's weights, apart from the integer labels:
-        # box = value + bullet_up has p * labels(box + x) = k * x
-        up_x = vadd(rs.minuscule[b_idx], case.x)
         for digits in product(*(range(1, b + 1) for b in bounds)):
             if case.variant.is_super and (digits[-1] + bullet[-1]) % 2 == 0:
                 continue
             lam = lambda_from(case, b_idx, digits)
-            box_x = vadd(lam.value, up_x)
-            if [p * sum(map(mul, row, box_x)) for row in rs.cartan] != [
-                    k * s for k, s in zip(digits, x)]:
+            # round trip on the record's weight: value + bullet has
+            # p * labels(value + bullet + x) = k * x
+            labels, n = rs.scaled_labels(lam.value)
+            if any(p * v + n * (p * c + s - k * s)
+                   for v, c, k, s in zip(labels, bullet, digits, x)):
                 raise AssertionError(f"{lam.label()} does not round-trip")
             out.append(lam)
     return tuple(out)
@@ -214,59 +224,78 @@ def lambda_of_value(case: ShiftCase, mu: Vec) -> LambdaParam:
 
 class Cosets:
     """The coset layout of Lambda, which needs no Weyl group: per coset the
-    p-scaled Dynkin labels of lambda + x and of box + x, and the coset of a
-    bullet class and a box.  Internally an ambient vector is kept as its
-    Dynkin labels scaled by p, which makes every vector of (1/p)Q* and the
-    twist x integral."""
+    p-scaled Dynkin labels of lambda + x and of box + x, its class in P/Q, and
+    the coset of one packed integer key.  Internally an ambient vector is kept
+    as its Dynkin labels scaled by p, which makes every vector of (1/p)Q* and
+    the twist x integral."""
 
     def __init__(self, case: ShiftCase):
         self.case = case
         rs = self.rs = case.rs
-        p = case.p
+        p, r = case.p, case.rank
         self.lambdas = enumerate_lambda(case)
         self.index = {lam.key(): i for i, lam in enumerate(self.lambdas)}
         self.cols = rs.root_labels()
-        # bullet classes in P/Q: det * C^{-1} applied to the labels, modulo det
-        self._class_mat, self._det = rs.cartan_adjugate
+        x, _, bullets = _grid(case)
+        # the class in P/Q is det * C^{-1} applied to the labels, modulo det;
+        # the fewest rows of it that tell the minuscule weights apart give it
+        adj, self._det = rs.cartan_adjugate
+        self._class_rows = next(
+            (rows for k in range(r + 1) for rows in combinations(adj, k)
+             if len({tuple(sum(map(mul, row, b)) % self._det for row in rows)
+                     for b in bullets}) == len(bullets)), None)
+        if self._class_rows is None:
+            raise AssertionError(f"no rows of the adjugate of {rs.lie_type} separate P/Q")
         # the class key is constant on mu + Q, which the character walk relies on
-        if any(any(self._class_key(col)) for col in self.cols):
+        if any(self._class_key(col) for col in self.cols):
             raise AssertionError(f"a simple root of {rs.lie_type} has a nonzero class key")
         # p * labels of lambda + x and of box + x per coset; the latter,
-        # with the bullet class, identifies the coset
-        x, _, bullets = _grid(case)
-        self.x_labels = x
-        self._start = []
-        self._coset = {}
+        # packed with the bullet class, identifies the coset
+        self._radix = p + 1
+        self._start, self._classes, self._coset = [], [], {}
         for l_idx, lam in enumerate(self.lambdas):
             bullet = bullets[lam.bullet_index]
             b = tuple(k * s for k, s in zip(lam.digits, x))
+            # fock_point's ceiling check 0 <= p*box < p, fixed per coset
+            if not all(0 <= v - s < p for v, s in zip(b, x)):
+                raise AssertionError("ceiling-weight mismatch")
             self._start.append((tuple(v - p * c for v, c in zip(b, bullet)), b))
-            self._coset[self._class_key(bullet), b] = l_idx
+            self._classes.append(self._class_key(bullet))
+            self._coset[self._pack(self._classes[-1], b)] = l_idx
+        if len(self._coset) != len(self.lambdas):
+            raise AssertionError(f"two cosets of {case.case_id()} share a packed key")
 
-    def _class_key(self, labels: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(sum(map(mul, row, labels)) % self._det for row in self._class_mat)
+    def _class_key(self, labels) -> int:
+        key = 0
+        for row in self._class_rows:
+            key = key * self._det + sum(map(mul, row, labels)) % self._det
+        return key
 
-    def locate(self, a) -> tuple[int, tuple[int, ...]]:
+    def _pack(self, key: int, u) -> int:
+        """The class key followed by the box labels u in (0, p], radix p + 1."""
+        for v in u:
+            key = key * self._radix + v
+        return key
+
+    def locate(self, a) -> tuple[int, list[int]]:
         """(coset index, u) of the point mu with a = p * labels(mu + x): the
         canonical decomposition mu = -bullet + box has bullet labels
         (p - a) // p, and u = p * labels(box + x) lies in (0, p]."""
         p = self.case.p
-        bullet = tuple((p - v) // p for v in a)
-        u = tuple(v + p * c for v, c in zip(a, bullet))
-        target = self._coset.get((self._class_key(bullet), u))
+        bullet = [(p - v) // p for v in a]
+        u = [v + p * c for v, c in zip(a, bullet)]
+        target = self._coset.get(self._pack(self._class_key(bullet), u))
         if target is None:
             raise AssertionError(f"box labels {u}/{p} are off the digit grid")
         return target, u
 
-    def check_point(self, point: tuple[int, ...], l_idx: int):
-        """fock_point's checks on labels: the weight lies in the Cartan support
-        coset of coset l_idx (keyed by bullet class and box), 0 <= p*box < p."""
-        box = self._start[l_idx][1]
-        if self._coset.get((self._class_key(point), box)) != l_idx:
+    def check_point(self, point, l_idx: int):
+        """fock_point's coset check on labels: the weight lies in the Cartan
+        support coset of coset l_idx, which has that coset's box and class (the
+        box's ceiling check runs once per coset, at build)."""
+        if self._class_key(point) != self._classes[l_idx]:
             raise ValueError(f"weight with labels {point} is not in the Cartan support "
                              f"coset of {self.lambdas[l_idx].label()}")
-        if not all(0 <= b - x < self.case.p for b, x in zip(box, self.x_labels)):
-            raise AssertionError("ceiling-weight mismatch")
 
 
 _cosets = lru_cache(maxsize=None)(Cosets)
@@ -454,14 +483,8 @@ def check_strong_alt(lam: LambdaParam, case: ShiftCase, word=None) -> bool:
 
 def alcove_inequality(lam: LambdaParam, case: ShiftCase) -> bool:
     """(p*box + rho_check, theta_L) <= p, with rho instead of rho_check in the
-    super family: p*(box + x) has labels k_j x_j, which pair with theta_L
-    through its integer coroot marks c_j = d_j * theta_L[j]."""
-    rs = case.rs
-    marks = [d * t for d, t in zip(rs.half_lengths, rs.theta_L)]
-    if any(c.denominator != 1 for c in marks):
-        raise AssertionError(f"coroot marks of theta_L of {rs.lie_type} are not integral")
-    x = _grid(case)[0]
-    return sum(c.numerator * k * s for c, k, s in zip(marks, lam.digits, x)) <= case.p
+    super family, on the digits (see _alcove_weights)."""
+    return sum(map(mul, _alcove_weights(case), lam.digits)) <= case.p
 
 
 def w0_shift(lam: LambdaParam, case: ShiftCase) -> Vec:
@@ -480,7 +503,8 @@ def w0_shift(lam: LambdaParam, case: ShiftCase) -> Vec:
 
 def screening_degree(i: int, lam: LambdaParam, case: ShiftCase) -> int | None:
     """Number of screening-current insertions in direction i, normalized into
-    1..p-1; None marks the sigma_i-fixed case (residue 0)."""
+    1..bound-1 for the digit bound p * d_i (p in the super family); None marks
+    the sigma_i-fixed case (residue 0)."""
     rs = case.rs
     p = case.p
     if case.variant is Variant.NONSUPER:
@@ -489,7 +513,7 @@ def screening_degree(i: int, lam: LambdaParam, case: ShiftCase) -> int | None:
         val = rs.copairing(vadd(vscale(p, lam.value), rs.rho), i)
     if val.denominator != 1:
         raise AssertionError(f"screening pairing {val} is not integral")
-    s = int(val) % p
+    s = int(val) % _grid(case)[1][i]
     if s == 0:
         if not is_fixed(i, lam, case):
             raise AssertionError("zero residue off a fixed point")

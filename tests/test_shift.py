@@ -21,8 +21,11 @@ from oracles import (
 
 from shiftlab.liealg import RootSystem, vadd, vneg, vscale, vsub, vzero
 from shiftlab.shift import (
+    Cosets,
     InvalidCaseError,
     ShiftSystem,
+    _cosets,
+    _grid,
     alcove_inequality,
     canonical_decompose,
     check_strong,
@@ -191,8 +194,9 @@ def test_integer_cosets_match_fraction_route(name, variant, m):
         assert lambda_from(case, ref.bullet_index, ref.digits) == ref
         a, b, bullet = fraction_start(case, ref)
         assert sys._start[l_idx] == (a, b)
-        assert sys._coset[sys._class_key(bullet), b] == l_idx
-    assert sys.x_labels == tuple(case.p * case.rs.copairing(case.x, i) for i in range(case.rank))
+        assert sys._classes[l_idx] == sys._class_key(bullet)
+        assert sys._coset[sys._pack(sys._class_key(bullet), b)] == l_idx
+    assert _grid(case)[0] == tuple(case.p * case.rs.copairing(case.x, i) for i in range(case.rank))
     assert len(sys._coset) == len(want)
 
 
@@ -452,17 +456,18 @@ def test_screening_degree_zero_coset():
             assert screening_degree(i, zero, case) == 1
 
 
-def test_screening_degree_matches_digits_super():
-    case = make_case("B2", "super", 3)
+@pytest.mark.parametrize("name,variant,m", AXIOM_SWEEP_CASES)
+def test_screening_degree_matches_digits(name, variant, m):
+    # the residue is the digit modulo its bound p * d_i (p in the super
+    # family), zero exactly at the sigma_i-fixed cosets, where the digit sits
+    # at its bound
+    case = make_case(name, variant, m)
     for lamp in enumerate_lambda(case):
-        for i in range(2):
+        for i in range(case.rank):
+            bound = int(case.p * case.rs.half_lengths[i]) if variant == "nonsuper" else case.p
             s = screening_degree(i, lamp, case)
-            box = vadd(lamp.value, lamp.bullet_up)
-            digit = case.p * case.rs.copairing(vadd(box, case.x), i)
-            if is_fixed(i, lamp, case):
-                assert s is None
-            else:
-                assert s == int(digit) % case.p
+            assert (s is None) == is_fixed(i, lamp, case)
+            assert (s or 0) == lamp.digits[i] % bound, (lamp.label(), i)
 
 
 # -- the integer tables against the Fraction route, cell by cell -----------------
@@ -522,8 +527,61 @@ def test_class_key_must_vanish_on_simple_roots(monkeypatch):
     # which needs the class key to vanish on Q; a key read off the transposed
     # adjugate does not, and the system refuses it
     def transposed(self, labels):
-        return tuple(sum(map(mul, col, labels)) % self._det for col in zip(*self._class_mat))
+        key = 0
+        for col in zip(*self.rs.cartan_adjugate[0]):
+            key = key * self._det + sum(map(mul, col, labels)) % self._det
+        return key
 
     monkeypatch.setattr(ShiftSystem, "_class_key", transposed)
     with pytest.raises(AssertionError, match="class key"):
         ShiftSystem(make_case("B2", "nonsuper", 1))
+
+
+CLASS_TYPES = [f"A{n}" for n in range(1, 8)] + [f"{x}{n}" for x in "BC" for n in range(2, 6)] \
+    + [f"D{n}" for n in range(4, 8)] + ["E6", "E7", "E8", "F4", "G2"]
+
+
+@pytest.mark.parametrize("name", CLASS_TYPES)
+def test_class_rows_separate_p_mod_q(name):
+    # P/Q needs no row when trivial, two on D_2n (Z2 x Z2) and one otherwise
+    # (cyclic); the int key tells every minuscule weight apart and vanishes
+    # on Q
+    case = make_case(name, "nonsuper", 1)
+    sys = _cosets(case)
+    rs, det = case.rs, case.rs.cartan_adjugate[1]
+    want = 0 if det == 1 else 2 if name[0] == "D" and int(name[1:]) % 2 == 0 else 1
+    assert len(sys._class_rows) == want
+    assert all(row in rs.cartan_adjugate[0] for row in sys._class_rows)
+    bullets = [rs.integral_labels(mn) for mn in rs.minuscule]
+    assert len({sys._class_key(b) for b in bullets}) == det
+    assert not any(sys._class_key(col) for col in sys.cols)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "D5", "D6", "E6", "E7"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_class_key_matches_full_adjugate(name, data):
+    # two label vectors share the int key exactly when det * C^-1 maps them
+    # to the same residues mod det, row by row
+    case = make_case(name, "nonsuper", 1)
+    sys, (adj, det) = _cosets(case), case.rs.cartan_adjugate
+    r = case.rank
+    one = data.draw(st.tuples(*[st.integers(-4, 4)] * r))
+    if data.draw(st.booleans()):
+        # the same class: one plus a random element of Q
+        gamma = data.draw(st.tuples(*[st.integers(-3, 3)] * r))
+        two = tuple(a + sum(g * c[i] for g, c in zip(gamma, sys.cols)) for i, a in enumerate(one))
+    else:
+        two = data.draw(st.tuples(*[st.integers(-4, 4)] * r))
+
+    def full(labels):
+        return tuple(sum(map(mul, row, labels)) % det for row in adj)
+
+    assert (sys._class_key(one) == sys._class_key(two)) == (full(one) == full(two))
+
+
+def test_cosets_refuse_a_shared_packed_key(monkeypatch):
+    # a key that drops the class confuses cosets with the same box
+    monkeypatch.setattr(Cosets, "_pack", lambda self, key, u: u)
+    with pytest.raises(AssertionError, match="share a packed key"):
+        Cosets(make_case("A2", "nonsuper", 1))

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import floor, gcd, isqrt, lcm
-from operator import mul
+from operator import mul, sub
 from typing import NamedTuple
 
 from .liealg import (
@@ -203,7 +203,7 @@ def _star_walk(case: ShiftCase, lam: LambdaParam, beta: Vec, twisted: bool) -> l
     flows = sys.orbit(tuple(int(i == r - 1) for i in range(r))) if twisted else None
     mov = []
     for w, (target, up) in enumerate(zip(act, shift)):
-        point = [c - s for c, s in zip(labels, up)]
+        point = list(map(sub, labels, up))
         sys.check_point(point, target)
         v = [x - p * (y + 1) for x, y in zip(sys._start[target][1], point)]
         qv = [sum(map(mul, row, v)) for row in quad]

@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from operator import mul
+from operator import floordiv, mod, mul, sub
 from typing import NamedTuple
 
 from .liealg import (
@@ -380,18 +380,18 @@ class ShiftSystem(Cosets):
         return out
 
     def _fill(self, l_idx: int) -> tuple[list[int], list[tuple[int, ...]]]:
-        p = self.case.p
+        ps = (self.case.p,) * self.case.rank
         a, b = self._start[l_idx]
         act: list[int] = []
         shift: list[tuple[int, ...]] = []
         for a, b in zip(self.orbit(a), self.orbit(b)):
             target, u = self.locate(a)
             # w ^ lambda = w(box + x) - (box' + x), a weight
-            diff = [v - c for v, c in zip(b, u)]
-            if any(d % p for d in diff):
+            diff = list(map(sub, b, u))
+            if any(map(mod, diff, ps)):
                 raise AssertionError("shift map left the weight lattice")
             act.append(target)
-            shift.append(tuple(d // p for d in diff))
+            shift.append(tuple(map(floordiv, diff, ps)))
         return act, shift
 
     def act_index(self, w_idx: int, l_idx: int) -> int:

@@ -195,8 +195,8 @@ def _walk(case: ShiftCase, lam: LambdaParam, beta: Vec, twisted: bool):
 def _star_walk(case: ShiftCase, lam: LambdaParam, beta: Vec, twisted: bool) -> list[int]:
     """The exponent numerators of the * terms over W, in enumeration order:
     v = b_{w*lam} - p*labels(beta + rho - w^lam), with the full form and
-    fock_point's coset check (check_point) per term.  The Ramond flow adds w(e_r) to the moved
-    point: Q(v + w(e_r)) - Q(e_r) = Q(v) + 2 w(e_r).quad.v."""
+    fock_point's coset check (check_point) per term.  The Ramond flow adds
+    w(e_r) to the moved point: Q(v + w(e_r)) - Q(e_r) = Q(v) + 2 w(e_r).quad.v."""
     sys, (quad, _, _, _), p, r = system(case), _form(case, twisted), case.p, case.rank
     labels = case.rs.integral_labels(beta)
     act, shift = sys.row(sys.index[lam.key()])

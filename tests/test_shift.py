@@ -21,11 +21,14 @@ from oracles import (
 
 from shiftlab.liealg import RootSystem, vadd, vneg, vscale, vsub, vzero
 from shiftlab.shift import (
+    PACK_GUARD,
+    PACK_RADIX,
     Cosets,
     InvalidCaseError,
     ShiftSystem,
     _cosets,
     _grid,
+    _shared,
     alcove_inequality,
     canonical_decompose,
     check_strong,
@@ -38,6 +41,7 @@ from shiftlab.shift import (
     lambda_from,
     lambda_of_value,
     make_case,
+    pack,
     screening_degree,
     shift_map,
     strong_w0_target,
@@ -353,6 +357,157 @@ def test_report_serialization():
     csv = report.to_csv()
     assert csv.splitlines()[0] == "lambda,weak,strong,alcove,w0_shift"
     assert len(csv.splitlines()) == 5
+
+
+# -- verify_axioms reports a corrupted table ------------------------------------
+
+B2P4 = make_case("B2", "nonsuper", 2)
+
+
+@pytest.fixture
+def corrupt():
+    """run(l_idx, w_idx, labels) writes one cell of a shift row of a fresh
+    B2 m=2 system and returns (system, verify_axioms report); the caches are
+    cleared before and after, so no other test sees the corrupted system."""
+    system.cache_clear()
+    _shared.cache_clear()
+
+    def run(l_idx, w_idx, labels):
+        sys = system(B2P4)
+        sys.row(l_idx)[1][w_idx] = tuple(labels)
+        return sys, verify_axioms(B2P4)
+
+    yield run
+    system.cache_clear()
+    _shared.cache_clear()
+
+
+def simple_cell(fixed):
+    """(coset, letter) of B2 m=2 whose simple reflection fixes the coset, or
+    moves it."""
+    sys = system(B2P4)
+    return next((l_idx, i) for l_idx in range(len(sys.lambdas))
+                for i, si in enumerate(sys.simple_idx)
+                if (sys.row(l_idx)[0][si] == l_idx) == fixed)
+
+
+def test_axioms_report_identity(corrupt):
+    sys, report = corrupt(1, 0, (1, 0))
+    assert {"check": "identity", "lambda": sys.lambdas[1].label()} in report.failures
+
+
+@pytest.mark.parametrize("fixed", [True, False])
+def test_axioms_report_simple_shifts(corrupt, fixed):
+    # a fixed coset's simple shift must be -alpha_i, a moved one's must pair
+    # to -1 with alpha_i^vee
+    l_idx, i = simple_cell(fixed)
+    sys = system(B2P4)
+    bad = list(sys.row(l_idx)[1][sys.simple_idx[i]])
+    bad[0 if fixed else i] -= 1
+    sys, report = corrupt(l_idx, sys.simple_idx[i], bad)
+    label = sys.lambdas[l_idx].label()
+    if fixed:
+        want = {"check": "fixed-shift", "lambda": label, "i": i + 1,
+                "got": str(sys.root_coords(tuple(bad)))}
+    else:
+        want = {"check": "pairing-minus-one", "lambda": label, "i": i + 1, "got": "-2"}
+    assert want in report.failures
+    assert report.weak == report.strong == report.w0_shifts == []
+
+
+def test_axioms_report_pair_sum(corrupt):
+    # off the i-th label the pairing check passes and only the pair sum fails
+    l_idx, i = simple_cell(fixed=False)
+    sys = system(B2P4)
+    bad = list(sys.row(l_idx)[1][sys.simple_idx[i]])
+    bad[1 - i] += 1
+    sys, report = corrupt(l_idx, sys.simple_idx[i], bad)
+    label = sys.lambdas[l_idx].label()
+    assert {"check": "pair-sum", "lambda": label, "i": i + 1} in report.failures
+    assert not any(f["check"] == "pairing-minus-one" for f in report.failures)
+
+
+def test_axioms_report_cocycle(corrupt):
+    # w = s_a s_b: the cocycle from s_b by the letter a no longer lands on it
+    sys = system(B2P4)
+    w_idx = next(k for k, w in enumerate(sys.weyl) if w.length == 2)
+    a, b = sys.weyl[w_idx].word
+    bad = list(sys.row(0)[1][w_idx])
+    bad[a] += 1
+    sys, report = corrupt(0, w_idx, bad)
+    assert {"check": "cocycle", "lambda": sys.lambdas[0].label(), "i": a + 1,
+            "word": [b]} in report.failures
+
+
+@pytest.mark.parametrize("ascent", [True, False])
+def test_axioms_report_length_sign(corrupt, ascent):
+    # the pairing (w ^ lam, alpha_i^vee) is >= 0 on an ascent and < 0 on a descent
+    sys = system(B2P4)
+    shift, lengths = sys.row(0)[1], [w.length for w in sys.weyl]
+    w_idx, i = next((w_idx, i) for w_idx in range(1, len(sys.weyl)) for i in range(2)
+                    if (lengths[sys.left[i][w_idx]] > lengths[w_idx]) == ascent)
+    bad = list(shift[w_idx])
+    bad[i] = -1 if ascent else 0
+    sys, report = corrupt(0, w_idx, bad)
+    assert {"check": "ascent-nonnegative" if ascent else "descent-negative",
+            "lambda": sys.lambdas[0].label(), "i": i + 1,
+            "word": list(sys.weyl[w_idx].word), "pairing": str(bad[i])} in report.failures
+
+
+def test_axioms_refuse_labels_past_the_packing_guard(corrupt):
+    # +R in one label and -1 in the next packs to the same integer, so the
+    # cocycle comparison alone would pass it; the guard refuses it, and a
+    # label at the guard
+    sys = system(B2P4)
+    w_idx = next(k for k, w in enumerate(sys.weyl) if w.length == 2)
+    good = sys.row(0)[1][w_idx]
+    collide = (good[0] + PACK_RADIX, good[1] - 1)
+    assert collide[0] + collide[1] * PACK_RADIX == good[0] + good[1] * PACK_RADIX
+    for bad in (collide, (PACK_GUARD, good[1]), (good[0], -PACK_GUARD)):
+        with pytest.raises(AssertionError, match="packing guard"):
+            corrupt(0, w_idx, bad)
+
+
+def test_pack_guard():
+    assert pack([(PACK_GUARD - 1, 1 - PACK_GUARD)]) == \
+        [PACK_GUARD - 1 - (PACK_GUARD - 1) * PACK_RADIX]
+    for bad in [(PACK_GUARD, 0), (0, -PACK_GUARD)]:
+        with pytest.raises(AssertionError, match="packing guard"):
+            pack([(0, 0), bad])
+
+
+GUARDED = st.integers(1 - PACK_GUARD, PACK_GUARD - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_packed_cocycle_matches_tuples(data):
+    # inside the guard, with Cartan entries of at most 3, the packed
+    # comparison P(lhs) == P(a) - c P(col) + P(d) holds exactly when the
+    # vectors agree; lhs is drawn at random, as the true side clipped to the
+    # guard, or one label off it
+    r = data.draw(st.integers(1, 8))
+    vec = st.tuples(*[GUARDED] * r)
+    a, d, c = data.draw(vec), data.draw(vec), data.draw(GUARDED)
+    col = data.draw(st.tuples(*[st.integers(-3, 3)] * r))
+    want = tuple(x - c * y + z for x, y, z in zip(a, col, d))
+    near = [max(1 - PACK_GUARD, min(PACK_GUARD - 1, v)) for v in want]
+    k, step = data.draw(st.integers(0, r - 1)), data.draw(st.sampled_from([0, 1, -1]))
+    near[k] = max(1 - PACK_GUARD, min(PACK_GUARD - 1, near[k] + step))
+    lhs = data.draw(st.one_of(vec, st.just(tuple(near))))
+    pl, pa, pd, pc = pack([lhs, a, d, col])
+    assert (pl == pa - c * pc + pd) == (lhs == want)
+    assert (pl == pa) == (lhs == a)
+
+
+def test_fill_refuses_a_start_off_the_weight_lattice(monkeypatch):
+    # b - a = p * bullet on every start row; a b - a that is not a multiple
+    # of p would put every shift of the row off the weight lattice
+    sys = ShiftSystem(B2P4)
+    (a, b), *rest = sys._start
+    monkeypatch.setattr(sys, "_start", [(a, (b[0] + 1,) + b[1:])] + rest)
+    with pytest.raises(AssertionError, match="left the weight lattice"):
+        sys.row(0)
 
 
 # -- weak and strong conditions ---------------------------------------------------

@@ -152,7 +152,8 @@ def cmd_check(cfg: RunConfig, args) -> int:
         report = _alcove_independence_report(case)
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown suite {args.suite}")
-    _emit(cfg, report.to_json_dict(), report.to_csv() if report.weak else None)
+    csv_text = None if args.suite == "alcove-independence" else report.to_csv()
+    _emit(cfg, report.to_json_dict(), csv_text)
     return 0 if report.ok else VERIFY_ERROR
 
 

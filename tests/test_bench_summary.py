@@ -82,3 +82,24 @@ def test_traced_runs_on_both_sides(tmp_path):
     assert out["cli_cold"]["traced"] == {
         "parent": {"seeds": [7], "cli.import_s": [0.031]},
         "change": {"seeds": [7], "cli.import_s": [0.024]}}
+
+
+_cold_spec = importlib.util.spec_from_file_location("cold_runs", ROOT / "tools" / "cold_runs.py")
+cold_runs = importlib.util.module_from_spec(_cold_spec)
+_cold_spec.loader.exec_module(cold_runs)
+
+
+def test_cold_runs_add_to_a_summary(tmp_path):
+    # both sides on this checkout: two runs each, the same output, and the
+    # summary's other keys kept
+    out = tmp_path / "BENCH.json"
+    out.write_text(json.dumps({"axiom_sweep": {"pairs": {}}}))
+    assert cold_runs.main([str(ROOT), str(ROOT), "info --algebra A1", "--runs", "2",
+                           "--into", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["axiom_sweep"] == {"pairs": {}}
+    got = data["cold_cli"]["info --algebra A1"]
+    assert got["same_output"] is True
+    for side in ("parent", "change"):
+        assert len(got[side]["runs"]) == 2
+        assert got[side]["median"] == sum(got[side]["runs"]) / 2

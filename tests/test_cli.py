@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftlab.cli import main
+from shiftlab.shift import _shared, make_case, system
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -70,6 +71,22 @@ def test_check_axioms_pass(capsys):
                        "--variant", "nonsuper", "--m", "1")
     assert code == 0
     assert json.loads(out)["failures"] == []
+
+
+def test_failing_axioms_report_exits_1_in_csv(capsys):
+    # a failing report leaves its tables empty; csv still prints its header,
+    # and the exit code is the verification failure's
+    system.cache_clear()
+    _shared.cache_clear()
+    try:
+        system(make_case("B2", "nonsuper", 2)).row(1)[1][0] = (1, 0)
+        code, out, _ = run(capsys, "check", "axioms", "--algebra", "B2", "--m", "2",
+                           "--format", "csv")
+    finally:
+        system.cache_clear()
+        _shared.cache_clear()
+    assert code == 1
+    assert out == "lambda,weak,strong,alcove,w0_shift\n"
 
 
 def test_check_weak_strong(capsys):

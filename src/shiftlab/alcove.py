@@ -65,21 +65,19 @@ class _Family:
     """Per-case affine conventions shared by all operations."""
 
     def __init__(self, case: ShiftCase):
-        rs = case.rs
-        self.case = case
-        self.rs = rs
+        rs = self.rs = case.rs
+        self.rho_hat_fin = vscale(case.p, case.x)
+        # translations live in lattice_scale*Q; a level scales them by
+        # level_factor times its rho-shifted value
         if case.variant is Variant.NONSUPER:
-            self.rho_hat_fin = rs.rho_check
+            self.lattice_scale, self.level_factor = rs.lacing, 1
             self.rho_hat_level = Fraction(rs.dual_coxeter_L)
-            self.lattice_scale = rs.lacing     # translations live in lacing*Q
-            self.form_factor = Fraction(1, rs.lacing)
             self.level_in = Fraction(case.m - rs.dual_coxeter_L)
         else:
-            self.rho_hat_fin = rs.rho
+            self.lattice_scale, self.level_factor = 1, 2
             self.rho_hat_level = Fraction(2 * rs.rank + 1, 2)
-            self.lattice_scale = 1
-            self.form_factor = Fraction(1)
             self.level_in = Fraction(case.m - rs.rank - 1)
+        self.form_factor = Fraction(1, self.lattice_scale)
         # labels of theta_s and the integer marks c of its coroot,
         # theta_s^vee = sum c_i alpha_i^vee, so (g, theta_s^vee) = sum c_i a_i
         n2 = rs.norm2(rs.theta_s)
@@ -93,15 +91,11 @@ class _Family:
     def trans_scale(self, mu: AffineWeight) -> Fraction:
         """Multiplier applied to a translation vector at this weight's level
         (computed on the rho-shifted weight)."""
-        if self.case.variant is Variant.NONSUPER:
-            return mu.level + self.rho_hat_level
-        return 2 * (mu.level + self.rho_hat_level)
+        return self.level_factor * (mu.level + self.rho_hat_level)
 
     def bound(self, scale: Fraction) -> Fraction:
         """Upper wall value for (G, theta_s_coroot) in the shifted chamber."""
-        if self.case.variant is Variant.NONSUPER:
-            return self.rs.lacing * scale
-        return scale
+        return self.lattice_scale * scale
 
     def walk_labels(self, mu: AffineWeight) -> tuple[tuple[int, ...], int, Fraction]:
         """(n * labels of g = mu + rho_hat, n, scale): n is the least common

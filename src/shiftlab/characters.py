@@ -46,25 +46,16 @@ class UnsupportedCaseError(ValueError):
 # ---------------------------------------------------------------------------
 
 def fock_delta(nu: Vec, case: ShiftCase) -> Fraction:
-    """Conformal weight of the lattice point sqrt(p)*nu under the shifted
-    conformal vector of the case."""
-    rs = case.rs
-    p = case.p
-    n2 = rs.norm2(nu)
-    if case.variant is Variant.NONSUPER:
-        return Fraction(p, 2) * n2 - p * rs.pairing(nu, rs.rho) \
-            + rs.pairing(nu, rs.rho_check)
-    return Fraction(p, 2) * n2 - (p - 1) * rs.pairing(nu, rs.rho)
+    """Conformal weight (p/2)|nu|^2 - p(nu, gamma) of the lattice point
+    sqrt(p)*nu under the conformal vector shifted by the background charge."""
+    rs, p = case.rs, case.p
+    return Fraction(p, 2) * rs.norm2(nu) - p * rs.pairing(nu, case.gamma)
 
 
 def norm_shift(case: ShiftCase) -> Fraction:
-    """Constant completing fock_delta to a pure squared norm over 2p."""
-    rs = case.rs
-    if case.variant is Variant.NONSUPER:
-        v = vsub(vscale(case.p, rs.rho), rs.rho_check)
-    else:
-        v = vscale(case.p - 1, rs.rho)
-    return rs.norm2(v) / (2 * case.p)
+    """Constant p|gamma|^2/2 completing fock_delta to the squared norm
+    |p*nu - p*gamma|^2 / 2p."""
+    return case.p * case.rs.norm2(case.gamma) / 2
 
 
 class FockPoint(NamedTuple):
@@ -148,9 +139,9 @@ def _check_multiplet_inputs(case: ShiftCase, alpha: Vec):
 @lru_cache(maxsize=None)
 def _form(case: ShiftCase, twisted: bool):
     """(quad, lin, den, const): a term whose point nu has u = p*nu - gamma'
-    with integer Dynkin labels u (gamma' = p*rho - rho_check, or (p-1)*rho in
-    the super family) sits at q^(const + (u.quad.u + lin.u)/den); lin is the
-    Ramond flow correction, zero elsewhere."""
+    with integer Dynkin labels u (gamma' = p*gamma) sits at
+    q^(const + (u.quad.u + lin.u)/den); lin is the Ramond flow correction,
+    zero elsewhere."""
     rs, p, r = case.rs, case.p, case.rank
     # fock_delta = |u|^2/2p - norm_shift, with the form read on Dynkin labels:
     # (omega_i, omega_j) = d_i (C^-1)_ij
@@ -310,11 +301,9 @@ def _height_bound(case: ShiftCase, lam: LambdaParam, cutoff: Fraction) -> int:
     def sqrt_above(x: Fraction) -> Fraction:  # within 2^-32 of sqrt(x)
         return Fraction(isqrt((x.numerator << 64) // x.denominator) + 1, 1 << 32)
 
-    rs = case.rs
-    p = case.p
-    box = vadd(lam.value, lam.bullet_up)
-    shift_vec = rs.rho_check if case.variant is Variant.NONSUPER else rs.rho
-    b0 = sqrt_above(rs.norm2(vadd(vscale(p, box), shift_vec)))
+    rs, p = case.rs, case.p
+    box_x = vadd(vadd(lam.value, lam.bullet_up), case.x)
+    b0 = sqrt_above(rs.norm2(vscale(p, box_x)))
     if case.variant is Variant.SUPER_RAMOND:
         b0 += sqrt_above(rs.norm2(rs.fund_weights[rs.rank - 1]))
     rho_chk = sqrt_above(rs.norm2(rs.rho_check))
@@ -347,9 +336,7 @@ def ft_char(lam: LambdaParam, case: ShiftCase, order: int,
     tail = None
     n_terms = 0
     for height in range(_height_bound(case, lam, cutoff) + 1):
-        for alpha in _shell(rs, height):
-            if not rs.is_dominant(alpha):
-                continue
+        for alpha in dominant_shell(rs, height):
             beta = vadd(alpha, lam.bullet_up)
             _, dot = _walk(case, lam, beta, twisted)
             if const + Fraction(min(dot), den) > cutoff + 2:
@@ -382,6 +369,12 @@ def _shell(rs, height: int) -> tuple[Vec, ...]:
                 yield (c,) + rest
 
     return tuple(tuple(Fraction(c) for c in coords) for coords in rec(0, height))
+
+
+@lru_cache(maxsize=None)
+def dominant_shell(rs, height: int) -> tuple[Vec, ...]:
+    """The dominant vectors of _shell(rs, height), in its order."""
+    return tuple(a for a in _shell(rs, height) if rs.is_dominant(a))
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +420,8 @@ def verma_char_super(mu: Vec, case: ShiftCase, order: int) -> QSeries:
     mu = p*(lam - alpha) matches the weight space at alpha + bullet."""
     if case.variant is not Variant.SUPER:
         raise UnsupportedCaseError("Verma characters are for the super variant")
-    rs = case.rs
-    v = vsub(mu, vscale(case.p - 1, rs.rho))
-    exponent = rs.norm2(v) / (2 * case.p) - norm_shift(case) \
+    v = vsub(mu, vscale(case.p, case.gamma))
+    exponent = case.rs.norm2(v) / (2 * case.p) - norm_shift(case) \
         - case.central_charge / 24
     tail = _tail(case, order, twisted=False)
     return tail.qshift(exponent - tail.base)

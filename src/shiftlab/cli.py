@@ -69,8 +69,6 @@ def _parse_lambda(case: shift.ShiftCase, text: str) -> shift.LambdaParam:
     try:
         idx = int(parts[0])
         digits = [int(p) for p in parts[1:]]
-        if not 0 <= idx < len(case.rs.minuscule):
-            raise ValueError(f"minuscule index {idx} out of range")
         return shift.lambda_from(case, idx, digits)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -159,11 +157,8 @@ def cmd_check(cfg: RunConfig, args) -> int:
 
 def _alcove_independence_report(case: shift.ShiftCase) -> shift.ShiftReport:
     report = shift.ShiftReport(case.case_id(), {"checks": 0})
-    rs = case.rs
-    heights = 3
-    alphas = [a for h in range(heights + 1)
-              for a in characters._shell(rs, h) if rs.is_dominant(a)]
-    for b_idx in range(len(rs.minuscule)):
+    alphas = [a for h in range(4) for a in characters.dominant_shell(case.rs, h)]
+    for b_idx in range(len(case.rs.minuscule)):
         for alpha in alphas:
             report.counts["checks"] += 1
             try:
@@ -252,9 +247,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     elif args.target == "verma":
         if not case.variant.is_super:
             raise ConfigError("verma verification needs a super variant")
-        rs = case.rs
-        alphas = [a for h in range(3) for a in characters._shell(rs, h)
-                  if rs.is_dominant(a)]
+        alphas = [a for h in range(3) for a in characters.dominant_shell(case.rs, h)]
         for lam in shift.enumerate_lambda(case):
             for alpha in alphas:
                 mu = liealg.vscale(case.p, liealg.vsub(lam.value, alpha))
@@ -292,8 +285,13 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line on stderr, as every other usage error
+        self.exit(USAGE_ERROR, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shiftlab",
         description="Exact shift systems and q-characters for multiplet "
                     "W-(super)algebras.")
@@ -301,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(variant="nonsuper", m=1, order=0, word_cap=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, case=True, order=None):
+    def common(p, case=True, order=None, csv=False):
         p.add_argument("--algebra", required=True, help="e.g. A2, B3, G2")
         if case:
             p.add_argument("--variant", default="nonsuper",
@@ -310,7 +308,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if order is not None:
             p.add_argument("--order", type=int, default=order,
                            help="truncation depth in q-units above the leading exponent")
-        p.add_argument("--format", default="json", choices=["json", "csv", "plain"])
+        p.add_argument("--format", default="json",
+                       choices=["json", "csv", "plain"] if csv else ["json", "plain"])
         p.add_argument("--output", default=None)
 
     p = sub.add_parser("info", help="root-system data as JSON")
@@ -318,12 +317,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_info)
 
     p = sub.add_parser("lambda", help="coset table with weak/strong/alcove flags")
-    common(p)
+    common(p, csv=True)
     p.set_defaults(func=cmd_lambda)
 
     p = sub.add_parser("check", help="verification suites")
     p.add_argument("suite", choices=["axioms", "weak-strong", "alcove-independence"])
-    common(p)
+    common(p, csv=True)
     p.add_argument("--word-cap", type=int, default=liealg.DEFAULT_WORD_CAP)
     p.set_defaults(func=cmd_check)
 

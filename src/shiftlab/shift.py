@@ -1,12 +1,13 @@
 """Shift systems on rescaled root lattices: coset representatives, the Weyl
 action, the carry-over (shift) map, and the weak/strong screening conditions.
 
-Two families are supported on the quotient (1/p)Q*/Q:
+Two families are supported on the quotient (1/p)Q*/Q.  They differ only in p
+and the twist p*x, which ``make_case`` fixes once; every other layer reads
+``case.x`` and the background charge ``case.gamma = rho - x``:
 
-* ``NONSUPER``      p = lacing * m, any simple type; the action is twisted by
-                    x = rho_check / p and the digit box uses the fundamental
-                    coweights.
-* ``SUPER``         p = 2m - 1 odd, series B only; x = rho / p, digit box on
+* ``NONSUPER``      p = lacing * m, any simple type; p*x = rho_check, and
+                    the digit box uses the fundamental coweights.
+* ``SUPER``         p = 2m - 1 odd, series B only; p*x = rho, digit box on
                     the fundamental weights with a parity constraint tied to
                     the short simple root.
 * ``SUPER_RAMOND``  same combinatorial data as SUPER; it differs only in the
@@ -61,8 +62,8 @@ class ShiftCase(NamedTuple):
     variant: Variant
     m: int
     p: int
-    x: Vec                    # twist vector: rho_check/p or rho/p
-    gamma: Vec                # background charge over sqrt(p): rho - rho_check/p, or (1-1/p) rho
+    x: Vec                    # twist vector: rho_check/p (nonsuper) or rho/p (super)
+    gamma: Vec                # background charge over sqrt(p): gamma = rho - x
     central_charge: Fraction
 
     def __hash__(self) -> int:
@@ -86,18 +87,14 @@ def make_case(lie_type: SimpleLieType | str, variant: Variant | str, m: int) -> 
         raise InvalidCaseError("m must be a positive integer")
     rs = build_root_system(lie_type)
     if variant is Variant.NONSUPER:
-        p = rs.lacing * m
-        x = vscale(Fraction(1, p), rs.rho_check)
-        gamma = vsub(rs.rho, vscale(Fraction(1, p), rs.rho_check))
-        c = rs.rank - 12 * p * rs.norm2(gamma)
+        p, px, c = rs.lacing * m, rs.rho_check, rs.rank
+    elif lie_type.series != "B":
+        raise InvalidCaseError(f"variant {variant.value} requires series B, got {lie_type}")
     else:
-        if lie_type.series != "B":
-            raise InvalidCaseError(
-                f"variant {variant.value} requires series B, got {lie_type}")
-        p = 2 * m - 1
-        x = vscale(Fraction(1, p), rs.rho)
-        gamma = vscale(Fraction(p - 1, p), rs.rho)
-        c = rs.rank + Fraction(1, 2) - 12 * p * rs.norm2(gamma)
+        p, px, c = 2 * m - 1, rs.rho, rs.rank + Fraction(1, 2)
+    x = vscale(Fraction(1, p), px)
+    gamma = vsub(rs.rho, x)
+    c -= 12 * p * rs.norm2(gamma)
     return ShiftCase(rs, variant, m, p, x, gamma, Fraction(c))
 
 
@@ -176,6 +173,8 @@ def lambda_from(case: ShiftCase, bullet_index: int, digits) -> LambdaParam:
     if len(digits) != rs.rank:
         raise ValueError("digit tuple has wrong length")
     x, bounds, bullets = _grid(case)
+    if not 0 <= bullet_index < len(bullets):
+        raise ValueError(f"minuscule index {bullet_index} outside 0..{len(bullets) - 1}")
     for d, b in zip(digits, bounds):
         if not 1 <= d <= b:
             raise ValueError(f"digit {d} outside 1..{b}")
@@ -512,24 +511,15 @@ def w0_shift(lam: LambdaParam, case: ShiftCase) -> Vec:
 
 def screening_degree(i: int, lam: LambdaParam, case: ShiftCase) -> int | None:
     """Number of screening-current insertions in direction i, normalized into
-    1..bound-1 for the digit bound p * d_i (p in the super family); None marks
-    the sigma_i-fixed case (residue 0)."""
-    rs = case.rs
-    p = case.p
-    if case.variant is Variant.NONSUPER:
-        val = rs.pairing(vadd(vscale(p, lam.value), rs.rho_check), rs.simple_roots[i])
-    else:
-        val = rs.copairing(vadd(vscale(p, lam.value), rs.rho), i)
-    if val.denominator != 1:
-        raise AssertionError(f"screening pairing {val} is not integral")
-    s = int(val) % _grid(case)[1][i]
-    if s == 0:
-        if not is_fixed(i, lam, case):
-            raise AssertionError("zero residue off a fixed point")
-        return None
-    if is_fixed(i, lam, case):
-        raise AssertionError("fixed point with a nonzero residue")
-    return s
+    1..bound-1 for the digit bound p / x_i with x_i = p * (x, alpha_i^vee);
+    None marks the sigma_i-fixed case (residue 0).  The screening pairing
+    p * (lam + x, alpha_i^vee) / x_i is k_i - bound_i * bullet_i on the
+    digits, so the degree is the digit modulo its bound."""
+    s = lam.digits[i] % _grid(case)[1][i]
+    if (s == 0) != is_fixed(i, lam, case):
+        raise AssertionError("zero residue off a fixed point" if s == 0
+                             else "fixed point with a nonzero residue")
+    return s or None
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,10 @@
 * The root-system record built over ``Fraction`` end to end: Gauss-Jordan
   inverses of the Cartan and Gram matrices, and lengths and coroots from the
   Gram form, and the Weyl dimension formula on ``Fraction`` pairings.
+* The twist x, the background charge gamma, the central charge, the
+  conformal weight fock_delta, its norm_shift and the screening pairing,
+  each by its own formula per family (rho_check in the nonsuper family, rho
+  in the super one).
 * Coset representatives as ``Fraction`` vectors, decomposed by
   ``canonical_decompose``, the p-scaled Dynkin labels read off them, the
   representative of a point's coset located the same way, and the alcove
@@ -241,6 +245,57 @@ def weyl_dim_fraction(rs, beta) -> Fraction:
     for row, rho_pair in _coroot_rows(rs):
         num *= sum(map(mul, row, mu)) / rho_pair
     return num
+
+
+# ---------------------------------------------------------------------------
+# the two families, each by its own formula
+# ---------------------------------------------------------------------------
+
+
+def case_data_reference(case):
+    """(x, gamma, central charge): x = rho_check/p, gamma = rho - rho_check/p
+    and c = r - 12p|gamma|^2 in the nonsuper family; x = rho/p,
+    gamma = (1 - 1/p) rho and c = r + 1/2 - 12p|gamma|^2 in the super one."""
+    rs, p = case.rs, case.p
+    if case.variant is Variant.NONSUPER:
+        gamma = vsub(rs.rho, vscale(Fraction(1, p), rs.rho_check))
+        return (vscale(Fraction(1, p), rs.rho_check), gamma,
+                rs.rank - 12 * p * rs.norm2(gamma))
+    gamma = vscale(Fraction(p - 1, p), rs.rho)
+    return (vscale(Fraction(1, p), rs.rho), gamma,
+            rs.rank + Fraction(1, 2) - 12 * p * rs.norm2(gamma))
+
+
+def fock_delta_reference(nu, case) -> Fraction:
+    """(p/2)|nu|^2 - p(nu, rho) + (nu, rho_check), or (p/2)|nu|^2
+    - (p - 1)(nu, rho) in the super family."""
+    rs, p = case.rs, case.p
+    if case.variant is Variant.NONSUPER:
+        return Fraction(p, 2) * rs.norm2(nu) - p * rs.pairing(nu, rs.rho) \
+            + rs.pairing(nu, rs.rho_check)
+    return Fraction(p, 2) * rs.norm2(nu) - (p - 1) * rs.pairing(nu, rs.rho)
+
+
+def norm_shift_reference(case) -> Fraction:
+    """|p rho - rho_check|^2 / 2p, or |(p - 1) rho|^2 / 2p in the super
+    family."""
+    rs, p = case.rs, case.p
+    if case.variant is Variant.NONSUPER:
+        return rs.norm2(vsub(vscale(p, rs.rho), rs.rho_check)) / (2 * p)
+    return rs.norm2(vscale(p - 1, rs.rho)) / (2 * p)
+
+
+def screening_pairing_reference(i, lam, case) -> int:
+    """(p lam + rho_check, alpha_i) in the nonsuper family, (p lam + rho,
+    alpha_i^vee) in the super one; raises where it is not an integer."""
+    rs, p = case.rs, case.p
+    if case.variant is Variant.NONSUPER:
+        val = rs.pairing(vadd(vscale(p, lam.value), rs.rho_check), rs.simple_roots[i])
+    else:
+        val = rs.copairing(vadd(vscale(p, lam.value), rs.rho), i)
+    if val.denominator != 1:
+        raise AssertionError(f"screening pairing {val} is not integral")
+    return int(val)
 
 
 # ---------------------------------------------------------------------------

@@ -103,3 +103,25 @@ def test_cold_runs_add_to_a_summary(tmp_path):
     for side in ("parent", "change"):
         assert len(got[side]["runs"]) == 2
         assert got[side]["median"] == sum(got[side]["runs"]) / 2
+
+
+_lines_spec = importlib.util.spec_from_file_location("src_lines", ROOT / "tools" / "src_lines.py")
+src_lines = importlib.util.module_from_spec(_lines_spec)
+_lines_spec.loader.exec_module(src_lines)
+
+
+def test_src_lines_counts_and_table(tmp_path):
+    # a tree read from disk, as wc -l counts it, against a made-up revision
+    # that lacks one module and has one the tree dropped
+    pkg = tmp_path / "src" / "shiftlab"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\n")
+    (pkg / "b.py").write_text("z = 3\n")
+    (pkg / "notes.txt").write_text("not a module\n")
+    tree = src_lines.tree_counts(tmp_path)
+    assert tree == {"a.py": 2, "b.py": 1}
+    lines = src_lines.table(tree, {"a.py": 5, "old.py": 4}, "HEAD~1").splitlines()
+    assert lines[0].split() == ["module", "HEAD~1", "tree", "delta"]
+    assert [line.split() for line in lines[1:]] == [
+        ["a.py", "5", "2", "-3"], ["b.py", "0", "1", "+1"], ["old.py", "4", "0", "-4"],
+        ["total", "9", "3", "-6"]]

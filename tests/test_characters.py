@@ -8,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     alternating_sum_moved,
+    case_data_reference,
     displayed_norm_exponent,
     dot_action,
+    fock_delta_reference,
+    norm_shift_reference,
     walg_vacuum_superchar_oracle,
     walk_reference,
 )
@@ -22,6 +25,7 @@ from shiftlab.characters import (
     _shell,
     _star_walk,
     _walk,
+    dominant_shell,
     fock_delta,
     fock_point,
     ft_char,
@@ -36,7 +40,7 @@ from shiftlab.characters import (
 )
 from shiftlab.liealg import vadd, vscale, vsub, vzero
 from shiftlab.qseries import FermionKind, QSeries, eta_inv_pow, eta_pow, fermion_char
-from shiftlab.shift import Variant, enumerate_lambda, make_case
+from shiftlab.shift import Variant, _check_member, enumerate_lambda, make_case
 
 A1P2 = make_case("A1", "nonsuper", 2)
 L0 = enumerate_lambda(A1P2)[0]
@@ -47,6 +51,16 @@ def dominant_alphas(rs, max_height):
             if rs.is_dominant(a)]
 
 
+@pytest.mark.parametrize("name", ["A1", "A3", "B3", "C3", "D4", "G2", "F4"])
+def test_dominant_shell_keeps_the_shell_order(name):
+    # ft_char and the CLI's scans read the dominant vectors of each height
+    # in _shell's order
+    rs = make_case(name, "nonsuper", 1).rs
+    for height in range(6):
+        assert list(dominant_shell(rs, height)) == \
+            [a for a in _shell(rs, height) if rs.is_dominant(a)]
+
+
 # -- conformal weights ---------------------------------------------------------
 
 def test_fock_delta_values():
@@ -54,6 +68,31 @@ def test_fock_delta_values():
     assert fock_delta(A1P2.rs.simple_roots[0], A1P2) == 1
     case = make_case("B1", "super", 2)
     assert fock_delta(case.rs.simple_roots[0], case) == Fraction(1, 2)
+
+
+FAMILY_CASES = [(name, "nonsuper", m) for name in ("A1", "A2", "A3", "B2", "C2", "G2")
+                for m in (1, 2, 3)] + \
+    [(name, variant, m) for name in ("B1", "B2", "B3") for variant in ("super", "ramond")
+     for m in (1, 2, 3)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_family_reads_match_per_family_formulas(data):
+    # make_case fixes p*x once, and fock_delta and norm_shift read gamma from
+    # the case; each family's own formula gives the same exact values at
+    # points nu of (1/p)Q*, the span of the fundamental coweights over p
+    case = make_case(*data.draw(st.sampled_from(FAMILY_CASES)))
+    rs, p = case.rs, case.p
+    coeffs = data.draw(st.lists(st.integers(-8, 8), min_size=case.rank, max_size=case.rank))
+    nu = tuple(sum(Fraction(n, p) * w[j] for n, w in zip(coeffs, rs.fund_coweights))
+               for j in range(case.rank))
+    _check_member(nu, case)
+    assert (case.x, case.gamma, case.central_charge) == case_data_reference(case)
+    assert fock_delta(nu, case) == fock_delta_reference(nu, case)
+    assert norm_shift(case) == norm_shift_reference(case)
+    assert fock_delta(nu, case) + norm_shift(case) == \
+        rs.norm2(vscale(p, vsub(nu, case.gamma))) / (2 * p)
 
 
 def test_weight_space_examples():

@@ -177,6 +177,12 @@ def test_unwritable_output_is_a_usage_error(capsys, tmp_path, target):
     ["alcove", "--algebra", "B1", "--variant", "super", "--m", "2", "--lambda", "0,1",
      "--word-cap", "1"],
     ["info", "--algebra", "B2", "--m", "2"],
+    # csv, which only lambda and check can print
+    ["info", "--algebra", "B2", "--format", "csv"],
+    ["ftchar", "--algebra", "A1", "--m", "2", "--lambda", "0,1", "--format", "csv"],
+    ["alcove", "--algebra", "B1", "--variant", "super", "--m", "2", "--lambda", "0,1",
+     "--format", "csv"],
+    ["verify", "wchar", "--algebra", "A1", "--format", "csv"],
 ])
 def test_removed_surface_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -191,19 +197,25 @@ def test_removed_surface_is_a_usage_error(capsys, argv):
     ["char", "--algebra", "A2", "--m", "2", "--lambda", "0,1,1", "--order", "-3"],
     # a bullet class with no strong coset (WallReductionError)
     ["alcove", "--algebra", "A2", "--m", "1", "--lambda", "1,1,1"],
+    # a bullet index outside 0..2, below and above
+    ["char", "--algebra", "A2", "--m", "1", "--lambda=-1,1,1"],
+    ["char", "--algebra", "A2", "--m", "1", "--lambda", "3,1,1"],
+    # a format the subcommand does not offer (argparse's own usage error)
+    ["char", "--algebra", "A1", "--m", "2", "--lambda", "0,1", "--format", "csv"],
 ])
 def test_bad_input_exits_2_without_traceback(argv):
     env = cli_env()
     done = subprocess.run([sys.executable, "-m", "shiftlab.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 2
-    assert done.stderr.startswith("error: ")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
     assert "Traceback" not in done.stderr
 
 
 # the exit-code contract on generated argv: per subcommand, the flags it
 # takes, each drawn well-formed, malformed or left out (--lambda, which
-# every subcommand that takes it requires, is always given)
+# every subcommand that takes it requires, is always given), and --format
+# drawn from the subcommand's own choices
 _LABELS = st.one_of(
     st.builds(lambda i, d: ",".join(map(str, [i, *d])), st.integers(0, 1),
               st.lists(st.integers(1, 3), min_size=1, max_size=2)),
@@ -233,14 +245,18 @@ _COMMANDS = {
     "verify verma": ("variant", "m", "order", "output"),
     "verify walls": ("variant", "m", "order", "output"),
 }
+# the subcommands that print a table, and so offer csv besides json and plain
+_CSV_COMMANDS = ("lambda", "check")
 
 
 @st.composite
 def _argv(draw):
     command = draw(st.sampled_from(sorted(_COMMANDS)))
     argv = command.split() + ["--algebra", draw(st.sampled_from(["A1", "A2", "B1", "B2"]))]
-    for flag in _COMMANDS[command]:
-        value = draw(_FLAGS[flag] if flag == "lambda" else st.one_of(st.none(), _FLAGS[flag]))
+    formats = ["json", "plain"] + (["csv"] if command.split()[0] in _CSV_COMMANDS else [])
+    flags = dict(_FLAGS, format=st.sampled_from(formats))
+    for flag in _COMMANDS[command] + ("format",):
+        value = draw(flags[flag] if flag == "lambda" else st.one_of(st.none(), flags[flag]))
         if value is not None:
             argv.append(f"--{flag}={value}")
     return argv
@@ -257,6 +273,8 @@ def test_exit_contract_on_generated_argv(argv):
             code = exc.code
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue(), argv
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
 
 
 def test_every_config_field_is_read():

@@ -16,6 +16,7 @@ from oracles import (
     lambda_of_value_fraction,
     mat_vec,
     orbit_reference,
+    screening_pairing_reference,
     weyl_matrix,
 )
 
@@ -159,6 +160,15 @@ def test_lambda_count(name, variant, m, count):
 def test_lambda_a1_explicit():
     labels = [l.key() for l in enumerate_lambda(A1P2)]
     assert labels == [(0, (1,)), (0, (2,)), (1, (1,)), (1, (2,))]
+
+
+@pytest.mark.parametrize("index", [-1, 3])
+def test_lambda_from_refuses_a_bullet_index_out_of_range(index):
+    # A2 has three minuscule weights; -1 would read the last of them under a
+    # key no table holds
+    case = make_case("A2", "nonsuper", 1)
+    with pytest.raises(ValueError, match="minuscule index"):
+        lambda_from(case, index, (1, 1))
 
 
 def test_lambda_super_parity():
@@ -613,16 +623,18 @@ def test_screening_degree_zero_coset():
 
 @pytest.mark.parametrize("name,variant,m", AXIOM_SWEEP_CASES)
 def test_screening_degree_matches_digits(name, variant, m):
-    # the residue is the digit modulo its bound p * d_i (p in the super
-    # family), zero exactly at the sigma_i-fixed cosets, where the digit sits
-    # at its bound
+    # the degree is the screening pairing modulo the digit bound p * d_i (p in
+    # the super family), read here off each family's own pairing; it equals
+    # the digit modulo its bound, and is zero exactly at the sigma_i-fixed
+    # cosets, where the digit sits at its bound
     case = make_case(name, variant, m)
     for lamp in enumerate_lambda(case):
         for i in range(case.rank):
             bound = int(case.p * case.rs.half_lengths[i]) if variant == "nonsuper" else case.p
             s = screening_degree(i, lamp, case)
+            want = screening_pairing_reference(i, lamp, case) % bound
+            assert (s or 0) == want == lamp.digits[i] % bound, (lamp.label(), i)
             assert (s is None) == is_fixed(i, lamp, case)
-            assert (s or 0) == lamp.digits[i] % bound, (lamp.label(), i)
 
 
 # -- the integer tables against the Fraction route, cell by cell -----------------

@@ -23,7 +23,6 @@ from .liealg import (
     CapExceededError,
     Vec,
     vadd,
-    vneg,
     vscale,
     vsub,
 )
@@ -33,6 +32,7 @@ from .shift import (
     LambdaParam,
     ShiftCase,
     Variant,
+    _cosets,
     system,
 )
 
@@ -65,21 +65,12 @@ class FockPoint(NamedTuple):
 
 
 def fock_point(case: ShiftCase, lam: LambdaParam, beta: Vec) -> FockPoint:
-    """The unique lattice point of the lam-module with Cartan weight beta."""
-    rs = case.rs
-    if not rs.in_weight_lattice(beta):
-        raise ValueError(f"{beta} is not an integral weight")
-    if not rs.in_root_lattice(vsub(beta, lam.bullet_up)):
-        raise ValueError(
-            f"weight {beta} is not in the Cartan support coset of {lam.label()}")
-    box = vadd(lam.value, lam.bullet_up)
-    nu = vsub(box, beta)
-    for i in range(rs.rank):
-        t = rs.copairing(vneg(nu), i)
-        c = t.numerator // t.denominator + (0 if t.denominator == 1 else 1)
-        if c != rs.copairing(beta, i):
-            raise AssertionError("ceiling-weight mismatch")
-    return FockPoint(nu, lam, beta)
+    """The unique lattice point of the lam-module with Cartan weight beta:
+    beta's labels are checked against lam's class in P/Q, the box's ceiling
+    check having run once per coset when the coset table was built."""
+    table = _cosets(case)
+    table.check_point(case.rs.integral_labels(beta), table.index[lam.key()])
+    return FockPoint(vsub(vadd(lam.value, lam.bullet_up), beta), lam, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -108,11 +99,13 @@ def ramond_delta(nu: Vec, case: ShiftCase) -> Fraction:
 # weight-space characters
 # ---------------------------------------------------------------------------
 
-def _tail(case: ShiftCase, order: int, twisted: bool) -> QSeries:
+_TAIL_KIND = {Variant.NONSUPER: None, Variant.SUPER: FermionKind.NS_CH,
+              Variant.SUPER_RAMOND: FermionKind.R_TWISTED}
+
+
+def _tail(case: ShiftCase, order: int) -> QSeries:
     """eta(q)^-rank, times the free-fermion character in the super family."""
-    kind = (None if case.variant is Variant.NONSUPER
-            else FermionKind.R_TWISTED if twisted else FermionKind.NS_CH)
-    return _eta_inv_fermion(case.rank, kind, order)
+    return _eta_inv_fermion(case.rank, _TAIL_KIND[case.variant], order)
 
 
 def weight_space_char(lam: LambdaParam, beta: Vec, case: ShiftCase,
@@ -122,14 +115,20 @@ def weight_space_char(lam: LambdaParam, beta: Vec, case: ShiftCase,
     twisted = case.variant is Variant.SUPER_RAMOND
     delta = ramond_delta(pt.nu, case) if twisted else fock_delta(pt.nu, case)
     base = delta - case.central_charge / 24
-    tail = _tail(case, order, twisted)
+    tail = _tail(case, order)
     return tail.qshift(base - tail.base)
 
 
-def _check_multiplet_inputs(case: ShiftCase, alpha: Vec):
+def _check_multiplet_inputs(case: ShiftCase, alpha: Vec, lam: LambdaParam) -> tuple[int, ...]:
+    """The Dynkin labels of beta = alpha + bullet, for alpha in Q with beta
+    dominant."""
     rs = case.rs
-    if not rs.in_root_lattice(alpha) or not rs.is_dominant(alpha):
-        raise ValueError(f"{alpha} is not a dominant root-lattice weight")
+    if rs.in_root_lattice(alpha):
+        labels = rs.integral_labels(vadd(alpha, lam.bullet_up))
+        if min(labels) >= 0:
+            return labels
+    raise ValueError(f"alpha {','.join(map(str, alpha))} is not a root-lattice weight "
+                     f"with alpha + bullet dominant")
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +136,7 @@ def _check_multiplet_inputs(case: ShiftCase, alpha: Vec):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _form(case: ShiftCase, twisted: bool):
+def _form(case: ShiftCase):
     """(quad, lin, den, const): a term whose point nu has u = p*nu - gamma'
     with integer Dynkin labels u (gamma' = p*gamma) sits at
     q^(const + (u.quad.u + lin.u)/den); lin is the Ramond flow correction,
@@ -149,7 +148,7 @@ def _form(case: ShiftCase, twisted: bool):
     quad = [[d * c / (2 * p * det) for c in row] for d, row in zip(rs.half_lengths, adj)]
     lin = [Fraction(0)] * r
     const = -norm_shift(case) - case.central_charge / 24
-    if twisted:
+    if case.variant is Variant.SUPER_RAMOND:
         # the flow nu -> nu + fund_weight_r/p moves u by the unit label e_r
         _check_ramond(case)
         lin = [2 * c for c in quad[r - 1]]
@@ -159,18 +158,18 @@ def _form(case: ShiftCase, twisted: bool):
             tuple(int(c * den) for c in lin), den, const)
 
 
-def _walk(case: ShiftCase, lam: LambdaParam, beta: Vec, twisted: bool):
-    """One pass over W (enumeration order) for the alternating sum at beta:
-    the labels t of w(beta + rho) and the exponent numerators (see _form) of
-    the dot terms, u = b_lam - p*t; b = p*labels(box + x).
+def _walk(case: ShiftCase, lam: LambdaParam, labels: tuple[int, ...]):
+    """One pass over W (enumeration order) for the alternating sum at the
+    weight beta with these Dynkin labels: the labels t of w(beta + rho) and
+    the exponent numerators (see _form) of the dot terms, u = b_lam - p*t;
+    b = p*labels(box + x).
 
     Q being W-invariant, a dot numerator Q(u) + lin.u is c0 - g.t with
     g = p*(2 quad.b + lin) and c0 = Q(b) + lin.b + p^2 Q(t_id).  Its point
     w o beta = w(beta + rho) - rho stays in beta + Q, whose class key
     (ShiftSystem checks it on the simple roots) and box are those of beta, so
     fock_point's checks run once, on beta."""
-    sys, (quad, lin, _, _), p = system(case), _form(case, twisted), case.p
-    labels = case.rs.integral_labels(beta)
+    sys, (quad, lin, _, _), p = system(case), _form(case), case.p
     l_idx = sys.index[lam.key()]
     sys.check_point(labels, l_idx)
     b = sys._start[l_idx][1]
@@ -183,15 +182,15 @@ def _walk(case: ShiftCase, lam: LambdaParam, beta: Vec, twisted: bool):
     return orbit, [c0 - sum(map(mul, g, t)) for t in orbit]
 
 
-def _star_walk(case: ShiftCase, lam: LambdaParam, beta: Vec, twisted: bool) -> list[int]:
+def _star_walk(case: ShiftCase, lam: LambdaParam, labels: tuple[int, ...]) -> list[int]:
     """The exponent numerators of the * terms over W, in enumeration order:
     v = b_{w*lam} - p*labels(beta + rho - w^lam), with the full form and
     fock_point's coset check (check_point) per term.  The Ramond flow adds
     w(e_r) to the moved point: Q(v + w(e_r)) - Q(e_r) = Q(v) + 2 w(e_r).quad.v."""
-    sys, (quad, _, _, _), p, r = system(case), _form(case, twisted), case.p, case.rank
-    labels = case.rs.integral_labels(beta)
+    sys, (quad, _, _, _), p, r = system(case), _form(case), case.p, case.rank
     act, shift = sys.row(sys.index[lam.key()])
-    flows = sys.orbit(tuple(int(i == r - 1) for i in range(r))) if twisted else None
+    flows = (sys.orbit(tuple(int(i == r - 1) for i in range(r)))
+             if case.variant is Variant.SUPER_RAMOND else None)
     mov = []
     for w, (target, up) in enumerate(zip(act, shift)):
         point = list(map(sub, labels, up))
@@ -210,11 +209,10 @@ def _numerator(case: ShiftCase, exps: list[int], signs=None) -> dict[int, int]:
     return num
 
 
-def _times_tail(case: ShiftCase, twisted: bool, num: dict[int, int],
-                tail: QSeries) -> QSeries:
+def _times_tail(case: ShiftCase, num: dict[int, int], tail: QSeries) -> QSeries:
     """The sparse numerator times the shared tail, up to the cutoff of its
     lowest term, cancelled or not."""
-    _, _, den, const = _form(case, twisted)
+    _, _, den, const = _form(case)
     lo = min(num)
     base = const + Fraction(lo, den)
     live = [(e - lo, c) for e, c in num.items() if c]
@@ -230,21 +228,21 @@ def _times_tail(case: ShiftCase, twisted: bool, num: dict[int, int],
     return QSeries.make(base, grid, out, base + tail.cutoff - tail.base)
 
 
-def _alternating_sum(case: ShiftCase, lam: LambdaParam, beta: Vec, order: int,
-                     twisted: bool = False) -> QSeries:
+def _alternating_sum(case: ShiftCase, lam: LambdaParam, beta: Vec, order: int) -> QSeries:
     """sum over W of (-1)^len q^(weight of the dot-moved Cartan weight),
     sharing one tail series across the orbit."""
-    num = _numerator(case, _walk(case, lam, beta, twisted)[1])
-    return _times_tail(case, twisted, num, _tail(case, order, twisted))
+    num = _numerator(case, _walk(case, lam, case.rs.integral_labels(beta))[1])
+    return _times_tail(case, num, _tail(case, order))
 
 
-def _checked_numerator(case: ShiftCase, lam: LambdaParam, beta: Vec, twisted: bool,
+def _checked_numerator(case: ShiftCase, lam: LambdaParam, labels: tuple[int, ...],
                        dot: list[int], tail: QSeries) -> dict[int, int]:
-    """The dot route's numerator at beta, after checking the * route against it."""
-    dot, mov = _numerator(case, dot), _numerator(case, _star_walk(case, lam, beta, twisted))
+    """The dot route's numerator at the weight with these labels, after
+    checking the * route against it."""
+    dot, mov = _numerator(case, dot), _numerator(case, _star_walk(case, lam, labels))
     # the routes share the tail, whose leading coefficient is nonzero: their
     # series agree up to the smaller cutoff exactly when the numerators do
-    top = min(min(dot), min(mov)) + floor((tail.cutoff - tail.base) * _form(case, twisted)[2])
+    top = min(min(dot), min(mov)) + floor((tail.cutoff - tail.base) * _form(case)[2])
     if ({e: c for e, c in dot.items() if c and e <= top}
             != {e: c for e, c in mov.items() if c and e <= top}):
         raise AssertionError("the two alternating-sum routes disagree")
@@ -254,12 +252,10 @@ def _checked_numerator(case: ShiftCase, lam: LambdaParam, beta: Vec, twisted: bo
 def multiplet_char(alpha: Vec, lam: LambdaParam, case: ShiftCase,
                    order: int) -> QSeries:
     """Character of the multiplicity space attached to (alpha, lam)."""
-    _check_multiplet_inputs(case, alpha)
-    twisted = case.variant is Variant.SUPER_RAMOND
-    tail = _tail(case, order, twisted)
-    beta = vadd(alpha, lam.bullet_up)
-    num = _checked_numerator(case, lam, beta, twisted, _walk(case, lam, beta, twisted)[1], tail)
-    return _times_tail(case, twisted, num, tail)
+    labels = _check_multiplet_inputs(case, alpha, lam)
+    tail = _tail(case, order)
+    num = _checked_numerator(case, lam, labels, _walk(case, lam, labels)[1], tail)
+    return _times_tail(case, num, tail)
 
 
 def multiplet_superchar(alpha: Vec, lam: LambdaParam, case: ShiftCase,
@@ -267,13 +263,13 @@ def multiplet_superchar(alpha: Vec, lam: LambdaParam, case: ShiftCase,
     """Signed (supertrace) variant; only meaningful in the super family."""
     if case.variant is not Variant.SUPER:
         raise UnsupportedCaseError("supercharacters require the super variant")
-    _check_multiplet_inputs(case, alpha)
+    labels = _check_multiplet_inputs(case, alpha, lam)
     r, d = case.rank, case.rs.half_lengths[-1]
-    orbit, dot = _walk(case, lam, vadd(alpha, lam.bullet_up), False)
+    orbit, dot = _walk(case, lam, labels)
     # extra sign floor((w o beta, alpha_r)), where w o beta = w(beta + rho) - rho
     signs = [-1 if (w.length + d.numerator * (top[r - 1] - 1) // d.denominator) % 2 else 1
              for w, top in zip(system(case).weyl, orbit)]
-    return _times_tail(case, False, _numerator(case, dot, signs),
+    return _times_tail(case, _numerator(case, dot, signs),
                        _eta_inv_fermion(r, FermionKind.NS_SCH, order))
 
 
@@ -316,8 +312,11 @@ def _height_bound(case: ShiftCase, lam: LambdaParam, cutoff: Fraction) -> int:
     raise RuntimeError("height bound scan failed to terminate")  # pragma: no cover
 
 
-def ft_char(lam: LambdaParam, case: ShiftCase, order: int,
-            alpha_cap: int = 10**4) -> QSeries:
+# ft_char refuses to sum more dominant weights than this below one cutoff
+ALPHA_CAP = 10**4
+
+
+def ft_char(lam: LambdaParam, case: ShiftCase, order: int) -> QSeries:
     """Character of the full construction: the dimension-weighted sum of the
     multiplicity-space characters over dominant root-lattice weights.
 
@@ -329,30 +328,30 @@ def ft_char(lam: LambdaParam, case: ShiftCase, order: int,
     """
     check_order(order)
     rs = case.rs
-    twisted = case.variant is Variant.SUPER_RAMOND
     cutoff = order - case.central_charge / 24
-    _, _, den, const = _form(case, twisted)
+    _, _, den, const = _form(case)
     num: dict[int, int] = {}  # zero coefficients kept: they fix the cutoff
     tail = None
     n_terms = 0
     for height in range(_height_bound(case, lam, cutoff) + 1):
         for alpha in dominant_shell(rs, height):
             beta = vadd(alpha, lam.bullet_up)
-            _, dot = _walk(case, lam, beta, twisted)
+            labels = rs.integral_labels(beta)
+            _, dot = _walk(case, lam, labels)
             if const + Fraction(min(dot), den) > cutoff + 2:
                 continue
             n_terms += 1
-            if n_terms > alpha_cap:
+            if n_terms > ALPHA_CAP:
                 raise CapExceededError(
-                    f"more than {alpha_cap} dominant weights below the cutoff")
+                    f"more than {ALPHA_CAP} dominant weights below the cutoff")
             if tail is None:
-                tail = _tail(case, order, twisted)
+                tail = _tail(case, order)
             dim = rs.weyl_dim(beta)
-            for e, c in _checked_numerator(case, lam, beta, twisted, dot, tail).items():
+            for e, c in _checked_numerator(case, lam, labels, dot, tail).items():
                 num[e] = num.get(e, 0) + dim * c
     if not num:
         return QSeries.zero(cutoff)
-    return _times_tail(case, twisted, num, tail).truncate(cutoff)
+    return _times_tail(case, num, tail).truncate(cutoff)
 
 
 @lru_cache(maxsize=None)
@@ -423,5 +422,5 @@ def verma_char_super(mu: Vec, case: ShiftCase, order: int) -> QSeries:
     v = vsub(mu, vscale(case.p, case.gamma))
     exponent = case.rs.norm2(v) / (2 * case.p) - norm_shift(case) \
         - case.central_charge / 24
-    tail = _tail(case, order, twisted=False)
+    tail = _tail(case, order)
     return tail.qshift(exponent - tail.base)

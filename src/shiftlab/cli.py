@@ -87,9 +87,8 @@ def _parse_alpha(case: shift.ShiftCase, text: str):
 
 
 def _emit(cfg: RunConfig, payload, csv_text: str | None = None) -> None:
+    # argparse offers csv only to the commands that pass csv_text
     if cfg.fmt == "csv":
-        if csv_text is None:
-            raise ConfigError("csv output is not available for this command")
         text = csv_text
     elif cfg.fmt == "plain":
         text = _plainify(payload)
@@ -150,9 +149,24 @@ def cmd_check(cfg: RunConfig, args) -> int:
         report = _alcove_independence_report(case)
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown suite {args.suite}")
-    csv_text = None if args.suite == "alcove-independence" else report.to_csv()
+    csv_text = (_failures_csv(report) if args.suite == "alcove-independence"
+                else report.to_csv())
     _emit(cfg, report.to_json_dict(), csv_text)
     return 0 if report.ok else VERIFY_ERROR
+
+
+def _failures_csv(report: shift.ShiftReport) -> str:
+    """One row per failure record of the alcove-independence report; a
+    closed-form mismatch gives its got and want as JSON in the detail."""
+    import csv
+    import io
+    out = io.StringIO()
+    rows = csv.writer(out, lineterminator="\n")
+    rows.writerow(["check", "bullet", "alpha", "detail"])
+    rows.writerows([f["check"], f["bullet"], ",".join(f["alpha"]),
+                    f.get("detail") or json.dumps({"got": f["got"], "want": f["want"]})]
+                   for f in report.failures)
+    return out.getvalue()
 
 
 def _alcove_independence_report(case: shift.ShiftCase) -> shift.ShiftReport:

@@ -324,32 +324,18 @@ class RootSystem(NamedTuple):
             raise ValueError(f"{mu} is not an integral weight")
         return tuple(x // n for x in labels)
 
-    def reflect(self, i: int, mu: Vec) -> Vec:
-        """sigma_i(mu) = mu - (mu, alpha_i^vee) alpha_i."""
-        c = self.copairing(mu, i)
-        if c == 0:
-            return mu
-        out = list(mu)
-        out[i] -= c
-        return tuple(out)
-
     def is_dominant(self, mu: Vec) -> bool:
         return min(self.scaled_labels(mu)[0]) >= 0
 
     def in_root_lattice(self, mu: Vec) -> bool:
         return all(x.denominator == 1 for x in mu)
 
-    def in_weight_lattice(self, mu: Vec) -> bool:
-        labels, n = self.scaled_labels(mu)
-        return all(x % n == 0 for x in labels)
-
     # -- Weyl group --------------------------------------------------------
 
     def weyl_apply(self, w: WeylElement, mu: Vec) -> Vec:
-        """w(mu): the simple reflections of w's word, last letter first."""
-        for i in reversed(w.word):
-            mu = self.reflect(i, mu)
-        return mu
+        """w(mu): the scaled labels of mu reflected along w's word."""
+        labels, n = self.scaled_labels(mu)
+        return self.from_labels(self.reflect_along(w.word, labels), n)
 
     def root_labels(self) -> tuple[tuple[int, ...], ...]:
         """Dynkin labels of the simple roots: the columns of the Cartan matrix."""

@@ -20,7 +20,6 @@ Every representative is the unique element -bullet + box of its coset with
 from __future__ import annotations
 
 import enum
-import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -39,7 +38,6 @@ from .liealg import (
     vneg,
     vscale,
     vsub,
-    vzero,
 )
 
 
@@ -122,20 +120,20 @@ def _check_member(mu: Vec, case: ShiftCase) -> None:
         raise ValueError(f"{mu} is not in (1/p)Q* for p={case.p}")
 
 
+def _scaled_point(mu: Vec, case: ShiftCase) -> list[int]:
+    """p * labels(mu + x), integral for mu in (1/p)Q*."""
+    _check_member(mu, case)
+    labels, n = case.rs.scaled_labels(mu)
+    return [case.p * v // n + s for v, s in zip(labels, _grid(case)[0])]
+
+
 def canonical_decompose(mu: Vec, case: ShiftCase) -> tuple[Vec, Vec]:
     """Unique (bullet, box) with mu = -bullet + box, bullet integral,
-    and 0 < (box + x, alpha_i^vee) <= 1 for every i."""
-    rs = case.rs
-    _check_member(mu, case)
-    bullet = vzero(rs.rank)
-    for i in range(rs.rank):
-        t = rs.copairing(vadd(mu, case.x), i)
-        # unique integer n with -t < n <= 1 - t
-        n = 1 - t.numerator // t.denominator if t.denominator == 1 else math.ceil(-t)
-        if n:
-            bullet = vadd(bullet, vscale(n, rs.fund_weights[i]))
-    box = vadd(mu, bullet)
-    return bullet, box
+    and 0 < (box + x, alpha_i^vee) <= 1 for every i: the bullet has labels
+    (p - a) // p for a = p * labels(mu + x), as in Cosets.locate."""
+    p = case.p
+    bullet = case.rs.from_labels([(p - a) // p for a in _scaled_point(mu, case)])
+    return bullet, vadd(mu, bullet)
 
 
 @lru_cache(maxsize=None)
@@ -211,10 +209,8 @@ def enumerate_lambda(case: ShiftCase) -> tuple[LambdaParam, ...]:
 def lambda_of_value(case: ShiftCase, mu: Vec) -> LambdaParam:
     """Canonical representative in Lambda of the coset mu + Q, located from
     the p-scaled Dynkin labels of mu + x."""
-    _check_member(mu, case)
-    table, mu_x = _cosets(case), vadd(mu, case.x)
-    return table.lambdas[table.locate([case.p * case.rs.copairing(mu_x, i)
-                                       for i in range(case.rank)])[0]]
+    table = _cosets(case)
+    return table.lambdas[table.locate(_scaled_point(mu, case))[0]]
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,18 @@
   conformal weight fock_delta, its norm_shift and the screening pairing,
   each by its own formula per family (rho_check in the nonsuper family, rho
   in the super one).
-* Coset representatives as ``Fraction`` vectors, decomposed by
-  ``canonical_decompose``, the p-scaled Dynkin labels read off them, the
-  representative of a point's coset located the same way, and the alcove
-  inequality as a ``Fraction`` pairing with theta_L.
+* Coset representatives as ``Fraction`` vectors, decomposed by a ``Fraction``
+  canonical decomposition (``canonical_decompose_fraction``), the p-scaled
+  Dynkin labels read off them, the representative of a point's coset
+  located the same way, and the alcove inequality as a ``Fraction`` pairing
+  with theta_L.
+* The lattice point of a Cartan weight by ``Fraction`` copairings, with its
+  coset and ceiling checks (``fock_point_fraction``).
 * The Weyl orbit of a weight by dense label reflections, and the character
   walk term by term: the full quadratic form and fock_point's checks on
   every dot term.
-* The circle action of an affine element on ``Fraction`` coordinates.
+* The circle action of an affine element on ``Fraction`` coordinates, with
+  the finite part acting by the matrix of its word.
 * The eta powers and free-fermion characters by the pentagonal recurrences,
   square-and-multiply over the Kronecker ``convolve`` and a binomial product.
 * Helpers that only the tests call: the dot action, the * route of the
@@ -24,12 +28,14 @@
   and the affine identity.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
 from shiftlab.alcove import AffineWeight, AffineWeylElt, _family
 from shiftlab.characters import (
+    FockPoint,
     UnsupportedCaseError,
     _form,
     _numerator,
@@ -51,7 +57,7 @@ from shiftlab.liealg import (
     weyl_order,
 )
 from shiftlab.qseries import FermionKind, QSeries, check_order, convolve
-from shiftlab.shift import LambdaParam, Variant, canonical_decompose, lambda_from, system
+from shiftlab.shift import LambdaParam, Variant, _check_member, lambda_from, system
 
 # ---------------------------------------------------------------------------
 # exact linear algebra
@@ -113,6 +119,11 @@ def weyl_matrix(rs, word):
         m = mat_mul(m, tuple(tuple(int(k == j) - (rs.cartan[i][j] if k == i else 0)
                                    for j in range(n)) for k in range(n)))
     return m
+
+
+def weyl_apply_matrix(rs, w, mu):
+    """w(mu) as the matrix of w's word times mu."""
+    return mat_vec(weyl_matrix(rs, w.word), mu)
 
 
 def matrix_length(rs, m):
@@ -315,9 +326,43 @@ def fraction_lambda_from(case, bullet_index, digits) -> LambdaParam:
     return LambdaParam(bullet_index, bullet, tuple(digits), vadd(vneg(bullet), box))
 
 
+def canonical_decompose_fraction(mu, case):
+    """(bullet, box) with mu = -bullet + box, bullet integral and
+    0 < (box + x, alpha_i^vee) <= 1, one fundamental weight at a time from
+    Fraction copairings."""
+    rs = case.rs
+    _check_member(mu, case)
+    bullet = vzero(rs.rank)
+    for i in range(rs.rank):
+        t = rs.copairing(vadd(mu, case.x), i)
+        # unique integer n with -t < n <= 1 - t
+        n = 1 - t.numerator // t.denominator if t.denominator == 1 else math.ceil(-t)
+        if n:
+            bullet = vadd(bullet, vscale(n, rs.fund_weights[i]))
+    return bullet, vadd(mu, bullet)
+
+
+def fock_point_fraction(case, lam, beta):
+    """The lattice point nu = box - beta of the lam-module at the Cartan
+    weight beta, checked on Fraction copairings: beta integral, beta - bullet
+    in Q, and ceil(-nu) = beta against the simple coroots."""
+    rs = case.rs
+    labels = [rs.copairing(beta, i) for i in range(rs.rank)]
+    if any(c.denominator != 1 for c in labels):
+        raise ValueError(f"{beta} is not an integral weight")
+    if not rs.in_root_lattice(vsub(beta, lam.bullet_up)):
+        raise ValueError(
+            f"weight {beta} is not in the Cartan support coset of {lam.label()}")
+    nu = vsub(vadd(lam.value, lam.bullet_up), beta)
+    for i in range(rs.rank):
+        if math.ceil(rs.copairing(vneg(nu), i)) != labels[i]:
+            raise AssertionError("ceiling-weight mismatch")
+    return FockPoint(nu, lam, beta)
+
+
 def fraction_start(case, lam):
     """(p * labels of lam + x, p * labels of box + x, labels of the bullet),
-    with the box read off canonical_decompose."""
+    with the box read off canonical_decompose_fraction."""
     rs, p = case.rs, case.p
 
     def scaled(v):
@@ -325,7 +370,7 @@ def fraction_start(case, lam):
         assert all(t.denominator == 1 for t in out)
         return tuple(int(t) for t in out)
 
-    bullet, box = canonical_decompose(lam.value, case)
+    bullet, box = canonical_decompose_fraction(lam.value, case)
     assert bullet == lam.bullet_up
     x = scaled(case.x)
     a = tuple(v + c for v, c in zip(scaled(lam.value), x))
@@ -334,11 +379,11 @@ def fraction_start(case, lam):
 
 
 def lambda_of_value_fraction(case, mu) -> LambdaParam:
-    """lambda_of_value over Fraction: canonical_decompose, a scan of the
-    minuscule weights for the bullet's class, and the digits read off the box
-    by copairing."""
+    """lambda_of_value over Fraction: canonical_decompose_fraction, a scan of
+    the minuscule weights for the bullet's class, and the digits read off the
+    box by copairing."""
     rs = case.rs
-    bullet, box = canonical_decompose(mu, case)
+    bullet, box = canonical_decompose_fraction(mu, case)
     for b_idx, mn in enumerate(rs.minuscule):
         if rs.in_root_lattice(vsub(bullet, mn)):
             break
@@ -367,24 +412,23 @@ def alcove_inequality_fraction(lam, case) -> bool:
 
 
 def dot_action(case, w, beta):
-    """w o beta = w(beta + rho) - rho."""
+    """w o beta = w(beta + rho) - rho, w acting by the matrix of its word."""
     rs = case.rs
-    return vsub(rs.weyl_apply(w, vadd(beta, rs.rho)), rs.rho)
+    return vsub(weyl_apply_matrix(rs, w, vadd(beta, rs.rho)), rs.rho)
 
 
 def alternating_sum_moved(case, lam, beta, order: int) -> QSeries:
     """The alternating sum through the * action: terms live on the moved
     cosets."""
-    twisted = case.variant is Variant.SUPER_RAMOND
-    num = _numerator(case, _star_walk(case, lam, beta, twisted))
-    return _times_tail(case, twisted, num, _tail(case, order, twisted))
+    num = _numerator(case, _star_walk(case, lam, case.rs.integral_labels(beta)))
+    return _times_tail(case, num, _tail(case, order))
 
 
 def displayed_norm_exponent(case, lam, alpha, w) -> Fraction:
     """Closed-form exponent of one alternating-sum term as a squared norm."""
     rs = case.rs
     box = vadd(lam.value, lam.bullet_up)
-    inner = rs.weyl_apply(w, vadd(alpha, vadd(lam.bullet_up, rs.rho)))
+    inner = weyl_apply_matrix(rs, w, vadd(alpha, vadd(lam.bullet_up, rs.rho)))
     shift_vec = rs.rho_check if case.variant is Variant.NONSUPER else rs.rho
     v = vadd(vneg(vscale(case.p, inner)), vadd(vscale(case.p, box), shift_vec))
     return rs.norm2(v) / (2 * case.p)
@@ -436,12 +480,12 @@ def orbit_reference(sys, labels, count=None):
     return out
 
 
-def walk_reference(case, lam, beta, twisted, moved=False):
+def walk_reference(case, lam, beta, moved=False):
     """characters._walk term by term: the labels of beta from Fraction
     copairings, every dot exponent as the full form Q(u) + lin.u of
     u = b_lam - p*labels(w(beta + rho)), and fock_point's checks on every dot
     term as on every * term."""
-    sys, (quad, lin, _, _), p, r = system(case), _form(case, twisted), case.p, case.rank
+    sys, (quad, lin, _, _), p, r = system(case), _form(case), case.p, case.rank
     labels = tuple(case.rs.copairing(beta, i) for i in range(r))
     if any(c.denominator != 1 for c in labels):
         raise ValueError(f"{beta} is not an integral weight")
@@ -450,7 +494,7 @@ def walk_reference(case, lam, beta, twisted, moved=False):
     orbit = orbit_reference(sys, tuple(c + 1 for c in labels))
     act, shift = sys.row(l_idx) if moved else (None, None)
     flows = (orbit_reference(sys, tuple(int(i == r - 1) for i in range(r)))
-             if moved and twisted else None)
+             if moved and case.variant is Variant.SUPER_RAMOND else None)
     dot, mov = [], []
     for w, top in enumerate(orbit):
         sys.check_point(tuple(c - 1 for c in top), l_idx)
@@ -468,7 +512,8 @@ def walk_reference(case, lam, beta, twisted, moved=False):
 
 def dot_act_fraction(w, mu, case) -> AffineWeight:
     """Circle action w o mu = (s t_B)(mu + rho_hat) - rho_hat on Fraction
-    coordinates: Gram-form pairings and simple reflections along the word."""
+    coordinates: Gram-form pairings and the matrix of the finite part's
+    word."""
     fam = _family(case)
     rs = case.rs
     fam.check_translation(w.translation)
@@ -481,7 +526,7 @@ def dot_act_fraction(w, mu, case) -> AffineWeight:
         u = fam.form_factor
         delta = delta - u * rs.pairing(fin, b) - u * scale / 2 * rs.norm2(b)
         fin = vadd(fin, vscale(scale, b))
-    fin = rs.weyl_apply(w.finite_part, fin)
+    fin = weyl_apply_matrix(rs, w.finite_part, fin)
     return AffineWeight(vsub(fin, fam.rho_hat_fin), level - fam.rho_hat_level, delta)
 
 

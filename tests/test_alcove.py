@@ -4,7 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import affine_identity, dot_act_fraction, invert_mat, mat_vec, weyl_matrix
+from oracles import (
+    affine_identity,
+    dot_act_fraction,
+    dot_action,
+    invert_mat,
+    mat_vec,
+    weyl_matrix,
+)
 
 from shiftlab.alcove import (
     AffineWeight,
@@ -291,9 +298,8 @@ def test_verma_compatibility_via_reduction():
 
 
 def dot_action_beta(case, w, lam):
-    rs = case.rs
-    beta = lam.bullet_up
-    return vsub(rs.weyl_apply(w, vadd(beta, rs.rho)), rs.rho)
+    # w o bullet, w acting by the matrix of its word (y_sigma reads weyl_apply)
+    return dot_action(case, w, lam.bullet_up)
 
 
 def test_alcove_json_shape():

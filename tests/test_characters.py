@@ -12,11 +12,14 @@ from oracles import (
     displayed_norm_exponent,
     dot_action,
     fock_delta_reference,
+    fock_point_fraction,
     norm_shift_reference,
     walg_vacuum_superchar_oracle,
     walk_reference,
+    weyl_apply_matrix,
 )
 
+from shiftlab import characters
 from shiftlab.characters import (
     UnsupportedCaseError,
     _alternating_sum,
@@ -38,7 +41,7 @@ from shiftlab.characters import (
     walg_vacuum_oracle,
     weight_space_char,
 )
-from shiftlab.liealg import vadd, vscale, vsub, vzero
+from shiftlab.liealg import CapExceededError, RootSystem, vadd, vscale, vsub, vzero
 from shiftlab.qseries import FermionKind, QSeries, eta_inv_pow, eta_pow, fermion_char
 from shiftlab.shift import Variant, _check_member, enumerate_lambda, make_case
 
@@ -119,6 +122,42 @@ def test_fock_point_coset_errors():
         _alternating_sum(A1P2, L0, (Fraction(1, 3),), 5)
 
 
+@pytest.mark.parametrize("name,variant,m", [
+    ("A1", "nonsuper", 2), ("A2", "nonsuper", 1), ("A2", "nonsuper", 2),
+    ("B2", "nonsuper", 2), ("G2", "nonsuper", 1), ("B2", "super", 2),
+    ("B2", "ramond", 3), ("C3", "nonsuper", 1), ("D4", "nonsuper", 1)])
+def test_fock_point_matches_fraction_route(name, variant, m):
+    # the class check on integer labels against the Fraction copairings, on
+    # weights of every class of P/Q and on weights off the weight lattice:
+    # the same point, or a ValueError from both
+    case = make_case(name, variant, m)
+    rs = case.rs
+    weights = [vadd(mn, rs.positive_roots[k]) for mn in rs.minuscule for k in (0, -1)]
+    weights += [vscale(Fraction(1, 2), rs.fund_weights[0]), vsub(rs.rho, rs.theta)]
+    for lam in enumerate_lambda(case):
+        for beta in weights:
+            try:
+                want = fock_point_fraction(case, lam, beta)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    fock_point(case, lam, beta)
+                continue
+            assert fock_point(case, lam, beta) == want
+
+
+def test_fock_point_reads_no_weyl_group(monkeypatch):
+    # the checks run on the coset tables alone, so E7 and E8 are in reach
+    def refuse(self):
+        raise AssertionError("the Weyl group was enumerated")
+
+    monkeypatch.setattr(RootSystem, "weyl_table", refuse)
+    for name in ("E7", "E8"):
+        case = make_case(name, "nonsuper", 1)
+        for lam in enumerate_lambda(case):
+            beta = vadd(lam.bullet_up, case.rs.theta)
+            assert fock_point(case, lam, beta) == fock_point_fraction(case, lam, beta)
+
+
 def test_displayed_norm_exponent_matches_delta():
     for name, variant, m in [("A1", "nonsuper", 2), ("B2", "nonsuper", 2),
                              ("B1", "super", 2), ("B2", "super", 3)]:
@@ -168,10 +207,40 @@ def test_vacuum_oracle_rejects_super_rank2():
 
 
 def test_multiplet_requires_dominant_lattice_alpha():
-    with pytest.raises(ValueError):
+    # alpha + bullet must be dominant, and alpha in Q; the error names alpha
+    # as comma-separated values
+    with pytest.raises(ValueError, match=r"^alpha -1 is not a root-lattice weight"):
         multiplet_char((Fraction(-1),), L0, A1P2, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^alpha 1/2 is not"):
         multiplet_char((Fraction(1, 2),), L0, A1P2, 5)
+    a2 = make_case("A2", "nonsuper", 1)
+    with pytest.raises(ValueError, match=r"^alpha 1,0 is not"):
+        multiplet_char((Fraction(1), Fraction(0)), enumerate_lambda(a2)[0], a2, 5)
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "C3"])
+def test_multiplet_accepts_alpha_with_dominant_beta(name):
+    # on the nonzero classes, alpha + bullet can be dominant with alpha not:
+    # 2w2 - w1 = alpha_2 in A2.  Each such alpha whose beta has labels
+    # summing to at most 2 gives the alternating sum at beta, and the
+    # term-by-term Fraction route
+    case = make_case(name, "nonsuper", 1)
+    rs = case.rs
+    accepted = 0
+    for lam in enumerate_lambda(case):
+        if lam.bullet_index == 0:
+            continue
+        for coords in product(range(-2, 3), repeat=rs.rank):
+            alpha = tuple(Fraction(c) for c in coords)
+            beta = vadd(alpha, lam.bullet_up)
+            labels = rs.integral_labels(beta)
+            if rs.is_dominant(alpha) or min(labels) < 0 or sum(labels) > 2:
+                continue
+            got = multiplet_char(alpha, lam, case, 4)
+            assert got.to_json_dict() == _alternating_sum(case, lam, beta, 4).to_json_dict()
+            assert got.to_json_dict() == fraction_route(case, lam, alpha, 4)[0].to_json_dict()
+            accepted += 1
+    assert accepted > 0
 
 
 def test_wall_vanishing_and_antisymmetry():
@@ -203,13 +272,12 @@ def test_dual_route_equality_all_cosets():
     cases += [make_case(name, "ramond", m) for name in ("B1", "B2") for m in (2, 3, 4)]
     for case in cases:
         rs = case.rs
-        twisted = case.variant is Variant.SUPER_RAMOND
         for lam in enumerate_lambda(case):
             for coords in product(range(-1, 3), repeat=rs.rank):
                 if sum(abs(c) for c in coords) > 4:
                     continue
                 beta = vadd(tuple(Fraction(c) for c in coords), lam.bullet_up)
-                lhs = _alternating_sum(case, lam, beta, 6, twisted=twisted)
+                lhs = _alternating_sum(case, lam, beta, 6)
                 rhs = alternating_sum_moved(case, lam, beta, 6)
                 assert lhs.same_series(rhs), (case.case_id(), lam.label(), coords)
 
@@ -247,7 +315,7 @@ def fraction_route(case, lam, alpha, order):
     for w in rs.enumerate_weyl():
         moved = dot_action(case, w, beta)
         term = weight_space_char(lam, moved, case, order)
-        nu = fock_point(case, lam, moved).nu
+        nu = fock_point_fraction(case, lam, moved).nu
         delta = ramond_delta(nu, case) if twisted else fock_delta(nu, case)
         low = delta if low is None else min(low, delta)
         term = term.scale((-1) ** w.length)
@@ -269,9 +337,8 @@ def assert_walk_matches(case, lam, alpha, order):
         got = multiplet_superchar(alpha, lam, case, order)
         assert got.to_json_dict() == sch.to_json_dict()
     # the lowest exponent of the walk's dot terms, which ft_char filters on
-    twisted = case.variant is Variant.SUPER_RAMOND
-    _, _, den, const = _form(case, twisted)
-    dot = _walk(case, lam, vadd(alpha, lam.bullet_up), twisted)[1]
+    _, _, den, const = _form(case)
+    dot = _walk(case, lam, case.rs.integral_labels(vadd(alpha, lam.bullet_up)))[1]
     assert const + Fraction(min(dot), den) == low
 
 
@@ -298,10 +365,10 @@ REFERENCE_CASES = WALK_CASES + [(name, "ramond", m) for name in ("B1", "B2") for
 
 
 def assert_walk_matches_reference(case, lam, beta):
-    twisted = case.variant is Variant.SUPER_RAMOND
-    got = _walk(case, lam, beta, twisted) + (_star_walk(case, lam, beta, twisted),)
-    assert got == walk_reference(case, lam, beta, twisted, moved=True)
-    assert got[:2] + ([],) == walk_reference(case, lam, beta, twisted)
+    labels = case.rs.integral_labels(beta)
+    got = _walk(case, lam, labels) + (_star_walk(case, lam, labels),)
+    assert got == walk_reference(case, lam, beta, moved=True)
+    assert got[:2] + ([],) == walk_reference(case, lam, beta)
 
 
 @pytest.mark.parametrize("name,variant,m", REFERENCE_CASES)
@@ -392,7 +459,7 @@ def test_ramond_dot_route_every_coset(name, m):
     for lam in enumerate_lambda(case):
         for alpha in dominant_alphas(case.rs, 2):
             want = fraction_route(case, lam, alpha, 8)[0].to_json_dict()
-            got = _alternating_sum(case, lam, vadd(alpha, lam.bullet_up), 8, twisted=True)
+            got = _alternating_sum(case, lam, vadd(alpha, lam.bullet_up), 8)
             assert got.to_json_dict() == want
             assert multiplet_char(alpha, lam, case, 8).to_json_dict() == want
 
@@ -537,6 +604,16 @@ def test_ft_char_nonnegative_every_coset():
     assert cosets == 93
 
 
+def test_ft_char_refuses_past_the_alpha_cap(monkeypatch):
+    # A1 at p=2 and order 6 sums two dominant weights
+    want = ft_char(L0, A1P2, 6)
+    monkeypatch.setattr(characters, "ALPHA_CAP", 2)
+    assert ft_char(L0, A1P2, 6) == want
+    monkeypatch.setattr(characters, "ALPHA_CAP", 1)
+    with pytest.raises(CapExceededError, match="more than 1 dominant weights"):
+        ft_char(L0, A1P2, 6)
+
+
 def test_ft_char_nonnegative_b2():
     case = make_case("B2", "nonsuper", 2)
     f = ft_char(enumerate_lambda(case)[0], case, 4)
@@ -566,7 +643,7 @@ def test_verma_dot_orbit_invariance():
     for coords in product(range(-2, 3), repeat=2):
         mu = tuple(Fraction(c) for c in coords)
         for w in rs.enumerate_weyl():
-            moved = vadd(rs.weyl_apply(w, vsub(mu, shift_vec)), shift_vec)
+            moved = vadd(weyl_apply_matrix(rs, w, vsub(mu, shift_vec)), shift_vec)
             assert verma_char_super(mu, case, 8).same_series(
                 verma_char_super(moved, case, 8))
 

@@ -1,6 +1,7 @@
 """CLI surface: exit codes, flags, determinism, golden regression."""
 
 import ast
+import csv
 import io
 import json
 import os
@@ -8,11 +9,14 @@ import pathlib
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftlab import alcove
+from shiftlab.alcove import AffineWeylElt
 from shiftlab.cli import main
 from shiftlab.shift import _shared, make_case, system
 
@@ -105,6 +109,31 @@ def test_check_alcove_independence(capsys):
     assert code == 0
 
 
+def test_alcove_independence_csv(capsys, monkeypatch):
+    # a passing report prints the header alone and exits 0
+    code, out, _ = run(capsys, "check", "alcove-independence", "--algebra", "B2",
+                       "--m", "2", "--format", "csv")
+    assert code == 0
+    assert out == "check,bullet,alpha,detail\n"
+    # each failure record is one row, a closed-form mismatch with its got and
+    # want as JSON in the detail; the exit code is the verification failure's
+    wrong = AffineWeylElt(make_case("B1", "super", 2).rs.identity_element(), (Fraction(7),))
+    monkeypatch.setattr(alcove, "closed_form_y_super", lambda alpha, b, case: wrong)
+    argv = ["check", "alcove-independence", "--algebra", "B1", "--variant", "super",
+            "--m", "2"]
+    code, out, _ = run(capsys, *argv)
+    failures = json.loads(out)["failures"]
+    assert code == 1 and failures
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 1
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["check", "bullet", "alpha", "detail"]
+    assert [row[:3] for row in rows[1:]] == \
+        [[f["check"], str(f["bullet"]), ",".join(f["alpha"])] for f in failures]
+    assert [json.loads(row[3]) for row in rows[1:]] == \
+        [{"got": f["got"], "want": f["want"]} for f in failures]
+
+
 def test_lambda_csv(capsys):
     code, out, _ = run(capsys, "lambda", "--algebra", "A1", "--m", "2",
                        "--format", "csv")
@@ -132,6 +161,36 @@ def test_verify_walls(capsys):
                        "--m", "2", "--order", "8")
     assert code == 0
     assert json.loads(out)["checks"] > 0
+
+
+@pytest.mark.parametrize("m", ["2", "3"])
+def test_verify_walls_ramond(capsys, m):
+    # the Ramond sums are the twisted ones, and vanish on the wall weights;
+    # rank 3 has no checked Ramond weights and is refused, as by char
+    code, out, _ = run(capsys, "verify", "walls", "--algebra", "B2", "--variant", "ramond",
+                       "--m", m)
+    assert code == 0
+    assert json.loads(out) == {"case": f"B2:ramond:m={m}", "target": "walls",
+                               "checks": 7, "failures": []}
+    code, out, err = run(capsys, "verify", "walls", "--algebra", "B3", "--variant", "ramond",
+                         "--m", m)
+    assert code == 2 and out == ""
+    assert err.startswith("error: Ramond weights of B3") and err.count("\n") == 1
+
+
+def test_char_alpha_with_dominant_beta(capsys):
+    # alpha = alpha_2 on the class of w1 in A2: beta = 2w2, dominant though
+    # alpha is not; the series is W at beta
+    code, out, _ = run(capsys, "char", "--algebra", "A2", "--m", "1", "--alpha", "0,1",
+                       "--lambda", "1,1,1", "--order", "4")
+    assert code == 0
+    series = json.loads(out)["series"]
+    assert series["base"] == "5/4" and series["coeffs"] == ["1", "1", "3", "4", "8"]
+    # a refused alpha is named as typed
+    code, _, err = run(capsys, "char", "--algebra", "A2", "--m", "1", "--alpha", "1,0",
+                       "--lambda", "0,1,1")
+    assert code == 2
+    assert err == "error: alpha 1,0 is not a root-lattice weight with alpha + bullet dominant\n"
 
 
 def test_char_sch_kind(capsys):

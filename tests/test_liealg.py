@@ -16,6 +16,7 @@ from oracles import (
     mat_vec,
     matrix_length,
     reflect_labels_dense,
+    weyl_apply_matrix,
     weyl_dim_fraction,
     weyl_matrix,
 )
@@ -242,7 +243,7 @@ def test_weyl_dim_oracles():
         nxt = []
         for v in frontier:
             for i in range(rs.rank):
-                img = rs.reflect(i, v)
+                img = rs.weyl_apply(rs.simple_element(i), v)
                 if img not in orbit:
                     orbit.add(img)
                     nxt.append(img)
@@ -292,10 +293,14 @@ def test_reflections_preserve_pairing(name, data):
     mu = tuple(data.draw(coords) for _ in range(rs.rank))
     nu = tuple(data.draw(coords) for _ in range(rs.rank))
     i = data.draw(st.integers(min_value=0, max_value=rs.rank - 1))
-    assert rs.pairing(rs.reflect(i, mu), rs.reflect(i, nu)) == rs.pairing(mu, nu)
-    assert rs.reflect(i, rs.reflect(i, mu)) == mu
-    assert rs.reflect(i, rs.rho) == tuple(
+    s = rs.simple_element(i)
+    assert rs.pairing(rs.weyl_apply(s, mu), rs.weyl_apply(s, nu)) == rs.pairing(mu, nu)
+    assert rs.weyl_apply(s, rs.weyl_apply(s, mu)) == mu
+    assert rs.weyl_apply(s, rs.rho) == tuple(
         x - y for x, y in zip(rs.rho, rs.simple_roots[i]))
+    # any element, on any rational vector, against the matrix of its word
+    w = data.draw(st.sampled_from(rs.enumerate_weyl()))
+    assert rs.weyl_apply(w, mu) == weyl_apply_matrix(rs, w, mu)
 
 
 @settings(max_examples=80, deadline=None)

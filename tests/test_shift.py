@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     alcove_inequality_fraction,
+    canonical_decompose_fraction,
     det_int,
     fraction_lambda_from,
     fraction_start,
@@ -113,10 +114,35 @@ def test_decompose_recomposition(name, variant, m):
             mu = vadd(lamp.value, gamma)
             b, box = canonical_decompose(mu, case)
             assert vadd(vneg(b), box) == mu
-            assert rs.in_weight_lattice(b)
+            assert (b, box) == canonical_decompose_fraction(mu, case)
+            rs.integral_labels(b)  # raises unless the bullet is an integral weight
             for i in range(rs.rank):
                 t = rs.copairing(vadd(box, case.x), i)
                 assert 0 < t <= 1
+
+
+@pytest.mark.parametrize("name,variant,m",
+                         [("A1", "nonsuper", 3), ("A3", "nonsuper", 2), ("B3", "super", 2),
+                          ("C3", "nonsuper", 1), ("G2", "nonsuper", 2), ("F4", "nonsuper", 1),
+                          ("E6", "nonsuper", 1), ("E7", "nonsuper", 1), ("E8", "nonsuper", 2)])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_decompose_matches_fraction_route(name, variant, m, data):
+    # the bullet read off the p-scaled labels of mu + x against the Fraction
+    # copairings, one fundamental weight at a time, at points of (1/p)Q*
+    # spanned by the fundamental coweights over p; a point off (1/p)Q* is
+    # refused by both
+    case = make_case(name, variant, m)
+    rs, p = case.rs, case.p
+    coeffs = data.draw(st.lists(st.integers(-3 * p, 3 * p), min_size=rs.rank,
+                                max_size=rs.rank))
+    mu = tuple(sum(Fraction(n, p) * w[j] for n, w in zip(coeffs, rs.fund_coweights))
+               for j in range(rs.rank))
+    assert canonical_decompose(mu, case) == canonical_decompose_fraction(mu, case)
+    off = (mu[0] + Fraction(1, 12 * p),) + mu[1:]
+    for route in (canonical_decompose, canonical_decompose_fraction):
+        with pytest.raises(ValueError, match="is not in"):
+            route(off, case)
 
 
 # -- Lambda enumeration ---------------------------------------------------------

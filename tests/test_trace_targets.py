@@ -1,0 +1,45 @@
+"""perfbench's tracer still finds every target it patches.
+
+A target that is renamed or removed does not fail a traced benchmark run:
+the tracer lists it in ``missing`` and its metrics read as null.  This runs
+the library ops of the benchmark workloads under the tracer, in a child
+process so that the patching stays out of the pytest process, and asserts
+that nothing is missing.
+"""
+
+import json
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).parent.parent
+
+CHILD = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+from tracer import Tracer
+tracer = Tracer().install()
+from shiftlab import alcove, characters, shift
+from shiftlab.liealg import vzero
+case = shift.make_case("A2", "nonsuper", 2)
+shift.verify_axioms(case)
+shift.condition_report(case)
+lam = shift.enumerate_lambda(case)[0]
+characters.multiplet_char(vzero(2), lam, case, 6)
+characters.ft_char(lam, case, 3)
+alcove.alcove_json(case, vzero(2), lam)
+summary = tracer.summary()
+print(json.dumps({"missing": summary["missing"], "spans": sorted(summary["spans"])}))
+"""
+
+
+def test_every_tracer_target_is_found():
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", CHILD, str(ROOT / "perfbench"), str(ROOT / "src")],
+        capture_output=True, text=True, timeout=300, cwd=ROOT)
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout.splitlines()[-1])
+    assert got["missing"] == []
+    # the ops ran under their spans, so the probes were exercised
+    assert {"shift.verify_axioms", "shift.condition_report", "characters.multiplet_char",
+            "characters.ft_char", "alcove.alcove_json"} <= set(got["spans"])

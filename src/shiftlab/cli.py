@@ -369,7 +369,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    # --lambda and --alpha take the next token as their value, even one that
+    # starts with a minus sign, which argparse would read as an option
+    tokens: list[str] = []
+    for token in sys.argv[1:] if argv is None else argv:
+        if tokens and tokens[-1] in ("--lambda", "--alpha"):
+            tokens[-1] += "=" + token
+        else:
+            tokens.append(token)
+    args = parser.parse_args(tokens)
     try:
         cfg = _config(args)
         return args.func(cfg, args)

@@ -20,10 +20,11 @@ Every representative is the unique element -bullet + box of its coset with
 from __future__ import annotations
 
 import enum
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from .liealg import (
@@ -129,10 +130,9 @@ def _scaled_point(mu: Vec, case: ShiftCase) -> list[int]:
 
 def canonical_decompose(mu: Vec, case: ShiftCase) -> tuple[Vec, Vec]:
     """Unique (bullet, box) with mu = -bullet + box, bullet integral,
-    and 0 < (box + x, alpha_i^vee) <= 1 for every i: the bullet has labels
-    (p - a) // p for a = p * labels(mu + x), as in Cosets.locate."""
-    p = case.p
-    bullet = case.rs.from_labels([(p - a) // p for a in _scaled_point(mu, case)])
+    and 0 < (box + x, alpha_i^vee) <= 1 for every i: the bullet that
+    Cosets.locate reads off a = p * labels(mu + x)."""
+    bullet = case.rs.from_labels(_cosets(case).locate([_scaled_point(mu, case)])[1][0])
     return bullet, vadd(mu, bullet)
 
 
@@ -142,16 +142,15 @@ def _grid(case: ShiftCase):
     k_i * x_i = p * labels(box + x)_i, so that k_i runs up to p / x_i (p * d_i
     in the nonsuper family, p in the super one); and the Dynkin labels of each
     minuscule weight."""
-    rs, p, r = case.rs, case.p, case.rank
-    x = tuple(p * rs.copairing(case.x, i) for i in range(r))
-    bullets = tuple(tuple(rs.copairing(mn, i) for i in range(r)) for mn in rs.minuscule)
-    if any(t.denominator != 1 for t in x + sum(bullets, ())):
+    p = case.p
+    (x, n), *bullets = [case.rs.scaled_labels(v) for v in (case.x, *case.rs.minuscule)]
+    if any(p * v % n for v in x) or any(v % d for b, d in bullets for v in b):
         raise AssertionError(f"the twist or a minuscule weight of {case.case_id()} "
                              f"has labels off the 1/{p} grid")
-    x = tuple(map(int, x))
+    x = tuple(p * v // n for v in x)
     if any(p % t for t in x):
         raise AssertionError(f"p={p} does not clear the root lengths")
-    return x, tuple(p // t for t in x), tuple(tuple(map(int, b)) for b in bullets)
+    return x, tuple(p // t for t in x), tuple(tuple(v // d for v in b) for b, d in bullets)
 
 
 @lru_cache(maxsize=None)
@@ -166,11 +165,11 @@ def _alcove_weights(case: ShiftCase) -> tuple[int, ...]:
 
 
 def lambda_from(case: ShiftCase, bullet_index: int, digits) -> LambdaParam:
-    rs, p = case.rs, case.p
+    """The transversal's record of (bullet_index, digits), once they pass the checks."""
     digits = tuple(int(x) for x in digits)
-    if len(digits) != rs.rank:
+    if len(digits) != case.rank:
         raise ValueError("digit tuple has wrong length")
-    x, bounds, bullets = _grid(case)
+    _, bounds, bullets = _grid(case)
     if not 0 <= bullet_index < len(bullets):
         raise ValueError(f"minuscule index {bullet_index} outside 0..{len(bullets) - 1}")
     for d, b in zip(digits, bounds):
@@ -179,38 +178,20 @@ def lambda_from(case: ShiftCase, bullet_index: int, digits) -> LambdaParam:
     bullet = bullets[bullet_index]
     if case.variant.is_super and (digits[-1] + bullet[-1]) % 2 == 0:
         raise ValueError(f"digits {digits} violate the parity rule for {case.case_id()}")
-    # value = -bullet + box, from its p-scaled labels k_i x_i - p bullet_i - x_i
-    labels = [(k - 1) * s - p * c for k, s, c in zip(digits, x, bullet)]
-    return LambdaParam(bullet_index, rs.minuscule[bullet_index], digits,
-                       rs.from_labels(labels, p))
+    table = _cosets(case)
+    return table.lambdas[table.index[(bullet_index, digits)]]
 
 
-@lru_cache(maxsize=None)
 def enumerate_lambda(case: ShiftCase) -> tuple[LambdaParam, ...]:
     """The full transversal of (1/p)Q*/Q, ordered by (minuscule index, digits)."""
-    rs, p = case.rs, case.p
-    x, bounds, bullets = _grid(case)
-    out = []
-    for b_idx, bullet in enumerate(bullets):
-        for digits in product(*(range(1, b + 1) for b in bounds)):
-            if case.variant.is_super and (digits[-1] + bullet[-1]) % 2 == 0:
-                continue
-            lam = lambda_from(case, b_idx, digits)
-            # round trip on the record's weight: value + bullet has
-            # p * labels(value + bullet + x) = k * x
-            labels, n = rs.scaled_labels(lam.value)
-            if any(p * v + n * (p * c + s - k * s)
-                   for v, c, k, s in zip(labels, bullet, digits, x)):
-                raise AssertionError(f"{lam.label()} does not round-trip")
-            out.append(lam)
-    return tuple(out)
+    return _cosets(case).lambdas
 
 
 def lambda_of_value(case: ShiftCase, mu: Vec) -> LambdaParam:
     """Canonical representative in Lambda of the coset mu + Q, located from
     the p-scaled Dynkin labels of mu + x."""
     table = _cosets(case)
-    return table.lambdas[table.locate(_scaled_point(mu, case))[0]]
+    return table.lambdas[table.locate([_scaled_point(mu, case)])[0][0]]
 
 
 # ---------------------------------------------------------------------------
@@ -218,20 +199,18 @@ def lambda_of_value(case: ShiftCase, mu: Vec) -> LambdaParam:
 # ---------------------------------------------------------------------------
 
 class Cosets:
-    """The coset layout of Lambda, which needs no Weyl group: per coset the
-    p-scaled Dynkin labels of lambda + x and of box + x, its class in P/Q, and
-    the coset of one packed integer key.  Internally an ambient vector is kept
-    as its Dynkin labels scaled by p, which makes every vector of (1/p)Q* and
-    the twist x integral."""
+    """The coset layout of Lambda, which needs no Weyl group: the transversal,
+    per coset the p-scaled Dynkin labels of lambda + x and of box + x and its
+    class in P/Q, and the coset of one packed integer key.  Internally an
+    ambient vector is kept as its Dynkin labels scaled by p, which makes every
+    vector of (1/p)Q* and the twist x integral."""
 
     def __init__(self, case: ShiftCase):
         self.case = case
         rs = self.rs = case.rs
         p, r = case.p, case.rank
-        self.lambdas = enumerate_lambda(case)
-        self.index = {lam.key(): i for i, lam in enumerate(self.lambdas)}
         self.cols = rs.root_labels()
-        x, _, bullets = _grid(case)
+        x, bounds, bullets = _grid(case)
         # the class in P/Q is det * C^{-1} applied to the labels, modulo det;
         # the fewest rows of it that tell the minuscule weights apart give it
         adj, self._det = rs.cartan_adjugate
@@ -244,21 +223,35 @@ class Cosets:
         # the class key is constant on mu + Q, which the character walk relies on
         if any(self._class_key(col) for col in self.cols):
             raise AssertionError(f"a simple root of {rs.lie_type} has a nonzero class key")
-        # p * labels of lambda + x and of box + x per coset; the latter,
-        # packed with the bullet class, identifies the coset
-        self._radix = p + 1
-        self._start, self._classes, self._coset = [], [], {}
-        for l_idx, lam in enumerate(self.lambdas):
-            bullet = bullets[lam.bullet_index]
-            b = tuple(k * s for k, s in zip(lam.digits, x))
-            # fock_point's ceiling check 0 <= p*box < p, fixed per coset
-            if not all(0 <= v - s < p for v, s in zip(b, x)):
-                raise AssertionError("ceiling-weight mismatch")
-            self._start.append((tuple(v - p * c for v, c in zip(b, bullet)), b))
-            self._classes.append(self._class_key(bullet))
-            self._coset[self._pack(self._classes[-1], b)] = l_idx
-        if len(self._coset) != len(self.lambdas):
+        # per coset, ordered by (minuscule index, digits): its record, built
+        # once, and p * labels of lambda + x and of box + x (k_i x_i)
+        lambdas, self._start, self._classes = [], [], []
+        for b_idx, bullet in enumerate(bullets):
+            for digits in product(*(range(1, n + 1) for n in bounds)):
+                if case.variant.is_super and (digits[-1] + bullet[-1]) % 2 == 0:
+                    continue
+                b = tuple(k * s for k, s in zip(digits, x))
+                # fock_point's ceiling check 0 <= p*box < p, fixed per coset
+                if not all(0 <= v - s < p for v, s in zip(b, x)):
+                    raise AssertionError("ceiling-weight mismatch")
+                a = tuple(v - p * c for v, c in zip(b, bullet))
+                lam = LambdaParam(b_idx, rs.minuscule[b_idx], digits,
+                                  rs.from_labels(tuple(map(sub, a, x)), p))
+                # round trip on the record's weight: p * labels(value) = a - x
+                labels, n = rs.scaled_labels(lam.value)
+                if any(p * v != n * (u - s) for v, u, s in zip(labels, a, x)):
+                    raise AssertionError(f"{lam.label()} does not round-trip")
+                lambdas.append(lam)
+                self._start.append((a, b))
+                self._classes.append(self._class_key(bullet))
+        self.lambdas = tuple(lambdas)
+        self.index = {lam.key(): i for i, lam in enumerate(self.lambdas)}
+        # each start point's key, as locate computes it, numbers its coset in
+        # order; a key met twice would merge two cosets
+        self._coset = numbering = defaultdict(lambda: len(numbering))
+        if self.locate(a for a, _ in self._start)[0] != list(range(len(lambdas))):
             raise AssertionError(f"two cosets of {case.case_id()} share a packed key")
+        self._coset = dict(numbering)
 
     def _class_key(self, labels) -> int:
         key = 0
@@ -266,24 +259,26 @@ class Cosets:
             key = key * self._det + sum(map(mul, row, labels)) % self._det
         return key
 
-    def _pack(self, key: int, u) -> int:
-        """The class key followed by the box labels u in (0, p], radix p + 1."""
-        for v in u:
-            key = key * self._radix + v
-        return key
-
-    def locate(self, a) -> tuple[int, list[int]]:
-        """(coset index, bullet labels) of the point mu with a = p * labels(mu
-        + x): the canonical decomposition mu = -bullet + box has bullet labels
-        (p - a) // p, and u = p * labels(box + x) = a + p * bullet lies in
-        (0, p]."""
-        p = self.case.p
-        bullet = [(p - v) // p for v in a]
-        u = [v + p * c for v, c in zip(a, bullet)]
-        target = self._coset.get(self._pack(self._class_key(bullet), u))
-        if target is None:
-            raise AssertionError(f"box labels {u}/{p} are off the digit grid")
-        return target, bullet
+    def locate(self, points) -> tuple[list[int], list[list[int]]]:
+        """(coset indices, bullet labels) of the points mu with a = p *
+        labels(mu + x), one pass per point: the canonical decomposition mu =
+        -bullet + box has bullet labels (p - a) // p, and u = p * labels(box
+        + x) = a + p * bullet lies in (0, p]; the coset's key is the bullet's
+        class followed by u, radix p + 1."""
+        p, coset, class_key = self.case.p, self._coset, self._class_key
+        found, bullets = [], []
+        for a in points:
+            bullet = [(p - v) // p for v in a]
+            key = class_key(bullet)
+            for v, c in zip(a, bullet):
+                key = key * (p + 1) + v + p * c
+            try:
+                found.append(coset[key])
+            except KeyError:
+                u = [v + p * c for v, c in zip(a, bullet)]
+                raise AssertionError(f"box labels {u}/{p} are off the digit grid") from None
+            bullets.append(bullet)
+        return found, bullets
 
     def check_point(self, point, l_idx: int):
         """fock_point's coset check on labels: the weight lies in the Cartan
@@ -294,7 +289,12 @@ class Cosets:
                              f"coset of {self.lambdas[l_idx].label()}")
 
 
-_cosets = lru_cache(maxsize=None)(Cosets)
+@lru_cache(maxsize=None)
+def _cosets(case: ShiftCase) -> Cosets:
+    """The case's layout, shared by its system; a Ramond case reads super's."""
+    if case.variant is Variant.SUPER_RAMOND:
+        return _cosets(case._replace(variant=Variant.SUPER))
+    return Cosets(case)
 
 
 class ShiftSystem(Cosets):
@@ -304,20 +304,24 @@ class ShiftSystem(Cosets):
     Row ``l`` holds, per Weyl element in enumeration order, the index of
     ``w * lambda_l`` and the Dynkin labels of ``w ^ lambda_l``; it is filled
     on first use by one simple reflection per element, following the
-    enumeration.  Root coordinates appear only at the public boundary.
+    enumeration.  Root coordinates appear only at the public boundary.  The
+    layout is the case's ``_cosets``; conditions and verification run once.
     """
 
     def __init__(self, case: ShiftCase):
-        super().__init__(case)
+        vars(self).update(vars(_cosets(case)))
         self.weyl, self._key_index, self.left, self._steps = self.rs.weyl_table()
         self.w0 = self.weyl[-1]
         self.w0_idx = len(self.weyl) - 1
         self.reflect_cols = self.rs.reflect_cols()
         self.simple_idx = tuple(row[0] for row in self.left)
         self._w0_words: tuple[tuple[int, ...], ...] | None = None
+        self._canonical = self.walk_word(self.w0.word)
         self._roots: dict[tuple[int, ...], Vec] = {}
         self._act, self._shift = {}, {}
         self._bullet_orbits: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        self._conditions: dict[int, tuple[bool, bool, tuple[int, ...]]] = {}
+        self._report: ShiftReport | None = None
 
     def w0_words(self, cap: int = 10**4) -> tuple[tuple[int, ...], ...]:
         if self._w0_words is None:
@@ -327,10 +331,12 @@ class ShiftSystem(Cosets):
                 f"{len(self._w0_words)} reduced words of w0 exceed the cap {cap}")
         return self._w0_words
 
-    def walk_word(self, word=None) -> tuple[tuple[int, ...], list[int]]:
-        """A reduced word of w0 (default: the canonical one) and the element
-        indices of its prefixes, read from its right end."""
-        word = tuple(self.w0.word if word is None else word)
+    def walk_word(self, word=None) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """A reduced word of w0 (default: the canonical one, walked at build)
+        and the element indices of its prefixes, read from its right end."""
+        if word is None:
+            return self._canonical
+        word = tuple(word)
         if len(word) != len(self.rs.positive_roots):
             raise ValueError("word is not a reduced word of the longest element")
         out, left = [0], self.left
@@ -339,7 +345,7 @@ class ShiftSystem(Cosets):
             if self.weyl[nxt].length != self.weyl[out[-1]].length + 1:
                 raise ValueError("word is not reduced")
             out.append(nxt)
-        return word, out
+        return word, tuple(out)
 
     def walk(self, l_idx: int, word):
         """Along a word read from its right end: each letter with the labels
@@ -348,6 +354,31 @@ class ShiftSystem(Cosets):
             act, shift = self.row(l_idx)
             yield letter, shift[self.simple_idx[letter]]
             l_idx = act[self.simple_idx[letter]]
+
+    def strong(self, l_idx: int, word=None) -> bool:
+        """Vanishing of every prefix pairing of coset l_idx along a word of w0."""
+        word, prefixes = self.walk_word(word)
+        shift = self.row(l_idx)[1]
+        return all(shift[prefixes[step]][letter] == 0
+                   for step, letter in enumerate(reversed(word)))
+
+    def conditions(self, l_idx: int) -> tuple[bool, bool, tuple[int, ...]]:
+        """(weak, strong on the canonical word, labels of w0 ^ lambda) of
+        coset l_idx, computed once; w0 ^ lambda is composed along the
+        canonical word by the cocycle and checked against the table."""
+        got = self._conditions.get(l_idx)
+        if got is None:
+            act, shift = self.row(l_idx)
+            r, cols = self.case.rank, self.reflect_cols
+            weak = all(act[sj] == l_idx or shift[sj] == tuple(-(i == j) for i in range(r))
+                       for j, sj in enumerate(self.simple_idx))
+            acc = (0,) * r
+            for letter, up in self.walk(l_idx, self.w0.word):
+                acc = tuple(map(add, reflect_labels(acc, letter, cols[letter]), up))
+            if acc != shift[self.w0_idx]:
+                raise AssertionError("cocycle composition disagrees with the direct shift")
+            got = self._conditions[l_idx] = (weak, self.strong(l_idx), acc)
+        return got
 
     # -- integer labels ------------------------------------------------------
 
@@ -379,7 +410,7 @@ class ShiftSystem(Cosets):
     def _fill(self, l_idx: int) -> tuple[list[int], list[tuple[int, ...]]]:
         """w ^ lambda = w(box + x) - (box' + x) = w(bullet) - bullet', as
         box + x = lambda + x + bullet and w is linear; bullet' is the bullet
-        of the coset that locate finds for w(lambda + x)."""
+        that locate finds for w(lambda + x), a whole orbit per call."""
         p = self.case.p
         a, b = self._start[l_idx]
         # b - a = p * bullet; as w is integral, every cell's shift is a weight
@@ -390,13 +421,8 @@ class ShiftSystem(Cosets):
         moved = self._bullet_orbits.get(bullet)
         if moved is None:
             moved = self._bullet_orbits[bullet] = self.orbit(bullet)
-        act: list[int] = []
-        shift: list[tuple[int, ...]] = []
-        for a, wb in zip(self.orbit(a), moved):
-            target, bullet = self.locate(a)
-            act.append(target)
-            shift.append(tuple(map(sub, wb, bullet)))
-        return act, shift
+        act, bullets = self.locate(self.orbit(a))
+        return act, [tuple(map(sub, wb, c)) for wb, c in zip(moved, bullets)]
 
     def act_index(self, w_idx: int, l_idx: int) -> int:
         return self.row(l_idx)[0][w_idx]
@@ -411,9 +437,7 @@ _shared = lru_cache(maxsize=None)(ShiftSystem)
 @lru_cache(maxsize=None)
 def system(case: ShiftCase) -> ShiftSystem:
     """The case's system; a Ramond case reads its super case's."""
-    if case.variant is Variant.SUPER_RAMOND:
-        case = case._replace(variant=Variant.SUPER)
-    return _shared(case)
+    return _shared(_cosets(case).case)
 
 
 # ---------------------------------------------------------------------------
@@ -440,23 +464,14 @@ def is_fixed(i: int, lam: LambdaParam, case: ShiftCase) -> bool:
 def check_weak(lam: LambdaParam, case: ShiftCase) -> bool:
     """For all (i, j): lam fixed by sigma_j, or (sigma_j ^ lam, alpha_i^vee) = -delta_ij."""
     sys = system(case)
-    l_idx = sys.index[lam.key()]
-    act, shift = sys.row(l_idx)
-    for j, sj in enumerate(sys.simple_idx):
-        if act[sj] == l_idx:
-            continue
-        if any(c != (-1 if i == j else 0) for i, c in enumerate(shift[sj])):
-            return False
-    return True
+    return sys.conditions(sys.index[lam.key()])[0]
 
 
 def check_strong(lam: LambdaParam, case: ShiftCase, word=None) -> bool:
     """Vanishing of every prefix pairing along a reduced word of w0."""
     sys = system(case)
-    word, prefixes = sys.walk_word(word)
-    shift = sys.row(sys.index[lam.key()])[1]
-    return all(shift[prefixes[step]][letter] == 0
-               for step, letter in enumerate(reversed(word)))
+    l_idx = sys.index[lam.key()]
+    return sys.conditions(l_idx)[1] if word is None else sys.strong(l_idx, word)
 
 
 def check_strong_all_words(lam: LambdaParam, case: ShiftCase,
@@ -493,16 +508,9 @@ def alcove_inequality(lam: LambdaParam, case: ShiftCase) -> bool:
 
 def w0_shift(lam: LambdaParam, case: ShiftCase) -> Vec:
     """w0 ^ lam, computed along the canonical word and checked against the
-    closed formula for the shift map."""
+    closed formula for the shift map (once per coset, see conditions)."""
     sys = system(case)
-    l_idx = sys.index[lam.key()]
-    acc, cols = (0,) * case.rank, sys.reflect_cols
-    for letter, up in sys.walk(l_idx, sys.w0.word):
-        acc = tuple(a + b for a, b in zip(reflect_labels(acc, letter, cols[letter]), up))
-    direct = sys.row(l_idx)[1][sys.w0_idx]
-    if acc != direct:
-        raise AssertionError("cocycle composition disagrees with the direct shift")
-    return sys.root_coords(direct)
+    return sys.root_coords(sys.conditions(sys.index[lam.key()])[2])
 
 
 def screening_degree(i: int, lam: LambdaParam, case: ShiftCase) -> int | None:
@@ -565,12 +573,9 @@ class ShiftReport:
 
     def to_csv(self) -> str:
         rows = ["lambda,weak,strong,alcove,w0_shift"]
-        shifts = dict(self.w0_shifts)
-        strong = dict(self.strong)
-        alcove = dict(self.alcove)
-        for k, wk in self.weak:
-            rows.append(f"\"{k}\",{int(wk)},{int(strong[k])},{int(alcove[k])},"
-                        f"\"{shifts[k]}\"")
+        for (k, wk), (_, st), (_, al), (_, sh) in zip(self.weak, self.strong, self.alcove,
+                                                      self.w0_shifts):
+            rows.append(f"\"{k}\",{int(wk)},{int(st)},{int(al)},\"{sh}\"")
         return "\n".join(rows) + "\n"
 
 
@@ -582,10 +587,23 @@ def verify_axioms(case: ShiftCase) -> ShiftReport:
     """Exhaustive check of the shift-map axioms and their easy consequences
     over all of Lambda x W x Pi, with reproducible witnesses on failure; the
     weak, strong, alcove and w0-shift tables are filled when every check
-    passes."""
+    passes.  The checks run once per system, which a super case and its
+    Ramond case share; each call gets a copy under its own case's id."""
     sys = system(case)
-    rs = case.rs
-    nW, nL, r = len(sys.weyl), len(sys.lambdas), rs.rank
+    if sys._report is None:
+        sys._report = _verify(sys)
+    report = ShiftReport(case.case_id(), dict(sys._report.counts))
+    report.failures = [{k: list(v) if isinstance(v, list) else v for k, v in f.items()}
+                       for f in sys._report.failures]
+    # the condition table walks the simple shifts, and raises where their
+    # composition disagrees with the table, which would hide the witnesses
+    return _tables(report, sys) if report.ok else report
+
+
+def _verify(sys: ShiftSystem) -> ShiftReport:
+    """The checks of verify_axioms on one system: counts and failures only."""
+    case = sys.case
+    nW, nL, r = len(sys.weyl), len(sys.lambdas), case.rank
     report = ShiftReport(case.case_id(),
                          {"lambdas": nL, "weyl": nW, "rank": r, "checks": 0})
     checks = 0
@@ -638,15 +656,18 @@ def verify_axioms(case: ShiftCase) -> ShiftReport:
                           pairing=str(c))
                 checks += 2
     report.counts["checks"] = checks
-    # the tables below walk the simple shifts, and w0_shift raises where their
-    # composition disagrees with the table, which would hide the witnesses
-    if report.ok:
-        for lam in sys.lambdas:
-            label = lam.label()
-            report.weak.append((label, check_weak(lam, case)))
-            report.strong.append((label, check_strong(lam, case)))
-            report.alcove.append((label, alcove_inequality(lam, case)))
-            report.w0_shifts.append((label, [str(v) for v in w0_shift(lam, case)]))
+    return report
+
+
+def _tables(report: ShiftReport, sys: ShiftSystem) -> ShiftReport:
+    """The weak, strong, alcove and w0-shift rows of every coset, read off
+    the condition table."""
+    for l_idx, lam in enumerate(sys.lambdas):
+        label, (weak, strong, shift0) = lam.label(), sys.conditions(l_idx)
+        report.weak.append((label, weak))
+        report.strong.append((label, strong))
+        report.alcove.append((label, alcove_inequality(lam, sys.case)))
+        report.w0_shifts.append((label, [str(v) for v in sys.root_coords(shift0)]))
     return report
 
 
@@ -655,26 +676,20 @@ def condition_report(case: ShiftCase, all_words: bool = False,
     """Weak/strong/alcove tables, with the strong <=> alcove equivalence
     enforced (optionally across every reduced word of w0)."""
     sys = system(case)
-    report = ShiftReport(case.case_id(),
-                         {"lambdas": len(sys.lambdas), "weyl": len(sys.weyl),
-                          "checks": 0, "all_words": all_words})
-    for lam in sys.lambdas:
-        label = lam.label()
-        strong = (check_strong_all_words(lam, case, word_cap) if all_words
-                  else check_strong(lam, case))
-        alc = alcove_inequality(lam, case)
+    report = _tables(ShiftReport(case.case_id(),
+                                 {"lambdas": len(sys.lambdas), "weyl": len(sys.weyl),
+                                  "checks": 0, "all_words": all_words}), sys)
+    for lam, (label, strong), (_, alc), (_, got) in zip(
+            sys.lambdas, report.strong, report.alcove, report.w0_shifts):
+        if all_words:
+            # every reduced word agrees with the canonical one, or this raises
+            check_strong_all_words(lam, case, word_cap)
         if strong != alc:
             _fail(report, "strong-alcove-mismatch", label, strong=strong, alcove=alc)
         if check_strong_alt(lam, case) != strong:
             _fail(report, "strong-alt-mismatch", label)
-        report.weak.append((label, check_weak(lam, case)))
-        report.strong.append((label, strong))
-        report.alcove.append((label, alc))
-        shift0 = w0_shift(lam, case)
-        report.w0_shifts.append((label, [str(v) for v in shift0]))
-        if strong:
-            if shift0 != strong_w0_target(lam, case):
-                _fail(report, "w0-shift-target", label, got=[str(v) for v in shift0])
+        if strong and w0_shift(lam, case) != strong_w0_target(lam, case):
+            _fail(report, "w0-shift-target", label, got=list(got))
         report.counts["checks"] += 3
     return report
 

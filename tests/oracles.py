@@ -19,6 +19,9 @@
 * The Weyl orbit of a weight by dense label reflections, and the character
   walk term by term: the full quadratic form and fock_point's checks on
   every dot term.
+* A coset located one point at a time (``locate_point``), and the weak,
+  strong and w0-shift conditions of a coset computed per call, walking the
+  canonical word each time (``conditions_per_call``).
 * The circle action of an affine element on ``Fraction`` coordinates, with
   the finite part acting by the matrix of its word.
 * The eta powers and free-fermion characters by the pentagonal recurrences,
@@ -49,6 +52,7 @@ from shiftlab.liealg import (
     _lacing,
     _root_half_lengths,
     exponents_of,
+    reflect_labels,
     vadd,
     vneg,
     vscale,
@@ -478,6 +482,50 @@ def orbit_reference(sys, labels, count=None):
         i = w.word[0]
         out.append(reflect_labels_dense(out[pos[w.word[1:]]], i, sys.cols[i]))
     return out
+
+
+def locate_point(table, a):
+    """(coset index, bullet labels) of the one point with a = p * labels(mu +
+    x), in separate passes: the bullet labels (p - a) // p, the box labels u
+    = a + p * bullet in (0, p], the bullet's class key, then u packed radix
+    p + 1 after it and looked up."""
+    p = table.case.p
+    bullet = [(p - v) // p for v in a]
+    u = [v + p * c for v, c in zip(a, bullet)]
+    key = table._class_key(bullet)
+    for v in u:
+        key = key * (p + 1) + v
+    target = table._coset.get(key)
+    if target is None:
+        raise AssertionError(f"box labels {u}/{p} are off the digit grid")
+    return target, bullet
+
+
+def conditions_per_call(case, lam):
+    """(weak, strong on the canonical word, labels of w0 ^ lam), recomputed
+    on every call from the shift row: the weak pairings one by one, the
+    canonical word's prefix elements walked here, and w0 ^ lam composed by
+    the cocycle along the word and checked against the row's last cell."""
+    sys = system(case)
+    l_idx = sys.index[lam.key()]
+    act, shift = sys.row(l_idx)
+    weak = True
+    for j, sj in enumerate(sys.simple_idx):
+        if act[sj] != l_idx and any(c != (-1 if i == j else 0)
+                                    for i, c in enumerate(shift[sj])):
+            weak = False
+    word, prefixes = sys.w0.word, [0]
+    for letter in reversed(word):
+        prefixes.append(sys.left[letter][prefixes[-1]])
+    strong = all(shift[prefixes[step]][letter] == 0
+                 for step, letter in enumerate(reversed(word)))
+    acc = (0,) * case.rank
+    for letter, up in sys.walk(l_idx, word):
+        acc = tuple(a + b for a, b in
+                    zip(reflect_labels(acc, letter, sys.reflect_cols[letter]), up))
+    if acc != shift[sys.w0_idx]:
+        raise AssertionError("cocycle composition disagrees with the direct shift")
+    return weak, strong, acc
 
 
 def walk_reference(case, lam, beta, moved=False):

@@ -43,7 +43,15 @@ from shiftlab.characters import (
 )
 from shiftlab.liealg import CapExceededError, RootSystem, vadd, vscale, vsub, vzero
 from shiftlab.qseries import FermionKind, QSeries, eta_inv_pow, eta_pow, fermion_char
-from shiftlab.shift import Variant, _check_member, enumerate_lambda, make_case
+from shiftlab.shift import (
+    Variant,
+    _check_member,
+    _cosets,
+    _shared,
+    enumerate_lambda,
+    make_case,
+    system,
+)
 
 A1P2 = make_case("A1", "nonsuper", 2)
 L0 = enumerate_lambda(A1P2)[0]
@@ -675,3 +683,23 @@ LAM01 = next(lam for lam in enumerate_lambda(A1P2) if lam.label() == "0,1")
 def test_negative_order_is_rejected(call, order):
     with pytest.raises(ValueError, match="order must be nonnegative"):
         call(order)
+
+
+@pytest.mark.parametrize("ramond_first", [False, True])
+def test_one_coset_layout_per_case(ramond_first):
+    # fock_point reads the W-free layout and the walks read the system; in
+    # either order they share one layout, which the super case shares too
+    sup, ram = make_case("B2", "super", 2), make_case("B2", "ramond", 2)
+    system.cache_clear()
+    _shared.cache_clear()
+    _cosets.cache_clear()
+    lam = enumerate_lambda(ram)[0]
+    calls = [lambda: weight_space_char(lam, lam.bullet_up, ram, 4),
+             lambda: multiplet_ramond_char(vzero(2), lam, ram, 4)]
+    for call in calls[::-1] if ramond_first else calls:
+        call()
+    layout, table = _cosets(ram), system(ram)
+    assert layout is _cosets(sup) and table is system(sup)
+    assert layout.lambdas is table.lambdas is enumerate_lambda(ram) is enumerate_lambda(sup)
+    assert layout._start is table._start
+    assert _cosets.cache_info().misses == 2 and _shared.cache_info().currsize == 1

@@ -271,6 +271,18 @@ def test_bad_input_exits_2_without_traceback(argv):
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--lambda", "-1,1,1"], "minuscule index -1 outside 0..2"),
+    (["--lambda", "0,1,1", "--alpha", "-1,0"],
+     "alpha -1,0 is not a root-lattice weight with alpha + bullet dominant"),
+])
+def test_negative_value_after_a_space_is_the_flags_value(capsys, argv, message):
+    # argparse alone reads a token with a leading minus as an option and
+    # fails with "expected one argument", which does not name the value
+    code, out, err = run(capsys, "char", "--algebra", "A2", "--m", "1", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 # the exit-code contract on generated argv: per subcommand, the flags it
 # takes, each drawn well-formed, malformed or left out (--lambda, which
 # every subcommand that takes it requires, is always given), and --format

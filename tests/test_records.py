@@ -16,7 +16,7 @@ from shiftlab.characters import fock_point
 from shiftlab.cli import _config
 from shiftlab.liealg import InvalidTypeError, SimpleLieType, build_root_system
 from shiftlab.qseries import QSeries
-from shiftlab.shift import lambda_from, make_case
+from shiftlab.shift import LambdaParam, lambda_from, make_case
 
 A1 = ("RootSystem(lie_type=SimpleLieType(series='A', rank=1), gram=((Fraction(2, 1),),), "
       "cartan=((2,),), simple_roots=((Fraction(1, 1),),), simple_coroots=((Fraction(1, 1),),), "
@@ -50,7 +50,7 @@ def records():
         (case, make_case("A1", "nonsuper", 2),
          f"ShiftCase(rs={A1}, variant=<Variant.NONSUPER: 'nonsuper'>, m=2, p=2, "
          "x=(Fraction(1, 4),), gamma=(Fraction(1, 4),), central_charge=Fraction(-2, 1))"),
-        (lam, lambda_from(case, 0, [1]), LAM),
+        (lam, LambdaParam(*lam), LAM),
         (fock_point(case, lam, (Fraction(0),)), fock_point(case, lam, (Fraction(0),)),
          f"FockPoint(nu=(Fraction(0, 1),), coset={LAM}, weight=(Fraction(0, 1),))"),
         (QSeries.make(Fraction(-1, 24), 1, [1, 0, 2], 3),

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from oracles import (
     alcove_inequality_fraction,
     canonical_decompose_fraction,
+    conditions_per_call,
     det_int,
     fraction_lambda_from,
     fraction_start,
     lambda_of_value_fraction,
+    locate_point,
     mat_vec,
     orbit_reference,
     screening_pairing_reference,
@@ -235,7 +237,7 @@ def test_integer_cosets_match_fraction_route(name, variant, m):
         a, b, bullet = fraction_start(case, ref)
         assert sys._start[l_idx] == (a, b)
         assert sys._classes[l_idx] == sys._class_key(bullet)
-        assert sys._coset[sys._pack(sys._class_key(bullet), b)] == l_idx
+        assert sys.locate([a]) == ([l_idx], [list(bullet)])
     assert _grid(case)[0] == tuple(case.p * case.rs.copairing(case.x, i) for i in range(case.rank))
     assert len(sys._coset) == len(want)
 
@@ -471,8 +473,11 @@ def test_axioms_report_cocycle(corrupt):
     bad = list(sys.row(0)[1][w_idx])
     bad[a] += 1
     sys, report = corrupt(0, w_idx, bad)
-    assert {"check": "cocycle", "lambda": sys.lambdas[0].label(), "i": a + 1,
-            "word": [b]} in report.failures
+    want = {"check": "cocycle", "lambda": sys.lambdas[0].label(), "i": a + 1, "word": [b]}
+    assert want in report.failures
+    # the next report copies the stored witnesses, not this report's lists
+    next(f for f in report.failures if f == want)["word"].append(0)
+    assert want in verify_axioms(B2P4).failures
 
 
 @pytest.mark.parametrize("ascent", [True, False])
@@ -488,6 +493,17 @@ def test_axioms_report_length_sign(corrupt, ascent):
     assert {"check": "ascent-nonnegative" if ascent else "descent-negative",
             "lambda": sys.lambdas[0].label(), "i": i + 1,
             "word": list(sys.weyl[w_idx].word), "pairing": str(bad[i])} in report.failures
+
+
+def test_w0_shift_refuses_a_row_that_does_not_compose(corrupt):
+    # the condition table composes w0 ^ lam along the canonical word and
+    # checks it against the row's last cell; a failing report fills no table
+    sys = system(B2P4)
+    bad = tuple(v + c for v, c in zip(sys.row(0)[1][sys.w0_idx], sys.cols[0]))
+    sys, report = corrupt(0, sys.w0_idx, bad)
+    assert not report.ok and report.w0_shifts == []
+    with pytest.raises(AssertionError, match="composition disagrees"):
+        w0_shift(sys.lambdas[0], B2P4)
 
 
 def test_axioms_refuse_labels_past_the_packing_guard(corrupt):
@@ -693,6 +709,72 @@ def test_tables_match_fraction_route(name, variant, m):
                 vsub(mat_vec(m, vadd(box, x)), vadd(target_box, x))
 
 
+@pytest.mark.parametrize("name,variant,m", AXIOM_SWEEP_CASES)
+def test_orbit_location_matches_per_point_route(name, variant, m):
+    # every cell's coset and bullet, located a whole orbit at a time, against
+    # one point at a time; on rank 2 also every point of a box around the
+    # digit grid, where both routes refuse the same points
+    case = make_case(name, variant, m)
+    sys, p = system(case), case.p
+    for l_idx in range(len(sys.lambdas)):
+        orbit = sys.orbit(sys._start[l_idx][0])
+        want = [locate_point(sys, a) for a in orbit]
+        assert sys.locate(orbit) == ([t for t, _ in want], [b for _, b in want])
+        assert sys.row(l_idx)[0] == [t for t, _ in want]
+    if case.rank == 2:
+        for a in product(range(-p, 2 * p + 1), repeat=2):
+            try:
+                want = locate_point(sys, a)
+            except AssertionError:
+                with pytest.raises(AssertionError, match="off the digit grid"):
+                    sys.locate([a])
+            else:
+                assert sys.locate([a]) == ([want[0]], [want[1]])
+
+
+@pytest.mark.parametrize("name,variant,m", AXIOM_SWEEP_CASES)
+def test_condition_table_matches_per_call_route(name, variant, m):
+    # the weak, strong and w0-shift entries, computed once per coset, against
+    # their per-call computation and the public checks, on every coset
+    case = make_case(name, variant, m)
+    sys = system(case)
+    for l_idx, lamp in enumerate(sys.lambdas):
+        weak, strong, shift0 = want = conditions_per_call(case, lamp)
+        assert sys.conditions(l_idx) == want
+        assert check_weak(lamp, case) == weak
+        assert check_strong(lamp, case) == check_strong(lamp, case, sys.w0.word) == strong
+        assert w0_shift(lamp, case) == sys.root_coords(shift0)
+
+
+def test_ramond_report_reuses_the_super_verification():
+    # a Ramond case reads the verification of the system it shares with its
+    # super case; its report equals a fresh one in every field but the case,
+    # and no report shares a list with the stored verification or another
+    sup, ram = make_case("B3", "super", 2), make_case("B3", "ramond", 2)
+    first, got = verify_axioms(sup), verify_axioms(ram)
+    stored = system(ram)._report
+    verify_axioms(ram)
+    assert system(sup)._report is stored  # the checks ran once for both cases
+    system.cache_clear()
+    _shared.cache_clear()
+    _cosets.cache_clear()
+    fresh = verify_axioms(ram)
+    assert (got.case_id, first.case_id) == ("B3:ramond:m=2", "B3:super:m=2")
+    fields = ("counts", "failures", "weak", "strong", "alcove", "w0_shifts")
+    for name in fields:
+        assert getattr(got, name) == getattr(fresh, name) == getattr(first, name), name
+        assert getattr(got, name) is not getattr(first, name)
+    assert got.counts is not stored.counts and got.failures is not stored.failures
+    want = {**fresh.to_json_dict(), "case": "B3:ramond:m=2"}
+    assert got.to_json_dict() == want
+    assert got.counts["checks"] == first.counts["checks"] > 0
+    assert all(a is not b for (_, a), (_, b) in zip(got.w0_shifts, first.w0_shifts))
+    # changing a report changes no later one
+    got.w0_shifts[0][1].append("x")
+    got.weak.clear()
+    assert verify_axioms(ram).to_json_dict() == want
+
+
 def test_super_and_ramond_share_tables():
     sup = system(make_case("B3", "super", 2))
     ram = system(make_case("B3", "ramond", 2))
@@ -718,16 +800,17 @@ def test_sparse_orbit_matches_dense_reflections(name):
 def test_class_key_must_vanish_on_simple_roots(monkeypatch):
     # the character walk checks the coset of its dot terms once per walk,
     # which needs the class key to vanish on Q; a key read off the transposed
-    # adjugate does not, and the system refuses it
+    # adjugate does not, and the coset layout, which every system adopts,
+    # refuses it
     def transposed(self, labels):
         key = 0
         for col in zip(*self.rs.cartan_adjugate[0]):
             key = key * self._det + sum(map(mul, col, labels)) % self._det
         return key
 
-    monkeypatch.setattr(ShiftSystem, "_class_key", transposed)
+    monkeypatch.setattr(Cosets, "_class_key", transposed)
     with pytest.raises(AssertionError, match="class key"):
-        ShiftSystem(make_case("B2", "nonsuper", 1))
+        Cosets(make_case("B2", "nonsuper", 1))
 
 
 CLASS_TYPES = [f"A{n}" for n in range(1, 8)] + [f"{x}{n}" for x in "BC" for n in range(2, 6)] \
@@ -775,6 +858,6 @@ def test_class_key_matches_full_adjugate(name, data):
 
 def test_cosets_refuse_a_shared_packed_key(monkeypatch):
     # a key that drops the class confuses cosets with the same box
-    monkeypatch.setattr(Cosets, "_pack", lambda self, key, u: u)
+    monkeypatch.setattr(Cosets, "_class_key", lambda self, labels: 0)
     with pytest.raises(AssertionError, match="share a packed key"):
         Cosets(make_case("A2", "nonsuper", 1))

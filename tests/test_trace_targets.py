@@ -24,6 +24,11 @@ from shiftlab.liealg import vzero
 case = shift.make_case("A2", "nonsuper", 2)
 shift.verify_axioms(case)
 shift.condition_report(case)
+# a super case and its Ramond case share one system and one verification
+for variant in ("super", "ramond"):
+    other = shift.make_case("B2", variant, 2)
+    shift.verify_axioms(other)
+    shift.condition_report(other)
 lam = shift.enumerate_lambda(case)[0]
 characters.multiplet_char(vzero(2), lam, case, 6)
 characters.ft_char(lam, case, 3)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple
 
 from .liealg import (
@@ -28,7 +29,8 @@ from .liealg import (
     vsub,
     vzero,
 )
-from .shift import LambdaParam, ShiftCase, Variant, alcove_inequality, enumerate_lambda
+from .shift import (LambdaParam, ShiftCase, Variant, _cosets, alcove_inequality,
+                    enumerate_lambda)
 
 
 class AffineWeight(NamedTuple):
@@ -68,15 +70,18 @@ class _Family:
         rs = self.rs = case.rs
         self.rho_hat_fin = vscale(case.p, case.x)
         # translations live in lattice_scale*Q; a level scales them by
-        # level_factor times its rho-shifted value
+        # level_factor times its rho-shifted value; affine_input's rho' is
+        # inner, and its walk has n = 1 and k = m or p
         if case.variant is Variant.NONSUPER:
             self.lattice_scale, self.level_factor = rs.lacing, 1
             self.rho_hat_level = Fraction(rs.dual_coxeter_L)
             self.level_in = Fraction(case.m - rs.dual_coxeter_L)
+            self.inner, self.k_in = rs.rho, case.m
         else:
             self.lattice_scale, self.level_factor = 1, 2
             self.rho_hat_level = Fraction(2 * rs.rank + 1, 2)
             self.level_in = Fraction(case.m - rs.rank - 1)
+            self.inner, self.k_in = rs.rho_check, case.p
         self.form_factor = Fraction(1, self.lattice_scale)
         # labels of theta_s and the integer marks c of its coroot,
         # theta_s^vee = sum c_i alpha_i^vee, so (g, theta_s^vee) = sum c_i a_i
@@ -87,41 +92,48 @@ class _Family:
         self.marks = tuple(int(x) for x in marks)
         self.reflect_cols = rs.reflect_cols()
         self.theta_s_labels = rs.integral_labels(rs.theta_s)
+        self.rho_hat_labels, self.inner_labels = map(rs.integral_labels,
+                                                     (self.rho_hat_fin, self.inner))
 
     def trans_scale(self, mu: AffineWeight) -> Fraction:
         """Multiplier applied to a translation vector at this weight's level
         (computed on the rho-shifted weight)."""
         return self.level_factor * (mu.level + self.rho_hat_level)
 
-    def bound(self, scale: Fraction) -> Fraction:
-        """Upper wall value for (G, theta_s_coroot) in the shifted chamber."""
-        return self.lattice_scale * scale
-
-    def walk_labels(self, mu: AffineWeight) -> tuple[tuple[int, ...], int, Fraction]:
-        """(n * labels of g = mu + rho_hat, n, scale): n is the least common
-        denominator of those labels and of the translation scale, so that a
-        walk on n * labels stays on integers."""
+    def walk_labels(self, mu: AffineWeight) -> tuple[tuple[int, ...], int, int]:
+        """(n * labels of g = mu + rho_hat, n, k = n * scale): n is the least
+        common denominator of those labels and of the translation scale, so
+        that a walk on n * labels stays on integers."""
         scale = self.trans_scale(mu)
         a, d = self.rs.scaled_labels(vadd(mu.finite, self.rho_hat_fin))
         n = lcm(scale.denominator, *(d // gcd(x, d) for x in a))
-        return tuple(x * n // d for x in a), n, scale
+        return tuple(x * n // d for x in a), n, int(n * scale)
 
-    def act_labels(self, w: AffineWeylElt, walk) -> tuple[int, ...]:
-        """n * labels of s(g + scale*B) = w o mu + rho_hat for w = (s, B),
-        from walk = walk_labels(mu)."""
-        a, n, scale = walk
-        k = int(n * scale)
-        return self.rs.reflect_along(w.finite_part.word, tuple(
-            x + k * y for x, y in zip(a, self.rs.integral_labels(w.translation))))
+    def shift_labels(self, sigma: WeylElement, t, a, k) -> tuple[int, ...]:
+        """n * labels of w o mu + rho_hat = sigma(g + scale*b) for w = (sigma,
+        b), b with labels t, from a = n * labels(g) at k = n * scale."""
+        return self.rs.reflect_along(sigma.word, tuple(x + k * y for x, y in zip(a, t)))
 
-    def top(self, a) -> Fraction:
+    def weight(self, sigma: WeylElement, t, a, n: int, k: int, level, delta) -> AffineWeight:
+        """w o mu from shift_labels' arguments and mu's level and delta
+        coefficient; the delta term reads (g, b) = sum_j b_j d_j a_j / n."""
+        if any(t):
+            d, b = self.rs.half_lengths, self.rs.from_labels(t)
+            pair = sum(x * e * y for x, e, y in zip(b, d, a))
+            norm = sum(x * e * y for x, e, y in zip(b, d, t))
+            delta = delta - self.form_factor * (pair + Fraction(k, 2) * norm) / n
+        end = self.shift_labels(sigma, t, a, k)
+        fin = self.rs.from_labels(tuple(x - n * y for x, y in zip(end, self.rho_hat_labels)), n)
+        return AffineWeight(fin, level, delta)
+
+    def top(self, a) -> int:
         """(g, theta_s^vee) from the labels of g."""
         return sum(c * x for c, x in zip(self.marks, a))
 
-    def position(self, a, n, scale):
+    def position(self, a, k):
         """(is_inside, is_on_wall) against the shifted chamber of the weight
-        g - rho_hat at this scale, from the labels a = n * labels(g)."""
-        top, bound = self.top(a), n * self.bound(scale)
+        g - rho_hat, from a = n * labels(g) at k = n * scale."""
+        top, bound = self.top(a), self.lattice_scale * k
         if min(a) < 0 or top > bound:
             return False, False
         return True, 0 in a or top == bound
@@ -134,12 +146,11 @@ class _Family:
         c = self.top(a) - bound
         return a if c == 0 else tuple(x - c * y for x, y in zip(a, self.theta_s_labels))
 
-    def check_translation(self, b: Vec):
-        for x in b:
-            v = x / self.lattice_scale
-            if v.denominator != 1:
-                raise ValueError(
-                    f"translation {b} is not in {self.lattice_scale}*Q")
+    def check_translation(self, t):
+        """b in lattice_scale*Q, on its labels t: adj * t = det * b."""
+        adj, det = self.rs.cartan_adjugate
+        if any(sum(map(mul, row, t)) % (det * self.lattice_scale) for row in adj):
+            raise ValueError(f"translation with labels {t} is not in {self.lattice_scale}*Q")
 
 
 @lru_cache(maxsize=None)
@@ -152,7 +163,7 @@ def _family(case: ShiftCase) -> _Family:
 # ---------------------------------------------------------------------------
 
 def affine_elt(case: ShiftCase, finite: WeylElement, translation: Vec) -> AffineWeylElt:
-    _family(case).check_translation(translation)
+    _family(case).check_translation(case.rs.integral_labels(translation))
     return AffineWeylElt(finite, translation)
 
 
@@ -171,77 +182,67 @@ def affine_inv(case: ShiftCase, a: AffineWeylElt) -> AffineWeylElt:
 
 
 def dot_act(w: AffineWeylElt, mu: AffineWeight, case: ShiftCase) -> AffineWeight:
-    """Circle action w o mu = (s t_B)(mu + rho_hat) - rho_hat, on the labels
-    a = n * labels(g) of g = mu + rho_hat (see _Family.act_labels); the delta
-    term reads (g, B) = sum_j B_j d_j a_j / n."""
-    fam = _family(case)
-    rs = case.rs
-    fam.check_translation(w.translation)
-    walk = a, n, scale = fam.walk_labels(mu)
-    delta = mu.delta_coeff
-    b = w.translation
-    if any(x != 0 for x in b):
-        pair = sum(x * d * y for x, d, y in zip(b, rs.half_lengths, a)) / n
-        norm = sum(x * d * y for x, d, y in zip(b, rs.half_lengths, rs.integral_labels(b)))
-        delta = delta - fam.form_factor * (pair + scale / 2 * norm)
-    fin = rs.from_labels(fam.act_labels(w, walk), n)
-    return AffineWeight(vsub(fin, fam.rho_hat_fin), mu.level, delta)
+    """Circle action w o mu = (s t_B)(mu + rho_hat) - rho_hat, on labels."""
+    fam, t = _family(case), case.rs.integral_labels(w.translation)
+    fam.check_translation(t)
+    return fam.weight(w.finite_part, t, *fam.walk_labels(mu), mu.level, mu.delta_coeff)
 
 
 # ---------------------------------------------------------------------------
 # chamber membership and reduction
 # ---------------------------------------------------------------------------
 
-def chamber_position(mu: AffineWeight, case: ShiftCase):
-    """(is_inside, is_on_wall) of mu against the shifted chamber."""
-    fam = _family(case)
-    return fam.position(*fam.walk_labels(mu))
-
-
 @lru_cache(maxsize=None)  # alcove_json reduces its coset in y_alpha and in mu_lambda
-def dominant_reduce(mu: AffineWeight, case: ShiftCase) -> ReduceResult:
-    """The affine element w with w o mu in the closed shifted chamber,
-    found by reflecting across violated walls.
+def _reduce(case: ShiftCase, a0: tuple[int, ...], k: int):
+    """(sigma, t, on_wall): the affine element (sigma, b), b with labels t,
+    that takes a0 = n * labels(g) of g = mu + rho_hat at k = n * scale into
+    the closed shifted chamber, found by reflecting across violated walls.
 
-    The walk carries the labels of g = mu + rho_hat and of sigma(rho) for the
-    finite part sigma; the translation b is read off the end point g_f, as
-    sigma(g + scale*b) = g_f.  For regular input the element is unique.  On a
-    wall the valid reducers are the finite parts that the wall reflections
-    through g_f reach from sigma; the canonical one is the minimal one under
-    (finite length, word), which agrees with the unique reducer of nearby
-    regular inputs.
+    The walk carries the labels of g and of sigma(rho); b is read off g_f, as
+    sigma(g + scale*b) = g_f, and checked by recomputing g_f.  For
+    regular input the element is unique.  On a wall the valid reducers are
+    the finite parts that the wall reflections through g_f reach from sigma;
+    the canonical one is the minimal one under (finite length, word), which
+    agrees with the unique reducer of nearby regular inputs.
     """
     fam = _family(case)
     rs = case.rs
-    a0, n, scale = fam.walk_labels(mu)
-    if scale <= 0:
+    if k <= 0:
         raise ValueError("nonpositive shifted level; reduction undefined")
-    bound = int(n * fam.bound(scale))
+    bound = fam.lattice_scale * k
     a, sigma = a0, (1,) * rs.rank
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 100000:  # pragma: no cover
-            raise RuntimeError("alcove walk failed to terminate")
+    for _ in range(100000):
         i = next((i for i, x in enumerate(a) if x < 0), None)
         if i is None and fam.top(a) <= bound:
             break
         a, sigma = fam.reflect(a, i, bound), fam.reflect(sigma, i)
+    else:  # pragma: no cover
+        raise RuntimeError("alcove walk failed to terminate")
     walls = [i for i, x in enumerate(a) if x == 0] + ([None] if fam.top(a) == bound else [])
     seen, frontier = {sigma}, {sigma}
     while frontier:
         frontier = {fam.reflect(s, i) for s in frontier for i in walls} - seen
         seen |= frontier
     sigma = min(map(rs.element_from_labels, seen), key=lambda e: (e.length, e.word))
-    back = rs.reflect_along(sigma.word[::-1], a)  # sigma^-1(g_f)
-    diff = [(x - y) / (n * scale) for x, y in zip(back, a0)]
-    b = tuple(sum(d * w[j] for d, w in zip(diff, rs.fund_weights)) for j in range(rs.rank))
-    elt = affine_elt(case, sigma, b)
+    back = rs.reflect_along(sigma.word[::-1], a)  # sigma^-1(g_f) = g + scale*b
+    t, rests = zip(*(divmod(x - y, k) for x, y in zip(back, a0)))
+    if any(rests):
+        raise AssertionError(f"the translation from {a0} at k={k} has non-integral labels")
+    fam.check_translation(t)
     wall = len(seen) > 1
-    reduced = dot_act(elt, mu, case)
-    if chamber_position(reduced, case) != (True, wall):
-        raise AssertionError(f"reduced weight {reduced} left the chamber or changed wall")
-    return ReduceResult(elt, reduced, wall)
+    if fam.shift_labels(sigma, t, a0, k) != a or fam.position(a, k) != (True, wall):
+        raise AssertionError(f"reduced labels {a} left the chamber or changed wall")
+    return sigma, t, wall
+
+
+def dominant_reduce(mu: AffineWeight, case: ShiftCase) -> ReduceResult:
+    """The affine element w with w o mu in the closed shifted chamber, and
+    w o mu (see _reduce)."""
+    fam = _family(case)
+    a0, n, k = fam.walk_labels(mu)
+    sigma, t, wall = _reduce(case, a0, k)
+    return ReduceResult(AffineWeylElt(sigma, case.rs.from_labels(t)),
+                        fam.weight(sigma, t, a0, n, k, mu.level, mu.delta_coeff), wall)
 
 
 # ---------------------------------------------------------------------------
@@ -253,27 +254,37 @@ def affine_input(case: ShiftCase, alpha: Vec, lam: LambdaParam) -> AffineWeight:
     -p(alpha + bullet + rho') + p*box + level*Lambda_0, with rho' = rho for
     the nonsuper family and rho_check for the super one."""
     fam = _family(case)
-    rs = case.rs
-    box = vadd(lam.value, lam.bullet_up)
-    inner = rs.rho if case.variant is Variant.NONSUPER else rs.rho_check
-    fin = vadd(vscale(-case.p, vadd(alpha, vadd(lam.bullet_up, inner))),
-               vscale(case.p, box))
+    fin = vscale(case.p, vsub(lam.value, vadd(alpha, fam.inner)))  # box = value + bullet
     return AffineWeight(fin, fam.level_in, Fraction(0))
+
+
+def _input_labels(case: ShiftCase, alpha_labels, l_idx: int) -> tuple[int, ...]:
+    """Labels of affine_input + rho_hat: coset l_idx's start labels p *
+    labels(box + x - bullet) less p * labels(alpha + rho')."""
+    return tuple(x - case.p * (y + z) for x, y, z in zip(
+        _cosets(case)._start[l_idx][0], alpha_labels, _family(case).inner_labels))
 
 
 class WallReductionError(RuntimeError):
     """Raised when a y-element is requested outside the strong region."""
 
 
+class DigitDependenceError(AssertionError):
+    """Raised when no reducer is common to the strong cosets of one bullet."""
+
+
 @lru_cache(maxsize=None)
-def _strong_lambdas_with_bullet(case: ShiftCase, bullet_index: int) -> tuple[LambdaParam, ...]:
-    return tuple(lam for lam in enumerate_lambda(case)
+def _strong_cosets(case: ShiftCase, bullet_index: int) -> tuple[int, ...]:
+    return tuple(i for i, lam in enumerate(enumerate_lambda(case))
                  if lam.bullet_index == bullet_index and alcove_inequality(lam, case))
 
 
 def mu_lambda(alpha: Vec, lam: LambdaParam, case: ShiftCase) -> AffineWeight:
     """The chamber representative of the input weight for (alpha, lam)."""
-    return dominant_reduce(affine_input(case, alpha, lam), case).weight
+    fam = _family(case)
+    a0 = _input_labels(case, case.rs.integral_labels(alpha), _cosets(case).index[lam.key()])
+    sigma, t, _ = _reduce(case, a0, fam.k_in)
+    return fam.weight(sigma, t, a0, 1, fam.k_in, fam.level_in, Fraction(0))
 
 
 def y_alpha(alpha: Vec, bullet_index: int, case: ShiftCase) -> AffineWeylElt:
@@ -285,26 +296,25 @@ def y_alpha(alpha: Vec, bullet_index: int, case: ShiftCase) -> AffineWeylElt:
     (interior cosets first).  Digit independence fails loudly if no common
     reducer exists.
     """
-    strong = _strong_lambdas_with_bullet(case, bullet_index)
+    strong = _strong_cosets(case, bullet_index)
     if not strong:
         raise WallReductionError(
             f"no strong representative with minuscule index {bullet_index} "
             f"in {case.case_id()}")
-    fam = _family(case)
-    inputs = [affine_input(case, alpha, lam) for lam in strong]
-    candidates: list[tuple[bool, AffineWeylElt]] = []
-    for mu in inputs:
-        res = dominant_reduce(mu, case)
-        if all(res.elt != elt for _, elt in candidates):
-            candidates.append((res.on_wall, res.elt))
-    candidates.sort(key=lambda pair: pair[0])  # interior-derived first
-    # w o mu keeps the level of mu, so its chamber position reads off the
-    # labels of w o mu + rho_hat at the scale of mu's walk
-    walks = [fam.walk_labels(mu) for mu in inputs]
-    for _, reducer in candidates:
-        if all(fam.position(fam.act_labels(reducer, walk), *walk[1:])[0] for walk in walks):
-            return affine_inv(case, reducer)
-    raise AssertionError(
+    fam, rs, k = _family(case), case.rs, _family(case).k_in
+    alpha_labels = rs.integral_labels(alpha)
+    inputs = [_input_labels(case, alpha_labels, l_idx) for l_idx in strong]
+    candidates: list[tuple[bool, WeylElement, tuple[int, ...]]] = []
+    for a0 in inputs:
+        sigma, t, wall = _reduce(case, a0, k)
+        if all((sigma, t) != c[1:] for c in candidates):
+            candidates.append((wall, sigma, t))
+    candidates.sort(key=lambda c: c[0])  # interior-derived first
+    # w o mu keeps mu's level, so its chamber position is read at mu's k
+    for _, sigma, t in candidates:
+        if all(fam.position(fam.shift_labels(sigma, t, a0, k), k)[0] for a0 in inputs):
+            return affine_inv(case, AffineWeylElt(sigma, rs.from_labels(t)))
+    raise DigitDependenceError(
         f"reducer depends on the box digits for bullet {bullet_index} "
         f"in {case.case_id()}")
 

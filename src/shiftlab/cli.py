@@ -62,28 +62,34 @@ def _case(cfg: RunConfig) -> shift.ShiftCase:
 
 
 def _parse_lambda(case: shift.ShiftCase, text: str) -> shift.LambdaParam:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != case.rank + 1:
+    idx, *digits = _integers("--lambda", text)
+    if len(digits) != case.rank:
         raise ConfigError(
             f"--lambda wants 'minuscule-index,digit1,...,digit{case.rank}'")
     try:
-        idx = int(parts[0])
-        digits = [int(p) for p in parts[1:]]
         return shift.lambda_from(case, idx, digits)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _parse_alpha(case: shift.ShiftCase, text: str):
-    parts = [p.strip() for p in text.split(",")]
-    if parts == ["0"]:
+    values = _integers("--alpha", text)
+    if values == [0]:
         return liealg.vzero(case.rank)
-    if len(parts) != case.rank:
+    if len(values) != case.rank:
         raise ConfigError(f"--alpha wants {case.rank} comma-separated integers")
-    try:
-        return tuple(Fraction(int(p)) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return tuple(map(Fraction, values))
+
+
+def _integers(flag: str, text: str) -> list[int]:
+    """A comma-separated flag value; an error names the flag and the value."""
+    values = []
+    for part in text.split(","):
+        try:
+            values.append(int(part))
+        except ValueError:
+            raise ConfigError(f"{flag} {text}: {part.strip()!r} is not an integer") from None
+    return values
 
 
 def _emit(cfg: RunConfig, payload, csv_text: str | None = None) -> None:
@@ -170,27 +176,31 @@ def _failures_csv(report: shift.ShiftReport) -> str:
 
 
 def _alcove_independence_report(case: shift.ShiftCase) -> shift.ShiftReport:
+    """y_alpha's digit independence and super closed form; a failure's repro
+    prints its y, on the first strong coset with its bullet."""
     report = shift.ShiftReport(case.case_id(), {"checks": 0})
     alphas = [a for h in range(4) for a in characters.dominant_shell(case.rs, h)]
     for b_idx in range(len(case.rs.minuscule)):
+        label = next((lam.label() for lam in shift.enumerate_lambda(case)
+                      if lam.bullet_index == b_idx and shift.alcove_inequality(lam, case)), None)
         for alpha in alphas:
             report.counts["checks"] += 1
+            repro = (f"shiftlab alcove --algebra {case.rs.lie_type} --variant {case.variant.value} "
+                     f"--m {case.m} --alpha {','.join(map(str, alpha))} --lambda {label}")
+            witness = {"bullet": b_idx, "alpha": [str(x) for x in alpha], "repro": repro}
             try:
                 y = alcove.y_alpha(alpha, b_idx, case)
             except alcove.WallReductionError:
                 continue
-            except AssertionError as exc:
-                report.failures.append(
-                    {"check": "digit-independence", "bullet": b_idx,
-                     "alpha": [str(x) for x in alpha], "detail": str(exc)})
+            except alcove.DigitDependenceError as exc:
+                report.failures.append({"check": "digit-independence", **witness,
+                                        "detail": str(exc)})
                 continue
             if case.variant.is_super:
                 cf = alcove.closed_form_y_super(alpha, b_idx, case)
                 if y != cf:
-                    report.failures.append(
-                        {"check": "closed-form", "bullet": b_idx,
-                         "alpha": [str(x) for x in alpha],
-                         "got": y.describe(), "want": cf.describe()})
+                    report.failures.append({"check": "closed-form", **witness,
+                                            "got": y.describe(), "want": cf.describe()})
     return report
 
 

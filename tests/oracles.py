@@ -23,7 +23,11 @@
   strong and w0-shift conditions of a coset computed per call, walking the
   canonical word each time (``conditions_per_call``).
 * The circle action of an affine element on ``Fraction`` coordinates, with
-  the finite part acting by the matrix of its word.
+  the finite part acting by the matrix of its word, its translation checked
+  on root coordinates (``affine_elt_fraction``), and the chamber
+  reduction, ``y_alpha`` and ``mu_lambda`` on ``Fraction`` input weights
+  with the translation read in ``Fraction`` coordinates
+  (``dominant_reduce_fraction``).
 * The eta powers and free-fermion characters by the pentagonal recurrences,
   square-and-multiply over the Kronecker ``convolve`` and a binomial product.
 * Helpers that only the tests call: the dot action, the * route of the
@@ -36,7 +40,16 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from shiftlab.alcove import AffineWeight, AffineWeylElt, _family
+from shiftlab.alcove import (
+    AffineWeight,
+    AffineWeylElt,
+    DigitDependenceError,
+    ReduceResult,
+    WallReductionError,
+    _family,
+    affine_input,
+    affine_inv,
+)
 from shiftlab.characters import (
     FockPoint,
     UnsupportedCaseError,
@@ -61,7 +74,15 @@ from shiftlab.liealg import (
     weyl_order,
 )
 from shiftlab.qseries import FermionKind, QSeries, check_order, convolve
-from shiftlab.shift import LambdaParam, Variant, _check_member, lambda_from, system
+from shiftlab.shift import (
+    LambdaParam,
+    Variant,
+    _check_member,
+    alcove_inequality,
+    enumerate_lambda,
+    lambda_from,
+    system,
+)
 
 # ---------------------------------------------------------------------------
 # exact linear algebra
@@ -558,13 +579,22 @@ def walk_reference(case, lam, beta, moved=False):
     return orbit, dot, mov
 
 
+def affine_elt_fraction(case, finite, translation) -> AffineWeylElt:
+    """The element (finite, translation), refused unless every root
+    coordinate of the translation is a multiple of the lattice scale."""
+    scale = _family(case).lattice_scale
+    if any((x / scale).denominator != 1 for x in translation):
+        raise ValueError(f"translation {translation} is not in {scale}*Q")
+    return AffineWeylElt(finite, translation)
+
+
 def dot_act_fraction(w, mu, case) -> AffineWeight:
     """Circle action w o mu = (s t_B)(mu + rho_hat) - rho_hat on Fraction
     coordinates: Gram-form pairings and the matrix of the finite part's
     word."""
     fam = _family(case)
     rs = case.rs
-    fam.check_translation(w.translation)
+    affine_elt_fraction(case, w.finite_part, w.translation)
     fin = vadd(mu.finite, fam.rho_hat_fin)
     level = mu.level + fam.rho_hat_level
     delta = mu.delta_coeff
@@ -576,6 +606,91 @@ def dot_act_fraction(w, mu, case) -> AffineWeight:
         fin = vadd(fin, vscale(scale, b))
     fin = weyl_apply_matrix(rs, w.finite_part, fin)
     return AffineWeight(vsub(fin, fam.rho_hat_fin), level - fam.rho_hat_level, delta)
+
+
+def chamber_position(mu, case):
+    """(is_inside, is_on_wall) of mu against the shifted chamber, on Fraction
+    copairings of g = mu + rho_hat: (g, alpha_i^vee) >= 0 for every i and
+    (g, theta_s^vee) <= lattice_scale * scale."""
+    fam = _family(case)
+    rs = case.rs
+    g = vadd(mu.finite, fam.rho_hat_fin)
+    pairs = [rs.copairing(g, i) for i in range(rs.rank)]
+    top = 2 * rs.pairing(g, rs.theta_s) / rs.norm2(rs.theta_s)
+    bound = fam.lattice_scale * fam.trans_scale(mu)
+    if min(pairs) < 0 or top > bound:
+        return False, False
+    return True, 0 in pairs or top == bound
+
+
+@lru_cache(maxsize=None)
+def dominant_reduce_fraction(mu, case) -> ReduceResult:
+    """alcove.dominant_reduce with the translation and the reduced weight in
+    Fraction coordinates: the same walk on n * labels of g = mu + rho_hat and
+    of sigma(rho), and the same least reducer under (length, word) among the
+    finite parts the end point's walls reach; b = (sigma^-1(g_f) - g) / scale
+    summed over the fundamental weights, checked in the translation lattice
+    by affine_elt, and w o mu by the Fraction circle action."""
+    fam = _family(case)
+    rs = case.rs
+    a0, n, _ = fam.walk_labels(mu)
+    scale = fam.trans_scale(mu)
+    if scale <= 0:
+        raise ValueError("nonpositive shifted level; reduction undefined")
+    bound = int(n * fam.lattice_scale * scale)
+    a, sigma = a0, (1,) * rs.rank
+    while True:
+        i = next((i for i, x in enumerate(a) if x < 0), None)
+        if i is None and fam.top(a) <= bound:
+            break
+        a, sigma = fam.reflect(a, i, bound), fam.reflect(sigma, i)
+    walls = [i for i, x in enumerate(a) if x == 0] + ([None] if fam.top(a) == bound else [])
+    seen, frontier = {sigma}, {sigma}
+    while frontier:
+        frontier = {fam.reflect(s, i) for s in frontier for i in walls} - seen
+        seen |= frontier
+    sigma = min(map(rs.element_from_labels, seen), key=lambda e: (e.length, e.word))
+    back = rs.reflect_along(sigma.word[::-1], a)  # sigma^-1(g_f)
+    diff = [(x - y) / (n * scale) for x, y in zip(back, a0)]
+    b = tuple(sum(d * w[j] for d, w in zip(diff, rs.fund_weights)) for j in range(rs.rank))
+    elt = affine_elt_fraction(case, sigma, b)
+    wall = len(seen) > 1
+    reduced = dot_act_fraction(elt, mu, case)
+    if chamber_position(reduced, case) != (True, wall):
+        raise AssertionError(f"reduced weight {reduced} left the chamber or changed wall")
+    return ReduceResult(elt, reduced, wall)
+
+
+def mu_lambda_fraction(alpha, lam, case) -> AffineWeight:
+    """alcove.mu_lambda on the Fraction input weight affine_input."""
+    return dominant_reduce_fraction(affine_input(case, alpha, lam), case).weight
+
+
+def y_alpha_fraction(alpha, bullet_index, case) -> AffineWeylElt:
+    """alcove.y_alpha on the Fraction input weights of the strong cosets of
+    the bullet: the first candidate reducer (interior-derived first) that
+    keeps every input in the chamber under the Fraction circle action,
+    inverted by affine_inv."""
+    strong = [lam for lam in enumerate_lambda(case)
+              if lam.bullet_index == bullet_index and alcove_inequality(lam, case)]
+    if not strong:
+        raise WallReductionError(
+            f"no strong representative with minuscule index {bullet_index} "
+            f"in {case.case_id()}")
+    inputs = [affine_input(case, alpha, lam) for lam in strong]
+    candidates = []
+    for mu in inputs:
+        res = dominant_reduce_fraction(mu, case)
+        if all(res.elt != elt for _, elt in candidates):
+            candidates.append((res.on_wall, res.elt))
+    candidates.sort(key=lambda pair: pair[0])
+    for _, reducer in candidates:
+        if all(chamber_position(dot_act_fraction(reducer, mu, case), case)[0]
+               for mu in inputs):
+            return affine_inv(case, reducer)
+    raise DigitDependenceError(
+        f"reducer depends on the box digits for bullet {bullet_index} "
+        f"in {case.case_id()}")
 
 
 # ---------------------------------------------------------------------------

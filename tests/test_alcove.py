@@ -1,16 +1,22 @@
 """Affine Weyl layer: circle action, chamber reduction, distinguished elements."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from oracles import (
+    affine_elt_fraction,
     affine_identity,
+    chamber_position,
+    dominant_reduce_fraction,
     dot_act_fraction,
     dot_action,
     invert_mat,
     mat_vec,
+    mu_lambda_fraction,
     weyl_matrix,
+    y_alpha_fraction,
 )
 
 from shiftlab.alcove import (
@@ -23,7 +29,6 @@ from shiftlab.alcove import (
     affine_inv,
     affine_mul,
     alcove_json,
-    chamber_position,
     closed_form_y_super,
     dominant_reduce,
     dot_act,
@@ -66,6 +71,11 @@ def test_translation_lattice_validation():
         affine_elt(B2N2, B2N2.rs.identity_element(), (Fraction(1), Fraction(0)))
     affine_elt(B2N2, B2N2.rs.identity_element(), (Fraction(2), Fraction(4)))
     affine_elt(B2S3, B2S3.rs.identity_element(), (Fraction(1), Fraction(0)))
+    # the rule on integer labels agrees with the one on root coordinates
+    for case in (B2N2, B2S3, make_case("G2", "nonsuper", 2), make_case("C3", "nonsuper", 1)):
+        e = case.rs.identity_element()
+        for b in itertools.product([Fraction(x, 2) for x in range(-4, 5)], repeat=case.rank):
+            assert outcome(affine_elt, case, e, b) == outcome(affine_elt_fraction, case, e, b)
 
 
 def test_translation_shifts_by_level():
@@ -151,7 +161,9 @@ def test_label_chamber_check_matches_fraction_route(name, variant, m):
         walk = fam.walk_labels(mu)
         for w in elts:
             want = chamber_position(dot_act_fraction(w, mu, case), case)
-            assert fam.position(fam.act_labels(w, walk), *walk[1:]) == want
+            end = fam.shift_labels(w.finite_part, case.rs.integral_labels(w.translation),
+                                   walk[0], walk[2])
+            assert fam.position(end, walk[2]) == want
             seen.add(want[0])
     assert seen == {True, False}
 
@@ -184,6 +196,49 @@ def test_reducer_is_least_over_brute_force(name, variant, m):
         assert (res.elt.finite_part, res.elt.translation) == \
             (best.finite_part, best.translation)
         assert res.on_wall == (len(valid) > 1)
+
+
+ORACLE_CASES = [("A1", "nonsuper", m) for m in (1, 2, 3)] \
+    + [("B1", "super", m) for m in (1, 2, 3)] + [("B1", "ramond", 2)] \
+    + [("A2", "nonsuper", 2), ("A2", "nonsuper", 3), ("B2", "nonsuper", 2),
+       ("C2", "nonsuper", 2), ("C2", "nonsuper", 3), ("G2", "nonsuper", 3),
+       ("G2", "nonsuper", 4)] \
+    + [("B2", v, m) for v in ("super", "ramond") for m in (2, 3)] \
+    + [("A3", "nonsuper", 3), ("B3", "super", 3), ("B3", "ramond", 3)]
+
+
+def outcome(fn, *args):
+    """fn's value, or the type of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the error is the outcome
+        return type(exc)
+
+
+@pytest.mark.parametrize("name,variant,m", ORACLE_CASES)
+def test_integer_route_matches_fraction_oracle(name, variant, m):
+    # on every strong coset and every alpha in [-1, 1]^r, the integer
+    # reducer behind y_alpha, mu_lambda and alcove_json gives what the
+    # Fraction route gives, raised errors included
+    case = make_case(name, variant, m)
+    strong = [lam for lam in enumerate_lambda(case) if alcove_inequality(lam, case)]
+    alphas = [tuple(map(Fraction, a)) for a in itertools.product((-1, 0, 1), repeat=case.rank)]
+    for alpha in alphas:
+        for b_idx in sorted({lam.bullet_index for lam in strong}):
+            assert outcome(y_alpha, alpha, b_idx, case) == \
+                outcome(y_alpha_fraction, alpha, b_idx, case)
+        for lam in strong:
+            mu = affine_input(case, alpha, lam)
+            assert outcome(dominant_reduce, mu, case) == \
+                outcome(dominant_reduce_fraction, mu, case)
+            want = outcome(mu_lambda_fraction, alpha, lam, case)
+            assert outcome(mu_lambda, alpha, lam, case) == want
+            got = outcome(alcove_json, case, alpha, lam)
+            y = outcome(y_alpha_fraction, alpha, lam.bullet_index, case)
+            if isinstance(got, dict):
+                assert (got["y"], got["mu_lambda"]) == (y.describe(), want.describe())
+            else:
+                assert got in (y, want)
 
 
 def test_rank1_super_reduction_example():

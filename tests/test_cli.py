@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -132,6 +133,60 @@ def test_alcove_independence_csv(capsys, monkeypatch):
         [[f["check"], str(f["bullet"]), ",".join(f["alpha"])] for f in failures]
     assert [json.loads(row[3]) for row in rows[1:]] == \
         [{"got": f["got"], "want": f["want"]} for f in failures]
+    # each record's repro command prints the y that its got shows
+    for f in failures:
+        command = shlex.split(f["repro"])
+        assert command[:2] == ["shiftlab", "alcove"]
+        code, out, _ = run(capsys, *command[1:])
+        assert code == 0 and json.loads(out)["y"] == f["got"]
+
+
+def test_alcove_independence_records_digit_dependence(capsys, monkeypatch):
+    # a reducer that is the identity on every input is common to no strong
+    # coset whose input lies outside the chamber: the report records the
+    # digit dependence, with its repro command, and exits 1
+    case = make_case("B2", "super", 3)
+    ident = (case.rs.identity_element(), (0, 0))
+    monkeypatch.setattr(alcove, "_reduce", lambda case, a0, k: (*ident, False))
+    code, out, _ = run(capsys, "check", "alcove-independence", "--algebra", "B2",
+                       "--variant", "super", "--m", "3")
+    failures = json.loads(out)["failures"]
+    assert code == 1
+    dependent = [f for f in failures if f["check"] == "digit-independence"]
+    assert dependent and all("depends on the box digits" in f["detail"] for f in dependent)
+    assert all(f["repro"].startswith("shiftlab alcove --algebra B2 --variant super --m 3 ")
+               for f in dependent)
+
+
+def test_alcove_independence_propagates_invariant_errors(capsys, monkeypatch):
+    # an end point that (sigma, t) does not reproduce is a failed internal
+    # check, not a digit-dependence record
+    fam = alcove._family(make_case("B1", "super", 2))
+    moved = fam.shift_labels
+    monkeypatch.setattr(fam, "shift_labels",
+                        lambda *args: tuple(x + 1 for x in moved(*args)))
+    alcove._reduce.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="left the chamber") as exc:
+            main(["check", "alcove-independence", "--algebra", "B1", "--variant", "super",
+                  "--m", "2"])
+    finally:
+        alcove._reduce.cache_clear()
+    assert not isinstance(exc.value, alcove.DigitDependenceError)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["alcove", "--algebra", "B2", "--lambda", "0,1,1", "--alpha", "1/2,0"],
+     "--alpha 1/2,0: '1/2' is not an integer"),
+    (["char", "--algebra", "A2", "--lambda", "0,1,1", "--alpha", "1.5,0"],
+     "--alpha 1.5,0: '1.5' is not an integer"),
+    (["char", "--algebra", "A2", "--lambda", "0,1,x"],
+     "--lambda 0,1,x: 'x' is not an integer"),
+])
+def test_non_integer_entry_names_the_flag_and_value(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_lambda_csv(capsys):

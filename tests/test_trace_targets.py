@@ -33,6 +33,9 @@ lam = shift.enumerate_lambda(case)[0]
 characters.multiplet_char(vzero(2), lam, case, 6)
 characters.ft_char(lam, case, 3)
 alcove.alcove_json(case, vzero(2), lam)
+# the reducer and y_alpha called directly, as the tests and the CLI call them
+alcove.dominant_reduce(alcove.affine_input(case, vzero(2), lam), case)
+alcove.y_alpha(vzero(2), lam.bullet_index, case)
 summary = tracer.summary()
 print(json.dumps({"missing": summary["missing"], "spans": sorted(summary["spans"])}))
 """
@@ -47,4 +50,5 @@ def test_every_tracer_target_is_found():
     assert got["missing"] == []
     # the ops ran under their spans, so the probes were exercised
     assert {"shift.verify_axioms", "shift.condition_report", "characters.multiplet_char",
-            "characters.ft_char", "alcove.alcove_json"} <= set(got["spans"])
+            "characters.ft_char", "alcove.alcove_json", "alcove.dominant_reduce",
+            "alcove.y_alpha"} <= set(got["spans"])

@@ -84,12 +84,8 @@ class _Family:
             self.inner, self.k_in = rs.rho_check, case.p
         self.form_factor = Fraction(1, self.lattice_scale)
         # labels of theta_s and the integer marks c of its coroot,
-        # theta_s^vee = sum c_i alpha_i^vee, so (g, theta_s^vee) = sum c_i a_i
-        n2 = rs.norm2(rs.theta_s)
-        marks = tuple(2 * d * x / n2 for d, x in zip(rs.half_lengths, rs.theta_s))
-        if any(x.denominator != 1 for x in marks):
-            raise AssertionError("coroot marks of the highest short root are not integral")
-        self.marks = tuple(int(x) for x in marks)
+        # theta_s^vee = theta_L = sum c_i alpha_i^vee, so (g, theta_s^vee) = sum c_i a_i
+        self.marks = rs.theta_L_marks
         self.reflect_cols = rs.reflect_cols()
         self.theta_s_labels = rs.integral_labels(rs.theta_s)
         self.rho_hat_labels, self.inner_labels = map(rs.integral_labels,
@@ -291,10 +287,12 @@ def y_alpha(alpha: Vec, bullet_index: int, case: ShiftCase) -> AffineWeylElt:
     """Inverse of the common chamber reducer over the strong region.
 
     Regular inputs determine their reducer uniquely; on the walls reached by
-    boundary digits many reducers are valid, so the canonical one is the
-    reducer that works for every strong coset with the given minuscule part
-    (interior cosets first).  Digit independence fails loudly if no common
-    reducer exists.
+    boundary digits many reducers are valid, so the canonical one is the first
+    of the inputs' own reducers, in coset order, that works for every strong
+    coset with the given minuscule part.  If any input is regular, its
+    reducer is the only one that can work for all, so the order matters only
+    when every input lies on a wall.  Digit independence fails loudly if no
+    common reducer exists.
     """
     strong = _strong_cosets(case, bullet_index)
     if not strong:
@@ -304,14 +302,12 @@ def y_alpha(alpha: Vec, bullet_index: int, case: ShiftCase) -> AffineWeylElt:
     fam, rs, k = _family(case), case.rs, _family(case).k_in
     alpha_labels = rs.integral_labels(alpha)
     inputs = [_input_labels(case, alpha_labels, l_idx) for l_idx in strong]
-    candidates: list[tuple[bool, WeylElement, tuple[int, ...]]] = []
+    candidates: list[tuple[WeylElement, tuple[int, ...]]] = []
     for a0 in inputs:
-        sigma, t, wall = _reduce(case, a0, k)
-        if all((sigma, t) != c[1:] for c in candidates):
-            candidates.append((wall, sigma, t))
-    candidates.sort(key=lambda c: c[0])  # interior-derived first
+        if (cand := _reduce(case, a0, k)[:2]) not in candidates:
+            candidates.append(cand)
     # w o mu keeps mu's level, so its chamber position is read at mu's k
-    for _, sigma, t in candidates:
+    for sigma, t in candidates:
         if all(fam.position(fam.shift_labels(sigma, t, a0, k), k)[0] for a0 in inputs):
             return affine_inv(case, AffineWeylElt(sigma, rs.from_labels(t)))
     raise DigitDependenceError(

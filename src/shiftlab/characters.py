@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import floor, gcd, isqrt, lcm
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from .liealg import (
@@ -33,6 +34,7 @@ from .shift import (
     ShiftCase,
     Variant,
     _cosets,
+    _grid,
     system,
 )
 
@@ -330,13 +332,13 @@ def ft_char(lam: LambdaParam, case: ShiftCase, order: int) -> QSeries:
     rs = case.rs
     cutoff = order - case.central_charge / 24
     _, _, den, const = _form(case)
+    bullet = _grid(case)[2][lam.bullet_index]
     num: dict[int, int] = {}  # zero coefficients kept: they fix the cutoff
     tail = None
     n_terms = 0
     for height in range(_height_bound(case, lam, cutoff) + 1):
         for alpha in dominant_shell(rs, height):
-            beta = vadd(alpha, lam.bullet_up)
-            labels = rs.integral_labels(beta)
+            labels = tuple(map(add, alpha, bullet))
             _, dot = _walk(case, lam, labels)
             if const + Fraction(min(dot), den) > cutoff + 2:
                 continue
@@ -346,7 +348,7 @@ def ft_char(lam: LambdaParam, case: ShiftCase, order: int) -> QSeries:
                     f"more than {ALPHA_CAP} dominant weights below the cutoff")
             if tail is None:
                 tail = _tail(case, order)
-            dim = rs.weyl_dim(beta)
+            dim = rs.weyl_dim(labels)
             for e, c in _checked_numerator(case, lam, labels, dot, tail).items():
                 num[e] = num.get(e, 0) + dim * c
     if not num:
@@ -355,25 +357,22 @@ def ft_char(lam: LambdaParam, case: ShiftCase, order: int) -> QSeries:
 
 
 @lru_cache(maxsize=None)
-def _shell(rs, height: int) -> tuple[Vec, ...]:
-    """Root-lattice vectors with nonnegative coordinates summing to height."""
-    r = rs.rank
+def dominant_shell(rs, height: int) -> tuple[tuple[int, ...], ...]:
+    """The Dynkin labels l >= 0 of the dominant root-lattice weights of this
+    height, in lexicographic order of their root coordinates adj.l / det.
 
-    def rec(i: int, remaining: int):
-        if i == r - 1:
-            yield (remaining,)
-            return
-        for c in range(remaining + 1):
-            for rest in rec(i + 1, remaining - c):
-                yield (c,) + rest
-
-    return tuple(tuple(Fraction(c) for c in coords) for coords in rec(0, height))
-
-
-@lru_cache(maxsize=None)
-def dominant_shell(rs, height: int) -> tuple[Vec, ...]:
-    """The dominant vectors of _shell(rs, height), in its order."""
-    return tuple(a for a in _shell(rs, height) if rs.is_dominant(a))
+    Column j of the adjugate sums to h_j = det * height(omega_j), so the
+    height fixes sum h_j l_j = det * height, and with it the last label; the
+    weight lies in Q exactly when adj.l = 0 mod det."""
+    adj, det = rs.cartan_adjugate
+    *h, h_last = [sum(col) for col in zip(*adj)]
+    found = []
+    for head in product(*(range(det * height // x + 1) for x in h)):
+        last, rest = divmod(det * height - sum(map(mul, h, head)), h_last)
+        coords = [sum(map(mul, row, (*head, last))) for row in adj]
+        if last >= 0 and not rest and not any(x % det for x in coords):
+            found.append((coords, (*head, last)))
+    return tuple(labels for _, labels in sorted(found))
 
 
 # ---------------------------------------------------------------------------

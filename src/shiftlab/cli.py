@@ -145,12 +145,14 @@ def cmd_lambda(cfg: RunConfig, args) -> int:
 
 
 def cmd_check(cfg: RunConfig, args) -> int:
+    if cfg.word_cap is not None and args.suite != "weak-strong":
+        raise ConfigError("--word-cap applies only to the weak-strong suite")
     case = _case(cfg)
     if args.suite == "axioms":
         report = shift.verify_axioms(case)
     elif args.suite == "weak-strong":
         report = shift.condition_report(case, all_words=True,
-                                        word_cap=cfg.word_cap)
+                                        word_cap=cfg.word_cap or liealg.DEFAULT_WORD_CAP)
     elif args.suite == "alcove-independence":
         report = _alcove_independence_report(case)
     else:  # pragma: no cover - argparse restricts choices
@@ -179,7 +181,8 @@ def _alcove_independence_report(case: shift.ShiftCase) -> shift.ShiftReport:
     """y_alpha's digit independence and super closed form; a failure's repro
     prints its y, on the first strong coset with its bullet."""
     report = shift.ShiftReport(case.case_id(), {"checks": 0})
-    alphas = [a for h in range(4) for a in characters.dominant_shell(case.rs, h)]
+    alphas = [case.rs.from_labels(a) for h in range(4)
+              for a in characters.dominant_shell(case.rs, h)]
     for b_idx in range(len(case.rs.minuscule)):
         label = next((lam.label() for lam in shift.enumerate_lambda(case)
                       if lam.bullet_index == b_idx and shift.alcove_inequality(lam, case)), None)
@@ -271,7 +274,8 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     elif args.target == "verma":
         if not case.variant.is_super:
             raise ConfigError("verma verification needs a super variant")
-        alphas = [a for h in range(3) for a in characters.dominant_shell(case.rs, h)]
+        alphas = [case.rs.from_labels(a) for h in range(3)
+                  for a in characters.dominant_shell(case.rs, h)]
         for lam in shift.enumerate_lambda(case):
             for alpha in alphas:
                 mu = liealg.vscale(case.p, liealg.vsub(lam.value, alpha))
@@ -290,9 +294,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         for coords in itertools.product(span, repeat=rs.rank):
             beta = liealg.vadd(tuple(Fraction(c) for c in coords), lam0.bullet_up)
             shifted = liealg.vadd(beta, rs.rho)
-            on_wall = any(rs.copairing(shifted, i) == 0 for i in range(rs.rank)) \
-                or any(rs.pairing(shifted, a) == 0 for a in rs.positive_roots)
-            if not on_wall:
+            if all(rs.pairing(shifted, a) for a in rs.positive_roots):
                 continue
             checks += 1
             total = characters._alternating_sum(case, lam0, beta, cfg.order)
@@ -347,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="verification suites")
     p.add_argument("suite", choices=["axioms", "weak-strong", "alcove-independence"])
     common(p, csv=True)
-    p.add_argument("--word-cap", type=int, default=liealg.DEFAULT_WORD_CAP)
+    p.add_argument("--word-cap", type=int, help="weak-strong only")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("char", help="multiplet character")

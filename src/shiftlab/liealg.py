@@ -266,6 +266,7 @@ class RootSystem(NamedTuple):
     theta: Vec
     theta_s: Vec
     theta_L: Vec                    # highest root of the dual system, as a coroot vector
+    theta_L_marks: tuple[int, ...]  # theta_L = theta_s^vee = sum c_i alpha_i^vee
     lacing: int
     coxeter: int
     dual_coxeter: int
@@ -302,13 +303,6 @@ class RootSystem(NamedTuple):
         labels / scale."""
         adj, det = self.cartan_adjugate
         return tuple(Fraction(sum(map(mul, row, labels)), det * scale) for row in adj)
-
-    def copairing(self, mu: Vec, i: int) -> Fraction:
-        """(mu, alpha_i^vee), 0-indexed i."""
-        if len(mu) != self.rank:
-            raise ValueError("rank mismatch")
-        row = self.cartan[i]
-        return sum(row[j] * mu[j] for j in range(self.rank))
 
     def scaled_labels(self, mu: Vec) -> tuple[tuple[int, ...], int]:
         """(n * labels, n): the Dynkin labels of mu times the least common
@@ -424,24 +418,23 @@ class RootSystem(NamedTuple):
 
     # -- representation dimensions -----------------------------------------
 
-    def weyl_dim(self, beta: Vec) -> int:
-        """dim of the irreducible module with highest weight beta (dominant
-        integral): prod (beta + rho, a^vee) / (rho, a^vee) over the positive
-        roots a.  With labels l of beta and c_j = lacing * d_j * a_j, a
-        multiple of the coroot coordinates of a, each factor is
+    def weyl_dim(self, labels) -> int:
+        """dim of the irreducible module whose highest weight beta has these
+        (nonnegative) Dynkin labels l: prod (beta + rho, a^vee) / (rho, a^vee)
+        over the positive roots a.  With c_j = lacing * d_j * a_j, a multiple
+        of the coroot coordinates of a, each factor is
         sum c_j (l_j + 1) / sum c_j."""
-        labels, n = self.scaled_labels(beta)
-        if any(c % n or c < 0 for c in labels):
-            raise ValueError(f"weight {beta} is not dominant integral")
+        if len(labels) != self.rank or min(labels) < 0:
+            raise ValueError(f"labels {labels} are not those of a dominant weight")
         ell = [int(self.lacing * d) for d in self.half_lengths]
         num = den = 1
         for alpha in self.positive_roots:
             c = [e * a.numerator for e, a in zip(ell, alpha)]
-            num *= sum(x * (l // n + 1) for x, l in zip(c, labels))
+            num *= sum(x * (l + 1) for x, l in zip(c, labels))
             den *= sum(c)
         dim, rest = divmod(num, den)
         if rest or dim <= 0:
-            raise AssertionError(f"Weyl dimension of {beta} came out as {num}/{den}")
+            raise AssertionError(f"Weyl dimension at labels {labels} came out as {num}/{den}")
         return dim
 
     # -- serialization ------------------------------------------------------
@@ -573,6 +566,7 @@ def build_root_system(t: SimpleLieType) -> RootSystem:
         theta=frac(theta),
         theta_s=frac(theta_s),
         theta_L=tuple(Fraction(lac * x, roots[top]) for x in top),
+        theta_L_marks=tuple(c for c, _ in marks_L),
         lacing=lac,
         coxeter=sum(theta) + 1,
         dual_coxeter=dc + 1,

@@ -156,12 +156,8 @@ def _grid(case: ShiftCase):
 @lru_cache(maxsize=None)
 def _alcove_weights(case: ShiftCase) -> tuple[int, ...]:
     """c_j * x_j: p*(box + x) has labels k_j x_j, which pair with theta_L
-    through its integer coroot marks c_j = d_j * theta_L[j]."""
-    rs = case.rs
-    marks = [d * t for d, t in zip(rs.half_lengths, rs.theta_L)]
-    if any(c.denominator != 1 for c in marks):
-        raise AssertionError(f"coroot marks of theta_L of {rs.lie_type} are not integral")
-    return tuple(c.numerator * s for c, s in zip(marks, _grid(case)[0]))
+    through its integer coroot marks c_j."""
+    return tuple(map(mul, case.rs.theta_L_marks, _grid(case)[0]))
 
 
 def lambda_from(case: ShiftCase, bullet_index: int, digits) -> LambdaParam:

@@ -4,7 +4,8 @@
   coordinates.
 * The root-system record built over ``Fraction`` end to end: Gauss-Jordan
   inverses of the Cartan and Gram matrices, and lengths and coroots from the
-  Gram form, and the Weyl dimension formula on ``Fraction`` pairings.
+  Gram form, the copairing (mu, alpha_i^vee) on root coordinates, and the
+  Weyl dimension formula on ``Fraction`` pairings.
 * The twist x, the background charge gamma, the central charge, the
   conformal weight fock_delta, its norm_shift and the screening pairing,
   each by its own formula per family (rho_check in the nonsuper family, rho
@@ -28,6 +29,9 @@
   reduction, ``y_alpha`` and ``mu_lambda`` on ``Fraction`` input weights
   with the translation read in ``Fraction`` coordinates
   (``dominant_reduce_fraction``).
+* The dominant root-lattice weights of one height as the dominant part of
+  the nonnegative cone (``cone_shell``), and at p = 1 the theta series of
+  the coset in Q times the tail (``lattice_theta_char``).
 * The eta powers and free-fermion characters by the pentagonal recurrences,
   square-and-multiply over the Kronecker ``convolve`` and a binomial product.
 * Helpers that only the tests call: the dot action, the * route of the
@@ -38,6 +42,7 @@
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from operator import mul
 
 from shiftlab.alcove import (
@@ -58,6 +63,7 @@ from shiftlab.characters import (
     _star_walk,
     _tail,
     _times_tail,
+    dominant_shell,
 )
 from shiftlab.liealg import (
     RootSystem,
@@ -83,6 +89,11 @@ from shiftlab.shift import (
     lambda_from,
     system,
 )
+
+# every simple type up to rank 8
+ALL_TYPES = ([f"A{r}" for r in range(1, 9)] + [f"B{r}" for r in range(1, 9)]
+             + [f"C{r}" for r in range(2, 9)] + [f"D{r}" for r in range(3, 9)]
+             + ["E6", "E7", "E8", "F4", "G2"])
 
 # ---------------------------------------------------------------------------
 # exact linear algebra
@@ -238,6 +249,8 @@ def fraction_root_system(t) -> RootSystem:
 
     theta_L = max((coroot(a) for a in positive), key=lambda av: sum(coroot_coords(av)))
     marks_L = coroot_coords(theta_L)
+    # the coroot marks of the highest short root: theta_s^vee = theta_L
+    marks_s = coroot_coords(coroot(theta_s))
     minuscule = (vzero(r),) + tuple(fund_weights[i] for i in range(r) if marks_L[i] == 1)
 
     lac = _lacing(t)
@@ -254,13 +267,14 @@ def fraction_root_system(t) -> RootSystem:
     det = det_int(cartan)
     assert 2 * len(positive) == len(roots)
     assert len(minuscule) == det
-    assert all(x.denominator == 1 for x in (*marks_L, dc, lhv))
+    assert all(x.denominator == 1 for x in (*marks_L, *marks_s, dc, lhv))
     assert sum(exps) == len(positive) and order == weyl_order(t)
     return RootSystem(
         lie_type=t, gram=gram, cartan=cartan, simple_roots=simple_roots,
         simple_coroots=simple_coroots, fund_weights=fund_weights,
         fund_coweights=fund_coweights, rho=rho, rho_check=rho_check, theta=theta,
-        theta_s=theta_s, theta_L=theta_L, lacing=lac, coxeter=int(sum(theta)) + 1,
+        theta_s=theta_s, theta_L=theta_L, theta_L_marks=tuple(int(c) for c in marks_s),
+        lacing=lac, coxeter=int(sum(theta)) + 1,
         dual_coxeter=int(dc), dual_coxeter_L=int(lhv), exponents=exps,
         positive_roots=positive, minuscule=minuscule, half_lengths=d,
         cartan_adjugate=(tuple(tuple(int(det * x) for x in row) for row in cartan_inv), det))
@@ -271,6 +285,12 @@ def _coroot_rows(rs):
     """Per positive root a: gram * a^vee, with a^vee = 2a/|a|^2, and (rho, a^vee)."""
     rows = [mat_vec(rs.gram, vscale(2 / rs.norm2(a), a)) for a in rs.positive_roots]
     return [(row, sum(map(mul, row, rs.rho))) for row in rows]
+
+
+def copairing(rs, mu, i: int) -> Fraction:
+    """(mu, alpha_i^vee), 0-indexed i: row i of the Cartan matrix against
+    mu's root coordinates."""
+    return sum(map(mul, rs.cartan[i], mu))
 
 
 def weyl_dim_fraction(rs, beta) -> Fraction:
@@ -328,7 +348,7 @@ def screening_pairing_reference(i, lam, case) -> int:
     if case.variant is Variant.NONSUPER:
         val = rs.pairing(vadd(vscale(p, lam.value), rs.rho_check), rs.simple_roots[i])
     else:
-        val = rs.copairing(vadd(vscale(p, lam.value), rs.rho), i)
+        val = copairing(rs, vadd(vscale(p, lam.value), rs.rho), i)
     if val.denominator != 1:
         raise AssertionError(f"screening pairing {val} is not integral")
     return int(val)
@@ -359,7 +379,7 @@ def canonical_decompose_fraction(mu, case):
     _check_member(mu, case)
     bullet = vzero(rs.rank)
     for i in range(rs.rank):
-        t = rs.copairing(vadd(mu, case.x), i)
+        t = copairing(rs, vadd(mu, case.x), i)
         # unique integer n with -t < n <= 1 - t
         n = 1 - t.numerator // t.denominator if t.denominator == 1 else math.ceil(-t)
         if n:
@@ -372,7 +392,7 @@ def fock_point_fraction(case, lam, beta):
     weight beta, checked on Fraction copairings: beta integral, beta - bullet
     in Q, and ceil(-nu) = beta against the simple coroots."""
     rs = case.rs
-    labels = [rs.copairing(beta, i) for i in range(rs.rank)]
+    labels = [copairing(rs, beta, i) for i in range(rs.rank)]
     if any(c.denominator != 1 for c in labels):
         raise ValueError(f"{beta} is not an integral weight")
     if not rs.in_root_lattice(vsub(beta, lam.bullet_up)):
@@ -380,7 +400,7 @@ def fock_point_fraction(case, lam, beta):
             f"weight {beta} is not in the Cartan support coset of {lam.label()}")
     nu = vsub(vadd(lam.value, lam.bullet_up), beta)
     for i in range(rs.rank):
-        if math.ceil(rs.copairing(vneg(nu), i)) != labels[i]:
+        if math.ceil(copairing(rs, vneg(nu), i)) != labels[i]:
             raise AssertionError("ceiling-weight mismatch")
     return FockPoint(nu, lam, beta)
 
@@ -391,7 +411,7 @@ def fraction_start(case, lam):
     rs, p = case.rs, case.p
 
     def scaled(v):
-        out = tuple(p * rs.copairing(v, i) for i in range(rs.rank))
+        out = tuple(p * copairing(rs, v, i) for i in range(rs.rank))
         assert all(t.denominator == 1 for t in out)
         return tuple(int(t) for t in out)
 
@@ -400,7 +420,7 @@ def fraction_start(case, lam):
     x = scaled(case.x)
     a = tuple(v + c for v, c in zip(scaled(lam.value), x))
     b = tuple(v + c for v, c in zip(scaled(box), x))
-    return a, b, tuple(int(rs.copairing(bullet, i)) for i in range(rs.rank))
+    return a, b, tuple(int(copairing(rs, bullet, i)) for i in range(rs.rank))
 
 
 def lambda_of_value_fraction(case, mu) -> LambdaParam:
@@ -415,7 +435,7 @@ def lambda_of_value_fraction(case, mu) -> LambdaParam:
     else:
         raise ValueError(f"{bullet} has no minuscule representative")
     scale = rs.half_lengths if case.variant is Variant.NONSUPER else (1,) * rs.rank
-    digits = [case.p * scale[i] * rs.copairing(vadd(box, case.x), i) for i in range(rs.rank)]
+    digits = [case.p * scale[i] * copairing(rs, vadd(box, case.x), i) for i in range(rs.rank)]
     assert all(d.denominator == 1 for d in digits), "box value off the digit grid"
     lam = lambda_from(case, b_idx, digits)
     assert lam.value == vadd(vneg(rs.minuscule[b_idx]), box), f"{mu} does not recompose"
@@ -429,6 +449,68 @@ def alcove_inequality_fraction(lam, case) -> bool:
     box = vadd(lam.value, lam.bullet_up)
     shift_vec = rs.rho_check if case.variant is Variant.NONSUPER else rs.rho
     return rs.pairing(vadd(vscale(case.p, box), shift_vec), rs.theta_L) <= case.p
+
+
+# ---------------------------------------------------------------------------
+# dominant root-lattice weights and the p = 1 lattice sum
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def cone_shell(rs, height: int) -> tuple:
+    """Root-lattice vectors with nonnegative coordinates summing to height,
+    as Fraction tuples in lexicographic order: the cone that dominant_shell
+    enumerates the dominant part of."""
+    r = rs.rank
+
+    def rec(i: int, remaining: int):
+        if i == r - 1:
+            yield (remaining,)
+            return
+        for c in range(remaining + 1):
+            for rest in rec(i + 1, remaining - c):
+                yield (c,) + rest
+
+    return tuple(tuple(Fraction(c) for c in coords) for coords in rec(0, height))
+
+
+def dominant_alphas(rs, max_height: int) -> list:
+    """The dominant root-lattice weights of height <= max_height, in root
+    coordinates, by height and then in dominant_shell's order."""
+    return [rs.from_labels(labels) for h in range(max_height + 1)
+            for labels in dominant_shell(rs, h)]
+
+
+def lattice_theta_char(case, lam, order: int) -> QSeries:
+    """sum over nu in bullet + Q of q^(|nu|^2/2 - c/24), times the tail
+    (eta^-rank, with the free fermion in the super family) from its leading
+    term: the character that ft_char is expected to give at p = 1, where the
+    construction is the lattice VOA of Q.
+
+    Every term below the cutoff has |nu|^2 <= 2 * order, and each root
+    coordinate is nu_i = (nu, omega_i^vee), so by Cauchy-Schwarz
+    |nu_i| <= sqrt(2 * order) |omega_i^vee|.  The scan runs on u = det * nu
+    with the integer form lacing * gram."""
+    rs, r = case.rs, case.rank
+    det, lac = rs.cartan_adjugate[1], rs.lacing
+    gram = [[int(lac * g) for g in row] for row in rs.gram]
+    top = 2 * order * lac * det * det  # bound on u.gram.u
+    shift = [int(det * b) for b in lam.bullet_up]
+    ranges = []
+    for b, w in zip(shift, rs.fund_coweights):
+        bound = math.isqrt(math.floor(2 * order * det * det * rs.norm2(w)))
+        # det * a + b within [-bound, bound], a an integer
+        ranges.append(range(-((bound + b) // det), (bound - b) // det + 1))
+    coeffs = [0] * (top + 1)
+    for a in product(*ranges):
+        u = [det * x + b for x, b in zip(a, shift)]
+        n = sum(u[i] * sum(map(mul, gram[i], u)) for i in range(r))
+        if n <= top:
+            coeffs[n] += 1
+    base = -case.central_charge / 24
+    theta = QSeries.make(base, 2 * lac * det * det, coeffs, base + order)
+    tail = _tail(case, order)
+    return theta.mul(tail.qshift(-tail.base))
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +637,7 @@ def walk_reference(case, lam, beta, moved=False):
     u = b_lam - p*labels(w(beta + rho)), and fock_point's checks on every dot
     term as on every * term."""
     sys, (quad, lin, _, _), p, r = system(case), _form(case), case.p, case.rank
-    labels = tuple(case.rs.copairing(beta, i) for i in range(r))
+    labels = tuple(copairing(case.rs, beta, i) for i in range(r))
     if any(c.denominator != 1 for c in labels):
         raise ValueError(f"{beta} is not an integral weight")
     labels = tuple(int(c) for c in labels)
@@ -615,7 +697,7 @@ def chamber_position(mu, case):
     fam = _family(case)
     rs = case.rs
     g = vadd(mu.finite, fam.rho_hat_fin)
-    pairs = [rs.copairing(g, i) for i in range(rs.rank)]
+    pairs = [copairing(rs, g, i) for i in range(rs.rank)]
     top = 2 * rs.pairing(g, rs.theta_s) / rs.norm2(rs.theta_s)
     bound = fam.lattice_scale * fam.trans_scale(mu)
     if min(pairs) < 0 or top > bound:

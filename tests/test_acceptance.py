@@ -9,11 +9,10 @@ import time
 from fractions import Fraction
 from itertools import product
 
-from oracles import dot_action
+from oracles import dominant_alphas, dot_action
 
 from shiftlab.characters import (
     _alternating_sum,
-    _shell,
     multiplet_char,
     verma_char_super,
     walg_vacuum_oracle,
@@ -47,11 +46,6 @@ def sweep_cases(max_m=3, include_ramond=True):
                 yield make_case(name, "super", m)
                 if include_ramond:
                     yield make_case(name, "ramond", m)
-
-
-def dominant_alphas(rs, max_height):
-    return [a for h in range(max_height + 1) for a in _shell(rs, h)
-            if rs.is_dominant(a)]
 
 
 def _report(num, ok, text):

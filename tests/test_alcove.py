@@ -9,6 +9,7 @@ from oracles import (
     affine_elt_fraction,
     affine_identity,
     chamber_position,
+    dominant_alphas,
     dominant_reduce_fraction,
     dot_act_fraction,
     dot_action,
@@ -36,7 +37,6 @@ from shiftlab.alcove import (
     y_alpha,
     y_sigma,
 )
-from shiftlab.characters import _shell
 from shiftlab.liealg import vadd, vneg, vscale, vsub, vzero
 from shiftlab.shift import alcove_inequality, enumerate_lambda, make_case
 
@@ -152,8 +152,7 @@ def test_label_chamber_check_matches_fraction_route(name, variant, m):
     fam = _family(case)
     rng = random.Random(29)
     inputs = [affine_input(case, alpha, lam) for lam in enumerate_lambda(case)
-              for alpha in [a for a in _shell(case.rs, 1) if case.rs.is_dominant(a)]
-              + [vzero(case.rank)]]
+              for alpha in dominant_alphas(case.rs, 1)]
     elts = list({dominant_reduce(mu, case).elt for mu in inputs})
     elts += [rand_elt(case, rng) for _ in range(20)]
     seen = set()
@@ -253,8 +252,7 @@ def test_closed_forms_super():
     for case, heights in ((B1S2, 3), (make_case("B1", "super", 3), 3),
                           (B2S3, 2), (make_case("B2", "super", 4), 2)):
         rs = case.rs
-        alphas = [a for h in range(heights + 1) for a in _shell(rs, h)
-                  if rs.is_dominant(a)]
+        alphas = dominant_alphas(rs, heights)
         found = 0
         for b_idx in range(len(rs.minuscule)):
             for alpha in alphas:

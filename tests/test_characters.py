@@ -7,12 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    ALL_TYPES,
     alternating_sum_moved,
     case_data_reference,
+    cone_shell,
     displayed_norm_exponent,
+    dominant_alphas,
     dot_action,
     fock_delta_reference,
     fock_point_fraction,
+    lattice_theta_char,
     norm_shift_reference,
     walg_vacuum_superchar_oracle,
     walk_reference,
@@ -25,7 +29,6 @@ from shiftlab.characters import (
     _alternating_sum,
     _form,
     _height_bound,
-    _shell,
     _star_walk,
     _walk,
     dominant_shell,
@@ -57,19 +60,25 @@ A1P2 = make_case("A1", "nonsuper", 2)
 L0 = enumerate_lambda(A1P2)[0]
 
 
-def dominant_alphas(rs, max_height):
-    return [a for h in range(max_height + 1) for a in _shell(rs, h)
-            if rs.is_dominant(a)]
-
-
-@pytest.mark.parametrize("name", ["A1", "A3", "B3", "C3", "D4", "G2", "F4"])
+@pytest.mark.parametrize("name", ALL_TYPES)
 def test_dominant_shell_keeps_the_shell_order(name):
-    # ft_char and the CLI's scans read the dominant vectors of each height
-    # in _shell's order
+    # the labels enumerated directly are those of the dominant vectors of the
+    # nonnegative cone, set and order (lexicographic in root coordinates)
     rs = make_case(name, "nonsuper", 1).rs
-    for height in range(6):
+    for height in range(12 if rs.rank <= 4 else 9):
         assert list(dominant_shell(rs, height)) == \
-            [a for a in _shell(rs, height) if rs.is_dominant(a)]
+            [rs.integral_labels(a) for a in cone_shell(rs, height) if rs.is_dominant(a)]
+
+
+@given(st.sampled_from(ALL_TYPES), st.integers(0, 14))
+@settings(max_examples=60, deadline=None)
+def test_dominant_shell_labels_lie_in_q_at_the_height(name, height):
+    rs = make_case(name, "nonsuper", 1).rs
+    for labels in dominant_shell(rs, height):
+        coords = rs.from_labels(labels)
+        assert len(labels) == rs.rank and min(labels) >= 0
+        assert all(x.denominator == 1 for x in coords) and sum(coords) == height
+        assert rs.integral_labels(coords) == labels
 
 
 # -- conformal weights ---------------------------------------------------------
@@ -590,10 +599,37 @@ def test_ft_char_matches_add_chain(name, variant, m):
         want = QSeries.zero(cutoff)
         for alpha in dominant_alphas(rs, _height_bound(case, lam, cutoff)):
             if fraction_route(case, lam, alpha, order)[2] <= cutoff + 2:
-                dim = rs.weyl_dim(vadd(alpha, lam.bullet_up))
+                dim = rs.weyl_dim(rs.integral_labels(vadd(alpha, lam.bullet_up)))
                 want = want.add(multiplet_char(alpha, lam, case, order).scale(dim))
         got = ft_char(lam, case, order)
         assert got.to_json_dict() == want.truncate(cutoff).to_json_dict()
+
+
+def _lattice_voa_cosets():
+    # p = 1: m = 1 in the simply-laced nonsuper family and in the super one
+    for name, variant in [("A1", "nonsuper"), ("A2", "nonsuper"), ("A3", "nonsuper"),
+                          ("A4", "nonsuper"), ("D4", "nonsuper"), ("B1", "super"),
+                          ("B2", "super"), ("B3", "super")]:
+        for lam in enumerate_lambda(make_case(name, variant, 1)):
+            marks = ()
+            if lam.bullet_index and name != "A1":
+                marks = pytest.mark.xfail(strict=True, reason=(
+                    "ft_char sums over dominant alpha, not over dominant "
+                    "beta = alpha + bullet, and misses terms on the nonzero "
+                    "classes of A_n (n >= 2) and D_n (ROADMAP item 1)"))
+            yield pytest.param(name, variant, lam.label(), marks=marks,
+                               id=f"{name}-{variant}-{lam.label()}")
+
+
+@pytest.mark.parametrize("name,variant,label", _lattice_voa_cosets())
+def test_ft_char_at_p1_is_the_lattice_theta_series(name, variant, label):
+    # at p = 1 the construction is expected to be the lattice VOA of Q, whose
+    # module on the coset is its theta series times the tail
+    case = make_case(name, variant, 1)
+    lam = next(lam for lam in enumerate_lambda(case) if lam.label() == label)
+    assert case.p == 1
+    got = ft_char(lam, case, 4)
+    assert got.to_json_dict() == lattice_theta_char(case, lam, 4).to_json_dict()
 
 
 def test_ft_char_nonnegative_every_coset():

@@ -264,6 +264,15 @@ def test_word_cap_flag(capsys):
     assert code == 2 and "reduced words" in err
 
 
+@pytest.mark.parametrize("suite", ["axioms", "alcove-independence"])
+def test_word_cap_outside_weak_strong_is_a_usage_error(capsys, suite):
+    # only the weak-strong suite enumerates reduced words
+    code, out, err = run(capsys, "check", suite, "--algebra", "A2", "--m", "2",
+                         "--word-cap", "1")
+    assert (code, out, err) == (
+        2, "", "error: --word-cap applies only to the weak-strong suite\n")
+
+
 @pytest.mark.parametrize("cap", ["0", "-5"])
 def test_word_cap_below_one_is_a_usage_error(capsys, cap):
     code, out, err = run(capsys, "check", "weak-strong", "--algebra", "A2",

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    copairing,
+    ALL_TYPES,
     det_int,
     fraction_root_system,
     invert_mat,
@@ -29,7 +31,6 @@ from shiftlab.liealg import (
     build_root_system,
     exponents_of,
     reflect_labels,
-    vzero,
     weyl_order,
 )
 
@@ -95,17 +96,12 @@ def test_normalization_and_rho(name):
         assert max(lengths) == 2
         assert lengths <= {Fraction(2), Fraction(1), Fraction(2, 3)}
     for i in range(rs.rank):
-        assert rs.copairing(rs.rho, i) == 1
+        assert copairing(rs, rs.rho, i) == 1
         assert rs.pairing(rs.rho_check, rs.simple_roots[i]) == 1
     # Cartan recovered from Gram
     for i in range(rs.rank):
         for j in range(rs.rank):
             assert rs.cartan[i][j] == 2 * rs.gram[i][j] / rs.gram[i][i]
-
-
-ALL_TYPES = ([f"A{r}" for r in range(1, 9)] + [f"B{r}" for r in range(1, 9)]
-             + [f"C{r}" for r in range(2, 9)] + [f"D{r}" for r in range(3, 9)]
-             + ["E6", "E7", "E8", "F4", "G2"])
 
 
 @pytest.mark.parametrize("name", ALL_TYPES)
@@ -121,6 +117,17 @@ def test_integer_build_matches_fraction_oracle(name):
     adj, det = adjugate(rs.cartan)
     assert det == det_int(rs.cartan)
     assert tuple(tuple(Fraction(c, det) for c in row) for row in adj) == invert_mat(rs.cartan)
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_theta_L_marks_are_the_coroot_marks_of_theta_s(name):
+    # theta_s^vee = 2 theta_s / |theta_s|^2 has integer coroot coordinates
+    # d_i * (theta_s^vee)_i, and is the highest coroot theta_L
+    rs = rs_of(name)
+    n2 = rs.norm2(rs.theta_s)
+    coroot = tuple(2 * x / n2 for x in rs.theta_s)
+    assert coroot == rs.theta_L
+    assert rs.theta_L_marks == tuple(d * x for d, x in zip(rs.half_lengths, coroot))
 
 
 @pytest.mark.parametrize("name", ALL_SMALL)
@@ -147,7 +154,7 @@ def test_weyl_enumeration(name):
         m = weyl_matrix(rs, e.word)
         assert matrix_length(rs, m) == e.length
         moved = mat_vec(m, rs.rho)
-        assert e.labels == tuple(rs.copairing(moved, i) for i in range(rs.rank))
+        assert e.labels == tuple(copairing(rs, moved, i) for i in range(rs.rank))
     w0 = rs.longest_element()
     assert w0.length == len(rs.positive_roots)
     assert rs.weyl_mul(w0, w0).length == 0
@@ -248,12 +255,14 @@ def test_weyl_dim_oracles():
                     orbit.add(img)
                     nxt.append(img)
         frontier = nxt
-    assert rs.weyl_dim(w1) == len(orbit) == 3
+    assert rs.weyl_dim(rs.integral_labels(w1)) == len(orbit) == 3
     # adjoint: roots plus Cartan
-    assert rs.weyl_dim(rs.rho) == len(rs.positive_roots) * 2 + rs.rank == 8
-    assert rs.weyl_dim(vzero(2)) == 1
+    assert rs.weyl_dim((1, 1)) == len(rs.positive_roots) * 2 + rs.rank == 8
+    assert rs.weyl_dim((0, 0)) == 1
     with pytest.raises(ValueError):
-        rs.weyl_dim((Fraction(-1), Fraction(0)))
+        rs.weyl_dim((-1, 0))
+    with pytest.raises(ValueError):
+        rs.weyl_dim((1,))
 
 
 @pytest.mark.parametrize("name", ALL_TYPES)
@@ -264,9 +273,8 @@ def test_weyl_dim_matches_fraction_oracle(name):
     for labels in product(range(4), repeat=rs.rank):
         if sum(labels) > 3:
             continue
-        beta = rs.from_labels(labels)
-        want = weyl_dim_fraction(rs, beta)
-        assert want.denominator == 1 and rs.weyl_dim(beta) == want, labels
+        want = weyl_dim_fraction(rs, rs.from_labels(labels))
+        assert want.denominator == 1 and rs.weyl_dim(labels) == want, labels
 
 
 def test_screening_current_weight_identity():

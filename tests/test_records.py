@@ -22,7 +22,8 @@ A1 = ("RootSystem(lie_type=SimpleLieType(series='A', rank=1), gram=((Fraction(2,
       "cartan=((2,),), simple_roots=((Fraction(1, 1),),), simple_coroots=((Fraction(1, 1),),), "
       "fund_weights=((Fraction(1, 2),),), fund_coweights=((Fraction(1, 2),),), "
       "rho=(Fraction(1, 2),), rho_check=(Fraction(1, 2),), theta=(Fraction(1, 1),), "
-      "theta_s=(Fraction(1, 1),), theta_L=(Fraction(1, 1),), lacing=1, coxeter=2, "
+      "theta_s=(Fraction(1, 1),), theta_L=(Fraction(1, 1),), theta_L_marks=(1,), "
+      "lacing=1, coxeter=2, "
       "dual_coxeter=2, dual_coxeter_L=2, exponents=(1,), positive_roots=((Fraction(1, 1),),), "
       "minuscule=((Fraction(0, 1),), (Fraction(1, 2),)), half_lengths=(Fraction(1, 1),), "
       "cartan_adjugate=(((1,),), 2))")
@@ -35,7 +36,7 @@ WEIGHT = ("AffineWeight(finite=(Fraction(1, 1),), level=Fraction(2, 1), "
 def records():
     """(record, an equal record built separately, its repr) for every public
     record type.  The reprs are those the frozen dataclasses printed, apart
-    from RootSystem's cartan_adjugate field."""
+    from RootSystem's theta_L_marks and cartan_adjugate fields."""
     case = make_case("A1", "nonsuper", 2)
     rs = case.rs
     lam = lambda_from(case, 0, [1])

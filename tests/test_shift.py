@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    copairing,
     alcove_inequality_fraction,
     canonical_decompose_fraction,
     conditions_per_call,
@@ -86,7 +87,7 @@ def test_decompose_zero():
     b, box = canonical_decompose(vzero(1), A1P2)
     assert b == box == vzero(1)
     for i in range(1):
-        t = A1P2.rs.copairing(vadd(box, A1P2.x), i)
+        t = copairing(A1P2.rs, vadd(box, A1P2.x), i)
         assert 0 < t <= 1
 
 
@@ -119,7 +120,7 @@ def test_decompose_recomposition(name, variant, m):
             assert (b, box) == canonical_decompose_fraction(mu, case)
             rs.integral_labels(b)  # raises unless the bullet is an integral weight
             for i in range(rs.rank):
-                t = rs.copairing(vadd(box, case.x), i)
+                t = copairing(rs, vadd(box, case.x), i)
                 assert 0 < t <= 1
 
 
@@ -229,7 +230,7 @@ def test_integer_cosets_match_fraction_route(name, variant, m):
             for b in range(len(case.rs.minuscule))
             for digits in product(*(range(1, n + 1) for n in bounds))
             if not case.variant.is_super
-            or (digits[-1] + case.rs.copairing(case.rs.minuscule[b], case.rank - 1)) % 2]
+            or (digits[-1] + copairing(case.rs, case.rs.minuscule[b], case.rank - 1)) % 2]
     assert len(want) == len(sys.lambdas)
     for l_idx, (got, ref) in enumerate(zip(sys.lambdas, want)):
         assert got == ref and repr(got) == repr(ref)
@@ -238,7 +239,7 @@ def test_integer_cosets_match_fraction_route(name, variant, m):
         assert sys._start[l_idx] == (a, b)
         assert sys._classes[l_idx] == sys._class_key(bullet)
         assert sys.locate([a]) == ([l_idx], [list(bullet)])
-    assert _grid(case)[0] == tuple(case.p * case.rs.copairing(case.x, i) for i in range(case.rank))
+    assert _grid(case)[0] == tuple(case.p * copairing(case.rs, case.x, i) for i in range(case.rank))
     assert len(sys._coset) == len(want)
 
 
@@ -250,10 +251,14 @@ def test_alcove_inequality_matches_fraction_oracle(name, variant, m):
     for lamp in enumerate_lambda(case):
         assert alcove_inequality(lamp, case) == alcove_inequality_fraction(lamp, case), \
             lamp.label()
-    # a theta_L whose coroot marks are not integral is refused
-    half = case._replace(rs=case.rs._replace(theta_L=vscale(Fraction(1, 2), case.rs.theta_L)))
-    with pytest.raises(AssertionError, match="not integral"):
-        alcove_inequality(lamp, half)
+    # the marks are the record's (build_root_system checks their integrality):
+    # doubling theta_L and its marks together keeps the two routes equal
+    rs = case.rs
+    twice = case._replace(rs=rs._replace(theta_L=vscale(2, rs.theta_L),
+                                         theta_L_marks=tuple(2 * c for c in rs.theta_L_marks)))
+    for lamp in enumerate_lambda(case):
+        assert alcove_inequality(lamp, twice) == alcove_inequality_fraction(lamp, twice), \
+            lamp.label()
 
 
 @pytest.mark.parametrize("name,variant,m", AXIOM_SWEEP_CASES)
@@ -317,7 +322,7 @@ def test_fixed_iff_box_pairing_one():
         for lamp in enumerate_lambda(case):
             box = vadd(lamp.value, lamp.bullet_up)
             for i in range(rs.rank):
-                t = rs.copairing(vadd(box, case.x), i)
+                t = copairing(rs, vadd(box, case.x), i)
                 assert is_fixed(i, lamp, case) == (t == 1)
 
 
@@ -342,7 +347,7 @@ def test_simple_action_moves_along_coroot():
             for i in range(rs.rank):
                 moved = w_act(rs.simple_element(i), lamp, case)
                 diff = vsub(lamp.value, moved.value)
-                step = rs.copairing(vadd(lamp.value, case.x), i)
+                step = copairing(rs, vadd(lamp.value, case.x), i)
                 target = vscale(step, rs.simple_roots[i])
                 # equal modulo the root lattice (representatives are canonical)
                 assert rs.in_root_lattice(vsub(diff, target))

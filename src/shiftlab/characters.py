@@ -3,7 +3,8 @@
 All series are CFT-normalized: a module character starts at
 ``q^(Delta_min - c/24)``.  Lattice directions are kept unscaled (a physical
 lattice vector is sqrt(p) times the stored one), which keeps every exponent
-rational.
+rational.  Every term is priced by one integer quadratic form on Dynkin
+labels (``_form``) over its tail, whose base is the whole constant.
 
 The alternating Weyl sums are evaluated in two ways, via the dot action on
 the fixed coset and via the * action on moved cosets, each a walk over W on
@@ -18,15 +19,8 @@ from functools import lru_cache
 from itertools import product
 from math import floor, gcd, isqrt, lcm
 from operator import add, mul, sub
-from typing import NamedTuple
 
-from .liealg import (
-    CapExceededError,
-    Vec,
-    vadd,
-    vscale,
-    vsub,
-)
+from .liealg import CapExceededError, Vec
 from .qseries import (DEFAULT_GRID_CAP, FermionKind, GridBoundError, QSeries,
                       _eta_inv_fermion, check_order)
 from .shift import (
@@ -43,41 +37,12 @@ class UnsupportedCaseError(ValueError):
     """Raised where no exact construction is available (and none is claimed)."""
 
 
-# ---------------------------------------------------------------------------
-# conformal weights of lattice points
-# ---------------------------------------------------------------------------
-
 def fock_delta(nu: Vec, case: ShiftCase) -> Fraction:
     """Conformal weight (p/2)|nu|^2 - p(nu, gamma) of the lattice point
     sqrt(p)*nu under the conformal vector shifted by the background charge."""
     rs, p = case.rs, case.p
     return Fraction(p, 2) * rs.norm2(nu) - p * rs.pairing(nu, case.gamma)
 
-
-def norm_shift(case: ShiftCase) -> Fraction:
-    """Constant p|gamma|^2/2 completing fock_delta to the squared norm
-    |p*nu - p*gamma|^2 / 2p."""
-    return case.p * case.rs.norm2(case.gamma) / 2
-
-
-class FockPoint(NamedTuple):
-    nu: Vec          # unscaled lattice direction, nu in lambda + Q
-    coset: LambdaParam
-    weight: Vec      # Cartan weight: ceil(-nu) against the simple coroots
-
-
-def fock_point(case: ShiftCase, lam: LambdaParam, beta: Vec) -> FockPoint:
-    """The unique lattice point of the lam-module with Cartan weight beta:
-    beta's labels are checked against lam's class in P/Q, the box's ceiling
-    check having run once per coset when the coset table was built."""
-    table = _cosets(case)
-    table.check_point(case.rs.integral_labels(beta), table.index[lam.key()])
-    return FockPoint(vsub(vadd(lam.value, lam.bullet_up), beta), lam, beta)
-
-
-# ---------------------------------------------------------------------------
-# the Ramond sector
-# ---------------------------------------------------------------------------
 
 def _check_ramond(case: ShiftCase) -> None:
     if not case.variant.is_super:
@@ -88,17 +53,8 @@ def _check_ramond(case: ShiftCase) -> None:
             f"checked against any independent construction")
 
 
-def ramond_delta(nu: Vec, case: ShiftCase) -> Fraction:
-    """Twisted-sector conformal weight of the point sqrt(p)*nu: the spectral
-    flow nu -> nu + fund_weight_r/p of the untwisted weight, plus the
-    fermionic ground-state energy 1/16."""
-    _check_ramond(case)
-    flow = vscale(Fraction(1, case.p), case.rs.fund_weights[case.rank - 1])
-    return fock_delta(vadd(nu, flow), case) + Fraction(1, 16)
-
-
 # ---------------------------------------------------------------------------
-# weight-space characters
+# the pricing form and weight-space characters
 # ---------------------------------------------------------------------------
 
 _TAIL_KIND = {Variant.NONSUPER: None, Variant.SUPER: FermionKind.NS_CH,
@@ -110,15 +66,46 @@ def _tail(case: ShiftCase, order: int) -> QSeries:
     return _eta_inv_fermion(case.rank, _TAIL_KIND[case.variant], order)
 
 
+@lru_cache(maxsize=None)
+def _form(case: ShiftCase):
+    """(quad, den, flow): a term whose point nu has u = p*nu - p*gamma with
+    integer Dynkin labels u sits at q^(Q(u + flow)/den) times its tail, where
+    Q(v) = v.quad.v = den |v|^2/2p.  flow is the Ramond spectral flow
+    nu -> nu + omega_r/p, the unit label e_r, and zero elsewhere.
+
+    The tail's base is the whole constant: the background charge lowers
+    Delta by p|gamma|^2/2 and c/24 by the same, so Delta - c/24 keeps only
+    -c0/24 (c0 = rank, plus 1/2 with the NS fermion) and, in the Ramond
+    sector, the fermionic ground-state energy 1/16."""
+    rs, p, r = case.rs, case.p, case.rank
+    # (omega_i, omega_j) = d_i (C^-1)_ij
+    adj, det = rs.cartan_adjugate
+    quad = [[d * c / (2 * p * det) for c in row] for d, row in zip(rs.half_lengths, adj)]
+    flow = (0,) * r
+    if case.variant is Variant.SUPER_RAMOND:
+        _check_ramond(case)
+        flow = tuple(int(i == r - 1) for i in range(r))
+    den = lcm(*(c.denominator for row in quad for c in row))
+    return tuple(tuple(int(c * den) for c in row) for row in quad), den, flow
+
+
+def _value(quad, v) -> int:
+    """Q(v) = v.quad.v."""
+    return sum(x * sum(map(mul, row, v)) for x, row in zip(v, quad))
+
+
 def weight_space_char(lam: LambdaParam, beta: Vec, case: ShiftCase,
                       order: int) -> QSeries:
-    """CFT-normalized character of the Cartan weight space at ``beta``."""
-    pt = fock_point(case, lam, beta)
-    twisted = case.variant is Variant.SUPER_RAMOND
-    delta = ramond_delta(pt.nu, case) if twisted else fock_delta(pt.nu, case)
-    base = delta - case.central_charge / 24
-    tail = _tail(case, order)
-    return tail.qshift(base - tail.base)
+    """CFT-normalized character of the Cartan weight space at ``beta``: its
+    point nu = box - beta has u = b - p*labels(beta + rho), b = p*labels(box +
+    x).  beta's labels are checked against lam's class in P/Q; the box's
+    ceiling check ran once per coset, when the coset table was built."""
+    table, (quad, den, flow), p = _cosets(case), _form(case), case.p
+    l_idx = table.index[lam.key()]
+    labels = case.rs.integral_labels(beta)
+    table.check_point(labels, l_idx)
+    u = [x + f - p * (y + 1) for x, f, y in zip(table._start[l_idx][1], flow, labels)]
+    return _tail(case, order).qshift(Fraction(_value(quad, u), den))
 
 
 def _check_multiplet_inputs(case: ShiftCase, alpha: Vec, lam: LambdaParam) -> tuple[int, ...]:
@@ -126,7 +113,7 @@ def _check_multiplet_inputs(case: ShiftCase, alpha: Vec, lam: LambdaParam) -> tu
     dominant."""
     rs = case.rs
     if rs.in_root_lattice(alpha):
-        labels = rs.integral_labels(vadd(alpha, lam.bullet_up))
+        labels = tuple(map(add, rs.integral_labels(alpha), _grid(case)[2][lam.bullet_index]))
         if min(labels) >= 0:
             return labels
     raise ValueError(f"alpha {','.join(map(str, alpha))} is not a root-lattice weight "
@@ -137,69 +124,45 @@ def _check_multiplet_inputs(case: ShiftCase, alpha: Vec, lam: LambdaParam) -> tu
 # the integer orbit walk
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _form(case: ShiftCase):
-    """(quad, lin, den, const): a term whose point nu has u = p*nu - gamma'
-    with integer Dynkin labels u (gamma' = p*gamma) sits at
-    q^(const + (u.quad.u + lin.u)/den); lin is the Ramond flow correction,
-    zero elsewhere."""
-    rs, p, r = case.rs, case.p, case.rank
-    # fock_delta = |u|^2/2p - norm_shift, with the form read on Dynkin labels:
-    # (omega_i, omega_j) = d_i (C^-1)_ij
-    adj, det = rs.cartan_adjugate
-    quad = [[d * c / (2 * p * det) for c in row] for d, row in zip(rs.half_lengths, adj)]
-    lin = [Fraction(0)] * r
-    const = -norm_shift(case) - case.central_charge / 24
-    if case.variant is Variant.SUPER_RAMOND:
-        # the flow nu -> nu + fund_weight_r/p moves u by the unit label e_r
-        _check_ramond(case)
-        lin = [2 * c for c in quad[r - 1]]
-        const += quad[r - 1][r - 1] + Fraction(1, 16)
-    den = lcm(*(c.denominator for c in lin + sum(quad, [])))
-    return (tuple(tuple(int(c * den) for c in row) for row in quad),
-            tuple(int(c * den) for c in lin), den, const)
-
-
 def _walk(case: ShiftCase, lam: LambdaParam, labels: tuple[int, ...]):
     """One pass over W (enumeration order) for the alternating sum at the
     weight beta with these Dynkin labels: the labels t of w(beta + rho) and
-    the exponent numerators (see _form) of the dot terms, u = b_lam - p*t;
-    b = p*labels(box + x).
+    the exponent numerators Q(b - p*t) (see _form) of the dot terms, with
+    b = p*labels(box + x) + flow.
 
-    Q being W-invariant, a dot numerator Q(u) + lin.u is c0 - g.t with
-    g = p*(2 quad.b + lin) and c0 = Q(b) + lin.b + p^2 Q(t_id).  Its point
-    w o beta = w(beta + rho) - rho stays in beta + Q, whose class key
-    (ShiftSystem checks it on the simple roots) and box are those of beta, so
-    fock_point's checks run once, on beta."""
-    sys, (quad, lin, _, _), p = system(case), _form(case), case.p
+    Q being W-invariant, Q(b - p*t) is c0 - g.t with g = 2p quad.b and
+    c0 = Q(b) + p^2 Q(t_id).  Its point w o beta = w(beta + rho) - rho stays
+    in beta + Q, whose class key (ShiftSystem checks it on the simple roots)
+    and box are those of beta, so the coset check runs once, on beta."""
+    sys, (quad, _, flow), p = system(case), _form(case), case.p
     l_idx = sys.index[lam.key()]
     sys.check_point(labels, l_idx)
-    b = sys._start[l_idx][1]
+    b = list(map(add, sys._start[l_idx][1], flow))
     top = tuple(c + 1 for c in labels)
     qb = [sum(map(mul, row, b)) for row in quad]
-    g = [p * (2 * x + y) for x, y in zip(qb, lin)]
-    c0 = sum(map(mul, b, qb)) + sum(map(mul, lin, b)) \
-        + p * p * sum(x * sum(map(mul, row, top)) for x, row in zip(top, quad))
+    g = [2 * p * x for x in qb]
+    c0 = sum(map(mul, b, qb)) + p * p * _value(quad, top)
     orbit = sys.orbit(top)
     return orbit, [c0 - sum(map(mul, g, t)) for t in orbit]
 
 
 def _star_walk(case: ShiftCase, lam: LambdaParam, labels: tuple[int, ...]) -> list[int]:
     """The exponent numerators of the * terms over W, in enumeration order:
-    v = b_{w*lam} - p*labels(beta + rho - w^lam), with the full form and
-    fock_point's coset check (check_point) per term.  The Ramond flow adds
-    w(e_r) to the moved point: Q(v + w(e_r)) - Q(e_r) = Q(v) + 2 w(e_r).quad.v."""
-    sys, (quad, _, _, _), p, r = system(case), _form(case), case.p, case.rank
+    v = b_{w*lam} - p*labels(beta + rho - w^lam), with the full form and the
+    coset check (check_point) per term.  The Ramond flow adds w(e_r) to the
+    moved point: Q(v + w(e_r)) = Q(v) + 2 w(e_r).quad.v + Q(e_r)."""
+    sys, (quad, _, flow), p, r = system(case), _form(case), case.p, case.rank
     act, shift = sys.row(sys.index[lam.key()])
-    flows = (sys.orbit(tuple(int(i == r - 1) for i in range(r)))
-             if case.variant is Variant.SUPER_RAMOND else None)
+    flows = sys.orbit(flow) if case.variant is Variant.SUPER_RAMOND else None
+    q_flow = quad[r - 1][r - 1]
     mov = []
     for w, (target, up) in enumerate(zip(act, shift)):
         point = list(map(sub, labels, up))
         sys.check_point(point, target)
         v = [x - p * (y + 1) for x, y in zip(sys._start[target][1], point)]
         qv = [sum(map(mul, row, v)) for row in quad]
-        mov.append(sum(map(mul, v, qv)) + (2 * sum(map(mul, flows[w], qv)) if flows else 0))
+        mov.append(sum(map(mul, v, qv))
+                   + (2 * sum(map(mul, flows[w], qv)) + q_flow if flows else 0))
     return mov
 
 
@@ -213,10 +176,10 @@ def _numerator(case: ShiftCase, exps: list[int], signs=None) -> dict[int, int]:
 
 def _times_tail(case: ShiftCase, num: dict[int, int], tail: QSeries) -> QSeries:
     """The sparse numerator times the shared tail, up to the cutoff of its
-    lowest term, cancelled or not."""
-    _, _, den, const = _form(case)
+    lowest term, cancelled or not; a numerator e moves the tail by e/den."""
+    den = _form(case)[1]
     lo = min(num)
-    base = const + Fraction(lo, den)
+    base = tail.base + Fraction(lo, den)
     live = [(e - lo, c) for e, c in num.items() if c]
     grid = lcm(tail.grid, den // gcd(den, *(e for e, _ in live)))
     if grid > DEFAULT_GRID_CAP:
@@ -244,7 +207,7 @@ def _checked_numerator(case: ShiftCase, lam: LambdaParam, labels: tuple[int, ...
     dot, mov = _numerator(case, dot), _numerator(case, _star_walk(case, lam, labels))
     # the routes share the tail, whose leading coefficient is nonzero: their
     # series agree up to the smaller cutoff exactly when the numerators do
-    top = min(min(dot), min(mov)) + floor((tail.cutoff - tail.base) * _form(case)[2])
+    top = min(min(dot), min(mov)) + floor((tail.cutoff - tail.base) * _form(case)[1])
     if ({e: c for e, c in dot.items() if c and e <= top}
             != {e: c for e, c in mov.items() if c and e <= top}):
         raise AssertionError("the two alternating-sum routes disagree")
@@ -271,13 +234,14 @@ def multiplet_superchar(alpha: Vec, lam: LambdaParam, case: ShiftCase,
     # extra sign floor((w o beta, alpha_r)), where w o beta = w(beta + rho) - rho
     signs = [-1 if (w.length + d.numerator * (top[r - 1] - 1) // d.denominator) % 2 else 1
              for w, top in zip(system(case).weyl, orbit)]
+    # the NS supercharacter tail has the NS character tail's base
     return _times_tail(case, _numerator(case, dot, signs),
                        _eta_inv_fermion(r, FermionKind.NS_SCH, order))
 
 
 def multiplet_ramond_char(alpha: Vec, lam: LambdaParam, case: ShiftCase,
                           order: int) -> QSeries:
-    """Twisted-sector character (rank <= 2, see ramond_delta)."""
+    """Twisted-sector character (rank <= 2, see _form)."""
     if case.variant is not Variant.SUPER_RAMOND:
         raise UnsupportedCaseError("Ramond characters require the ramond variant")
     return multiplet_char(alpha, lam, case, order)
@@ -287,29 +251,29 @@ def multiplet_ramond_char(alpha: Vec, lam: LambdaParam, case: ShiftCase,
 # full construction characters
 # ---------------------------------------------------------------------------
 
-def _height_bound(case: ShiftCase, lam: LambdaParam, cutoff: Fraction) -> int:
-    """Height past which no dominant alpha can contribute below the cutoff.
+def _height_bound(case: ShiftCase, lam: LambdaParam, limit: Fraction) -> int:
+    """Height past which no dominant alpha has a term at q^(e/den) over the
+    tail with e/den <= limit.
 
-    For dominant alpha of height h, every term exponent is at least
-    (1/2p)(p*|alpha + bullet + rho| - B)^2 - shift - c/24 with a fixed B, and
-    |alpha + bullet + rho| >= (h + s0)/|rho_check| by Cauchy-Schwarz.  Minimal
-    weights therefore grow quadratically in h; a rational scan, with B and
-    |rho_check| rounded up, finds the first height clearing it by 2.
+    For dominant alpha of height h, a dot term's e/den is |B - p*w(alpha +
+    bullet + rho)|^2/2p, B the vector with labels b (see _walk); that is at
+    least (p*|alpha + bullet + rho| - |B|)^2/2p, and |alpha + bullet + rho|
+    >= (h + s0)/|rho_check| by Cauchy-Schwarz.  Minimal weights therefore
+    grow quadratically in h; a rational scan, with |B| and |rho_check|
+    rounded up, finds the first height past the limit.
     """
     def sqrt_above(x: Fraction) -> Fraction:  # within 2^-32 of sqrt(x)
         return Fraction(isqrt((x.numerator << 64) // x.denominator) + 1, 1 << 32)
 
     rs, p = case.rs, case.p
-    box_x = vadd(vadd(lam.value, lam.bullet_up), case.x)
-    b0 = sqrt_above(rs.norm2(vscale(p, box_x)))
-    if case.variant is Variant.SUPER_RAMOND:
-        b0 += sqrt_above(rs.norm2(rs.fund_weights[rs.rank - 1]))
+    table, (quad, den, flow) = _cosets(case), _form(case)
+    b = list(map(add, table._start[table.index[lam.key()]][1], flow))
+    b0 = sqrt_above(Fraction(2 * p * _value(quad, b), den))
     rho_chk = sqrt_above(rs.norm2(rs.rho_check))
-    s0 = rs.pairing(vadd(lam.bullet_up, rs.rho), rs.rho_check)
-    target = cutoff + 2 + norm_shift(case) + case.central_charge / 24
+    s0 = rs.pairing(lam.bullet_up, rs.rho_check) + rs.pairing(rs.rho, rs.rho_check)
     for h in range(1, 10**6):
         lower = max(Fraction(0), p * (h + s0) / rho_chk - b0)
-        if lower * lower / (2 * p) > target:
+        if lower * lower / (2 * p) > limit:
             return h
     raise RuntimeError("height bound scan failed to terminate")  # pragma: no cover
 
@@ -331,16 +295,18 @@ def ft_char(lam: LambdaParam, case: ShiftCase, order: int) -> QSeries:
     check_order(order)
     rs = case.rs
     cutoff = order - case.central_charge / 24
-    _, _, den, const = _form(case)
+    den = _form(case)[1]
+    # a numerator e puts its term at q^(tail base + e/den)
+    limit = cutoff + 2 - _tail(case, 0).base
     bullet = _grid(case)[2][lam.bullet_index]
     num: dict[int, int] = {}  # zero coefficients kept: they fix the cutoff
     tail = None
     n_terms = 0
-    for height in range(_height_bound(case, lam, cutoff) + 1):
+    for height in range(_height_bound(case, lam, limit) + 1):
         for alpha in dominant_shell(rs, height):
             labels = tuple(map(add, alpha, bullet))
             _, dot = _walk(case, lam, labels)
-            if const + Fraction(min(dot), den) > cutoff + 2:
+            if Fraction(min(dot), den) > limit:
                 continue
             n_terms += 1
             if n_terms > ALPHA_CAP:
@@ -415,11 +381,10 @@ def walg_vacuum_oracle(case: ShiftCase, order: int) -> QSeries:
 
 def verma_char_super(mu: Vec, case: ShiftCase, order: int) -> QSeries:
     """Verma-module character over the super W-algebra, parametrized so that
-    mu = p*(lam - alpha) matches the weight space at alpha + bullet."""
+    mu = p*(lam - alpha) matches the weight space at alpha + bullet: its
+    lowest weight is fock_delta(mu/p) - c/24, read through the Gram form."""
     if case.variant is not Variant.SUPER:
         raise UnsupportedCaseError("Verma characters are for the super variant")
-    v = vsub(mu, vscale(case.p, case.gamma))
-    exponent = case.rs.norm2(v) / (2 * case.p) - norm_shift(case) \
-        - case.central_charge / 24
+    delta = fock_delta(tuple(Fraction(x, case.p) for x in mu), case)
     tail = _tail(case, order)
-    return tail.qshift(exponent - tail.base)
+    return tail.qshift(delta - case.central_charge / 24 - tail.base)

@@ -272,8 +272,6 @@ def cmd_verify(cfg: RunConfig, args) -> int:
                              "got": got.to_json_dict(),
                              "want": want.to_json_dict()})
     elif args.target == "verma":
-        if not case.variant.is_super:
-            raise ConfigError("verma verification needs a super variant")
         alphas = [case.rs.from_labels(a) for h in range(3)
                   for a in characters.dominant_shell(case.rs, h)]
         for lam in shift.enumerate_lambda(case):

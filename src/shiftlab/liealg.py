@@ -307,6 +307,8 @@ class RootSystem(NamedTuple):
     def scaled_labels(self, mu: Vec) -> tuple[tuple[int, ...], int]:
         """(n * labels, n): the Dynkin labels of mu times the least common
         denominator n of its coordinates, in integer arithmetic."""
+        if len(mu) != self.rank:
+            raise ValueError(f"weight {mu} has {len(mu)} coordinates, not {self.rank}")
         n = lcm(*(x.denominator for x in mu))
         nums = [x.numerator * (n // x.denominator) for x in mu]
         return tuple(sum(map(mul, row, nums)) for row in self.cartan), n

@@ -227,7 +227,8 @@ class Cosets:
                 if case.variant.is_super and (digits[-1] + bullet[-1]) % 2 == 0:
                     continue
                 b = tuple(k * s for k, s in zip(digits, x))
-                # fock_point's ceiling check 0 <= p*box < p, fixed per coset
+                # the ceiling check of every point nu = box - beta of the
+                # coset, ceil(-nu) = beta: 0 <= p*box < p, fixed per coset
                 if not all(0 <= v - s < p for v, s in zip(b, x)):
                     raise AssertionError("ceiling-weight mismatch")
                 a = tuple(v - p * c for v, c in zip(b, bullet))
@@ -277,9 +278,9 @@ class Cosets:
         return found, bullets
 
     def check_point(self, point, l_idx: int):
-        """fock_point's coset check on labels: the weight lies in the Cartan
-        support coset of coset l_idx, which has that coset's box and class (the
-        box's ceiling check runs once per coset, at build)."""
+        """The coset check of a Cartan weight, on its labels: the weight lies
+        in the Cartan support coset of coset l_idx, which has that coset's box
+        and class (the box's ceiling check runs once per coset, at build)."""
         if self._class_key(point) != self._classes[l_idx]:
             raise ValueError(f"weight with labels {point} is not in the Cartan support "
                              f"coset of {self.lambdas[l_idx].label()}")

@@ -7,9 +7,10 @@
   Gram form, the copairing (mu, alpha_i^vee) on root coordinates, and the
   Weyl dimension formula on ``Fraction`` pairings.
 * The twist x, the background charge gamma, the central charge, the
-  conformal weight fock_delta, its norm_shift and the screening pairing,
-  each by its own formula per family (rho_check in the nonsuper family, rho
-  in the super one).
+  conformal weight fock_delta, its Ramond flow (``ramond_delta_reference``),
+  the norm shift p|gamma|^2/2 and the screening pairing, each by its own
+  formula per family (rho_check in the nonsuper family, rho in the super
+  one).
 * Coset representatives as ``Fraction`` vectors, decomposed by a ``Fraction``
   canonical decomposition (``canonical_decompose_fraction``), the p-scaled
   Dynkin labels read off them, the representative of a point's coset
@@ -18,8 +19,8 @@
 * The lattice point of a Cartan weight by ``Fraction`` copairings, with its
   coset and ceiling checks (``fock_point_fraction``).
 * The Weyl orbit of a weight by dense label reflections, and the character
-  walk term by term: the full quadratic form and fock_point's checks on
-  every dot term.
+  walk term by term: the full quadratic form and the coset check on every
+  dot term.
 * A coset located one point at a time (``locate_point``), and the weak,
   strong and w0-shift conditions of a coset computed per call, walking the
   canonical word each time (``conditions_per_call``).
@@ -56,7 +57,6 @@ from shiftlab.alcove import (
     affine_inv,
 )
 from shiftlab.characters import (
-    FockPoint,
     UnsupportedCaseError,
     _form,
     _numerator,
@@ -332,6 +332,13 @@ def fock_delta_reference(nu, case) -> Fraction:
     return Fraction(p, 2) * rs.norm2(nu) - (p - 1) * rs.pairing(nu, rs.rho)
 
 
+def ramond_delta_reference(nu, case) -> Fraction:
+    """Twisted-sector weight: fock_delta_reference at the spectrally flowed
+    point nu + omega_r/p, plus the fermionic ground-state energy 1/16."""
+    flow = vscale(Fraction(1, case.p), case.rs.fund_weights[-1])
+    return fock_delta_reference(vadd(nu, flow), case) + Fraction(1, 16)
+
+
 def norm_shift_reference(case) -> Fraction:
     """|p rho - rho_check|^2 / 2p, or |(p - 1) rho|^2 / 2p in the super
     family."""
@@ -402,7 +409,7 @@ def fock_point_fraction(case, lam, beta):
     for i in range(rs.rank):
         if math.ceil(copairing(rs, vneg(nu), i)) != labels[i]:
             raise AssertionError("ceiling-weight mismatch")
-    return FockPoint(nu, lam, beta)
+    return nu
 
 
 def fraction_start(case, lam):
@@ -633,10 +640,10 @@ def conditions_per_call(case, lam):
 
 def walk_reference(case, lam, beta, moved=False):
     """characters._walk term by term: the labels of beta from Fraction
-    copairings, every dot exponent as the full form Q(u) + lin.u of
-    u = b_lam - p*labels(w(beta + rho)), and fock_point's checks on every dot
-    term as on every * term."""
-    sys, (quad, lin, _, _), p, r = system(case), _form(case), case.p, case.rank
+    copairings, every dot exponent as the full form Q(u + flow) of
+    u = b_lam - p*labels(w(beta + rho)), every * exponent as Q(v + w(flow)),
+    and the coset check on every dot term as on every * term."""
+    sys, (quad, _, flow), p, r = system(case), _form(case), case.p, case.rank
     labels = tuple(copairing(case.rs, beta, i) for i in range(r))
     if any(c.denominator != 1 for c in labels):
         raise ValueError(f"{beta} is not an integral weight")
@@ -644,20 +651,18 @@ def walk_reference(case, lam, beta, moved=False):
     l_idx = sys.index[lam.key()]
     orbit = orbit_reference(sys, tuple(c + 1 for c in labels))
     act, shift = sys.row(l_idx) if moved else (None, None)
-    flows = (orbit_reference(sys, tuple(int(i == r - 1) for i in range(r)))
-             if moved and case.variant is Variant.SUPER_RAMOND else None)
+    flows = orbit_reference(sys, flow) if moved else None
     dot, mov = [], []
     for w, top in enumerate(orbit):
         sys.check_point(tuple(c - 1 for c in top), l_idx)
-        u = [x - p * y for x, y in zip(sys._start[l_idx][1], top)]
-        flow = sum(map(mul, lin, u))
-        dot.append(flow + sum(x * sum(map(mul, row, u)) for x, row in zip(u, quad)))
+        u = [x + f - p * y for x, f, y in zip(sys._start[l_idx][1], flow, top)]
+        dot.append(sum(x * sum(map(mul, row, u)) for x, row in zip(u, quad)))
         if moved:
             point = tuple(c - s for c, s in zip(labels, shift[w]))
             sys.check_point(point, act[w])
-            v = [x - p * (y + 1) for x, y in zip(sys._start[act[w]][1], point)]
-            qv = [sum(map(mul, row, v)) for row in quad]
-            mov.append(sum(map(mul, v, qv)) + (2 * sum(map(mul, flows[w], qv)) if flows else 0))
+            v = [x + f - p * (y + 1)
+                 for x, f, y in zip(sys._start[act[w]][1], flows[w], point)]
+            mov.append(sum(x * sum(map(mul, row, v)) for x, row in zip(v, quad)))
     return orbit, dot, mov
 
 

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from oracles import (
     fock_point_fraction,
     lattice_theta_char,
     norm_shift_reference,
+    ramond_delta_reference,
     walg_vacuum_superchar_oracle,
     walk_reference,
     weyl_apply_matrix,
@@ -30,16 +32,14 @@ from shiftlab.characters import (
     _form,
     _height_bound,
     _star_walk,
+    _tail,
     _walk,
     dominant_shell,
     fock_delta,
-    fock_point,
     ft_char,
     multiplet_char,
     multiplet_ramond_char,
     multiplet_superchar,
-    norm_shift,
-    ramond_delta,
     verma_char_super,
     walg_vacuum_oracle,
     weight_space_char,
@@ -99,9 +99,9 @@ FAMILY_CASES = [(name, "nonsuper", m) for name in ("A1", "A2", "A3", "B2", "C2",
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_family_reads_match_per_family_formulas(data):
-    # make_case fixes p*x once, and fock_delta and norm_shift read gamma from
-    # the case; each family's own formula gives the same exact values at
-    # points nu of (1/p)Q*, the span of the fundamental coweights over p
+    # make_case fixes p*x once, and fock_delta reads gamma from the case;
+    # each family's own formula gives the same exact values at points nu of
+    # (1/p)Q*, the span of the fundamental coweights over p
     case = make_case(*data.draw(st.sampled_from(FAMILY_CASES)))
     rs, p = case.rs, case.p
     coeffs = data.draw(st.lists(st.integers(-8, 8), min_size=case.rank, max_size=case.rank))
@@ -110,9 +110,48 @@ def test_family_reads_match_per_family_formulas(data):
     _check_member(nu, case)
     assert (case.x, case.gamma, case.central_charge) == case_data_reference(case)
     assert fock_delta(nu, case) == fock_delta_reference(nu, case)
-    assert norm_shift(case) == norm_shift_reference(case)
-    assert fock_delta(nu, case) + norm_shift(case) == \
+    assert fock_delta(nu, case) + norm_shift_reference(case) == \
         rs.norm2(vscale(p, vsub(nu, case.gamma))) / (2 * p)
+
+
+TAIL_BASE_CASES = [(name, "nonsuper", m) for name in ALL_TYPES for m in (1, 2, 3)] + \
+    [(f"B{r}", variant, m) for r in range(1, 5) for variant in ("super", "ramond")
+     for m in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("name,variant,m", TAIL_BASE_CASES)
+def test_tail_base_is_the_whole_constant(name, variant, m):
+    # the background charge lowers Delta by p|gamma|^2/2 and c/24 by the
+    # same, so the terms' constant -shift - c/24 (+ 1/16 in the Ramond
+    # sector) is the tail's base -c0/24 (+ 1/16), which _form relies on
+    case = make_case(name, variant, m)
+    want = -norm_shift_reference(case) - case.central_charge / 24
+    if case.variant is Variant.SUPER_RAMOND:
+        want += Fraction(1, 16)
+    assert _tail(case, 0).base == want
+
+
+def fraction_weight_space(case, lam, beta, order):
+    """weight_space_char by the Fraction route: the point from Fraction
+    copairings, priced by fock_delta_reference or ramond_delta_reference."""
+    nu = fock_point_fraction(case, lam, beta)
+    twisted = case.variant is Variant.SUPER_RAMOND
+    delta = (ramond_delta_reference if twisted else fock_delta_reference)(nu, case)
+    tail = _tail(case, order)
+    return tail.qshift(delta - case.central_charge / 24 - tail.base)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([c for c in FAMILY_CASES if c[:2] != ("B3", "ramond")]), st.data())
+def test_weight_space_char_matches_fraction_route(spec, data):
+    # any weight of the coset's support, in all three variants
+    case = make_case(*spec)
+    lam = data.draw(st.sampled_from(enumerate_lambda(case)))
+    coords = data.draw(st.lists(st.integers(-4, 4), min_size=case.rank, max_size=case.rank))
+    beta = vadd(tuple(Fraction(c) for c in coords), lam.bullet_up)
+    order = data.draw(st.integers(0, 4))
+    assert weight_space_char(lam, beta, case, order).to_json_dict() == \
+        fraction_weight_space(case, lam, beta, order).to_json_dict()
 
 
 def test_weight_space_examples():
@@ -129,9 +168,9 @@ def test_weight_space_examples():
 
 def test_fock_point_coset_errors():
     with pytest.raises(ValueError):
-        fock_point(A1P2, L0, (Fraction(1, 2),))  # wrong coset (not in Q)
+        weight_space_char(L0, (Fraction(1, 2),), A1P2, 5)  # wrong coset (not in Q)
     with pytest.raises(ValueError):
-        fock_point(A1P2, L0, (Fraction(1, 3),))  # not integral
+        weight_space_char(L0, (Fraction(1, 3),), A1P2, 5)  # not integral
     # the integer walk makes the same checks
     with pytest.raises(ValueError):
         _alternating_sum(A1P2, L0, (Fraction(1, 2),), 5)
@@ -144,9 +183,10 @@ def test_fock_point_coset_errors():
     ("B2", "nonsuper", 2), ("G2", "nonsuper", 1), ("B2", "super", 2),
     ("B2", "ramond", 3), ("C3", "nonsuper", 1), ("D4", "nonsuper", 1)])
 def test_fock_point_matches_fraction_route(name, variant, m):
-    # the class check on integer labels against the Fraction copairings, on
-    # weights of every class of P/Q and on weights off the weight lattice:
-    # the same point, or a ValueError from both
+    # weight_space_char's class check on integer labels and its pricing
+    # against the Fraction copairings, on weights of every class of P/Q and
+    # on weights off the weight lattice: the same series, or a ValueError
+    # from both
     case = make_case(name, variant, m)
     rs = case.rs
     weights = [vadd(mn, rs.positive_roots[k]) for mn in rs.minuscule for k in (0, -1)]
@@ -154,12 +194,12 @@ def test_fock_point_matches_fraction_route(name, variant, m):
     for lam in enumerate_lambda(case):
         for beta in weights:
             try:
-                want = fock_point_fraction(case, lam, beta)
+                want = fraction_weight_space(case, lam, beta, 2)
             except ValueError:
                 with pytest.raises(ValueError):
-                    fock_point(case, lam, beta)
+                    weight_space_char(lam, beta, case, 2)
                 continue
-            assert fock_point(case, lam, beta) == want
+            assert weight_space_char(lam, beta, case, 2) == want
 
 
 def test_fock_point_reads_no_weyl_group(monkeypatch):
@@ -172,7 +212,8 @@ def test_fock_point_reads_no_weyl_group(monkeypatch):
         case = make_case(name, "nonsuper", 1)
         for lam in enumerate_lambda(case):
             beta = vadd(lam.bullet_up, case.rs.theta)
-            assert fock_point(case, lam, beta) == fock_point_fraction(case, lam, beta)
+            assert weight_space_char(lam, beta, case, 1) == \
+                fraction_weight_space(case, lam, beta, 1)
 
 
 def test_displayed_norm_exponent_matches_delta():
@@ -184,9 +225,9 @@ def test_displayed_norm_exponent_matches_delta():
         for w in rs.enumerate_weyl():
             for alpha in dominant_alphas(rs, 2):
                 beta = vadd(alpha, lam.bullet_up)
-                nu = fock_point(case, lam, dot_action(case, w, beta)).nu
+                nu = fock_point_fraction(case, lam, dot_action(case, w, beta))
                 lhs = displayed_norm_exponent(case, lam, alpha, w)
-                assert lhs == fock_delta(nu, case) + norm_shift(case)
+                assert lhs == fock_delta(nu, case) + norm_shift_reference(case)
 
 
 # -- multiplet characters ---------------------------------------------------------
@@ -323,18 +364,19 @@ WALK_CASES = [("A1", "nonsuper", 2), ("A1", "nonsuper", 3), ("A2", "nonsuper", 1
 def fraction_route(case, lam, alpha, order):
     """multiplet_char, multiplet_superchar (super family, else None) and the
     lowest term exponent, summed term by term from weight_space_char and
-    fock_delta/ramond_delta of the dot-moved points."""
+    fock_delta/ramond_delta_reference of the dot-moved points."""
     rs = case.rs
     twisted = case.variant is Variant.SUPER_RAMOND
     beta = vadd(alpha, lam.bullet_up)
+    tail = _tail(case, order)
     sch_tail = eta_inv_pow(rs.rank, order).mul(fermion_char(FermionKind.NS_SCH, order))
     ch = sch = low = None
     for w in rs.enumerate_weyl():
         moved = dot_action(case, w, beta)
-        term = weight_space_char(lam, moved, case, order)
-        nu = fock_point_fraction(case, lam, moved).nu
-        delta = ramond_delta(nu, case) if twisted else fock_delta(nu, case)
+        nu = fock_point_fraction(case, lam, moved)
+        delta = ramond_delta_reference(nu, case) if twisted else fock_delta(nu, case)
         low = delta if low is None else min(low, delta)
+        term = tail.qshift(delta - case.central_charge / 24 - tail.base)
         term = term.scale((-1) ** w.length)
         ch = term if ch is None else ch.add(term)
         if case.variant is Variant.SUPER:
@@ -354,9 +396,9 @@ def assert_walk_matches(case, lam, alpha, order):
         got = multiplet_superchar(alpha, lam, case, order)
         assert got.to_json_dict() == sch.to_json_dict()
     # the lowest exponent of the walk's dot terms, which ft_char filters on
-    _, _, den, const = _form(case)
+    den = _form(case)[1]
     dot = _walk(case, lam, case.rs.integral_labels(vadd(alpha, lam.bullet_up)))[1]
-    assert const + Fraction(min(dot), den) == low
+    assert _tail(case, 0).base + Fraction(min(dot), den) == low
 
 
 @pytest.mark.parametrize("name,variant,m", WALK_CASES)
@@ -452,10 +494,14 @@ RAMOND_FIT = {
 
 @pytest.mark.parametrize("name,m", sorted(RAMOND_FIT))
 def test_ramond_delta_matches_fitted_constants(name, m):
+    # the label route's Ramond pricing, Q(u + flow)/den over the tail's base
+    # with u the labels of p*nu - p*gamma, against the fitted constants
     case = make_case(name, "ramond", m)
     rs = case.rs
     r = rs.rank
     a, b, c0 = RAMOND_FIT[name, m]
+    quad, den, flow = _form(case)
+    base = _tail(case, 0).base
     for coords in product(range(-2, 3), repeat=r):
         nu = vzero(r)
         for c, cow in zip(coords, rs.fund_coweights):
@@ -464,14 +510,18 @@ def test_ramond_delta_matches_fitted_constants(name, m):
             + c0 + Fraction(1, 16)
         if r >= 2:
             want += b * rs.pairing(rs.simple_roots[r - 2], nu)
-        assert ramond_delta(nu, case) == want
+        u = [x + f for x, f in
+             zip(rs.integral_labels(vscale(case.p, vsub(nu, case.gamma))), flow)]
+        qu = sum(x * sum(map(mul, row, u)) for x, row in zip(u, quad))
+        assert base + Fraction(qu, den) == want - case.central_charge / 24
+        assert ramond_delta_reference(nu, case) == want
 
 
 @pytest.mark.parametrize("name,m", [(name, m) for name in ("B1", "B2") for m in (1, 2, 3, 4)])
 def test_ramond_dot_route_every_coset(name, m):
     # the twisted walk, and multiplet_char with its * route check, against
-    # the add chain of weight_space_char, which reads ramond_delta on the
-    # dot-moved points
+    # the add chain of the Fraction route, which reads ramond_delta_reference
+    # on the dot-moved points
     case = make_case(name, "ramond", m)
     for lam in enumerate_lambda(case):
         for alpha in dominant_alphas(case.rs, 2):
@@ -483,8 +533,9 @@ def test_ramond_dot_route_every_coset(name, m):
 
 def test_ramond_unsupported_rank3():
     case = make_case("B3", "ramond", 2)
+    lam = enumerate_lambda(case)[0]
     with pytest.raises(UnsupportedCaseError):
-        ramond_delta(vzero(3), case)
+        weight_space_char(lam, lam.bullet_up, case, 5)
     with pytest.raises(UnsupportedCaseError):
         multiplet_ramond_char(vzero(3), enumerate_lambda(case)[0], case, 5)
 
@@ -597,7 +648,8 @@ def test_ft_char_matches_add_chain(name, variant, m):
     cutoff = order - case.central_charge / 24
     for lam in enumerate_lambda(case):
         want = QSeries.zero(cutoff)
-        for alpha in dominant_alphas(rs, _height_bound(case, lam, cutoff)):
+        limit = cutoff + 2 - _tail(case, 0).base
+        for alpha in dominant_alphas(rs, _height_bound(case, lam, limit)):
             if fraction_route(case, lam, alpha, order)[2] <= cutoff + 2:
                 dim = rs.weyl_dim(rs.integral_labels(vadd(alpha, lam.bullet_up)))
                 want = want.add(multiplet_char(alpha, lam, case, order).scale(dim))
@@ -723,7 +775,7 @@ def test_negative_order_is_rejected(call, order):
 
 @pytest.mark.parametrize("ramond_first", [False, True])
 def test_one_coset_layout_per_case(ramond_first):
-    # fock_point reads the W-free layout and the walks read the system; in
+    # weight_space_char reads the W-free layout and the walks read the system; in
     # either order they share one layout, which the super case shares too
     sup, ram = make_case("B2", "super", 2), make_case("B2", "ramond", 2)
     system.cache_clear()

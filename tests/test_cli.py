@@ -211,6 +211,15 @@ def test_verify_verma(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("algebra,variant", [("A1", "nonsuper"), ("B1", "ramond")])
+def test_verify_verma_outside_super_is_one_usage_error(capsys, algebra, variant):
+    # the library's variant check is the only one: one line, no payload
+    code, out, err = run(capsys, "verify", "verma", "--algebra", algebra,
+                         "--variant", variant, "--m", "2")
+    assert code == 2 and out == ""
+    assert err == "error: Verma characters are for the super variant\n"
+
+
 def test_verify_walls(capsys):
     code, out, _ = run(capsys, "verify", "walls", "--algebra", "A2",
                        "--m", "2", "--order", "8")

@@ -277,6 +277,32 @@ def test_weyl_dim_matches_fraction_oracle(name):
         assert want.denominator == 1 and rs.weyl_dim(labels) == want, labels
 
 
+def _a2_entry_points():
+    """Public calls that read a weight's labels, on A2 at m = 2."""
+    from shiftlab import alcove, characters, shift
+    case = shift.make_case("A2", "nonsuper", 2)
+    lam = shift.enumerate_lambda(case)[0]
+    return {
+        "lambda_of_value": lambda v: shift.lambda_of_value(case, v),
+        "canonical_decompose": lambda v: shift.canonical_decompose(v, case),
+        "alcove_json": lambda v: alcove.alcove_json(case, v, lam),
+        "y_alpha": lambda v: alcove.y_alpha(v, 0, case),
+        "multiplet_char": lambda v: characters.multiplet_char(v, lam, case, 4),
+        "weight_space_char": lambda v: characters.weight_space_char(lam, v, case, 4),
+    }
+
+
+@pytest.mark.parametrize("call", ["lambda_of_value", "canonical_decompose", "alcove_json",
+                                  "y_alpha", "multiplet_char", "weight_space_char"])
+@pytest.mark.parametrize("coords", [(), (0,), (0, 0, 7)], ids=["empty", "short", "long"])
+def test_wrong_length_weights_are_refused(call, coords):
+    # scaled_labels, the gate behind integral_labels, refuses a weight whose
+    # length is not the rank instead of zipping it short
+    weight = tuple(Fraction(c) for c in coords)
+    with pytest.raises(ValueError, match="coordinates, not 2"):
+        _a2_entry_points()[call](weight)
+
+
 def test_screening_current_weight_identity():
     # Delta(e^{sqrt(p) alpha_i}) = 1 and Delta(e^{-coroot_i/sqrt(p)}) = 1
     from shiftlab.characters import fock_delta

@@ -12,7 +12,6 @@ import pytest
 from oracles import fraction_root_system
 
 from shiftlab.alcove import AffineWeight, AffineWeylElt, dominant_reduce
-from shiftlab.characters import fock_point
 from shiftlab.cli import _config
 from shiftlab.liealg import InvalidTypeError, SimpleLieType, build_root_system
 from shiftlab.qseries import QSeries
@@ -52,8 +51,6 @@ def records():
          f"ShiftCase(rs={A1}, variant=<Variant.NONSUPER: 'nonsuper'>, m=2, p=2, "
          "x=(Fraction(1, 4),), gamma=(Fraction(1, 4),), central_charge=Fraction(-2, 1))"),
         (lam, LambdaParam(*lam), LAM),
-        (fock_point(case, lam, (Fraction(0),)), fock_point(case, lam, (Fraction(0),)),
-         f"FockPoint(nu=(Fraction(0, 1),), coset={LAM}, weight=(Fraction(0, 1),))"),
         (QSeries.make(Fraction(-1, 24), 1, [1, 0, 2], 3),
          QSeries.make(Fraction(-1, 24), 2, [1, 0, 0, 0, 2, 0, 0], 3),
          "QSeries(base=Fraction(-1, 24), grid=1, coeffs=(1, 0, 2), cutoff=Fraction(3, 1))"),

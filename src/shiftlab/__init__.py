@@ -8,7 +8,7 @@ from .liealg import (
     WeylElement,
     build_root_system,
 )
-from .qseries import FermionKind, GridBoundError, QSeries, eta_inv_pow, eta_pow, fermion_char
+from .qseries import FermionKind, GridBoundError, QSeries, eta_inv_pow, fermion_char
 from .shift import (
     InvalidCaseError,
     LambdaParam,
@@ -47,7 +47,6 @@ from .characters import (
 from .alcove import (
     AffineWeight,
     AffineWeylElt,
-    affine_input,
     closed_form_y_super,
     dominant_reduce,
     dot_act,

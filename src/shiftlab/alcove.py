@@ -70,8 +70,8 @@ class _Family:
         rs = self.rs = case.rs
         self.rho_hat_fin = vscale(case.p, case.x)
         # translations live in lattice_scale*Q; a level scales them by
-        # level_factor times its rho-shifted value; affine_input's rho' is
-        # inner, and its walk has n = 1 and k = m or p
+        # level_factor times its rho-shifted value; the input weight's rho'
+        # is inner, and its walk has n = 1 and k = m or p
         if case.variant is Variant.NONSUPER:
             self.lattice_scale, self.level_factor = rs.lacing, 1
             self.rho_hat_level = Fraction(rs.dual_coxeter_L)
@@ -158,11 +158,6 @@ def _family(case: ShiftCase) -> _Family:
 # group elements and the circle action
 # ---------------------------------------------------------------------------
 
-def affine_elt(case: ShiftCase, finite: WeylElement, translation: Vec) -> AffineWeylElt:
-    _family(case).check_translation(case.rs.integral_labels(translation))
-    return AffineWeylElt(finite, translation)
-
-
 def affine_mul(case: ShiftCase, a: AffineWeylElt, b: AffineWeylElt) -> AffineWeylElt:
     """(s_a t_A)(s_b t_B) = (s_a s_b) t_{s_b^{-1} A + B}."""
     rs = case.rs
@@ -245,18 +240,12 @@ def dominant_reduce(mu: AffineWeight, case: ShiftCase) -> ReduceResult:
 # the distinguished elements attached to (alpha, lambda)
 # ---------------------------------------------------------------------------
 
-def affine_input(case: ShiftCase, alpha: Vec, lam: LambdaParam) -> AffineWeight:
-    """Highest weight whose reduction drives the decomposition bookkeeping:
-    -p(alpha + bullet + rho') + p*box + level*Lambda_0, with rho' = rho for
-    the nonsuper family and rho_check for the super one."""
-    fam = _family(case)
-    fin = vscale(case.p, vsub(lam.value, vadd(alpha, fam.inner)))  # box = value + bullet
-    return AffineWeight(fin, fam.level_in, Fraction(0))
-
-
 def _input_labels(case: ShiftCase, alpha_labels, l_idx: int) -> tuple[int, ...]:
-    """Labels of affine_input + rho_hat: coset l_idx's start labels p *
-    labels(box + x - bullet) less p * labels(alpha + rho')."""
+    """Labels of g = mu + rho_hat for the input weight mu = -p(alpha + bullet
+    + rho') + p*box + level_in*Lambda_0 of (alpha, coset l_idx), whose
+    reduction drives the decomposition bookkeeping (rho' = rho for the
+    nonsuper family and rho_check for the super one): the coset's start
+    labels p * labels(box + x - bullet) less p * labels(alpha + rho')."""
     return tuple(x - case.p * (y + z) for x, y, z in zip(
         _cosets(case)._start[l_idx][0], alpha_labels, _family(case).inner_labels))
 

@@ -140,8 +140,7 @@ def cmd_info(cfg: RunConfig, args) -> int:
 def cmd_lambda(cfg: RunConfig, args) -> int:
     case = _case(cfg)
     report = shift.condition_report(case, all_words=False)
-    _emit(cfg, report.to_json_dict(), report.to_csv())
-    return 0 if report.ok else VERIFY_ERROR
+    return _verdict(cfg, report, report.to_csv(), _repro(case, "lambda"))
 
 
 def cmd_check(cfg: RunConfig, args) -> int:
@@ -159,6 +158,23 @@ def cmd_check(cfg: RunConfig, args) -> int:
         raise ConfigError(f"unknown suite {args.suite}")
     csv_text = (_failures_csv(report) if args.suite == "alcove-independence"
                 else report.to_csv())
+    repro = _repro(case, "check", args.suite)
+    if cfg.word_cap is not None:
+        repro += f" --word-cap {cfg.word_cap}"
+    return _verdict(cfg, report, csv_text, repro)
+
+
+def _repro(case: shift.ShiftCase, *command: str) -> str:
+    """The shiftlab command with the case's flags."""
+    return (f"shiftlab {' '.join(command)} --algebra {case.rs.lie_type} "
+            f"--variant {case.variant.value} --m {case.m}")
+
+
+def _verdict(cfg: RunConfig, report: shift.ShiftReport, csv_text: str, repro: str) -> int:
+    """Emit the report, each failure record with a repro command (repro,
+    unless the record names its own), and return the exit code."""
+    for failure in report.failures:
+        failure.setdefault("repro", repro)
     _emit(cfg, report.to_json_dict(), csv_text)
     return 0 if report.ok else VERIFY_ERROR
 
@@ -188,8 +204,8 @@ def _alcove_independence_report(case: shift.ShiftCase) -> shift.ShiftReport:
                       if lam.bullet_index == b_idx and shift.alcove_inequality(lam, case)), None)
         for alpha in alphas:
             report.counts["checks"] += 1
-            repro = (f"shiftlab alcove --algebra {case.rs.lie_type} --variant {case.variant.value} "
-                     f"--m {case.m} --alpha {','.join(map(str, alpha))} --lambda {label}")
+            repro = (_repro(case, "alcove")
+                     + f" --alpha {','.join(map(str, alpha))} --lambda {label}")
             witness = {"bullet": b_idx, "alpha": [str(x) for x in alpha], "repro": repro}
             try:
                 y = alcove.y_alpha(alpha, b_idx, case)

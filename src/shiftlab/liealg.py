@@ -367,9 +367,6 @@ class RootSystem(NamedTuple):
     def identity_element(self) -> WeylElement:
         return WeylElement((), (1,) * self.rank)
 
-    def simple_element(self, i: int) -> WeylElement:
-        return self.element_from_word((i,))
-
     def weyl_mul(self, a: WeylElement, b: WeylElement) -> WeylElement:
         return self.element_from_labels(self.reflect_along(a.word, b.labels))
 

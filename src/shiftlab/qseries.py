@@ -147,10 +147,6 @@ class QSeries(NamedTuple):
             return 0
         return self.coeffs[int(pos)]
 
-    def terms(self) -> dict[Fraction, int]:
-        return {self.base + Fraction(i, self.grid): c
-                for i, c in enumerate(self.coeffs) if c}
-
     # arithmetic --------------------------------------------------------------
 
     def add(self, other: "QSeries", cap: int = DEFAULT_GRID_CAP) -> "QSeries":
@@ -212,37 +208,13 @@ class QSeries(NamedTuple):
         return self.mul(other)
 
     def __rmul__(self, other):
-        # tuple's would repeat the fields; a scalar multiple is scale()
+        # tuple's would repeat the fields
         return NotImplemented
-
-    def scale(self, c) -> "QSeries":
-        c = _as_fraction(c)
-        if c == 0:
-            return QSeries.zero(self.cutoff)
-        scaled = [c * x for x in self.coeffs]
-        if any(v.denominator != 1 for v in scaled):
-            raise ValueError(f"scaling by {c} does not keep integer coefficients")
-        return QSeries(self.base, self.grid, tuple(int(v) for v in scaled),
-                       self.cutoff)
 
     def qshift(self, delta) -> "QSeries":
         delta = _as_fraction(delta)
         return QSeries(self.base + delta, self.grid, self.coeffs,
                        self.cutoff + delta)
-
-    def resample(self, t, cap: int = DEFAULT_GRID_CAP) -> "QSeries":
-        """Substitute q -> q^t for a positive rational t."""
-        t = _as_fraction(t)
-        if t <= 0:
-            raise ValueError("resample factor must be positive")
-        if self.is_zero:
-            return QSeries.zero(self.cutoff * t)
-        step = t / self.grid
-        d = step.denominator
-        if d > cap:
-            raise GridBoundError(f"required exponent grid {d} exceeds cap {cap}")
-        return QSeries.make(self.base * t, d, _spread(self.coeffs, step.numerator),
-                            self.cutoff * t)
 
     def truncate(self, new_cutoff) -> "QSeries":
         new_cutoff = _as_fraction(new_cutoff)
@@ -261,23 +233,6 @@ class QSeries(NamedTuple):
         cut = min(self.cutoff, other.cutoff)
         return self.truncate(cut) == other.truncate(cut)
 
-    def pretty(self, max_terms: int = 12) -> str:
-        if self.is_zero:
-            return f"0  (known to q^{self.cutoff})"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            e = Fraction(i, self.grid)
-            if e == 0:
-                parts.append(f"{c}")
-            else:
-                parts.append(f"{c} q^{e}")
-            if len(parts) >= max_terms:
-                parts.append("...")
-                break
-        return f"q^{self.base} * (" + " + ".join(parts) + ")"
-
     def to_json_dict(self) -> dict:
         return {
             "base": f"{self.base.numerator}/{self.base.denominator}",
@@ -285,12 +240,6 @@ class QSeries(NamedTuple):
             "coeffs": [str(c) for c in self.coeffs],
             "cutoff": f"{self.cutoff.numerator}/{self.cutoff.denominator}",
         }
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "QSeries":
-        return QSeries.make(Fraction(d["base"]), d["grid"],
-                            [int(c) for c in d["coeffs"]],
-                            Fraction(d["cutoff"]))
 
 
 def _spread(coeffs: tuple[int, ...], step: int) -> list[int]:
@@ -303,7 +252,7 @@ def _spread(coeffs: tuple[int, ...], step: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Euler products: eta powers and free-fermion characters
+# Euler products: inverse eta powers and free-fermion characters
 # ---------------------------------------------------------------------------
 
 def _times(coeffs: list[int], sign: int, ks) -> list[int]:
@@ -332,15 +281,6 @@ def eta_inv_pow(r: int, order: int) -> QSeries:
     if r < 1:
         raise ValueError("eta power must be positive")
     return _eta_inv_fermion(r, None, order)
-
-
-def eta_pow(r: int, order: int) -> QSeries:
-    """eta(q)^r = q^(r/24) prod (1-q^n)^r, truncated at depth ``order``."""
-    if r < 1:
-        raise ValueError("eta power must be positive")
-    check_order(order)
-    coeffs = _times([1] + [0] * order, -1, [*range(1, order + 1)] * r)
-    return QSeries.make(Fraction(r, 24), 1, coeffs, Fraction(r, 24) + order)
 
 
 class FermionKind(enum.Enum):

@@ -56,6 +56,10 @@ class InvalidCaseError(ValueError):
     """Raised for (type, variant, m) combinations outside the two families."""
 
 
+class WordDependenceError(AssertionError):
+    """Raised when the strong condition differs between reduced words of w0."""
+
+
 class ShiftCase(NamedTuple):
     rs: RootSystem
     variant: Variant
@@ -473,11 +477,12 @@ def check_strong(lam: LambdaParam, case: ShiftCase, word=None) -> bool:
 
 def check_strong_all_words(lam: LambdaParam, case: ShiftCase,
                            word_cap: int = 10**4) -> bool:
-    """The strong condition on every reduced word; words must all agree."""
+    """The strong condition on every reduced word; WordDependenceError if
+    two words disagree."""
     sys = system(case)
     results = {check_strong(lam, case, w) for w in sys.w0_words(word_cap)}
     if len(results) != 1:
-        raise AssertionError(
+        raise WordDependenceError(
             f"strong condition depends on the reduced word for {lam.label()} "
             f"in {case.case_id()}")
     return results.pop()
@@ -671,7 +676,8 @@ def _tables(report: ShiftReport, sys: ShiftSystem) -> ShiftReport:
 def condition_report(case: ShiftCase, all_words: bool = False,
                      word_cap: int = 10**4) -> ShiftReport:
     """Weak/strong/alcove tables, with the strong <=> alcove equivalence
-    enforced (optionally across every reduced word of w0)."""
+    enforced; with all_words, a coset whose strong condition differs between
+    reduced words of w0 is a failure record."""
     sys = system(case)
     report = _tables(ShiftReport(case.case_id(),
                                  {"lambdas": len(sys.lambdas), "weyl": len(sys.weyl),
@@ -679,8 +685,10 @@ def condition_report(case: ShiftCase, all_words: bool = False,
     for lam, (label, strong), (_, alc), (_, got) in zip(
             sys.lambdas, report.strong, report.alcove, report.w0_shifts):
         if all_words:
-            # every reduced word agrees with the canonical one, or this raises
-            check_strong_all_words(lam, case, word_cap)
+            try:
+                check_strong_all_words(lam, case, word_cap)
+            except WordDependenceError:
+                _fail(report, "strong-word-dependence", label)
         if strong != alc:
             _fail(report, "strong-alcove-mismatch", label, strong=strong, alcove=alc)
         if check_strong_alt(lam, case) != strong:

@@ -26,7 +26,8 @@
   canonical word each time (``conditions_per_call``).
 * The circle action of an affine element on ``Fraction`` coordinates, with
   the finite part acting by the matrix of its word, its translation checked
-  on root coordinates (``affine_elt_fraction``), and the chamber
+  on root coordinates (``affine_elt_fraction``), the input weight of
+  (alpha, lambda) (``affine_input``), and the chamber
   reduction, ``y_alpha`` and ``mu_lambda`` on ``Fraction`` input weights
   with the translation read in ``Fraction`` coordinates
   (``dominant_reduce_fraction``).
@@ -34,7 +35,10 @@
   the nonnegative cone (``cone_shell``), and at p = 1 the theta series of
   the coset in Q times the tail (``lattice_theta_char``).
 * The eta powers and free-fermion characters by the pentagonal recurrences,
-  square-and-multiply over the Kronecker ``convolve`` and a binomial product.
+  square-and-multiply over the Kronecker ``convolve`` and a binomial product;
+  the substitution q -> q^t of a series (``resample``), a rational multiple
+  of a series (``scale``) and the inverse of ``QSeries.to_json_dict``
+  (``from_json_dict``).
 * Helpers that only the tests call: the dot action, the * route of the
   alternating sum, the displayed-norm exponent, the supertrace vacuum oracle
   and the affine identity.
@@ -53,7 +57,6 @@ from shiftlab.alcove import (
     ReduceResult,
     WallReductionError,
     _family,
-    affine_input,
     affine_inv,
 )
 from shiftlab.characters import (
@@ -79,7 +82,7 @@ from shiftlab.liealg import (
     vzero,
     weyl_order,
 )
-from shiftlab.qseries import FermionKind, QSeries, check_order, convolve
+from shiftlab.qseries import FermionKind, QSeries, _spread, check_order, convolve
 from shiftlab.shift import (
     LambdaParam,
     Variant,
@@ -666,6 +669,15 @@ def walk_reference(case, lam, beta, moved=False):
     return orbit, dot, mov
 
 
+def affine_input(case, alpha, lam) -> AffineWeight:
+    """The input weight of (alpha, lam) on Fraction coordinates:
+    -p(alpha + bullet + rho') + p*box + level_in*Lambda_0, with rho' = rho for
+    the nonsuper family and rho_check for the super one."""
+    fam = _family(case)
+    fin = vscale(case.p, vsub(lam.value, vadd(alpha, fam.inner)))  # box = value + bullet
+    return AffineWeight(fin, fam.level_in, Fraction(0))
+
+
 def affine_elt_fraction(case, finite, translation) -> AffineWeylElt:
     """The element (finite, translation), refused unless every root
     coordinate of the translation is a multiple of the lattice scale."""
@@ -872,3 +884,33 @@ def fermion_char_reference(kind, order: int) -> QSeries:
     sign = 1 if kind is FermionKind.NS_CH else -1
     coeffs = binomial_product(2 * order, sign, range(1, 2 * order + 1, 2))
     return QSeries.make(Fraction(-1, 48), 2, coeffs, Fraction(-1, 48) + order)
+
+
+def resample(s, t) -> QSeries:
+    """The series s with q replaced by q^t, for a positive rational t."""
+    t = Fraction(t)
+    if t <= 0:
+        raise ValueError("resample factor must be positive")
+    if s.is_zero:
+        return QSeries.zero(s.cutoff * t)
+    step = t / s.grid
+    return QSeries.make(s.base * t, step.denominator, _spread(s.coeffs, step.numerator),
+                        s.cutoff * t)
+
+
+def scale(s, c) -> QSeries:
+    """The series s times the rational c, which must keep every coefficient
+    an integer."""
+    c = Fraction(c)
+    if c == 0:
+        return QSeries.zero(s.cutoff)
+    scaled = [c * x for x in s.coeffs]
+    if any(v.denominator != 1 for v in scaled):
+        raise ValueError(f"scaling by {c} does not keep integer coefficients")
+    return QSeries(s.base, s.grid, tuple(int(v) for v in scaled), s.cutoff)
+
+
+def from_json_dict(d) -> QSeries:
+    """The series that QSeries.to_json_dict rendered as d."""
+    return QSeries.make(Fraction(d["base"]), d["grid"], [int(c) for c in d["coeffs"]],
+                        Fraction(d["cutoff"]))

@@ -8,6 +8,7 @@ import pytest
 from oracles import (
     affine_elt_fraction,
     affine_identity,
+    affine_input,
     chamber_position,
     dominant_alphas,
     dominant_reduce_fraction,
@@ -25,8 +26,6 @@ from shiftlab.alcove import (
     AffineWeylElt,
     WallReductionError,
     _family,
-    affine_elt,
-    affine_input,
     affine_inv,
     affine_mul,
     alcove_json,
@@ -52,8 +51,7 @@ def rand_translation(case, rng):
 
 def rand_elt(case, rng):
     elems = case.rs.enumerate_weyl()
-    return affine_elt(case, elems[rng.randrange(len(elems))],
-                      rand_translation(case, rng))
+    return AffineWeylElt(elems[rng.randrange(len(elems))], rand_translation(case, rng))
 
 
 def rand_weight(case, rng):
@@ -66,23 +64,29 @@ def test_identity_dot_action():
     assert dot_act(affine_identity(B2N2), mu, B2N2) == mu
 
 
+def check_translation(case, b):
+    """The translation lattice rule on the integer labels of b."""
+    _family(case).check_translation(case.rs.integral_labels(b))
+
+
 def test_translation_lattice_validation():
     with pytest.raises(ValueError):
-        affine_elt(B2N2, B2N2.rs.identity_element(), (Fraction(1), Fraction(0)))
-    affine_elt(B2N2, B2N2.rs.identity_element(), (Fraction(2), Fraction(4)))
-    affine_elt(B2S3, B2S3.rs.identity_element(), (Fraction(1), Fraction(0)))
-    # the rule on integer labels agrees with the one on root coordinates
+        check_translation(B2N2, (Fraction(1), Fraction(0)))
+    check_translation(B2N2, (Fraction(2), Fraction(4)))
+    check_translation(B2S3, (Fraction(1), Fraction(0)))
+    # the rule on integer labels refuses what the one on root coordinates does
     for case in (B2N2, B2S3, make_case("G2", "nonsuper", 2), make_case("C3", "nonsuper", 1)):
         e = case.rs.identity_element()
         for b in itertools.product([Fraction(x, 2) for x in range(-4, 5)], repeat=case.rank):
-            assert outcome(affine_elt, case, e, b) == outcome(affine_elt_fraction, case, e, b)
+            assert (outcome(check_translation, case, b) is ValueError) == \
+                (outcome(affine_elt_fraction, case, e, b) is ValueError)
 
 
 def test_translation_shifts_by_level():
     # t_B moves the finite part by (shifted level) * B and keeps the level
     case = B2N2
     b = (Fraction(2), Fraction(2))
-    w = affine_elt(case, case.rs.identity_element(), b)
+    w = AffineWeylElt(case.rs.identity_element(), b)
     mu = AffineWeight(vzero(2), Fraction(case.m - case.rs.dual_coxeter_L),
                       Fraction(0))
     out = dot_act(w, mu, case)
@@ -188,7 +192,7 @@ def test_reducer_is_least_over_brute_force(name, variant, m):
         for w, inv in inverses:
             b = vscale(1 / fam.trans_scale(mu), vsub(mat_vec(inv, g_f), g))
             if all((x / fam.lattice_scale).denominator == 1 for x in b):
-                valid.append(affine_elt(case, w, b))
+                valid.append(AffineWeylElt(w, b))
         assert all(dot_act(v, mu, case) == res.weight for v in valid)
         best = min(valid, key=lambda v: (v.finite_part.length, v.finite_part.word,
                                          v.translation))
@@ -279,7 +283,7 @@ def test_closed_form_rank1_literal():
     lit = affine_mul(
         B1S2,
         AffineWeylElt(rs.identity_element(), vneg(vadd(alpha, rs.rho_check))),
-        AffineWeylElt(rs.simple_element(0), vzero(1)))
+        AffineWeylElt(rs.element_from_word((0,)), vzero(1)))
     assert y1 == lit
 
 

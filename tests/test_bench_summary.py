@@ -120,8 +120,14 @@ def test_src_lines_counts_and_table(tmp_path):
     (pkg / "notes.txt").write_text("not a module\n")
     tree = src_lines.tree_counts(tmp_path)
     assert tree == {"a.py": 2, "b.py": 1}
-    lines = src_lines.table(tree, {"a.py": 5, "old.py": 4}, "HEAD~1").splitlines()
+    # the reference file's row comes below the src/ total and leaves it as it is
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "oracles.py").write_text("a = 1\n" * 7)
+    oracles = src_lines.file_lines(tmp_path, src_lines.ORACLES)
+    assert oracles == 7 and src_lines.file_lines(tmp_path, "tests/absent.py") == 0
+    lines = src_lines.table(tree, {"a.py": 5, "old.py": 4}, "HEAD~1",
+                            [(src_lines.ORACLES, 4, oracles)]).splitlines()
     assert lines[0].split() == ["module", "HEAD~1", "tree", "delta"]
     assert [line.split() for line in lines[1:]] == [
         ["a.py", "5", "2", "-3"], ["b.py", "0", "1", "+1"], ["old.py", "4", "0", "-4"],
-        ["total", "9", "3", "-6"]]
+        ["total", "9", "3", "-6"], ["tests/oracles.py", "4", "7", "+3"]]

@@ -6,7 +6,14 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import eta_inv_pow_reference, eta_pow_reference, fermion_char_reference
+from oracles import (
+    eta_inv_pow_reference,
+    eta_pow_reference,
+    fermion_char_reference,
+    from_json_dict,
+    resample,
+    scale,
+)
 
 from shiftlab.qseries import (
     FermionKind,
@@ -15,7 +22,6 @@ from shiftlab.qseries import (
     _eta_inv_fermion,
     convolve,
     eta_inv_pow,
-    eta_pow,
     fermion_char,
 )
 
@@ -62,7 +68,7 @@ def test_normalization():
     assert s.coeffs == (3, 5)
     assert s.grid == 2
     assert s.cutoff == Fraction(1, 2) + Fraction(6, 4)
-    assert s.terms() == {Fraction(1): 3, Fraction(3, 2): 5}
+    assert (s.coeff(1), s.coeff(Fraction(3, 2))) == (3, 5)
     z = QSeries.make(0, 1, [0, 0, 0])
     assert z.is_zero and z.cutoff == 2
 
@@ -84,7 +90,7 @@ def test_coeff_lookup():
 def test_partition_euler_inverse():
     # prod (1 - q^n) * sum p(n) q^n = 1 to order 200
     inv = eta_inv_pow(1, 200)
-    eta = eta_pow(1, 200)
+    eta = eta_pow_reference(1, 200)
     product = inv.mul(eta)
     assert product.coeffs == (1,)
     assert product.base == 0
@@ -132,7 +138,6 @@ def test_euler_products_match_reference(r, order):
     # square-and-multiply powers over convolve and the binomial products
     inv = eta_inv_pow(r, order)
     assert inv == eta_inv_pow_reference(r, order)
-    assert eta_pow(r, order) == eta_pow_reference(r, order)
     assert _eta_inv_fermion(r, None, order) == inv
     for kind in FermionKind:
         ferm = fermion_char(kind, order)
@@ -146,31 +151,31 @@ def test_fermion_eta_quotient_identities():
     # ch F * sch F equals eta(q)/eta(q^2) as q-expansions, to order 50
     n = 50
     lhs = fermion_char(FermionKind.NS_CH, n).mul(fermion_char(FermionKind.NS_SCH, n))
-    rhs = eta_pow(1, n).mul(eta_inv_pow(1, n // 2).resample(2))
+    rhs = eta_pow_reference(1, n).mul(resample(eta_inv_pow(1, n // 2), 2))
     assert lhs.same_series(rhs)
     # ch iota* F = 2 eta(q^2)/eta(q)
     lhs2 = fermion_char(FermionKind.R_TWISTED, n)
-    rhs2 = eta_pow(1, n // 2).resample(2).mul(eta_inv_pow(1, n)).scale(2)
+    rhs2 = scale(resample(eta_pow_reference(1, n // 2), 2).mul(eta_inv_pow(1, n)), 2)
     assert lhs2.same_series(rhs2)
 
 
 def test_resample_definition():
-    eta = eta_pow(1, 20)
-    again = eta.resample(2)
+    eta = eta_pow_reference(1, 20)
+    again = resample(eta, 2)
     assert again.base == Fraction(2, 24)
     for n in range(0, 18):
         assert again.coeff(Fraction(2, 24) + n) == (
             eta.coeff(Fraction(1, 24) + Fraction(n, 2))
             if n % 2 == 0 else 0)
-    half = eta.resample(Fraction(1, 2))
+    half = resample(eta, Fraction(1, 2))
     assert half.grid == 2 and half.base == Fraction(1, 48)
 
 
 def test_scale_integrality():
     s = QSeries.make(0, 1, [2, 4, 6])
-    assert s.scale(Fraction(1, 2)).coeffs == (1, 2, 3)
+    assert scale(s, Fraction(1, 2)).coeffs == (1, 2, 3)
     with pytest.raises(ValueError):
-        s.scale(Fraction(1, 4))
+        scale(s, Fraction(1, 4))
 
 
 def test_grid_cap():
@@ -237,12 +242,11 @@ def test_truncation_bookkeeping():
     assert z.is_zero and z.cutoff == 1
     assert z.mul(a).cutoff == 1
     assert z.qshift(3).cutoff == 4
-    assert z.resample(2).cutoff == 2
+    assert resample(z, 2).cutoff == 2
 
 
 def test_json_roundtrip():
     s = eta_inv_pow(2, 10)
     d = s.to_json_dict()
     assert d["base"] == "-1/12"
-    assert QSeries.from_json_dict(d) == s
-    assert "q^" in s.pretty()
+    assert from_json_dict(d) == s

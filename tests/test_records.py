@@ -42,7 +42,7 @@ def records():
     weight = AffineWeight((Fraction(1),), Fraction(2), Fraction(0))
     args = argparse.Namespace(order=5, algebra="B2", variant="super", m=2,
                               format="json", output=None, word_cap=10)
-    w = build_root_system(SimpleLieType("B", 2)).simple_element(0)
+    w = build_root_system(SimpleLieType("B", 2)).element_from_word((0,))
     rows = [
         (SimpleLieType("B", 2), SimpleLieType.parse("b2"), "SimpleLieType(series='B', rank=2)"),
         (w, w._replace(), "WeylElement(word=(0,), labels=(-1, 3))"),
@@ -55,7 +55,7 @@ def records():
          QSeries.make(Fraction(-1, 24), 2, [1, 0, 0, 0, 2, 0, 0], 3),
          "QSeries(base=Fraction(-1, 24), grid=1, coeffs=(1, 0, 2), cutoff=Fraction(3, 1))"),
         (weight, AffineWeight((Fraction(1),), Fraction(2), Fraction(0)), WEIGHT),
-        (AffineWeylElt(rs.simple_element(0), (Fraction(2),)),
+        (AffineWeylElt(rs.element_from_word((0,)), (Fraction(2),)),
          AffineWeylElt(rs.element_from_word((0,)), (Fraction(2),)),
          "AffineWeylElt(finite_part=WeylElement(word=(0,), labels=(-1,)), "
          "translation=(Fraction(2, 1),))"),
@@ -85,7 +85,7 @@ def test_record_guards():
         SimpleLieType("C", 1)
     with pytest.raises(InvalidTypeError):
         SimpleLieType("H", 3)
-    w = build_root_system(SimpleLieType("A", 2)).simple_element(0)
+    w = build_root_system(SimpleLieType("A", 2)).element_from_word((0,))
     with pytest.raises(TypeError):
         w * w
     with pytest.raises(TypeError):

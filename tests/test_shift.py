@@ -1,5 +1,6 @@
 """Shift systems: representatives, actions, axioms, weak/strong conditions."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -24,6 +25,7 @@ from oracles import (
     weyl_matrix,
 )
 
+from shiftlab import cli
 from shiftlab.liealg import RootSystem, vadd, vneg, vscale, vsub, vzero
 from shiftlab.shift import (
     PACK_GUARD,
@@ -31,6 +33,7 @@ from shiftlab.shift import (
     Cosets,
     InvalidCaseError,
     ShiftSystem,
+    WordDependenceError,
     _cosets,
     _grid,
     _shared,
@@ -304,7 +307,7 @@ def test_lambda_round_trip():
 
 def test_rank1_action_walkthrough():
     rs = A1P2.rs
-    s1 = rs.simple_element(0)
+    s1 = rs.element_from_word((0,))
     l01, l02 = lam(A1P2, 0, 1), lam(A1P2, 0, 2)
     assert w_act(s1, l01, A1P2).key() == (1, (1,))
     assert w_act(s1, l02, A1P2).key() == (0, (2,))
@@ -345,7 +348,7 @@ def test_simple_action_moves_along_coroot():
         rs = case.rs
         for lamp in enumerate_lambda(case):
             for i in range(rs.rank):
-                moved = w_act(rs.simple_element(i), lamp, case)
+                moved = w_act(rs.element_from_word((i,)), lamp, case)
                 diff = vsub(lamp.value, moved.value)
                 step = copairing(rs, vadd(lamp.value, case.x), i)
                 target = vscale(step, rs.simple_roots[i])
@@ -410,15 +413,16 @@ B2P4 = make_case("B2", "nonsuper", 2)
 @pytest.fixture
 def corrupt():
     """run(l_idx, w_idx, labels) writes one cell of a shift row of a fresh
-    B2 m=2 system and returns (system, verify_axioms report); the caches are
-    cleared before and after, so no other test sees the corrupted system."""
+    B2 m=2 system (of case, if given) and returns (system, verify_axioms
+    report); the caches are cleared before and after, so no other test sees
+    the corrupted system."""
     system.cache_clear()
     _shared.cache_clear()
 
-    def run(l_idx, w_idx, labels):
-        sys = system(B2P4)
+    def run(l_idx, w_idx, labels, case=B2P4):
+        sys = system(case)
         sys.row(l_idx)[1][w_idx] = tuple(labels)
-        return sys, verify_axioms(B2P4)
+        return sys, verify_axioms(case)
 
     yield run
     system.cache_clear()
@@ -509,6 +513,57 @@ def test_w0_shift_refuses_a_row_that_does_not_compose(corrupt):
     assert not report.ok and report.w0_shifts == []
     with pytest.raises(AssertionError, match="composition disagrees"):
         w0_shift(sys.lambdas[0], B2P4)
+
+
+@pytest.mark.parametrize("variant,flags", [
+    ("nonsuper", "--algebra B2 --variant nonsuper --m 2"),
+    # a Ramond report copies the failures of the system it shares with its
+    # super case, and its repro names the Ramond case
+    ("ramond", "--algebra B2 --variant ramond --m 2"),
+])
+def test_cli_failure_records_carry_repro(corrupt, capsys, variant, flags):
+    # a strong coset's pairing at the third prefix of the canonical word made
+    # nonzero: the axioms fail, the strong condition no longer matches the
+    # alcove one, and it now depends on the word; every failure record that
+    # the three commands print names the command that prints it again
+    case = make_case("B2", variant, 2)
+    sys = system(case)
+    l_idx = next(i for i, lamp in enumerate(sys.lambdas) if alcove_inequality(lamp, case))
+    word, prefixes = sys.walk_word()
+    bad = list(sys.row(l_idx)[1][prefixes[2]])
+    bad[word[-3]] += 1
+    corrupt(l_idx, prefixes[2], bad, case=case)
+    for command, extra in [("check axioms", ""), ("check weak-strong", ""),
+                           ("check weak-strong", " --word-cap 10"), ("lambda", "")]:
+        assert cli.main(f"{command} {flags}{extra}".split()) == 1
+        failures = json.loads(capsys.readouterr().out)["failures"]
+        assert failures
+        assert all(f["repro"] == f"shiftlab {command} {flags}{extra}" for f in failures)
+    checks = {f["check"] for f in failures}
+    assert "strong-alcove-mismatch" in checks
+
+
+def test_word_dependence_is_a_failure_record(monkeypatch, capsys):
+    # the strong condition flipped on one reduced word of w0 depends on the
+    # word on every coset: a failure record each, and the CLI exits 1
+    strong = ShiftSystem.strong
+
+    def flipped(self, l_idx, word=None):
+        got = strong(self, l_idx, word)
+        return got != (word is not None and tuple(word) == (1, 0, 1, 0))
+
+    monkeypatch.setattr(ShiftSystem, "strong", flipped)
+    labels = [lamp.label() for lamp in enumerate_lambda(B2P4)]
+    report = condition_report(B2P4, all_words=True)
+    assert report.failures == [{"check": "strong-word-dependence", "lambda": label}
+                               for label in labels]
+    assert cli.main(["check", "weak-strong", "--algebra", "B2", "--m", "2"]) == 1
+    repro = "shiftlab check weak-strong --algebra B2 --variant nonsuper --m 2"
+    assert json.loads(capsys.readouterr().out)["failures"] == [
+        {"check": "strong-word-dependence", "lambda": label, "repro": repro}
+        for label in labels]
+    with pytest.raises(WordDependenceError, match="depends on the reduced word"):
+        check_strong_all_words(enumerate_lambda(B2P4)[0], B2P4)
 
 
 def test_axioms_refuse_labels_past_the_packing_guard(corrupt):

@@ -16,11 +16,12 @@ ROOT = pathlib.Path(__file__).parent.parent
 
 CHILD = """
 import json, sys
-sys.path[:0] = [sys.argv[1], sys.argv[2]]
+sys.path[:0] = sys.argv[1:4]
 from tracer import Tracer
 tracer = Tracer().install()
 from shiftlab import alcove, characters, shift
 from shiftlab.liealg import vzero
+from oracles import affine_input
 case = shift.make_case("A2", "nonsuper", 2)
 shift.verify_axioms(case)
 shift.condition_report(case)
@@ -34,7 +35,7 @@ characters.multiplet_char(vzero(2), lam, case, 6)
 characters.ft_char(lam, case, 3)
 alcove.alcove_json(case, vzero(2), lam)
 # the reducer and y_alpha called directly, as the tests and the CLI call them
-alcove.dominant_reduce(alcove.affine_input(case, vzero(2), lam), case)
+alcove.dominant_reduce(affine_input(case, vzero(2), lam), case)
 alcove.y_alpha(vzero(2), lam.bullet_index, case)
 summary = tracer.summary()
 print(json.dumps({"missing": summary["missing"], "spans": sorted(summary["spans"])}))
@@ -43,7 +44,8 @@ print(json.dumps({"missing": summary["missing"], "spans": sorted(summary["spans"
 
 def test_every_tracer_target_is_found():
     done = subprocess.run(
-        [sys.executable, "-B", "-c", CHILD, str(ROOT / "perfbench"), str(ROOT / "src")],
+        [sys.executable, "-B", "-c", CHILD, str(ROOT / "perfbench"), str(ROOT / "src"),
+         str(ROOT / "tests")],
         capture_output=True, text=True, timeout=300, cwd=ROOT)
     assert done.returncode == 0, done.stderr
     got = json.loads(done.stdout.splitlines()[-1])

@@ -16,20 +16,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 from typing import NamedTuple
 
-from .liealg import (
-    Vec,
-    WeylElement,
-    reflect_labels,
-    vadd,
-    vneg,
-    vscale,
-    vsub,
-    vzero,
-)
-from .shift import (LambdaParam, ShiftCase, Variant, _cosets, alcove_inequality,
+from .liealg import RootSystem, Vec, WeylElement, reflect_labels
+from .shift import (LambdaParam, ShiftCase, Variant, _cosets, _grid, alcove_inequality,
                     enumerate_lambda)
 
 
@@ -68,7 +59,6 @@ class _Family:
 
     def __init__(self, case: ShiftCase):
         rs = self.rs = case.rs
-        self.rho_hat_fin = vscale(case.p, case.x)
         # translations live in lattice_scale*Q; a level scales them by
         # level_factor times its rho-shifted value; the input weight's rho'
         # is inner, and its walk has n = 1 and k = m or p
@@ -88,8 +78,8 @@ class _Family:
         self.marks = rs.theta_L_marks
         self.reflect_cols = rs.reflect_cols()
         self.theta_s_labels = rs.integral_labels(rs.theta_s)
-        self.rho_hat_labels, self.inner_labels = map(rs.integral_labels,
-                                                     (self.rho_hat_fin, self.inner))
+        # rho_hat = p * x on the finite part
+        self.rho_hat_labels, self.inner_labels = _grid(case)[0], rs.integral_labels(self.inner)
 
     def trans_scale(self, mu: AffineWeight) -> Fraction:
         """Multiplier applied to a translation vector at this weight's level
@@ -101,7 +91,8 @@ class _Family:
         common denominator of those labels and of the translation scale, so
         that a walk on n * labels stays on integers."""
         scale = self.trans_scale(mu)
-        a, d = self.rs.scaled_labels(vadd(mu.finite, self.rho_hat_fin))
+        a, d = self.rs.scaled_labels(mu.finite)
+        a = tuple(x + d * y for x, y in zip(a, self.rho_hat_labels))
         n = lcm(scale.denominator, *(d // gcd(x, d) for x in a))
         return tuple(x * n // d for x in a), n, int(n * scale)
 
@@ -158,18 +149,32 @@ def _family(case: ShiftCase) -> _Family:
 # group elements and the circle action
 # ---------------------------------------------------------------------------
 
+def _elt(rs: RootSystem, sigma: WeylElement, t) -> AffineWeylElt:
+    """The record of (sigma, t_b), b with labels t: elements compose on
+    labels, and only the record holds root coordinates."""
+    return AffineWeylElt(sigma, rs.from_labels(t))
+
+
+def _compose(rs: RootSystem, sa, ta, sb, tb) -> tuple[WeylElement, tuple[int, ...]]:
+    """(s_a t_A)(s_b t_B) = (s_a s_b) t_{s_b^{-1} A + B}, on the labels of A and B."""
+    return rs.weyl_mul(sa, sb), tuple(map(add, rs.reflect_along(sb.word[::-1], ta), tb))
+
+
+def _inverse(rs: RootSystem, sigma: WeylElement, t) -> tuple[WeylElement, tuple[int, ...]]:
+    """(s t_b)^{-1} = s^{-1} t_{-s(b)}, on the labels of b."""
+    return rs.weyl_inv(sigma), tuple(-x for x in rs.reflect_along(sigma.word, t))
+
+
 def affine_mul(case: ShiftCase, a: AffineWeylElt, b: AffineWeylElt) -> AffineWeylElt:
-    """(s_a t_A)(s_b t_B) = (s_a s_b) t_{s_b^{-1} A + B}."""
+    """The product of the affine Weyl group (see _compose)."""
     rs = case.rs
-    fin = rs.weyl_mul(a.finite_part, b.finite_part)
-    trans = vadd(rs.weyl_apply(rs.weyl_inv(b.finite_part), a.translation), b.translation)
-    return AffineWeylElt(fin, trans)
+    return _elt(rs, *_compose(rs, a.finite_part, rs.integral_labels(a.translation),
+                              b.finite_part, rs.integral_labels(b.translation)))
 
 
 def affine_inv(case: ShiftCase, a: AffineWeylElt) -> AffineWeylElt:
     rs = case.rs
-    fin = rs.weyl_inv(a.finite_part)
-    return AffineWeylElt(fin, vneg(rs.weyl_apply(a.finite_part, a.translation)))
+    return _elt(rs, *_inverse(rs, a.finite_part, rs.integral_labels(a.translation)))
 
 
 def dot_act(w: AffineWeylElt, mu: AffineWeight, case: ShiftCase) -> AffineWeight:
@@ -232,7 +237,7 @@ def dominant_reduce(mu: AffineWeight, case: ShiftCase) -> ReduceResult:
     fam = _family(case)
     a0, n, k = fam.walk_labels(mu)
     sigma, t, wall = _reduce(case, a0, k)
-    return ReduceResult(AffineWeylElt(sigma, case.rs.from_labels(t)),
+    return ReduceResult(_elt(case.rs, sigma, t),
                         fam.weight(sigma, t, a0, n, k, mu.level, mu.delta_coeff), wall)
 
 
@@ -283,13 +288,17 @@ def y_alpha(alpha: Vec, bullet_index: int, case: ShiftCase) -> AffineWeylElt:
     when every input lies on a wall.  Digit independence fails loudly if no
     common reducer exists.
     """
+    return _elt(case.rs, *_y_alpha_labels(case, case.rs.integral_labels(alpha), bullet_index))
+
+
+def _y_alpha_labels(case: ShiftCase, alpha_labels, bullet_index: int):
+    """y_alpha on labels: (finite part, labels of its translation)."""
     strong = _strong_cosets(case, bullet_index)
     if not strong:
         raise WallReductionError(
             f"no strong representative with minuscule index {bullet_index} "
             f"in {case.case_id()}")
-    fam, rs, k = _family(case), case.rs, _family(case).k_in
-    alpha_labels = rs.integral_labels(alpha)
+    fam, k = _family(case), _family(case).k_in
     inputs = [_input_labels(case, alpha_labels, l_idx) for l_idx in strong]
     candidates: list[tuple[WeylElement, tuple[int, ...]]] = []
     for a0 in inputs:
@@ -298,7 +307,7 @@ def y_alpha(alpha: Vec, bullet_index: int, case: ShiftCase) -> AffineWeylElt:
     # w o mu keeps mu's level, so its chamber position is read at mu's k
     for sigma, t in candidates:
         if all(fam.position(fam.shift_labels(sigma, t, a0, k), k)[0] for a0 in inputs):
-            return affine_inv(case, AffineWeylElt(sigma, rs.from_labels(t)))
+            return _inverse(case.rs, sigma, t)
     raise DigitDependenceError(
         f"reducer depends on the box digits for bullet {bullet_index} "
         f"in {case.case_id()}")
@@ -307,32 +316,32 @@ def y_alpha(alpha: Vec, bullet_index: int, case: ShiftCase) -> AffineWeylElt:
 def y_sigma(w: WeylElement, alpha: Vec, bullet_index: int,
             case: ShiftCase) -> AffineWeylElt:
     """t_{c(beta - w o beta)} y_{alpha, bullet} with beta = alpha + bullet and
-    c the translation-lattice scale of the family."""
-    rs = case.rs
-    fam = _family(case)
-    beta = vadd(alpha, rs.minuscule[bullet_index])
-    moved = vsub(rs.weyl_apply(w, vadd(beta, rs.rho)), rs.rho)
-    trans = vscale(fam.lattice_scale, vsub(beta, moved))
-    base = y_alpha(alpha, bullet_index, case)
-    return affine_mul(case, AffineWeylElt(rs.identity_element(), trans), base)
+    c the translation-lattice scale of the family; beta - w o beta =
+    (beta + rho) - w(beta + rho)."""
+    rs, c = case.rs, _family(case).lattice_scale
+    alpha_labels = rs.integral_labels(alpha)
+    top = tuple(x + y + 1 for x, y in zip(alpha_labels, _grid(case)[2][bullet_index]))
+    trans = tuple(c * (x - y) for x, y in zip(top, rs.reflect_along(w.word, top)))
+    base = _y_alpha_labels(case, alpha_labels, bullet_index)
+    return _elt(rs, *_compose(rs, rs.identity_element(), trans, *base))
 
 
 def closed_form_y_super(alpha: Vec, bullet_index: int,
                         case: ShiftCase) -> AffineWeylElt:
     """Closed forms in the twisted family: a pure translation by
     -(alpha + rho_check) for trivial minuscule part; for the spin coset the
-    translation composed with the minuscule element w0 * w0(J), J the nodes
-    stabilizing the spin weight.  At rank 1 the latter is the single simple
-    reflection."""
+    translation composed with the minuscule element v^-1, v = w0 * w0(J), J
+    the nodes stabilizing the spin weight: t_B v^-1 = v^-1 t_{v(B)}.  At
+    rank 1 the latter is the single simple reflection."""
     if case.variant is Variant.NONSUPER:
         raise ValueError("closed forms are for the super family")
     rs = case.rs
-    trans = vneg(vadd(alpha, rs.rho_check))
-    t_elt = AffineWeylElt(rs.identity_element(), trans)
+    # the twisted family's inner weight is rho_check
+    trans = tuple(-x - y for x, y in zip(rs.integral_labels(alpha), _family(case).inner_labels))
     if bullet_index == 0:
-        return t_elt
+        return _elt(rs, rs.identity_element(), trans)
     v = rs.weyl_mul(rs.longest_element(), rs.parabolic_longest(range(rs.rank - 1)))
-    return affine_mul(case, t_elt, AffineWeylElt(rs.weyl_inv(v), vzero(rs.rank)))
+    return _elt(rs, rs.weyl_inv(v), rs.reflect_along(v.word, trans))
 
 
 def alcove_json(case: ShiftCase, alpha: Vec, lam: LambdaParam) -> dict:

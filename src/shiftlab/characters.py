@@ -193,10 +193,11 @@ def _times_tail(case: ShiftCase, num: dict[int, int], tail: QSeries) -> QSeries:
     return QSeries.make(base, grid, out, base + tail.cutoff - tail.base)
 
 
-def _alternating_sum(case: ShiftCase, lam: LambdaParam, beta: Vec, order: int) -> QSeries:
-    """sum over W of (-1)^len q^(weight of the dot-moved Cartan weight),
-    sharing one tail series across the orbit."""
-    num = _numerator(case, _walk(case, lam, case.rs.integral_labels(beta))[1])
+def _alternating_sum(case: ShiftCase, lam: LambdaParam, labels: tuple[int, ...],
+                     order: int) -> QSeries:
+    """sum over W of (-1)^len q^(weight of the dot-moved Cartan weight) at
+    the weight with these labels, sharing one tail series across the orbit."""
+    num = _numerator(case, _walk(case, lam, labels)[1])
     return _times_tail(case, num, _tail(case, order))
 
 

@@ -1,22 +1,26 @@
 """Command-line surface: exact, scriptable computations with JSON/CSV output.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
-error.  Output is deterministic for a fixed configuration: dictionaries are
-emitted in fixed key order and every rational is rendered as "num/den".
+error, 3 a failed internal invariant.  Output is deterministic for a fixed
+configuration: dictionaries are emitted in fixed key order and every
+rational is rendered as "num/den".
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from . import alcove, characters, liealg, qseries, shift
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
+INTERNAL_ERROR = 3
 
 
 class ConfigError(ValueError):
@@ -75,7 +79,7 @@ def _parse_lambda(case: shift.ShiftCase, text: str) -> shift.LambdaParam:
 def _parse_alpha(case: shift.ShiftCase, text: str):
     values = _integers("--alpha", text)
     if values == [0]:
-        return liealg.vzero(case.rank)
+        values *= case.rank
     if len(values) != case.rank:
         raise ConfigError(f"--alpha wants {case.rank} comma-separated integers")
     return tuple(map(Fraction, values))
@@ -197,8 +201,7 @@ def _alcove_independence_report(case: shift.ShiftCase) -> shift.ShiftReport:
     """y_alpha's digit independence and super closed form; a failure's repro
     prints its y, on the first strong coset with its bullet."""
     report = shift.ShiftReport(case.case_id(), {"checks": 0})
-    alphas = [case.rs.from_labels(a) for h in range(4)
-              for a in characters.dominant_shell(case.rs, h)]
+    alphas = _alphas(case.rs, 4)
     for b_idx in range(len(case.rs.minuscule)):
         label = next((lam.label() for lam in shift.enumerate_lambda(case)
                       if lam.bullet_index == b_idx and shift.alcove_inequality(lam, case)), None)
@@ -221,6 +224,12 @@ def _alcove_independence_report(case: shift.ShiftCase) -> shift.ShiftReport:
                     report.failures.append({"check": "closed-form", **witness,
                                             "got": y.describe(), "want": cf.describe()})
     return report
+
+
+def _alphas(rs: liealg.RootSystem, heights: int) -> list:
+    """The dominant root-lattice weights of height below ``heights``: the
+    alpha that check alcove-independence and verify verma scan."""
+    return [rs.from_labels(a) for h in range(heights) for a in characters.dominant_shell(rs, h)]
 
 
 def cmd_char(cfg: RunConfig, args) -> int:
@@ -275,12 +284,12 @@ def cmd_alcove(cfg: RunConfig, args) -> int:
 
 def cmd_verify(cfg: RunConfig, args) -> int:
     case = _case(cfg)
+    rs = case.rs
     failures: list[dict] = []
     checks = 0
     if args.target == "wchar":
         lam0 = shift.enumerate_lambda(case)[0]
-        zero = liealg.vzero(case.rank)
-        got = characters.multiplet_char(zero, lam0, case, cfg.order)
+        got = characters.multiplet_char((Fraction(0),) * case.rank, lam0, case, cfg.order)
         want = characters.walg_vacuum_oracle(case, cfg.order)
         checks += 1
         if not got.same_series(want):
@@ -288,33 +297,32 @@ def cmd_verify(cfg: RunConfig, args) -> int:
                              "got": got.to_json_dict(),
                              "want": want.to_json_dict()})
     elif args.target == "verma":
-        alphas = [case.rs.from_labels(a) for h in range(3)
-                  for a in characters.dominant_shell(case.rs, h)]
+        alphas = _alphas(rs, 3)
         for lam in shift.enumerate_lambda(case):
             for alpha in alphas:
-                mu = liealg.vscale(case.p, liealg.vsub(lam.value, alpha))
+                mu = tuple(case.p * (v - a) for v, a in zip(lam.value, alpha))
                 got = characters.verma_char_super(mu, case, cfg.order)
                 want = characters.weight_space_char(
-                    lam, liealg.vadd(alpha, lam.bullet_up), case, cfg.order)
+                    lam, tuple(a + b for a, b in zip(alpha, lam.bullet_up)), case, cfg.order)
                 checks += 1
                 if not got.same_series(want):
                     failures.append({"check": "verma", "lambda": lam.label(),
                                      "alpha": [str(x) for x in alpha]})
     elif args.target == "walls":
-        rs = case.rs
+        # beta in the root-coordinate box, on the first coset, whose bullet
+        # is zero: the labels of beta are Cartan * coords
         lam0 = shift.enumerate_lambda(case)[0]
-        span = range(-2, 3)
-        import itertools
-        for coords in itertools.product(span, repeat=rs.rank):
-            beta = liealg.vadd(tuple(Fraction(c) for c in coords), lam0.bullet_up)
-            shifted = liealg.vadd(beta, rs.rho)
-            if all(rs.pairing(shifted, a) for a in rs.positive_roots):
+        for coords in itertools.product(range(-2, 3), repeat=rs.rank):
+            labels = tuple(sum(map(mul, row, coords)) for row in rs.cartan)
+            # beta + rho is on a wall when its dominant form has a zero label
+            if 0 not in rs.to_dominant(tuple(x + 1 for x in labels))[0]:
                 continue
             checks += 1
-            total = characters._alternating_sum(case, lam0, beta, cfg.order)
-            if not total.is_zero:
-                failures.append({"check": "wall-vanishing",
-                                 "beta": [str(x) for x in beta]})
+            if not characters._alternating_sum(case, lam0, labels, cfg.order).is_zero:
+                failures.append({"check": "wall-vanishing", "beta": list(map(str, coords))})
+    repro = _repro(case, "verify", args.target) + f" --order {cfg.order}"
+    for failure in failures:
+        failure["repro"] = repro
     payload = {"case": case.case_id(), "target": args.target,
                "checks": checks, "failures": failures}
     _emit(cfg, payload)
@@ -408,12 +416,16 @@ def main(argv=None) -> int:
         cfg = _config(args)
         return args.func(cfg, args)
     # ValueError covers ConfigError, InvalidCaseError, InvalidTypeError and
-    # UnsupportedCaseError; AssertionError (a failed internal check) is left
-    # to propagate with its traceback
+    # UnsupportedCaseError
     except (ValueError, liealg.CapExceededError, qseries.GridBoundError,
             alcove.WallReductionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    # a failed internal check; the expected failures are failure records
+    except AssertionError as exc:
+        print(json.dumps({"error": "internal", "type": type(exc).__name__,
+                          "message": str(exc)}), file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":  # pragma: no cover

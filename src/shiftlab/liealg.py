@@ -60,27 +60,6 @@ class CapExceededError(RuntimeError):
 # small exact linear algebra helpers
 # ---------------------------------------------------------------------------
 
-def vzero(rank: int) -> Vec:
-    return (Fraction(0),) * rank
-
-
-def vadd(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def vsub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def vneg(a: Vec) -> Vec:
-    return tuple(-x for x in a)
-
-
-def vscale(c, a: Vec) -> Vec:
-    c = Fraction(c)
-    return tuple(c * x for x in a)
-
-
 def reflect_labels(a: tuple[int, ...], i: int,
                    col: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     """Dynkin labels of sigma_i(mu) from those ``a`` of mu; ``col`` holds the
@@ -328,11 +307,6 @@ class RootSystem(NamedTuple):
 
     # -- Weyl group --------------------------------------------------------
 
-    def weyl_apply(self, w: WeylElement, mu: Vec) -> Vec:
-        """w(mu): the scaled labels of mu reflected along w's word."""
-        labels, n = self.scaled_labels(mu)
-        return self.from_labels(self.reflect_along(w.word, labels), n)
-
     def root_labels(self) -> tuple[tuple[int, ...], ...]:
         """Dynkin labels of the simple roots: the columns of the Cartan matrix."""
         return tuple(tuple(row[i] for row in self.cartan) for i in range(self.rank))
@@ -349,17 +323,23 @@ class RootSystem(NamedTuple):
             labels = reflect_labels(labels, i, cols[i])
         return labels
 
+    def to_dominant(self, labels) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(the dominant labels in the W-orbit of these, the word w with
+        w(dominant) = these), reflecting at the least negative label first."""
+        cols, word = self.reflect_cols(), []
+        while (i := next((i for i, x in enumerate(labels) if x < 0), None)) is not None:
+            word.append(i)
+            labels = reflect_labels(labels, i, cols[i])
+        return labels, tuple(word)
+
     def element_from_labels(self, labels) -> WeylElement:
         """The element w with these Dynkin labels of w(rho), its lex-minimal
         reduced word read off by clearing the least left descent first."""
-        labels = a = tuple(labels)
-        cols, word = self.reflect_cols(), []
-        while (i := next((i for i, x in enumerate(a) if x < 0), None)) is not None:
-            word.append(i)
-            a = reflect_labels(a, i, cols[i])
-        if a != (1,) * self.rank:
+        labels = tuple(labels)
+        top, word = self.to_dominant(labels)
+        if top != (1,) * self.rank:
             raise ValueError(f"{labels} are not the labels of w(rho) for any w in W")
-        return WeylElement(tuple(word), labels)
+        return WeylElement(word, labels)
 
     def element_from_word(self, word) -> WeylElement:
         return self.element_from_labels(self.reflect_along(word, (1,) * self.rank))
@@ -531,7 +511,7 @@ def build_root_system(t: SimpleLieType) -> RootSystem:
     # the highest coroot, the highest root of the dual system
     top = max(positive, key=lambda a: Fraction(sum(map(mul, ell, a)), roots[a]))
     marks_L = [divmod(n * x, roots[top]) for n, x in zip(ell, top)]
-    minuscule = (vzero(r),) + tuple(
+    minuscule = ((Fraction(0),) * r,) + tuple(
         fund_weights[i] for i, (c, _) in enumerate(marks_L) if c == 1)
     # dual Coxeter numbers: 1 + (rho, theta^vee), the sum of the coroot
     # coordinates of theta, and 1 + (rho_check, theta_L)/lacing, the height

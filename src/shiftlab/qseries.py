@@ -149,7 +149,7 @@ class QSeries(NamedTuple):
 
     # arithmetic --------------------------------------------------------------
 
-    def add(self, other: "QSeries", cap: int = DEFAULT_GRID_CAP) -> "QSeries":
+    def add(self, other: "QSeries") -> "QSeries":
         cutoff = min(self.cutoff, other.cutoff)
         if self.is_zero and other.is_zero:
             return QSeries.zero(cutoff)
@@ -158,8 +158,8 @@ class QSeries(NamedTuple):
         if other.is_zero:
             return self.truncate(cutoff)
         d = lcm(self.grid, other.grid, (self.base - other.base).denominator)
-        if d > cap:
-            raise GridBoundError(f"required exponent grid {d} exceeds cap {cap}")
+        if d > DEFAULT_GRID_CAP:
+            raise GridBoundError(f"required exponent grid {d} exceeds cap {DEFAULT_GRID_CAP}")
         base = min(self.base, other.base)
         n = (cutoff - base) * d
         if n < 0:
@@ -186,13 +186,13 @@ class QSeries(NamedTuple):
     def __sub__(self, other):
         return self.add(-other)
 
-    def mul(self, other: "QSeries", cap: int = DEFAULT_GRID_CAP) -> "QSeries":
+    def mul(self, other: "QSeries") -> "QSeries":
         cutoff = min(self.cutoff + other.eff_base, other.cutoff + self.eff_base)
         if self.is_zero or other.is_zero:
             return QSeries.zero(cutoff)
         d = lcm(self.grid, other.grid)
-        if d > cap:
-            raise GridBoundError(f"required exponent grid {d} exceeds cap {cap}")
+        if d > DEFAULT_GRID_CAP:
+            raise GridBoundError(f"required exponent grid {d} exceeds cap {DEFAULT_GRID_CAP}")
         base = self.base + other.base
         n = (cutoff - base) * d
         if n < 0:

@@ -35,10 +35,6 @@ from .liealg import (
     WeylElement,
     build_root_system,
     reflect_labels,
-    vadd,
-    vneg,
-    vscale,
-    vsub,
 )
 
 
@@ -90,13 +86,13 @@ def make_case(lie_type: SimpleLieType | str, variant: Variant | str, m: int) -> 
         raise InvalidCaseError("m must be a positive integer")
     rs = build_root_system(lie_type)
     if variant is Variant.NONSUPER:
-        p, px, c = rs.lacing * m, rs.rho_check, rs.rank
+        p, px, c = rs.lacing * m, rs.integral_labels(rs.rho_check), rs.rank
     elif lie_type.series != "B":
         raise InvalidCaseError(f"variant {variant.value} requires series B, got {lie_type}")
     else:
-        p, px, c = 2 * m - 1, rs.rho, rs.rank + Fraction(1, 2)
-    x = vscale(Fraction(1, p), px)
-    gamma = vsub(rs.rho, x)
+        p, px, c = 2 * m - 1, (1,) * rs.rank, rs.rank + Fraction(1, 2)
+    x = rs.from_labels(px, p)  # px holds the labels of p * x
+    gamma = rs.from_labels(tuple(p - v for v in px), p)
     c -= 12 * p * rs.norm2(gamma)
     return ShiftCase(rs, variant, m, p, x, gamma, Fraction(c))
 
@@ -135,9 +131,12 @@ def _scaled_point(mu: Vec, case: ShiftCase) -> list[int]:
 def canonical_decompose(mu: Vec, case: ShiftCase) -> tuple[Vec, Vec]:
     """Unique (bullet, box) with mu = -bullet + box, bullet integral,
     and 0 < (box + x, alpha_i^vee) <= 1 for every i: the bullet that
-    Cosets.locate reads off a = p * labels(mu + x)."""
-    bullet = case.rs.from_labels(_cosets(case).locate([_scaled_point(mu, case)])[1][0])
-    return bullet, vadd(mu, bullet)
+    Cosets.locate reads off a = p * labels(mu + x); p * labels(box) is
+    a + p * bullet - p * labels(x)."""
+    a = _scaled_point(mu, case)
+    bullet = _cosets(case).locate([a])[1][0]
+    box = [v + case.p * c - s for v, c, s in zip(a, bullet, _grid(case)[0])]
+    return case.rs.from_labels(bullet), case.rs.from_labels(box, case.p)
 
 
 @lru_cache(maxsize=None)
@@ -665,11 +664,11 @@ def _tables(report: ShiftReport, sys: ShiftSystem) -> ShiftReport:
     """The weak, strong, alcove and w0-shift rows of every coset, read off
     the condition table."""
     for l_idx, lam in enumerate(sys.lambdas):
-        label, (weak, strong, shift0) = lam.label(), sys.conditions(l_idx)
+        label, (weak, strong, _) = lam.label(), sys.conditions(l_idx)
         report.weak.append((label, weak))
         report.strong.append((label, strong))
         report.alcove.append((label, alcove_inequality(lam, sys.case)))
-        report.w0_shifts.append((label, [str(v) for v in sys.root_coords(shift0)]))
+        report.w0_shifts.append((label, [str(v) for v in w0_shift(lam, sys.case)]))
     return report
 
 
@@ -682,8 +681,8 @@ def condition_report(case: ShiftCase, all_words: bool = False,
     report = _tables(ShiftReport(case.case_id(),
                                  {"lambdas": len(sys.lambdas), "weyl": len(sys.weyl),
                                   "checks": 0, "all_words": all_words}), sys)
-    for lam, (label, strong), (_, alc), (_, got) in zip(
-            sys.lambdas, report.strong, report.alcove, report.w0_shifts):
+    for l_idx, (lam, (label, strong), (_, alc), (_, got)) in enumerate(zip(
+            sys.lambdas, report.strong, report.alcove, report.w0_shifts)):
         if all_words:
             try:
                 check_strong_all_words(lam, case, word_cap)
@@ -693,24 +692,16 @@ def condition_report(case: ShiftCase, all_words: bool = False,
             _fail(report, "strong-alcove-mismatch", label, strong=strong, alcove=alc)
         if check_strong_alt(lam, case) != strong:
             _fail(report, "strong-alt-mismatch", label)
-        if strong and w0_shift(lam, case) != strong_w0_target(lam, case):
-            _fail(report, "w0-shift-target", label, got=list(got))
+        if strong:
+            # the closed form of w0 ^ lambda: a non-fixed coset's simple
+            # shifts pair with their own coroot to -1, which telescopes to
+            # -rho in both families; a frozen digit, strong only in rank 1
+            # (digit = p), gives -alpha_1 by the fixed-point rule
+            frozen = any(sys.row(l_idx)[0][s] == l_idx for s in sys.simple_idx)
+            if frozen and case.rank != 1:
+                raise AssertionError(f"strong coset {label} has a frozen digit")
+            want = tuple(-c for c in sys.cols[0]) if frozen else (-1,) * case.rank
+            if sys.conditions(l_idx)[2] != want:
+                _fail(report, "w0-shift-target", label, got=list(got))
         report.counts["checks"] += 3
     return report
-
-
-def strong_w0_target(lam: LambdaParam, case: ShiftCase) -> Vec:
-    """Closed form of w0 ^ lam on the strong region.
-
-    The simple-reflection shifts of a non-fixed coset pair against their own
-    coroot with value -1, which forces the fundamental-weight pattern whose
-    telescoped total is -rho; this holds in both families.  A strong coset
-    with a frozen digit exists only in rank 1 (digit = p), where the
-    fixed-point rule gives -alpha instead.
-    """
-    rs = case.rs
-    if any(is_fixed(i, lam, case) for i in range(rs.rank)):
-        if rs.rank != 1:
-            raise AssertionError(f"strong coset {lam.label()} has a frozen digit")
-        return vneg(rs.simple_roots[0])
-    return vneg(rs.rho)

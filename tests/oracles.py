@@ -1,7 +1,8 @@
 """Independent reference routes for the tests.
 
-* A Weyl element as the integer matrix of its word in simple-root
-  coordinates.
+* Vector arithmetic on ``Fraction`` root coordinates (``vadd``, ``vsub``,
+  ``vneg``, ``vscale``, ``vzero``), and a Weyl element as the integer
+  matrix of its word in simple-root coordinates.
 * The root-system record built over ``Fraction`` end to end: Gauss-Jordan
   inverses of the Cartan and Gram matrices, and lengths and coroots from the
   Gram form, the copairing (mu, alpha_i^vee) on root coordinates, and the
@@ -30,7 +31,11 @@
   (alpha, lambda) (``affine_input``), and the chamber
   reduction, ``y_alpha`` and ``mu_lambda`` on ``Fraction`` input weights
   with the translation read in ``Fraction`` coordinates
-  (``dominant_reduce_fraction``).
+  (``dominant_reduce_fraction``).  The group law, ``y_sigma`` and the super
+  closed forms on ``Fraction`` translations, the finite part acting by the
+  matrix of its word (``affine_mul_fraction`` and the like).
+* The closed form of w0 ^ lambda on the strong region as a ``Fraction``
+  vector (``strong_w0_target``).
 * The dominant root-lattice weights of one height as the dominant part of
   the nonnegative cone (``cone_shell``), and at p = 1 the theta series of
   the coset in Q times the tail (``lattice_theta_char``).
@@ -39,9 +44,9 @@
   the substitution q -> q^t of a series (``resample``), a rational multiple
   of a series (``scale``) and the inverse of ``QSeries.to_json_dict``
   (``from_json_dict``).
-* Helpers that only the tests call: the dot action, the * route of the
-  alternating sum, the displayed-norm exponent, the supertrace vacuum oracle
-  and the affine identity.
+* Helpers that only the tests call: the dot action, the alternating sum at
+  a ``Fraction`` weight and its * route, the displayed-norm exponent, the
+  supertrace vacuum oracle and the affine identity.
 """
 
 import math
@@ -57,10 +62,10 @@ from shiftlab.alcove import (
     ReduceResult,
     WallReductionError,
     _family,
-    affine_inv,
 )
 from shiftlab.characters import (
     UnsupportedCaseError,
+    _alternating_sum,
     _form,
     _numerator,
     _star_walk,
@@ -75,11 +80,6 @@ from shiftlab.liealg import (
     _root_half_lengths,
     exponents_of,
     reflect_labels,
-    vadd,
-    vneg,
-    vscale,
-    vsub,
-    vzero,
     weyl_order,
 )
 from shiftlab.qseries import FermionKind, QSeries, _spread, check_order, convolve
@@ -89,6 +89,7 @@ from shiftlab.shift import (
     _check_member,
     alcove_inequality,
     enumerate_lambda,
+    is_fixed,
     lambda_from,
     system,
 )
@@ -101,6 +102,27 @@ ALL_TYPES = ([f"A{r}" for r in range(1, 9)] + [f"B{r}" for r in range(1, 9)]
 # ---------------------------------------------------------------------------
 # exact linear algebra
 # ---------------------------------------------------------------------------
+
+
+def vzero(rank: int):
+    return (Fraction(0),) * rank
+
+
+def vadd(a, b):
+    return tuple(x + y for x, y in zip(a, b, strict=True))
+
+
+def vsub(a, b):
+    return tuple(x - y for x, y in zip(a, b, strict=True))
+
+
+def vneg(a):
+    return tuple(-x for x in a)
+
+
+def vscale(c, a):
+    c = Fraction(c)
+    return tuple(c * x for x in a)
 
 
 def mat_vec(m, v):
@@ -534,6 +556,11 @@ def dot_action(case, w, beta):
     return vsub(weyl_apply_matrix(rs, w, vadd(beta, rs.rho)), rs.rho)
 
 
+def alternating_sum(case, lam, beta, order: int) -> QSeries:
+    """characters._alternating_sum at the Fraction weight beta."""
+    return _alternating_sum(case, lam, case.rs.integral_labels(beta), order)
+
+
 def alternating_sum_moved(case, lam, beta, order: int) -> QSeries:
     """The alternating sum through the * action: terms live on the moved
     cosets."""
@@ -571,6 +598,17 @@ def walg_vacuum_superchar_oracle(case, order: int) -> QSeries:
 
 def affine_identity(case) -> AffineWeylElt:
     return AffineWeylElt(case.rs.identity_element(), vzero(case.rank))
+
+
+def strong_w0_target(lam, case):
+    """Closed form of w0 ^ lam on the strong region: -rho, or -alpha on the
+    frozen digit of a rank-1 wall coset (the fixed-point rule)."""
+    rs = case.rs
+    if any(is_fixed(i, lam, case) for i in range(rs.rank)):
+        if rs.rank != 1:
+            raise AssertionError(f"strong coset {lam.label()} has a frozen digit")
+        return vneg(rs.simple_roots[0])
+    return vneg(rs.rho)
 
 
 # ---------------------------------------------------------------------------
@@ -678,6 +716,11 @@ def affine_input(case, alpha, lam) -> AffineWeight:
     return AffineWeight(fin, fam.level_in, Fraction(0))
 
 
+def rho_hat_fin(case):
+    """The finite part of rho_hat, p * x."""
+    return vscale(case.p, case.x)
+
+
 def affine_elt_fraction(case, finite, translation) -> AffineWeylElt:
     """The element (finite, translation), refused unless every root
     coordinate of the translation is a multiple of the lattice scale."""
@@ -694,7 +737,7 @@ def dot_act_fraction(w, mu, case) -> AffineWeight:
     fam = _family(case)
     rs = case.rs
     affine_elt_fraction(case, w.finite_part, w.translation)
-    fin = vadd(mu.finite, fam.rho_hat_fin)
+    fin = vadd(mu.finite, rho_hat_fin(case))
     level = mu.level + fam.rho_hat_level
     delta = mu.delta_coeff
     scale = fam.trans_scale(mu)
@@ -704,7 +747,7 @@ def dot_act_fraction(w, mu, case) -> AffineWeight:
         delta = delta - u * rs.pairing(fin, b) - u * scale / 2 * rs.norm2(b)
         fin = vadd(fin, vscale(scale, b))
     fin = weyl_apply_matrix(rs, w.finite_part, fin)
-    return AffineWeight(vsub(fin, fam.rho_hat_fin), level - fam.rho_hat_level, delta)
+    return AffineWeight(vsub(fin, rho_hat_fin(case)), level - fam.rho_hat_level, delta)
 
 
 def chamber_position(mu, case):
@@ -713,7 +756,7 @@ def chamber_position(mu, case):
     (g, theta_s^vee) <= lattice_scale * scale."""
     fam = _family(case)
     rs = case.rs
-    g = vadd(mu.finite, fam.rho_hat_fin)
+    g = vadd(mu.finite, rho_hat_fin(case))
     pairs = [copairing(rs, g, i) for i in range(rs.rank)]
     top = 2 * rs.pairing(g, rs.theta_s) / rs.norm2(rs.theta_s)
     bound = fam.lattice_scale * fam.trans_scale(mu)
@@ -769,7 +812,7 @@ def y_alpha_fraction(alpha, bullet_index, case) -> AffineWeylElt:
     """alcove.y_alpha on the Fraction input weights of the strong cosets of
     the bullet: the first candidate reducer (interior-derived first) that
     keeps every input in the chamber under the Fraction circle action,
-    inverted by affine_inv."""
+    inverted by affine_inv_fraction."""
     strong = [lam for lam in enumerate_lambda(case)
               if lam.bullet_index == bullet_index and alcove_inequality(lam, case)]
     if not strong:
@@ -786,10 +829,47 @@ def y_alpha_fraction(alpha, bullet_index, case) -> AffineWeylElt:
     for _, reducer in candidates:
         if all(chamber_position(dot_act_fraction(reducer, mu, case), case)[0]
                for mu in inputs):
-            return affine_inv(case, reducer)
+            return affine_inv_fraction(case, reducer)
     raise DigitDependenceError(
         f"reducer depends on the box digits for bullet {bullet_index} "
         f"in {case.case_id()}")
+
+
+def affine_mul_fraction(case, a, b) -> AffineWeylElt:
+    """(s_a t_A)(s_b t_B) = (s_a s_b) t_{s_b^{-1} A + B}, s_b^{-1} acting by
+    the matrix of its word."""
+    rs = case.rs
+    trans = vadd(weyl_apply_matrix(rs, rs.weyl_inv(b.finite_part), a.translation),
+                 b.translation)
+    return AffineWeylElt(rs.weyl_mul(a.finite_part, b.finite_part), trans)
+
+
+def affine_inv_fraction(case, a) -> AffineWeylElt:
+    """(s t_A)^{-1} = s^{-1} t_{-s(A)}."""
+    rs = case.rs
+    return AffineWeylElt(rs.weyl_inv(a.finite_part),
+                         vneg(weyl_apply_matrix(rs, a.finite_part, a.translation)))
+
+
+def y_sigma_fraction(w, alpha, bullet_index, case) -> AffineWeylElt:
+    """t_{c(beta - w o beta)} y_alpha_fraction with beta = alpha + bullet, on
+    Fraction coordinates."""
+    rs = case.rs
+    beta = vadd(alpha, rs.minuscule[bullet_index])
+    trans = vscale(_family(case).lattice_scale, vsub(beta, dot_action(case, w, beta)))
+    return affine_mul_fraction(case, AffineWeylElt(rs.identity_element(), trans),
+                               y_alpha_fraction(alpha, bullet_index, case))
+
+
+def closed_form_y_super_fraction(alpha, bullet_index, case) -> AffineWeylElt:
+    """The super closed form: the translation by -(alpha + rho_check), for the
+    spin coset composed with (w0 * w0(J))^-1, J the nodes but the last."""
+    rs = case.rs
+    t_elt = AffineWeylElt(rs.identity_element(), vneg(vadd(alpha, rs.rho_check)))
+    if bullet_index == 0:
+        return t_elt
+    v = rs.weyl_mul(rs.longest_element(), rs.parabolic_longest(range(rs.rank - 1)))
+    return affine_mul_fraction(case, t_elt, AffineWeylElt(rs.weyl_inv(v), vzero(rs.rank)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,19 @@ import time
 from fractions import Fraction
 from itertools import product
 
-from oracles import dominant_alphas, dot_action
+from oracles import (
+    alternating_sum,
+    dominant_alphas,
+    dot_action,
+    strong_w0_target,
+    vadd,
+    vneg,
+    vscale,
+    vsub,
+    vzero,
+)
 
 from shiftlab.characters import (
-    _alternating_sum,
     multiplet_char,
     verma_char_super,
     walg_vacuum_oracle,
@@ -23,14 +32,12 @@ from shiftlab.alcove import (
     closed_form_y_super,
     y_alpha,
 )
-from shiftlab.liealg import vadd, vneg, vscale, vsub, vzero
 from shiftlab.qseries import QSeries
 from shiftlab.shift import (
     alcove_inequality,
     check_strong_all_words,
     enumerate_lambda,
     make_case,
-    strong_w0_target,
     verify_axioms,
     w0_shift,
 )
@@ -152,7 +159,7 @@ def test_criterion_6_walls_and_antisymmetry():
             if sum(abs(c) for c in coords) > 4:
                 continue
             beta = vadd(tuple(Fraction(c) for c in coords), lam.bullet_up)
-            total = _alternating_sum(case, lam, beta, 10)
+            total = alternating_sum(case, lam, beta, 10)
             shifted = vadd(beta, rs.rho)
             if any(rs.pairing(shifted, a) == 0 for a in rs.positive_roots):
                 wall_checked += 1
@@ -160,7 +167,7 @@ def test_criterion_6_walls_and_antisymmetry():
                     wall_bad += 1
             for tau in elems:
                 anti_checked += 1
-                lhs = _alternating_sum(
+                lhs = alternating_sum(
                     case, lam, dot_action(case, tau, beta), 10)
                 rhs = total if tau.length % 2 == 0 else -total
                 if not lhs.same_series(rhs):

@@ -5,11 +5,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     affine_elt_fraction,
     affine_identity,
     affine_input,
+    affine_inv_fraction,
+    affine_mul_fraction,
     chamber_position,
+    closed_form_y_super_fraction,
     dominant_alphas,
     dominant_reduce_fraction,
     dot_act_fraction,
@@ -17,8 +22,15 @@ from oracles import (
     invert_mat,
     mat_vec,
     mu_lambda_fraction,
+    rho_hat_fin,
+    vadd,
+    vneg,
+    vscale,
+    vsub,
+    vzero,
     weyl_matrix,
     y_alpha_fraction,
+    y_sigma_fraction,
 )
 
 from shiftlab.alcove import (
@@ -36,7 +48,6 @@ from shiftlab.alcove import (
     y_alpha,
     y_sigma,
 )
-from shiftlab.liealg import vadd, vneg, vscale, vsub, vzero
 from shiftlab.shift import alcove_inequality, enumerate_lambda, make_case
 
 B1S2 = make_case("B1", "super", 2)
@@ -105,6 +116,52 @@ def test_dot_action_group_law():
             assert lhs == rhs
             ainv = affine_inv(case, a)
             assert dot_act(ainv, dot_act(a, mu, case), case) == mu
+
+
+# the label group law on A2, B2, G2 and B3, nonsuper and super
+GROUP_CASES = [make_case(name, "nonsuper", 3) for name in ("A2", "B2", "G2", "B3")] \
+    + [make_case(name, "super", 3) for name in ("B2", "B3")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(GROUP_CASES), st.data())
+def test_label_group_law(case, data):
+    # products and inverses on translation labels: the circle action is a
+    # group action, a times its inverse is the identity, and both agree with
+    # the Fraction forms, whose finite parts act by the matrices of words
+    scale = _family(case).lattice_scale
+
+    def element():
+        w = data.draw(st.sampled_from(case.rs.enumerate_weyl()))
+        coords = data.draw(st.lists(st.integers(-2, 2), min_size=case.rank,
+                                    max_size=case.rank))
+        return AffineWeylElt(w, tuple(Fraction(scale * c) for c in coords))
+
+    a, b = element(), element()
+    halves = data.draw(st.lists(st.integers(-8, 8), min_size=case.rank, max_size=case.rank))
+    mu = AffineWeight(tuple(Fraction(x, 2) for x in halves), Fraction(case.m),
+                      Fraction(data.draw(st.integers(-2, 2))))
+    ab = affine_mul(case, a, b)
+    assert dot_act(ab, mu, case) == dot_act(a, dot_act(b, mu, case), case)
+    assert affine_mul(case, a, affine_inv(case, a)) == affine_identity(case)
+    assert ab == affine_mul_fraction(case, a, b)
+    assert affine_inv(case, a) == affine_inv_fraction(case, a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(GROUP_CASES), st.data())
+def test_y_sigma_and_closed_form_match_fraction_forms(case, data):
+    # y_sigma composes on labels, the Fraction form by the matrix of w's word
+    # on top of y_alpha_fraction; raised errors are outcomes too
+    rs = case.rs
+    alpha = data.draw(st.sampled_from(dominant_alphas(rs, 2)))
+    b_idx = data.draw(st.integers(0, len(rs.minuscule) - 1))
+    w = data.draw(st.sampled_from(rs.enumerate_weyl()))
+    assert outcome(y_sigma, w, alpha, b_idx, case) == \
+        outcome(y_sigma_fraction, w, alpha, b_idx, case)
+    if case.variant.is_super:
+        assert closed_form_y_super(alpha, b_idx, case) == \
+            closed_form_y_super_fraction(alpha, b_idx, case)
 
 
 def test_reduce_idempotent_and_unique():
@@ -186,8 +243,8 @@ def test_reducer_is_least_over_brute_force(name, variant, m):
     inputs += [rand_weight(case, rng) for _ in range(30)]
     for mu in inputs:
         res = dominant_reduce(mu, case)
-        g = vadd(mu.finite, fam.rho_hat_fin)
-        g_f = vadd(res.weight.finite, fam.rho_hat_fin)
+        g = vadd(mu.finite, rho_hat_fin(case))
+        g_f = vadd(res.weight.finite, rho_hat_fin(case))
         valid = []
         for w, inv in inverses:
             b = vscale(1 / fam.trans_scale(mu), vsub(mat_vec(inv, g_f), g))
@@ -355,7 +412,7 @@ def test_verma_compatibility_via_reduction():
 
 
 def dot_action_beta(case, w, lam):
-    # w o bullet, w acting by the matrix of its word (y_sigma reads weyl_apply)
+    # w o bullet, w acting by the matrix of its word (y_sigma reflects labels)
     return dot_action(case, w, lam.bullet_up)
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     ALL_TYPES,
+    alternating_sum,
     alternating_sum_moved,
     case_data_reference,
     cone_shell,
@@ -21,6 +22,10 @@ from oracles import (
     norm_shift_reference,
     ramond_delta_reference,
     scale,
+    vadd,
+    vscale,
+    vsub,
+    vzero,
     walg_vacuum_superchar_oracle,
     walk_reference,
     weyl_apply_matrix,
@@ -29,7 +34,6 @@ from oracles import (
 from shiftlab import characters
 from shiftlab.characters import (
     UnsupportedCaseError,
-    _alternating_sum,
     _form,
     _height_bound,
     _star_walk,
@@ -45,7 +49,7 @@ from shiftlab.characters import (
     walg_vacuum_oracle,
     weight_space_char,
 )
-from shiftlab.liealg import CapExceededError, RootSystem, vadd, vscale, vsub, vzero
+from shiftlab.liealg import CapExceededError, RootSystem
 from shiftlab.qseries import FermionKind, QSeries, eta_inv_pow, fermion_char
 from shiftlab.shift import (
     Variant,
@@ -174,9 +178,9 @@ def test_fock_point_coset_errors():
         weight_space_char(L0, (Fraction(1, 3),), A1P2, 5)  # not integral
     # the integer walk makes the same checks
     with pytest.raises(ValueError):
-        _alternating_sum(A1P2, L0, (Fraction(1, 2),), 5)
+        alternating_sum(A1P2, L0, (Fraction(1, 2),), 5)
     with pytest.raises(ValueError):
-        _alternating_sum(A1P2, L0, (Fraction(1, 3),), 5)
+        alternating_sum(A1P2, L0, (Fraction(1, 3),), 5)
 
 
 @pytest.mark.parametrize("name,variant,m", [
@@ -296,7 +300,7 @@ def test_multiplet_accepts_alpha_with_dominant_beta(name):
             if rs.is_dominant(alpha) or min(labels) < 0 or sum(labels) > 2:
                 continue
             got = multiplet_char(alpha, lam, case, 4)
-            assert got.to_json_dict() == _alternating_sum(case, lam, beta, 4).to_json_dict()
+            assert got.to_json_dict() == alternating_sum(case, lam, beta, 4).to_json_dict()
             assert got.to_json_dict() == fraction_route(case, lam, alpha, 4)[0].to_json_dict()
             accepted += 1
     assert accepted > 0
@@ -311,14 +315,14 @@ def test_wall_vanishing_and_antisymmetry():
         elems = rs.enumerate_weyl()
         for coords in product(range(-2, 2), repeat=rs.rank):
             beta = vadd(tuple(Fraction(c) for c in coords), lam.bullet_up)
-            total = _alternating_sum(case, lam, beta, 8)
+            total = alternating_sum(case, lam, beta, 8)
             shifted = vadd(beta, rs.rho)
             on_wall = any(rs.pairing(shifted, a) == 0 for a in rs.positive_roots)
             if on_wall:
                 assert total.is_zero
             for tau in elems[:4]:
                 moved = dot_action(case, tau, beta)
-                lhs = _alternating_sum(case, lam, moved, 8)
+                lhs = alternating_sum(case, lam, moved, 8)
                 rhs = total if tau.length % 2 == 0 else -total
                 assert lhs.same_series(rhs)
 
@@ -336,7 +340,7 @@ def test_dual_route_equality_all_cosets():
                 if sum(abs(c) for c in coords) > 4:
                     continue
                 beta = vadd(tuple(Fraction(c) for c in coords), lam.bullet_up)
-                lhs = _alternating_sum(case, lam, beta, 6)
+                lhs = alternating_sum(case, lam, beta, 6)
                 rhs = alternating_sum_moved(case, lam, beta, 6)
                 assert lhs.same_series(rhs), (case.case_id(), lam.label(), coords)
 
@@ -527,7 +531,7 @@ def test_ramond_dot_route_every_coset(name, m):
     for lam in enumerate_lambda(case):
         for alpha in dominant_alphas(case.rs, 2):
             want = fraction_route(case, lam, alpha, 8)[0].to_json_dict()
-            got = _alternating_sum(case, lam, vadd(alpha, lam.bullet_up), 8)
+            got = alternating_sum(case, lam, vadd(alpha, lam.bullet_up), 8)
             assert got.to_json_dict() == want
             assert multiplet_char(alpha, lam, case, 8).to_json_dict() == want
 

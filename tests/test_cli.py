@@ -160,20 +160,21 @@ def test_alcove_independence_records_digit_dependence(capsys, monkeypatch):
 
 def test_alcove_independence_propagates_invariant_errors(capsys, monkeypatch):
     # an end point that (sigma, t) does not reproduce is a failed internal
-    # check, not a digit-dependence record
+    # check, not a digit-dependence record: exit 3 with one JSON line
     fam = alcove._family(make_case("B1", "super", 2))
     moved = fam.shift_labels
     monkeypatch.setattr(fam, "shift_labels",
                         lambda *args: tuple(x + 1 for x in moved(*args)))
     alcove._reduce.cache_clear()
     try:
-        with pytest.raises(AssertionError, match="left the chamber") as exc:
-            main(["check", "alcove-independence", "--algebra", "B1", "--variant", "super",
-                  "--m", "2"])
+        code, out, err = run(capsys, "check", "alcove-independence", "--algebra", "B1",
+                             "--variant", "super", "--m", "2")
     finally:
         alcove._reduce.cache_clear()
-    assert not isinstance(exc.value, alcove.DigitDependenceError)
-    assert capsys.readouterr().out == ""
+    assert (code, out, err.count("\n")) == (3, "", 1)
+    record = json.loads(err)
+    assert (record["error"], record["type"]) == ("internal", "AssertionError")
+    assert "left the chamber" in record["message"]
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -218,6 +219,24 @@ def test_verify_verma_outside_super_is_one_usage_error(capsys, algebra, variant)
                          "--variant", variant, "--m", "2")
     assert code == 2 and out == ""
     assert err == "error: Verma characters are for the super variant\n"
+
+
+@pytest.mark.parametrize("target,check", [("wchar", "wchar"), ("walls", "wall-vanishing")])
+def test_verify_failures_carry_repro(capsys, monkeypatch, target, check):
+    # a vacuum oracle off by one q-power, or alternating sums that never
+    # vanish, make failure records; each names the verify command with the
+    # case's flags and --order, which prints the same report again
+    from shiftlab import characters
+    case = make_case("A2", "nonsuper", 2)
+    wrong = characters.walg_vacuum_oracle(case, 6).qshift(1)
+    monkeypatch.setattr(characters, "walg_vacuum_oracle", lambda case, order: wrong)
+    monkeypatch.setattr(characters, "_alternating_sum", lambda *args: wrong)
+    code, out, _ = run(capsys, "verify", target, "--algebra", "A2", "--m", "2", "--order", "6")
+    failures = json.loads(out)["failures"]
+    assert code == 1 and failures and {f["check"] for f in failures} == {check}
+    repro = f"shiftlab verify {target} --algebra A2 --variant nonsuper --m 2 --order 6"
+    assert {f["repro"] for f in failures} == {repro}
+    assert run(capsys, *shlex.split(repro)[1:]) == (code, out, "")
 
 
 def test_verify_walls(capsys):
@@ -492,16 +511,18 @@ sys.exit(cli.main(sys.argv[1:]))
 
 def test_route_check_survives_optimized_mode():
     # a corrupted shift row makes the two alternating-sum routes disagree;
-    # the check fails the same way with and without -O
+    # the check fails the same way with and without -O: exit 3 and one
+    # JSON line on stderr
     env = cli_env()
     argv = ["-c", ROUTE_BREAKER, "char", "--algebra", "B2", "--variant", "ramond",
             "--m", "3", "--lambda", "0,1,3", "--kind", "ramond", "--order", "20"]
     plain, optimized = (subprocess.run([sys.executable, *flags, *argv], env=env,
                                        capture_output=True, text=True, timeout=120)
                         for flags in ([], ["-O"]))
-    assert plain.returncode == optimized.returncode != 0
-    last = [run.stderr.strip().splitlines()[-1] for run in (plain, optimized)]
-    assert last[0] == last[1] == "AssertionError: the two alternating-sum routes disagree"
+    assert plain.returncode == optimized.returncode == 3
+    assert plain.stderr == optimized.stderr and plain.stderr.count("\n") == 1
+    assert json.loads(plain.stderr) == {"error": "internal", "type": "AssertionError",
+                                        "message": "the two alternating-sum routes disagree"}
 
 
 def test_no_bare_asserts_in_package():

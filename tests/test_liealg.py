@@ -161,7 +161,7 @@ def test_weyl_enumeration(name):
     assert elems[-1] == w0
     # w0 maps positive roots to negative ones
     for a in rs.positive_roots:
-        img = rs.weyl_apply(w0, a)
+        img = weyl_apply_matrix(rs, w0, a)
         assert all(x <= 0 for x in img)
     # products, inverses and the action against the matrices of their words
     rng = random.Random(41)
@@ -170,8 +170,25 @@ def test_weyl_enumeration(name):
         ma, mb = weyl_matrix(rs, a.word), weyl_matrix(rs, b.word)
         assert weyl_matrix(rs, rs.weyl_mul(a, b).word) == mat_mul(ma, mb)
         assert weyl_matrix(rs, rs.weyl_inv(a).word) == invert_mat(ma)
+        # the label route: reflect_along on the labels of a root
         for root in rs.positive_roots:
-            assert rs.weyl_apply(a, root) == mat_vec(ma, root)
+            assert rs.reflect_along(a.word, rs.integral_labels(root)) == \
+                rs.integral_labels(mat_vec(ma, root))
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "B3", "C3", "A3", "D4"])
+def test_to_dominant_finds_the_walls(name):
+    # the dominant labels of the orbit and the word that moves them back;
+    # over the root-coordinate box that verify walls scans, beta + rho is
+    # orthogonal to a positive root (Gram form) exactly when its dominant
+    # form has a zero label
+    rs = rs_of(name)
+    for coords in product(range(-2, 3), repeat=rs.rank):
+        shifted = tuple(c + x for c, x in zip(coords, rs.rho))
+        labels = rs.integral_labels(shifted)
+        top, word = rs.to_dominant(labels)
+        assert min(top) >= 0 and rs.reflect_along(word, top) == labels
+        assert (0 in top) == any(rs.pairing(shifted, a) == 0 for a in rs.positive_roots)
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "B3"])
@@ -250,7 +267,7 @@ def test_weyl_dim_oracles():
         nxt = []
         for v in frontier:
             for i in range(rs.rank):
-                img = rs.weyl_apply(rs.element_from_word((i,)), v)
+                img = weyl_apply_matrix(rs, rs.element_from_word((i,)), v)
                 if img not in orbit:
                     orbit.add(img)
                     nxt.append(img)
@@ -328,13 +345,17 @@ def test_reflections_preserve_pairing(name, data):
     nu = tuple(data.draw(coords) for _ in range(rs.rank))
     i = data.draw(st.integers(min_value=0, max_value=rs.rank - 1))
     s = rs.element_from_word((i,))
-    assert rs.pairing(rs.weyl_apply(s, mu), rs.weyl_apply(s, nu)) == rs.pairing(mu, nu)
-    assert rs.weyl_apply(s, rs.weyl_apply(s, mu)) == mu
-    assert rs.weyl_apply(s, rs.rho) == tuple(
+    img = weyl_apply_matrix(rs, s, mu)
+    assert rs.pairing(img, weyl_apply_matrix(rs, s, nu)) == rs.pairing(mu, nu)
+    assert weyl_apply_matrix(rs, s, img) == mu
+    assert weyl_apply_matrix(rs, s, rs.rho) == tuple(
         x - y for x, y in zip(rs.rho, rs.simple_roots[i]))
-    # any element, on any rational vector, against the matrix of its word
+    # any element, on the scaled labels of any rational vector, against the
+    # matrix of its word: w(mu) has mu's least common denominator
     w = data.draw(st.sampled_from(rs.enumerate_weyl()))
-    assert rs.weyl_apply(w, mu) == weyl_apply_matrix(rs, w, mu)
+    labels, n = rs.scaled_labels(mu)
+    assert (rs.reflect_along(w.word, labels), n) == \
+        rs.scaled_labels(weyl_apply_matrix(rs, w, mu))
 
 
 @settings(max_examples=80, deadline=None)

@@ -22,11 +22,17 @@ from oracles import (
     mat_vec,
     orbit_reference,
     screening_pairing_reference,
+    strong_w0_target,
+    vadd,
+    vneg,
+    vscale,
+    vsub,
+    vzero,
     weyl_matrix,
 )
 
 from shiftlab import cli
-from shiftlab.liealg import RootSystem, vadd, vneg, vscale, vsub, vzero
+from shiftlab.liealg import RootSystem
 from shiftlab.shift import (
     PACK_GUARD,
     PACK_RADIX,
@@ -52,7 +58,6 @@ from shiftlab.shift import (
     pack,
     screening_degree,
     shift_map,
-    strong_w0_target,
     system,
     verify_axioms,
     w0_shift,

@@ -19,7 +19,8 @@ SRC = ROOT / "src" / "shiftlab"
 ALLOWED = {
     "shift.w_act", "shift.shift_map", "shift.check_weak", "shift.screening_degree",
     "shift.canonical_decompose", "shift.lambda_of_value", "alcove.dot_act",
-    "alcove.y_sigma", "qseries.QSeries.mul", "qseries.QSeries.coeff",
+    "alcove.affine_mul", "alcove.affine_inv", "alcove.y_sigma",
+    "qseries.QSeries.mul", "qseries.QSeries.coeff",
 }
 # methods that a framework calls: argparse calls the parser's error
 FRAMEWORK = {"cli._Parser.error"}

@@ -20,8 +20,7 @@ sys.path[:0] = sys.argv[1:4]
 from tracer import Tracer
 tracer = Tracer().install()
 from shiftlab import alcove, characters, shift
-from shiftlab.liealg import vzero
-from oracles import affine_input
+from oracles import affine_input, vzero
 case = shift.make_case("A2", "nonsuper", 2)
 shift.verify_axioms(case)
 shift.condition_report(case)

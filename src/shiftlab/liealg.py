@@ -368,9 +368,10 @@ class RootSystem(NamedTuple):
             labels = reflect_labels(labels, i, cols[i])
         return self.element_from_labels(labels)
 
+    @lru_cache(maxsize=None)
     def longest_element(self) -> WeylElement:
-        """w0, the longest element of the parabolic on every node."""
-        w0 = self.parabolic_longest(range(self.rank))
+        """w0, the element with w0(rho) = -rho, found once per root system."""
+        w0 = self.element_from_labels((-1,) * self.rank)
         if w0.length != len(self.positive_roots):
             raise AssertionError(f"w0 of {self.lie_type} has length {w0.length}")
         return w0

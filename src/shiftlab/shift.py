@@ -14,7 +14,9 @@ and the twist p*x, which ``make_case`` fixes once; every other layer reads
                     conformal grading used by the character layer.
 
 Every representative is the unique element -bullet + box of its coset with
-``bullet`` minuscule and ``0 < (box + x, alpha_i^vee) <= 1`` for all i.
+``bullet`` minuscule and ``0 < (box + x, alpha_i^vee) <= 1`` for all i.  The
+screening conditions read each coset's simple shifts alone (``Cosets``); the
+axiom checks and the character walk read the tables over W (``ShiftSystem``).
 """
 
 from __future__ import annotations
@@ -28,13 +30,13 @@ from operator import add, mul, sub
 from typing import NamedTuple
 
 from .liealg import (
-    CapExceededError,
     RootSystem,
     SimpleLieType,
     Vec,
     WeylElement,
     build_root_system,
     reflect_labels,
+    weyl_order,
 )
 
 
@@ -202,7 +204,8 @@ class Cosets:
     per coset the p-scaled Dynkin labels of lambda + x and of box + x and its
     class in P/Q, and the coset of one packed integer key.  Internally an
     ambient vector is kept as its Dynkin labels scaled by p, which makes every
-    vector of (1/p)Q* and the twist x integral."""
+    vector of (1/p)Q* and the twist x integral.  The screening conditions
+    read its simple shifts alone."""
 
     def __init__(self, case: ShiftCase):
         self.case = case
@@ -252,6 +255,8 @@ class Cosets:
         if self.locate(a for a, _ in self._start)[0] != list(range(len(lambdas))):
             raise AssertionError(f"two cosets of {case.case_id()} share a packed key")
         self._coset = dict(numbering)
+        self.reflect_cols, self._bullets = rs.reflect_cols(), bullets
+        self._simple, self._conditions, self._coords = {}, {}, {}
 
     def _class_key(self, labels) -> int:
         key = 0
@@ -280,6 +285,70 @@ class Cosets:
             bullets.append(bullet)
         return found, bullets
 
+    # -- the shift map and the screening conditions --------------------------
+
+    def shifts(self, l_idx: int, word) -> list[tuple[int, ...]]:
+        """Labels of w ^ lambda = w(box + x) - (box' + x) = w(bullet) - bullet'
+        for w each prefix of the word, read from its right end, where bullet' =
+        (p - a') // p is the bullet locate finds for a' = p * labels(w(lambda + x))."""
+        p, a, cols = self.case.p, self._start[l_idx][0], self.reflect_cols
+        bullet, out = self._bullets[self.lambdas[l_idx].bullet_index], []
+        for i in reversed(word):
+            a, bullet = reflect_labels(a, i, cols[i]), reflect_labels(bullet, i, cols[i])
+            out.append(tuple(b - (p - v) // p for b, v in zip(bullet, a)))
+        return out
+
+    def simple(self, l_idx: int) -> tuple[list[int], list[tuple[int, ...]]]:
+        """(indices of s_i * lambda, labels of s_i ^ lambda) per i; found on first use."""
+        if l_idx not in self._simple:
+            a, cols, r = self._start[l_idx][0], self.reflect_cols, self.case.rank
+            act = self.locate(reflect_labels(a, i, cols[i]) for i in range(r))[0]
+            self._simple[l_idx] = act, [self.shifts(l_idx, (i,))[0] for i in range(r)]
+        return self._simple[l_idx]
+
+    def w0_word(self, word=None) -> tuple[int, ...]:
+        """The canonical word of w0 (its lex-minimal one), or the given word
+        once checked: N letters, each a node, whose product takes the labels
+        of rho to those of w0(rho), which makes it reduced."""
+        if word is None:
+            return self.rs.longest_element().word
+        word, r = tuple(word), self.case.rank
+        if (len(word) != len(self.rs.positive_roots) or not set(word) <= set(range(r))
+                or self.rs.reflect_along(word, (1,) * r) != (-1,) * r):
+            raise ValueError("word is not a reduced word of the longest element")
+        return word
+
+    def walk(self, l_idx: int, word=None) -> tuple[bool, tuple[int, ...], list]:
+        """Along a word of w0 (w0_word) read from its right end, the simple
+        shifts composed by the cocycle s_i w ^ lambda = s_i(w ^ lambda) + s_i ^
+        (w * lambda): (whether every prefix's shift pairs to zero with the next
+        letter's coroot, w0 ^ lambda, every prefix's plain sum of simple shifts)."""
+        cols, strong, acc = self.reflect_cols, True, (0,) * self.case.rank
+        sums = [acc]
+        for i in reversed(self.w0_word(word)):
+            act, shift = self.simple(l_idx)
+            strong = strong and acc[i] == 0
+            acc = tuple(map(add, reflect_labels(acc, i, cols[i]), shift[i]))
+            sums.append(tuple(map(add, sums[-1], shift[i])))
+            l_idx = act[i]
+        return strong, acc, sums[1:]
+
+    def conditions(self, l_idx: int) -> tuple[bool, bool, tuple[int, ...], bool]:
+        """(weak, strong, labels of w0 ^ lambda, telescoped strong) of coset
+        l_idx on the canonical word, computed once; the walk's w0 ^ lambda is
+        checked against the direct shift, and the telescoped form holds when
+        the direct shift of every prefix is the plain sum along it."""
+        if l_idx not in self._conditions:
+            (act, shift), r = self.simple(l_idx), self.case.rank
+            weak = all(act[j] == l_idx or shift[j] == tuple(-(i == j) for i in range(r))
+                       for j in range(r))
+            strong, acc, sums = self.walk(l_idx)
+            direct = self.shifts(l_idx, self.w0_word())
+            if acc != direct[-1]:
+                raise AssertionError("cocycle composition disagrees with the direct shift")
+            self._conditions[l_idx] = weak, strong, acc, sums == direct
+        return self._conditions[l_idx]
+
     def check_point(self, point, l_idx: int):
         """The coset check of a Cartan weight, on its labels: the weight lies
         in the Cartan support coset of coset l_idx, which has that coset's box
@@ -298,111 +367,39 @@ def _cosets(case: ShiftCase) -> Cosets:
 
 
 class ShiftSystem(Cosets):
-    """Tables per (type, family, p): the * action and the shift map, laid out
-    by the Weyl enumeration's table; the super and Ramond variants share one.
+    """Tables over W per (type, family, p) for the axiom checks and the
+    character walk, laid out by the Weyl enumeration; super and Ramond share one.
 
     Row ``l`` holds, per Weyl element in enumeration order, the index of
     ``w * lambda_l`` and the Dynkin labels of ``w ^ lambda_l``; it is filled
     on first use by one simple reflection per element, following the
     enumeration.  Root coordinates appear only at the public boundary.  The
-    layout is the case's ``_cosets``; conditions and verification run once.
+    layout is the case's ``_cosets``; verification runs once.
     """
 
     def __init__(self, case: ShiftCase):
         vars(self).update(vars(_cosets(case)))
         self.weyl, self._key_index, self.left, self._steps = self.rs.weyl_table()
-        self.w0 = self.weyl[-1]
-        self.w0_idx = len(self.weyl) - 1
-        self.reflect_cols = self.rs.reflect_cols()
         self.simple_idx = tuple(row[0] for row in self.left)
-        self._w0_words: tuple[tuple[int, ...], ...] | None = None
-        self._canonical = self.walk_word(self.w0.word)
-        self._roots: dict[tuple[int, ...], Vec] = {}
         self._act, self._shift = {}, {}
         self._bullet_orbits: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        self._conditions: dict[int, tuple[bool, bool, tuple[int, ...]]] = {}
         self._report: ShiftReport | None = None
-
-    def w0_words(self, cap: int = 10**4) -> tuple[tuple[int, ...], ...]:
-        if self._w0_words is None:
-            self._w0_words = tuple(self.rs.all_reduced_words(self.w0, cap=cap))
-        if len(self._w0_words) > cap:
-            raise CapExceededError(
-                f"{len(self._w0_words)} reduced words of w0 exceed the cap {cap}")
-        return self._w0_words
-
-    def walk_word(self, word=None) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """A reduced word of w0 (default: the canonical one, walked at build)
-        and the element indices of its prefixes, read from its right end."""
-        if word is None:
-            return self._canonical
-        word = tuple(word)
-        if len(word) != len(self.rs.positive_roots):
-            raise ValueError("word is not a reduced word of the longest element")
-        out, left = [0], self.left
-        for letter in reversed(word):
-            nxt = left[letter][out[-1]]
-            if self.weyl[nxt].length != self.weyl[out[-1]].length + 1:
-                raise ValueError("word is not reduced")
-            out.append(nxt)
-        return word, tuple(out)
-
-    def walk(self, l_idx: int, word):
-        """Along a word read from its right end: each letter with the labels
-        of its simple shift at the current coset, which then moves on."""
-        for letter in reversed(word):
-            act, shift = self.row(l_idx)
-            yield letter, shift[self.simple_idx[letter]]
-            l_idx = act[self.simple_idx[letter]]
-
-    def strong(self, l_idx: int, word=None) -> bool:
-        """Vanishing of every prefix pairing of coset l_idx along a word of w0."""
-        word, prefixes = self.walk_word(word)
-        shift = self.row(l_idx)[1]
-        return all(shift[prefixes[step]][letter] == 0
-                   for step, letter in enumerate(reversed(word)))
-
-    def conditions(self, l_idx: int) -> tuple[bool, bool, tuple[int, ...]]:
-        """(weak, strong on the canonical word, labels of w0 ^ lambda) of
-        coset l_idx, computed once; w0 ^ lambda is composed along the
-        canonical word by the cocycle and checked against the table."""
-        got = self._conditions.get(l_idx)
-        if got is None:
-            act, shift = self.row(l_idx)
-            r, cols = self.case.rank, self.reflect_cols
-            weak = all(act[sj] == l_idx or shift[sj] == tuple(-(i == j) for i in range(r))
-                       for j, sj in enumerate(self.simple_idx))
-            acc = (0,) * r
-            for letter, up in self.walk(l_idx, self.w0.word):
-                acc = tuple(map(add, reflect_labels(acc, letter, cols[letter]), up))
-            if acc != shift[self.w0_idx]:
-                raise AssertionError("cocycle composition disagrees with the direct shift")
-            got = self._conditions[l_idx] = (weak, self.strong(l_idx), acc)
-        return got
-
-    # -- integer labels ------------------------------------------------------
-
-    def root_coords(self, labels: tuple[int, ...]) -> Vec:
-        """Simple-root coordinates of the weight with these Dynkin labels."""
-        got = self._roots.get(labels)
-        if got is None:
-            got = self._roots[labels] = self.rs.from_labels(labels)
-        return got
 
     # -- the action and the shift map ----------------------------------------
 
     def row(self, l_idx: int) -> tuple[list[int], list[tuple[int, ...]]]:
         """(indices of w * lambda, labels of w ^ lambda) over W, in enumeration
-        order."""
+        order; a new row hands its simple cells to the layout's simple cache."""
         if l_idx not in self._act:
-            self._act[l_idx], self._shift[l_idx] = self._fill(l_idx)
+            self._act[l_idx], self._shift[l_idx] = act, shift = self._fill(l_idx)
+            self._simple.setdefault(l_idx, ([act[s] for s in self.simple_idx],
+                                            [shift[s] for s in self.simple_idx]))
         return self._act[l_idx], self._shift[l_idx]
 
     def orbit(self, labels: tuple[int, ...]) -> list[tuple[int, ...]]:
         """Dynkin labels of w(mu) for every Weyl element w in enumeration
         order, from those of mu; one simple reflection per element."""
-        cols = self.reflect_cols
-        out = [labels]
+        cols, out = self.reflect_cols, [labels]
         for i, j in self._steps:
             out.append(reflect_labels(out[j], i, cols[i]))
         return out
@@ -428,7 +425,7 @@ class ShiftSystem(Cosets):
         return self.row(l_idx)[0][w_idx]
 
     def shift_value(self, w_idx: int, l_idx: int) -> Vec:
-        return self.root_coords(self.row(l_idx)[1][w_idx])
+        return self.rs.from_labels(self.row(l_idx)[1][w_idx])
 
 
 _shared = lru_cache(maxsize=None)(ShiftSystem)
@@ -456,30 +453,29 @@ def shift_map(w: WeylElement, lam: LambdaParam, case: ShiftCase) -> Vec:
 
 def is_fixed(i: int, lam: LambdaParam, case: ShiftCase) -> bool:
     """Whether sigma_i fixes lam; equivalently the i-th digit sits at its bound."""
-    sys = system(case)
-    l_idx = sys.index[lam.key()]
-    return sys.row(l_idx)[0][sys.simple_idx[i]] == l_idx
+    table = _cosets(case)
+    l_idx = table.index[lam.key()]
+    return table.simple(l_idx)[0][i] == l_idx
 
 
 def check_weak(lam: LambdaParam, case: ShiftCase) -> bool:
     """For all (i, j): lam fixed by sigma_j, or (sigma_j ^ lam, alpha_i^vee) = -delta_ij."""
-    sys = system(case)
-    return sys.conditions(sys.index[lam.key()])[0]
+    table = _cosets(case)
+    return table.conditions(table.index[lam.key()])[0]
 
 
 def check_strong(lam: LambdaParam, case: ShiftCase, word=None) -> bool:
     """Vanishing of every prefix pairing along a reduced word of w0."""
-    sys = system(case)
-    l_idx = sys.index[lam.key()]
-    return sys.conditions(l_idx)[1] if word is None else sys.strong(l_idx, word)
+    table = _cosets(case)
+    l_idx = table.index[lam.key()]
+    return table.conditions(l_idx)[1] if word is None else table.walk(l_idx, word)[0]
 
 
 def check_strong_all_words(lam: LambdaParam, case: ShiftCase,
                            word_cap: int = 10**4) -> bool:
     """The strong condition on every reduced word; WordDependenceError if
     two words disagree."""
-    sys = system(case)
-    results = {check_strong(lam, case, w) for w in sys.w0_words(word_cap)}
+    results = {check_strong(lam, case, w) for w in _w0_words(case.rs, word_cap)}
     if len(results) != 1:
         raise WordDependenceError(
             f"strong condition depends on the reduced word for {lam.label()} "
@@ -487,18 +483,20 @@ def check_strong_all_words(lam: LambdaParam, case: ShiftCase,
     return results.pop()
 
 
+@lru_cache(maxsize=None)
+def _w0_words(rs: RootSystem, cap: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(rs.all_reduced_words(rs.longest_element(), cap=cap))
+
+
 def check_strong_alt(lam: LambdaParam, case: ShiftCase, word=None) -> bool:
-    """Telescoped form: every prefix shift equals the plain sum of its steps."""
-    sys = system(case)
-    word, prefixes = sys.walk_word(word)
-    l_idx = sys.index[lam.key()]
-    shift = sys.row(l_idx)[1]
-    running = (0,) * case.rank
-    for prefix, (_, up) in zip(prefixes[1:], sys.walk(l_idx, word)):
-        running = tuple(a + b for a, b in zip(running, up))
-        if shift[prefix] != running:
-            return False
-    return True
+    """Telescoped form: the direct shift of every prefix equals the plain
+    sum of the simple shifts along it."""
+    table = _cosets(case)
+    l_idx = table.index[lam.key()]
+    if word is None:
+        return table.conditions(l_idx)[3]
+    word = table.w0_word(word)
+    return table.walk(l_idx, word)[2] == table.shifts(l_idx, word)
 
 
 def alcove_inequality(lam: LambdaParam, case: ShiftCase) -> bool:
@@ -510,8 +508,8 @@ def alcove_inequality(lam: LambdaParam, case: ShiftCase) -> bool:
 def w0_shift(lam: LambdaParam, case: ShiftCase) -> Vec:
     """w0 ^ lam, computed along the canonical word and checked against the
     closed formula for the shift map (once per coset, see conditions)."""
-    sys = system(case)
-    return sys.root_coords(sys.conditions(sys.index[lam.key()])[2])
+    table = _cosets(case)
+    return case.rs.from_labels(table.conditions(table.index[lam.key()])[2])
 
 
 def screening_degree(i: int, lam: LambdaParam, case: ShiftCase) -> int | None:
@@ -596,8 +594,6 @@ def verify_axioms(case: ShiftCase) -> ShiftReport:
     report = ShiftReport(case.case_id(), dict(sys._report.counts))
     report.failures = [{k: list(v) if isinstance(v, list) else v for k, v in f.items()}
                        for f in sys._report.failures]
-    # the condition table walks the simple shifts, and raises where their
-    # composition disagrees with the table, which would hide the witnesses
     return _tables(report, sys) if report.ok else report
 
 
@@ -630,7 +626,7 @@ def _verify(sys: ShiftSystem) -> ShiftReport:
             # simple-reflection dichotomy
             if fixed and up_i != tuple(-c for c in cols[i]):
                 _fail(report, "fixed-shift", label, i=i + 1,
-                      got=str(sys.root_coords(up_i)))
+                      got=str(sys.rs.from_labels(up_i)))
             elif not fixed and up_i[i] != -1:
                 _fail(report, "pairing-minus-one", label, i=i + 1, got=str(up_i[i]))
             # paired-shift sum
@@ -660,15 +656,17 @@ def _verify(sys: ShiftSystem) -> ShiftReport:
     return report
 
 
-def _tables(report: ShiftReport, sys: ShiftSystem) -> ShiftReport:
+def _tables(report: ShiftReport, table: Cosets) -> ShiftReport:
     """The weak, strong, alcove and w0-shift rows of every coset, read off
-    the condition table."""
-    for l_idx, lam in enumerate(sys.lambdas):
-        label, (weak, strong, _) = lam.label(), sys.conditions(l_idx)
+    the condition table; each w0 shift is formatted once per layout."""
+    for l_idx, lam in enumerate(table.lambdas):
+        label, (weak, strong, shift, _) = lam.label(), table.conditions(l_idx)
+        if shift not in table._coords:
+            table._coords[shift] = [str(v) for v in w0_shift(lam, table.case)]
         report.weak.append((label, weak))
         report.strong.append((label, strong))
-        report.alcove.append((label, alcove_inequality(lam, sys.case)))
-        report.w0_shifts.append((label, [str(v) for v in w0_shift(lam, sys.case)]))
+        report.alcove.append((label, alcove_inequality(lam, table.case)))
+        report.w0_shifts.append((label, list(table._coords[shift])))
     return report
 
 
@@ -676,13 +674,14 @@ def condition_report(case: ShiftCase, all_words: bool = False,
                      word_cap: int = 10**4) -> ShiftReport:
     """Weak/strong/alcove tables, with the strong <=> alcove equivalence
     enforced; with all_words, a coset whose strong condition differs between
-    reduced words of w0 is a failure record."""
-    sys = system(case)
+    reduced words of w0 is a failure record.  It reads no Weyl group."""
+    table = _cosets(case)
     report = _tables(ShiftReport(case.case_id(),
-                                 {"lambdas": len(sys.lambdas), "weyl": len(sys.weyl),
-                                  "checks": 0, "all_words": all_words}), sys)
+                                 {"lambdas": len(table.lambdas),
+                                  "weyl": weyl_order(case.rs.lie_type),
+                                  "checks": 0, "all_words": all_words}), table)
     for l_idx, (lam, (label, strong), (_, alc), (_, got)) in enumerate(zip(
-            sys.lambdas, report.strong, report.alcove, report.w0_shifts)):
+            table.lambdas, report.strong, report.alcove, report.w0_shifts)):
         if all_words:
             try:
                 check_strong_all_words(lam, case, word_cap)
@@ -697,11 +696,11 @@ def condition_report(case: ShiftCase, all_words: bool = False,
             # shifts pair with their own coroot to -1, which telescopes to
             # -rho in both families; a frozen digit, strong only in rank 1
             # (digit = p), gives -alpha_1 by the fixed-point rule
-            frozen = any(sys.row(l_idx)[0][s] == l_idx for s in sys.simple_idx)
+            frozen = l_idx in table.simple(l_idx)[0]
             if frozen and case.rank != 1:
                 raise AssertionError(f"strong coset {label} has a frozen digit")
-            want = tuple(-c for c in sys.cols[0]) if frozen else (-1,) * case.rank
-            if sys.conditions(l_idx)[2] != want:
+            want = tuple(-c for c in table.cols[0]) if frozen else (-1,) * case.rank
+            if table.conditions(l_idx)[2] != want:
                 _fail(report, "w0-shift-target", label, got=list(got))
         report.counts["checks"] += 3
     return report

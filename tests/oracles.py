@@ -653,10 +653,12 @@ def locate_point(table, a):
 
 
 def conditions_per_call(case, lam):
-    """(weak, strong on the canonical word, labels of w0 ^ lam), recomputed
-    on every call from the shift row: the weak pairings one by one, the
-    canonical word's prefix elements walked here, and w0 ^ lam composed by
-    the cocycle along the word and checked against the row's last cell."""
+    """(weak, strong, labels of w0 ^ lam, telescoped strong) on the canonical
+    word, recomputed on every call from the W table's shift rows: the weak
+    pairings one by one, the word's prefix elements walked through sys.left,
+    w0 ^ lam composed by the cocycle from the rows' simple cells along the
+    word and checked against the row's w0 cell, the last of the table, and
+    each prefix's cell against the plain sum of the simple cells along it."""
     sys = system(case)
     l_idx = sys.index[lam.key()]
     act, shift = sys.row(l_idx)
@@ -665,18 +667,24 @@ def conditions_per_call(case, lam):
         if act[sj] != l_idx and any(c != (-1 if i == j else 0)
                                     for i, c in enumerate(shift[sj])):
             weak = False
-    word, prefixes = sys.w0.word, [0]
+    word, prefixes = case.rs.longest_element().word, [0]
     for letter in reversed(word):
         prefixes.append(sys.left[letter][prefixes[-1]])
     strong = all(shift[prefixes[step]][letter] == 0
                  for step, letter in enumerate(reversed(word)))
-    acc = (0,) * case.rank
-    for letter, up in sys.walk(l_idx, word):
-        acc = tuple(a + b for a, b in
-                    zip(reflect_labels(acc, letter, sys.reflect_cols[letter]), up))
-    if acc != shift[sys.w0_idx]:
+    acc = running = (0,) * case.rank
+    at, telescoped = l_idx, True
+    for prefix, letter in zip(prefixes[1:], reversed(word)):
+        moved, up = sys.row(at)
+        up = up[sys.simple_idx[letter]]
+        acc = tuple(a + b for a, b in zip(
+            reflect_labels(acc, letter, sys.reflect_cols[letter]), up))
+        running = tuple(a + b for a, b in zip(running, up))
+        telescoped = telescoped and shift[prefix] == running
+        at = moved[sys.simple_idx[letter]]
+    if acc != shift[len(sys.weyl) - 1]:
         raise AssertionError("cocycle composition disagrees with the direct shift")
-    return weak, strong, acc
+    return weak, strong, acc, telescoped
 
 
 def walk_reference(case, lam, beta, moved=False):

@@ -286,6 +286,18 @@ def test_char_sch_kind(capsys):
     assert data["strong"] is True
 
 
+def test_lambda_on_e7(capsys):
+    # the condition table reads no Weyl group, so lambda runs on E7, whose
+    # Weyl group exceeds the enumeration cap; at m <= 2 strong <=> alcove
+    # holds there only because no coset is strong and none meets the alcove
+    # inequality (both sets are empty)
+    code, out, _ = run(capsys, "lambda", "--algebra", "E7", "--m", "2")
+    assert code == 0
+    data = json.loads(out)
+    assert data["counts"]["weyl"] == 2903040 and data["failures"] == []
+    assert not any(row["ok"] for row in data["strong"] + data["alcove"])
+
+
 def test_word_cap_flag(capsys):
     code, _, err = run(capsys, "check", "weak-strong", "--algebra", "A2",
                        "--m", "2", "--word-cap", "1")
@@ -503,8 +515,9 @@ from shiftlab import cli, shift
 case = shift.make_case("B2", "ramond", 3)
 table = shift.system(case)
 row = table.row(table.index[shift.lambda_from(case, 0, (1, 3)).key()])[1]
-# w0 ^ lambda moved by alpha_1: the * route's point stays in its coset
-row[table.w0_idx] = tuple(a + b for a, b in zip(row[table.w0_idx], table.cols[0]))
+# w0 ^ lambda, the table's last cell, moved by alpha_1: the * route's point
+# stays in its coset
+row[-1] = tuple(a + b for a, b in zip(row[-1], table.cols[0]))
 sys.exit(cli.main(sys.argv[1:]))
 """
 

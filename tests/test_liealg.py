@@ -24,9 +24,11 @@ from oracles import (
 )
 
 from shiftlab.liealg import (
+    DEFAULT_WEYL_CAP,
     CapExceededError,
     InvalidTypeError,
     SimpleLieType,
+    _enumerate_weyl_cached,
     adjugate,
     build_root_system,
     exponents_of,
@@ -213,6 +215,7 @@ def test_weyl_table(name):
     table = rs.weyl_table()
     elems = table.elements
     assert rs.enumerate_weyl() is elems and len(table.index) == len(elems)
+    assert elems[-1] == rs.longest_element()
     count = 2000 if name == "E6" else len(elems)
     keys = [(e.length, e.word) for e in elems[:count]]
     assert keys == sorted(keys)
@@ -226,6 +229,20 @@ def test_weyl_table(name):
     for k, (i, j) in enumerate(table.steps[:count - 1], start=1):
         assert elems[k] == rs.weyl_mul(simple[i], elems[j])
         assert elems[k].word == (i,) + elems[j].word
+
+
+@pytest.mark.parametrize("name", [n for n in ALL_TYPES if n not in ALL_SMALL + ["E6"]
+                                  and weyl_order(SimpleLieType.parse(n)) <= 50000])
+def test_enumeration_ends_at_the_longest_element(name):
+    # the canonical word of w0, and with it the condition walk and the golden
+    # files, is the enumeration's last word; the enumeration runs by length,
+    # so its last element is the one of length N.  test_weyl_table covers
+    # the smaller types; the types past 50000 elements up to the cap (A8,
+    # B7, C7, D7) take seconds and hundreds of MB each, and are left out
+    rs = rs_of(name)
+    elems = _enumerate_weyl_cached.__wrapped__(rs, DEFAULT_WEYL_CAP).elements
+    assert len(elems) == weyl_order(rs.lie_type)
+    assert elems[-1] == rs.longest_element()
 
 
 def test_enumeration_cap():

@@ -32,7 +32,7 @@ from oracles import (
 )
 
 from shiftlab import cli
-from shiftlab.liealg import RootSystem
+from shiftlab.liealg import RootSystem, _enumerate_weyl_cached, weyl_order
 from shiftlab.shift import (
     PACK_GUARD,
     PACK_RADIX,
@@ -419,10 +419,10 @@ B2P4 = make_case("B2", "nonsuper", 2)
 def corrupt():
     """run(l_idx, w_idx, labels) writes one cell of a shift row of a fresh
     B2 m=2 system (of case, if given) and returns (system, verify_axioms
-    report); the caches are cleared before and after, so no other test sees
-    the corrupted system."""
-    system.cache_clear()
-    _shared.cache_clear()
+    report); the caches, the layouts' condition caches among them, are
+    cleared before and after, so no other test sees the corrupted system."""
+    for cache in (system, _shared, _cosets):
+        cache.cache_clear()
 
     def run(l_idx, w_idx, labels, case=B2P4):
         sys = system(case)
@@ -430,8 +430,8 @@ def corrupt():
         return sys, verify_axioms(case)
 
     yield run
-    system.cache_clear()
-    _shared.cache_clear()
+    for cache in (system, _shared, _cosets):
+        cache.cache_clear()
 
 
 def simple_cell(fixed):
@@ -460,7 +460,7 @@ def test_axioms_report_simple_shifts(corrupt, fixed):
     label = sys.lambdas[l_idx].label()
     if fixed:
         want = {"check": "fixed-shift", "lambda": label, "i": i + 1,
-                "got": str(sys.root_coords(tuple(bad)))}
+                "got": str(sys.rs.from_labels(bad))}
     else:
         want = {"check": "pairing-minus-one", "lambda": label, "i": i + 1, "got": "-2"}
     assert want in report.failures
@@ -510,14 +510,21 @@ def test_axioms_report_length_sign(corrupt, ascent):
 
 
 def test_w0_shift_refuses_a_row_that_does_not_compose(corrupt):
-    # the condition table composes w0 ^ lam along the canonical word and
-    # checks it against the row's last cell; a failing report fills no table
+    # a W-table row whose w0 cell does not compose fails the axioms, and a
+    # failing report fills no table; the condition walk composes w0 ^ lam
+    # from the layout's simple shifts along the canonical word and checks it
+    # against the direct shift, so it reads no row, and a simple shift off
+    # by alpha_1 on the walk's first step does not compose
     sys = system(B2P4)
-    bad = tuple(v + c for v, c in zip(sys.row(0)[1][sys.w0_idx], sys.cols[0]))
-    sys, report = corrupt(0, sys.w0_idx, bad)
+    w0_idx = len(sys.weyl) - 1
+    good = sys.row(0)[1][w0_idx]
+    sys, report = corrupt(0, w0_idx, tuple(v + c for v, c in zip(good, sys.cols[0])))
     assert not report.ok and report.w0_shifts == []
+    assert w0_shift(sys.lambdas[0], B2P4) == B2P4.rs.from_labels(good)
+    first, shift = B2P4.rs.longest_element().word[-1], _cosets(B2P4).simple(1)[1]
+    shift[first] = tuple(v + c for v, c in zip(shift[first], sys.cols[0]))
     with pytest.raises(AssertionError, match="composition disagrees"):
-        w0_shift(sys.lambdas[0], B2P4)
+        w0_shift(sys.lambdas[1], B2P4)
 
 
 @pytest.mark.parametrize("variant,flags", [
@@ -526,18 +533,28 @@ def test_w0_shift_refuses_a_row_that_does_not_compose(corrupt):
     # super case, and its repro names the Ramond case
     ("ramond", "--algebra B2 --variant ramond --m 2"),
 ])
-def test_cli_failure_records_carry_repro(corrupt, capsys, variant, flags):
+def test_cli_failure_records_carry_repro(corrupt, monkeypatch, capsys, variant, flags):
     # a strong coset's pairing at the third prefix of the canonical word made
-    # nonzero: the axioms fail, the strong condition no longer matches the
-    # alcove one, and it now depends on the word; every failure record that
-    # the three commands print names the command that prints it again
+    # nonzero, in its W-table row and in its condition walk: the axioms fail,
+    # the strong condition no longer matches the alcove one, and it now
+    # depends on the word; every failure record that the three commands
+    # print names the command that prints it again
     case = make_case("B2", variant, 2)
     sys = system(case)
     l_idx = next(i for i, lamp in enumerate(sys.lambdas) if alcove_inequality(lamp, case))
-    word, prefixes = sys.walk_word()
-    bad = list(sys.row(l_idx)[1][prefixes[2]])
+    word, prefix = case.rs.longest_element().word, 0
+    for letter in word[:-3:-1]:
+        prefix = sys.left[letter][prefix]
+    bad = list(sys.row(l_idx)[1][prefix])
     bad[word[-3]] += 1
-    corrupt(l_idx, prefixes[2], bad, case=case)
+    corrupt(l_idx, prefix, bad, case=case)
+    walk = Cosets.walk
+
+    def broken(self, at, along=None):
+        strong, *rest = walk(self, at, along)
+        return strong and not (at == l_idx and self.w0_word(along) == word), *rest
+
+    monkeypatch.setattr(Cosets, "walk", broken)
     for command, extra in [("check axioms", ""), ("check weak-strong", ""),
                            ("check weak-strong", " --word-cap 10"), ("lambda", "")]:
         assert cli.main(f"{command} {flags}{extra}".split()) == 1
@@ -549,15 +566,16 @@ def test_cli_failure_records_carry_repro(corrupt, capsys, variant, flags):
 
 
 def test_word_dependence_is_a_failure_record(monkeypatch, capsys):
-    # the strong condition flipped on one reduced word of w0 depends on the
-    # word on every coset: a failure record each, and the CLI exits 1
-    strong = ShiftSystem.strong
+    # the strong condition flipped on one reduced word of w0, the one that
+    # is not canonical, depends on the word on every coset: a failure record
+    # each, and the CLI exits 1
+    walk = Cosets.walk
 
     def flipped(self, l_idx, word=None):
-        got = strong(self, l_idx, word)
-        return got != (word is not None and tuple(word) == (1, 0, 1, 0))
+        strong, *rest = walk(self, l_idx, word)
+        return strong != (self.w0_word(word) == (1, 0, 1, 0)), *rest
 
-    monkeypatch.setattr(ShiftSystem, "strong", flipped)
+    monkeypatch.setattr(Cosets, "walk", flipped)
     labels = [lamp.label() for lamp in enumerate_lambda(B2P4)]
     report = condition_report(B2P4, all_words=True)
     assert report.failures == [{"check": "strong-word-dependence", "lambda": label}
@@ -671,11 +689,64 @@ def test_strong_equivalences_sweep():
 
 
 def test_strong_rejects_bad_word():
-    with pytest.raises(ValueError):
-        check_strong(lam(A1P2, 0, 1), A1P2, word=(0, 0))
+    # a word of w0 has N letters, each a node, whose product takes the labels
+    # of rho to those of w0(rho); on A2 (N = 3) a word of length N with
+    # another product, such as (0, 1, 1) or (0, 0, 1), is not reduced
     case = make_case("A2", "nonsuper", 2)
-    with pytest.raises(ValueError):
-        check_strong(enumerate_lambda(case)[0], case, word=(0, 1, 1))
+    for check in (check_strong, check_strong_alt):
+        with pytest.raises(ValueError):
+            check(lam(A1P2, 0, 1), A1P2, word=(0, 0))
+        for word in [(0, 1), (0, 1, 0, 1), (0, 1, 1), (0, 0, 1), (0, 1, 2), (-1, 0, -1)]:
+            with pytest.raises(ValueError, match="not a reduced word of the longest element"):
+                check(enumerate_lambda(case)[0], case, word)
+
+
+def test_strong_checks_accept_every_word_of_w0():
+    # all 42 reduced words of w0 in B3, the canonical one among them, and
+    # each gives the canonical word's verdict on both routes
+    case = make_case("B3", "nonsuper", 2)
+    table = _cosets(case)
+    words = case.rs.all_reduced_words(case.rs.longest_element())
+    assert len(words) == 42 and table.w0_word() in words
+    for lamp in enumerate_lambda(case)[:8]:
+        want = check_strong(lamp, case)
+        for word in words:
+            assert table.w0_word(word) == word
+            assert check_strong(lamp, case, word) == check_strong_alt(lamp, case, word) == want
+
+
+@pytest.mark.parametrize("name,variant", [("B3", "super"), ("E7", "nonsuper"),
+                                          ("E8", "nonsuper")])
+def test_condition_path_enumerates_no_weyl_group(name, variant):
+    # the condition checks read only the layout's simple shifts and the shift
+    # formula: they enumerate no W and build no system, whose rows span W.
+    # So they run on E7 and E8, whose Weyl groups exceed the enumeration cap;
+    # there, at m <= 2, strong <=> alcove holds only because no coset is
+    # strong and none meets the alcove inequality (both sets are empty)
+    case = make_case(name, variant, 2)
+    for cache in (_enumerate_weyl_cached, system, _shared, _cosets):
+        cache.cache_clear()
+    lamp, bounds = enumerate_lambda(case)[5], _grid(case)[1]
+    table = _cosets(case)
+    w0 = case.rs.longest_element()
+    words = case.rs.all_reduced_words(w0) if name == "B3" else [w0.word]
+    strong = check_strong(lamp, case)
+    assert all(check_strong(lamp, case, w) == check_strong_alt(lamp, case, w) == strong
+               for w in words)
+    if name == "B3":
+        assert check_strong_all_words(lamp, case) == strong
+    weak, shift = check_weak(lamp, case), w0_shift(lamp, case)
+    for i, (d, bound) in enumerate(zip(lamp.digits, bounds)):
+        assert is_fixed(i, lamp, case) == (d == bound)
+        assert screening_degree(i, lamp, case) == (d % bound or None)
+    report = condition_report(case, all_words=name == "B3")
+    assert report.ok and report.counts["weyl"] == weyl_order(case.rs.lie_type)
+    assert (report.weak[5][1], report.strong[5][1]) == (weak, strong)
+    assert report.w0_shifts[5][1] == [str(v) for v in shift]
+    assert _enumerate_weyl_cached.cache_info().misses == 0
+    assert _shared.cache_info().currsize == 0
+    if name != "B3":
+        assert not any(ok for _, ok in report.strong + report.alcove)
 
 
 def test_alcove_threshold_at_zero():
@@ -799,16 +870,24 @@ def test_orbit_location_matches_per_point_route(name, variant, m):
 
 @pytest.mark.parametrize("name,variant,m", AXIOM_SWEEP_CASES)
 def test_condition_table_matches_per_call_route(name, variant, m):
-    # the weak, strong and w0-shift entries, computed once per coset, against
-    # their per-call computation and the public checks, on every coset
+    # the weak, strong, w0-shift and telescoped entries, computed once per
+    # coset from the simple shifts of a fresh layout (a system's rows hand
+    # their simple cells to the cached one), against their per-call
+    # computation on the W table and the public checks, on every coset; the
+    # simple shifts against the table's simple cells
     case = make_case(name, variant, m)
-    sys = system(case)
-    for l_idx, lamp in enumerate(sys.lambdas):
-        weak, strong, shift0 = want = conditions_per_call(case, lamp)
-        assert sys.conditions(l_idx) == want
+    sys, table = system(case), Cosets(case)
+    for l_idx, lamp in enumerate(table.lambdas):
+        weak, strong, shift0, telescoped = want = conditions_per_call(case, lamp)
+        assert table.conditions(l_idx) == want
         assert check_weak(lamp, case) == weak
-        assert check_strong(lamp, case) == check_strong(lamp, case, sys.w0.word) == strong
-        assert w0_shift(lamp, case) == sys.root_coords(shift0)
+        assert check_strong(lamp, case) == check_strong(lamp, case, table.w0_word()) == strong
+        assert check_strong_alt(lamp, case) == check_strong_alt(lamp, case, table.w0_word()) \
+            == telescoped
+        assert w0_shift(lamp, case) == case.rs.from_labels(shift0)
+        act, shift = sys.row(l_idx)
+        assert table.simple(l_idx) == ([act[s] for s in sys.simple_idx],
+                                       [shift[s] for s in sys.simple_idx])
 
 
 def test_ramond_report_reuses_the_super_verification():

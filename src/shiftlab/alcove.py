@@ -72,7 +72,7 @@ class _Family:
             self.rho_hat_level = Fraction(2 * rs.rank + 1, 2)
             self.level_in = Fraction(case.m - rs.rank - 1)
             self.inner, self.k_in = rs.rho_check, case.p
-        self.form_factor = Fraction(1, self.lattice_scale)
+        self.form, self.form_den = rs.label_form()
         # labels of theta_s and the integer marks c of its coroot,
         # theta_s^vee = theta_L = sum c_i alpha_i^vee, so (g, theta_s^vee) = sum c_i a_i
         self.marks = rs.theta_L_marks
@@ -103,12 +103,13 @@ class _Family:
 
     def weight(self, sigma: WeylElement, t, a, n: int, k: int, level, delta) -> AffineWeight:
         """w o mu from shift_labels' arguments and mu's level and delta
-        coefficient; the delta term reads (g, b) = sum_j b_j d_j a_j / n."""
+        coefficient; the delta term (g, b) + scale |b|^2 / 2 over the lattice
+        scale reads the label form: (g, b) = a.form.t / (n form_den) and
+        |b|^2 = t.form.t / form_den."""
         if any(t):
-            d, b = self.rs.half_lengths, self.rs.from_labels(t)
-            pair = sum(x * e * y for x, e, y in zip(b, d, a))
-            norm = sum(x * e * y for x, e, y in zip(b, d, t))
-            delta = delta - self.form_factor * (pair + Fraction(k, 2) * norm) / n
+            ft = [sum(map(mul, row, t)) for row in self.form]
+            delta -= Fraction(2 * sum(map(mul, a, ft)) + k * sum(map(mul, t, ft)),
+                              2 * n * self.form_den * self.lattice_scale)
         end = self.shift_labels(sigma, t, a, k)
         fin = self.rs.from_labels(tuple(x - n * y for x, y in zip(end, self.rho_hat_labels)), n)
         return AffineWeight(fin, level, delta)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import floor, gcd, isqrt, lcm
+from math import floor, gcd, lcm
 from operator import add, mul, sub
 
 from .liealg import CapExceededError, Vec
@@ -77,10 +77,8 @@ def _form(case: ShiftCase):
     Delta by p|gamma|^2/2 and c/24 by the same, so Delta - c/24 keeps only
     -c0/24 (c0 = rank, plus 1/2 with the NS fermion) and, in the Ramond
     sector, the fermionic ground-state energy 1/16."""
-    rs, p, r = case.rs, case.p, case.rank
-    # (omega_i, omega_j) = d_i (C^-1)_ij
-    adj, det = rs.cartan_adjugate
-    quad = [[d * c / (2 * p * det) for c in row] for d, row in zip(rs.half_lengths, adj)]
+    (g, n), p, r = case.rs.label_form(), case.p, case.rank
+    quad = [[Fraction(c, 2 * p * n) for c in row] for row in g]
     flow = (0,) * r
     if case.variant is Variant.SUPER_RAMOND:
         _check_ramond(case)
@@ -94,18 +92,27 @@ def _value(quad, v) -> int:
     return sum(x * sum(map(mul, row, v)) for x, row in zip(v, quad))
 
 
+def _coset_vector(case: ShiftCase, lam: LambdaParam) -> list[int]:
+    """b = p*labels(box + x) + flow of lam's coset (see _form)."""
+    table = _cosets(case)
+    return list(map(add, table._start[table.index[lam.key()]][1], _form(case)[2]))
+
+
+def _identity_point(case: ShiftCase, b, labels) -> list[int]:
+    """v = p*labels(beta + rho) - b: Q(v) prices beta's identity dot term."""
+    return [case.p * (y + 1) - x for x, y in zip(b, labels)]
+
+
 def weight_space_char(lam: LambdaParam, beta: Vec, case: ShiftCase,
                       order: int) -> QSeries:
-    """CFT-normalized character of the Cartan weight space at ``beta``: its
-    point nu = box - beta has u = b - p*labels(beta + rho), b = p*labels(box +
-    x).  beta's labels are checked against lam's class in P/Q; the box's
-    ceiling check ran once per coset, when the coset table was built."""
-    table, (quad, den, flow), p = _cosets(case), _form(case), case.p
-    l_idx = table.index[lam.key()]
+    """CFT-normalized character of the Cartan weight space at ``beta``, priced
+    as beta's identity dot term.  beta's labels are checked against lam's
+    class in P/Q; the box's ceiling check ran once per coset, at build."""
+    table, (quad, den, _) = _cosets(case), _form(case)
     labels = case.rs.integral_labels(beta)
-    table.check_point(labels, l_idx)
-    u = [x + f - p * (y + 1) for x, f, y in zip(table._start[l_idx][1], flow, labels)]
-    return _tail(case, order).qshift(Fraction(_value(quad, u), den))
+    table.check_point(labels, table.index[lam.key()])
+    v = _identity_point(case, _coset_vector(case, lam), labels)
+    return _tail(case, order).qshift(Fraction(_value(quad, v), den))
 
 
 def _check_multiplet_inputs(case: ShiftCase, alpha: Vec, lam: LambdaParam) -> tuple[int, ...]:
@@ -131,18 +138,15 @@ def _walk(case: ShiftCase, lam: LambdaParam, labels: tuple[int, ...]):
     b = p*labels(box + x) + flow.
 
     Q being W-invariant, Q(b - p*t) is c0 - g.t with g = 2p quad.b and
-    c0 = Q(b) + p^2 Q(t_id).  Its point w o beta = w(beta + rho) - rho stays
+    c0 = Q(b - p*t_id) + g.t_id.  Its point w o beta = w(beta + rho) - rho stays
     in beta + Q, whose class key (ShiftSystem checks it on the simple roots)
     and box are those of beta, so the coset check runs once, on beta."""
-    sys, (quad, _, flow), p = system(case), _form(case), case.p
-    l_idx = sys.index[lam.key()]
-    sys.check_point(labels, l_idx)
-    b = list(map(add, sys._start[l_idx][1], flow))
-    top = tuple(c + 1 for c in labels)
-    qb = [sum(map(mul, row, b)) for row in quad]
-    g = [2 * p * x for x in qb]
-    c0 = sum(map(mul, b, qb)) + p * p * _value(quad, top)
-    orbit = sys.orbit(top)
+    sys, quad, p = system(case), _form(case)[0], case.p
+    sys.check_point(labels, sys.index[lam.key()])
+    b = _coset_vector(case, lam)
+    g = [2 * p * sum(map(mul, row, b)) for row in quad]
+    orbit = sys.orbit(tuple(c + 1 for c in labels))
+    c0 = _value(quad, _identity_point(case, b, labels)) + sum(map(mul, g, orbit[0]))
     return orbit, [c0 - sum(map(mul, g, t)) for t in orbit]
 
 
@@ -202,10 +206,11 @@ def _alternating_sum(case: ShiftCase, lam: LambdaParam, labels: tuple[int, ...],
 
 
 def _checked_numerator(case: ShiftCase, lam: LambdaParam, labels: tuple[int, ...],
-                       dot: list[int], tail: QSeries) -> dict[int, int]:
+                       tail: QSeries) -> dict[int, int]:
     """The dot route's numerator at the weight with these labels, after
     checking the * route against it."""
-    dot, mov = _numerator(case, dot), _numerator(case, _star_walk(case, lam, labels))
+    dot = _numerator(case, _walk(case, lam, labels)[1])
+    mov = _numerator(case, _star_walk(case, lam, labels))
     # the routes share the tail, whose leading coefficient is nonzero: their
     # series agree up to the smaller cutoff exactly when the numerators do
     top = min(min(dot), min(mov)) + floor((tail.cutoff - tail.base) * _form(case)[1])
@@ -220,8 +225,7 @@ def multiplet_char(alpha: Vec, lam: LambdaParam, case: ShiftCase,
     """Character of the multiplicity space attached to (alpha, lam)."""
     labels = _check_multiplet_inputs(case, alpha, lam)
     tail = _tail(case, order)
-    num = _checked_numerator(case, lam, labels, _walk(case, lam, labels)[1], tail)
-    return _times_tail(case, num, tail)
+    return _times_tail(case, _checked_numerator(case, lam, labels, tail), tail)
 
 
 def multiplet_superchar(alpha: Vec, lam: LambdaParam, case: ShiftCase,
@@ -252,31 +256,20 @@ def multiplet_ramond_char(alpha: Vec, lam: LambdaParam, case: ShiftCase,
 # full construction characters
 # ---------------------------------------------------------------------------
 
-def _height_bound(case: ShiftCase, lam: LambdaParam, limit: Fraction) -> int:
-    """Height past which no dominant alpha has a term at q^(e/den) over the
-    tail with e/den <= limit.
-
-    For dominant alpha of height h, a dot term's e/den is |B - p*w(alpha +
-    bullet + rho)|^2/2p, B the vector with labels b (see _walk); that is at
-    least (p*|alpha + bullet + rho| - |B|)^2/2p, and |alpha + bullet + rho|
-    >= (h + s0)/|rho_check| by Cauchy-Schwarz.  Minimal weights therefore
-    grow quadratically in h; a rational scan, with |B| and |rho_check|
-    rounded up, finds the first height past the limit.
-    """
-    def sqrt_above(x: Fraction) -> Fraction:  # within 2^-32 of sqrt(x)
-        return Fraction(isqrt((x.numerator << 64) // x.denominator) + 1, 1 << 32)
-
-    rs, p = case.rs, case.p
-    table, (quad, den, flow) = _cosets(case), _form(case)
-    b = list(map(add, table._start[table.index[lam.key()]][1], flow))
-    b0 = sqrt_above(Fraction(2 * p * _value(quad, b), den))
-    rho_chk = sqrt_above(rs.norm2(rs.rho_check))
-    s0 = rs.pairing(lam.bullet_up, rs.rho_check) + rs.pairing(rs.rho, rs.rho_check)
-    for h in range(1, 10**6):
-        lower = max(Fraction(0), p * (h + s0) / rho_chk - b0)
-        if lower * lower / (2 * p) > limit:
-            return h
-    raise RuntimeError("height bound scan failed to terminate")  # pragma: no cover
+def _height_bound(case: ShiftCase, lam: LambdaParam, top: int) -> int:
+    """The least height h >= 1 from which on no beta = alpha + bullet, alpha
+    dominant of height h, has an identity term Q(v) <= top.  For V with
+    labels v, H = det * height(V) = v.(column sums of adj) and Q(v) = den
+    |V|^2/2p, so Cauchy-Schwarz against rho_check gives den^2 H^2 <= 4 (p
+    det)^2 Q(rho_check) Q(v); H grows by p*det per unit of height of alpha."""
+    rs, (quad, den, _), p = case.rs, _form(case), case.p
+    adj, det = rs.cartan_adjugate
+    v = _identity_point(case, _coset_vector(case, lam), _grid(case)[2][lam.bullet_index])
+    most = 4 * (p * det) ** 2 * _value(quad, rs.integral_labels(rs.rho_check)) * top
+    h, big_h = 1, sum(map(mul, map(sum, zip(*adj)), v)) + p * det
+    while big_h <= 0 or (den * big_h) ** 2 <= most:
+        h, big_h = h + 1, big_h + p * det
+    return h
 
 
 # ft_char refuses to sum more dominant weights than this below one cutoff
@@ -287,37 +280,29 @@ def ft_char(lam: LambdaParam, case: ShiftCase, order: int) -> QSeries:
     """Character of the full construction: the dimension-weighted sum of the
     multiplicity-space characters over dominant root-lattice weights.
 
-    Dominant weights are scanned by height up to a proven quadratic-growth
-    bound; each is included only if the minimal conformal weight of its orbit
-    clears the cutoff with a safety margin of 2 (an exact per-weight check).
-    The included numerators, each checked against its * route, are summed
-    and multiplied by the shared tail once.
+    Dominant weights are scanned by height up to _height_bound.  As b and
+    beta + rho are dominant, each sum's least term is its identity term: a
+    weight is included, and walks W, exactly when that term clears the
+    cutoff with a safety margin of 2.  The included numerators, each checked
+    against its * route, are summed and multiplied by the shared tail once.
     """
     check_order(order)
     rs = case.rs
     cutoff = order - case.central_charge / 24
-    den = _form(case)[1]
+    tail, (quad, den, _) = _tail(case, order), _form(case)
     # a numerator e puts its term at q^(tail base + e/den)
-    limit = cutoff + 2 - _tail(case, 0).base
-    bullet = _grid(case)[2][lam.bullet_index]
+    top = floor((cutoff + 2 - tail.base) * den)
+    b, bullet = _coset_vector(case, lam), _grid(case)[2][lam.bullet_index]
+    kept = [labels for h in range(_height_bound(case, lam, top))
+            for labels in (tuple(map(add, alpha, bullet)) for alpha in dominant_shell(rs, h))
+            if _value(quad, _identity_point(case, b, labels)) <= top]
+    if len(kept) > ALPHA_CAP:
+        raise CapExceededError(f"more than {ALPHA_CAP} dominant weights below the cutoff")
     num: dict[int, int] = {}  # zero coefficients kept: they fix the cutoff
-    tail = None
-    n_terms = 0
-    for height in range(_height_bound(case, lam, limit) + 1):
-        for alpha in dominant_shell(rs, height):
-            labels = tuple(map(add, alpha, bullet))
-            _, dot = _walk(case, lam, labels)
-            if Fraction(min(dot), den) > limit:
-                continue
-            n_terms += 1
-            if n_terms > ALPHA_CAP:
-                raise CapExceededError(
-                    f"more than {ALPHA_CAP} dominant weights below the cutoff")
-            if tail is None:
-                tail = _tail(case, order)
-            dim = rs.weyl_dim(labels)
-            for e, c in _checked_numerator(case, lam, labels, dot, tail).items():
-                num[e] = num.get(e, 0) + dim * c
+    for labels in kept:
+        dim = rs.weyl_dim(labels)
+        for e, c in _checked_numerator(case, lam, labels, tail).items():
+            num[e] = num.get(e, 0) + dim * c
     if not num:
         return QSeries.zero(cutoff)
     return _times_tail(case, num, tail).truncate(cutoff)

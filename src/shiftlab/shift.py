@@ -26,10 +26,12 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from numbers import Rational
 from operator import add, mul, sub
 from typing import NamedTuple
 
 from .liealg import (
+    DEFAULT_WORD_CAP,
     RootSystem,
     SimpleLieType,
     Vec,
@@ -88,14 +90,15 @@ def make_case(lie_type: SimpleLieType | str, variant: Variant | str, m: int) -> 
         raise InvalidCaseError("m must be a positive integer")
     rs = build_root_system(lie_type)
     if variant is Variant.NONSUPER:
-        p, px, c = rs.lacing * m, rs.integral_labels(rs.rho_check), rs.rank
+        p, px, c = rs.lacing * m, rs.rho_check, rs.rank
     elif lie_type.series != "B":
         raise InvalidCaseError(f"variant {variant.value} requires series B, got {lie_type}")
     else:
-        p, px, c = 2 * m - 1, (1,) * rs.rank, rs.rank + Fraction(1, 2)
-    x = rs.from_labels(px, p)  # px holds the labels of p * x
-    gamma = rs.from_labels(tuple(p - v for v in px), p)
-    c -= 12 * p * rs.norm2(gamma)
+        p, px, c = 2 * m - 1, rs.rho, rs.rank + Fraction(1, 2)
+    x = tuple(v / p for v in px)  # px is p * x
+    gamma = tuple(u - v for u, v in zip(rs.rho, x))
+    (g, n), u = rs.label_form(), [p - v for v in rs.integral_labels(px)]  # u = p*labels(gamma)
+    c -= Fraction(12 * sum(y * sum(map(mul, row, u)) for y, row in zip(u, g)), n * p)
     return ShiftCase(rs, variant, m, p, x, gamma, Fraction(c))
 
 
@@ -167,7 +170,10 @@ def _alcove_weights(case: ShiftCase) -> tuple[int, ...]:
 
 def lambda_from(case: ShiftCase, bullet_index: int, digits) -> LambdaParam:
     """The transversal's record of (bullet_index, digits), once they pass the checks."""
-    digits = tuple(int(x) for x in digits)
+    digits = tuple(digits)
+    if not all(isinstance(v, Rational) and v.denominator == 1 for v in (bullet_index, *digits)):
+        raise ValueError(f"minuscule index {bullet_index} or digits {digits} not all integers")
+    bullet_index, digits = int(bullet_index), tuple(map(int, digits))
     if len(digits) != case.rank:
         raise ValueError("digit tuple has wrong length")
     _, bounds, bullets = _grid(case)
@@ -472,7 +478,7 @@ def check_strong(lam: LambdaParam, case: ShiftCase, word=None) -> bool:
 
 
 def check_strong_all_words(lam: LambdaParam, case: ShiftCase,
-                           word_cap: int = 10**4) -> bool:
+                           word_cap: int = DEFAULT_WORD_CAP) -> bool:
     """The strong condition on every reduced word; WordDependenceError if
     two words disagree."""
     results = {check_strong(lam, case, w) for w in _w0_words(case.rs, word_cap)}
@@ -671,7 +677,7 @@ def _tables(report: ShiftReport, table: Cosets) -> ShiftReport:
 
 
 def condition_report(case: ShiftCase, all_words: bool = False,
-                     word_cap: int = 10**4) -> ShiftReport:
+                     word_cap: int = DEFAULT_WORD_CAP) -> ShiftReport:
     """Weak/strong/alcove tables, with the strong <=> alcove equivalence
     enforced; with all_words, a coset whose strong condition differs between
     reduced words of w0 is a failure record.  It reads no Weyl group."""

@@ -37,8 +37,10 @@
 * The closed form of w0 ^ lambda on the strong region as a ``Fraction``
   vector (``strong_w0_target``).
 * The dominant root-lattice weights of one height as the dominant part of
-  the nonnegative cone (``cone_shell``), and at p = 1 the theta series of
-  the coset in Q times the tail (``lattice_theta_char``).
+  the nonnegative cone (``cone_shell``), the height bound of ``ft_char``'s
+  scan by ``Fraction`` square roots (``height_bound_sqrt``), and at p = 1
+  the theta series of the coset in Q times the tail
+  (``lattice_theta_char``).
 * The eta powers and free-fermion characters by the pentagonal recurrences,
   square-and-multiply over the Kronecker ``convolve`` and a binomial product;
   the substitution q -> q^t of a series (``resample``), a rational multiple
@@ -513,6 +515,29 @@ def dominant_alphas(rs, max_height: int) -> list:
             for labels in dominant_shell(rs, h)]
 
 
+def height_bound_sqrt(case, lam, limit) -> int:
+    """A height of dominant alpha past which no term of beta = alpha +
+    bullet sits at e/den <= limit over the tail, by Fraction square roots:
+    a dot term's e/den is |B - p*w(beta + rho)|^2/2p, at least (p*|beta +
+    rho| - |B|)^2/2p, and |beta + rho| >= (h + s0)/|rho_check| by
+    Cauchy-Schwarz at height h; |B| and |rho_check| are rounded up."""
+    def sqrt_above(x: Fraction) -> Fraction:  # within 2^-32 of sqrt(x)
+        return Fraction(math.isqrt((x.numerator << 64) // x.denominator) + 1, 1 << 32)
+
+    rs, p = case.rs, case.p
+    table, (quad, den, flow) = system(case), _form(case)
+    b = [x + f for x, f in zip(table._start[table.index[lam.key()]][1], flow)]
+    b0 = sqrt_above(Fraction(2 * p * sum(x * sum(map(mul, row, b)) for x, row in zip(b, quad)),
+                             den))
+    rho_chk = sqrt_above(rs.norm2(rs.rho_check))
+    s0 = rs.pairing(lam.bullet_up, rs.rho_check) + rs.pairing(rs.rho, rs.rho_check)
+    for h in range(1, 10**6):
+        lower = max(Fraction(0), p * (h + s0) / rho_chk - b0)
+        if lower * lower / (2 * p) > limit:
+            return h
+    raise RuntimeError("height bound scan failed to terminate")
+
+
 def lattice_theta_char(case, lam, order: int) -> QSeries:
     """sum over nu in bullet + Q of q^(|nu|^2/2 - c/24), times the tail
     (eta^-rank, with the free fermion in the super family) from its leading
@@ -751,7 +776,7 @@ def dot_act_fraction(w, mu, case) -> AffineWeight:
     scale = fam.trans_scale(mu)
     b = w.translation
     if any(x != 0 for x in b):
-        u = fam.form_factor
+        u = Fraction(1, fam.lattice_scale)
         delta = delta - u * rs.pairing(fin, b) - u * scale / 2 * rs.norm2(b)
         fin = vadd(fin, vscale(scale, b))
     fin = weyl_apply_matrix(rs, w.finite_part, fin)

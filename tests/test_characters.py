@@ -2,7 +2,8 @@
 
 from fractions import Fraction
 from itertools import product
-from operator import mul
+from math import floor
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from oracles import (
     dot_action,
     fock_delta_reference,
     fock_point_fraction,
+    height_bound_sqrt,
     lattice_theta_char,
     norm_shift_reference,
     ramond_delta_reference,
@@ -34,10 +36,13 @@ from oracles import (
 from shiftlab import characters
 from shiftlab.characters import (
     UnsupportedCaseError,
+    _coset_vector,
     _form,
     _height_bound,
+    _identity_point,
     _star_walk,
     _tail,
+    _value,
     _walk,
     dominant_shell,
     fock_delta,
@@ -55,6 +60,7 @@ from shiftlab.shift import (
     Variant,
     _check_member,
     _cosets,
+    _grid,
     _shared,
     enumerate_lambda,
     make_case,
@@ -658,12 +664,72 @@ def test_ft_char_matches_add_chain(name, variant, m):
     for lam in enumerate_lambda(case):
         want = QSeries.zero(cutoff)
         limit = cutoff + 2 - _tail(case, 0).base
-        for alpha in dominant_alphas(rs, _height_bound(case, lam, limit)):
+        for alpha in dominant_alphas(rs, height_bound_sqrt(case, lam, limit)):
             if fraction_route(case, lam, alpha, order)[2] <= cutoff + 2:
                 dim = rs.weyl_dim(rs.integral_labels(vadd(alpha, lam.bullet_up)))
                 want = want.add(scale(multiplet_char(alpha, lam, case, order), dim))
         got = ft_char(lam, case, order)
         assert got.to_json_dict() == want.truncate(cutoff).to_json_dict()
+
+
+# -- the rules ft_char's scan relies on ---------------------------------------------
+
+RULE_CASES = ([("A1", "nonsuper", m) for m in (1, 2, 3)]
+              + [("A2", "nonsuper", m) for m in (1, 2)]
+              + [("A3", "nonsuper", 1), ("A4", "nonsuper", 1), ("B2", "nonsuper", 1),
+                 ("B2", "nonsuper", 2), ("B3", "nonsuper", 1), ("C3", "nonsuper", 1),
+                 ("G2", "nonsuper", 1), ("G2", "nonsuper", 2), ("D4", "nonsuper", 1),
+                 ("B1", "super", 2), ("B1", "super", 3), ("B2", "super", 2),
+                 ("B3", "super", 1)]
+              + [(name, "ramond", m) for name in ("B1", "B2") for m in (1, 2)])
+
+
+def _betas(case, lam, heights):
+    """Labels of beta = alpha + bullet for the dominant alpha of these heights."""
+    bullet = _grid(case)[2][lam.bullet_index]
+    return [tuple(map(add, alpha, bullet)) for h in heights
+            for alpha in dominant_shell(case.rs, h)]
+
+
+@pytest.mark.parametrize("name,variant,m", RULE_CASES)
+def test_identity_term_is_the_least_dot_term(name, variant, m):
+    # b and beta + rho are dominant, so (b, w(beta + rho)) <= (b, beta + rho):
+    # the identity term, which ft_char prices alone, is the walk's least
+    case = make_case(name, variant, m)
+    quad = _form(case)[0]
+    for lam in enumerate_lambda(case):
+        b = _coset_vector(case, lam)
+        for labels in _betas(case, lam, range(4)):
+            dot = _walk(case, lam, labels)[1]
+            assert min(dot) == dot[0] == _value(quad, _identity_point(case, b, labels))
+
+
+@pytest.mark.parametrize("name,variant,m", RULE_CASES)
+def test_height_bound_within_the_square_root_bound(name, variant, m):
+    # the integer bound is at most the Fraction square-root one, and no weight
+    # within 3 heights past it has an identity term within the limit
+    case = make_case(name, variant, m)
+    quad, den = _form(case)[:2]
+    for order in (4, 10):
+        limit = order - case.central_charge / 24 + 2 - _tail(case, 0).base
+        top = floor(limit * den)
+        for lam in enumerate_lambda(case):
+            bound, b = _height_bound(case, lam, top), _coset_vector(case, lam)
+            assert bound <= height_bound_sqrt(case, lam, limit)
+            for labels in _betas(case, lam, range(bound, bound + 4)):
+                assert _value(quad, _identity_point(case, b, labels)) > top
+
+
+@pytest.mark.parametrize("name,variant,m", RULE_CASES)
+def test_star_term_at_w_is_the_dot_term_at_w_inverse(name, variant, m):
+    # the * route's term at w prices the same point as the dot route's at w^-1
+    case = make_case(name, variant, m)
+    rs, sys = case.rs, system(case)
+    inverse = [sys._key_index[rs.weyl_inv(w).labels] for w in sys.weyl]
+    for lam in enumerate_lambda(case):
+        for labels in _betas(case, lam, range(2)):
+            dot = _walk(case, lam, labels)[1]
+            assert _star_walk(case, lam, labels) == [dot[i] for i in inverse]
 
 
 def _lattice_voa_cosets():

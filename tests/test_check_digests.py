@@ -47,3 +47,21 @@ def test_each_kind_is_reported():
         {"differs": 1, "now raises": 1, "now returns": 1}
     assert found["now raises"][0].endswith("now {'raises': 'KeyError'}")
     assert found["now returns"][0].startswith(f"now returns: {cli}")
+
+
+def test_every_reference_op_keeps_its_digest():
+    # the whole reference, so that an output change fails here before it can
+    # fail the benchmark's correctness check; the only ops that return where
+    # the reference records a raise are the 245 B2 Ramond ones (219 library,
+    # 26 CLI) whose dual-route check failed when it was recorded
+    reference = json.loads(check_digests.REFERENCE.read_text(encoding="utf-8"))
+    raised = {key for strata in reference.values() for cases in strata.values()
+              for groups in cases.values() for ops in groups.values()
+              for key, want in ops.items() if isinstance(want, dict)}
+    assert len(raised) == 245
+    assert all("B2" in op and "ramond" in op for op in map(json.loads, raised))
+    found = check_digests.check(reference)
+    assert found["differs"] == [] and found["now raises"] == []
+    assert {line.split(": ", 1)[1].rsplit(": reference", 1)[0]
+            for line in found["now returns"]} == raised
+    assert len(found["now returns"]) == 245

@@ -199,13 +199,21 @@ def test_lambda_a1_explicit():
     assert labels == [(0, (1,)), (0, (2,)), (1, (1,)), (1, (2,))]
 
 
-@pytest.mark.parametrize("index", [-1, 3])
-def test_lambda_from_refuses_a_bullet_index_out_of_range(index):
+@pytest.mark.parametrize("name,m,index,digits", [
+    pytest.param("A2", 1, -1, (1, 1), id="-1"),
+    pytest.param("A2", 1, 3, (1, 1), id="3"),
+    # a non-integral digit once truncated to a valid coset (1.9 -> 1), and a
+    # float index raised TypeError
+    pytest.param("A1", 2, 0, [1.9], id="float-digit"),
+    pytest.param("A1", 2, 0, [Fraction(3, 2)], id="fraction-digit"),
+    pytest.param("A2", 1, 0.5, (1, 1), id="float-index"),
+    pytest.param("A2", 1, 0, (1, "1"), id="str-digit"),
+])
+def test_lambda_from_refuses_a_bullet_index_out_of_range(name, m, index, digits):
     # A2 has three minuscule weights; -1 would read the last of them under a
-    # key no table holds
-    case = make_case("A2", "nonsuper", 1)
+    # key no table holds; an index or digit of non-integer value is refused
     with pytest.raises(ValueError, match="minuscule index"):
-        lambda_from(case, index, (1, 1))
+        lambda_from(make_case(name, "nonsuper", m), index, digits)
 
 
 def test_lambda_super_parity():

@@ -6,10 +6,10 @@ lattice vector is sqrt(p) times the stored one), which keeps every exponent
 rational.  Every term is priced by one integer quadratic form on Dynkin
 labels (``_form``) over its tail, whose base is the whole constant.
 
-The alternating Weyl sums are evaluated in two ways, via the dot action on
-the fixed coset and via the * action on moved cosets, each a walk over W on
-integer Dynkin labels; the two sparse numerators are checked against each
-other before one of them is multiplied by the shared tail.
+The alternating Weyl sums run on integer Dynkin labels: the dot action on the
+fixed coset climbs from the identity term to the cutoff with no Weyl table,
+and the * action on moved cosets walks W; the two sparse numerators are
+checked against each other before one is multiplied by the shared tail.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from itertools import product
 from math import floor, gcd, lcm
 from operator import add, mul, sub
 
-from .liealg import CapExceededError, Vec
+from .liealg import CapExceededError, Vec, reflect_labels
 from .qseries import (DEFAULT_GRID_CAP, FermionKind, GridBoundError, QSeries,
                       _eta_inv_fermion, check_order)
 from .shift import (
@@ -108,46 +108,51 @@ def weight_space_char(lam: LambdaParam, beta: Vec, case: ShiftCase,
     """CFT-normalized character of the Cartan weight space at ``beta``, priced
     as beta's identity dot term.  beta's labels are checked against lam's
     class in P/Q; the box's ceiling check ran once per coset, at build."""
-    table, (quad, den, _) = _cosets(case), _form(case)
+    table, (quad, den, _), b = _cosets(case), _form(case), _coset_vector(case, lam)
     labels = case.rs.integral_labels(beta)
     table.check_point(labels, table.index[lam.key()])
-    v = _identity_point(case, _coset_vector(case, lam), labels)
-    return _tail(case, order).qshift(Fraction(_value(quad, v), den))
+    return _tail(case, order).qshift(Fraction(_value(quad, _identity_point(case, b, labels)), den))
 
 
 def _check_multiplet_inputs(case: ShiftCase, alpha: Vec, lam: LambdaParam) -> tuple[int, ...]:
     """The Dynkin labels of beta = alpha + bullet, for alpha in Q with beta
     dominant."""
-    rs = case.rs
+    rs, table = case.rs, _cosets(case)
     if rs.in_root_lattice(alpha):
         labels = tuple(map(add, rs.integral_labels(alpha), _grid(case)[2][lam.bullet_index]))
         if min(labels) >= 0:
+            table.check_point(labels, table.index[lam.key()])
             return labels
     raise ValueError(f"alpha {','.join(map(str, alpha))} is not a root-lattice weight "
                      f"with alpha + bullet dominant")
 
 
 # ---------------------------------------------------------------------------
-# the integer orbit walk
+# the orbit walks
 # ---------------------------------------------------------------------------
 
-def _walk(case: ShiftCase, lam: LambdaParam, labels: tuple[int, ...]):
-    """One pass over W (enumeration order) for the alternating sum at the
-    weight beta with these Dynkin labels: the labels t of w(beta + rho) and
-    the exponent numerators Q(b - p*t) (see _form) of the dot terms, with
-    b = p*labels(box + x) + flow.
-
-    Q being W-invariant, Q(b - p*t) is c0 - g.t with g = 2p quad.b and
-    c0 = Q(b - p*t_id) + g.t_id.  Its point w o beta = w(beta + rho) - rho stays
-    in beta + Q, whose class key (ShiftSystem checks it on the simple roots)
-    and box are those of beta, so the coset check runs once, on beta."""
-    sys, quad, p = system(case), _form(case)[0], case.p
-    sys.check_point(labels, sys.index[lam.key()])
-    b = _coset_vector(case, lam)
-    g = [2 * p * sum(map(mul, row, b)) for row in quad]
-    orbit = sys.orbit(tuple(c + 1 for c in labels))
-    c0 = _value(quad, _identity_point(case, b, labels)) + sum(map(mul, g, orbit[0]))
-    return orbit, [c0 - sum(map(mul, g, t)) for t in orbit]
+def _below(case: ShiftCase, b, labels: tuple[int, ...], top: int):
+    """(e, sign, t) per point t = labels(w(beta + rho)), beta dominant with
+    these labels, whose dot term's numerator e = Q(b - p*t) (see _form) is at
+    most top; sign is (-1)^len(w) and b is the coset vector.  As Q is
+    W-invariant, s_i moves e by t_i * 2p alpha_i.quad.b, which is not negative
+    on an ascent (t_i > 0) for b dominant, so the climb from labels + 1 stops
+    above top (any other b is refused: the climb would drop terms).  Each
+    point is reached once, from s_i of it, i its least descent."""
+    quad, p, cols = _form(case)[0], case.p, case.rs.reflect_cols()
+    rise = [2 * p * sum(c * sum(map(mul, quad[k], b)) for k, c in col) for col in cols]
+    if min(rise) < 0:
+        raise AssertionError(f"coset vector {b} is not dominant: pruning would drop terms")
+    e = _value(quad, _identity_point(case, b, labels))
+    stack = [(e, 1, tuple(c + 1 for c in labels))] if e <= top else []
+    while stack:
+        e, sign, t = stack.pop()
+        yield e, sign, t
+        for i, x in enumerate(t):
+            if x > 0 and e + x * rise[i] <= top:
+                up = reflect_labels(t, i, cols[i])
+                if i == 0 or min(up[:i]) > 0:
+                    stack.append((e + x * rise[i], -sign, up))
 
 
 def _star_walk(case: ShiftCase, lam: LambdaParam, labels: tuple[int, ...]) -> list[int]:
@@ -170,11 +175,11 @@ def _star_walk(case: ShiftCase, lam: LambdaParam, labels: tuple[int, ...]) -> li
     return mov
 
 
-def _numerator(case: ShiftCase, exps: list[int], signs=None) -> dict[int, int]:
-    """Exponent numerator -> coefficient (signs (-1)^len by default), zeros kept."""
+def _numerator(case: ShiftCase, exps: list[int]) -> dict[int, int]:
+    """Exponent numerator -> coefficient over W, signs (-1)^len, zeros kept."""
     num = dict.fromkeys(exps, 0)
-    for e, s in zip(exps, signs or [(-1) ** w.length for w in system(case).weyl]):
-        num[e] += s
+    for e, w in zip(exps, system(case).weyl):
+        num[e] += -1 if w.length % 2 else 1
     return num
 
 
@@ -199,33 +204,32 @@ def _times_tail(case: ShiftCase, num: dict[int, int], tail: QSeries) -> QSeries:
 
 def _alternating_sum(case: ShiftCase, lam: LambdaParam, labels: tuple[int, ...],
                      order: int) -> QSeries:
-    """sum over W of (-1)^len q^(weight of the dot-moved Cartan weight) at
-    the weight with these labels, sharing one tail series across the orbit."""
-    num = _numerator(case, _walk(case, lam, labels)[1])
-    return _times_tail(case, num, _tail(case, order))
+    """sum over W of (-1)^len q^(weight of the dot-moved Cartan weight) at the
+    weight with these labels, by the * route: it shows a wall's cancellation."""
+    return _times_tail(case, _numerator(case, _star_walk(case, lam, labels)),
+                       _tail(case, order))
 
 
-def _checked_numerator(case: ShiftCase, lam: LambdaParam, labels: tuple[int, ...],
-                       tail: QSeries) -> dict[int, int]:
-    """The dot route's numerator at the weight with these labels, after
-    checking the * route against it."""
-    dot = _numerator(case, _walk(case, lam, labels)[1])
-    mov = _numerator(case, _star_walk(case, lam, labels))
-    # the routes share the tail, whose leading coefficient is nonzero: their
-    # series agree up to the smaller cutoff exactly when the numerators do
-    top = min(min(dot), min(mov)) + floor((tail.cutoff - tail.base) * _form(case)[1])
-    if ({e: c for e, c in dot.items() if c and e <= top}
-            != {e: c for e, c in mov.items() if c and e <= top}):
-        raise AssertionError("the two alternating-sum routes disagree")
-    return dot
+def _reach(case: ShiftCase, b, labels: tuple[int, ...], tail: QSeries) -> int:
+    """The last numerator reaching a series over this tail: the identity term's plus its span."""
+    quad, den = _form(case)[:2]
+    return _value(quad, _identity_point(case, b, labels)) + floor((tail.cutoff - tail.base) * den)
 
 
 def multiplet_char(alpha: Vec, lam: LambdaParam, case: ShiftCase,
                    order: int) -> QSeries:
     """Character of the multiplicity space attached to (alpha, lam)."""
     labels = _check_multiplet_inputs(case, alpha, lam)
-    tail = _tail(case, order)
-    return _times_tail(case, _checked_numerator(case, lam, labels, tail), tail)
+    tail, b, dot = _tail(case, order), _coset_vector(case, lam), {}
+    top = _reach(case, b, labels, tail)
+    for e, sign, _ in _below(case, b, labels, top):
+        dot[e] = dot.get(e, 0) + sign
+    mov = _numerator(case, _star_walk(case, lam, labels))
+    # the routes share the tail, whose leading coefficient is nonzero: their
+    # series agree up to top exactly when the numerators do
+    if any(dot.get(e, 0) != mov.get(e, 0) for e in dot.keys() | mov.keys() if e <= top):
+        raise AssertionError("the two alternating-sum routes disagree")
+    return _times_tail(case, dot, tail)
 
 
 def multiplet_superchar(alpha: Vec, lam: LambdaParam, case: ShiftCase,
@@ -234,14 +238,14 @@ def multiplet_superchar(alpha: Vec, lam: LambdaParam, case: ShiftCase,
     if case.variant is not Variant.SUPER:
         raise UnsupportedCaseError("supercharacters require the super variant")
     labels = _check_multiplet_inputs(case, alpha, lam)
-    r, d = case.rank, case.rs.half_lengths[-1]
-    orbit, dot = _walk(case, lam, labels)
-    # extra sign floor((w o beta, alpha_r)), where w o beta = w(beta + rho) - rho
-    signs = [-1 if (w.length + d.numerator * (top[r - 1] - 1) // d.denominator) % 2 else 1
-             for w, top in zip(system(case).weyl, orbit)]
+    r, d, b = case.rank, case.rs.half_lengths[-1], _coset_vector(case, lam)
     # the NS supercharacter tail has the NS character tail's base
-    return _times_tail(case, _numerator(case, dot, signs),
-                       _eta_inv_fermion(r, FermionKind.NS_SCH, order))
+    tail, num = _eta_inv_fermion(r, FermionKind.NS_SCH, order), {}
+    # extra sign floor((w o beta, alpha_r)), where w o beta = w(beta + rho) - rho
+    for e, sign, t in _below(case, b, labels, _reach(case, b, labels, tail)):
+        flip = d.numerator * (t[r - 1] - 1) // d.denominator % 2
+        num[e] = num.get(e, 0) + (-sign if flip else sign)
+    return _times_tail(case, num, tail)
 
 
 def multiplet_ramond_char(alpha: Vec, lam: LambdaParam, case: ShiftCase,
@@ -282,12 +286,13 @@ def ft_char(lam: LambdaParam, case: ShiftCase, order: int) -> QSeries:
 
     Dominant weights are scanned by height up to _height_bound.  As b and
     beta + rho are dominant, each sum's least term is its identity term: a
-    weight is included, and walks W, exactly when that term clears the
-    cutoff with a safety margin of 2.  The included numerators, each checked
-    against its * route, are summed and multiplied by the shared tail once.
+    weight is included exactly when that term clears the cutoff with a
+    safety margin of 2.  The included weights' dot terms within that margin
+    (_below), weighted by dimension, are summed and multiplied by the shared
+    tail once; no Weyl table is read.
     """
     check_order(order)
-    rs = case.rs
+    rs, table = case.rs, _cosets(case)
     cutoff = order - case.central_charge / 24
     tail, (quad, den, _) = _tail(case, order), _form(case)
     # a numerator e puts its term at q^(tail base + e/den)
@@ -300,9 +305,10 @@ def ft_char(lam: LambdaParam, case: ShiftCase, order: int) -> QSeries:
         raise CapExceededError(f"more than {ALPHA_CAP} dominant weights below the cutoff")
     num: dict[int, int] = {}  # zero coefficients kept: they fix the cutoff
     for labels in kept:
+        table.check_point(labels, table.index[lam.key()])
         dim = rs.weyl_dim(labels)
-        for e, c in _checked_numerator(case, lam, labels, tail).items():
-            num[e] = num.get(e, 0) + dim * c
+        for e, sign, _ in _below(case, b, labels, top):
+            num[e] = num.get(e, 0) + dim * sign
     if not num:
         return QSeries.zero(cutoff)
     return _times_tail(case, num, tail).truncate(cutoff)

@@ -16,7 +16,7 @@ and the twist p*x, which ``make_case`` fixes once; every other layer reads
 Every representative is the unique element -bullet + box of its coset with
 ``bullet`` minuscule and ``0 < (box + x, alpha_i^vee) <= 1`` for all i.  The
 screening conditions read each coset's simple shifts alone (``Cosets``); the
-axiom checks and the character walk read the tables over W (``ShiftSystem``).
+axiom checks and the characters' * route read the tables over W (``ShiftSystem``).
 """
 
 from __future__ import annotations
@@ -228,7 +228,7 @@ class Cosets:
                      for b in bullets}) == len(bullets)), None)
         if self._class_rows is None:
             raise AssertionError(f"no rows of the adjugate of {rs.lie_type} separate P/Q")
-        # the class key is constant on mu + Q, which the character walk relies on
+        # the class key is constant on mu + Q, which the characters' checks rely on
         if any(self._class_key(col) for col in self.cols):
             raise AssertionError(f"a simple root of {rs.lie_type} has a nonzero class key")
         # per coset, ordered by (minuscule index, digits): its record, built
@@ -374,7 +374,7 @@ def _cosets(case: ShiftCase) -> Cosets:
 
 class ShiftSystem(Cosets):
     """Tables over W per (type, family, p) for the axiom checks and the
-    character walk, laid out by the Weyl enumeration; super and Ramond share one.
+    characters' * route, laid out by the Weyl enumeration; super and Ramond share one.
 
     Row ``l`` holds, per Weyl element in enumeration order, the index of
     ``w * lambda_l`` and the Dynkin labels of ``w ^ lambda_l``; it is filled

@@ -19,9 +19,10 @@
   with theta_L.
 * The lattice point of a Cartan weight by ``Fraction`` copairings, with its
   coset and ceiling checks (``fock_point_fraction``).
-* The Weyl orbit of a weight by dense label reflections, and the character
-  walk term by term: the full quadratic form and the coset check on every
-  dot term.
+* The dot terms of an alternating sum over all of W (``dot_walk``), the
+  full-walk reference for the pruned climb ``characters._below``; the Weyl
+  orbit of a weight by dense label reflections, and the character walk term
+  by term: the full quadratic form and the coset check on every dot term.
 * A coset located one point at a time (``locate_point``), and the weak,
   strong and w0-shift conditions of a coset computed per call, walking the
   canonical word each time (``conditions_per_call``).
@@ -47,8 +48,9 @@
   of a series (``scale``) and the inverse of ``QSeries.to_json_dict``
   (``from_json_dict``).
 * Helpers that only the tests call: the dot action, the alternating sum at
-  a ``Fraction`` weight and its * route, the displayed-norm exponent, the
-  supertrace vacuum oracle and the affine identity.
+  a ``Fraction`` weight through the * route and through the dot route over
+  all of W, the displayed-norm exponent, the supertrace vacuum oracle and
+  the affine identity.
 """
 
 import math
@@ -68,11 +70,13 @@ from shiftlab.alcove import (
 from shiftlab.characters import (
     UnsupportedCaseError,
     _alternating_sum,
+    _coset_vector,
     _form,
+    _identity_point,
     _numerator,
-    _star_walk,
     _tail,
     _times_tail,
+    _value,
     dominant_shell,
 )
 from shiftlab.liealg import (
@@ -582,14 +586,15 @@ def dot_action(case, w, beta):
 
 
 def alternating_sum(case, lam, beta, order: int) -> QSeries:
-    """characters._alternating_sum at the Fraction weight beta."""
+    """characters._alternating_sum at the Fraction weight beta: the * action,
+    whose terms live on the moved cosets."""
     return _alternating_sum(case, lam, case.rs.integral_labels(beta), order)
 
 
-def alternating_sum_moved(case, lam, beta, order: int) -> QSeries:
-    """The alternating sum through the * action: terms live on the moved
-    cosets."""
-    num = _numerator(case, _star_walk(case, lam, case.rs.integral_labels(beta)))
+def alternating_sum_dot(case, lam, beta, order: int) -> QSeries:
+    """The alternating sum at the Fraction weight beta through the dot action
+    on the fixed coset, over all of W (dot_walk)."""
+    num = _numerator(case, dot_walk(case, lam, case.rs.integral_labels(beta))[1])
     return _times_tail(case, num, _tail(case, order))
 
 
@@ -639,6 +644,26 @@ def strong_w0_target(lam, case):
 # ---------------------------------------------------------------------------
 # the Weyl orbit and the character walk, term by term
 # ---------------------------------------------------------------------------
+
+
+def dot_walk(case, lam, labels):
+    """The full-walk reference for characters._below: one pass over W
+    (enumeration order) for the alternating sum at the weight beta with these
+    Dynkin labels, giving the labels t of w(beta + rho) and the exponent
+    numerators Q(b - p*t) (see characters._form) of the dot terms, with
+    b = p*labels(box + x) + flow.
+
+    Q being W-invariant, Q(b - p*t) is c0 - g.t with g = 2p quad.b and
+    c0 = Q(b - p*t_id) + g.t_id.  Its point w o beta = w(beta + rho) - rho
+    stays in beta + Q, whose class key and box are those of beta, so the
+    coset check runs once, on beta."""
+    sys, quad, p = system(case), _form(case)[0], case.p
+    sys.check_point(labels, sys.index[lam.key()])
+    b = _coset_vector(case, lam)
+    g = [2 * p * sum(map(mul, row, b)) for row in quad]
+    orbit = sys.orbit(tuple(c + 1 for c in labels))
+    c0 = _value(quad, _identity_point(case, b, labels)) + sum(map(mul, g, orbit[0]))
+    return orbit, [c0 - sum(map(mul, g, t)) for t in orbit]
 
 
 def reflect_labels_dense(a, i, col):
@@ -713,7 +738,7 @@ def conditions_per_call(case, lam):
 
 
 def walk_reference(case, lam, beta, moved=False):
-    """characters._walk term by term: the labels of beta from Fraction
+    """dot_walk and characters._star_walk term by term: the labels of beta from Fraction
     copairings, every dot exponent as the full form Q(u + flow) of
     u = b_lam - p*labels(w(beta + rho)), every * exponent as Q(v + w(flow)),
     and the coset check on every dot term as on every * term."""

@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from oracles import (
     ALL_TYPES,
     alternating_sum,
-    alternating_sum_moved,
+    alternating_sum_dot,
     case_data_reference,
     cone_shell,
     displayed_norm_exponent,
     dominant_alphas,
     dot_action,
+    dot_walk,
+    eta_inv_pow_reference,
     fock_delta_reference,
     fock_point_fraction,
     height_bound_sqrt,
@@ -39,11 +41,11 @@ from shiftlab.characters import (
     _coset_vector,
     _form,
     _height_bound,
+    _below,
     _identity_point,
     _star_walk,
     _tail,
     _value,
-    _walk,
     dominant_shell,
     fock_delta,
     ft_char,
@@ -54,8 +56,8 @@ from shiftlab.characters import (
     walg_vacuum_oracle,
     weight_space_char,
 )
-from shiftlab.liealg import CapExceededError, RootSystem
-from shiftlab.qseries import FermionKind, QSeries, eta_inv_pow, fermion_char
+from shiftlab.liealg import CapExceededError, RootSystem, reflect_labels
+from shiftlab.qseries import FermionKind, QSeries, convolve, eta_inv_pow, fermion_char
 from shiftlab.shift import (
     Variant,
     _check_member,
@@ -350,8 +352,8 @@ def test_dual_route_equality_all_cosets():
                 if sum(abs(c) for c in coords) > 4:
                     continue
                 beta = vadd(tuple(Fraction(c) for c in coords), lam.bullet_up)
-                lhs = alternating_sum(case, lam, beta, 6)
-                rhs = alternating_sum_moved(case, lam, beta, 6)
+                lhs = alternating_sum_dot(case, lam, beta, 6)
+                rhs = alternating_sum(case, lam, beta, 6)
                 assert lhs.same_series(rhs), (case.case_id(), lam.label(), coords)
 
 
@@ -412,7 +414,7 @@ def assert_walk_matches(case, lam, alpha, order):
         assert got.to_json_dict() == sch.to_json_dict()
     # the lowest exponent of the walk's dot terms, which ft_char filters on
     den = _form(case)[1]
-    dot = _walk(case, lam, case.rs.integral_labels(vadd(alpha, lam.bullet_up)))[1]
+    dot = dot_walk(case, lam, case.rs.integral_labels(vadd(alpha, lam.bullet_up)))[1]
     assert _tail(case, 0).base + Fraction(min(dot), den) == low
 
 
@@ -439,10 +441,17 @@ REFERENCE_CASES = WALK_CASES + [(name, "ramond", m) for name in ("B1", "B2") for
 
 
 def assert_walk_matches_reference(case, lam, beta):
+    # the * route and the dot reference term by term; at a dominant beta the
+    # pruned climb, with a top past the largest term, gives every dot term
     labels = case.rs.integral_labels(beta)
-    got = _walk(case, lam, labels) + (_star_walk(case, lam, labels),)
-    assert got == walk_reference(case, lam, beta, moved=True)
-    assert got[:2] + ([],) == walk_reference(case, lam, beta)
+    orbit, dot, mov = walk_reference(case, lam, beta, moved=True)
+    assert _star_walk(case, lam, labels) == mov
+    assert dot_walk(case, lam, labels) == (orbit, dot)
+    assert walk_reference(case, lam, beta) == (orbit, dot, [])
+    if min(labels) >= 0:
+        signs = [(-1) ** w.length for w in system(case).weyl]
+        got = _below(case, _coset_vector(case, lam), labels, max(dot))
+        assert sorted(got) == sorted(zip(dot, signs, orbit))
 
 
 @pytest.mark.parametrize("name,variant,m", REFERENCE_CASES)
@@ -700,7 +709,7 @@ def test_identity_term_is_the_least_dot_term(name, variant, m):
     for lam in enumerate_lambda(case):
         b = _coset_vector(case, lam)
         for labels in _betas(case, lam, range(4)):
-            dot = _walk(case, lam, labels)[1]
+            dot = dot_walk(case, lam, labels)[1]
             assert min(dot) == dot[0] == _value(quad, _identity_point(case, b, labels))
 
 
@@ -728,8 +737,42 @@ def test_star_term_at_w_is_the_dot_term_at_w_inverse(name, variant, m):
     inverse = [sys._key_index[rs.weyl_inv(w).labels] for w in sys.weyl]
     for lam in enumerate_lambda(case):
         for labels in _betas(case, lam, range(2)):
-            dot = _walk(case, lam, labels)[1]
+            dot = dot_walk(case, lam, labels)[1]
             assert _star_walk(case, lam, labels) == [dot[i] for i in inverse]
+
+
+@pytest.mark.parametrize("name,variant,m", RULE_CASES)
+def test_below_gives_the_full_walk_terms_up_to_top(name, variant, m):
+    # the pruned climb yields the full walk's dot terms with e <= top, each
+    # once with sign (-1)^len(w), at ft_char's tops for orders 4 and 10; it may
+    # prune because s_i moves e by t_i * rise_i, with every rise_i >= 0
+    case = make_case(name, variant, m)
+    sys, cols, den = system(case), case.rs.reflect_cols(), _form(case)[1]
+    tops = [floor((order - case.central_charge / 24 + 2 - _tail(case, 0).base) * den)
+            for order in (4, 10)]
+    for lam in enumerate_lambda(case):
+        b = _coset_vector(case, lam)
+        for labels in _betas(case, lam, range(3)):
+            orbit, dot = dot_walk(case, lam, labels)
+            at = dict(zip(orbit, dot))
+            rise = [(at[reflect_labels(orbit[0], i, col)] - dot[0]) // orbit[0][i]
+                    for i, col in enumerate(cols)]
+            assert min(rise) >= 0
+            assert all(at[reflect_labels(t, i, col)] - e == t[i] * rise[i]
+                       for t, e in at.items() for i, col in enumerate(cols))
+            for top in tops:
+                want = sorted((e, (-1) ** w.length, t)
+                              for w, t, e in zip(sys.weyl, orbit, dot) if e <= top)
+                assert sorted(_below(case, b, labels, top)) == want
+
+
+def test_below_refuses_a_coset_vector_that_is_not_dominant():
+    # with a negative label in b some ascent lowers e, and the climb would
+    # stop below terms that reach the cutoff
+    case = make_case("A2", "nonsuper", 1)
+    assert list(_below(case, [1, 1], (0, 0), 100))
+    with pytest.raises(AssertionError, match="not dominant"):
+        list(_below(case, [-1, 1], (0, 0), 100))
 
 
 def _lattice_voa_cosets():
@@ -757,6 +800,79 @@ def test_ft_char_at_p1_is_the_lattice_theta_series(name, variant, label):
     assert case.p == 1
     got = ft_char(lam, case, 4)
     assert got.to_json_dict() == lattice_theta_char(case, lam, 4).to_json_dict()
+
+
+def _theta_eta_series(case, theta, order):
+    """The series q^(-c/24) * theta * prod (1 - q^k)^-rank to q^order, theta
+    a list of integer-exponent coefficients."""
+    base = -case.central_charge / 24
+    tail = eta_inv_pow_reference(case.rank, order)
+    return QSeries.make(base, 1, convolve(theta, list(tail.coeffs), order + 1), base + order)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_ft_char_at_p1_on_d_n_is_the_theta_closed_form(n):
+    """At p = 1 coset 0 of D_n carries the lattice VOA of Q(D_n), the x in
+    Z^n with even coordinate sum, at c = n (Conway and Sloane, Sphere
+    Packings, Lattices and Groups, ch. 4).  Its character is the theta series
+    over eta^n.  With theta3 = sum_k q^(k^2/2) and theta4 = sum_k (-1)^k
+    q^(k^2/2), (-1)^(sum x) picks the even sums:
+
+        sum_{x in Q(D_n)} q^(|x|^2/2) = (theta3^n + theta4^n)/2,
+
+    so ft_char = ((theta3^n + theta4^n)/2) eta^-n, here to order 8.  In half
+    powers of q, theta3 and theta4 have coefficients 2 (1 at k = 0) and
+    (-1)^k times that at k^2; the even-sum exponents |x|^2/2 are integers."""
+    case, order = make_case(f"D{n}", "nonsuper", 1), 8
+    assert case.p == 1 and case.central_charge == n
+    half = 2 * order + 1
+    th3, th4 = [0] * half, [0] * half
+    for k in range(-order - 1, order + 2):
+        if k * k < half:
+            th3[k * k] += 1
+            th4[k * k] += -1 if k % 2 else 1
+    pow3, pow4 = [1] + [0] * (half - 1), [1] + [0] * (half - 1)
+    for _ in range(n):
+        pow3, pow4 = convolve(pow3, th3, half), convolve(pow4, th4, half)
+    assert all(a + b == 0 for a, b in zip(pow3[1::2], pow4[1::2]))
+    theta = [(a + b) // 2 for a, b in zip(pow3[::2], pow4[::2])]
+    got = ft_char(enumerate_lambda(case)[0], case, order)
+    assert got.to_json_dict() == _theta_eta_series(case, theta, order).to_json_dict()
+
+
+def test_ft_char_at_p1_on_e8_is_e4_over_eta8():
+    """At p = 1 the one coset of E8 carries the lattice VOA of the E8
+    lattice, at c = 8, whose theta series is the Eisenstein series
+    E4 = 1 + 240 sum_n sigma_3(n) q^n (Conway and Sloane, ch. 4), so
+    ft_char = E4 eta^-8 = q^(-1/3) (1 + 248 q + 4124 q^2 + 34752 q^3 + ...),
+    here to order 6."""
+    case, order = make_case("E8", "nonsuper", 1), 6
+    assert case.p == 1 and case.central_charge == 8
+    e4 = [1] + [240 * sum(d ** 3 for d in range(1, k + 1) if k % d == 0)
+                for k in range(1, order + 1)]
+    got = ft_char(enumerate_lambda(case)[0], case, order)
+    assert got.to_json_dict() == _theta_eta_series(case, e4, order).to_json_dict()
+    assert got.coeffs == (1, 248, 4124, 34752, 213126, 1057504, 4530744)
+
+
+def test_ft_char_and_superchar_read_no_weyl_table(monkeypatch):
+    # ft_char climbs from each included weight's identity term and
+    # multiplet_superchar reads its extra sign off each climbed point, so
+    # neither enumerates W nor builds the shift tables over it
+    case = make_case("B4", "super", 1)
+    lam, alphas = enumerate_lambda(case)[0], dominant_alphas(case.rs, 2)
+    want = [fraction_route(case, lam, alpha, 6)[1].to_json_dict() for alpha in alphas]
+
+    def refuse(*args):
+        raise AssertionError("the Weyl group was enumerated")
+
+    monkeypatch.setattr(RootSystem, "weyl_table", refuse)
+    monkeypatch.setattr(RootSystem, "enumerate_weyl", refuse)
+    monkeypatch.setattr(characters, "system", refuse)
+    assert [multiplet_superchar(alpha, lam, case, 6).to_json_dict() for alpha in alphas] == want
+    e6 = make_case("E6", "nonsuper", 1)
+    got = ft_char(enumerate_lambda(e6)[0], e6, 3)
+    assert got.base == Fraction(-1, 4) and got.coeffs == (1, 78, 729, 4382)
 
 
 def test_ft_char_nonnegative_every_coset():

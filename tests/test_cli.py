@@ -298,6 +298,24 @@ def test_lambda_on_e7(capsys):
     assert not any(row["ok"] for row in data["strong"] + data["alcove"])
 
 
+@pytest.mark.parametrize("name,order_w,coeffs", [
+    ("E7", 2903040, ["1", "133", "1673", "11914"]),
+    ("E8", 696729600, ["1", "248", "4124", "34752"]),
+])
+def test_ftchar_on_e7_e8_reads_no_weyl_group(capsys, name, order_w, coeffs):
+    # ft_char climbs each alternating sum from its identity term, so it runs
+    # past the enumeration cap and gives the level-1 vacuum characters; char
+    # checks its dot terms against the * route over W, and still refuses
+    digits = ",".join(["1"] * int(name[1]))
+    code, out, _ = run(capsys, "ftchar", "--algebra", name, "--m", "1",
+                       "--lambda", f"0,{digits}", "--order", "3")
+    assert code == 0 and json.loads(out)["series"]["coeffs"] == coeffs
+    code, out, err = run(capsys, "char", "--algebra", name, "--m", "1",
+                         "--lambda", f"0,{digits}", "--order", "3")
+    assert code == 2 and out == ""
+    assert err == f"error: |W({name})| = {order_w} exceeds the enumeration cap 1000000\n"
+
+
 def test_word_cap_flag(capsys):
     code, _, err = run(capsys, "check", "weak-strong", "--algebra", "A2",
                        "--m", "2", "--word-cap", "1")

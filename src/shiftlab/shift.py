@@ -15,8 +15,9 @@ and the twist p*x, which ``make_case`` fixes once; every other layer reads
 
 Every representative is the unique element -bullet + box of its coset with
 ``bullet`` minuscule and ``0 < (box + x, alpha_i^vee) <= 1`` for all i.  The
-screening conditions read each coset's simple shifts alone (``Cosets``); the
-axiom checks and the characters' * route read the tables over W (``ShiftSystem``).
+screening conditions read each coset's simple shifts (``Cosets``), the axiom
+checks those and the roots; only the characters' * route reads the tables over W
+(``ShiftSystem``).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .liealg import (
     SimpleLieType,
     Vec,
     WeylElement,
+    _close_roots,
     build_root_system,
     reflect_labels,
     weyl_order,
@@ -211,7 +213,7 @@ class Cosets:
     class in P/Q, and the coset of one packed integer key.  Internally an
     ambient vector is kept as its Dynkin labels scaled by p, which makes every
     vector of (1/p)Q* and the twist x integral.  The screening conditions
-    read its simple shifts alone."""
+    and the axiom checks (run once per layout) read its simple shifts."""
 
     def __init__(self, case: ShiftCase):
         self.case = case
@@ -262,7 +264,7 @@ class Cosets:
             raise AssertionError(f"two cosets of {case.case_id()} share a packed key")
         self._coset = dict(numbering)
         self.reflect_cols, self._bullets = rs.reflect_cols(), bullets
-        self._simple, self._conditions, self._coords = {}, {}, {}
+        self._simple, self._conditions, self._coords, self._report = {}, {}, {}, None
 
     def _class_key(self, labels) -> int:
         key = 0
@@ -324,36 +326,50 @@ class Cosets:
             raise ValueError("word is not a reduced word of the longest element")
         return word
 
-    def walk(self, l_idx: int, word=None) -> tuple[bool, tuple[int, ...], list]:
+    def walk(self, l_idx: int, word=None) -> tuple[bool, list, list]:
         """Along a word of w0 (w0_word) read from its right end, the simple
         shifts composed by the cocycle s_i w ^ lambda = s_i(w ^ lambda) + s_i ^
         (w * lambda): (whether every prefix's shift pairs to zero with the next
-        letter's coroot, w0 ^ lambda, every prefix's plain sum of simple shifts)."""
+        letter's coroot, every prefix's composed shift and plain sum of simple shifts)."""
         cols, strong, acc = self.reflect_cols, True, (0,) * self.case.rank
-        sums = [acc]
+        composed, sums = [], [acc]
         for i in reversed(self.w0_word(word)):
             act, shift = self.simple(l_idx)
             strong = strong and acc[i] == 0
             acc = tuple(map(add, reflect_labels(acc, i, cols[i]), shift[i]))
+            composed.append(acc)
             sums.append(tuple(map(add, sums[-1], shift[i])))
             l_idx = act[i]
-        return strong, acc, sums[1:]
+        return strong, composed, sums[1:]
 
     def conditions(self, l_idx: int) -> tuple[bool, bool, tuple[int, ...], bool]:
         """(weak, strong, labels of w0 ^ lambda, telescoped strong) of coset
-        l_idx on the canonical word, computed once; the walk's w0 ^ lambda is
-        checked against the direct shift, and the telescoped form holds when
-        the direct shift of every prefix is the plain sum along it."""
+        l_idx on the canonical word, computed once; raises if it does not compose."""
+        if l_idx not in self._conditions and self._walked(l_idx) is not None:
+            raise AssertionError("cocycle composition disagrees with the direct shift")
+        return self._conditions[l_idx]
+
+    def _walked(self, l_idx: int) -> int | None:
+        """The first prefix of the canonical word whose composed shift is not
+        the direct one, or None, when conditions' entries are stored."""
         if l_idx not in self._conditions:
             (act, shift), r = self.simple(l_idx), self.case.rank
             weak = all(act[j] == l_idx or shift[j] == tuple(-(i == j) for i in range(r))
                        for j in range(r))
-            strong, acc, sums = self.walk(l_idx)
+            strong, composed, sums = self.walk(l_idx)
             direct = self.shifts(l_idx, self.w0_word())
-            if acc != direct[-1]:
-                raise AssertionError("cocycle composition disagrees with the direct shift")
-            self._conditions[l_idx] = weak, strong, acc, sums == direct
-        return self._conditions[l_idx]
+            bad = next((k for k, (u, v) in enumerate(zip(composed, direct)) if u != v), None)
+            if bad is not None:
+                return bad
+            self._conditions[l_idx] = weak, strong, composed[-1], sums == direct
+        return None
+
+    def root_shifts(self, l_idx: int) -> list[tuple[int, int]]:
+        """(t(beta), t(-beta)) per positive root beta of _coroots (see _verify)."""
+        p, a = self.case.p, self._start[l_idx][0]
+        bullet = self._bullets[self.lambdas[l_idx].bullet_index]
+        return [(y - (p - x) // p, -y - (p + x) // p) for x, y in
+                ((sum(map(mul, co, a)), sum(map(mul, co, bullet))) for _, co in _coroots(self.rs))]
 
     def check_point(self, point, l_idx: int):
         """The coset check of a Cartan weight, on its labels: the weight lies
@@ -373,33 +389,29 @@ def _cosets(case: ShiftCase) -> Cosets:
 
 
 class ShiftSystem(Cosets):
-    """Tables over W per (type, family, p) for the axiom checks and the
-    characters' * route, laid out by the Weyl enumeration; super and Ramond share one.
+    """Tables over W per (type, family, p) for the characters' * route,
+    w_act and shift_map, laid out by the Weyl enumeration; super and Ramond share one.
 
     Row ``l`` holds, per Weyl element in enumeration order, the index of
     ``w * lambda_l`` and the Dynkin labels of ``w ^ lambda_l``; it is filled
     on first use by one simple reflection per element, following the
     enumeration.  Root coordinates appear only at the public boundary.  The
-    layout is the case's ``_cosets``; verification runs once.
+    layout is the case's ``_cosets``.
     """
 
     def __init__(self, case: ShiftCase):
         vars(self).update(vars(_cosets(case)))
         self.weyl, self._key_index, self.left, self._steps = self.rs.weyl_table()
-        self.simple_idx = tuple(row[0] for row in self.left)
         self._act, self._shift = {}, {}
         self._bullet_orbits: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        self._report: ShiftReport | None = None
 
     # -- the action and the shift map ----------------------------------------
 
     def row(self, l_idx: int) -> tuple[list[int], list[tuple[int, ...]]]:
         """(indices of w * lambda, labels of w ^ lambda) over W, in enumeration
-        order; a new row hands its simple cells to the layout's simple cache."""
+        order."""
         if l_idx not in self._act:
-            self._act[l_idx], self._shift[l_idx] = act, shift = self._fill(l_idx)
-            self._simple.setdefault(l_idx, ([act[s] for s in self.simple_idx],
-                                            [shift[s] for s in self.simple_idx]))
+            self._act[l_idx], self._shift[l_idx] = self._fill(l_idx)
         return self._act[l_idx], self._shift[l_idx]
 
     def orbit(self, labels: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -535,23 +547,6 @@ def screening_degree(i: int, lam: LambdaParam, case: ShiftCase) -> int | None:
 # the verification report
 # ---------------------------------------------------------------------------
 
-# A label vector v packs to the integer sum_k v_k R^k.  With every label below
-# the guard R/16 in size and Cartan entries of at most 3, the two sides of a
-# packed cocycle comparison differ by less than R/2 in every coordinate, so
-# equal integers mean equal vectors.
-PACK_RADIX = 1 << 16
-PACK_GUARD = PACK_RADIX // 16
-
-
-def pack(vectors) -> list[int]:
-    """Each label vector as one balanced radix-PACK_RADIX integer; raises
-    AssertionError for a label of size PACK_GUARD or more."""
-    if max(max(map(max, vectors)), -min(map(min, vectors))) >= PACK_GUARD:
-        raise AssertionError(f"a label reaches the packing guard {PACK_GUARD}")
-    places = [PACK_RADIX ** k for k in range(len(vectors[0]))]
-    return [sum(map(mul, places, v)) for v in vectors]
-
-
 class ShiftReport:
     def __init__(self, case_id: str, counts: dict):
         self.case_id, self.counts = case_id, counts
@@ -589,76 +584,79 @@ def _fail(report: ShiftReport, check: str, label: str, **witness):
 
 
 def verify_axioms(case: ShiftCase) -> ShiftReport:
-    """Exhaustive check of the shift-map axioms and their easy consequences
-    over all of Lambda x W x Pi, with reproducible witnesses on failure; the
-    weak, strong, alcove and w0-shift tables are filled when every check
-    passes.  The checks run once per system, which a super case and its
-    Ramond case share; each call gets a copy under its own case's id."""
-    sys = system(case)
-    if sys._report is None:
-        sys._report = _verify(sys)
-    report = ShiftReport(case.case_id(), dict(sys._report.counts))
+    """The shift-map axioms (_verify) with reproducible witnesses, and when
+    they pass the weak, strong, alcove and w0-shift tables.  They run once per
+    layout, shared by a super case and its Ramond case; each call gets a copy."""
+    table = _cosets(case)
+    if table._report is None:
+        table._report = _verify(table)
+    report = ShiftReport(case.case_id(), dict(table._report.counts))
     report.failures = [{k: list(v) if isinstance(v, list) else v for k, v in f.items()}
-                       for f in sys._report.failures]
-    return _tables(report, sys) if report.ok else report
+                       for f in table._report.failures]
+    return _tables(report, table) if report.ok else report
 
 
-def _verify(sys: ShiftSystem) -> ShiftReport:
-    """The checks of verify_axioms on one system: counts and failures only."""
-    case = sys.case
-    nW, nL, r = len(sys.weyl), len(sys.lambdas), case.rank
-    report = ShiftReport(case.case_id(),
-                         {"lambdas": nL, "weyl": nW, "rank": r, "checks": 0})
-    checks = 0
-    cols, simple_idx, left = sys.cols, sys.simple_idx, sys.left
-    lengths = [w.length for w in sys.weyl]
-    zero = (0,) * r
-    # the cocycle compares packed vectors: the alpha_i, and per coset its
-    # simple shifts, which are the last term of the cocycle at the moved coset
-    alphas = pack(cols)
-    simple = [pack([sys.row(l)[1][s] for s in simple_idx]) for l in range(nL)]
+@lru_cache(maxsize=None)
+def _coroots(rs: RootSystem) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(simple-root, coroot coordinates ell_j beta_j / ell(beta)) of each
+    positive root beta, ell being the length classes of liealg._close_roots."""
+    ell = tuple(int(rs.lacing * d) for d in rs.half_lengths)
+    return tuple((beta, tuple(e * b // n for e, b in zip(ell, beta)))
+                 for beta, n in _close_roots(rs.cartan, ell).items() if min(beta) >= 0)
 
-    for l_idx, lam in enumerate(sys.lambdas):
-        label = lam.label()
-        act, shift = sys.row(l_idx)
-        packed = pack(shift)
-        # identity acts and shifts trivially
-        if act[0] != l_idx or shift[0] != zero:
+
+def _root_word(cartan, beta: tuple[int, ...], negative: int) -> tuple[int, list]:
+    """(i, word of a w with w^-1 alpha_i = beta, or -beta if negative): a
+    positive root beta reflected at a simple root it pairs positively with
+    descends to alpha_i; w is the reflections' product, times s_i for -beta."""
+    word = []
+    while sum(beta) > 1:
+        j, c = next((j, c) for j, c in enumerate(sum(map(mul, r, beta)) for r in cartan) if c > 0)
+        beta, word = beta[:j] + (beta[j] - c,) + beta[j + 1:], [j] + word
+    return beta.index(1), [beta.index(1)] * negative + word
+
+
+def _verify(table: Cosets) -> ShiftReport:
+    """The checks of verify_axioms on one layout, without W: counts and
+    failures.  Per coset, the identity acts and shifts trivially; per simple
+    direction, the simple shift's dichotomy and its sum with the moved
+    coset's.  Label i of w ^ lambda = w(bullet) - bullet' is (w bullet,
+    alpha_i^vee) - (p - (w a, alpha_i^vee)) // p = t(beta) := (bullet,
+    beta^vee) - (p - (a, beta^vee)) // p, a = p * labels(lambda + x), beta =
+    w^-1 alpha_i; s_i w > w exactly when beta > 0, and every root is some w^-1
+    alpha_i.  So "ascent => pairing >= 0, descent => pairing < 0" over Lambda
+    x W x Pi is "t(beta) >= 0 exactly when beta > 0" over Lambda x Phi, with
+    a w of beta as the witness (_root_word).  The cocycle holds identically
+    for that closed form; left is that the simple shifts compose by it to
+    the direct shift at every prefix of w0's canonical word (_walked).  Per
+    coset, 1 + 3 r + 2 N + N checks, N = |Phi+| (counts["checks"])."""
+    case, rs, roots, word = table.case, table.rs, _coroots(table.rs), table.w0_word()
+    report = ShiftReport(case.case_id(), {
+        "lambdas": len(table.lambdas), "weyl": weyl_order(rs.lie_type), "rank": case.rank,
+        "checks": len(table.lambdas) * (1 + 3 * (case.rank + len(roots)))})
+    for l_idx, lam in enumerate(table.lambdas):
+        label, a = lam.label(), table._start[l_idx][0]
+        if table.locate([a]) != ([l_idx], [list(table._bullets[lam.bullet_index])]):
             _fail(report, "identity", label)
-        for i in range(r):
-            si = simple_idx[i]
-            fixed = act[si] == l_idx
-            up_i = shift[si]
-            # simple-reflection dichotomy
-            if fixed and up_i != tuple(-c for c in cols[i]):
-                _fail(report, "fixed-shift", label, i=i + 1,
-                      got=str(sys.rs.from_labels(up_i)))
+        act, shift = table.simple(l_idx)
+        for i, col in enumerate(table.cols):
+            fixed, up_i = act[i] == l_idx, shift[i]
+            if fixed and up_i != tuple(-c for c in col):
+                _fail(report, "fixed-shift", label, i=i + 1, got=str(rs.from_labels(up_i)))
             elif not fixed and up_i[i] != -1:
                 _fail(report, "pairing-minus-one", label, i=i + 1, got=str(up_i[i]))
-            # paired-shift sum
-            partner = sys.row(act[si])[1][si]
-            k = -2 if fixed else -1
-            if any(a + b != k * c for a, b, c in zip(up_i, partner, cols[i])):
+            k, partner = -2 if fixed else -1, table.simple(act[i])[1][i]
+            if any(u + v != k * c for u, v, c in zip(up_i, partner, col)):
                 _fail(report, "pair-sum", label, i=i + 1)
-            checks += 3
-        for w_idx in range(nW):
-            up_w, packed_w, moved = shift[w_idx], packed[w_idx], simple[act[w_idx]]
-            len_w = lengths[w_idx]
-            for i in range(r):
-                iw = left[i][w_idx]
-                # cocycle axiom: s_i w ^ lam = w ^ lam - c alpha_i + s_i ^ (w * lam)
-                c = up_w[i]
-                if packed[iw] != packed_w - c * alphas[i] + moved[i]:
-                    _fail(report, "cocycle", label, i=i + 1,
-                          word=list(sys.weyl[w_idx].word))
-                # length-increase positivity, length-decrease negativity
-                ascent = lengths[iw] == len_w + 1
-                if ascent == (c < 0):
-                    _fail(report, "ascent-nonnegative" if ascent else "descent-negative",
-                          label, i=i + 1, word=list(sys.weyl[w_idx].word),
-                          pairing=str(c))
-                checks += 2
-    report.counts["checks"] = checks
+        for (beta, _), pair in zip(roots, table.root_shifts(l_idx)):
+            for negative, t in enumerate(pair):
+                if (t < 0) != negative:
+                    i, w = _root_word(rs.cartan, beta, negative)
+                    _fail(report, "descent-negative" if negative else "ascent-nonnegative",
+                          label, i=i + 1, word=w, pairing=str(t))
+        if (bad := table._walked(l_idx)) is not None:
+            _fail(report, "cocycle", label, i=word[-1 - bad] + 1,
+                  word=list(word[len(word) - bad:]))
     return report
 
 

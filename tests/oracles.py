@@ -26,6 +26,10 @@
 * A coset located one point at a time (``locate_point``), and the weak,
   strong and w0-shift conditions of a coset computed per call, walking the
   canonical word each time (``conditions_per_call``).
+* The shift-map axioms checked exhaustively over Lambda x W x Pi on the W
+  table's rows (``axioms_over_w``), the cocycle as one comparison of packed
+  integers (``pack``) per (coset, element, letter), with the tables from
+  ``conditions_per_call`` and ``alcove_inequality_fraction``.
 * The circle action of an affine element on ``Fraction`` coordinates, with
   the finite part acting by the matrix of its word, its translation checked
   on root coordinates (``affine_elt_fraction``), the input weight of
@@ -710,10 +714,10 @@ def conditions_per_call(case, lam):
     word and checked against the row's w0 cell, the last of the table, and
     each prefix's cell against the plain sum of the simple cells along it."""
     sys = system(case)
-    l_idx = sys.index[lam.key()]
+    l_idx, simple_idx = sys.index[lam.key()], [row[0] for row in sys.left]
     act, shift = sys.row(l_idx)
     weak = True
-    for j, sj in enumerate(sys.simple_idx):
+    for j, sj in enumerate(simple_idx):
         if act[sj] != l_idx and any(c != (-1 if i == j else 0)
                                     for i, c in enumerate(shift[sj])):
             weak = False
@@ -726,15 +730,93 @@ def conditions_per_call(case, lam):
     at, telescoped = l_idx, True
     for prefix, letter in zip(prefixes[1:], reversed(word)):
         moved, up = sys.row(at)
-        up = up[sys.simple_idx[letter]]
+        up = up[simple_idx[letter]]
         acc = tuple(a + b for a, b in zip(
             reflect_labels(acc, letter, sys.reflect_cols[letter]), up))
         running = tuple(a + b for a, b in zip(running, up))
         telescoped = telescoped and shift[prefix] == running
-        at = moved[sys.simple_idx[letter]]
+        at = moved[simple_idx[letter]]
     if acc != shift[len(sys.weyl) - 1]:
         raise AssertionError("cocycle composition disagrees with the direct shift")
     return weak, strong, acc, telescoped
+
+
+# A label vector v packs to the integer sum_k v_k R^k.  With every label below
+# the guard R/16 in size and Cartan entries of at most 3, the two sides of a
+# packed cocycle comparison differ by less than R/2 in every coordinate, so
+# equal integers mean equal vectors.
+PACK_RADIX = 1 << 16
+PACK_GUARD = PACK_RADIX // 16
+
+
+def pack(vectors) -> list[int]:
+    """Each label vector as one balanced radix-PACK_RADIX integer; raises
+    AssertionError for a label of size PACK_GUARD or more."""
+    if max(max(map(max, vectors)), -min(map(min, vectors))) >= PACK_GUARD:
+        raise AssertionError(f"a label reaches the packing guard {PACK_GUARD}")
+    places = [PACK_RADIX ** k for k in range(len(vectors[0]))]
+    return [sum(map(mul, places, v)) for v in vectors]
+
+
+def axioms_over_w(case) -> dict:
+    """verify_axioms's JSON dict without its case, by the exhaustive walk
+    over Lambda x W x Pi on the W table's rows: the identity, the simple
+    dichotomy and pair sum per (coset, i), and per (coset, element, letter)
+    the cocycle s_i w ^ lam = w ^ lam - c alpha_i + s_i ^ (w * lam), c = (w ^
+    lam)_i, as one packed comparison, and the sign of c against whether s_i
+    w is longer.  counts["checks"] counts 3 per (coset, i) and 2 per
+    (coset, element, letter).  The tables, filled when every check passes,
+    are those of conditions_per_call and alcove_inequality_fraction."""
+    sys = system(case)
+    nW, r, rs = len(sys.weyl), case.rank, case.rs
+    out = {"counts": {"checks": 0}, "failures": [], "weak": [], "strong": [], "alcove": [],
+           "w0_shift": []}
+
+    def fail(check, label, **witness):
+        out["failures"].append({"check": check, "lambda": label, **witness})
+
+    cols, left = sys.cols, sys.left
+    simple_idx = [row[0] for row in left]
+    lengths = [w.length for w in sys.weyl]
+    alphas = pack(cols)
+    simple = [pack([sys.row(l)[1][s] for s in simple_idx]) for l in range(len(sys.lambdas))]
+    for l_idx, lam in enumerate(sys.lambdas):
+        label = lam.label()
+        act, shift = sys.row(l_idx)
+        packed = pack(shift)
+        if act[0] != l_idx or shift[0] != (0,) * r:
+            fail("identity", label)
+        for i in range(r):
+            si = simple_idx[i]
+            fixed, up_i = act[si] == l_idx, shift[si]
+            if fixed and up_i != tuple(-c for c in cols[i]):
+                fail("fixed-shift", label, i=i + 1, got=str(rs.from_labels(up_i)))
+            elif not fixed and up_i[i] != -1:
+                fail("pairing-minus-one", label, i=i + 1, got=str(up_i[i]))
+            k = -2 if fixed else -1
+            if any(a + b != k * c for a, b, c in zip(up_i, sys.row(act[si])[1][si], cols[i])):
+                fail("pair-sum", label, i=i + 1)
+            out["counts"]["checks"] += 3
+        for w_idx in range(nW):
+            up_w, moved = shift[w_idx], simple[act[w_idx]]
+            for i in range(r):
+                iw, c = left[i][w_idx], up_w[i]
+                if packed[iw] != packed[w_idx] - c * alphas[i] + moved[i]:
+                    fail("cocycle", label, i=i + 1, word=list(sys.weyl[w_idx].word))
+                ascent = lengths[iw] == lengths[w_idx] + 1
+                if ascent == (c < 0):
+                    fail("ascent-nonnegative" if ascent else "descent-negative", label,
+                         i=i + 1, word=list(sys.weyl[w_idx].word), pairing=str(c))
+                out["counts"]["checks"] += 2
+    if not out["failures"]:
+        for lam in sys.lambdas:
+            weak, strong, shift0, _ = conditions_per_call(case, lam)
+            for key, ok in [("weak", weak), ("strong", strong),
+                            ("alcove", alcove_inequality_fraction(lam, case))]:
+                out[key].append({"lambda": lam.label(), "ok": ok})
+            out["w0_shift"].append({"lambda": lam.label(),
+                                    "value": [str(v) for v in rs.from_labels(shift0)]})
+    return out
 
 
 def walk_reference(case, lam, beta, moved=False):

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from shiftlab import alcove
 from shiftlab.alcove import AffineWeylElt
 from shiftlab.cli import main
-from shiftlab.shift import _shared, make_case, system
+from shiftlab.liealg import DEFAULT_WEYL_CAP
+from shiftlab.shift import _cosets, make_case
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -80,18 +81,27 @@ def test_check_axioms_pass(capsys):
 
 def test_failing_axioms_report_exits_1_in_csv(capsys):
     # a failing report leaves its tables empty; csv still prints its header,
-    # and the exit code is the verification failure's
-    system.cache_clear()
-    _shared.cache_clear()
+    # and the exit code is the verification failure's.  The layout's cached
+    # simple shift of coset 1 along alpha_1 is corrupted, on a fresh layout
+    _cosets.cache_clear()
     try:
-        system(make_case("B2", "nonsuper", 2)).row(1)[1][0] = (1, 0)
+        _cosets(make_case("B2", "nonsuper", 2)).simple(1)[1][0] = (1, 0)
         code, out, _ = run(capsys, "check", "axioms", "--algebra", "B2", "--m", "2",
                            "--format", "csv")
     finally:
-        system.cache_clear()
-        _shared.cache_clear()
+        _cosets.cache_clear()
     assert code == 1
     assert out == "lambda,weak,strong,alcove,w0_shift\n"
+
+
+@pytest.mark.parametrize("algebra", ["E7", "E8"])
+def test_check_axioms_reaches_e7_and_e8(capsys, algebra):
+    # the axioms read no Weyl table, so W past the enumeration cap is no bar
+    code, out, _ = run(capsys, "check", "axioms", "--algebra", algebra, "--m", "2")
+    assert code == 0
+    data = json.loads(out)
+    assert data["failures"] == []
+    assert data["counts"]["weyl"] > DEFAULT_WEYL_CAP
 
 
 def test_check_weak_strong(capsys):

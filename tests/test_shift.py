@@ -10,6 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    PACK_GUARD,
+    PACK_RADIX,
+    axioms_over_w,
     copairing,
     alcove_inequality_fraction,
     canonical_decompose_fraction,
@@ -21,6 +24,7 @@ from oracles import (
     locate_point,
     mat_vec,
     orbit_reference,
+    pack,
     screening_pairing_reference,
     strong_w0_target,
     vadd,
@@ -32,10 +36,9 @@ from oracles import (
 )
 
 from shiftlab import cli
+from shiftlab import shift as shift_module
 from shiftlab.liealg import RootSystem, _enumerate_weyl_cached, weyl_order
 from shiftlab.shift import (
-    PACK_GUARD,
-    PACK_RADIX,
     Cosets,
     InvalidCaseError,
     ShiftSystem,
@@ -55,7 +58,6 @@ from shiftlab.shift import (
     lambda_from,
     lambda_of_value,
     make_case,
-    pack,
     screening_degree,
     shift_map,
     system,
@@ -418,144 +420,186 @@ def test_report_serialization():
     assert len(csv.splitlines()) == 5
 
 
-# -- verify_axioms reports a corrupted table ------------------------------------
+# -- verify_axioms reports a corrupted layout -----------------------------------
 
 B2P4 = make_case("B2", "nonsuper", 2)
 
 
 @pytest.fixture
-def corrupt():
-    """run(l_idx, w_idx, labels) writes one cell of a shift row of a fresh
-    B2 m=2 system (of case, if given) and returns (system, verify_axioms
-    report); the caches, the layouts' condition caches among them, are
-    cleared before and after, so no other test sees the corrupted system."""
+def fresh():
+    """A fresh B2 m=2 layout to corrupt.  The layout and system caches, and
+    with them the stored verifications and condition tables, are cleared
+    before and after, so no other test sees the corrupted layout."""
     for cache in (system, _shared, _cosets):
         cache.cache_clear()
-
-    def run(l_idx, w_idx, labels, case=B2P4):
-        sys = system(case)
-        sys.row(l_idx)[1][w_idx] = tuple(labels)
-        return sys, verify_axioms(case)
-
-    yield run
+    yield _cosets(B2P4)
     for cache in (system, _shared, _cosets):
         cache.cache_clear()
 
 
-def simple_cell(fixed):
-    """(coset, letter) of B2 m=2 whose simple reflection fixes the coset, or
-    moves it."""
-    sys = system(B2P4)
-    return next((l_idx, i) for l_idx in range(len(sys.lambdas))
-                for i, si in enumerate(sys.simple_idx)
-                if (sys.row(l_idx)[0][si] == l_idx) == fixed)
+def simple_cell(table, fixed):
+    """(coset, letter) of the layout whose simple reflection fixes the coset,
+    or moves it."""
+    return next((l_idx, i) for l_idx in range(len(table.lambdas))
+                for i in range(table.case.rank)
+                if (table.simple(l_idx)[0][i] == l_idx) == fixed)
 
 
-def test_axioms_report_identity(corrupt):
-    sys, report = corrupt(1, 0, (1, 0))
-    assert {"check": "identity", "lambda": sys.lambdas[1].label()} in report.failures
+def moved_start(table, l_idx):
+    """Coset l_idx's start point and box labels moved by p * alpha_1: the
+    point stays in its coset, and its bullet moves by alpha_1."""
+    p, col = table.case.p, table.cols[0]
+    table._start[l_idx] = tuple(tuple(v + p * c for v, c in zip(u, col))
+                                for u in table._start[l_idx])
+
+
+def negated_coroot(case, monkeypatch):
+    """The cached coroot table with the highest root's coroot negated, which
+    swaps t(beta) and t(-beta) (Cosets.root_shifts); returns (its index,
+    the root)."""
+    roots = list(shift_module._coroots(case.rs))
+    k = max(range(len(roots)), key=lambda k: sum(roots[k][0]))
+    beta, co = roots[k]
+    roots[k] = beta, tuple(-c for c in co)
+    monkeypatch.setattr(shift_module, "_coroots", lambda rs: tuple(roots))
+    return k, beta
+
+
+def root_labels(rs, beta):
+    return tuple(sum(map(mul, row, beta)) for row in rs.cartan)
+
+
+def test_axioms_report_identity(fresh):
+    moved_start(fresh, 1)
+    report = verify_axioms(B2P4)
+    assert {"check": "identity", "lambda": fresh.lambdas[1].label()} in report.failures
 
 
 @pytest.mark.parametrize("fixed", [True, False])
-def test_axioms_report_simple_shifts(corrupt, fixed):
+def test_axioms_report_simple_shifts(fresh, fixed):
     # a fixed coset's simple shift must be -alpha_i, a moved one's must pair
-    # to -1 with alpha_i^vee
-    l_idx, i = simple_cell(fixed)
-    sys = system(B2P4)
-    bad = list(sys.row(l_idx)[1][sys.simple_idx[i]])
+    # to -1 with alpha_i^vee; the layout's cached simple shift is corrupted
+    l_idx, i = simple_cell(fresh, fixed)
+    shift = fresh.simple(l_idx)[1]
+    bad = list(shift[i])
     bad[0 if fixed else i] -= 1
-    sys, report = corrupt(l_idx, sys.simple_idx[i], bad)
-    label = sys.lambdas[l_idx].label()
+    shift[i] = tuple(bad)
+    report = verify_axioms(B2P4)
+    label = fresh.lambdas[l_idx].label()
     if fixed:
         want = {"check": "fixed-shift", "lambda": label, "i": i + 1,
-                "got": str(sys.rs.from_labels(bad))}
+                "got": str(B2P4.rs.from_labels(bad))}
     else:
         want = {"check": "pairing-minus-one", "lambda": label, "i": i + 1, "got": "-2"}
     assert want in report.failures
     assert report.weak == report.strong == report.w0_shifts == []
 
 
-def test_axioms_report_pair_sum(corrupt):
+def test_axioms_report_pair_sum(fresh):
     # off the i-th label the pairing check passes and only the pair sum fails
-    l_idx, i = simple_cell(fixed=False)
-    sys = system(B2P4)
-    bad = list(sys.row(l_idx)[1][sys.simple_idx[i]])
+    l_idx, i = simple_cell(fresh, fixed=False)
+    shift = fresh.simple(l_idx)[1]
+    bad = list(shift[i])
     bad[1 - i] += 1
-    sys, report = corrupt(l_idx, sys.simple_idx[i], bad)
-    label = sys.lambdas[l_idx].label()
+    shift[i] = tuple(bad)
+    report = verify_axioms(B2P4)
+    label = fresh.lambdas[l_idx].label()
     assert {"check": "pair-sum", "lambda": label, "i": i + 1} in report.failures
     assert not any(f["check"] == "pairing-minus-one" for f in report.failures)
 
 
-def test_axioms_report_cocycle(corrupt):
-    # w = s_a s_b: the cocycle from s_b by the letter a no longer lands on it
-    sys = system(B2P4)
-    w_idx = next(k for k, w in enumerate(sys.weyl) if w.length == 2)
-    a, b = sys.weyl[w_idx].word
-    bad = list(sys.row(0)[1][w_idx])
-    bad[a] += 1
-    sys, report = corrupt(0, w_idx, bad)
-    want = {"check": "cocycle", "lambda": sys.lambdas[0].label(), "i": a + 1, "word": [b]}
+def test_axioms_report_cocycle(fresh):
+    # the simple shifts of a moved pair (n, s_i * n) changed by +delta and
+    # -delta off label i pass the dichotomy and the pair sum, but a walk of
+    # the canonical word that takes letter i at n on its second step no
+    # longer composes to the direct shift there: the witness is i and the
+    # element of the first step
+    word = B2P4.rs.longest_element().word
+    first, i = word[-1], word[-2]
+    l_idx, n = next((l, m) for l in range(len(fresh.lambdas))
+                    for m in [fresh.simple(l)[0][first]] if fresh.simple(m)[0][i] != m)
+    delta = tuple(int(k != i) for k in range(B2P4.rank))
+    for at, sign in [(n, 1), (fresh.simple(n)[0][i], -1)]:
+        shift = fresh.simple(at)[1]
+        shift[i] = tuple(v + sign * d for v, d in zip(shift[i], delta))
+    report = verify_axioms(B2P4)
+    want = {"check": "cocycle", "lambda": fresh.lambdas[l_idx].label(), "i": i + 1,
+            "word": [first]}
     assert want in report.failures
+    assert {f["check"] for f in report.failures} == {"cocycle"}
     # the next report copies the stored witnesses, not this report's lists
     next(f for f in report.failures if f == want)["word"].append(0)
     assert want in verify_axioms(B2P4).failures
 
 
 @pytest.mark.parametrize("ascent", [True, False])
-def test_axioms_report_length_sign(corrupt, ascent):
-    # the pairing (w ^ lam, alpha_i^vee) is >= 0 on an ascent and < 0 on a descent
-    sys = system(B2P4)
-    shift, lengths = sys.row(0)[1], [w.length for w in sys.weyl]
-    w_idx, i = next((w_idx, i) for w_idx in range(1, len(sys.weyl)) for i in range(2)
-                    if (lengths[sys.left[i][w_idx]] > lengths[w_idx]) == ascent)
-    bad = list(shift[w_idx])
-    bad[i] = -1 if ascent else 0
-    sys, report = corrupt(0, w_idx, bad)
-    assert {"check": "ascent-nonnegative" if ascent else "descent-negative",
-            "lambda": sys.lambdas[0].label(), "i": i + 1,
-            "word": list(sys.weyl[w_idx].word), "pairing": str(bad[i])} in report.failures
+def test_axioms_report_length_sign(fresh, monkeypatch, ascent):
+    # the pairing (w ^ lam, alpha_i^vee) is >= 0 on an ascent and < 0 on a
+    # descent: t(beta) >= 0 for beta > 0 and t(beta) < 0 for beta < 0.  With
+    # the highest root's coroot negated, t(beta) and t(-beta) swap, so beta
+    # fails on the ascent side and -beta on the descent side; the record
+    # carries the swapped value and a word of some w with w^-1 alpha_i =
+    # beta (resp. -beta), which reflect_along confirms on the labels
+    want = fresh.root_shifts(0)
+    k, beta = negated_coroot(B2P4, monkeypatch)
+    report = verify_axioms(B2P4)
+    check = "ascent-nonnegative" if ascent else "descent-negative"
+    found = [f for f in report.failures
+             if f["check"] == check and f["lambda"] == fresh.lambdas[0].label()]
+    assert len(found) == 1
+    record, rs = found[0], B2P4.rs
+    assert record["pairing"] == str(want[k][1 if ascent else 0])
+    target = root_labels(rs, beta if ascent else tuple(-v for v in beta))
+    assert rs.reflect_along(record["word"][::-1], fresh.cols[record["i"] - 1]) == target
+    assert {f["check"] for f in report.failures} == {"ascent-nonnegative", "descent-negative"}
 
 
-def test_w0_shift_refuses_a_row_that_does_not_compose(corrupt):
-    # a W-table row whose w0 cell does not compose fails the axioms, and a
-    # failing report fills no table; the condition walk composes w0 ^ lam
-    # from the layout's simple shifts along the canonical word and checks it
-    # against the direct shift, so it reads no row, and a simple shift off
-    # by alpha_1 on the walk's first step does not compose
-    sys = system(B2P4)
-    w0_idx = len(sys.weyl) - 1
-    good = sys.row(0)[1][w0_idx]
-    sys, report = corrupt(0, w0_idx, tuple(v + c for v, c in zip(good, sys.cols[0])))
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2", "F4", "E6"])
+def test_root_word_reaches_every_root(name):
+    # the witness word of each root beta and of -beta names a w with w^-1
+    # alpha_i = beta (resp. -beta)
+    rs = make_case(name, "nonsuper", 1).rs
+    roots = shift_module._coroots(rs)
+    assert len(roots) == len(rs.positive_roots)
+    for beta, _ in roots:
+        for negative in (False, True):
+            i, word = shift_module._root_word(rs.cartan, beta, negative)
+            want = root_labels(rs, tuple(-v for v in beta) if negative else beta)
+            assert rs.reflect_along(word[::-1], rs.root_labels()[i]) == want
+
+
+def test_w0_shift_refuses_a_row_that_does_not_compose(fresh):
+    # coset 1's simple-shift row off by alpha_1 at the canonical walk's first
+    # letter no longer composes to the direct shift: the axioms record a
+    # cocycle failure at the identity and fill no table, and the condition
+    # walk that w0_shift reads raises on it
+    first, shift = B2P4.rs.longest_element().word[-1], fresh.simple(1)[1]
+    shift[first] = tuple(v + c for v, c in zip(shift[first], fresh.cols[0]))
+    report = verify_axioms(B2P4)
+    assert {"check": "cocycle", "lambda": fresh.lambdas[1].label(), "i": first + 1,
+            "word": []} in report.failures
     assert not report.ok and report.w0_shifts == []
-    assert w0_shift(sys.lambdas[0], B2P4) == B2P4.rs.from_labels(good)
-    first, shift = B2P4.rs.longest_element().word[-1], _cosets(B2P4).simple(1)[1]
-    shift[first] = tuple(v + c for v, c in zip(shift[first], sys.cols[0]))
     with pytest.raises(AssertionError, match="composition disagrees"):
-        w0_shift(sys.lambdas[1], B2P4)
+        w0_shift(fresh.lambdas[1], B2P4)
 
 
 @pytest.mark.parametrize("variant,flags", [
     ("nonsuper", "--algebra B2 --variant nonsuper --m 2"),
-    # a Ramond report copies the failures of the system it shares with its
+    # a Ramond report copies the failures of the layout it shares with its
     # super case, and its repro names the Ramond case
     ("ramond", "--algebra B2 --variant ramond --m 2"),
 ])
-def test_cli_failure_records_carry_repro(corrupt, monkeypatch, capsys, variant, flags):
-    # a strong coset's pairing at the third prefix of the canonical word made
-    # nonzero, in its W-table row and in its condition walk: the axioms fail,
-    # the strong condition no longer matches the alcove one, and it now
-    # depends on the word; every failure record that the three commands
-    # print names the command that prints it again
+def test_cli_failure_records_carry_repro(fresh, monkeypatch, capsys, variant, flags):
+    # the highest root's coroot negated fails the axioms' sign checks, and a
+    # strong coset's strong condition flipped on the canonical word no
+    # longer matches the alcove one and depends on the word; every failure
+    # record that the three commands print names the command that prints it
+    # again
     case = make_case("B2", variant, 2)
-    sys = system(case)
-    l_idx = next(i for i, lamp in enumerate(sys.lambdas) if alcove_inequality(lamp, case))
-    word, prefix = case.rs.longest_element().word, 0
-    for letter in word[:-3:-1]:
-        prefix = sys.left[letter][prefix]
-    bad = list(sys.row(l_idx)[1][prefix])
-    bad[word[-3]] += 1
-    corrupt(l_idx, prefix, bad, case=case)
+    table = _cosets(case)
+    l_idx = next(i for i, lamp in enumerate(table.lambdas) if alcove_inequality(lamp, case))
+    word = case.rs.longest_element().word
+    negated_coroot(case, monkeypatch)
     walk = Cosets.walk
 
     def broken(self, at, along=None):
@@ -597,18 +641,82 @@ def test_word_dependence_is_a_failure_record(monkeypatch, capsys):
         check_strong_all_words(enumerate_lambda(B2P4)[0], B2P4)
 
 
-def test_axioms_refuse_labels_past_the_packing_guard(corrupt):
+# -- the exhaustive walk over W (tests/oracles.py) --------------------------------
+
+AGREEMENT_CASES = [
+    *[(name, "nonsuper", m) for name in ["A1", "A2", "A3", "B2", "B3", "C3", "G2"]
+      for m in (1, 2, 3)],
+    *[(name, variant, m) for name in ["B2", "B3"] for variant in ["super", "ramond"]
+      for m in (1, 2, 3)],
+    ("A4", "nonsuper", 1), ("D4", "nonsuper", 1), ("B4", "nonsuper", 1),
+    ("C4", "nonsuper", 1), ("F4", "nonsuper", 1), ("B4", "super", 1),
+]
+
+
+@pytest.mark.parametrize("name,variant,m", AGREEMENT_CASES)
+def test_axioms_over_roots_match_the_walk_over_w(name, variant, m):
+    # acceptance criterion 1's sweep and the rank-4 cases: both routes find
+    # no failure and give the same tables; label i of w ^ lambda on the W
+    # table is t(beta) of the root beta = w^-1 alpha_i on every (coset, w,
+    # i), s_i w > w exactly when beta > 0, and every root is reached, so per
+    # coset the (sign, pairing) pairs over roots are those over (w, i)
+    case = make_case(name, variant, m)
+    got, want = verify_axioms(case).to_json_dict(), axioms_over_w(case)
+    assert got["failures"] == want["failures"] == []
+    for key in ("weak", "strong", "alcove", "w0_shift"):
+        assert got[key] == want[key], key
+    rs, sys, table, r = case.rs, system(case), _cosets(case), case.rank
+    where = {}
+    for k, (beta, _) in enumerate(shift_module._coroots(rs)):
+        where[root_labels(rs, beta)] = k, 0
+        where[root_labels(rs, tuple(-v for v in beta))] = k, 1
+    lengths = [w.length for w in sys.weyl]
+    cells = [(w_idx, i, where[rs.reflect_along(w.word[::-1], table.cols[i])])
+             for w_idx, w in enumerate(sys.weyl) for i in range(r)]
+    assert {kn for _, _, kn in cells} == set(where.values())
+    assert all((lengths[sys.left[i][w_idx]] > lengths[w_idx]) == (n == 0)
+               for w_idx, i, (_, n) in cells)
+    for l_idx in range(len(table.lambdas)):
+        shift, roots = sys.row(l_idx)[1], table.root_shifts(l_idx)
+        assert all(shift[w_idx][i] == roots[k][n] for w_idx, i, (k, n) in cells)
+        assert {(n == 0, roots[k][n]) for _, _, (k, n) in cells} == \
+            {(lengths[sys.left[i][w_idx]] > lengths[w_idx], shift[w_idx][i])
+             for w_idx in range(len(sys.weyl)) for i in range(r)}
+
+
+def test_both_axiom_routes_flag_a_moved_start(fresh):
+    # coset 1's start point and box moved by p * alpha_1, which the layout
+    # and the W table's rows both read: the identity shifts by alpha_1, and
+    # both routes flag coset 1
+    moved_start(fresh, 1)
+    label = fresh.lambdas[1].label()
+    for failures in (verify_axioms(B2P4).failures, axioms_over_w(B2P4)["failures"]):
+        assert {"check": "identity", "lambda": label} in failures
+
+
+def test_verify_axioms_reads_no_weyl_table():
+    # on a fresh case the axioms enumerate no Weyl group and build no system
+    for cache in (_enumerate_weyl_cached, system, _shared, _cosets):
+        cache.cache_clear()
+    assert verify_axioms(make_case("B4", "super", 1)).ok
+    assert _enumerate_weyl_cached.cache_info().currsize == 0
+    assert system.cache_info().currsize == _shared.cache_info().currsize == 0
+
+
+def test_oracle_refuses_labels_past_the_packing_guard(fresh):
     # +R in one label and -1 in the next packs to the same integer, so the
-    # cocycle comparison alone would pass it; the guard refuses it, and a
-    # label at the guard
+    # oracle's cocycle comparison alone would pass it; the guard refuses it,
+    # and a label at the guard, in a W-table row of a fresh system
     sys = system(B2P4)
     w_idx = next(k for k, w in enumerate(sys.weyl) if w.length == 2)
-    good = sys.row(0)[1][w_idx]
+    row = sys.row(0)[1]
+    good = row[w_idx]
     collide = (good[0] + PACK_RADIX, good[1] - 1)
     assert collide[0] + collide[1] * PACK_RADIX == good[0] + good[1] * PACK_RADIX
     for bad in (collide, (PACK_GUARD, good[1]), (good[0], -PACK_GUARD)):
+        row[w_idx] = bad
         with pytest.raises(AssertionError, match="packing guard"):
-            corrupt(0, w_idx, bad)
+            axioms_over_w(B2P4)
 
 
 def test_pack_guard():
@@ -625,7 +733,7 @@ GUARDED = st.integers(1 - PACK_GUARD, PACK_GUARD - 1)
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_packed_cocycle_matches_tuples(data):
-    # inside the guard, with Cartan entries of at most 3, the packed
+    # inside the guard, with Cartan entries of at most 3, the oracle's packed
     # comparison P(lhs) == P(a) - c P(col) + P(d) holds exactly when the
     # vectors agree; lhs is drawn at random, as the true side clipped to the
     # guard, or one label off it
@@ -879,12 +987,12 @@ def test_orbit_location_matches_per_point_route(name, variant, m):
 @pytest.mark.parametrize("name,variant,m", AXIOM_SWEEP_CASES)
 def test_condition_table_matches_per_call_route(name, variant, m):
     # the weak, strong, w0-shift and telescoped entries, computed once per
-    # coset from the simple shifts of a fresh layout (a system's rows hand
-    # their simple cells to the cached one), against their per-call
+    # coset from the simple shifts of a fresh layout, against their per-call
     # computation on the W table and the public checks, on every coset; the
     # simple shifts against the table's simple cells
     case = make_case(name, variant, m)
     sys, table = system(case), Cosets(case)
+    simple_idx = [row[0] for row in sys.left]
     for l_idx, lamp in enumerate(table.lambdas):
         weak, strong, shift0, telescoped = want = conditions_per_call(case, lamp)
         assert table.conditions(l_idx) == want
@@ -894,22 +1002,21 @@ def test_condition_table_matches_per_call_route(name, variant, m):
             == telescoped
         assert w0_shift(lamp, case) == case.rs.from_labels(shift0)
         act, shift = sys.row(l_idx)
-        assert table.simple(l_idx) == ([act[s] for s in sys.simple_idx],
-                                       [shift[s] for s in sys.simple_idx])
+        assert table.simple(l_idx) == ([act[s] for s in simple_idx],
+                                       [shift[s] for s in simple_idx])
 
 
 def test_ramond_report_reuses_the_super_verification():
-    # a Ramond case reads the verification of the system it shares with its
+    # a Ramond case reads the verification of the layout it shares with its
     # super case; its report equals a fresh one in every field but the case,
     # and no report shares a list with the stored verification or another
     sup, ram = make_case("B3", "super", 2), make_case("B3", "ramond", 2)
     first, got = verify_axioms(sup), verify_axioms(ram)
-    stored = system(ram)._report
+    stored = _cosets(ram)._report
     verify_axioms(ram)
-    assert system(sup)._report is stored  # the checks ran once for both cases
-    system.cache_clear()
-    _shared.cache_clear()
-    _cosets.cache_clear()
+    assert _cosets(sup)._report is stored  # the checks ran once for both cases
+    for cache in (system, _shared, _cosets):
+        cache.cache_clear()
     fresh = verify_axioms(ram)
     assert (got.case_id, first.case_id) == ("B3:ramond:m=2", "B3:super:m=2")
     fields = ("counts", "failures", "weak", "strong", "alcove", "w0_shifts")

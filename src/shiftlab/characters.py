@@ -7,8 +7,8 @@ rational.  Every term is priced by one integer quadratic form on Dynkin
 labels (``_form``) over its tail, whose base is the whole constant.
 
 The alternating Weyl sums run on integer Dynkin labels: the dot action on the
-fixed coset climbs from the identity term to the cutoff with no Weyl table,
-and the * action on moved cosets walks W; the two sparse numerators are
+fixed coset and the * action on moved cosets both climb from the identity
+term to the cutoff with no Weyl table, and the two sparse numerators are
 checked against each other before one is multiplied by the shared tail.
 """
 
@@ -175,6 +175,35 @@ def _star_walk(case: ShiftCase, lam: LambdaParam, labels: tuple[int, ...]) -> li
     return mov
 
 
+def _star_below(case: ShiftCase, lam: LambdaParam, labels: tuple[int, ...], top: int):
+    """(e, sign) per * term (priced as in _star_walk, check_point included)
+    whose numerator e is at most top, with no Weyl table: w climbs from the
+    identity by w -> s_i w, reached at its least left descent (the least
+    negative label of t = w(rho), as in _below), carrying w * lam, w ^ lam by
+    the cocycle (s_i w) ^ lam = s_i(w ^ lam) + s_i ^ (w * lam) (Cosets.simple),
+    w(e_r) and the sign.  As v = w(b) - p(beta + rho), an ascent does not lower
+    e for b dominant (_below checks it), so a term above top ends its branch."""
+    table, (quad, _, flow), p, r = _cosets(case), _form(case), case.p, case.rank
+    cols = table.reflect_cols
+    stack = [(table.index[lam.key()], (0,) * r, flow, 1, (1,) * r)]
+    while stack:
+        target, up, flow, sign, t = stack.pop()
+        point = list(map(sub, labels, up))
+        table.check_point(point, target)
+        e = _value(quad, [x - p * (y + 1) + f
+                          for x, y, f in zip(table._start[target][1], point, flow)])
+        if e > top:
+            continue
+        yield e, sign
+        act, shift = table.simple(target)
+        for i, x in enumerate(t):
+            if x > 0:
+                nxt = reflect_labels(t, i, cols[i])
+                if i == 0 or min(nxt[:i]) > 0:
+                    stack.append((act[i], tuple(map(add, reflect_labels(up, i, cols[i]), shift[i])),
+                                  reflect_labels(flow, i, cols[i]), -sign, nxt))
+
+
 def _numerator(case: ShiftCase, exps: list[int]) -> dict[int, int]:
     """Exponent numerator -> coefficient over W, signs (-1)^len, zeros kept."""
     num = dict.fromkeys(exps, 0)
@@ -220,14 +249,15 @@ def multiplet_char(alpha: Vec, lam: LambdaParam, case: ShiftCase,
                    order: int) -> QSeries:
     """Character of the multiplicity space attached to (alpha, lam)."""
     labels = _check_multiplet_inputs(case, alpha, lam)
-    tail, b, dot = _tail(case, order), _coset_vector(case, lam), {}
+    tail, b, dot, mov = _tail(case, order), _coset_vector(case, lam), {}, {}
     top = _reach(case, b, labels, tail)
     for e, sign, _ in _below(case, b, labels, top):
         dot[e] = dot.get(e, 0) + sign
-    mov = _numerator(case, _star_walk(case, lam, labels))
+    for e, sign in _star_below(case, lam, labels, top):
+        mov[e] = mov.get(e, 0) + sign
     # the routes share the tail, whose leading coefficient is nonzero: their
     # series agree up to top exactly when the numerators do
-    if any(dot.get(e, 0) != mov.get(e, 0) for e in dot.keys() | mov.keys() if e <= top):
+    if any(dot.get(e, 0) != mov.get(e, 0) for e in dot.keys() | mov.keys()):
         raise AssertionError("the two alternating-sum routes disagree")
     return _times_tail(case, dot, tail)
 

@@ -15,9 +15,9 @@ and the twist p*x, which ``make_case`` fixes once; every other layer reads
 
 Every representative is the unique element -bullet + box of its coset with
 ``bullet`` minuscule and ``0 < (box + x, alpha_i^vee) <= 1`` for all i.  The
-screening conditions read each coset's simple shifts (``Cosets``), the axiom
-checks those and the roots; only the characters' * route reads the tables over W
-(``ShiftSystem``).
+screening conditions and the characters' * climb read each coset's simple
+shifts (``Cosets``), the axiom checks those and the roots; ``verify walls``,
+``w_act`` and ``shift_map`` read the tables over W (``ShiftSystem``).
 """
 
 from __future__ import annotations
@@ -212,8 +212,8 @@ class Cosets:
     per coset the p-scaled Dynkin labels of lambda + x and of box + x and its
     class in P/Q, and the coset of one packed integer key.  Internally an
     ambient vector is kept as its Dynkin labels scaled by p, which makes every
-    vector of (1/p)Q* and the twist x integral.  The screening conditions
-    and the axiom checks (run once per layout) read its simple shifts."""
+    vector of (1/p)Q* and the twist x integral.  The screening conditions,
+    the axiom checks and the characters' * climb read its simple shifts."""
 
     def __init__(self, case: ShiftCase):
         self.case = case
@@ -389,7 +389,7 @@ def _cosets(case: ShiftCase) -> Cosets:
 
 
 class ShiftSystem(Cosets):
-    """Tables over W per (type, family, p) for the characters' * route,
+    """Tables over W per (type, family, p) for verify walls' full * sum,
     w_act and shift_map, laid out by the Weyl enumeration; super and Ramond share one.
 
     Row ``l`` holds, per Weyl element in enumeration order, the index of

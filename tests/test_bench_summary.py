@@ -103,6 +103,27 @@ def test_cold_runs_add_to_a_summary(tmp_path):
     for side in ("parent", "change"):
         assert len(got[side]["runs"]) == 2
         assert got[side]["median"] == sum(got[side]["runs"]) / 2
+        assert len(got[side]["peak_rss_mb"]) == 2
+        assert all(5 < mb < 500 for mb in got[side]["peak_rss_mb"])
+
+
+def test_cold_runs_merge_by_command(tmp_path):
+    # a second call with another command and run count keeps the first
+    # call's command, and a command timed again replaces its own entry
+    out = tmp_path / "BENCH.json"
+    assert cold_runs.main([str(ROOT), str(ROOT), "info --algebra A1", "--runs", "2",
+                           "--into", str(out)]) == 0
+    first = json.loads(out.read_text())["cold_cli"]["info --algebra A1"]
+    assert cold_runs.main([str(ROOT), str(ROOT), "lambda --algebra A1", "--runs", "1",
+                           "--into", str(out)]) == 0
+    data = json.loads(out.read_text())["cold_cli"]
+    assert data["info --algebra A1"] == first
+    assert len(data["lambda --algebra A1"]["change"]["runs"]) == 1
+    assert cold_runs.main([str(ROOT), str(ROOT), "info --algebra A1", "--runs", "1",
+                           "--into", str(out)]) == 0
+    data = json.loads(out.read_text())["cold_cli"]
+    assert sorted(data) == ["info --algebra A1", "lambda --algebra A1"]
+    assert len(data["info --algebra A1"]["parent"]["runs"]) == 1
 
 
 _lines_spec = importlib.util.spec_from_file_location("src_lines", ROOT / "tools" / "src_lines.py")

@@ -43,6 +43,9 @@ from shiftlab.characters import (
     _height_bound,
     _below,
     _identity_point,
+    _numerator,
+    _reach,
+    _star_below,
     _star_walk,
     _tail,
     _value,
@@ -773,6 +776,48 @@ def test_below_refuses_a_coset_vector_that_is_not_dominant():
     assert list(_below(case, [1, 1], (0, 0), 100))
     with pytest.raises(AssertionError, match="not dominant"):
         list(_below(case, [-1, 1], (0, 0), 100))
+
+
+STAR_CASES = RULE_CASES + [spec for spec in REFERENCE_CASES
+                            if spec[1] == "ramond" and spec not in RULE_CASES]
+
+
+def assert_star_climb_matches_walk(case, lam, labels, top):
+    # the climb yields the walk's (e, sign) for each w with e <= top, once,
+    # so its numerator, zeros dropped, is the walk's cut at top
+    signs = [(-1) ** w.length for w in system(case).weyl]
+    exps = _star_walk(case, lam, labels)
+    got = list(_star_below(case, lam, labels, top))
+    assert sorted(got) == sorted((e, s) for e, s in zip(exps, signs) if e <= top)
+    num = {}
+    for e, sign in got:
+        num[e] = num.get(e, 0) + sign
+    assert ({e: c for e, c in num.items() if c}
+            == {e: c for e, c in _numerator(case, exps).items() if c and e <= top})
+
+
+@pytest.mark.parametrize("name,variant,m", STAR_CASES)
+def test_star_climb_gives_the_walk_terms_up_to_top(name, variant, m):
+    # at multiplet_char's top for orders 4 and 10, on every coset, for the
+    # dominant alpha of height at most 2
+    case = make_case(name, variant, m)
+    for lam in enumerate_lambda(case):
+        b = _coset_vector(case, lam)
+        for labels in _betas(case, lam, range(3)):
+            for order in (4, 10):
+                top = _reach(case, b, labels, _tail(case, order))
+                assert_star_climb_matches_walk(case, lam, labels, top)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(STAR_CASES), st.data())
+def test_star_climb_gives_the_walk_terms_property(spec, data):
+    case = make_case(*spec)
+    lam = data.draw(st.sampled_from(enumerate_lambda(case)))
+    labels = data.draw(st.sampled_from(_betas(case, lam, range(4))))
+    order = data.draw(st.integers(0, 16))
+    top = _reach(case, _coset_vector(case, lam), labels, _tail(case, order))
+    assert_star_climb_matches_walk(case, lam, labels, top)
 
 
 def _lattice_voa_cosets():

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from shiftlab import alcove
 from shiftlab.alcove import AffineWeylElt
 from shiftlab.cli import main
-from shiftlab.liealg import DEFAULT_WEYL_CAP
+from shiftlab.liealg import DEFAULT_WEYL_CAP, weyl_order
 from shiftlab.shift import _cosets, make_case
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -315,15 +315,24 @@ def test_lambda_on_e7(capsys):
 def test_ftchar_on_e7_e8_reads_no_weyl_group(capsys, name, order_w, coeffs):
     # ft_char climbs each alternating sum from its identity term, so it runs
     # past the enumeration cap and gives the level-1 vacuum characters; char
-    # checks its dot terms against the * route over W, and still refuses
+    # climbs both of its routes the same way, so it runs there too
+    assert order_w == weyl_order(make_case(name, "nonsuper", 1).rs.lie_type) > DEFAULT_WEYL_CAP
     digits = ",".join(["1"] * int(name[1]))
     code, out, _ = run(capsys, "ftchar", "--algebra", name, "--m", "1",
                        "--lambda", f"0,{digits}", "--order", "3")
     assert code == 0 and json.loads(out)["series"]["coeffs"] == coeffs
-    code, out, err = run(capsys, "char", "--algebra", name, "--m", "1",
-                         "--lambda", f"0,{digits}", "--order", "3")
-    assert code == 2 and out == ""
-    assert err == f"error: |W({name})| = {order_w} exceeds the enumeration cap 1000000\n"
+    code, out, _ = run(capsys, "char", "--algebra", name, "--m", "1",
+                       "--lambda", f"0,{digits}", "--order", "3")
+    assert code == 0 and json.loads(out)["series"]["coeffs"] == ["1", "0", "1", "1"]
+
+
+@pytest.mark.parametrize("name", ["E6", "E7", "E8"])
+def test_wchar_on_e6_e8_against_the_free_generator_oracle(capsys, name):
+    # verify wchar compares char at the vacuum coset with walg_vacuum_oracle,
+    # the W-algebra's free-generator character, built without the lattice
+    code, out, _ = run(capsys, "verify", "wchar", "--algebra", name, "--m", "1",
+                       "--order", "6")
+    assert code == 0 and json.loads(out)["failures"] == []
 
 
 def test_word_cap_flag(capsys):
@@ -541,17 +550,17 @@ ROUTE_BREAKER = """
 import sys
 from shiftlab import cli, shift
 case = shift.make_case("B2", "ramond", 3)
-table = shift.system(case)
-row = table.row(table.index[shift.lambda_from(case, 0, (1, 3)).key()])[1]
-# w0 ^ lambda, the table's last cell, moved by alpha_1: the * route's point
-# stays in its coset
-row[-1] = tuple(a + b for a, b in zip(row[-1], table.cols[0]))
+table = shift._cosets(case)
+shifts = table.simple(table.index[shift.lambda_from(case, 0, (1, 3)).key()])[1]
+# s_1 ^ lambda moved by alpha_1: every * point the climb carries through it
+# stays in its coset, so the coset check passes and the routes must catch it
+shifts[0] = tuple(a + b for a, b in zip(shifts[0], table.cols[0]))
 sys.exit(cli.main(sys.argv[1:]))
 """
 
 
 def test_route_check_survives_optimized_mode():
-    # a corrupted shift row makes the two alternating-sum routes disagree;
+    # a corrupted simple shift makes the two alternating-sum routes disagree;
     # the check fails the same way with and without -O: exit 3 and one
     # JSON line on stderr
     env = cli_env()

@@ -20,8 +20,7 @@ from operator import add, mul
 from typing import NamedTuple
 
 from .liealg import RootSystem, Vec, WeylElement, reflect_labels
-from .shift import (LambdaParam, ShiftCase, Variant, _cosets, _grid, alcove_inequality,
-                    enumerate_lambda)
+from .shift import LambdaParam, ShiftCase, Variant, _cosets, _grid
 
 
 class AffineWeight(NamedTuple):
@@ -266,8 +265,8 @@ class DigitDependenceError(AssertionError):
 
 @lru_cache(maxsize=None)
 def _strong_cosets(case: ShiftCase, bullet_index: int) -> tuple[int, ...]:
-    return tuple(i for i, lam in enumerate(enumerate_lambda(case))
-                 if lam.bullet_index == bullet_index and alcove_inequality(lam, case))
+    table = _cosets(case)
+    return tuple(i for i, (b, _) in enumerate(table._keys) if b == bullet_index and table.alcove(i))
 
 
 def mu_lambda(alpha: Vec, lam: LambdaParam, case: ShiftCase) -> AffineWeight:

@@ -277,9 +277,10 @@ class RootSystem(NamedTuple):
     def norm2(self, mu: Vec) -> Fraction:
         return self.pairing(mu, mu)
 
+    @lru_cache(maxsize=None)
     def label_form(self) -> tuple[IntMat, int]:
         """(g, n): the form on Dynkin labels, (mu, nu) = l_mu.g.l_nu / n, read
-        off (omega_i, omega_j) = d_i adj_ij / det."""
+        off (omega_i, omega_j) = d_i adj_ij / det; computed once per root system."""
         adj, det = self.cartan_adjugate
         return (tuple(tuple(int(self.lacing * d * c) for c in row)
                       for d, row in zip(self.half_lengths, adj)), self.lacing * det)

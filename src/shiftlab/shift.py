@@ -27,12 +27,14 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from math import prod
 from numbers import Rational
 from operator import add, mul, sub
 from typing import NamedTuple
 
 from .liealg import (
     DEFAULT_WORD_CAP,
+    CapExceededError,
     RootSystem,
     SimpleLieType,
     Vec,
@@ -42,6 +44,8 @@ from .liealg import (
     reflect_labels,
     weyl_order,
 )
+
+COSET_CAP = 10**6  # the most cosets a layout may hold, each under a kilobyte
 
 
 class Variant(enum.Enum):
@@ -163,13 +167,6 @@ def _grid(case: ShiftCase):
     return x, tuple(p // t for t in x), tuple(tuple(v // d for v in b) for b, d in bullets)
 
 
-@lru_cache(maxsize=None)
-def _alcove_weights(case: ShiftCase) -> tuple[int, ...]:
-    """c_j * x_j: p*(box + x) has labels k_j x_j, which pair with theta_L
-    through its integer coroot marks c_j."""
-    return tuple(map(mul, case.rs.theta_L_marks, _grid(case)[0]))
-
-
 def lambda_from(case: ShiftCase, bullet_index: int, digits) -> LambdaParam:
     """The transversal's record of (bullet_index, digits), once they pass the checks."""
     digits = tuple(digits)
@@ -188,7 +185,7 @@ def lambda_from(case: ShiftCase, bullet_index: int, digits) -> LambdaParam:
     if case.variant.is_super and (digits[-1] + bullet[-1]) % 2 == 0:
         raise ValueError(f"digits {digits} violate the parity rule for {case.case_id()}")
     table = _cosets(case)
-    return table.lambdas[table.index[(bullet_index, digits)]]
+    return table.record(table.index[(bullet_index, digits)])
 
 
 def enumerate_lambda(case: ShiftCase) -> tuple[LambdaParam, ...]:
@@ -200,7 +197,7 @@ def lambda_of_value(case: ShiftCase, mu: Vec) -> LambdaParam:
     """Canonical representative in Lambda of the coset mu + Q, located from
     the p-scaled Dynkin labels of mu + x."""
     table = _cosets(case)
-    return table.lambdas[table.locate([_scaled_point(mu, case)])[0][0]]
+    return table.record(table.locate([_scaled_point(mu, case)])[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +205,12 @@ def lambda_of_value(case: ShiftCase, mu: Vec) -> LambdaParam:
 # ---------------------------------------------------------------------------
 
 class Cosets:
-    """The coset layout of Lambda, which needs no Weyl group: the transversal,
-    per coset the p-scaled Dynkin labels of lambda + x and of box + x and its
-    class in P/Q, and the coset of one packed integer key.  Internally an
-    ambient vector is kept as its Dynkin labels scaled by p, which makes every
-    vector of (1/p)Q* and the twist x integral.  The screening conditions,
-    the axiom checks and the characters' * climb read its simple shifts."""
+    """The coset layout of Lambda, which needs no Weyl group: per coset its key (bullet
+    index, digits), the p-scaled Dynkin labels of lambda + x and of box + x, its class in
+    P/Q and its record (built on request), and the coset of one packed integer key.
+    Internally an ambient vector is kept as its Dynkin labels scaled by p, which makes
+    every vector of (1/p)Q* and the twist x integral.  The screening conditions, the
+    axiom checks and the characters' * climb read its simple shifts."""
 
     def __init__(self, case: ShiftCase):
         self.case = case
@@ -233,38 +230,62 @@ class Cosets:
         # the class key is constant on mu + Q, which the characters' checks rely on
         if any(self._class_key(col) for col in self.cols):
             raise AssertionError(f"a simple root of {rs.lie_type} has a nonzero class key")
-        # per coset, ordered by (minuscule index, digits): its record, built
-        # once, and p * labels of lambda + x and of box + x (k_i x_i)
-        lambdas, self._start, self._classes = [], [], []
-        for b_idx, bullet in enumerate(bullets):
-            for digits in product(*(range(1, n + 1) for n in bounds)):
-                if case.variant.is_super and (digits[-1] + bullet[-1]) % 2 == 0:
-                    continue
-                b = tuple(k * s for k, s in zip(digits, x))
+        # per coset in (minuscule index, digits) order: its key, p * labels of lambda + x and of
+        # box + x (k_i x_i) and its class; a super bullet's last label sets the last digit's parity
+        sup, classes = case.variant.is_super, [self._class_key(b) for b in bullets]
+        boxes = [[range(1, n + 1) for n in bounds[:-1]]
+                 + [range(1 + (sup and bullet[-1] % 2), bounds[-1] + 1, 1 + sup)]
+                 for bullet in bullets]
+        count = sum(prod(-((d.start - d.stop) // d.step) for d in box) for box in boxes)
+        if count > COSET_CAP:
+            raise CapExceededError(f"{case.case_id()}: {count} cosets exceed the cap {COSET_CAP}")
+        self._keys, self._start, self._classes = [], [], []
+        for b_idx, (bullet, box) in enumerate(zip(bullets, boxes)):
+            for digits in product(*box):
+                b = tuple(map(mul, digits, x))
                 # the ceiling check of every point nu = box - beta of the
                 # coset, ceil(-nu) = beta: 0 <= p*box < p, fixed per coset
                 if not all(0 <= v - s < p for v, s in zip(b, x)):
                     raise AssertionError("ceiling-weight mismatch")
-                a = tuple(v - p * c for v, c in zip(b, bullet))
-                lam = LambdaParam(b_idx, rs.minuscule[b_idx], digits,
-                                  rs.from_labels(tuple(map(sub, a, x)), p))
-                # round trip on the record's weight: p * labels(value) = a - x
-                labels, n = rs.scaled_labels(lam.value)
-                if any(p * v != n * (u - s) for v, u, s in zip(labels, a, x)):
-                    raise AssertionError(f"{lam.label()} does not round-trip")
-                lambdas.append(lam)
-                self._start.append((a, b))
-                self._classes.append(self._class_key(bullet))
-        self.lambdas = tuple(lambdas)
-        self.index = {lam.key(): i for i, lam in enumerate(self.lambdas)}
+                self._keys.append((b_idx, digits))
+                self._start.append((tuple(v - p * c for v, c in zip(b, bullet)), b))
+                self._classes.append(classes[b_idx])
+        self.index = {key: i for i, key in enumerate(self._keys)}
         # each start point's key, as locate computes it, numbers its coset in
         # order; a key met twice would merge two cosets
         self._coset = numbering = defaultdict(lambda: len(numbering))
-        if self.locate(a for a, _ in self._start)[0] != list(range(len(lambdas))):
+        if self.locate(a for a, _ in self._start)[0] != list(range(len(self._keys))):
             raise AssertionError(f"two cosets of {case.case_id()} share a packed key")
         self._coset = dict(numbering)
-        self.reflect_cols, self._bullets = rs.reflect_cols(), bullets
-        self._simple, self._conditions, self._coords, self._report = {}, {}, {}, None
+        self.reflect_cols, self._x, self._bullets = rs.reflect_cols(), x, bullets
+        self._records, self._all = [None] * len(self._keys), []  # a system shares both
+        self._simple, self._conditions, self._rows, self._report = {}, {}, None, None
+
+    def record(self, l_idx: int) -> LambdaParam:
+        """Coset l_idx's record, built on its first request, when its weight
+        round-trips: p * labels(value) = a - x, a = p * labels(lambda + x)."""
+        if (lam := self._records[l_idx]) is None:
+            (b_idx, digits), p, rs = self._keys[l_idx], self.case.p, self.rs
+            u = [(k - 1) * s - p * c for k, s, c in zip(digits, self._x, self._bullets[b_idx])]
+            lam = LambdaParam(b_idx, rs.minuscule[b_idx], digits, rs.from_labels(u, p))
+            labels, n = rs.scaled_labels(lam.value)
+            if any(p * v != n * w for v, w in zip(labels, u)):
+                raise AssertionError(f"{lam.label()} does not round-trip")
+            self._records[l_idx] = lam
+        return lam
+
+    @property
+    def lambdas(self) -> tuple[LambdaParam, ...]:
+        """Every coset's record, in order (enumerate_lambda)."""
+        if not self._all:
+            self._all.append(tuple(map(self.record, range(len(self._keys)))))
+        return self._all[0]
+
+    def alcove(self, l_idx: int) -> bool:
+        """(p*box + rho_check, theta_L) <= p, with rho instead of rho_check in the super
+        family, on the digits: p*(box + x) has labels k_j x_j, and theta_L marks c_j."""
+        return sum(c * s * k for c, s, k in zip(self.rs.theta_L_marks, self._x,
+                                                 self._keys[l_idx][1])) <= self.case.p
 
     def _class_key(self, labels) -> int:
         key = 0
@@ -300,7 +321,7 @@ class Cosets:
         for w each prefix of the word, read from its right end, where bullet' =
         (p - a') // p is the bullet locate finds for a' = p * labels(w(lambda + x))."""
         p, a, cols = self.case.p, self._start[l_idx][0], self.reflect_cols
-        bullet, out = self._bullets[self.lambdas[l_idx].bullet_index], []
+        bullet, out = self._bullets[self._keys[l_idx][0]], []
         for i in reversed(word):
             a, bullet = reflect_labels(a, i, cols[i]), reflect_labels(bullet, i, cols[i])
             out.append(tuple(b - (p - v) // p for b, v in zip(bullet, a)))
@@ -309,9 +330,11 @@ class Cosets:
     def simple(self, l_idx: int) -> tuple[list[int], list[tuple[int, ...]]]:
         """(indices of s_i * lambda, labels of s_i ^ lambda) per i; found on first use."""
         if l_idx not in self._simple:
-            a, cols, r = self._start[l_idx][0], self.reflect_cols, self.case.rank
-            act = self.locate(reflect_labels(a, i, cols[i]) for i in range(r))[0]
-            self._simple[l_idx] = act, [self.shifts(l_idx, (i,))[0] for i in range(r)]
+            a, cols = self._start[l_idx][0], self.reflect_cols
+            bullet = self._bullets[self._keys[l_idx][0]]
+            act, moved = self.locate(reflect_labels(a, i, col) for i, col in enumerate(cols))
+            self._simple[l_idx] = act, [tuple(map(sub, reflect_labels(bullet, i, col), c))
+                                        for (i, col), c in zip(enumerate(cols), moved)]
         return self._simple[l_idx]
 
     def w0_word(self, word=None) -> tuple[int, ...]:
@@ -367,7 +390,7 @@ class Cosets:
     def root_shifts(self, l_idx: int) -> list[tuple[int, int]]:
         """(t(beta), t(-beta)) per positive root beta of _coroots (see _verify)."""
         p, a = self.case.p, self._start[l_idx][0]
-        bullet = self._bullets[self.lambdas[l_idx].bullet_index]
+        bullet = self._bullets[self._keys[l_idx][0]]
         return [(y - (p - x) // p, -y - (p + x) // p) for x, y in
                 ((sum(map(mul, co, a)), sum(map(mul, co, bullet))) for _, co in _coroots(self.rs))]
 
@@ -377,7 +400,7 @@ class Cosets:
         and class (the box's ceiling check runs once per coset, at build)."""
         if self._class_key(point) != self._classes[l_idx]:
             raise ValueError(f"weight with labels {point} is not in the Cartan support "
-                             f"coset of {self.lambdas[l_idx].label()}")
+                             f"coset of {self.record(l_idx).label()}")
 
 
 @lru_cache(maxsize=None)
@@ -461,7 +484,7 @@ def system(case: ShiftCase) -> ShiftSystem:
 
 def w_act(w: WeylElement, lam: LambdaParam, case: ShiftCase) -> LambdaParam:
     sys = system(case)
-    return sys.lambdas[sys.act_index(sys._key_index[w.labels], sys.index[lam.key()])]
+    return sys.record(sys.act_index(sys._key_index[w.labels], sys.index[lam.key()]))
 
 
 def shift_map(w: WeylElement, lam: LambdaParam, case: ShiftCase) -> Vec:
@@ -518,9 +541,9 @@ def check_strong_alt(lam: LambdaParam, case: ShiftCase, word=None) -> bool:
 
 
 def alcove_inequality(lam: LambdaParam, case: ShiftCase) -> bool:
-    """(p*box + rho_check, theta_L) <= p, with rho instead of rho_check in the
-    super family, on the digits (see _alcove_weights)."""
-    return sum(map(mul, _alcove_weights(case), lam.digits)) <= case.p
+    """The alcove inequality of lam's coset (Cosets.alcove)."""
+    table = _cosets(case)
+    return table.alcove(table.index[lam.key()])
 
 
 def w0_shift(lam: LambdaParam, case: ShiftCase) -> Vec:
@@ -632,11 +655,11 @@ def _verify(table: Cosets) -> ShiftReport:
     coset, 1 + 3 r + 2 N + N checks, N = |Phi+| (counts["checks"])."""
     case, rs, roots, word = table.case, table.rs, _coroots(table.rs), table.w0_word()
     report = ShiftReport(case.case_id(), {
-        "lambdas": len(table.lambdas), "weyl": weyl_order(rs.lie_type), "rank": case.rank,
-        "checks": len(table.lambdas) * (1 + 3 * (case.rank + len(roots)))})
-    for l_idx, lam in enumerate(table.lambdas):
-        label, a = lam.label(), table._start[l_idx][0]
-        if table.locate([a]) != ([l_idx], [list(table._bullets[lam.bullet_index])]):
+        "lambdas": len(table._keys), "weyl": weyl_order(rs.lie_type), "rank": case.rank,
+        "checks": len(table._keys) * (1 + 3 * (case.rank + len(roots)))})
+    for l_idx, ((b_idx, digits), (a, _)) in enumerate(zip(table._keys, table._start)):
+        label = ",".join(map(str, (b_idx, *digits)))  # the record's label
+        if table.locate([a]) != ([l_idx], [list(table._bullets[b_idx])]):
             _fail(report, "identity", label)
         act, shift = table.simple(l_idx)
         for i, col in enumerate(table.cols):
@@ -662,15 +685,20 @@ def _verify(table: Cosets) -> ShiftReport:
 
 def _tables(report: ShiftReport, table: Cosets) -> ShiftReport:
     """The weak, strong, alcove and w0-shift rows of every coset, read off
-    the condition table; each w0 shift is formatted once per layout."""
-    for l_idx, lam in enumerate(table.lambdas):
-        label, (weak, strong, shift, _) = lam.label(), table.conditions(l_idx)
-        if shift not in table._coords:
-            table._coords[shift] = [str(v) for v in w0_shift(lam, table.case)]
-        report.weak.append((label, weak))
-        report.strong.append((label, strong))
-        report.alcove.append((label, alcove_inequality(lam, table.case)))
-        report.w0_shifts.append((label, list(table._coords[shift])))
+    the condition table once per layout (each w0 shift formatted once); the
+    report gets copies."""
+    if table._rows is None:
+        coords, rows = {}, ([], [], [], [])
+        for l_idx, (b_idx, digits) in enumerate(table._keys):
+            weak, strong, shift, _ = table.conditions(l_idx)
+            label = ",".join(map(str, (b_idx, *digits)))
+            if shift not in coords:
+                coords[shift] = [str(v) for v in table.rs.from_labels(shift)]
+            for row, value in zip(rows, (weak, strong, table.alcove(l_idx), coords[shift])):
+                row.append((label, value))
+        table._rows = rows
+    report.weak, report.strong, report.alcove, shifts = map(list, table._rows)
+    report.w0_shifts = [(label, list(coords)) for label, coords in shifts]
     return report
 
 
@@ -680,20 +708,17 @@ def condition_report(case: ShiftCase, all_words: bool = False,
     enforced; with all_words, a coset whose strong condition differs between
     reduced words of w0 is a failure record.  It reads no Weyl group."""
     table = _cosets(case)
-    report = _tables(ShiftReport(case.case_id(),
-                                 {"lambdas": len(table.lambdas),
-                                  "weyl": weyl_order(case.rs.lie_type),
-                                  "checks": 0, "all_words": all_words}), table)
-    for l_idx, (lam, (label, strong), (_, alc), (_, got)) in enumerate(zip(
-            table.lambdas, report.strong, report.alcove, report.w0_shifts)):
-        if all_words:
-            try:
-                check_strong_all_words(lam, case, word_cap)
-            except WordDependenceError:
-                _fail(report, "strong-word-dependence", label)
+    report = _tables(ShiftReport(case.case_id(), {
+        "lambdas": len(table._keys), "weyl": weyl_order(case.rs.lie_type), "checks": 0,
+        "all_words": all_words}), table)
+    words = _w0_words(case.rs, word_cap) if all_words else ()
+    for l_idx, ((label, strong), (_, alc), (_, got)) in enumerate(zip(
+            report.strong, report.alcove, report.w0_shifts)):
+        if len({table.walk(l_idx, w)[0] for w in words}) > 1:
+            _fail(report, "strong-word-dependence", label)
         if strong != alc:
             _fail(report, "strong-alcove-mismatch", label, strong=strong, alcove=alc)
-        if check_strong_alt(lam, case) != strong:
+        if table.conditions(l_idx)[3] != strong:
             _fail(report, "strong-alt-mismatch", label)
         if strong:
             # the closed form of w0 ^ lambda: a non-fixed coset's simple

@@ -12,6 +12,9 @@
   the norm shift p|gamma|^2/2 and the screening pairing, each by its own
   formula per family (rho_check in the nonsuper family, rho in the super
   one).
+* The transversal's records built eagerly, each weight round-tripped
+  through ``scaled_labels`` (``eager_transversal``), against which the
+  layout's records, built on first request, are compared.
 * Coset representatives as ``Fraction`` vectors, decomposed by a ``Fraction``
   canonical decomposition (``canonical_decompose_fraction``), the p-scaled
   Dynkin labels read off them, the representative of a point's coset
@@ -61,7 +64,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from operator import mul
+from operator import mul, sub
 
 from shiftlab.alcove import (
     AffineWeight,
@@ -97,6 +100,7 @@ from shiftlab.shift import (
     LambdaParam,
     Variant,
     _check_member,
+    _grid,
     alcove_inequality,
     enumerate_lambda,
     is_fixed,
@@ -411,6 +415,28 @@ def fraction_lambda_from(case, bullet_index, digits) -> LambdaParam:
     for i, k in enumerate(digits):
         box = vadd(box, vscale(Fraction(k - 1, case.p), basis[i]))
     return LambdaParam(bullet_index, bullet, tuple(digits), vadd(vneg(bullet), box))
+
+
+def eager_transversal(case) -> tuple[LambdaParam, ...]:
+    """Every coset's record built up front, in (minuscule index, digits)
+    order under the super family's parity rule: the weight from the labels
+    a - x, a = p * labels(lambda + x) = k_i x_i - p * bullet_i, by
+    from_labels, and its round trip through scaled_labels."""
+    rs, p = case.rs, case.p
+    x, bounds, bullets = _grid(case)
+    out = []
+    for b_idx, bullet in enumerate(bullets):
+        for digits in product(*(range(1, n + 1) for n in bounds)):
+            if case.variant.is_super and (digits[-1] + bullet[-1]) % 2 == 0:
+                continue
+            a = tuple(k * s - p * c for k, s, c in zip(digits, x, bullet))
+            lam = LambdaParam(b_idx, rs.minuscule[b_idx], digits,
+                              rs.from_labels(tuple(map(sub, a, x)), p))
+            labels, n = rs.scaled_labels(lam.value)
+            if any(p * v != n * (u - s) for v, u, s in zip(labels, a, x)):
+                raise AssertionError(f"{lam.label()} does not round-trip")
+            out.append(lam)
+    return tuple(out)
 
 
 def canonical_decompose_fraction(mu, case):

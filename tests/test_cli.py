@@ -402,6 +402,9 @@ def test_removed_surface_is_a_usage_error(capsys, argv):
     ["char", "--algebra", "A2", "--m", "1", "--lambda", "3,1,1"],
     # a format the subcommand does not offer (argparse's own usage error)
     ["char", "--algebra", "A1", "--m", "2", "--lambda", "0,1", "--format", "csv"],
+    # a coset layout over the cap (CapExceededError), refused before it is built
+    ["lambda", "--algebra", "A1", "--m", "99999999999"],
+    ["check", "axioms", "--algebra", "A2", "--m", "100000"],
 ])
 def test_bad_input_exits_2_without_traceback(argv):
     env = cli_env()

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from operator import mul
@@ -18,6 +19,7 @@ from oracles import (
     canonical_decompose_fraction,
     conditions_per_call,
     det_int,
+    eager_transversal,
     fraction_lambda_from,
     fraction_start,
     lambda_of_value_fraction,
@@ -37,7 +39,7 @@ from oracles import (
 
 from shiftlab import cli
 from shiftlab import shift as shift_module
-from shiftlab.liealg import RootSystem, _enumerate_weyl_cached, weyl_order
+from shiftlab.liealg import CapExceededError, RootSystem, _enumerate_weyl_cached, weyl_order
 from shiftlab.shift import (
     Cosets,
     InvalidCaseError,
@@ -259,6 +261,86 @@ def test_integer_cosets_match_fraction_route(name, variant, m):
         assert sys.locate([a]) == ([l_idx], [list(bullet)])
     assert _grid(case)[0] == tuple(case.p * copairing(case.rs, case.x, i) for i in range(case.rank))
     assert len(sys._coset) == len(want)
+
+
+# rank <= 3, every variant, m <= 3
+RECORD_CASES = [(name, variant, m) for name in ("A1", "A2", "A3", "B1", "B2", "B3", "C2",
+                                                "C3", "D3", "G2")
+                for variant in ("nonsuper", "super", "ramond") for m in (1, 2, 3)
+                if variant == "nonsuper" or name.startswith("B")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_records_on_demand_match_the_eager_transversal(data):
+    # a coset's record is built on its first request, through whichever of
+    # lambda_from, lambda_of_value, enumerate_lambda and w_act asks first;
+    # every later call returns that same object, equal to the eager
+    # transversal's record, and a super case and its Ramond case share it
+    name, variant, m = data.draw(st.sampled_from(RECORD_CASES))
+    case = make_case(name, variant, m)
+    twin = make_case(name, {"super": "ramond", "ramond": "super"}.get(variant, variant), m)
+    for cache in (system, _shared, _cosets):
+        cache.cache_clear()
+    want = eager_transversal(case)
+    where = {lamp.key(): i for i, lamp in enumerate(want)}
+    weyl, seen, every = case.rs.enumerate_weyl(), {}, []
+
+    def check(got):
+        ref = want[where[got.key()]]
+        assert got == ref and repr(got) == repr(ref)
+        assert seen.setdefault(got.key(), got) is got
+
+    calls = st.sampled_from(["from", "value", "all", "act"])
+    for call in data.draw(st.lists(calls, min_size=1, max_size=10)):
+        on, ref = data.draw(st.sampled_from([case, twin])), data.draw(st.sampled_from(want))
+        if call == "from":
+            check(lambda_from(on, ref.bullet_index, ref.digits))
+        elif call == "value":
+            # any point of the coset: the representative moved by an element of Q
+            q = data.draw(st.lists(st.integers(-2, 2), min_size=case.rank, max_size=case.rank))
+            got = lambda_of_value(on, tuple(v + c for v, c in zip(ref.value, q)))
+            assert got.key() == ref.key()
+            check(got)
+        elif call == "all":
+            lams = enumerate_lambda(on)
+            every.append(lams)
+            assert lams is every[0] and len(lams) == len(want)
+            for got in lams:
+                check(got)
+        else:
+            check(w_act(data.draw(st.sampled_from(weyl)), ref, on))
+
+
+@pytest.mark.parametrize("name,variant,m", [("A1", "nonsuper", 3), ("A2", "nonsuper", 2),
+                                            ("B2", "super", 2), ("B3", "ramond", 2),
+                                            ("D4", "nonsuper", 1), ("G2", "nonsuper", 3)])
+def test_layout_cap_counts_every_coset(monkeypatch, name, variant, m):
+    # the count under the cap is the layout's own, the super family's parity
+    # rule included: at the count the layout builds, one below it refuses
+    case = make_case(name, variant, m)
+    count = len(eager_transversal(case))
+    _cosets.cache_clear()
+    monkeypatch.setattr(shift_module, "COSET_CAP", count - 1)
+    with pytest.raises(CapExceededError, match=f": {count} cosets exceed the cap {count - 1}$"):
+        _cosets(case)
+    monkeypatch.setattr(shift_module, "COSET_CAP", count)
+    assert len(_cosets(case)._keys) == count
+    _cosets.cache_clear()
+
+
+def test_layout_cap_refuses_before_allocating():
+    # A1 at m = 10^11 has 2 * 10^11 cosets; the count comes from the digit
+    # bounds, so the layout refuses before it builds any coset
+    case = make_case("A1", "nonsuper", 10**11)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match="200000000000 cosets exceed the cap"):
+            _cosets(case)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("name,variant,m", AXIOM_SWEEP_CASES)

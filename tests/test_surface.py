@@ -18,7 +18,8 @@ SRC = ROOT / "src" / "shiftlab"
 # acceptance criterion 10 reads of QSeries
 ALLOWED = {
     "shift.w_act", "shift.shift_map", "shift.check_weak", "shift.screening_degree",
-    "shift.canonical_decompose", "shift.lambda_of_value", "alcove.dot_act",
+    "shift.canonical_decompose", "shift.lambda_of_value", "shift.w0_shift",
+    "shift.check_strong_alt", "shift.check_strong_all_words", "alcove.dot_act",
     "alcove.affine_mul", "alcove.affine_inv", "alcove.y_sigma",
     "qseries.QSeries.mul", "qseries.QSeries.coeff",
 }

@@ -60,25 +60,25 @@ class _Family:
         rs = self.rs = case.rs
         # translations live in lattice_scale*Q; a level scales them by
         # level_factor times its rho-shifted value; the input weight's rho'
-        # is inner, and its walk has n = 1 and k = m or p
+        # has labels inner_labels, and its walk has n = 1 and k = m or p
         if case.variant is Variant.NONSUPER:
             self.lattice_scale, self.level_factor = rs.lacing, 1
             self.rho_hat_level = Fraction(rs.dual_coxeter_L)
             self.level_in = Fraction(case.m - rs.dual_coxeter_L)
-            self.inner, self.k_in = rs.rho, case.m
+            self.inner_labels, self.k_in = (1,) * rs.rank, case.m
         else:
             self.lattice_scale, self.level_factor = 1, 2
             self.rho_hat_level = Fraction(2 * rs.rank + 1, 2)
             self.level_in = Fraction(case.m - rs.rank - 1)
-            self.inner, self.k_in = rs.rho_check, case.p
+            self.inner_labels, self.k_in = rs.rho_check_labels, case.p
         self.form, self.form_den = rs.label_form()
         # labels of theta_s and the integer marks c of its coroot,
         # theta_s^vee = theta_L = sum c_i alpha_i^vee, so (g, theta_s^vee) = sum c_i a_i
         self.marks = rs.theta_L_marks
         self.reflect_cols = rs.reflect_cols()
-        self.theta_s_labels = rs.integral_labels(rs.theta_s)
+        self.theta_s_labels = rs.theta_s_labels
         # rho_hat = p * x on the finite part
-        self.rho_hat_labels, self.inner_labels = _grid(case)[0], rs.integral_labels(self.inner)
+        self.rho_hat_labels = _grid(case)[0]
 
     def trans_scale(self, mu: AffineWeight) -> Fraction:
         """Multiplier applied to a translation vector at this weight's level

@@ -78,13 +78,13 @@ def _form(case: ShiftCase):
     -c0/24 (c0 = rank, plus 1/2 with the NS fermion) and, in the Ramond
     sector, the fermionic ground-state energy 1/16."""
     (g, n), p, r = case.rs.label_form(), case.p, case.rank
-    quad = [[Fraction(c, 2 * p * n) for c in row] for row in g]
     flow = (0,) * r
     if case.variant is Variant.SUPER_RAMOND:
         _check_ramond(case)
         flow = tuple(int(i == r - 1) for i in range(r))
-    den = lcm(*(c.denominator for row in quad for c in row))
-    return tuple(tuple(int(c * den) for c in row) for row in quad), den, flow
+    # quad = g/(2pn) over the least common denominator of its entries
+    k = gcd(2 * p * n, *(c for row in g for c in row))
+    return tuple(tuple(c // k for c in row) for row in g), 2 * p * n // k, flow
 
 
 def _value(quad, v) -> int:
@@ -268,12 +268,12 @@ def multiplet_superchar(alpha: Vec, lam: LambdaParam, case: ShiftCase,
     if case.variant is not Variant.SUPER:
         raise UnsupportedCaseError("supercharacters require the super variant")
     labels = _check_multiplet_inputs(case, alpha, lam)
-    r, d, b = case.rank, case.rs.half_lengths[-1], _coset_vector(case, lam)
+    r, rs, b = case.rank, case.rs, _coset_vector(case, lam)
     # the NS supercharacter tail has the NS character tail's base
     tail, num = _eta_inv_fermion(r, FermionKind.NS_SCH, order), {}
     # extra sign floor((w o beta, alpha_r)), where w o beta = w(beta + rho) - rho
     for e, sign, t in _below(case, b, labels, _reach(case, b, labels, tail)):
-        flip = d.numerator * (t[r - 1] - 1) // d.denominator % 2
+        flip = rs.ell[-1] * (t[r - 1] - 1) // rs.lacing % 2
         num[e] = num.get(e, 0) + (-sign if flip else sign)
     return _times_tail(case, num, tail)
 
@@ -299,7 +299,7 @@ def _height_bound(case: ShiftCase, lam: LambdaParam, top: int) -> int:
     rs, (quad, den, _), p = case.rs, _form(case), case.p
     adj, det = rs.cartan_adjugate
     v = _identity_point(case, _coset_vector(case, lam), _grid(case)[2][lam.bullet_index])
-    most = 4 * (p * det) ** 2 * _value(quad, rs.integral_labels(rs.rho_check)) * top
+    most = 4 * (p * det) ** 2 * _value(quad, rs.rho_check_labels) * top
     h, big_h = 1, sum(map(mul, map(sum, zip(*adj)), v)) + p * det
     while big_h <= 0 or (den * big_h) ** 2 <= most:
         h, big_h = h + 1, big_h + p * det

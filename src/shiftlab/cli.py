@@ -202,7 +202,7 @@ def _alcove_independence_report(case: shift.ShiftCase) -> shift.ShiftReport:
     prints its y, on the first strong coset with its bullet."""
     report = shift.ShiftReport(case.case_id(), {"checks": 0})
     alphas = _alphas(case.rs, 4)
-    for b_idx in range(len(case.rs.minuscule)):
+    for b_idx in range(len(case.rs.minuscule_labels)):
         label = next((lam.label() for lam in shift.enumerate_lambda(case)
                       if lam.bullet_index == b_idx and shift.alcove_inequality(lam, case)), None)
         for alpha in alphas:

@@ -1,10 +1,11 @@
 """Exact root-system, lattice, and Weyl-group layer for the finite simple Lie types.
 
 Everything is computed exactly, over ``fractions.Fraction`` and integers; no
-floating point enters at any stage.  The root-system record is built on
-integers (the Cartan matrix, its adjugate, the roots with their length
-classes) and holds ``Fraction`` vectors in the simple-root basis, whose
-pairings reduce to exact linear algebra against the Gram matrix.  A Weyl
+floating point enters at any stage.  The root-system record is built and
+stored on integers (the Cartan matrix, its adjugate, the roots with their
+length classes, the Dynkin labels of the weights its readers use); its
+``Fraction`` vectors in the simple-root basis, whose pairings reduce to exact
+linear algebra against the Gram matrix, are derived on first read.  A Weyl
 element is its lex-minimal reduced word together with the integer Dynkin
 labels of w(rho); it acts by the simple reflections along its word.
 
@@ -23,7 +24,6 @@ from operator import mul
 from typing import NamedTuple
 
 Vec = tuple[Fraction, ...]
-Mat = tuple[tuple[Fraction, ...], ...]
 IntMat = tuple[tuple[int, ...], ...]
 
 _SERIES = "ABCDEFG"
@@ -162,20 +162,19 @@ def _dynkin_edges(t: SimpleLieType) -> list[tuple[int, int]]:
     return edges
 
 
-def _root_half_lengths(t: SimpleLieType) -> tuple[Fraction, ...]:
-    """d_i = |alpha_i|^2 / 2 per node."""
-    r = t.rank
-    one = Fraction(1)
-    half = Fraction(1, 2)
+def _length_classes(t: SimpleLieType) -> tuple[int, ...]:
+    """ell_i = lacing * |alpha_i|^2 / 2 per node: lacing on a long simple
+    root, 1 on a short one."""
+    r, lac = t.rank, _lacing(t)
     if t.series in ("A", "D", "E"):
-        return (one,) * r
+        return (1,) * r
     if t.series == "B":
-        return (one,) * (r - 1) + (half,)
+        return (lac,) * (r - 1) + (1,)
     if t.series == "C":
-        return (half,) * (r - 1) + (one,)
+        return (1,) * (r - 1) + (lac,)
     if t.series == "F":
-        return (one, one, half, half)
-    return (one, Fraction(1, 3))  # G2: alpha_1 long, alpha_2 short
+        return (lac, lac, 1, 1)
+    return (lac, 1)  # G2: alpha_1 long, alpha_2 short
 
 
 def _lacing(t: SimpleLieType) -> int:
@@ -232,29 +231,71 @@ class WeylElement(NamedTuple):
 # the root system proper
 # ---------------------------------------------------------------------------
 
+def _derived(fn):
+    """A field derived from the integer data on its first read, once per
+    root system."""
+    return property(lru_cache(maxsize=None)(fn))
+
+
+def _frac(v) -> Vec:
+    return tuple(map(Fraction, v))
+
+
+def _unit(r: int) -> IntMat:
+    return tuple(tuple(int(j == i) for j in range(r)) for i in range(r))
+
+
+# the record's fields as it prints them: the Fraction vectors among them are
+# derived from the integer fields on first read
+FIELDS = ("lie_type", "gram", "cartan", "simple_roots", "simple_coroots", "fund_weights",
+          "fund_coweights", "rho", "rho_check", "theta", "theta_s", "theta_L", "theta_L_marks",
+          "lacing", "coxeter", "dual_coxeter", "dual_coxeter_L", "exponents", "positive_roots",
+          "minuscule", "half_lengths", "cartan_adjugate")
+
+
 class RootSystem(NamedTuple):
+    """The integer root data of one type, and the Fraction vectors in the
+    simple-root basis that are derived from it on their first read."""
+
     lie_type: SimpleLieType
-    gram: Mat
     cartan: IntMat                  # cartan[i][j] = (alpha_j, alpha_i^vee)
-    simple_roots: tuple[Vec, ...]
-    simple_coroots: tuple[Vec, ...]
-    fund_weights: tuple[Vec, ...]
-    fund_coweights: tuple[Vec, ...]
-    rho: Vec
-    rho_check: Vec
-    theta: Vec
-    theta_s: Vec
-    theta_L: Vec                    # highest root of the dual system, as a coroot vector
-    theta_L_marks: tuple[int, ...]  # theta_L = theta_s^vee = sum c_i alpha_i^vee
+    cartan_adjugate: tuple[IntMat, int]  # (adj, det): C^-1 = adj / det
     lacing: int
+    ell: tuple[int, ...]            # lacing * |alpha_i|^2 / 2: 1 short, lacing long
+    roots: tuple[tuple[int, ...], ...]   # positive roots by height, simple-root coordinates
+    rho_check_labels: tuple[int, ...]    # lacing // ell_i; rho's labels are all 1
+    theta_s_labels: tuple[int, ...]
+    theta_L_marks: tuple[int, ...]  # theta_L = theta_s^vee = sum c_i alpha_i^vee
+    minuscule_labels: tuple[tuple[int, ...], ...]  # transversal of P/Q, zero first
     coxeter: int
     dual_coxeter: int
     dual_coxeter_L: int
     exponents: tuple[int, ...]
-    positive_roots: tuple[Vec, ...]
-    minuscule: tuple[Vec, ...]      # transversal of P/Q, zero first
-    half_lengths: tuple[Fraction, ...]  # d_i = |alpha_i|^2/2
-    cartan_adjugate: tuple[IntMat, int]  # (adj, det): C^-1 = adj / det
+
+    gram = _derived(lambda rs: tuple(tuple(Fraction(n * c, rs.lacing) for c in row)
+                                     for n, row in zip(rs.ell, rs.cartan)))
+    simple_roots = _derived(lambda rs: tuple(map(_frac, _unit(rs.rank))))
+    simple_coroots = _derived(lambda rs: tuple(
+        tuple(Fraction(rs.lacing * x, n) for x in row) for n, row in zip(rs.ell, _unit(rs.rank))))
+    # the coordinates of the i-th fundamental weight form column i of C^-1;
+    # those of the i-th fundamental coweight row i of gram^-1 = C^-1 D^-1
+    fund_weights = _derived(lambda rs: tuple(map(rs.from_labels, _unit(rs.rank))))
+    fund_coweights = _derived(lambda rs: tuple(
+        tuple(Fraction(rs.lacing * c, rs.cartan_adjugate[1] * n) for c, n in zip(row, rs.ell))
+        for row in rs.cartan_adjugate[0]))
+    rho = _derived(lambda rs: rs.from_labels((1,) * rs.rank))
+    rho_check = _derived(lambda rs: rs.from_labels(rs.rho_check_labels))
+    theta = _derived(lambda rs: _frac(rs.roots[-1]))
+    theta_s = _derived(lambda rs: rs.from_labels(rs.theta_s_labels))
+    # the highest root of the dual system, as a coroot vector
+    theta_L = _derived(lambda rs: tuple(Fraction(rs.lacing * c, n)
+                                        for c, n in zip(rs.theta_L_marks, rs.ell)))
+    positive_roots = _derived(lambda rs: tuple(map(_frac, rs.roots)))
+    minuscule = _derived(lambda rs: tuple(map(rs.from_labels, rs.minuscule_labels)))
+    half_lengths = _derived(lambda rs: tuple(Fraction(n, rs.lacing) for n in rs.ell))
+
+    def __repr__(self) -> str:
+        return f"RootSystem({', '.join(f'{k}={getattr(self, k)!r}' for k in FIELDS)})"
 
     def __hash__(self) -> int:
         # the type fixes every other field; hashing them all is slow
@@ -282,8 +323,8 @@ class RootSystem(NamedTuple):
         """(g, n): the form on Dynkin labels, (mu, nu) = l_mu.g.l_nu / n, read
         off (omega_i, omega_j) = d_i adj_ij / det; computed once per root system."""
         adj, det = self.cartan_adjugate
-        return (tuple(tuple(int(self.lacing * d * c) for c in row)
-                      for d, row in zip(self.half_lengths, adj)), self.lacing * det)
+        return (tuple(tuple(n * c for c in row) for n, row in zip(self.ell, adj)),
+                self.lacing * det)
 
     def from_labels(self, labels, scale: int = 1) -> Vec:
         """Simple-root coordinates of the weight with Dynkin labels
@@ -380,7 +421,7 @@ class RootSystem(NamedTuple):
     def longest_element(self) -> WeylElement:
         """w0, the element with w0(rho) = -rho, found once per root system."""
         w0 = self.element_from_labels((-1,) * self.rank)
-        if w0.length != len(self.positive_roots):
+        if w0.length != len(self.roots):
             raise AssertionError(f"w0 of {self.lie_type} has length {w0.length}")
         return w0
 
@@ -414,10 +455,9 @@ class RootSystem(NamedTuple):
         sum c_j (l_j + 1) / sum c_j."""
         if len(labels) != self.rank or min(labels) < 0:
             raise ValueError(f"labels {labels} are not those of a dominant weight")
-        ell = [int(self.lacing * d) for d in self.half_lengths]
         num = den = 1
-        for alpha in self.positive_roots:
-            c = [e * a.numerator for e, a in zip(ell, alpha)]
+        for alpha in self.roots:
+            c = list(map(mul, self.ell, alpha))
             num *= sum(x * (l + 1) for x, l in zip(c, labels))
             den *= sum(c)
         dim, rest = divmod(num, den)
@@ -449,7 +489,7 @@ class RootSystem(NamedTuple):
             "dual_coxeter": self.dual_coxeter,
             "dual_coxeter_L": self.dual_coxeter_L,
             "exponents": list(self.exponents),
-            "num_positive_roots": len(self.positive_roots),
+            "num_positive_roots": len(self.roots),
             "weyl_order": weyl_order(self.lie_type),
             "minuscule": [rvec(v) for v in self.minuscule],
             "fund_weights": [rvec(v) for v in self.fund_weights],
@@ -465,8 +505,7 @@ def _close_roots(cartan: IntMat, lengths: tuple[int, ...]) -> dict[tuple[int, ..
     """Every root in integer simple-root coordinates, with its length class:
     the closure of the simple roots under the simple reflections, which keep
     the class ``lengths[i]`` of the simple root each orbit starts from."""
-    r = len(cartan)
-    seen = {tuple(int(j == i) for j in range(r)): n for i, n in enumerate(lengths)}
+    seen = dict(zip(_unit(len(cartan)), lengths))
     frontier = list(seen.items())
     while frontier:
         nxt = []
@@ -483,45 +522,31 @@ def _close_roots(cartan: IntMat, lengths: tuple[int, ...]) -> dict[tuple[int, ..
 
 @lru_cache(maxsize=None)
 def build_root_system(t: SimpleLieType) -> RootSystem:
-    """Construct the full exact root-system record for a valid type.
+    """Construct the exact root-system record for a valid type.
 
     The build runs on integers: the Cartan matrix, its adjugate over its
     determinant for C^-1, and the roots with their length classes
-    lacing*|a|^2/2 (1 for short roots, lacing for long ones).  Fractions are
-    made only to fill the record's fields."""
-    r, lac = t.rank, _lacing(t)
-    d = _root_half_lengths(t)
-    ell = tuple(int(lac * x) for x in d)
-    # C_ij = (alpha_j, alpha_i^vee) = -max(d_i, d_j) / d_i on an edge
+    lacing*|a|^2/2 (1 for short roots, lacing for long ones).  The record's
+    Fraction vectors are derived from these on first read."""
+    r, lac, ell = t.rank, _lacing(t), _length_classes(t)
+    # C_ij = (alpha_j, alpha_i^vee) = -max(ell_i, ell_j) / ell_i on an edge
     links = {(i, j): max(ell[i], ell[j]) for e in _dynkin_edges(t) for i, j in (e, e[::-1])}
-    if any(v % ell[i] for (i, _), v in links.items()) or any(
-            lac * x != n for x, n in zip(d, ell)):
+    if any(v % ell[i] for (i, _), v in links.items()):
         raise AssertionError(f"Cartan matrix of {t} is not integral")
     cartan = tuple(tuple(2 if i == j else -links.get((i, j), 0) // ell[i] for j in range(r))
                    for i in range(r))
     adj, det_c = adjugate(cartan)
 
-    unit = tuple(tuple(Fraction(int(j == i)) for j in range(r)) for i in range(r))
-    gram = tuple(tuple(Fraction(n * c, lac) for c in row) for n, row in zip(ell, cartan))
-    # the coordinates of the i-th fundamental weight form column i of C^-1;
-    # those of the i-th fundamental coweight row i of gram^-1 = C^-1 D^-1
-    fund_weights = tuple(tuple(Fraction(row[i], det_c) for row in adj) for i in range(r))
-    fund_coweights = tuple(tuple(Fraction(lac * c, det_c * n) for c, n in zip(row, ell))
-                           for row in adj)
-    rho = tuple(Fraction(sum(row), det_c) for row in adj)
-    rho_check = tuple(Fraction(lac * sum(col), det_c * n) for col, n in zip(zip(*adj), ell))
-
     roots = _close_roots(cartan, ell)
     positive = sorted((a for a in roots if min(a) >= 0), key=lambda a: (sum(a), a))
-    theta = max(positive, key=sum)
+    theta = positive[-1]
     short = min(roots[a] for a in positive)
     theta_s = max((a for a in positive if roots[a] == short), key=sum)
     # the coroot of a has coroot coordinates ell_i a_i / ell(a); theta_L is
     # the highest coroot, the highest root of the dual system
-    top = max(positive, key=lambda a: Fraction(sum(map(mul, ell, a)), roots[a]))
+    top = max(positive, key=lambda a: sum(map(mul, ell, a)) // roots[a])
     marks_L = [divmod(n * x, roots[top]) for n, x in zip(ell, top)]
-    minuscule = ((Fraction(0),) * r,) + tuple(
-        fund_weights[i] for i, (c, _) in enumerate(marks_L) if c == 1)
+    minuscule = ((0,) * r,) + tuple(u for u, (c, _) in zip(_unit(r), marks_L) if c == 1)
     # dual Coxeter numbers: 1 + (rho, theta^vee), the sum of the coroot
     # coordinates of theta, and 1 + (rho_check, theta_L)/lacing, the height
     # of top over its length class
@@ -537,33 +562,21 @@ def build_root_system(t: SimpleLieType) -> RootSystem:
             or sum(exps) != len(positive) or order != weyl_order(t)):
         raise AssertionError(f"inconsistent root data for {t}")
 
-    def frac(v) -> Vec:
-        return tuple(Fraction(x) for x in v)
-
     return RootSystem(
         lie_type=t,
-        gram=gram,
         cartan=cartan,
-        simple_roots=unit,
-        simple_coroots=tuple(tuple(Fraction(lac * x, n) for x in u)
-                             for n, u in zip(ell, unit)),
-        fund_weights=fund_weights,
-        fund_coweights=fund_coweights,
-        rho=rho,
-        rho_check=rho_check,
-        theta=frac(theta),
-        theta_s=frac(theta_s),
-        theta_L=tuple(Fraction(lac * x, roots[top]) for x in top),
-        theta_L_marks=tuple(c for c, _ in marks_L),
+        cartan_adjugate=(adj, det_c),
         lacing=lac,
+        ell=ell,
+        roots=tuple(positive),
+        rho_check_labels=tuple(lac // n for n in ell),
+        theta_s_labels=tuple(sum(map(mul, row, theta_s)) for row in cartan),
+        theta_L_marks=tuple(c for c, _ in marks_L),
+        minuscule_labels=minuscule,
         coxeter=sum(theta) + 1,
         dual_coxeter=dc + 1,
         dual_coxeter_L=lhv + 1,
         exponents=exps,
-        positive_roots=tuple(frac(a) for a in positive),
-        minuscule=minuscule,
-        half_lengths=d,
-        cartan_adjugate=(adj, det_c),
     )
 
 

@@ -16,6 +16,7 @@ import enum
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple
 
 DEFAULT_GRID_CAP = 10**4
@@ -255,22 +256,6 @@ def _spread(coeffs: tuple[int, ...], step: int) -> list[int]:
 # Euler products: inverse eta powers and free-fermion characters
 # ---------------------------------------------------------------------------
 
-def _times(coeffs: list[int], sign: int, ks) -> list[int]:
-    """coeffs times prod_{k in ks} (1 + sign*q^k), in place, to len(coeffs)."""
-    for k in ks:
-        for i in range(len(coeffs) - 1, k - 1, -1):
-            coeffs[i] += sign * coeffs[i - k]
-    return coeffs
-
-
-def _over(coeffs: list[int], ks) -> list[int]:
-    """coeffs over prod_{k in ks} (1 - q^k), in place, to len(coeffs)."""
-    for k in ks:
-        for i in range(k, len(coeffs)):
-            coeffs[i] += coeffs[i - k]
-    return coeffs
-
-
 def check_order(order: int) -> None:
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -305,16 +290,30 @@ def fermion_char(kind: FermionKind, order: int) -> QSeries:
 @lru_cache(maxsize=None)
 def _eta_inv_fermion(r: int, kind: FermionKind | None, order: int) -> QSeries:
     """eta(q)^-r times fermion_char(kind, order) (times 1 for None), to depth
-    ``order``: the fermion product, then r divisions by prod (1 - q^n)."""
+    ``order``.  In units x = q^(1/grid) the product is lead * prod_k (1 -
+    x^k)^-c_k: eta^-r puts r on every multiple of grid, the NS fermion +-1 on
+    odd k (and, as 1 + x^k = (1 - x^2k)/(1 - x^k), -1 on 2k for the
+    character), the Ramond one +1 on odd k.  Its logarithmic derivative gives
+    n f_n = sum_{m<=n} b_m f_(n-m) with b_m = sum_{d|m} d c_d."""
     check_order(order)
     if kind is None:
-        base, grid, coeffs = Fraction(0), 1, [1] + [0] * order
+        base, grid, lead, odd = Fraction(0), 1, 1, 0
     elif kind is FermionKind.R_TWISTED:
-        base, grid, coeffs = Fraction(1, 24), 1, _times([2] + [0] * order, 1, range(1, order + 1))
+        base, grid, lead, odd = Fraction(1, 24), 1, 2, 1
     else:
-        sign = 1 if kind is FermionKind.NS_CH else -1
-        base, grid = Fraction(-1, 48), 2
-        coeffs = _times([1] + [0] * (2 * order), sign, range(1, 2 * order + 1, 2))
-    _over(coeffs, [*range(grid, len(coeffs), grid)] * r)
+        base, grid, lead, odd = Fraction(-1, 48), 2, 1, -1 if kind is FermionKind.NS_SCH else 1
+    n = grid * order + 1
+    b = [0] * n
+    for d in range(1, n):
+        c = r * (d % grid == 0) + odd * (d % 2) - (kind is FermionKind.NS_CH and d % 4 == 2)
+        if c:
+            for m in range(d, n, d):
+                b[m] += d * c
+    coeffs, b = [lead], b[1:]
+    for k in range(1, n):
+        f, rest = divmod(sum(map(mul, b, reversed(coeffs))), k)
+        if rest:
+            raise AssertionError(f"Euler-product recurrence left a remainder at x^{k}")
+        coeffs.append(f)
     base -= Fraction(r, 24)
     return QSeries.make(base, grid, coeffs, base + order)

@@ -76,8 +76,9 @@ class ShiftCase(NamedTuple):
     central_charge: Fraction
 
     def __hash__(self) -> int:
-        # type, variant and m fix every other field; hashing them all is slow
-        return hash((self.rs.lie_type, self.variant, self.m))
+        # type, variant and m fix every other field; hashing them all is slow,
+        # and so is Enum.__hash__, which the variant's value stands in for
+        return hash((self.rs.lie_type, self.variant._value_, self.m))
 
     @property
     def rank(self) -> int:
@@ -95,17 +96,18 @@ def make_case(lie_type: SimpleLieType | str, variant: Variant | str, m: int) -> 
     if m < 1:
         raise InvalidCaseError("m must be a positive integer")
     rs = build_root_system(lie_type)
+    # p * labels(x), and twice the central charge before the background charge
     if variant is Variant.NONSUPER:
-        p, px, c = rs.lacing * m, rs.rho_check, rs.rank
+        p, px, c2 = rs.lacing * m, rs.rho_check_labels, 2 * rs.rank
     elif lie_type.series != "B":
         raise InvalidCaseError(f"variant {variant.value} requires series B, got {lie_type}")
     else:
-        p, px, c = 2 * m - 1, rs.rho, rs.rank + Fraction(1, 2)
-    x = tuple(v / p for v in px)  # px is p * x
-    gamma = tuple(u - v for u, v in zip(rs.rho, x))
-    (g, n), u = rs.label_form(), [p - v for v in rs.integral_labels(px)]  # u = p*labels(gamma)
-    c -= Fraction(12 * sum(y * sum(map(mul, row, u)) for y, row in zip(u, g)), n * p)
-    return ShiftCase(rs, variant, m, p, x, gamma, Fraction(c))
+        p, px, c2 = 2 * m - 1, (1,) * rs.rank, 2 * rs.rank + 1
+    # u = p * labels(gamma), as rho's labels are all 1; c = c2/2 - 12 p |gamma|^2
+    (g, n), u = rs.label_form(), [p - v for v in px]
+    q = sum(y * sum(map(mul, row, u)) for y, row in zip(u, g))
+    return ShiftCase(rs, variant, m, p, rs.from_labels(px, p), rs.from_labels(u, p),
+                     Fraction(c2 * n * p - 24 * q, 2 * n * p))
 
 
 class LambdaParam(NamedTuple):
@@ -156,21 +158,21 @@ def _grid(case: ShiftCase):
     k_i * x_i = p * labels(box + x)_i, so that k_i runs up to p / x_i (p * d_i
     in the nonsuper family, p in the super one); and the Dynkin labels of each
     minuscule weight."""
-    p = case.p
-    (x, n), *bullets = [case.rs.scaled_labels(v) for v in (case.x, *case.rs.minuscule)]
-    if any(p * v % n for v in x) or any(v % d for b, d in bullets for v in b):
-        raise AssertionError(f"the twist or a minuscule weight of {case.case_id()} "
-                             f"has labels off the 1/{p} grid")
+    p, (x, n) = case.p, case.rs.scaled_labels(case.x)
+    if any(p * v % n for v in x):
+        raise AssertionError(f"the twist of {case.case_id()} has labels off the 1/{p} grid")
     x = tuple(p * v // n for v in x)
     if any(p % t for t in x):
         raise AssertionError(f"p={p} does not clear the root lengths")
-    return x, tuple(p // t for t in x), tuple(tuple(v // d for v in b) for b, d in bullets)
+    return x, tuple(p // t for t in x), case.rs.minuscule_labels
 
 
 def lambda_from(case: ShiftCase, bullet_index: int, digits) -> LambdaParam:
     """The transversal's record of (bullet_index, digits), once they pass the checks."""
     digits = tuple(digits)
-    if not all(isinstance(v, Rational) and v.denominator == 1 for v in (bullet_index, *digits)):
+    # an int passes before the first (slow) abstract-base check
+    if not all(isinstance(v, int) or isinstance(v, Rational) and v.denominator == 1
+               for v in (bullet_index, *digits)):
         raise ValueError(f"minuscule index {bullet_index} or digits {digits} not all integers")
     bullet_index, digits = int(bullet_index), tuple(map(int, digits))
     if len(digits) != case.rank:
@@ -266,8 +268,9 @@ class Cosets:
         round-trips: p * labels(value) = a - x, a = p * labels(lambda + x)."""
         if (lam := self._records[l_idx]) is None:
             (b_idx, digits), p, rs = self._keys[l_idx], self.case.p, self.rs
-            u = [(k - 1) * s - p * c for k, s, c in zip(digits, self._x, self._bullets[b_idx])]
-            lam = LambdaParam(b_idx, rs.minuscule[b_idx], digits, rs.from_labels(u, p))
+            bullet = self._bullets[b_idx]
+            u = [(k - 1) * s - p * c for k, s, c in zip(digits, self._x, bullet)]
+            lam = LambdaParam(b_idx, rs.from_labels(bullet), digits, rs.from_labels(u, p))
             labels, n = rs.scaled_labels(lam.value)
             if any(p * v != n * w for v, w in zip(labels, u)):
                 raise AssertionError(f"{lam.label()} does not round-trip")
@@ -344,7 +347,7 @@ class Cosets:
         if word is None:
             return self.rs.longest_element().word
         word, r = tuple(word), self.case.rank
-        if (len(word) != len(self.rs.positive_roots) or not set(word) <= set(range(r))
+        if (len(word) != len(self.rs.roots) or not set(word) <= set(range(r))
                 or self.rs.reflect_along(word, (1,) * r) != (-1,) * r):
             raise ValueError("word is not a reduced word of the longest element")
         return word
@@ -623,9 +626,8 @@ def verify_axioms(case: ShiftCase) -> ShiftReport:
 def _coroots(rs: RootSystem) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """(simple-root, coroot coordinates ell_j beta_j / ell(beta)) of each
     positive root beta, ell being the length classes of liealg._close_roots."""
-    ell = tuple(int(rs.lacing * d) for d in rs.half_lengths)
-    return tuple((beta, tuple(e * b // n for e, b in zip(ell, beta)))
-                 for beta, n in _close_roots(rs.cartan, ell).items() if min(beta) >= 0)
+    return tuple((beta, tuple(e * b // n for e, b in zip(rs.ell, beta)))
+                 for beta, n in _close_roots(rs.cartan, rs.ell).items() if min(beta) >= 0)
 
 
 def _root_word(cartan, beta: tuple[int, ...], negative: int) -> tuple[int, list]:

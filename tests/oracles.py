@@ -61,6 +61,7 @@
 """
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -87,10 +88,11 @@ from shiftlab.characters import (
     dominant_shell,
 )
 from shiftlab.liealg import (
-    RootSystem,
+    FIELDS,
+    _close_roots as close_root_classes,
     _dynkin_edges,
     _lacing,
-    _root_half_lengths,
+    adjugate,
     exponents_of,
     reflect_labels,
     weyl_order,
@@ -210,6 +212,94 @@ def matrix_length(rs, m):
 # the root system over Fraction
 # ---------------------------------------------------------------------------
 
+# every field of liealg.RootSystem, the Fraction vectors held eagerly
+RootRecord = namedtuple("RootRecord", FIELDS)
+
+
+def _root_half_lengths(t) -> tuple[Fraction, ...]:
+    """d_i = |alpha_i|^2 / 2 per node."""
+    r = t.rank
+    one = Fraction(1)
+    half = Fraction(1, 2)
+    if t.series in ("A", "D", "E"):
+        return (one,) * r
+    if t.series == "B":
+        return (one,) * (r - 1) + (half,)
+    if t.series == "C":
+        return (half,) * (r - 1) + (one,)
+    if t.series == "F":
+        return (one, one, half, half)
+    return (one, Fraction(1, 3))  # G2: alpha_1 long, alpha_2 short
+
+
+def eager_root_system(t) -> RootRecord:
+    """The root-system record built eagerly: the integer build (Cartan
+    matrix, adjugate, roots with their length classes) with every Fraction
+    vector made up front, against which liealg's vectors derived on first
+    read are checked."""
+    r, lac = t.rank, _lacing(t)
+    d = _root_half_lengths(t)
+    ell = tuple(int(lac * x) for x in d)
+    links = {(i, j): max(ell[i], ell[j]) for e in _dynkin_edges(t) for i, j in (e, e[::-1])}
+    assert not any(v % ell[i] for (i, _), v in links.items())
+    assert all(lac * x == n for x, n in zip(d, ell))
+    cartan = tuple(tuple(2 if i == j else -links.get((i, j), 0) // ell[i] for j in range(r))
+                   for i in range(r))
+    adj, det_c = adjugate(cartan)
+
+    unit = tuple(tuple(Fraction(int(j == i)) for j in range(r)) for i in range(r))
+    gram = tuple(tuple(Fraction(n * c, lac) for c in row) for n, row in zip(ell, cartan))
+    fund_weights = tuple(tuple(Fraction(row[i], det_c) for row in adj) for i in range(r))
+    fund_coweights = tuple(tuple(Fraction(lac * c, det_c * n) for c, n in zip(row, ell))
+                           for row in adj)
+    rho = tuple(Fraction(sum(row), det_c) for row in adj)
+    rho_check = tuple(Fraction(lac * sum(col), det_c * n) for col, n in zip(zip(*adj), ell))
+
+    roots = close_root_classes(cartan, ell)
+    positive = sorted((a for a in roots if min(a) >= 0), key=lambda a: (sum(a), a))
+    theta = max(positive, key=sum)
+    short = min(roots[a] for a in positive)
+    theta_s = max((a for a in positive if roots[a] == short), key=sum)
+    top = max(positive, key=lambda a: Fraction(sum(map(mul, ell, a)), roots[a]))
+    marks_L = [divmod(n * x, roots[top]) for n, x in zip(ell, top)]
+    minuscule = ((Fraction(0),) * r,) + tuple(
+        fund_weights[i] for i, (c, _) in enumerate(marks_L) if c == 1)
+    dc, dc_rem = divmod(sum(map(mul, ell, theta)), roots[theta])
+    lhv, lhv_rem = divmod(sum(top), roots[top])
+    exps = exponents_of(t)
+    assert 2 * len(positive) == len(roots) and len(minuscule) == det_c
+    assert not any(rest for _, rest in marks_L) and not dc_rem and not lhv_rem
+    assert sum(exps) == len(positive) and math.prod(e + 1 for e in exps) == weyl_order(t)
+
+    def frac(v):
+        return tuple(Fraction(x) for x in v)
+
+    return RootRecord(
+        lie_type=t, gram=gram, cartan=cartan, simple_roots=unit,
+        simple_coroots=tuple(tuple(Fraction(lac * x, n) for x in u) for n, u in zip(ell, unit)),
+        fund_weights=fund_weights, fund_coweights=fund_coweights, rho=rho,
+        rho_check=rho_check, theta=frac(theta), theta_s=frac(theta_s),
+        theta_L=tuple(Fraction(lac * x, roots[top]) for x in top),
+        theta_L_marks=tuple(c for c, _ in marks_L), lacing=lac, coxeter=sum(theta) + 1,
+        dual_coxeter=dc + 1, dual_coxeter_L=lhv + 1, exponents=exps,
+        positive_roots=tuple(frac(a) for a in positive), minuscule=minuscule,
+        half_lengths=d, cartan_adjugate=(adj, det_c))
+
+
+def eager_case_vectors(rs, variant: str, m: int):
+    """(x, gamma, central charge) of the case (rs, variant, m) from an eager
+    record's vectors: p x = rho_check (nonsuper) or rho (super), gamma = rho -
+    x, and c = rank (+ 1/2 in the super family) - 12 p |gamma|^2 by the Gram
+    form."""
+    if variant == "nonsuper":
+        p, px, c = rs.lacing * m, rs.rho_check, Fraction(len(rs.rho))
+    else:
+        p, px, c = 2 * m - 1, rs.rho, len(rs.rho) + Fraction(1, 2)
+    x = tuple(v / p for v in px)
+    gamma = tuple(u - v for u, v in zip(rs.rho, x))
+    norm2 = sum(a * sum(map(mul, row, gamma)) for a, row in zip(gamma, rs.gram))
+    return x, gamma, c - 12 * p * norm2
+
 
 def _close_roots(cartan, rank):
     """All roots, as the closure of the simple roots under simple reflections."""
@@ -235,7 +325,7 @@ def _close_roots(cartan, rank):
     return tuple(sorted(seen))
 
 
-def fraction_root_system(t) -> RootSystem:
+def fraction_root_system(t) -> RootRecord:
     """The root-system record with every field derived over Fraction from the
     Gram matrix: inverses by Gauss-Jordan, lengths and coroots by the form."""
     r = t.rank
@@ -308,7 +398,7 @@ def fraction_root_system(t) -> RootSystem:
     assert len(minuscule) == det
     assert all(x.denominator == 1 for x in (*marks_L, *marks_s, dc, lhv))
     assert sum(exps) == len(positive) and order == weyl_order(t)
-    return RootSystem(
+    return RootRecord(
         lie_type=t, gram=gram, cartan=cartan, simple_roots=simple_roots,
         simple_coroots=simple_coroots, fund_weights=fund_weights,
         fund_coweights=fund_coweights, rho=rho, rho_check=rho_check, theta=theta,
@@ -877,9 +967,9 @@ def affine_input(case, alpha, lam) -> AffineWeight:
     """The input weight of (alpha, lam) on Fraction coordinates:
     -p(alpha + bullet + rho') + p*box + level_in*Lambda_0, with rho' = rho for
     the nonsuper family and rho_check for the super one."""
-    fam = _family(case)
-    fin = vscale(case.p, vsub(lam.value, vadd(alpha, fam.inner)))  # box = value + bullet
-    return AffineWeight(fin, fam.level_in, Fraction(0))
+    inner = case.rs.rho if case.variant is Variant.NONSUPER else case.rs.rho_check
+    fin = vscale(case.p, vsub(lam.value, vadd(alpha, inner)))  # box = value + bullet
+    return AffineWeight(fin, _family(case).level_in, Fraction(0))
 
 
 def rho_hat_fin(case):
@@ -1130,6 +1220,39 @@ def fermion_char_reference(kind, order: int) -> QSeries:
     sign = 1 if kind is FermionKind.NS_CH else -1
     coeffs = binomial_product(2 * order, sign, range(1, 2 * order + 1, 2))
     return QSeries.make(Fraction(-1, 48), 2, coeffs, Fraction(-1, 48) + order)
+
+
+def _times(coeffs: list[int], sign: int, ks) -> list[int]:
+    """coeffs times prod_{k in ks} (1 + sign*q^k), in place, to len(coeffs)."""
+    for k in ks:
+        for i in range(len(coeffs) - 1, k - 1, -1):
+            coeffs[i] += sign * coeffs[i - k]
+    return coeffs
+
+
+def _over(coeffs: list[int], ks) -> list[int]:
+    """coeffs over prod_{k in ks} (1 - q^k), in place, to len(coeffs)."""
+    for k in ks:
+        for i in range(k, len(coeffs)):
+            coeffs[i] += coeffs[i - k]
+    return coeffs
+
+
+def euler_tail_in_place(r: int, kind, order: int) -> QSeries:
+    """eta^-r times the fermion character of ``kind`` (1 for None), to depth
+    ``order``, on the tail's grid: the fermion product factor by factor,
+    then r divisions by prod (1 - q^n), each in place."""
+    if kind is None:
+        base, grid, coeffs = Fraction(0), 1, [1] + [0] * order
+    elif kind is FermionKind.R_TWISTED:
+        base, grid, coeffs = Fraction(1, 24), 1, _times([2] + [0] * order, 1, range(1, order + 1))
+    else:
+        sign = 1 if kind is FermionKind.NS_CH else -1
+        base, grid = Fraction(-1, 48), 2
+        coeffs = _times([1] + [0] * (2 * order), sign, range(1, 2 * order + 1, 2))
+    _over(coeffs, [*range(grid, len(coeffs), grid)] * r)
+    base -= Fraction(r, 24)
+    return QSeries.make(base, grid, coeffs, base + order)
 
 
 def resample(s, t) -> QSeries:

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -124,6 +125,31 @@ def test_cold_runs_merge_by_command(tmp_path):
     data = json.loads(out.read_text())["cold_cli"]
     assert sorted(data) == ["info --algebra A1", "lambda --algebra A1"]
     assert len(data["info --algebra A1"]["parent"]["runs"]) == 1
+
+
+def test_cold_runs_child_environment(monkeypatch, tmp_path):
+    # perfbench's rules: no PYTHON* variable of the caller, in particular no
+    # PYTHONDONTWRITEBYTECODE, which would make every timed process compile
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setenv("PYTHONOPTIMIZE", "1")
+    env = cold_runs.child_env(ROOT, tmp_path)
+    assert "PYTHONDONTWRITEBYTECODE" not in env and "PYTHONOPTIMIZE" not in env
+    assert {k: v for k, v in env.items() if k.startswith("PYTHON")} == {
+        "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": "0",
+        "PYTHONPYCACHEPREFIX": str(tmp_path)}
+
+
+def test_cold_runs_write_nothing_into_the_checkout(tmp_path):
+    # the bytecode goes under a temporary prefix, and the floor is reported
+    checkout = tmp_path / "checkout"
+    shutil.copytree(ROOT / "src" / "shiftlab", checkout / "src" / "shiftlab",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    out = tmp_path / "BENCH.json"
+    assert cold_runs.main([str(checkout), str(checkout), "info --algebra A1", "--runs", "1",
+                           "--into", str(out)]) == 0
+    assert not list(checkout.rglob("__pycache__"))
+    got = json.loads(out.read_text())["cold_cli"]["info --algebra A1"]
+    assert got["same_output"] and 0 < got["floor"]["median"] == got["floor"]["runs"][0]
 
 
 _lines_spec = importlib.util.spec_from_file_location("src_lines", ROOT / "tools" / "src_lines.py")

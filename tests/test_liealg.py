@@ -1,6 +1,5 @@
 """Root-system layer: exact data, Weyl enumeration, dimension formula."""
 
-import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -12,6 +11,8 @@ from oracles import (
     copairing,
     ALL_TYPES,
     det_int,
+    eager_case_vectors,
+    eager_root_system,
     fraction_root_system,
     invert_mat,
     mat_mul,
@@ -35,6 +36,7 @@ from shiftlab.liealg import (
     reflect_labels,
     weyl_order,
 )
+from shiftlab.shift import make_case
 
 ALL_SMALL = ["A1", "A2", "A3", "A4", "B1", "B2", "B3", "B4", "C2", "C3", "C4",
              "D3", "D4", "F4", "G2"]
@@ -106,19 +108,47 @@ def test_normalization_and_rho(name):
             assert rs.cartan[i][j] == 2 * rs.gram[i][j] / rs.gram[i][i]
 
 
-@pytest.mark.parametrize("name", ALL_TYPES)
-def test_integer_build_matches_fraction_oracle(name):
-    # the integer build against Gauss-Jordan inverses and Gram-form lengths
-    # over Fraction, field by field (values and Fraction types) and in JSON
-    t = SimpleLieType.parse(name)
-    rs, ref = build_root_system(t), fraction_root_system(t)
+def assert_same_fields(rs, ref):
+    """Every field of the record equal, with the same types (repr tells a
+    Fraction from an int)."""
     for name in ref._fields:
         assert getattr(rs, name) == getattr(ref, name), name
         assert repr(getattr(rs, name)) == repr(getattr(ref, name)), name
-    assert json.dumps(rs.to_json_dict()) == json.dumps(ref.to_json_dict())
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_integer_build_matches_fraction_oracle(name):
+    # the integer build against Gauss-Jordan inverses and Gram-form lengths
+    # over Fraction, field by field (values and Fraction types)
+    t = SimpleLieType.parse(name)
+    rs = build_root_system(t)
+    assert_same_fields(rs, fraction_root_system(t))
     adj, det = adjugate(rs.cartan)
     assert det == det_int(rs.cartan)
     assert tuple(tuple(Fraction(c, det) for c in row) for row in adj) == invert_mat(rs.cartan)
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_derived_fields_equal_the_eager_build(name):
+    # the Fraction vectors derived on first read against the build that made
+    # them all up front; the integer data against the labels of its vectors
+    t = SimpleLieType.parse(name)
+    rs, ref = build_root_system.__wrapped__(t), eager_root_system(t)
+    assert_same_fields(rs, ref)
+    assert repr(rs) == repr(ref).replace("RootRecord", "RootSystem")
+    assert rs.roots == tuple(tuple(map(int, a)) for a in ref.positive_roots)
+    assert rs.ell == tuple(int(rs.lacing * d) for d in ref.half_lengths)
+    assert rs.rho_check_labels == rs.integral_labels(ref.rho_check)
+    assert rs.integral_labels(ref.rho) == (1,) * rs.rank
+    assert rs.theta_s_labels == rs.integral_labels(ref.theta_s)
+    assert rs.minuscule_labels == tuple(map(rs.integral_labels, ref.minuscule))
+    assert rs.to_json_dict()["num_positive_roots"] == len(ref.positive_roots)
+    for variant in ("nonsuper",) + ("super", "ramond") * (t.series == "B"):
+        for m in (1, 2, 3):
+            case = make_case(t, variant, m)
+            want = eager_case_vectors(ref, "nonsuper" if variant == "nonsuper" else "super", m)
+            assert (case.x, case.gamma, case.central_charge) == want, (variant, m)
+            assert repr((case.x, case.gamma, case.central_charge)) == repr(want)
 
 
 @pytest.mark.parametrize("name", ALL_TYPES)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    euler_tail_in_place,
     eta_inv_pow_reference,
     eta_pow_reference,
     fermion_char_reference,
@@ -145,6 +146,16 @@ def test_euler_products_match_reference(r, order):
         tail = _eta_inv_fermion(r, kind, order)
         assert tail == eta_inv_pow_reference(r, order).mul(fermion_char_reference(kind, order))
         assert tail == inv.mul(ferm)
+
+
+@pytest.mark.parametrize("kind", [None, *FermionKind], ids=str)
+def test_divisor_sum_tails_match_in_place_products(kind):
+    # the divisor-sum recurrence against the products multiplied and divided
+    # factor by factor in place: base, grid, every coefficient and the cutoff
+    for r, order in product(range(9), (*range(13), 40, 97)):
+        got, want = _eta_inv_fermion(r, kind, order), euler_tail_in_place(r, kind, order)
+        assert (got.base, got.grid, got.coeffs, got.cutoff) == \
+            (want.base, want.grid, want.coeffs, want.cutoff), (r, order)
 
 
 def test_fermion_eta_quotient_identities():

@@ -352,10 +352,11 @@ def test_alcove_inequality_matches_fraction_oracle(name, variant, m):
         assert alcove_inequality(lamp, case) == alcove_inequality_fraction(lamp, case), \
             lamp.label()
     # the marks are the record's (build_root_system checks their integrality):
-    # doubling theta_L and its marks together keeps the two routes equal
+    # doubling them doubles theta_L, which is derived from them, and keeps the
+    # two routes equal
     rs = case.rs
-    twice = case._replace(rs=rs._replace(theta_L=vscale(2, rs.theta_L),
-                                         theta_L_marks=tuple(2 * c for c in rs.theta_L_marks)))
+    twice = case._replace(rs=rs._replace(theta_L_marks=tuple(2 * c for c in rs.theta_L_marks)))
+    assert twice.rs.theta_L == vscale(2, rs.theta_L)
     for lamp in enumerate_lambda(case):
         assert alcove_inequality(lamp, twice) == alcove_inequality_fraction(lamp, twice), \
             lamp.label()
@@ -1114,6 +1115,16 @@ def test_ramond_report_reuses_the_super_verification():
     got.w0_shifts[0][1].append("x")
     got.weak.clear()
     assert verify_axioms(ram).to_json_dict() == want
+
+
+def test_case_hash_reads_type_variant_and_m():
+    # equal cases hash alike; a super case and its Ramond case, which differ
+    # only in the variant, hash apart, as do cases that differ in m or type
+    keys = [(name, variant, m) for name in ("B2", "B3")
+            for variant in ("nonsuper", "super", "ramond") for m in (1, 2)]
+    hashes = [hash(make_case(*key)) for key in keys]
+    assert len(set(hashes)) == len(keys)
+    assert [hash(make_case(*key)) for key in keys] == hashes
 
 
 def test_super_and_ramond_share_tables():

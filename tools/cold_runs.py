@@ -2,11 +2,16 @@
 add the timings to a BENCH_*.json file.
 
 Each run is one ``python -m shiftlab.cli`` process on the checkout's
-``src/``, and the runs alternate which side goes first.  Per command the
+``src/``, and the runs alternate which side goes first.  The processes get
+perfbench's environment: every ``PYTHON*`` variable is dropped, the hash
+seed is fixed, and each checkout is byte-compiled once, before any run, into
+a ``PYTHONPYCACHEPREFIX`` under a temporary directory, so that no timed
+process compiles and nothing is written into a checkout.  Per command the
 file gets, under ``cold_cli``, each side's wall times and their median, the
-peak RSS of each run's process, and whether both sides gave the same exit
-code and stdout on every run.  A command already in the file is replaced;
-the others stay.
+peak RSS of each run's process, whether both sides gave the same exit code
+and stdout on every run, and the interpreter floor: the wall times of
+``python -c pass`` and their median.  A command already in the file is
+replaced; the others stay.
 
     python3 tools/cold_runs.py --runs 3 --into BENCH_13.json ../parent . \\
         "check axioms --algebra E6 --m 1"
@@ -21,16 +26,32 @@ import shlex
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 
-def run_once(checkout: Path, argv: list[str]) -> tuple[float, float, tuple[int, bytes]]:
-    """(wall seconds, peak RSS in MB, (exit code, stdout)) of one CLI process."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+def child_env(checkout: Path, pycache: Path) -> dict:
+    """The environment of a process on the checkout: no PYTHON* variable of
+    this one, the checkout's src/ on the path, a fixed hash seed and the
+    bytecode under ``pycache``."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    return dict(env, PYTHONPATH=str(checkout / "src"), PYTHONHASHSEED="0",
+                PYTHONPYCACHEPREFIX=str(pycache))
+
+
+def compile_checkout(checkout: Path, pycache: Path) -> None:
+    subprocess.run([sys.executable, "-m", "compileall", "-q", str(checkout / "src")],
+                   env=child_env(checkout, pycache), stdout=subprocess.DEVNULL, check=True)
+
+
+def run_once(checkout: Path, pycache: Path,
+             args: list[str]) -> tuple[float, float, tuple[int, bytes]]:
+    """(wall seconds, peak RSS in MB, (exit code, stdout)) of one process
+    running ``python ARGS`` on the checkout."""
     start = time.perf_counter()
-    with subprocess.Popen([sys.executable, "-m", "shiftlab.cli", *argv], cwd=checkout,
-                          env=env, stdout=subprocess.PIPE,
+    with subprocess.Popen([sys.executable, *args], cwd=checkout,
+                          env=child_env(checkout, pycache), stdout=subprocess.PIPE,
                           stderr=subprocess.DEVNULL) as proc:
         out = proc.stdout.read()
         # reap the child here, for its resource usage; Popen then sees the code
@@ -40,20 +61,22 @@ def run_once(checkout: Path, argv: list[str]) -> tuple[float, float, tuple[int, 
     return time.perf_counter() - start, usage.ru_maxrss / 1024, (proc.returncode, out)
 
 
-def time_command(sides: dict[str, Path], argv: list[str], runs: int) -> dict:
+def time_command(sides: dict[str, Path], pycache: Path, argv: list[str], runs: int) -> dict:
     times: dict[str, list[float]] = {side: [] for side in sides}
     rss: dict[str, list[float]] = {side: [] for side in sides}
     outputs = set()
     for k in range(runs):
         order = list(sides) if k % 2 == 0 else list(sides)[::-1]
         for side in order:
-            wall, peak, output = run_once(sides[side], argv)
+            wall, peak, output = run_once(sides[side], pycache, ["-m", "shiftlab.cli", *argv])
             times[side].append(wall)
             rss[side].append(peak)
             outputs.add(output)
+    floor = [run_once(sides["change"], pycache, ["-c", "pass"])[0] for _ in range(runs)]
     return {**{side: {"runs": t, "median": statistics.median(t), "peak_rss_mb": rss[side]}
                for side, t in times.items()},
-            "same_output": len(outputs) == 1}
+            "same_output": len(outputs) == 1,
+            "floor": {"runs": floor, "median": statistics.median(floor)}}
 
 
 def main(argv=None) -> int:
@@ -72,8 +95,15 @@ def main(argv=None) -> int:
             ap.error(f"{path} has no src/shiftlab")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     summary = json.loads(args.into.read_text(encoding="utf-8")) if args.into.exists() else {}
-    summary.setdefault("cold_cli", {}).update(
-        (cmd, time_command(sides, shlex.split(cmd), args.runs)) for cmd in args.commands)
+    with tempfile.TemporaryDirectory() as tmp:
+        pycache = Path(tmp)
+        for checkout in set(sides.values()):
+            compile_checkout(checkout, pycache)
+        for cmd in args.commands:
+            got = summary.setdefault("cold_cli", {})[cmd] = time_command(
+                sides, pycache, shlex.split(cmd), args.runs)
+            print(f"{cmd}: parent {got['parent']['median']:.3f} s, change "
+                  f"{got['change']['median']:.3f} s, python -c pass {got['floor']['median']:.3f} s")
     args.into.write_text(json.dumps(summary, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from fractions import Fraction
 from operator import mul
@@ -111,7 +112,13 @@ def _emit(cfg: RunConfig, payload, csv_text: str | None = None) -> None:
         except OSError as exc:
             raise ConfigError(f"cannot write --output: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:  # a closed pipe, say; no later flush may fail again
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+            raise ConfigError(f"cannot write stdout: {exc}") from exc
 
 
 def _plainify(payload, indent: int = 0) -> str:
@@ -338,7 +345,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"error: {message}\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(invoked: str | None = None) -> argparse.ArgumentParser:
+    """The parser of the ``invoked`` subcommand alone, or of every subcommand
+    when ``invoked`` is None or names none.  A usage error prints one line and
+    no usage text, so the subcommands left out change no output."""
     parser = _Parser(
         prog="shiftlab",
         description="Exact shift systems and q-characters for multiplet "
@@ -346,6 +356,13 @@ def _build_parser() -> argparse.ArgumentParser:
     # the values of the flags a subcommand does not take; it reads none of them
     parser.set_defaults(variant="nonsuper", m=1, order=0, word_cap=None)
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, func, help):
+        if invoked not in (None, name):
+            return None
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
 
     def common(p, case=True, order=None, csv=False):
         p.add_argument("--algebra", required=True, help="e.g. A2, B3, G2")
@@ -360,49 +377,42 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=["json", "csv", "plain"] if csv else ["json", "plain"])
         p.add_argument("--output", default=None)
 
-    p = sub.add_parser("info", help="root-system data as JSON")
-    common(p, case=False)
-    p.set_defaults(func=cmd_info)
+    if p := add("info", cmd_info, "root-system data as JSON"):
+        common(p, case=False)
 
-    p = sub.add_parser("lambda", help="coset table with weak/strong/alcove flags")
-    common(p, csv=True)
-    p.set_defaults(func=cmd_lambda)
+    if p := add("lambda", cmd_lambda, "coset table with weak/strong/alcove flags"):
+        common(p, csv=True)
 
-    p = sub.add_parser("check", help="verification suites")
-    p.add_argument("suite", choices=["axioms", "weak-strong", "alcove-independence"])
-    common(p, csv=True)
-    p.add_argument("--word-cap", type=int, help="weak-strong only")
-    p.set_defaults(func=cmd_check)
+    if p := add("check", cmd_check, "verification suites"):
+        p.add_argument("suite", choices=["axioms", "weak-strong", "alcove-independence"])
+        common(p, csv=True)
+        p.add_argument("--word-cap", type=int, help="weak-strong only")
 
-    p = sub.add_parser("char", help="multiplet character")
-    common(p, order=30)
-    p.add_argument("--alpha", default="0")
-    p.add_argument("--lambda", dest="lam", required=True,
-                   help="minuscule-index,digit1,...,digitr")
-    p.add_argument("--kind", default="ch", choices=["ch", "sch", "ramond"])
-    p.set_defaults(func=cmd_char)
+    if p := add("char", cmd_char, "multiplet character"):
+        common(p, order=30)
+        p.add_argument("--alpha", default="0")
+        p.add_argument("--lambda", dest="lam", required=True,
+                       help="minuscule-index,digit1,...,digitr")
+        p.add_argument("--kind", default="ch", choices=["ch", "sch", "ramond"])
 
-    p = sub.add_parser("ftchar", help="full construction character")
-    common(p, order=10)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.set_defaults(func=cmd_ftchar)
+    if p := add("ftchar", cmd_ftchar, "full construction character"):
+        common(p, order=10)
+        p.add_argument("--lambda", dest="lam", required=True)
 
-    p = sub.add_parser("alcove", help="chamber reduction data for (alpha, lambda)")
-    common(p)
-    p.add_argument("--alpha", default="0")
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.set_defaults(func=cmd_alcove)
+    if p := add("alcove", cmd_alcove, "chamber reduction data for (alpha, lambda)"):
+        common(p)
+        p.add_argument("--alpha", default="0")
+        p.add_argument("--lambda", dest="lam", required=True)
 
-    p = sub.add_parser("verify", help="formula-vs-oracle comparisons")
-    p.add_argument("target", choices=["wchar", "verma", "walls"])
-    common(p, order=30)
-    p.set_defaults(func=cmd_verify)
+    if p := add("verify", cmd_verify, "formula-vs-oracle comparisons"):
+        p.add_argument("target", choices=["wchar", "verma", "walls"])
+        common(p, order=30)
 
-    return parser
+    # the whole tree for --help, no command or an unknown one
+    return parser if sub.choices else _build_parser()
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     # --lambda and --alpha take the next token as their value, even one that
     # starts with a minus sign, which argparse would read as an option
     tokens: list[str] = []
@@ -411,7 +421,7 @@ def main(argv=None) -> int:
             tokens[-1] += "=" + token
         else:
             tokens.append(token)
-    args = parser.parse_args(tokens)
+    args = _build_parser(tokens[0] if tokens else None).parse_args(tokens)
     try:
         cfg = _config(args)
         return args.func(cfg, args)
@@ -428,5 +438,15 @@ def main(argv=None) -> int:
         return INTERNAL_ERROR
 
 
+def run() -> None:
+    """The process entry of ``shiftlab`` and ``python -m shiftlab.cli``: main(),
+    a flush, and an exit without the interpreter's teardown, which takes longer
+    than most commands.  Argparse's exits and uncaught exceptions exit as usual."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    run()

@@ -104,8 +104,33 @@ def test_cold_runs_add_to_a_summary(tmp_path):
     for side in ("parent", "change"):
         assert len(got[side]["runs"]) == 2
         assert got[side]["median"] == sum(got[side]["runs"]) / 2
+        # each process's own CPU time, which its wall time bounds
+        assert len(got[side]["cpu"]) == 2
+        assert got[side]["cpu_median"] == sum(got[side]["cpu"]) / 2
+        assert all(0 < cpu <= wall for cpu, wall in zip(got[side]["cpu"], got[side]["runs"]))
         assert len(got[side]["peak_rss_mb"]) == 2
         assert all(5 < mb < 500 for mb in got[side]["peak_rss_mb"])
+
+
+def test_cold_runs_compare_stderr(tmp_path):
+    # the same exit code and stdout with another stderr is another output
+    for name in ("parent", "change"):
+        shutil.copytree(ROOT / "src" / "shiftlab", tmp_path / name / "src" / "shiftlab",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "change" / "src" / "shiftlab" / "cli.py"
+    text = cli.read_text(encoding="utf-8")
+    cli.write_text(text.replace("import argparse\n",
+                                "import argparse\nimport sys\nsys.stderr.write('note\\n')\n", 1),
+                   encoding="utf-8")
+    out = tmp_path / "BENCH.json"
+    assert cold_runs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                           "info --algebra A1", "--runs", "1", "--into", str(out)]) == 0
+    assert json.loads(out.read_text())["cold_cli"]["info --algebra A1"]["same_output"] is False
+    wall, cpu, _, output = cold_runs.run_once(tmp_path / "change", tmp_path / "pycache",
+                                              ["-m", "shiftlab.cli", "info", "--algebra", "Z9"])
+    assert 0 < cpu <= wall
+    assert output[0] == 2 and output[1] == b""
+    assert output[2] == b"note\nerror: cannot parse Lie type 'Z9'\n"
 
 
 def test_cold_runs_merge_by_command(tmp_path):

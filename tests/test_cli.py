@@ -513,7 +513,7 @@ def test_deterministic_output(capsys):
     assert one == two
 
 
-@pytest.mark.parametrize("name,argv", [
+GOLDEN_RUNS = [
     ("info_B2.json",
      ["info", "--algebra", "B2"]),
     ("char_A1_m2_triplet.json",
@@ -528,12 +528,102 @@ def test_deterministic_output(capsys):
     ("alcove_B1_super_m2.json",
      ["alcove", "--algebra", "B1", "--variant", "super", "--m", "2",
       "--alpha", "0", "--lambda", "0,1"]),
-])
+]
+
+
+@pytest.mark.parametrize("name,argv", GOLDEN_RUNS)
 def test_golden_files(capsys, name, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     want = (GOLDEN / name).read_text(encoding="utf-8")
     assert out == want
+
+
+def cli_process(*argv, **kwargs):
+    """`python -m shiftlab.cli ARGV` run to completion, output as bytes."""
+    return subprocess.run([sys.executable, "-m", "shiftlab.cli", *argv], env=cli_env(),
+                          capture_output=True, timeout=120, **kwargs)
+
+
+@pytest.mark.parametrize("name,argv", GOLDEN_RUNS)
+def test_golden_files_through_the_process_entry(name, argv):
+    # the process entry ends without interpreter teardown, after a flush
+    done = cli_process(*argv)
+    assert (done.returncode, done.stdout, done.stderr) == (0, (GOLDEN / name).read_bytes(), b"")
+
+
+def test_process_entry_output_file(tmp_path):
+    # --output gets the whole text, and stdout nothing
+    target = tmp_path / "out.json"
+    done = cli_process("info", "--algebra", "B2", "--output", str(target))
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+    assert target.read_bytes() == (GOLDEN / "info_B2.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv,listed", [
+    # the whole tree: every subcommand
+    (["--help"], ["{info,lambda,check,char,ftchar,alcove,verify}"]),
+    # the invoked subcommand alone, with all of its flags
+    (["char", "--help"], ["usage: shiftlab char", "--algebra", "--variant", "--m", "--order",
+                          "--format", "--output", "--alpha", "--lambda", "--kind"]),
+])
+def test_process_entry_help(argv, listed):
+    done = cli_process(*argv, text=True)
+    assert done.returncode == 0 and done.stderr == ""
+    assert all(word in done.stdout for word in listed), done.stdout
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([], "the following arguments are required: command"),
+    (["bogus-command"], "argument command: invalid choice: 'bogus-command' (choose from "
+                        "'info', 'lambda', 'check', 'char', 'ftchar', 'alcove', 'verify')"),
+    (["info", "--algebra", "B2", "--lambda", "0,1"], "unrecognized arguments: --lambda=0,1"),
+    (["check", "bogus", "--algebra", "B2"],
+     "argument suite: invalid choice: 'bogus' (choose from 'axioms', 'weak-strong', "
+     "'alcove-independence')"),
+])
+def test_process_entry_usage_error_is_one_line(argv, message):
+    # a subcommand's parser is built alone, and an error names what is wrong
+    # without a usage text, as with the whole tree
+    done = cli_process(*argv, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n")
+
+
+def test_console_script_is_the_process_entry():
+    # [project.scripts] names the function that `python -m shiftlab.cli` runs
+    import tomllib
+    root = pathlib.Path(__file__).parent.parent
+    with open(root / "pyproject.toml", "rb") as fh:
+        script = tomllib.load(fh)["project"]["scripts"]["shiftlab"]
+    tree = ast.parse((root / "src" / "shiftlab" / "cli.py").read_text(encoding="utf-8"))
+    block = next(node for node in tree.body if isinstance(node, ast.If)
+                 and ast.unparse(node.test) == "__name__ == '__main__'")
+    assert [ast.unparse(node) for node in block.body] == ["run()"]
+    assert script == "shiftlab.cli:run"
+
+
+@pytest.mark.parametrize("entry", [
+    ["-m", "shiftlab.cli"],
+    # main() returning into the interpreter's own exit, which flushes again
+    ["-c", "import sys; from shiftlab import cli; sys.exit(cli.main())"],
+])
+@pytest.mark.parametrize("argv,keep", [
+    # more than a pipe holds, closed after 10 bytes: the write fails
+    (["lambda", "--algebra", "A2", "--m", "20"], 10),
+    # closed before the first byte: the flush fails
+    (["info", "--algebra", "B2"], 0),
+])
+def test_closed_stdout_is_one_usage_error(entry, argv, keep):
+    # with PYTHONUNBUFFERED a short write to a closed pipe is dropped without
+    # an error, so the child runs without it, as the benchmark's children do
+    env = {k: v for k, v in cli_env().items() if k != "PYTHONUNBUFFERED"}
+    with subprocess.Popen([sys.executable, *entry, *argv], env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(keep)) == keep
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+    assert (code, err) == (2, "error: cannot write stdout: [Errno 32] Broken pipe\n")
 
 
 @pytest.mark.parametrize("suite,m", [("axioms", "2"), ("alcove-independence", "3")])

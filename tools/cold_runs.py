@@ -8,10 +8,18 @@ seed is fixed, and each checkout is byte-compiled once, before any run, into
 a ``PYTHONPYCACHEPREFIX`` under a temporary directory, so that no timed
 process compiles and nothing is written into a checkout.  Per command the
 file gets, under ``cold_cli``, each side's wall times and their median, the
-peak RSS of each run's process, whether both sides gave the same exit code
-and stdout on every run, and the interpreter floor: the wall times of
+CPU time of each run's process (user plus system, from ``wait4``, which is
+what perfbench's cli_cold takes as an op's latency) and their median, the
+peak RSS of each run's process, whether both sides gave the same exit code,
+stdout and stderr on every run, and the interpreter floor: the wall times of
 ``python -c pass`` and their median.  A command already in the file is
 replaced; the others stay.
+
+A child's peak RSS (``ru_maxrss``) is at least the resident set of this
+process when it spawned the child, since exec keeps the high-water mark, so
+``peak_rss_mb`` reads about 13.6 MB for ``python -c pass`` from a small
+caller and about 133.6 MB from one that holds 120 MB.  Compare it between
+the two sides of one call only.
 
     python3 tools/cold_runs.py --runs 3 --into BENCH_13.json ../parent . \\
         "check axioms --algebra E6 --m 1"
@@ -46,35 +54,40 @@ def compile_checkout(checkout: Path, pycache: Path) -> None:
 
 
 def run_once(checkout: Path, pycache: Path,
-             args: list[str]) -> tuple[float, float, tuple[int, bytes]]:
-    """(wall seconds, peak RSS in MB, (exit code, stdout)) of one process
-    running ``python ARGS`` on the checkout."""
+             args: list[str]) -> tuple[float, float, float, tuple[int, bytes, bytes]]:
+    """(wall seconds, CPU seconds, peak RSS in MB, (exit code, stdout,
+    stderr)) of one process running ``python ARGS`` on the checkout."""
     start = time.perf_counter()
-    with subprocess.Popen([sys.executable, *args], cwd=checkout,
-                          env=child_env(checkout, pycache), stdout=subprocess.PIPE,
-                          stderr=subprocess.DEVNULL) as proc:
+    with tempfile.TemporaryFile() as err, subprocess.Popen(
+            [sys.executable, *args], cwd=checkout, env=child_env(checkout, pycache),
+            stdout=subprocess.PIPE, stderr=err) as proc:
         out = proc.stdout.read()
         # reap the child here, for its resource usage; Popen then sees the code
         _, status, usage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)
+        wall = time.perf_counter() - start
+        err.seek(0)
+        output = (proc.returncode, out, err.read())
     # ru_maxrss is in KB on Linux
-    return time.perf_counter() - start, usage.ru_maxrss / 1024, (proc.returncode, out)
+    return wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024, output
 
 
 def time_command(sides: dict[str, Path], pycache: Path, argv: list[str], runs: int) -> dict:
-    times: dict[str, list[float]] = {side: [] for side in sides}
-    rss: dict[str, list[float]] = {side: [] for side in sides}
+    got: dict[str, dict[str, list[float]]] = {
+        side: {"runs": [], "cpu": [], "peak_rss_mb": []} for side in sides}
     outputs = set()
     for k in range(runs):
         order = list(sides) if k % 2 == 0 else list(sides)[::-1]
         for side in order:
-            wall, peak, output = run_once(sides[side], pycache, ["-m", "shiftlab.cli", *argv])
-            times[side].append(wall)
-            rss[side].append(peak)
+            wall, cpu, peak, output = run_once(sides[side], pycache,
+                                               ["-m", "shiftlab.cli", *argv])
+            for key, value in zip(("runs", "cpu", "peak_rss_mb"), (wall, cpu, peak)):
+                got[side][key].append(value)
             outputs.add(output)
     floor = [run_once(sides["change"], pycache, ["-c", "pass"])[0] for _ in range(runs)]
-    return {**{side: {"runs": t, "median": statistics.median(t), "peak_rss_mb": rss[side]}
-               for side, t in times.items()},
+    return {**{side: dict(g, median=statistics.median(g["runs"]),
+                          cpu_median=statistics.median(g["cpu"]))
+               for side, g in got.items()},
             "same_output": len(outputs) == 1,
             "floor": {"runs": floor, "median": statistics.median(floor)}}
 
@@ -102,8 +115,11 @@ def main(argv=None) -> int:
         for cmd in args.commands:
             got = summary.setdefault("cold_cli", {})[cmd] = time_command(
                 sides, pycache, shlex.split(cmd), args.runs)
-            print(f"{cmd}: parent {got['parent']['median']:.3f} s, change "
-                  f"{got['change']['median']:.3f} s, python -c pass {got['floor']['median']:.3f} s")
+            print(f"{cmd}: parent {got['parent']['median']:.3f} s "
+                  f"(CPU {got['parent']['cpu_median']:.3f} s), change "
+                  f"{got['change']['median']:.3f} s (CPU {got['change']['cpu_median']:.3f} s), "
+                  f"python -c pass {got['floor']['median']:.3f} s"
+                  + ("" if got["same_output"] else ", OUTPUTS DIFFER"))
     args.into.write_text(json.dumps(summary, indent=1) + "\n", encoding="utf-8")
     return 0
 

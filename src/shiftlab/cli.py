@@ -35,14 +35,11 @@ class RunConfig(NamedTuple):
     order: int
     fmt: str
     output: str | None
-    word_cap: int
 
 
 def _config(args) -> RunConfig:
     if args.order < 0:
         raise ConfigError("--order must be nonnegative")
-    if args.word_cap is not None and args.word_cap < 1:
-        raise ConfigError("--word-cap must be at least 1")
     try:
         algebra = liealg.SimpleLieType.parse(args.algebra)
     except liealg.InvalidTypeError as exc:
@@ -55,7 +52,6 @@ def _config(args) -> RunConfig:
         order=args.order,
         fmt=args.format,
         output=args.output,
-        word_cap=args.word_cap,
     )
 
 
@@ -111,10 +107,17 @@ def _emit(cfg: RunConfig, payload, csv_text: str | None = None) -> None:
                 fh.write(text)
         except OSError as exc:
             raise ConfigError(f"cannot write --output: {exc}") from exc
+    elif (out := getattr(sys.stdout, "buffer", None)) is None:  # a text stream in memory
+        sys.stdout.write(text)
     else:
+        # a raw stdout (python -u) takes a short write without an error when
+        # its reader leaves, so write until every byte is taken
+        data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
         try:
-            sys.stdout.write(text)
             sys.stdout.flush()
+            while data:
+                data = data[out.write(data) or 0:]
+            out.flush()
         except OSError as exc:  # a closed pipe, say; no later flush may fail again
             with open(os.devnull, "w") as null:
                 os.dup2(null.fileno(), sys.stdout.fileno())
@@ -155,24 +158,18 @@ def cmd_lambda(cfg: RunConfig, args) -> int:
 
 
 def cmd_check(cfg: RunConfig, args) -> int:
-    if cfg.word_cap is not None and args.suite != "weak-strong":
-        raise ConfigError("--word-cap applies only to the weak-strong suite")
     case = _case(cfg)
     if args.suite == "axioms":
         report = shift.verify_axioms(case)
     elif args.suite == "weak-strong":
-        report = shift.condition_report(case, all_words=True,
-                                        word_cap=cfg.word_cap or liealg.DEFAULT_WORD_CAP)
+        report = shift.condition_report(case, all_words=True)
     elif args.suite == "alcove-independence":
         report = _alcove_independence_report(case)
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown suite {args.suite}")
     csv_text = (_failures_csv(report) if args.suite == "alcove-independence"
                 else report.to_csv())
-    repro = _repro(case, "check", args.suite)
-    if cfg.word_cap is not None:
-        repro += f" --word-cap {cfg.word_cap}"
-    return _verdict(cfg, report, csv_text, repro)
+    return _verdict(cfg, report, csv_text, _repro(case, "check", args.suite))
 
 
 def _repro(case: shift.ShiftCase, *command: str) -> str:
@@ -354,7 +351,7 @@ def _build_parser(invoked: str | None = None) -> argparse.ArgumentParser:
         description="Exact shift systems and q-characters for multiplet "
                     "W-(super)algebras.")
     # the values of the flags a subcommand does not take; it reads none of them
-    parser.set_defaults(variant="nonsuper", m=1, order=0, word_cap=None)
+    parser.set_defaults(variant="nonsuper", m=1, order=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, help):
@@ -386,7 +383,6 @@ def _build_parser(invoked: str | None = None) -> argparse.ArgumentParser:
     if p := add("check", cmd_check, "verification suites"):
         p.add_argument("suite", choices=["axioms", "weak-strong", "alcove-independence"])
         common(p, csv=True)
-        p.add_argument("--word-cap", type=int, help="weak-strong only")
 
     if p := add("char", cmd_char, "multiplet character"):
         common(p, order=30)

@@ -33,7 +33,6 @@ from operator import add, mul, sub
 from typing import NamedTuple
 
 from .liealg import (
-    DEFAULT_WORD_CAP,
     CapExceededError,
     RootSystem,
     SimpleLieType,
@@ -63,7 +62,7 @@ class InvalidCaseError(ValueError):
 
 
 class WordDependenceError(AssertionError):
-    """Raised when the strong condition differs between reduced words of w0."""
+    """Raised when the canonical word's strong verdict is not every word's."""
 
 
 class ShiftCase(NamedTuple):
@@ -515,21 +514,23 @@ def check_strong(lam: LambdaParam, case: ShiftCase, word=None) -> bool:
     return table.conditions(l_idx)[1] if word is None else table.walk(l_idx, word)[0]
 
 
-def check_strong_all_words(lam: LambdaParam, case: ShiftCase,
-                           word_cap: int = DEFAULT_WORD_CAP) -> bool:
-    """The strong condition on every reduced word; WordDependenceError if
-    two words disagree."""
-    results = {check_strong(lam, case, w) for w in _w0_words(case.rs, word_cap)}
-    if len(results) != 1:
+def check_strong_all_words(lam: LambdaParam, case: ShiftCase) -> bool:
+    """The strong condition on every reduced word of w0, walking none;
+    WordDependenceError if the canonical word's verdict (check_strong)
+    differs.  Reading a reduced word i_1 ... i_N of w0 from its right end,
+    the walk pairs w_k ^ lambda, w_k = s_{i_{k+1}} ... s_{i_N}, with
+    alpha_{i_k}^vee; label i of w ^ lambda is t(w^-1 alpha_i) (_verify), so
+    that pairing is t(beta_k) for the word's k-th inversion root beta_k =
+    w_k^-1 alpha_{i_k}.  A reduced word's inversion roots are the positive
+    roots its product sends to negative ones, each once; for w0 that is all
+    of Phi+.  So every word's verdict is t(beta) = 0 for every beta > 0
+    (Cosets.root_shifts)."""
+    table, strong = _cosets(case), check_strong(lam, case)
+    if strong != all(t == 0 for t, _ in table.root_shifts(table.index[lam.key()])):
         raise WordDependenceError(
             f"strong condition depends on the reduced word for {lam.label()} "
             f"in {case.case_id()}")
-    return results.pop()
-
-
-@lru_cache(maxsize=None)
-def _w0_words(rs: RootSystem, cap: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(rs.all_reduced_words(rs.longest_element(), cap=cap))
+    return strong
 
 
 def check_strong_alt(lam: LambdaParam, case: ShiftCase, word=None) -> bool:
@@ -704,19 +705,18 @@ def _tables(report: ShiftReport, table: Cosets) -> ShiftReport:
     return report
 
 
-def condition_report(case: ShiftCase, all_words: bool = False,
-                     word_cap: int = DEFAULT_WORD_CAP) -> ShiftReport:
+def condition_report(case: ShiftCase, all_words: bool = False) -> ShiftReport:
     """Weak/strong/alcove tables, with the strong <=> alcove equivalence
-    enforced; with all_words, a coset whose strong condition differs between
-    reduced words of w0 is a failure record.  It reads no Weyl group."""
+    enforced; with all_words, a coset whose canonical strong verdict is not
+    every reduced word's (check_strong_all_words) is a failure record.  It
+    reads no Weyl group."""
     table = _cosets(case)
     report = _tables(ShiftReport(case.case_id(), {
         "lambdas": len(table._keys), "weyl": weyl_order(case.rs.lie_type), "checks": 0,
         "all_words": all_words}), table)
-    words = _w0_words(case.rs, word_cap) if all_words else ()
     for l_idx, ((label, strong), (_, alc), (_, got)) in enumerate(zip(
             report.strong, report.alcove, report.w0_shifts)):
-        if len({table.walk(l_idx, w)[0] for w in words}) > 1:
+        if all_words and strong != all(t == 0 for t, _ in table.root_shifts(l_idx)):
             _fail(report, "strong-word-dependence", label)
         if strong != alc:
             _fail(report, "strong-alcove-mismatch", label, strong=strong, alcove=alc)

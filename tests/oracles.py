@@ -28,7 +28,8 @@
   by term: the full quadratic form and the coset check on every dot term.
 * A coset located one point at a time (``locate_point``), and the weak,
   strong and w0-shift conditions of a coset computed per call, walking the
-  canonical word each time (``conditions_per_call``).
+  canonical word each time (``conditions_per_call``), and the strong
+  condition walked along every reduced word of w0 (``strong_on_every_word``).
 * The shift-map axioms checked exhaustively over Lambda x W x Pi on the W
   table's rows (``axioms_over_w``), the cocycle as one comparison of packed
   integers (``pack``) per (coset, element, letter), with the tables from
@@ -104,6 +105,7 @@ from shiftlab.shift import (
     _check_member,
     _grid,
     alcove_inequality,
+    check_strong,
     enumerate_lambda,
     is_fixed,
     lambda_from,
@@ -855,6 +857,22 @@ def conditions_per_call(case, lam):
     if acc != shift[len(sys.weyl) - 1]:
         raise AssertionError("cocycle composition disagrees with the direct shift")
     return weak, strong, acc, telescoped
+
+
+@lru_cache(maxsize=None)
+def _w0_words(rs) -> tuple:
+    return tuple(rs.all_reduced_words(rs.longest_element()))
+
+
+def strong_on_every_word(lam, case) -> bool:
+    """The strong condition walked along every reduced word of w0, which are
+    enumerated (D4 has 2,316 and A4 768, so rank 4 at most); AssertionError
+    if two words give different verdicts."""
+    verdicts = {check_strong(lam, case, word) for word in _w0_words(case.rs)}
+    if len(verdicts) != 1:
+        raise AssertionError(f"the strong condition of {lam.label()} in {case.case_id()} "
+                             "depends on the reduced word")
+    return verdicts.pop()
 
 
 # A label vector v packs to the integer sum_k v_k R^k.  With every label below

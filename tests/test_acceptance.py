@@ -13,6 +13,7 @@ from oracles import (
     alternating_sum,
     dominant_alphas,
     dot_action,
+    strong_on_every_word,
     strong_w0_target,
     vadd,
     vneg,
@@ -35,7 +36,6 @@ from shiftlab.alcove import (
 from shiftlab.qseries import QSeries
 from shiftlab.shift import (
     alcove_inequality,
-    check_strong_all_words,
     enumerate_lambda,
     make_case,
     verify_axioms,
@@ -84,7 +84,7 @@ def test_criterion_2_strong_alcove_equivalence():
     for case in cases:
         for lam in enumerate_lambda(case):
             checked += 1
-            if check_strong_all_words(lam, case) != alcove_inequality(lam, case):
+            if strong_on_every_word(lam, case) != alcove_inequality(lam, case):
                 mismatches.append((case.case_id(), lam.label()))
     _report(2, not mismatches,
             f"strong condition (every reduced word of w0) <=> alcove "

@@ -335,26 +335,27 @@ def test_wchar_on_e6_e8_against_the_free_generator_oracle(capsys, name):
     assert code == 0 and json.loads(out)["failures"] == []
 
 
-def test_word_cap_flag(capsys):
-    code, _, err = run(capsys, "check", "weak-strong", "--algebra", "A2",
-                       "--m", "2", "--word-cap", "1")
-    assert code == 2 and "reduced words" in err
+@pytest.mark.parametrize("name,m", [
+    *[(name, 1) for name in ["A5", "B4", "C4", "D5", "F4", "E6"]], ("E7", 2), ("E8", 2)])
+def test_weak_strong_decides_every_word_on_large_types(capsys, name, m):
+    # too many reduced words of w0 to walk (A5 has 292,864): the verdict of
+    # every word comes from the inversion-set identity instead
+    code, out, err = run(capsys, "check", "weak-strong", "--algebra", name, "--m", str(m))
+    data = json.loads(out)
+    assert (code, err, data["failures"]) == (0, "", [])
+    assert data["counts"]["all_words"] is True
 
 
-@pytest.mark.parametrize("suite", ["axioms", "alcove-independence"])
-def test_word_cap_outside_weak_strong_is_a_usage_error(capsys, suite):
-    # only the weak-strong suite enumerates reduced words
-    code, out, err = run(capsys, "check", suite, "--algebra", "A2", "--m", "2",
-                         "--word-cap", "1")
-    assert (code, out, err) == (
-        2, "", "error: --word-cap applies only to the weak-strong suite\n")
-
-
-@pytest.mark.parametrize("cap", ["0", "-5"])
-def test_word_cap_below_one_is_a_usage_error(capsys, cap):
-    code, out, err = run(capsys, "check", "weak-strong", "--algebra", "A2",
-                         "--m", "2", "--word-cap", cap)
-    assert (code, out, err) == (2, "", "error: --word-cap must be at least 1\n")
+@pytest.mark.parametrize("suite,cap", [
+    ("weak-strong", "1"), ("axioms", "1"), ("alcove-independence", "1"),
+    ("weak-strong", "0"), ("weak-strong", "-5")])
+def test_word_cap_is_an_unknown_flag(capsys, suite, cap):
+    # no command enumerates reduced words, so none takes a cap on them
+    with pytest.raises(SystemExit) as exc:
+        main(["check", suite, "--algebra", "A2", "--m", "2", f"--word-cap={cap}"])
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out, out.err) == (
+        2, "", f"error: unrecognized arguments: --word-cap={cap}\n")
 
 
 @pytest.mark.parametrize("target", ["missing-dir/out.json", "."])
@@ -443,15 +444,14 @@ _FLAGS = {
     "lambda": _LABELS,
     "alpha": st.one_of(st.just("0"), _LABELS),
     "kind": st.sampled_from(["ch", "sch", "ramond"]),
-    "word-cap": st.integers(-1, 3).map(str),
     # unwritable: a missing directory, and a directory
     "output": st.sampled_from([str(GOLDEN / "no-such-dir" / "out.json"), str(GOLDEN)]),
 }
 _COMMANDS = {
     "info": ("output",),
     "lambda": ("variant", "m", "output"),
-    "check axioms": ("variant", "m", "word-cap", "output"),
-    "check weak-strong": ("variant", "m", "word-cap", "output"),
+    "check axioms": ("variant", "m", "output"),
+    "check weak-strong": ("variant", "m", "output"),
     "check alcove-independence": ("variant", "m", "output"),
     "char": ("variant", "m", "order", "lambda", "alpha", "kind", "output"),
     "ftchar": ("variant", "m", "order", "lambda", "output"),
@@ -614,16 +614,17 @@ def test_console_script_is_the_process_entry():
     (["info", "--algebra", "B2"], 0),
 ])
 def test_closed_stdout_is_one_usage_error(entry, argv, keep):
-    # with PYTHONUNBUFFERED a short write to a closed pipe is dropped without
-    # an error, so the child runs without it, as the benchmark's children do
+    # buffered, and unbuffered (python -u), where a write that the closing
+    # reader cuts short returns a short count instead of raising
     env = {k: v for k, v in cli_env().items() if k != "PYTHONUNBUFFERED"}
-    with subprocess.Popen([sys.executable, *entry, *argv], env=env, stdout=subprocess.PIPE,
-                          stderr=subprocess.PIPE) as proc:
-        assert len(proc.stdout.read(keep)) == keep
-        proc.stdout.close()
-        err = proc.stderr.read().decode()
-        code = proc.wait(timeout=120)
-    assert (code, err) == (2, "error: cannot write stdout: [Errno 32] Broken pipe\n")
+    for extra in ({}, {"PYTHONUNBUFFERED": "1"}):
+        with subprocess.Popen([sys.executable, *entry, *argv], env={**env, **extra},
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert len(proc.stdout.read(keep)) == keep
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=120)
+        assert (code, err) == (2, "error: cannot write stdout: [Errno 32] Broken pipe\n"), extra
 
 
 @pytest.mark.parametrize("suite,m", [("axioms", "2"), ("alcove-independence", "3")])

@@ -40,7 +40,7 @@ def records():
     lam = lambda_from(case, 0, [1])
     weight = AffineWeight((Fraction(1),), Fraction(2), Fraction(0))
     args = argparse.Namespace(order=5, algebra="B2", variant="super", m=2,
-                              format="json", output=None, word_cap=10)
+                              format="json", output=None)
     w = build_root_system(SimpleLieType("B", 2)).element_from_word((0,))
     rows = [
         (SimpleLieType("B", 2), SimpleLieType.parse("b2"), "SimpleLieType(series='B', rank=2)"),
@@ -63,8 +63,7 @@ def records():
          f"translation=(Fraction(0, 1),)), weight={WEIGHT}, on_wall=False)"),
         (_config(args), _config(args),
          "RunConfig(algebra=SimpleLieType(series='B', rank=2), "
-         "variant=<Variant.SUPER: 'super'>, m=2, order=5, fmt='json', output=None, "
-         "word_cap=10)"),
+         "variant=<Variant.SUPER: 'super'>, m=2, order=5, fmt='json', output=None)"),
     ]
     return [pytest.param(*row, id=type(row[0]).__name__) for row in rows]
 

@@ -28,6 +28,7 @@ from oracles import (
     orbit_reference,
     pack,
     screening_pairing_reference,
+    strong_on_every_word,
     strong_w0_target,
     vadd,
     vneg,
@@ -39,7 +40,13 @@ from oracles import (
 
 from shiftlab import cli
 from shiftlab import shift as shift_module
-from shiftlab.liealg import CapExceededError, RootSystem, _enumerate_weyl_cached, weyl_order
+from shiftlab.liealg import (
+    CapExceededError,
+    RootSystem,
+    _enumerate_weyl_cached,
+    reflect_labels,
+    weyl_order,
+)
 from shiftlab.shift import (
     Cosets,
     InvalidCaseError,
@@ -690,8 +697,7 @@ def test_cli_failure_records_carry_repro(fresh, monkeypatch, capsys, variant, fl
         return strong and not (at == l_idx and self.w0_word(along) == word), *rest
 
     monkeypatch.setattr(Cosets, "walk", broken)
-    for command, extra in [("check axioms", ""), ("check weak-strong", ""),
-                           ("check weak-strong", " --word-cap 10"), ("lambda", "")]:
+    for command, extra in [("check axioms", ""), ("check weak-strong", ""), ("lambda", "")]:
         assert cli.main(f"{command} {flags}{extra}".split()) == 1
         failures = json.loads(capsys.readouterr().out)["failures"]
         assert failures
@@ -700,28 +706,31 @@ def test_cli_failure_records_carry_repro(fresh, monkeypatch, capsys, variant, fl
     assert "strong-alcove-mismatch" in checks
 
 
-def test_word_dependence_is_a_failure_record(monkeypatch, capsys):
-    # the strong condition flipped on one reduced word of w0, the one that
-    # is not canonical, depends on the word on every coset: a failure record
-    # each, and the CLI exits 1
-    walk = Cosets.walk
+def test_word_dependence_is_a_failure_record(fresh, monkeypatch, capsys):
+    # every reduced word of w0 gives the verdict "t(beta) = 0 on every
+    # positive root", read off root_shifts; a strong coset's first t moved to
+    # 1 disagrees with the canonical walk on that coset alone: one failure
+    # record, the CLI exits 1, and check_strong_all_words raises there only
+    l_idx = next(i for i, lamp in enumerate(fresh.lambdas) if alcove_inequality(lamp, B2P4))
+    label, root_shifts = fresh.lambdas[l_idx].label(), fresh.root_shifts
 
-    def flipped(self, l_idx, word=None):
-        strong, *rest = walk(self, l_idx, word)
-        return strong != (self.w0_word(word) == (1, 0, 1, 0)), *rest
+    def moved(at):
+        (t, back), *rest = root_shifts(at)
+        return [(t + (at == l_idx), back), *rest]
 
-    monkeypatch.setattr(Cosets, "walk", flipped)
-    labels = [lamp.label() for lamp in enumerate_lambda(B2P4)]
+    monkeypatch.setattr(fresh, "root_shifts", moved)
     report = condition_report(B2P4, all_words=True)
-    assert report.failures == [{"check": "strong-word-dependence", "lambda": label}
-                               for label in labels]
+    assert report.failures == [{"check": "strong-word-dependence", "lambda": label}]
     assert cli.main(["check", "weak-strong", "--algebra", "B2", "--m", "2"]) == 1
     repro = "shiftlab check weak-strong --algebra B2 --variant nonsuper --m 2"
     assert json.loads(capsys.readouterr().out)["failures"] == [
-        {"check": "strong-word-dependence", "lambda": label, "repro": repro}
-        for label in labels]
-    with pytest.raises(WordDependenceError, match="depends on the reduced word"):
-        check_strong_all_words(enumerate_lambda(B2P4)[0], B2P4)
+        {"check": "strong-word-dependence", "lambda": label, "repro": repro}]
+    for at, lamp in enumerate(fresh.lambdas):
+        if at == l_idx:
+            with pytest.raises(WordDependenceError, match="depends on the reduced word"):
+                check_strong_all_words(lamp, B2P4)
+        else:
+            assert check_strong_all_words(lamp, B2P4) == check_strong(lamp, B2P4)
 
 
 # -- the exhaustive walk over W (tests/oracles.py) --------------------------------
@@ -885,6 +894,49 @@ def test_strong_equivalences_sweep():
             s = check_strong_all_words(lamp, case)
             assert s == alcove_inequality(lamp, case)
             assert s == check_strong_alt(lamp, case)
+
+
+@pytest.mark.parametrize("name,variant,m", [
+    *[(name, "nonsuper", m) for name in ["A2", "A3", "B2", "B3", "C3", "G2"] for m in (1, 2)],
+    ("A4", "nonsuper", 1), ("D4", "nonsuper", 1), ("B2", "super", 2), ("B3", "super", 2),
+])
+def test_strong_on_all_words_matches_the_walk_over_every_word(name, variant, m):
+    # the identity (every word's verdict is t(beta) = 0 on every positive
+    # root) against the walk along each reduced word of w0: 2,316 words on
+    # D4 and 768 on A4
+    case = make_case(name, variant, m)
+    for lamp in enumerate_lambda(case):
+        assert check_strong_all_words(lamp, case) == strong_on_every_word(lamp, case)
+
+
+@st.composite
+def w0_words(draw, rs):
+    """A reduced word of w0 drawn by descents: from the labels of w0(rho) =
+    (-1, ..., -1), reflect at a negative label, drawn, until the labels are
+    those of rho; the letters in order spell w0, as in
+    RootSystem.all_reduced_words."""
+    labels, word, cols = (-1,) * rs.rank, [], rs.reflect_cols()
+    while min(labels) < 0:
+        i = draw(st.sampled_from([i for i, a in enumerate(labels) if a < 0]))
+        labels, word = reflect_labels(labels, i, cols[i]), word + [i]
+    return tuple(word)
+
+
+@pytest.mark.parametrize("name,variant,m", [
+    *[(name, "nonsuper", 1) for name in ["A5", "B4", "C4", "D5", "F4", "E6"]],
+    ("B4", "super", 2),
+])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_strong_on_random_words_of_w0(name, variant, m, data):
+    # types with too many reduced words of w0 to walk them all (A5 has
+    # 292,864): a drawn word and a drawn coset, on both walks and the identity
+    case = make_case(name, variant, m)
+    lamp = data.draw(st.sampled_from(enumerate_lambda(case)))
+    word = data.draw(w0_words(case.rs))
+    assert len(word) == len(case.rs.roots)
+    assert (check_strong(lamp, case, word) == check_strong_alt(lamp, case, word)
+            == check_strong_all_words(lamp, case))
 
 
 def test_strong_rejects_bad_word():

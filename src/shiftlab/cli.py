@@ -15,7 +15,6 @@ import os
 import sys
 from fractions import Fraction
 from operator import mul
-from typing import NamedTuple
 
 from . import alcove, characters, liealg, qseries, shift
 
@@ -28,38 +27,15 @@ class ConfigError(ValueError):
     pass
 
 
-class RunConfig(NamedTuple):
-    algebra: liealg.SimpleLieType
-    variant: shift.Variant
-    m: int
-    order: int
-    fmt: str
-    output: str | None
+def _case(args) -> shift.ShiftCase:
+    return shift.make_case(args.algebra, args.variant, args.m)
 
 
-def _config(args) -> RunConfig:
+def _order(args) -> int:
+    """--order, checked before --algebra is read."""
     if args.order < 0:
         raise ConfigError("--order must be nonnegative")
-    try:
-        algebra = liealg.SimpleLieType.parse(args.algebra)
-    except liealg.InvalidTypeError as exc:
-        raise ConfigError(str(exc)) from exc
-    variant = shift.Variant(args.variant)
-    return RunConfig(
-        algebra=algebra,
-        variant=variant,
-        m=args.m,
-        order=args.order,
-        fmt=args.format,
-        output=args.output,
-    )
-
-
-def _case(cfg: RunConfig) -> shift.ShiftCase:
-    try:
-        return shift.make_case(cfg.algebra, cfg.variant, cfg.m)
-    except shift.InvalidCaseError as exc:
-        raise ConfigError(str(exc)) from exc
+    return args.order
 
 
 def _parse_lambda(case: shift.ShiftCase, text: str) -> shift.LambdaParam:
@@ -67,10 +43,7 @@ def _parse_lambda(case: shift.ShiftCase, text: str) -> shift.LambdaParam:
     if len(digits) != case.rank:
         raise ConfigError(
             f"--lambda wants 'minuscule-index,digit1,...,digit{case.rank}'")
-    try:
-        return shift.lambda_from(case, idx, digits)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return shift.lambda_from(case, idx, digits)
 
 
 def _parse_alpha(case: shift.ShiftCase, text: str):
@@ -93,17 +66,17 @@ def _integers(flag: str, text: str) -> list[int]:
     return values
 
 
-def _emit(cfg: RunConfig, payload, csv_text: str | None = None) -> None:
+def _emit(args, payload, csv_text: str | None = None) -> None:
     # argparse offers csv only to the commands that pass csv_text
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         text = csv_text
-    elif cfg.fmt == "plain":
+    elif args.format == "plain":
         text = _plainify(payload)
     else:
         text = json.dumps(payload, indent=2) + "\n"
-    if cfg.output:
+    if args.output:
         try:
-            with open(cfg.output, "w", encoding="utf-8") as fh:
+            with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             raise ConfigError(f"cannot write --output: {exc}") from exc
@@ -143,33 +116,31 @@ def _plainify(payload, indent: int = 0) -> str:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_info(cfg: RunConfig, args) -> int:
-    rs = liealg.build_root_system(cfg.algebra)
-    payload = rs.to_json_dict()
-    payload["enumerated"] = liealg.weyl_order(cfg.algebra) <= liealg.DEFAULT_WEYL_CAP
-    _emit(cfg, payload)
+def cmd_info(args) -> int:
+    algebra = liealg.SimpleLieType.parse(args.algebra)
+    payload = liealg.build_root_system(algebra).to_json_dict()
+    payload["enumerated"] = liealg.weyl_order(algebra) <= liealg.DEFAULT_WEYL_CAP
+    _emit(args, payload)
     return 0
 
 
-def cmd_lambda(cfg: RunConfig, args) -> int:
-    case = _case(cfg)
+def cmd_lambda(args) -> int:
+    case = _case(args)
     report = shift.condition_report(case, all_words=False)
-    return _verdict(cfg, report, report.to_csv(), _repro(case, "lambda"))
+    return _verdict(args, report.to_json_dict(), _repro(case, "lambda"), report.to_csv())
 
 
-def cmd_check(cfg: RunConfig, args) -> int:
-    case = _case(cfg)
+def cmd_check(args) -> int:
+    case = _case(args)
     if args.suite == "axioms":
         report = shift.verify_axioms(case)
     elif args.suite == "weak-strong":
         report = shift.condition_report(case, all_words=True)
-    elif args.suite == "alcove-independence":
+    else:  # alcove-independence; argparse restricts the choices
         report = _alcove_independence_report(case)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown suite {args.suite}")
     csv_text = (_failures_csv(report) if args.suite == "alcove-independence"
                 else report.to_csv())
-    return _verdict(cfg, report, csv_text, _repro(case, "check", args.suite))
+    return _verdict(args, report.to_json_dict(), _repro(case, "check", args.suite), csv_text)
 
 
 def _repro(case: shift.ShiftCase, *command: str) -> str:
@@ -178,13 +149,13 @@ def _repro(case: shift.ShiftCase, *command: str) -> str:
             f"--variant {case.variant.value} --m {case.m}")
 
 
-def _verdict(cfg: RunConfig, report: shift.ShiftReport, csv_text: str, repro: str) -> int:
-    """Emit the report, each failure record with a repro command (repro,
-    unless the record names its own), and return the exit code."""
-    for failure in report.failures:
+def _verdict(args, payload: dict, repro: str, csv_text: str | None = None) -> int:
+    """Emit the payload, each of its failure records with a repro command
+    (repro, unless the record names its own), and return the exit code."""
+    for failure in payload["failures"]:
         failure.setdefault("repro", repro)
-    _emit(cfg, report.to_json_dict(), csv_text)
-    return 0 if report.ok else VERIFY_ERROR
+    _emit(args, payload, csv_text)
+    return VERIFY_ERROR if payload["failures"] else 0
 
 
 def _failures_csv(report: shift.ShiftReport) -> str:
@@ -236,19 +207,20 @@ def _alphas(rs: liealg.RootSystem, heights: int) -> list:
     return [rs.from_labels(a) for h in range(heights) for a in characters.dominant_shell(rs, h)]
 
 
-def cmd_char(cfg: RunConfig, args) -> int:
-    case = _case(cfg)
+def cmd_char(args) -> int:
+    order = _order(args)
+    case = _case(args)
     lam = _parse_lambda(case, args.lam)
     alpha = _parse_alpha(case, args.alpha)
     kind = args.kind
     if kind == "ch":
-        series = characters.multiplet_char(alpha, lam, case, cfg.order)
+        series = characters.multiplet_char(alpha, lam, case, order)
     elif kind == "sch":
-        series = characters.multiplet_superchar(alpha, lam, case, cfg.order)
+        series = characters.multiplet_superchar(alpha, lam, case, order)
     else:
         if case.variant is not shift.Variant.SUPER_RAMOND:
             raise ConfigError("--kind ramond requires --variant ramond")
-        series = characters.multiplet_ramond_char(alpha, lam, case, cfg.order)
+        series = characters.multiplet_ramond_char(alpha, lam, case, order)
     payload = {
         "case": case.case_id(),
         "alpha": [str(x) for x in alpha],
@@ -259,14 +231,15 @@ def cmd_char(cfg: RunConfig, args) -> int:
         "strong": shift.alcove_inequality(lam, case),
         "series": series.to_json_dict(),
     }
-    _emit(cfg, payload)
+    _emit(args, payload)
     return 0
 
 
-def cmd_ftchar(cfg: RunConfig, args) -> int:
-    case = _case(cfg)
+def cmd_ftchar(args) -> int:
+    order = _order(args)
+    case = _case(args)
     lam = _parse_lambda(case, args.lam)
-    series = characters.ft_char(lam, case, cfg.order)
+    series = characters.ft_char(lam, case, order)
     payload = {
         "case": case.case_id(),
         "lambda": lam.label(),
@@ -274,27 +247,28 @@ def cmd_ftchar(cfg: RunConfig, args) -> int:
         "strong": shift.alcove_inequality(lam, case),
         "series": series.to_json_dict(),
     }
-    _emit(cfg, payload)
+    _emit(args, payload)
     return 0
 
 
-def cmd_alcove(cfg: RunConfig, args) -> int:
-    case = _case(cfg)
+def cmd_alcove(args) -> int:
+    case = _case(args)
     lam = _parse_lambda(case, args.lam)
     alpha = _parse_alpha(case, args.alpha)
-    _emit(cfg, alcove.alcove_json(case, alpha, lam))
+    _emit(args, alcove.alcove_json(case, alpha, lam))
     return 0
 
 
-def cmd_verify(cfg: RunConfig, args) -> int:
-    case = _case(cfg)
+def cmd_verify(args) -> int:
+    order = _order(args)
+    case = _case(args)
     rs = case.rs
     failures: list[dict] = []
     checks = 0
     if args.target == "wchar":
         lam0 = shift.enumerate_lambda(case)[0]
-        got = characters.multiplet_char((Fraction(0),) * case.rank, lam0, case, cfg.order)
-        want = characters.walg_vacuum_oracle(case, cfg.order)
+        got = characters.multiplet_char((Fraction(0),) * case.rank, lam0, case, order)
+        want = characters.walg_vacuum_oracle(case, order)
         checks += 1
         if not got.same_series(want):
             failures.append({"check": "wchar",
@@ -305,9 +279,9 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         for lam in shift.enumerate_lambda(case):
             for alpha in alphas:
                 mu = tuple(case.p * (v - a) for v, a in zip(lam.value, alpha))
-                got = characters.verma_char_super(mu, case, cfg.order)
+                got = characters.verma_char_super(mu, case, order)
                 want = characters.weight_space_char(
-                    lam, tuple(a + b for a, b in zip(alpha, lam.bullet_up)), case, cfg.order)
+                    lam, tuple(a + b for a, b in zip(alpha, lam.bullet_up)), case, order)
                 checks += 1
                 if not got.same_series(want):
                     failures.append({"check": "verma", "lambda": lam.label(),
@@ -322,15 +296,11 @@ def cmd_verify(cfg: RunConfig, args) -> int:
             if 0 not in rs.to_dominant(tuple(x + 1 for x in labels))[0]:
                 continue
             checks += 1
-            if not characters._alternating_sum(case, lam0, labels, cfg.order).is_zero:
+            if not characters._alternating_sum(case, lam0, labels, order).is_zero:
                 failures.append({"check": "wall-vanishing", "beta": list(map(str, coords))})
-    repro = _repro(case, "verify", args.target) + f" --order {cfg.order}"
-    for failure in failures:
-        failure["repro"] = repro
-    payload = {"case": case.case_id(), "target": args.target,
-               "checks": checks, "failures": failures}
-    _emit(cfg, payload)
-    return 0 if not failures else VERIFY_ERROR
+    return _verdict(args, {"case": case.case_id(), "target": args.target,
+                           "checks": checks, "failures": failures},
+                    _repro(case, "verify", args.target) + f" --order {order}")
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +320,6 @@ def _build_parser(invoked: str | None = None) -> argparse.ArgumentParser:
         prog="shiftlab",
         description="Exact shift systems and q-characters for multiplet "
                     "W-(super)algebras.")
-    # the values of the flags a subcommand does not take; it reads none of them
-    parser.set_defaults(variant="nonsuper", m=1, order=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, help):
@@ -419,8 +387,7 @@ def main(argv=None) -> int:
             tokens.append(token)
     args = _build_parser(tokens[0] if tokens else None).parse_args(tokens)
     try:
-        cfg = _config(args)
-        return args.func(cfg, args)
+        return args.func(args)
     # ValueError covers ConfigError, InvalidCaseError, InvalidTypeError and
     # UnsupportedCaseError
     except (ValueError, liealg.CapExceededError, qseries.GridBoundError,
@@ -432,6 +399,10 @@ def main(argv=None) -> int:
         print(json.dumps({"error": "internal", "type": type(exc).__name__,
                           "message": str(exc)}), file=sys.stderr)
         return INTERNAL_ERROR
+    except MemoryError:
+        pass  # leaving the handler frees the traceback's frames, and what they hold
+    print("error: out of memory", file=sys.stderr)
+    return USAGE_ERROR
 
 
 def run() -> None:

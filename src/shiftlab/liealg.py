@@ -585,7 +585,6 @@ class WeylTable(NamedTuple):
 
     elements: tuple[WeylElement, ...]
     index: dict[tuple[int, ...], int]          # labels of w(rho) -> position
-    left: tuple[tuple[int, ...], ...]          # left[i][k]: position of s_i * element k
     steps: tuple[tuple[int, int], ...]         # element k >= 1 is s_i * element j: (i, j)
 
 
@@ -595,7 +594,7 @@ def _enumerate_weyl_cached(rs: RootSystem, cap: int) -> WeylTable:
 
     Prepending the least generator first to a level in lex order yields the
     next level in lex order of lex-minimal words; s_i w is longer than w
-    exactly when label i of w(rho) is positive, and fills left[i] both ways."""
+    exactly when label i of w(rho) is positive."""
     order = weyl_order(rs.lie_type)
     if order > cap:
         raise CapExceededError(
@@ -604,7 +603,6 @@ def _enumerate_weyl_cached(rs: RootSystem, cap: int) -> WeylTable:
     cols = rs.reflect_cols()
     ident = rs.identity_element()
     index = {ident.labels: 0}
-    left = [[0] * order for _ in range(r)]
     out, steps, level = [ident], [], range(1)
     while level:
         start = len(out)
@@ -613,13 +611,11 @@ def _enumerate_weyl_cached(rs: RootSystem, cap: int) -> WeylTable:
                 w = out[j]
                 if w.labels[i] > 0:
                     key = reflect_labels(w.labels, i, cols[i])
-                    k = index.setdefault(key, len(out))
-                    if k == len(out):
+                    if index.setdefault(key, len(out)) == len(out):
                         out.append(WeylElement((i,) + w.word, key))
                         steps.append((i, j))
-                    left[i][j], left[i][k] = k, j
         level = range(start, len(out))
     if len(out) != order:
         raise AssertionError(f"enumerated {len(out)} elements of W({rs.lie_type}), "
                              f"expected {order}")
-    return WeylTable(tuple(out), index, tuple(map(tuple, left)), tuple(steps))
+    return WeylTable(tuple(out), index, tuple(steps))

@@ -419,16 +419,15 @@ class ShiftSystem(Cosets):
 
     Row ``l`` holds, per Weyl element in enumeration order, the index of
     ``w * lambda_l`` and the Dynkin labels of ``w ^ lambda_l``; it is filled
-    on first use by one simple reflection per element, following the
-    enumeration.  Root coordinates appear only at the public boundary.  The
-    layout is the case's ``_cosets``.
+    on first use by the cocycle over the layout's simple shifts, one step per
+    element of the enumeration.  Root coordinates appear only at the public
+    boundary.  The layout is the case's ``_cosets``.
     """
 
     def __init__(self, case: ShiftCase):
         vars(self).update(vars(_cosets(case)))
-        self.weyl, self._key_index, self.left, self._steps = self.rs.weyl_table()
+        self.weyl, self._key_index, self._steps = self.rs.weyl_table()
         self._act, self._shift = {}, {}
-        self._bullet_orbits: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
 
     # -- the action and the shift map ----------------------------------------
 
@@ -448,21 +447,15 @@ class ShiftSystem(Cosets):
         return out
 
     def _fill(self, l_idx: int) -> tuple[list[int], list[tuple[int, ...]]]:
-        """w ^ lambda = w(box + x) - (box' + x) = w(bullet) - bullet', as
-        box + x = lambda + x + bullet and w is linear; bullet' is the bullet
-        that locate finds for w(lambda + x), a whole orbit per call."""
-        p = self.case.p
-        a, b = self._start[l_idx]
-        # b - a = p * bullet; as w is integral, every cell's shift is a weight
-        # exactly when the identity's is
-        if any((y - x) % p for x, y in zip(a, b)):
-            raise AssertionError("shift map left the weight lattice")
-        bullet = tuple((y - x) // p for x, y in zip(a, b))
-        moved = self._bullet_orbits.get(bullet)
-        if moved is None:
-            moved = self._bullet_orbits[bullet] = self.orbit(bullet)
-        act, bullets = self.locate(self.orbit(a))
-        return act, [tuple(map(sub, wb, c)) for wb, c in zip(moved, bullets)]
+        """Element k = s_i * element j of the enumeration: s_i w * lambda =
+        s_i * (w * lambda), and by the cocycle s_i w ^ lambda = s_i(w ^ lambda)
+        + s_i ^ (w * lambda), from the simple shifts of the coset w * lambda."""
+        cols, act, shift = self.reflect_cols, [l_idx], [(0,) * self.case.rank]
+        for i, j in self._steps:
+            moved, up = self.simple(act[j])
+            act.append(moved[i])
+            shift.append(tuple(map(add, reflect_labels(shift[j], i, cols[i]), up[i])))
+        return act, shift
 
     def act_index(self, w_idx: int, l_idx: int) -> int:
         return self.row(l_idx)[0][w_idx]

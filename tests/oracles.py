@@ -807,6 +807,30 @@ def orbit_reference(sys, labels, count=None):
     return out
 
 
+@lru_cache(maxsize=None)
+def orbit_row(sys, l_idx):
+    """(indices of w * lambda, labels of w ^ lambda) over W for coset l_idx,
+    each cell found on its own, not by the cocycle: w ^ lambda = w(box + x) -
+    (box' + x) = w(bullet) - bullet', as box + x = lambda + x + bullet and w
+    is linear, where bullet' is the bullet that locate finds for w(lambda +
+    x).  The orbits of lambda + x and of the bullet are walked along the
+    enumeration; the row is cached per (system, coset)."""
+    p, (a, b) = sys.case.p, sys._start[l_idx]
+    bullet = tuple((y - x) // p for x, y in zip(a, b))
+    act, bullets = sys.locate(sys.orbit(a))
+    return act, [tuple(map(sub, wb, c)) for wb, c in zip(sys.orbit(bullet), bullets)]
+
+
+@lru_cache(maxsize=None)
+def left_table(rs, count=None):
+    """left[i][k]: the position in W's enumeration of s_i * w, for w the k-th
+    element (of the first ``count``, default all), found by reflecting the
+    labels of w(rho) and looking them up."""
+    table, cols = rs.weyl_table(), rs.reflect_cols()
+    return tuple(tuple(table.index[reflect_labels(w.labels, i, cols[i])]
+                       for w in table.elements[:count]) for i in range(rs.rank))
+
+
 def locate_point(table, a):
     """(coset index, bullet labels) of the one point with a = p * labels(mu +
     x), in separate passes: the bullet labels (p - a) // p, the box labels u
@@ -826,14 +850,15 @@ def locate_point(table, a):
 
 def conditions_per_call(case, lam):
     """(weak, strong, labels of w0 ^ lam, telescoped strong) on the canonical
-    word, recomputed on every call from the W table's shift rows: the weak
-    pairings one by one, the word's prefix elements walked through sys.left,
+    word, recomputed on every call from orbit_row's rows over W: the weak
+    pairings one by one, the word's prefix elements walked through left_table,
     w0 ^ lam composed by the cocycle from the rows' simple cells along the
     word and checked against the row's w0 cell, the last of the table, and
     each prefix's cell against the plain sum of the simple cells along it."""
     sys = system(case)
-    l_idx, simple_idx = sys.index[lam.key()], [row[0] for row in sys.left]
-    act, shift = sys.row(l_idx)
+    left = left_table(case.rs)
+    l_idx, simple_idx = sys.index[lam.key()], [row[0] for row in left]
+    act, shift = orbit_row(sys, l_idx)
     weak = True
     for j, sj in enumerate(simple_idx):
         if act[sj] != l_idx and any(c != (-1 if i == j else 0)
@@ -841,13 +866,13 @@ def conditions_per_call(case, lam):
             weak = False
     word, prefixes = case.rs.longest_element().word, [0]
     for letter in reversed(word):
-        prefixes.append(sys.left[letter][prefixes[-1]])
+        prefixes.append(left[letter][prefixes[-1]])
     strong = all(shift[prefixes[step]][letter] == 0
                  for step, letter in enumerate(reversed(word)))
     acc = running = (0,) * case.rank
     at, telescoped = l_idx, True
     for prefix, letter in zip(prefixes[1:], reversed(word)):
-        moved, up = sys.row(at)
+        moved, up = orbit_row(sys, at)
         up = up[simple_idx[letter]]
         acc = tuple(a + b for a, b in zip(
             reflect_labels(acc, letter, sys.reflect_cols[letter]), up))
@@ -894,7 +919,7 @@ def pack(vectors) -> list[int]:
 
 def axioms_over_w(case) -> dict:
     """verify_axioms's JSON dict without its case, by the exhaustive walk
-    over Lambda x W x Pi on the W table's rows: the identity, the simple
+    over Lambda x W x Pi on orbit_row's rows: the identity, the simple
     dichotomy and pair sum per (coset, i), and per (coset, element, letter)
     the cocycle s_i w ^ lam = w ^ lam - c alpha_i + s_i ^ (w * lam), c = (w ^
     lam)_i, as one packed comparison, and the sign of c against whether s_i
@@ -909,14 +934,15 @@ def axioms_over_w(case) -> dict:
     def fail(check, label, **witness):
         out["failures"].append({"check": check, "lambda": label, **witness})
 
-    cols, left = sys.cols, sys.left
+    cols, left = sys.cols, left_table(rs)
     simple_idx = [row[0] for row in left]
     lengths = [w.length for w in sys.weyl]
     alphas = pack(cols)
-    simple = [pack([sys.row(l)[1][s] for s in simple_idx]) for l in range(len(sys.lambdas))]
+    simple = [pack([orbit_row(sys, l)[1][s] for s in simple_idx])
+              for l in range(len(sys.lambdas))]
     for l_idx, lam in enumerate(sys.lambdas):
         label = lam.label()
-        act, shift = sys.row(l_idx)
+        act, shift = orbit_row(sys, l_idx)
         packed = pack(shift)
         if act[0] != l_idx or shift[0] != (0,) * r:
             fail("identity", label)
@@ -928,7 +954,8 @@ def axioms_over_w(case) -> dict:
             elif not fixed and up_i[i] != -1:
                 fail("pairing-minus-one", label, i=i + 1, got=str(up_i[i]))
             k = -2 if fixed else -1
-            if any(a + b != k * c for a, b, c in zip(up_i, sys.row(act[si])[1][si], cols[i])):
+            if any(a + b != k * c
+                   for a, b, c in zip(up_i, orbit_row(sys, act[si])[1][si], cols[i])):
                 fail("pair-sum", label, i=i + 1)
             out["counts"]["checks"] += 3
         for w_idx in range(nW):

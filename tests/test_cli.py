@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pathlib
+import resource
 import shlex
 import subprocess
 import sys
@@ -416,6 +417,22 @@ def test_bad_input_exits_2_without_traceback(argv):
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    # each holds every coset's rows and then the whole report (about 160 MB
+    # unlimited), so it runs out of address space at 64 MiB
+    ["lambda", "--algebra", "A2", "--m", "100"],
+    ["check", "axioms", "--algebra", "A2", "--m", "100"],
+])
+def test_out_of_memory_exits_2_with_one_line(argv):
+    # the limit is set in the child alone, between fork and exec
+    limit = 64 << 20
+    done = subprocess.run([sys.executable, "-m", "shiftlab.cli", *argv], env=cli_env(),
+                          capture_output=True, text=True, timeout=120,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                                (limit, limit)))
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory\n")
+
+
 @pytest.mark.parametrize("argv,message", [
     (["--lambda", "-1,1,1"], "minuscule index -1 outside 0..2"),
     (["--lambda", "0,1,1", "--alpha", "-1,0"],
@@ -492,17 +509,19 @@ def test_exit_contract_on_generated_argv(argv):
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
 
 
-def test_every_config_field_is_read():
-    # a RunConfig field that no command reads is an inert option
+def test_every_flag_is_read():
+    # a flag whose value no code reads as args.<dest> is an inert option
     tree = ast.parse((pathlib.Path(__file__).parent.parent / "src" / "shiftlab"
                       / "cli.py").read_text(encoding="utf-8"))
-    config = next(node for node in ast.walk(tree)
-                  if isinstance(node, ast.ClassDef) and node.name == "RunConfig")
-    fields = {node.target.id for node in config.body if isinstance(node, ast.AnnAssign)}
+    dests = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
+            dests.add(next((k.value.value for k in node.keywords if k.arg == "dest"),
+                           node.args[0].value.lstrip("-").replace("-", "_")))
     read = {node.attr for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-            and node.value.id == "cfg" and isinstance(node.ctx, ast.Load)}
-    assert fields and fields <= read, sorted(fields - read)
+            and node.value.id == "args" and isinstance(node.ctx, ast.Load)}
+    assert len(dests) >= 10 and dests <= read, sorted(dests - read)
 
 
 def test_deterministic_output(capsys):

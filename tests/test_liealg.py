@@ -15,6 +15,7 @@ from oracles import (
     eager_root_system,
     fraction_root_system,
     invert_mat,
+    left_table,
     mat_mul,
     mat_vec,
     matrix_length,
@@ -239,8 +240,8 @@ def test_weyl_enumeration_order(name):
 @pytest.mark.parametrize("name", ALL_SMALL + ["E6"])
 def test_weyl_table(name):
     # by (length, word), each word the least-descent route of its labels; the
-    # index, left multiplication and steps against weyl_mul; W(E6) is checked
-    # on its first 2000 elements
+    # index, left multiplication (left_table) and steps against weyl_mul;
+    # W(E6) is checked on its first 2000 elements
     rs = rs_of(name)
     table = rs.weyl_table()
     elems = table.elements
@@ -250,11 +251,12 @@ def test_weyl_table(name):
     keys = [(e.length, e.word) for e in elems[:count]]
     assert keys == sorted(keys)
     simple = [rs.element_from_word((i,)) for i in range(rs.rank)]
+    left = left_table(rs, count)
     for k, w in enumerate(elems[:count]):
         assert rs.element_from_labels(w.labels).word == w.word
         assert table.index[w.labels] == k
         for i, s in enumerate(simple):
-            assert table.left[i][k] == table.index[rs.weyl_mul(s, w).labels]
+            assert left[i][k] == table.index[rs.weyl_mul(s, w).labels]
     assert len(table.steps) == len(elems) - 1
     for k, (i, j) in enumerate(table.steps[:count - 1], start=1):
         assert elems[k] == rs.weyl_mul(simple[i], elems[j])

@@ -1,7 +1,6 @@
 """Public records: immutable NamedTuples with stable reprs, and an import set
 free of dataclasses."""
 
-import argparse
 import os
 import pathlib
 import subprocess
@@ -11,7 +10,6 @@ from fractions import Fraction
 import pytest
 
 from shiftlab.alcove import AffineWeight, AffineWeylElt, dominant_reduce
-from shiftlab.cli import _config
 from shiftlab.liealg import InvalidTypeError, SimpleLieType, build_root_system
 from shiftlab.qseries import QSeries
 from shiftlab.shift import LambdaParam, lambda_from, make_case
@@ -39,8 +37,6 @@ def records():
     rs = case.rs
     lam = lambda_from(case, 0, [1])
     weight = AffineWeight((Fraction(1),), Fraction(2), Fraction(0))
-    args = argparse.Namespace(order=5, algebra="B2", variant="super", m=2,
-                              format="json", output=None)
     w = build_root_system(SimpleLieType("B", 2)).element_from_word((0,))
     rows = [
         (SimpleLieType("B", 2), SimpleLieType.parse("b2"), "SimpleLieType(series='B', rank=2)"),
@@ -61,9 +57,6 @@ def records():
         (dominant_reduce(weight, case), dominant_reduce(weight, case)._replace(),
          "ReduceResult(elt=AffineWeylElt(finite_part=WeylElement(word=(), labels=(1,)), "
          f"translation=(Fraction(0, 1),)), weight={WEIGHT}, on_wall=False)"),
-        (_config(args), _config(args),
-         "RunConfig(algebra=SimpleLieType(series='B', rank=2), "
-         "variant=<Variant.SUPER: 'super'>, m=2, order=5, fmt='json', output=None)"),
     ]
     return [pytest.param(*row, id=type(row[0]).__name__) for row in rows]
 

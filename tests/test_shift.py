@@ -23,7 +23,9 @@ from oracles import (
     fraction_lambda_from,
     fraction_start,
     lambda_of_value_fraction,
+    left_table,
     locate_point,
+    orbit_row,
     mat_vec,
     orbit_reference,
     pack,
@@ -766,20 +768,31 @@ def test_axioms_over_roots_match_the_walk_over_w(name, variant, m):
     cells = [(w_idx, i, where[rs.reflect_along(w.word[::-1], table.cols[i])])
              for w_idx, w in enumerate(sys.weyl) for i in range(r)]
     assert {kn for _, _, kn in cells} == set(where.values())
-    assert all((lengths[sys.left[i][w_idx]] > lengths[w_idx]) == (n == 0)
+    left = left_table(rs)
+    assert all((lengths[left[i][w_idx]] > lengths[w_idx]) == (n == 0)
                for w_idx, i, (_, n) in cells)
     for l_idx in range(len(table.lambdas)):
         shift, roots = sys.row(l_idx)[1], table.root_shifts(l_idx)
         assert all(shift[w_idx][i] == roots[k][n] for w_idx, i, (k, n) in cells)
         assert {(n == 0, roots[k][n]) for _, _, (k, n) in cells} == \
-            {(lengths[sys.left[i][w_idx]] > lengths[w_idx], shift[w_idx][i])
+            {(lengths[left[i][w_idx]] > lengths[w_idx], shift[w_idx][i])
              for w_idx in range(len(sys.weyl)) for i in range(r)}
+
+
+@pytest.mark.parametrize("name,variant,m", AGREEMENT_CASES)
+def test_rows_by_the_cocycle_match_the_located_orbits(name, variant, m):
+    # every cell of the system's rows, composed by the cocycle along the
+    # enumeration, against the cell located on its own from the orbits of
+    # lambda + x and of the bullet
+    sys = system(make_case(name, variant, m))
+    for l_idx in range(len(sys.lambdas)):
+        assert sys.row(l_idx) == orbit_row(sys, l_idx)
 
 
 def test_both_axiom_routes_flag_a_moved_start(fresh):
     # coset 1's start point and box moved by p * alpha_1, which the layout
-    # and the W table's rows both read: the identity shifts by alpha_1, and
-    # both routes flag coset 1
+    # and the oracle's rows (orbit_row) both read: the identity shifts by
+    # alpha_1, and both routes flag coset 1
     moved_start(fresh, 1)
     label = fresh.lambdas[1].label()
     for failures in (verify_axioms(B2P4).failures, axioms_over_w(B2P4)["failures"]):
@@ -798,10 +811,10 @@ def test_verify_axioms_reads_no_weyl_table():
 def test_oracle_refuses_labels_past_the_packing_guard(fresh):
     # +R in one label and -1 in the next packs to the same integer, so the
     # oracle's cocycle comparison alone would pass it; the guard refuses it,
-    # and a label at the guard, in a W-table row of a fresh system
+    # and a label at the guard, in an oracle row of a fresh system
     sys = system(B2P4)
     w_idx = next(k for k, w in enumerate(sys.weyl) if w.length == 2)
-    row = sys.row(0)[1]
+    row = orbit_row(sys, 0)[1]
     good = row[w_idx]
     collide = (good[0] + PACK_RADIX, good[1] - 1)
     assert collide[0] + collide[1] * PACK_RADIX == good[0] + good[1] * PACK_RADIX
@@ -841,16 +854,6 @@ def test_packed_cocycle_matches_tuples(data):
     pl, pa, pd, pc = pack([lhs, a, d, col])
     assert (pl == pa - c * pc + pd) == (lhs == want)
     assert (pl == pa) == (lhs == a)
-
-
-def test_fill_refuses_a_start_off_the_weight_lattice(monkeypatch):
-    # b - a = p * bullet on every start row; a b - a that is not a multiple
-    # of p would put every shift of the row off the weight lattice
-    sys = ShiftSystem(B2P4)
-    (a, b), *rest = sys._start
-    monkeypatch.setattr(sys, "_start", [(a, (b[0] + 1,) + b[1:])] + rest)
-    with pytest.raises(AssertionError, match="left the weight lattice"):
-        sys.row(0)
 
 
 # -- weak and strong conditions ---------------------------------------------------
@@ -1127,7 +1130,7 @@ def test_condition_table_matches_per_call_route(name, variant, m):
     # simple shifts against the table's simple cells
     case = make_case(name, variant, m)
     sys, table = system(case), Cosets(case)
-    simple_idx = [row[0] for row in sys.left]
+    simple_idx = [row[0] for row in left_table(case.rs)]
     for l_idx, lamp in enumerate(table.lambdas):
         weak, strong, shift0, telescoped = want = conditions_per_call(case, lamp)
         assert table.conditions(l_idx) == want

@@ -1,9 +1,9 @@
 """Command-line surface: exact, scriptable computations with JSON/CSV output.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
-error, 3 a failed internal invariant.  Output is deterministic for a fixed
-configuration: dictionaries are emitted in fixed key order and every
-rational is rendered as "num/den".
+error or out of memory, 3 a failed internal invariant.  Output is
+deterministic for a fixed configuration: dictionaries are emitted in fixed
+key order and every rational is rendered as "num/den".
 """
 
 from __future__ import annotations

@@ -249,10 +249,12 @@ def _input_labels(case: ShiftCase, alpha_labels, l_idx: int) -> tuple[int, ...]:
     """Labels of g = mu + rho_hat for the input weight mu = -p(alpha + bullet
     + rho') + p*box + level_in*Lambda_0 of (alpha, coset l_idx), whose
     reduction drives the decomposition bookkeeping (rho' = rho for the
-    nonsuper family and rho_check for the super one): the coset's start
-    labels p * labels(box + x - bullet) less p * labels(alpha + rho')."""
-    return tuple(x - case.p * (y + z) for x, y, z in zip(
-        _cosets(case)._start[l_idx][0], alpha_labels, _family(case).inner_labels))
+    nonsuper family and rho_check for the super one): the coset's box labels
+    u = p * labels(box + x) less p * labels(bullet + alpha + rho')."""
+    table = _cosets(case)
+    return tuple(u - case.p * (c + y + z) for u, c, y, z in zip(
+        table._u[l_idx], table._bullets[table._keys[l_idx][0]], alpha_labels,
+        _family(case).inner_labels))
 
 
 class WallReductionError(RuntimeError):
@@ -272,7 +274,7 @@ def _strong_cosets(case: ShiftCase, bullet_index: int) -> tuple[int, ...]:
 def mu_lambda(alpha: Vec, lam: LambdaParam, case: ShiftCase) -> AffineWeight:
     """The chamber representative of the input weight for (alpha, lam)."""
     fam = _family(case)
-    a0 = _input_labels(case, case.rs.integral_labels(alpha), _cosets(case).index[lam.key()])
+    a0 = _input_labels(case, case.rs.integral_labels(alpha), _cosets(case).index(lam.key()))
     sigma, t, _ = _reduce(case, a0, fam.k_in)
     return fam.weight(sigma, t, a0, 1, fam.k_in, fam.level_in, Fraction(0))
 

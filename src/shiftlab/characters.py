@@ -95,7 +95,7 @@ def _value(quad, v) -> int:
 def _coset_vector(case: ShiftCase, lam: LambdaParam) -> list[int]:
     """b = p*labels(box + x) + flow of lam's coset (see _form)."""
     table = _cosets(case)
-    return list(map(add, table._start[table.index[lam.key()]][1], _form(case)[2]))
+    return list(map(add, table._u[table.index(lam.key())], _form(case)[2]))
 
 
 def _identity_point(case: ShiftCase, b, labels) -> list[int]:
@@ -107,10 +107,10 @@ def weight_space_char(lam: LambdaParam, beta: Vec, case: ShiftCase,
                       order: int) -> QSeries:
     """CFT-normalized character of the Cartan weight space at ``beta``, priced
     as beta's identity dot term.  beta's labels are checked against lam's
-    class in P/Q; the box's ceiling check ran once per coset, at build."""
+    class in P/Q; the box's ceiling check ran once per digit range, at build."""
     table, (quad, den, _), b = _cosets(case), _form(case), _coset_vector(case, lam)
     labels = case.rs.integral_labels(beta)
-    table.check_point(labels, table.index[lam.key()])
+    table.check_point(labels, table.index(lam.key()))
     return _tail(case, order).qshift(Fraction(_value(quad, _identity_point(case, b, labels)), den))
 
 
@@ -121,7 +121,7 @@ def _check_multiplet_inputs(case: ShiftCase, alpha: Vec, lam: LambdaParam) -> tu
     if rs.in_root_lattice(alpha):
         labels = tuple(map(add, rs.integral_labels(alpha), _grid(case)[2][lam.bullet_index]))
         if min(labels) >= 0:
-            table.check_point(labels, table.index[lam.key()])
+            table.check_point(labels, table.index(lam.key()))
             return labels
     raise ValueError(f"alpha {','.join(map(str, alpha))} is not a root-lattice weight "
                      f"with alpha + bullet dominant")
@@ -161,14 +161,14 @@ def _star_walk(case: ShiftCase, lam: LambdaParam, labels: tuple[int, ...]) -> li
     coset check (check_point) per term.  The Ramond flow adds w(e_r) to the
     moved point: Q(v + w(e_r)) = Q(v) + 2 w(e_r).quad.v + Q(e_r)."""
     sys, (quad, _, flow), p, r = system(case), _form(case), case.p, case.rank
-    act, shift = sys.row(sys.index[lam.key()])
+    act, shift = sys.row(sys.index(lam.key()))
     flows = sys.orbit(flow) if case.variant is Variant.SUPER_RAMOND else None
     q_flow = quad[r - 1][r - 1]
     mov = []
     for w, (target, up) in enumerate(zip(act, shift)):
         point = list(map(sub, labels, up))
         sys.check_point(point, target)
-        v = [x - p * (y + 1) for x, y in zip(sys._start[target][1], point)]
+        v = [x - p * (y + 1) for x, y in zip(sys._u[target], point)]
         qv = [sum(map(mul, row, v)) for row in quad]
         mov.append(sum(map(mul, v, qv))
                    + (2 * sum(map(mul, flows[w], qv)) + q_flow if flows else 0))
@@ -185,13 +185,13 @@ def _star_below(case: ShiftCase, lam: LambdaParam, labels: tuple[int, ...], top:
     e for b dominant (_below checks it), so a term above top ends its branch."""
     table, (quad, _, flow), p, r = _cosets(case), _form(case), case.p, case.rank
     cols = table.reflect_cols
-    stack = [(table.index[lam.key()], (0,) * r, flow, 1, (1,) * r)]
+    stack = [(table.index(lam.key()), (0,) * r, flow, 1, (1,) * r)]
     while stack:
         target, up, flow, sign, t = stack.pop()
         point = list(map(sub, labels, up))
         table.check_point(point, target)
         e = _value(quad, [x - p * (y + 1) + f
-                          for x, y, f in zip(table._start[target][1], point, flow)])
+                          for x, y, f in zip(table._u[target], point, flow)])
         if e > top:
             continue
         yield e, sign
@@ -335,7 +335,7 @@ def ft_char(lam: LambdaParam, case: ShiftCase, order: int) -> QSeries:
         raise CapExceededError(f"more than {ALPHA_CAP} dominant weights below the cutoff")
     num: dict[int, int] = {}  # zero coefficients kept: they fix the cutoff
     for labels in kept:
-        table.check_point(labels, table.index[lam.key()])
+        table.check_point(labels, table.index(lam.key()))
         dim = rs.weyl_dim(labels)
         for e, sign, _ in _below(case, b, labels, top):
             num[e] = num.get(e, 0) + dim * sign

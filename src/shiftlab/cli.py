@@ -66,10 +66,10 @@ def _integers(flag: str, text: str) -> list[int]:
     return values
 
 
-def _emit(args, payload, csv_text: str | None = None) -> None:
-    # argparse offers csv only to the commands that pass csv_text
+def _emit(args, payload, to_csv=None) -> None:
+    # argparse offers csv only to the commands that pass to_csv
     if args.format == "csv":
-        text = csv_text
+        text = to_csv()
     elif args.format == "plain":
         text = _plainify(payload)
     else:
@@ -127,7 +127,7 @@ def cmd_info(args) -> int:
 def cmd_lambda(args) -> int:
     case = _case(args)
     report = shift.condition_report(case, all_words=False)
-    return _verdict(args, report.to_json_dict(), _repro(case, "lambda"), report.to_csv())
+    return _verdict(args, report.to_json_dict(), _repro(case, "lambda"), report.to_csv)
 
 
 def cmd_check(args) -> int:
@@ -138,9 +138,9 @@ def cmd_check(args) -> int:
         report = shift.condition_report(case, all_words=True)
     else:  # alcove-independence; argparse restricts the choices
         report = _alcove_independence_report(case)
-    csv_text = (_failures_csv(report) if args.suite == "alcove-independence"
-                else report.to_csv())
-    return _verdict(args, report.to_json_dict(), _repro(case, "check", args.suite), csv_text)
+    to_csv = ((lambda: _failures_csv(report)) if args.suite == "alcove-independence"
+              else report.to_csv)
+    return _verdict(args, report.to_json_dict(), _repro(case, "check", args.suite), to_csv)
 
 
 def _repro(case: shift.ShiftCase, *command: str) -> str:
@@ -149,12 +149,12 @@ def _repro(case: shift.ShiftCase, *command: str) -> str:
             f"--variant {case.variant.value} --m {case.m}")
 
 
-def _verdict(args, payload: dict, repro: str, csv_text: str | None = None) -> int:
+def _verdict(args, payload: dict, repro: str, to_csv=None) -> int:
     """Emit the payload, each of its failure records with a repro command
     (repro, unless the record names its own), and return the exit code."""
     for failure in payload["failures"]:
         failure.setdefault("repro", repro)
-    _emit(args, payload, csv_text)
+    _emit(args, payload, to_csv)
     return VERIFY_ERROR if payload["failures"] else 0
 
 

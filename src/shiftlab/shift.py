@@ -23,13 +23,12 @@ shifts (``Cosets``), the axiom checks those and the roots; ``verify walls``,
 from __future__ import annotations
 
 import enum
-from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import prod
 from numbers import Rational
-from operator import add, mul, sub
+from operator import add, floordiv, mul, sub
 from typing import NamedTuple
 
 from .liealg import (
@@ -44,7 +43,8 @@ from .liealg import (
     weyl_order,
 )
 
-COSET_CAP = 10**6  # the most cosets a layout may hold, each under a kilobyte
+COSET_CAP = 10**6  # the most cosets a layout may hold; it bounds their count, not memory:
+# `lambda --algebra A2 --m 100` peaks at 149 MB (`info`: 15 MB) over its 30,000 cosets
 
 
 class Variant(enum.Enum):
@@ -142,13 +142,13 @@ def _scaled_point(mu: Vec, case: ShiftCase) -> list[int]:
 
 def canonical_decompose(mu: Vec, case: ShiftCase) -> tuple[Vec, Vec]:
     """Unique (bullet, box) with mu = -bullet + box, bullet integral,
-    and 0 < (box + x, alpha_i^vee) <= 1 for every i: the bullet that
-    Cosets.locate reads off a = p * labels(mu + x); p * labels(box) is
-    a + p * bullet - p * labels(x)."""
+    and 0 < (box + x, alpha_i^vee) <= 1 for every i: the bullet -t that
+    Cosets.carry reads off a = p * labels(mu + x); p * labels(box) is
+    a - p * t - p * labels(x)."""
     a = _scaled_point(mu, case)
-    bullet = _cosets(case).locate([a])[1][0]
-    box = [v + case.p * c - s for v, c, s in zip(a, bullet, _grid(case)[0])]
-    return case.rs.from_labels(bullet), case.rs.from_labels(box, case.p)
+    t = _cosets(case).carry(0, a)[1]
+    box = [v - case.p * c - s for v, c, s in zip(a, t, _grid(case)[0])]
+    return case.rs.from_labels([-c for c in t]), case.rs.from_labels(box, case.p)
 
 
 @lru_cache(maxsize=None)
@@ -186,7 +186,7 @@ def lambda_from(case: ShiftCase, bullet_index: int, digits) -> LambdaParam:
     if case.variant.is_super and (digits[-1] + bullet[-1]) % 2 == 0:
         raise ValueError(f"digits {digits} violate the parity rule for {case.case_id()}")
     table = _cosets(case)
-    return table.record(table.index[(bullet_index, digits)])
+    return table.record(table.index((bullet_index, digits)))
 
 
 def enumerate_lambda(case: ShiftCase) -> tuple[LambdaParam, ...]:
@@ -198,7 +198,7 @@ def lambda_of_value(case: ShiftCase, mu: Vec) -> LambdaParam:
     """Canonical representative in Lambda of the coset mu + Q, located from
     the p-scaled Dynkin labels of mu + x."""
     table = _cosets(case)
-    return table.record(table.locate([_scaled_point(mu, case)])[0][0])
+    return table.record(table.carry(0, _scaled_point(mu, case))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -207,71 +207,67 @@ def lambda_of_value(case: ShiftCase, mu: Vec) -> LambdaParam:
 
 class Cosets:
     """The coset layout of Lambda, which needs no Weyl group: per coset its key (bullet
-    index, digits), the p-scaled Dynkin labels of lambda + x and of box + x, its class in
-    P/Q and its record (built on request), and the coset of one packed integer key.
-    Internally an ambient vector is kept as its Dynkin labels scaled by p, which makes
-    every vector of (1/p)Q* and the twist x integral.  The screening conditions, the
-    axiom checks and the characters' * climb read its simple shifts."""
+    index, digits), its box labels u = p * labels(box + x) and its record (built on
+    request).  Cosets are numbered mixed radix over each bullet's digit ranges, and one
+    rule, the carry, moves, locates and numbers them.  Internally an ambient vector is
+    kept as its Dynkin labels scaled by p, which makes every vector of (1/p)Q* and the
+    twist x integral.  The screening conditions, the axiom checks and the characters' *
+    climb read its simple shifts."""
 
     def __init__(self, case: ShiftCase):
         self.case = case
         rs = self.rs = case.rs
         p, r = case.p, case.rank
         self.cols = rs.root_labels()
-        x, bounds, bullets = _grid(case)
+        x, _, bullets = _grid(case)
         # the class in P/Q is det * C^{-1} applied to the labels, modulo det;
         # the fewest rows of it that tell the minuscule weights apart give it
         adj, self._det = rs.cartan_adjugate
         self._class_rows = next(
             (rows for k in range(r + 1) for rows in combinations(adj, k)
              if len({tuple(sum(map(mul, row, b)) % self._det for row in rows)
-                     for b in bullets}) == len(bullets)), None)
-        if self._class_rows is None:
-            raise AssertionError(f"no rows of the adjugate of {rs.lie_type} separate P/Q")
+                     for b in bullets}) == len(bullets)), adj)
         # the class key is constant on mu + Q, which the characters' checks rely on
         if any(self._class_key(col) for col in self.cols):
             raise AssertionError(f"a simple root of {rs.lie_type} has a nonzero class key")
-        # per coset in (minuscule index, digits) order: its key, p * labels of lambda + x and of
-        # box + x (k_i x_i) and its class; a super bullet's last label sets the last digit's parity
-        sup, classes = case.variant.is_super, [self._class_key(b) for b in bullets]
-        boxes = [[range(1, n + 1) for n in bounds[:-1]]
-                 + [range(1 + (sup and bullet[-1] % 2), bounds[-1] + 1, 1 + sup)]
-                 for bullet in bullets]
-        count = sum(prod(-((d.start - d.stop) // d.step) for d in box) for box in boxes)
+        self._bullet_of = {self._class_key(b): b_idx for b_idx, b in enumerate(bullets)}
+        if len(self._bullet_of) != len(bullets):
+            raise AssertionError(f"two bullets of {rs.lie_type} share a class key")
+        # per bullet index (a dict, which refuses any other index), the first
+        # coset's number and the ranges of u_i = k_i x_i = p * labels(box + x)_i,
+        # k_i x_i <= p; a super bullet's last label sets the last digit's parity
+        sup, self._boxes, count = case.variant.is_super, {}, 0
+        for b_idx, bullet in enumerate(bullets):
+            ranges = [range(s, p + 1, s) for s in x[:-1]] \
+                + [range(x[-1] * (1 + (sup and bullet[-1] % 2)), p + 1, x[-1] * (1 + sup))]
+            self._boxes[b_idx] = count, ranges
+            count += prod(map(len, ranges))
         if count > COSET_CAP:
             raise CapExceededError(f"{case.case_id()}: {count} cosets exceed the cap {COSET_CAP}")
-        self._keys, self._start, self._classes = [], [], []
-        for b_idx, (bullet, box) in enumerate(zip(bullets, boxes)):
-            for digits in product(*box):
-                b = tuple(map(mul, digits, x))
-                # the ceiling check of every point nu = box - beta of the
-                # coset, ceil(-nu) = beta: 0 <= p*box < p, fixed per coset
-                if not all(0 <= v - s < p for v, s in zip(b, x)):
-                    raise AssertionError("ceiling-weight mismatch")
-                self._keys.append((b_idx, digits))
-                self._start.append((tuple(v - p * c for v, c in zip(b, bullet)), b))
-                self._classes.append(classes[b_idx])
-        self.index = {key: i for i, key in enumerate(self._keys)}
-        # each start point's key, as locate computes it, numbers its coset in
-        # order; a key met twice would merge two cosets
-        self._coset = numbering = defaultdict(lambda: len(numbering))
-        if self.locate(a for a, _ in self._start)[0] != list(range(len(self._keys))):
-            raise AssertionError(f"two cosets of {case.case_id()} share a packed key")
-        self._coset = dict(numbering)
+        # the ceiling check of every point nu = box - beta of a coset, ceil(-nu)
+        # = beta: 0 <= p*box < p, once per digit range
+        if not all(0 <= v - s < p for _, ranges in self._boxes.values()
+                   for d, s in zip(ranges, x) for v in d):
+            raise AssertionError("ceiling-weight mismatch")
+        # per coset in (minuscule index, digits) order: its key and u
+        self._keys, self._u = [], []
+        for b_idx, (_, ranges) in self._boxes.items():
+            self._u += product(*ranges)
+            self._keys += [(b_idx, tuple(map(floordiv, u, x))) for u in product(*ranges)]
         self.reflect_cols, self._x, self._bullets = rs.reflect_cols(), x, bullets
         self._records, self._all = [None] * len(self._keys), []  # a system shares both
         self._simple, self._conditions, self._rows, self._report = {}, {}, None, None
 
     def record(self, l_idx: int) -> LambdaParam:
         """Coset l_idx's record, built on its first request, when its weight
-        round-trips: p * labels(value) = a - x, a = p * labels(lambda + x)."""
+        round-trips: p * labels(value) = u - x - p * bullet."""
         if (lam := self._records[l_idx]) is None:
             (b_idx, digits), p, rs = self._keys[l_idx], self.case.p, self.rs
             bullet = self._bullets[b_idx]
-            u = [(k - 1) * s - p * c for k, s, c in zip(digits, self._x, bullet)]
-            lam = LambdaParam(b_idx, rs.from_labels(bullet), digits, rs.from_labels(u, p))
+            a = [v - s - p * c for v, s, c in zip(self._u[l_idx], self._x, bullet)]
+            lam = LambdaParam(b_idx, rs.from_labels(bullet), digits, rs.from_labels(a, p))
             labels, n = rs.scaled_labels(lam.value)
-            if any(p * v != n * w for v, w in zip(labels, u)):
+            if any(p * v != n * w for v, w in zip(labels, a)):
                 raise AssertionError(f"{lam.label()} does not round-trip")
             self._records[l_idx] = lam
         return lam
@@ -285,9 +281,8 @@ class Cosets:
 
     def alcove(self, l_idx: int) -> bool:
         """(p*box + rho_check, theta_L) <= p, with rho instead of rho_check in the super
-        family, on the digits: p*(box + x) has labels k_j x_j, and theta_L marks c_j."""
-        return sum(c * s * k for c, s, k in zip(self.rs.theta_L_marks, self._x,
-                                                 self._keys[l_idx][1])) <= self.case.p
+        family, on u = p * labels(box + x), whose theta_L marks are c_j."""
+        return sum(map(mul, self.rs.theta_L_marks, self._u[l_idx])) <= self.case.p
 
     def _class_key(self, labels) -> int:
         key = 0
@@ -295,48 +290,51 @@ class Cosets:
             key = key * self._det + sum(map(mul, row, labels)) % self._det
         return key
 
-    def locate(self, points) -> tuple[list[int], list[list[int]]]:
-        """(coset indices, bullet labels) of the points mu with a = p *
-        labels(mu + x), one pass per point: the canonical decomposition mu =
-        -bullet + box has bullet labels (p - a) // p, and u = p * labels(box
-        + x) = a + p * bullet lies in (0, p]; the coset's key is the bullet's
-        class followed by u, radix p + 1."""
-        p, coset, class_key = self.case.p, self._coset, self._class_key
-        found, bullets = [], []
-        for a in points:
-            bullet = [(p - v) // p for v in a]
-            key = class_key(bullet)
-            for v, c in zip(a, bullet):
-                key = key * (p + 1) + v + p * c
-            try:
-                found.append(coset[key])
-            except KeyError:
-                u = [v + p * c for v, c in zip(a, bullet)]
-                raise AssertionError(f"box labels {u}/{p} are off the digit grid") from None
-            bullets.append(bullet)
-        return found, bullets
+    def index(self, key) -> int:
+        """The number of the coset with key (bullet index, digits) (see carry)."""
+        return self._number(key[0], [k * s for k, s in zip(key[1], self._x)])
+
+    def _number(self, b_idx: int, u) -> int:
+        """The number of the coset with bullet b_idx and box labels u: after the
+        cosets of the bullets before it, mixed radix over the bullet's ranges."""
+        n, (start, ranges) = 0, self._boxes[b_idx]
+        try:
+            for v, d in zip(u, ranges):
+                n = n * len(d) + d.index(v)
+        except ValueError:
+            raise AssertionError(f"box labels {u}/{self.case.p} are off the digit grid") from None
+        return start + n
+
+    def carry(self, b_idx: int, v) -> tuple[int, tuple[int, ...]]:
+        """(number of w * lambda, labels t of w ^ lambda) for v = w(u), u = p *
+        labels(box + x) of a coset with bullet b_idx: t = ceil(v/p) - 1 brings
+        v - p*t into (0, p], the box labels of w * lambda, whose bullet has the
+        class of bullet - t (w ^ lambda = w(bullet) - bullet', and w(bullet) -
+        bullet is in Q).  carry(0, a) locates the point mu with a = p *
+        labels(mu + x): its bullet is -t."""
+        p = self.case.p
+        t = tuple((y - 1) // p for y in v)
+        b_idx = self._bullet_of[self._class_key(tuple(map(sub, self._bullets[b_idx], t)))]
+        return self._number(b_idx, [y - p * c for y, c in zip(v, t)]), t
 
     # -- the shift map and the screening conditions --------------------------
 
     def shifts(self, l_idx: int, word) -> list[tuple[int, ...]]:
-        """Labels of w ^ lambda = w(box + x) - (box' + x) = w(bullet) - bullet'
-        for w each prefix of the word, read from its right end, where bullet' =
-        (p - a') // p is the bullet locate finds for a' = p * labels(w(lambda + x))."""
-        p, a, cols = self.case.p, self._start[l_idx][0], self.reflect_cols
-        bullet, out = self._bullets[self._keys[l_idx][0]], []
+        """Labels of w ^ lambda = ceil(w(u)/p) - 1 (carry) for w each prefix
+        of the word, read from its right end."""
+        p, v, cols, out = self.case.p, self._u[l_idx], self.reflect_cols, []
         for i in reversed(word):
-            a, bullet = reflect_labels(a, i, cols[i]), reflect_labels(bullet, i, cols[i])
-            out.append(tuple(b - (p - v) // p for b, v in zip(bullet, a)))
+            v = reflect_labels(v, i, cols[i])
+            out.append(tuple((y - 1) // p for y in v))
         return out
 
     def simple(self, l_idx: int) -> tuple[list[int], list[tuple[int, ...]]]:
-        """(indices of s_i * lambda, labels of s_i ^ lambda) per i; found on first use."""
+        """(indices of s_i * lambda, labels of s_i ^ lambda) per i; carried on first use."""
         if l_idx not in self._simple:
-            a, cols = self._start[l_idx][0], self.reflect_cols
-            bullet = self._bullets[self._keys[l_idx][0]]
-            act, moved = self.locate(reflect_labels(a, i, col) for i, col in enumerate(cols))
-            self._simple[l_idx] = act, [tuple(map(sub, reflect_labels(bullet, i, col), c))
-                                        for (i, col), c in zip(enumerate(cols), moved)]
+            u, b_idx = self._u[l_idx], self._keys[l_idx][0]
+            act, shift = zip(*(self.carry(b_idx, reflect_labels(u, i, col))
+                               for i, col in enumerate(self.reflect_cols)))
+            self._simple[l_idx] = list(act), list(shift)
         return self._simple[l_idx]
 
     def w0_word(self, word=None) -> tuple[int, ...]:
@@ -391,16 +389,15 @@ class Cosets:
 
     def root_shifts(self, l_idx: int) -> list[tuple[int, int]]:
         """(t(beta), t(-beta)) per positive root beta of _coroots (see _verify)."""
-        p, a = self.case.p, self._start[l_idx][0]
-        bullet = self._bullets[self._keys[l_idx][0]]
-        return [(y - (p - x) // p, -y - (p + x) // p) for x, y in
-                ((sum(map(mul, co, a)), sum(map(mul, co, bullet))) for _, co in _coroots(self.rs))]
+        p, u = self.case.p, self._u[l_idx]
+        return [((y - 1) // p, (-y - 1) // p)
+                for y in (sum(map(mul, co, u)) for _, co in _coroots(self.rs))]
 
     def check_point(self, point, l_idx: int):
         """The coset check of a Cartan weight, on its labels: the weight lies
         in the Cartan support coset of coset l_idx, which has that coset's box
-        and class (the box's ceiling check runs once per coset, at build)."""
-        if self._class_key(point) != self._classes[l_idx]:
+        and class (the box's ceiling check runs once per digit range, at build)."""
+        if self._bullet_of.get(self._class_key(point)) != self._keys[l_idx][0]:
             raise ValueError(f"weight with labels {point} is not in the Cartan support "
                              f"coset of {self.record(l_idx).label()}")
 
@@ -479,31 +476,31 @@ def system(case: ShiftCase) -> ShiftSystem:
 
 def w_act(w: WeylElement, lam: LambdaParam, case: ShiftCase) -> LambdaParam:
     sys = system(case)
-    return sys.record(sys.act_index(sys._key_index[w.labels], sys.index[lam.key()]))
+    return sys.record(sys.act_index(sys._key_index[w.labels], sys.index(lam.key())))
 
 
 def shift_map(w: WeylElement, lam: LambdaParam, case: ShiftCase) -> Vec:
     sys = system(case)
-    return sys.shift_value(sys._key_index[w.labels], sys.index[lam.key()])
+    return sys.shift_value(sys._key_index[w.labels], sys.index(lam.key()))
 
 
 def is_fixed(i: int, lam: LambdaParam, case: ShiftCase) -> bool:
     """Whether sigma_i fixes lam; equivalently the i-th digit sits at its bound."""
     table = _cosets(case)
-    l_idx = table.index[lam.key()]
+    l_idx = table.index(lam.key())
     return table.simple(l_idx)[0][i] == l_idx
 
 
 def check_weak(lam: LambdaParam, case: ShiftCase) -> bool:
     """For all (i, j): lam fixed by sigma_j, or (sigma_j ^ lam, alpha_i^vee) = -delta_ij."""
     table = _cosets(case)
-    return table.conditions(table.index[lam.key()])[0]
+    return table.conditions(table.index(lam.key()))[0]
 
 
 def check_strong(lam: LambdaParam, case: ShiftCase, word=None) -> bool:
     """Vanishing of every prefix pairing along a reduced word of w0."""
     table = _cosets(case)
-    l_idx = table.index[lam.key()]
+    l_idx = table.index(lam.key())
     return table.conditions(l_idx)[1] if word is None else table.walk(l_idx, word)[0]
 
 
@@ -519,7 +516,7 @@ def check_strong_all_words(lam: LambdaParam, case: ShiftCase) -> bool:
     of Phi+.  So every word's verdict is t(beta) = 0 for every beta > 0
     (Cosets.root_shifts)."""
     table, strong = _cosets(case), check_strong(lam, case)
-    if strong != all(t == 0 for t, _ in table.root_shifts(table.index[lam.key()])):
+    if strong != all(t == 0 for t, _ in table.root_shifts(table.index(lam.key()))):
         raise WordDependenceError(
             f"strong condition depends on the reduced word for {lam.label()} "
             f"in {case.case_id()}")
@@ -530,7 +527,7 @@ def check_strong_alt(lam: LambdaParam, case: ShiftCase, word=None) -> bool:
     """Telescoped form: the direct shift of every prefix equals the plain
     sum of the simple shifts along it."""
     table = _cosets(case)
-    l_idx = table.index[lam.key()]
+    l_idx = table.index(lam.key())
     if word is None:
         return table.conditions(l_idx)[3]
     word = table.w0_word(word)
@@ -540,14 +537,14 @@ def check_strong_alt(lam: LambdaParam, case: ShiftCase, word=None) -> bool:
 def alcove_inequality(lam: LambdaParam, case: ShiftCase) -> bool:
     """The alcove inequality of lam's coset (Cosets.alcove)."""
     table = _cosets(case)
-    return table.alcove(table.index[lam.key()])
+    return table.alcove(table.index(lam.key()))
 
 
 def w0_shift(lam: LambdaParam, case: ShiftCase) -> Vec:
     """w0 ^ lam, computed along the canonical word and checked against the
     closed formula for the shift map (once per coset, see conditions)."""
     table = _cosets(case)
-    return case.rs.from_labels(table.conditions(table.index[lam.key()])[2])
+    return case.rs.from_labels(table.conditions(table.index(lam.key()))[2])
 
 
 def screening_degree(i: int, lam: LambdaParam, case: ShiftCase) -> int | None:
@@ -639,23 +636,22 @@ def _verify(table: Cosets) -> ShiftReport:
     """The checks of verify_axioms on one layout, without W: counts and
     failures.  Per coset, the identity acts and shifts trivially; per simple
     direction, the simple shift's dichotomy and its sum with the moved
-    coset's.  Label i of w ^ lambda = w(bullet) - bullet' is (w bullet,
-    alpha_i^vee) - (p - (w a, alpha_i^vee)) // p = t(beta) := (bullet,
-    beta^vee) - (p - (a, beta^vee)) // p, a = p * labels(lambda + x), beta =
-    w^-1 alpha_i; s_i w > w exactly when beta > 0, and every root is some w^-1
-    alpha_i.  So "ascent => pairing >= 0, descent => pairing < 0" over Lambda
-    x W x Pi is "t(beta) >= 0 exactly when beta > 0" over Lambda x Phi, with
-    a w of beta as the witness (_root_word).  The cocycle holds identically
-    for that closed form; left is that the simple shifts compose by it to
-    the direct shift at every prefix of w0's canonical word (_walked).  Per
-    coset, 1 + 3 r + 2 N + N checks, N = |Phi+| (counts["checks"])."""
+    coset's.  Label i of w ^ lambda = ceil(w(u)/p) - 1 (Cosets.carry) is t(beta)
+    := ((u, beta^vee) - 1) // p, beta = w^-1 alpha_i; s_i w > w exactly when
+    beta > 0, and every root is some w^-1 alpha_i.  So "ascent => pairing >=
+    0, descent => pairing < 0" over Lambda x W x Pi is "t(beta) >= 0 exactly
+    when beta > 0" over Lambda x Phi, with a w of beta as the witness
+    (_root_word).  The cocycle holds identically for that closed form; left
+    is that the simple shifts compose by it to the direct shift at every
+    prefix of w0's canonical word (_walked).  Per coset, 1 + 3 r + 2 N + N
+    checks, N = |Phi+| (counts["checks"])."""
     case, rs, roots, word = table.case, table.rs, _coroots(table.rs), table.w0_word()
     report = ShiftReport(case.case_id(), {
         "lambdas": len(table._keys), "weyl": weyl_order(rs.lie_type), "rank": case.rank,
         "checks": len(table._keys) * (1 + 3 * (case.rank + len(roots)))})
-    for l_idx, ((b_idx, digits), (a, _)) in enumerate(zip(table._keys, table._start)):
+    for l_idx, ((b_idx, digits), u) in enumerate(zip(table._keys, table._u)):
         label = ",".join(map(str, (b_idx, *digits)))  # the record's label
-        if table.locate([a]) != ([l_idx], [list(table._bullets[b_idx])]):
+        if table.carry(b_idx, u) != (l_idx, (0,) * case.rank):
             _fail(report, "identity", label)
         act, shift = table.simple(l_idx)
         for i, col in enumerate(table.cols):

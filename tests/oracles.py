@@ -26,7 +26,10 @@
   full-walk reference for the pruned climb ``characters._below``; the Weyl
   orbit of a weight by dense label reflections, and the character walk term
   by term: the full quadratic form and the coset check on every dot term.
-* A coset located one point at a time (``locate_point``), and the weak,
+* A coset numbered by a packed integer key, the bullet's class followed by
+  the box labels radix p + 1, in a dict (``packed_numbering``), and a point
+  located by that key, a batch at a time (``locate``) or one point at a time
+  in separate passes (``locate_point``), against the layout's carry; the weak,
   strong and w0-shift conditions of a coset computed per call, walking the
   canonical word each time (``conditions_per_call``), and the strong
   condition walked along every reduced word of w0 (``strong_on_every_word``).
@@ -652,7 +655,7 @@ def height_bound_sqrt(case, lam, limit) -> int:
 
     rs, p = case.rs, case.p
     table, (quad, den, flow) = system(case), _form(case)
-    b = [x + f for x, f in zip(table._start[table.index[lam.key()]][1], flow)]
+    b = [x + f for x, f in zip(table._u[table.index(lam.key())], flow)]
     b0 = sqrt_above(Fraction(2 * p * sum(x * sum(map(mul, row, b)) for x, row in zip(b, quad)),
                              den))
     rho_chk = sqrt_above(rs.norm2(rs.rho_check))
@@ -780,7 +783,7 @@ def dot_walk(case, lam, labels):
     stays in beta + Q, whose class key and box are those of beta, so the
     coset check runs once, on beta."""
     sys, quad, p = system(case), _form(case)[0], case.p
-    sys.check_point(labels, sys.index[lam.key()])
+    sys.check_point(labels, sys.index(lam.key()))
     b = _coset_vector(case, lam)
     g = [2 * p * sum(map(mul, row, b)) for row in quad]
     orbit = sys.orbit(tuple(c + 1 for c in labels))
@@ -813,11 +816,10 @@ def orbit_row(sys, l_idx):
     each cell found on its own, not by the cocycle: w ^ lambda = w(box + x) -
     (box' + x) = w(bullet) - bullet', as box + x = lambda + x + bullet and w
     is linear, where bullet' is the bullet that locate finds for w(lambda +
-    x).  The orbits of lambda + x and of the bullet are walked along the
-    enumeration; the row is cached per (system, coset)."""
-    p, (a, b) = sys.case.p, sys._start[l_idx]
-    bullet = tuple((y - x) // p for x, y in zip(a, b))
-    act, bullets = sys.locate(sys.orbit(a))
+    x).  The orbits of lambda + x = box + x - bullet and of the bullet are
+    walked along the enumeration; the row is cached per (system, coset)."""
+    p, u, bullet = sys.case.p, sys._u[l_idx], sys._bullets[sys._keys[l_idx][0]]
+    act, bullets = locate(sys, sys.orbit(tuple(v - p * c for v, c in zip(u, bullet))))
     return act, [tuple(map(sub, wb, c)) for wb, c in zip(sys.orbit(bullet), bullets)]
 
 
@@ -831,18 +833,56 @@ def left_table(rs, count=None):
                        for w in table.elements[:count]) for i in range(rs.rank))
 
 
+@lru_cache(maxsize=None)
+def packed_numbering(table) -> dict:
+    """Packed key -> coset index of the layout's cosets, in order: the class
+    key of the bullet, then the box labels k_i x_i of the digits radix p + 1
+    (each in 1..p); AssertionError if two cosets share a key."""
+    p, x = table.case.p, _grid(table.case)[0]
+    numbering = {}
+    for l_idx, (b_idx, digits) in enumerate(table._keys):
+        key = table._class_key(table._bullets[b_idx])
+        for k, s in zip(digits, x):
+            key = key * (p + 1) + k * s
+        if numbering.setdefault(key, l_idx) != l_idx:
+            raise AssertionError(f"two cosets of {table.case.case_id()} share a packed key")
+    return numbering
+
+
+def locate(table, points) -> tuple[list[int], list[list[int]]]:
+    """(coset indices, bullet labels) of the points mu with a = p *
+    labels(mu + x), one pass per point: the canonical decomposition mu =
+    -bullet + box has bullet labels (p - a) // p, and u = p * labels(box
+    + x) = a + p * bullet lies in (0, p]; the coset's key is the bullet's
+    class followed by u, radix p + 1 (packed_numbering)."""
+    p, coset, class_key = table.case.p, packed_numbering(table), table._class_key
+    found, bullets = [], []
+    for a in points:
+        bullet = [(p - v) // p for v in a]
+        key = class_key(bullet)
+        for v, c in zip(a, bullet):
+            key = key * (p + 1) + v + p * c
+        try:
+            found.append(coset[key])
+        except KeyError:
+            u = [v + p * c for v, c in zip(a, bullet)]
+            raise AssertionError(f"box labels {u}/{p} are off the digit grid") from None
+        bullets.append(bullet)
+    return found, bullets
+
+
 def locate_point(table, a):
     """(coset index, bullet labels) of the one point with a = p * labels(mu +
     x), in separate passes: the bullet labels (p - a) // p, the box labels u
     = a + p * bullet in (0, p], the bullet's class key, then u packed radix
-    p + 1 after it and looked up."""
+    p + 1 after it and looked up (packed_numbering)."""
     p = table.case.p
     bullet = [(p - v) // p for v in a]
     u = [v + p * c for v, c in zip(a, bullet)]
     key = table._class_key(bullet)
     for v in u:
         key = key * (p + 1) + v
-    target = table._coset.get(key)
+    target = packed_numbering(table).get(key)
     if target is None:
         raise AssertionError(f"box labels {u}/{p} are off the digit grid")
     return target, bullet
@@ -857,7 +897,7 @@ def conditions_per_call(case, lam):
     each prefix's cell against the plain sum of the simple cells along it."""
     sys = system(case)
     left = left_table(case.rs)
-    l_idx, simple_idx = sys.index[lam.key()], [row[0] for row in left]
+    l_idx, simple_idx = sys.index(lam.key()), [row[0] for row in left]
     act, shift = orbit_row(sys, l_idx)
     weak = True
     for j, sj in enumerate(simple_idx):
@@ -990,20 +1030,20 @@ def walk_reference(case, lam, beta, moved=False):
     if any(c.denominator != 1 for c in labels):
         raise ValueError(f"{beta} is not an integral weight")
     labels = tuple(int(c) for c in labels)
-    l_idx = sys.index[lam.key()]
+    l_idx = sys.index(lam.key())
     orbit = orbit_reference(sys, tuple(c + 1 for c in labels))
     act, shift = sys.row(l_idx) if moved else (None, None)
     flows = orbit_reference(sys, flow) if moved else None
     dot, mov = [], []
     for w, top in enumerate(orbit):
         sys.check_point(tuple(c - 1 for c in top), l_idx)
-        u = [x + f - p * y for x, f, y in zip(sys._start[l_idx][1], flow, top)]
+        u = [x + f - p * y for x, f, y in zip(sys._u[l_idx], flow, top)]
         dot.append(sum(x * sum(map(mul, row, u)) for x, row in zip(u, quad)))
         if moved:
             point = tuple(c - s for c, s in zip(labels, shift[w]))
             sys.check_point(point, act[w])
             v = [x + f - p * (y + 1)
-                 for x, f, y in zip(sys._start[act[w]][1], flows[w], point)]
+                 for x, f, y in zip(sys._u[act[w]], flows[w], point)]
             mov.append(sum(x * sum(map(mul, row, v)) for x, row in zip(v, quad)))
     return orbit, dot, mov
 

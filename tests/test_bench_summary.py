@@ -5,6 +5,8 @@ import json
 import shutil
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("bench_summary", ROOT / "tools" / "bench_summary.py")
 bench_summary = importlib.util.module_from_spec(_spec)
@@ -113,7 +115,8 @@ def test_cold_runs_add_to_a_summary(tmp_path):
 
 
 def test_cold_runs_compare_stderr(tmp_path):
-    # the same exit code and stdout with another stderr is another output
+    # the same exit code and stdout with another stderr is another output,
+    # which makes the call exit 1
     for name in ("parent", "change"):
         shutil.copytree(ROOT / "src" / "shiftlab", tmp_path / name / "src" / "shiftlab",
                         ignore=shutil.ignore_patterns("__pycache__"))
@@ -124,13 +127,40 @@ def test_cold_runs_compare_stderr(tmp_path):
                    encoding="utf-8")
     out = tmp_path / "BENCH.json"
     assert cold_runs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
-                           "info --algebra A1", "--runs", "1", "--into", str(out)]) == 0
+                           "info --algebra A1", "--runs", "1", "--into", str(out)]) == 1
     assert json.loads(out.read_text())["cold_cli"]["info --algebra A1"]["same_output"] is False
     wall, cpu, _, output = cold_runs.run_once(tmp_path / "change", tmp_path / "pycache",
                                               ["-m", "shiftlab.cli", "info", "--algebra", "Z9"])
     assert 0 < cpu <= wall
     assert output[0] == 2 and output[1] == b""
     assert output[2] == b"note\nerror: cannot parse Lie type 'Z9'\n"
+
+
+@pytest.mark.parametrize("differ", [False, True])
+def test_cold_runs_exit_code_follows_same_output(tmp_path, monkeypatch, differ):
+    # with no process started: the file gets both commands and keeps its
+    # other keys either way, and the call exits 1 exactly when some
+    # command's outputs differ (here the second one's, on the parent side)
+    sides = [tmp_path / name for name in ("parent", "change")]
+    for side in sides:
+        (side / "src" / "shiftlab").mkdir(parents=True)
+    compiled = []
+
+    def run_once(side, pycache, args):
+        bad = differ and side == sides[0].resolve() and "B2" in args
+        return 0.5, 0.4, 20.0, (0, b"other" if bad else b"out", b"")
+
+    monkeypatch.setattr(cold_runs, "compile_checkout", lambda side, _: compiled.append(side))
+    monkeypatch.setattr(cold_runs, "run_once", run_once)
+    out = tmp_path / "BENCH.json"
+    out.write_text(json.dumps({"claim": "kept"}))
+    code = cold_runs.main([*map(str, sides), "info --algebra A2", "info --algebra B2",
+                           "--runs", "2", "--into", str(out)])
+    got = json.loads(out.read_text())
+    assert code == int(differ) and got["claim"] == "kept"
+    assert {cmd: row["same_output"] for cmd, row in got["cold_cli"].items()} == \
+        {"info --algebra A2": True, "info --algebra B2": not differ}
+    assert sorted(compiled) == sorted(side.resolve() for side in sides)
 
 
 def test_cold_runs_merge_by_command(tmp_path):

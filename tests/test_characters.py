@@ -1024,5 +1024,5 @@ def test_one_coset_layout_per_case(ramond_first):
     layout, table = _cosets(ram), system(ram)
     assert layout is _cosets(sup) and table is system(sup)
     assert layout.lambdas is table.lambdas is enumerate_lambda(ram) is enumerate_lambda(sup)
-    assert layout._start is table._start
+    assert layout._u is table._u
     assert _cosets.cache_info().misses == 2 and _shared.cache_info().currsize == 1

@@ -17,11 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab import alcove
+from shiftlab import alcove, cli
 from shiftlab.alcove import AffineWeylElt
 from shiftlab.cli import main
 from shiftlab.liealg import DEFAULT_WEYL_CAP, weyl_order
-from shiftlab.shift import _cosets, make_case
+from shiftlab.shift import ShiftReport, _cosets, make_case
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -208,6 +208,23 @@ def test_lambda_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == "lambda,weak,strong,alcove,w0_shift"
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize("command", [["lambda"], ["check", "weak-strong"],
+                                     ["check", "axioms"], ["check", "alcove-independence"]])
+@pytest.mark.parametrize("fmt", ["json", "plain"])
+def test_csv_text_is_built_for_csv_only(capsys, monkeypatch, command, fmt):
+    # with both CSV writers made to raise, a json or plain run still exits 0
+    # with the same stdout: only --format csv builds the CSV text
+    argv = [*command, "--algebra", "A2", "--m", "2", "--format", fmt]
+    want = run(capsys, *argv)
+
+    def refuse(*_):
+        raise AssertionError(f"CSV text built for --format {fmt}")
+
+    monkeypatch.setattr(ShiftReport, "to_csv", refuse)
+    monkeypatch.setattr(cli, "_failures_csv", refuse)
+    assert want[0] == 0 and run(capsys, *argv) == want
 
 
 def test_verify_wchar(capsys):
@@ -664,7 +681,7 @@ import sys
 from shiftlab import cli, shift
 case = shift.make_case("B2", "ramond", 3)
 table = shift._cosets(case)
-shifts = table.simple(table.index[shift.lambda_from(case, 0, (1, 3)).key()])[1]
+shifts = table.simple(table.index(shift.lambda_from(case, 0, (1, 3)).key()))[1]
 # s_1 ^ lambda moved by alpha_1: every * point the climb carries through it
 # stays in its coset, so the coset check passes and the routes must catch it
 shifts[0] = tuple(a + b for a, b in zip(shifts[0], table.cols[0]))

@@ -5,7 +5,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import product
-from operator import mul
+from operator import mul, sub
 
 import pytest
 from hypothesis import given, settings
@@ -24,11 +24,13 @@ from oracles import (
     fraction_start,
     lambda_of_value_fraction,
     left_table,
+    locate,
     locate_point,
     orbit_row,
     mat_vec,
     orbit_reference,
     pack,
+    packed_numbering,
     screening_pairing_reference,
     strong_on_every_word,
     strong_w0_target,
@@ -248,9 +250,9 @@ AXIOM_SWEEP_CASES = [(name, "nonsuper", m) for name in ("A2", "B2", "C2", "G2")
 
 @pytest.mark.parametrize("name,variant,m", AXIOM_SWEEP_CASES)
 def test_integer_cosets_match_fraction_route(name, variant, m):
-    # every coset's record, start row and coset key against Fraction vectors
-    # summed on the fundamental (co)weights and decomposed by
-    # canonical_decompose
+    # every coset's record, box labels, number and carry against Fraction
+    # vectors summed on the fundamental (co)weights and decomposed by
+    # canonical_decompose, and against the oracle's packed numbering
     case = make_case(name, variant, m)
     sys = system(case)
     bounds = (case.p,) * case.rank if case.variant.is_super else \
@@ -265,11 +267,12 @@ def test_integer_cosets_match_fraction_route(name, variant, m):
         assert got == ref and repr(got) == repr(ref)
         assert lambda_from(case, ref.bullet_index, ref.digits) == ref
         a, b, bullet = fraction_start(case, ref)
-        assert sys._start[l_idx] == (a, b)
-        assert sys._classes[l_idx] == sys._class_key(bullet)
-        assert sys.locate([a]) == ([l_idx], [list(bullet)])
+        assert sys._u[l_idx] == b and sys.index(ref.key()) == l_idx
+        assert sys._bullet_of[sys._class_key(bullet)] == ref.bullet_index
+        assert sys.carry(0, a) == (l_idx, tuple(-c for c in bullet))
+        assert locate(sys, [a]) == ([l_idx], [list(bullet)])
     assert _grid(case)[0] == tuple(case.p * copairing(case.rs, case.x, i) for i in range(case.rank))
-    assert len(sys._coset) == len(want)
+    assert len(packed_numbering(sys)) == len(want)
 
 
 # rank <= 3, every variant, m <= 3
@@ -538,11 +541,10 @@ def simple_cell(table, fixed):
 
 
 def moved_start(table, l_idx):
-    """Coset l_idx's start point and box labels moved by p * alpha_1: the
-    point stays in its coset, and its bullet moves by alpha_1."""
+    """Coset l_idx's box labels u moved by p * alpha_1: the point u - p *
+    bullet stays in its coset, and its bullet moves by -alpha_1."""
     p, col = table.case.p, table.cols[0]
-    table._start[l_idx] = tuple(tuple(v + p * c for v, c in zip(u, col))
-                                for u in table._start[l_idx])
+    table._u[l_idx] = tuple(v + p * c for v, c in zip(table._u[l_idx], col))
 
 
 def negated_coroot(case, monkeypatch):
@@ -789,8 +791,56 @@ def test_rows_by_the_cocycle_match_the_located_orbits(name, variant, m):
         assert sys.row(l_idx) == orbit_row(sys, l_idx)
 
 
+@pytest.mark.parametrize("name,variant,m", AGREEMENT_CASES)
+def test_carry_matches_the_packed_numbering(name, variant, m):
+    # on every coset, the identity and every simple direction: the carry of
+    # v = s_i(u) against the oracle, which locates s_i(lambda + x) by its
+    # packed key and reads s_i ^ lambda off the reflected bullet; the cached
+    # simple shifts are the carry's
+    table = _cosets(make_case(name, variant, m))
+    p = table.case.p
+    for l_idx, ((b_idx, _), u) in enumerate(zip(table._keys, table._u)):
+        bullet = table._bullets[b_idx]
+        a = tuple(v - p * c for v, c in zip(u, bullet))
+        assert table.carry(b_idx, u) == (l_idx, (0,) * len(u))
+        assert locate(table, [a]) == ([l_idx], [list(bullet)])
+        act, shift = table.simple(l_idx)
+        for i, col in enumerate(table.reflect_cols):
+            (target,), (moved,) = locate(table, [reflect_labels(a, i, col)])
+            want = target, tuple(map(sub, reflect_labels(bullet, i, col), moved))
+            assert table.carry(b_idx, reflect_labels(u, i, col)) == want == (act[i], shift[i])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_carry_along_words_matches_the_oracle(data):
+    # a random coset, a random prefix of a reduced word and a random element
+    # gamma of Q: the carry of w(u) against the oracle's location of w(lambda
+    # + x) and w(bullet) - bullet', and at the point mu = w(lambda + x) - x +
+    # gamma canonical_decompose and lambda_of_value against the oracle's
+    # location of a = p * labels(mu + x)
+    case = make_case(*data.draw(st.sampled_from(AGREEMENT_CASES)))
+    table, p, rs = _cosets(case), case.p, case.rs
+    l_idx = data.draw(st.integers(0, len(table._keys) - 1))
+    (b_idx, _), u = table._keys[l_idx], table._u[l_idx]
+    bullet = table._bullets[b_idx]
+    w = data.draw(st.sampled_from(rs.enumerate_weyl()))
+    word = w.word[:data.draw(st.integers(0, len(w.word)))]
+    a = rs.reflect_along(word, tuple(v - p * c for v, c in zip(u, bullet)))
+    (target,), (moved,) = locate(table, [a])
+    assert table.carry(b_idx, rs.reflect_along(word, u)) == \
+        (target, tuple(map(sub, rs.reflect_along(word, bullet), moved)))
+    gamma = data.draw(st.tuples(*[st.integers(-3, 3)] * case.rank))
+    a = tuple(v + p * sum(map(mul, row, gamma)) for v, row in zip(a, rs.cartan))
+    mu = rs.from_labels([v - s for v, s in zip(a, _grid(case)[0])], p)
+    (target,), (found,) = locate(table, [a])
+    assert lambda_of_value(case, mu) is table.record(target)
+    got, box = canonical_decompose(mu, case)
+    assert got == rs.from_labels(found) and box == vadd(mu, got)
+
+
 def test_both_axiom_routes_flag_a_moved_start(fresh):
-    # coset 1's start point and box moved by p * alpha_1, which the layout
+    # coset 1's box labels moved by p * alpha_1, which the layout's carry
     # and the oracle's rows (orbit_row) both read: the identity shifts by
     # alpha_1, and both routes flag coset 1
     moved_start(fresh, 1)
@@ -1093,7 +1143,7 @@ def test_tables_match_fraction_route(name, variant, m):
             moved = vsub(mat_vec(m, vadd(lamp.value, x)), x)
             target = lambda_of_value_fraction(case, moved)
             assert lambda_of_value(case, moved) == target
-            assert sys.act_index(w_idx, l_idx) == sys.index[target.key()]
+            assert sys.act_index(w_idx, l_idx) == sys.index(target.key())
             target_box = vadd(target.value, target.bullet_up)
             assert sys.shift_value(w_idx, l_idx) == \
                 vsub(mat_vec(m, vadd(box, x)), vadd(target_box, x))
@@ -1101,25 +1151,29 @@ def test_tables_match_fraction_route(name, variant, m):
 
 @pytest.mark.parametrize("name,variant,m", AXIOM_SWEEP_CASES)
 def test_orbit_location_matches_per_point_route(name, variant, m):
-    # every cell's coset and bullet, located a whole orbit at a time, against
-    # one point at a time; on rank 2 also every point of a box around the
-    # digit grid, where both routes refuse the same points
+    # every cell's coset and bullet, located a whole orbit at a time by the
+    # oracle's packed key and one point at a time by the carry, against one
+    # point at a time in separate passes; on rank 2 also every point of a box
+    # around the digit grid, where all three routes refuse the same points
     case = make_case(name, variant, m)
     sys, p = system(case), case.p
-    for l_idx in range(len(sys.lambdas)):
-        orbit = sys.orbit(sys._start[l_idx][0])
+    for l_idx, ((b_idx, _), u) in enumerate(zip(sys._keys, sys._u)):
+        orbit = sys.orbit(tuple(v - p * c for v, c in zip(u, sys._bullets[b_idx])))
         want = [locate_point(sys, a) for a in orbit]
-        assert sys.locate(orbit) == ([t for t, _ in want], [b for _, b in want])
+        assert locate(sys, orbit) == ([t for t, _ in want], [b for _, b in want])
+        assert [sys.carry(0, a) for a in orbit] == [(t, tuple(-c for c in b)) for t, b in want]
         assert sys.row(l_idx)[0] == [t for t, _ in want]
     if case.rank == 2:
         for a in product(range(-p, 2 * p + 1), repeat=2):
             try:
                 want = locate_point(sys, a)
             except AssertionError:
-                with pytest.raises(AssertionError, match="off the digit grid"):
-                    sys.locate([a])
+                for route in (lambda: locate(sys, [a]), lambda: sys.carry(0, a)):
+                    with pytest.raises(AssertionError, match="off the digit grid"):
+                        route()
             else:
-                assert sys.locate([a]) == ([want[0]], [want[1]])
+                assert locate(sys, [a]) == ([want[0]], [want[1]])
+                assert sys.carry(0, a) == (want[0], tuple(-c for c in want[1]))
 
 
 @pytest.mark.parametrize("name,variant,m", AXIOM_SWEEP_CASES)
@@ -1263,8 +1317,23 @@ def test_class_key_matches_full_adjugate(name, data):
     assert (sys._class_key(one) == sys._class_key(two)) == (full(one) == full(two))
 
 
-def test_cosets_refuse_a_shared_packed_key(monkeypatch):
-    # a key that drops the class confuses cosets with the same box
+def test_index_refuses_keys_off_the_layout():
+    # B2 super m=2 (p = 3): the zero bullet takes odd last digits and the
+    # spinor even ones; a key off its bullet's digit ranges, the parity
+    # step included, and a bullet index the layout lacks are refused
+    table = _cosets(make_case("B2", "super", 2))
+    assert [table.index(key) for key in table._keys] == list(range(9))
+    for key in [(0, (1, 2)), (1, (1, 1)), (1, (1, 3)), (0, (0, 1)), (0, (4, 1))]:
+        with pytest.raises(AssertionError, match="off the digit grid"):
+            table.index(key)
+    for b_idx in (-1, 2):
+        with pytest.raises(KeyError):
+            table.index((b_idx, (1, 1)))
+
+
+def test_cosets_refuse_a_shared_class_key(monkeypatch):
+    # a key that drops the class would confuse the bullets, and with them
+    # the cosets with the same box
     monkeypatch.setattr(Cosets, "_class_key", lambda self, labels: 0)
-    with pytest.raises(AssertionError, match="share a packed key"):
+    with pytest.raises(AssertionError, match="two bullets of A2 share a class key"):
         Cosets(make_case("A2", "nonsuper", 1))

@@ -13,7 +13,8 @@ what perfbench's cli_cold takes as an op's latency) and their median, the
 peak RSS of each run's process, whether both sides gave the same exit code,
 stdout and stderr on every run, and the interpreter floor: the wall times of
 ``python -c pass`` and their median.  A command already in the file is
-replaced; the others stay.
+replaced; the others stay.  The file is written in any case; the exit code
+is 1 if some command of the call gave different outputs, else 0.
 
 A child's peak RSS (``ru_maxrss``) is at least the resident set of this
 process when it spawned the child, since exec keeps the high-water mark, so
@@ -121,7 +122,7 @@ def main(argv=None) -> int:
                   f"python -c pass {got['floor']['median']:.3f} s"
                   + ("" if got["same_output"] else ", OUTPUTS DIFFER"))
     args.into.write_text(json.dumps(summary, indent=1) + "\n", encoding="utf-8")
-    return 0
+    return 0 if all(summary["cold_cli"][cmd]["same_output"] for cmd in args.commands) else 1
 
 
 if __name__ == "__main__":

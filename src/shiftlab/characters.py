@@ -92,10 +92,9 @@ def _value(quad, v) -> int:
     return sum(x * sum(map(mul, row, v)) for x, row in zip(v, quad))
 
 
-def _coset_vector(case: ShiftCase, lam: LambdaParam) -> list[int]:
-    """b = p*labels(box + x) + flow of lam's coset (see _form)."""
-    table = _cosets(case)
-    return list(map(add, table._u[table.index(lam.key())], _form(case)[2]))
+def _coset_vector(case: ShiftCase, l_idx: int) -> list[int]:
+    """b = p*labels(box + x) + flow of coset l_idx (see _form)."""
+    return list(map(add, _cosets(case)._u[l_idx], _form(case)[2]))
 
 
 def _identity_point(case: ShiftCase, b, labels) -> list[int]:
@@ -107,22 +106,24 @@ def weight_space_char(lam: LambdaParam, beta: Vec, case: ShiftCase,
                       order: int) -> QSeries:
     """CFT-normalized character of the Cartan weight space at ``beta``, priced
     as beta's identity dot term.  beta's labels are checked against lam's
-    class in P/Q; the box's ceiling check ran once per digit range, at build."""
-    table, (quad, den, _), b = _cosets(case), _form(case), _coset_vector(case, lam)
-    labels = case.rs.integral_labels(beta)
-    table.check_point(labels, table.index(lam.key()))
+    class in P/Q; the box's ceiling holds by the layout's digit ranges."""
+    table, (quad, den, _) = _cosets(case), _form(case)
+    l_idx = table.index(lam.key())
+    b, labels = _coset_vector(case, l_idx), case.rs.integral_labels(beta)
+    table.check_point(labels, l_idx)
     return _tail(case, order).qshift(Fraction(_value(quad, _identity_point(case, b, labels)), den))
 
 
-def _check_multiplet_inputs(case: ShiftCase, alpha: Vec, lam: LambdaParam) -> tuple[int, ...]:
-    """The Dynkin labels of beta = alpha + bullet, for alpha in Q with beta
-    dominant."""
+def _check_multiplet_inputs(case: ShiftCase, alpha: Vec,
+                            lam: LambdaParam) -> tuple[tuple[int, ...], int]:
+    """(the Dynkin labels of beta = alpha + bullet, for alpha in Q with beta
+    dominant; the number of lam's coset)."""
     rs, table = case.rs, _cosets(case)
     if rs.in_root_lattice(alpha):
         labels = tuple(map(add, rs.integral_labels(alpha), _grid(case)[2][lam.bullet_index]))
         if min(labels) >= 0:
-            table.check_point(labels, table.index(lam.key()))
-            return labels
+            table.check_point(labels, l_idx := table.index(lam.key()))
+            return labels, l_idx
     raise ValueError(f"alpha {','.join(map(str, alpha))} is not a root-lattice weight "
                      f"with alpha + bullet dominant")
 
@@ -175,17 +176,17 @@ def _star_walk(case: ShiftCase, lam: LambdaParam, labels: tuple[int, ...]) -> li
     return mov
 
 
-def _star_below(case: ShiftCase, lam: LambdaParam, labels: tuple[int, ...], top: int):
+def _star_below(case: ShiftCase, l_idx: int, labels: tuple[int, ...], top: int):
     """(e, sign) per * term (priced as in _star_walk, check_point included)
     whose numerator e is at most top, with no Weyl table: w climbs from the
     identity by w -> s_i w, reached at its least left descent (the least
     negative label of t = w(rho), as in _below), carrying w * lam, w ^ lam by
-    the cocycle (s_i w) ^ lam = s_i(w ^ lam) + s_i ^ (w * lam) (Cosets.simple),
+    the cocycle (s_i w) ^ lam = s_i(w ^ lam) + s_i ^ (w * lam) (ShiftSystem.simple),
     w(e_r) and the sign.  As v = w(b) - p(beta + rho), an ascent does not lower
     e for b dominant (_below checks it), so a term above top ends its branch."""
     table, (quad, _, flow), p, r = _cosets(case), _form(case), case.p, case.rank
     cols = table.reflect_cols
-    stack = [(table.index(lam.key()), (0,) * r, flow, 1, (1,) * r)]
+    stack = [(l_idx, (0,) * r, flow, 1, (1,) * r)]
     while stack:
         target, up, flow, sign, t = stack.pop()
         point = list(map(sub, labels, up))
@@ -248,12 +249,12 @@ def _reach(case: ShiftCase, b, labels: tuple[int, ...], tail: QSeries) -> int:
 def multiplet_char(alpha: Vec, lam: LambdaParam, case: ShiftCase,
                    order: int) -> QSeries:
     """Character of the multiplicity space attached to (alpha, lam)."""
-    labels = _check_multiplet_inputs(case, alpha, lam)
-    tail, b, dot, mov = _tail(case, order), _coset_vector(case, lam), {}, {}
+    labels, l_idx = _check_multiplet_inputs(case, alpha, lam)
+    tail, b, dot, mov = _tail(case, order), _coset_vector(case, l_idx), {}, {}
     top = _reach(case, b, labels, tail)
     for e, sign, _ in _below(case, b, labels, top):
         dot[e] = dot.get(e, 0) + sign
-    for e, sign in _star_below(case, lam, labels, top):
+    for e, sign in _star_below(case, l_idx, labels, top):
         mov[e] = mov.get(e, 0) + sign
     # the routes share the tail, whose leading coefficient is nonzero: their
     # series agree up to top exactly when the numerators do
@@ -267,8 +268,8 @@ def multiplet_superchar(alpha: Vec, lam: LambdaParam, case: ShiftCase,
     """Signed (supertrace) variant; only meaningful in the super family."""
     if case.variant is not Variant.SUPER:
         raise UnsupportedCaseError("supercharacters require the super variant")
-    labels = _check_multiplet_inputs(case, alpha, lam)
-    r, rs, b = case.rank, case.rs, _coset_vector(case, lam)
+    labels, l_idx = _check_multiplet_inputs(case, alpha, lam)
+    r, rs, b = case.rank, case.rs, _coset_vector(case, l_idx)
     # the NS supercharacter tail has the NS character tail's base
     tail, num = _eta_inv_fermion(r, FermionKind.NS_SCH, order), {}
     # extra sign floor((w o beta, alpha_r)), where w o beta = w(beta + rho) - rho
@@ -290,7 +291,7 @@ def multiplet_ramond_char(alpha: Vec, lam: LambdaParam, case: ShiftCase,
 # full construction characters
 # ---------------------------------------------------------------------------
 
-def _height_bound(case: ShiftCase, lam: LambdaParam, top: int) -> int:
+def _height_bound(case: ShiftCase, b, bullet, top: int) -> int:
     """The least height h >= 1 from which on no beta = alpha + bullet, alpha
     dominant of height h, has an identity term Q(v) <= top.  For V with
     labels v, H = det * height(V) = v.(column sums of adj) and Q(v) = den
@@ -298,7 +299,7 @@ def _height_bound(case: ShiftCase, lam: LambdaParam, top: int) -> int:
     det)^2 Q(rho_check) Q(v); H grows by p*det per unit of height of alpha."""
     rs, (quad, den, _), p = case.rs, _form(case), case.p
     adj, det = rs.cartan_adjugate
-    v = _identity_point(case, _coset_vector(case, lam), _grid(case)[2][lam.bullet_index])
+    v = _identity_point(case, b, bullet)
     most = 4 * (p * det) ** 2 * _value(quad, rs.rho_check_labels) * top
     h, big_h = 1, sum(map(mul, map(sum, zip(*adj)), v)) + p * det
     while big_h <= 0 or (den * big_h) ** 2 <= most:
@@ -323,19 +324,20 @@ def ft_char(lam: LambdaParam, case: ShiftCase, order: int) -> QSeries:
     """
     check_order(order)
     rs, table = case.rs, _cosets(case)
+    l_idx = table.index(lam.key())
     cutoff = order - case.central_charge / 24
     tail, (quad, den, _) = _tail(case, order), _form(case)
     # a numerator e puts its term at q^(tail base + e/den)
     top = floor((cutoff + 2 - tail.base) * den)
-    b, bullet = _coset_vector(case, lam), _grid(case)[2][lam.bullet_index]
-    kept = [labels for h in range(_height_bound(case, lam, top))
+    b, bullet = _coset_vector(case, l_idx), _grid(case)[2][lam.bullet_index]
+    kept = [labels for h in range(_height_bound(case, b, bullet, top))
             for labels in (tuple(map(add, alpha, bullet)) for alpha in dominant_shell(rs, h))
             if _value(quad, _identity_point(case, b, labels)) <= top]
     if len(kept) > ALPHA_CAP:
         raise CapExceededError(f"more than {ALPHA_CAP} dominant weights below the cutoff")
     num: dict[int, int] = {}  # zero coefficients kept: they fix the cutoff
     for labels in kept:
-        table.check_point(labels, table.index(lam.key()))
+        table.check_point(labels, l_idx)
         dim = rs.weyl_dim(labels)
         for e, sign, _ in _below(case, b, labels, top):
             num[e] = num.get(e, 0) + dim * sign

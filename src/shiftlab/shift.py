@@ -14,17 +14,17 @@ and the twist p*x, which ``make_case`` fixes once; every other layer reads
                     conformal grading used by the character layer.
 
 Every representative is the unique element -bullet + box of its coset with
-``bullet`` minuscule and ``0 < (box + x, alpha_i^vee) <= 1`` for all i.  The
-screening conditions and the characters' * climb read each coset's simple
-shifts (``Cosets``), the axiom checks those and the roots; ``verify walls``,
-``w_act`` and ``shift_map`` read the tables over W (``ShiftSystem``).
+``bullet`` minuscule and ``0 < (box + x, alpha_i^vee) <= 1`` for all i.  One
+``ShiftSystem`` per layout holds the cosets: the screening conditions, the axiom
+checks and the characters' * climb read its simple shifts, and ``verify walls``,
+``w_act`` and ``shift_map`` its rows over W, whose enumeration ``system`` attaches.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import prod
 from numbers import Rational
@@ -109,6 +109,13 @@ def make_case(lie_type: SimpleLieType | str, variant: Variant | str, m: int) -> 
                      Fraction(c2 * n * p - 24 * q, 2 * n * p))
 
 
+class Walk(NamedTuple):
+    strong: bool            # every prefix's shift pairs to zero with the next letter's coroot
+    telescoped: bool        # every prefix's direct shift is the plain sum of its simple shifts
+    shift: tuple[int, ...]  # the labels of w0 ^ lambda
+    bad: int | None         # the first prefix whose composed shift is not the direct one
+
+
 class LambdaParam(NamedTuple):
     bullet_index: int          # index into rs.minuscule
     bullet_up: Vec             # the minuscule weight itself
@@ -143,7 +150,7 @@ def _scaled_point(mu: Vec, case: ShiftCase) -> list[int]:
 def canonical_decompose(mu: Vec, case: ShiftCase) -> tuple[Vec, Vec]:
     """Unique (bullet, box) with mu = -bullet + box, bullet integral,
     and 0 < (box + x, alpha_i^vee) <= 1 for every i: the bullet -t that
-    Cosets.carry reads off a = p * labels(mu + x); p * labels(box) is
+    ShiftSystem.carry reads off a = p * labels(mu + x); p * labels(box) is
     a - p * t - p * labels(x)."""
     a = _scaled_point(mu, case)
     t = _cosets(case).carry(0, a)[1]
@@ -205,14 +212,18 @@ def lambda_of_value(case: ShiftCase, mu: Vec) -> LambdaParam:
 # cached per-case machinery
 # ---------------------------------------------------------------------------
 
-class Cosets:
-    """The coset layout of Lambda, which needs no Weyl group: per coset its key (bullet
-    index, digits), its box labels u = p * labels(box + x) and its record (built on
-    request).  Cosets are numbered mixed radix over each bullet's digit ranges, and one
-    rule, the carry, moves, locates and numbers them.  Internally an ambient vector is
-    kept as its Dynkin labels scaled by p, which makes every vector of (1/p)Q* and the
-    twist x integral.  The screening conditions, the axiom checks and the characters' *
-    climb read its simple shifts."""
+class ShiftSystem:
+    """The shift system of one coset layout Lambda: per coset its key (bullet index,
+    digits), its box labels u = p * labels(box + x) and its record (built on request).
+    The cosets are numbered mixed radix over each bullet's digit ranges, and one rule, the
+    carry, moves, locates and numbers them.  Internally an ambient vector is kept as its
+    Dynkin labels scaled by p, which makes every vector of (1/p)Q* and the twist x
+    integral.  The screening conditions, the axiom checks and the characters' * climb
+    read its simple shifts and need no Weyl group.
+
+    ``system`` attaches the Weyl enumeration (``weyl``, ``_key_index``, ``_steps``)
+    that the rows over W (``row``) read for verify walls' full * sum, w_act and
+    shift_map.  Root coordinates appear only at the public boundary."""
 
     def __init__(self, case: ShiftCase):
         self.case = case
@@ -235,7 +246,9 @@ class Cosets:
             raise AssertionError(f"two bullets of {rs.lie_type} share a class key")
         # per bullet index (a dict, which refuses any other index), the first
         # coset's number and the ranges of u_i = k_i x_i = p * labels(box + x)_i,
-        # k_i x_i <= p; a super bullet's last label sets the last digit's parity
+        # k_i x_i <= p; a super bullet's last label sets the last digit's parity.
+        # A range starts at s = x_i or 2 s, so p * labels(box)_i = u_i - s is in
+        # [0, p): ceil(-nu) = beta on every point nu = box - beta of a coset
         sup, self._boxes, count = case.variant.is_super, {}, 0
         for b_idx, bullet in enumerate(bullets):
             ranges = [range(s, p + 1, s) for s in x[:-1]] \
@@ -244,19 +257,15 @@ class Cosets:
             count += prod(map(len, ranges))
         if count > COSET_CAP:
             raise CapExceededError(f"{case.case_id()}: {count} cosets exceed the cap {COSET_CAP}")
-        # the ceiling check of every point nu = box - beta of a coset, ceil(-nu)
-        # = beta: 0 <= p*box < p, once per digit range
-        if not all(0 <= v - s < p for _, ranges in self._boxes.values()
-                   for d, s in zip(ranges, x) for v in d):
-            raise AssertionError("ceiling-weight mismatch")
         # per coset in (minuscule index, digits) order: its key and u
         self._keys, self._u = [], []
         for b_idx, (_, ranges) in self._boxes.items():
             self._u += product(*ranges)
             self._keys += [(b_idx, tuple(map(floordiv, u, x))) for u in product(*ranges)]
         self.reflect_cols, self._x, self._bullets = rs.reflect_cols(), x, bullets
-        self._records, self._all = [None] * len(self._keys), []  # a system shares both
+        self._records = [None] * len(self._keys)
         self._simple, self._conditions, self._rows, self._report = {}, {}, None, None
+        self.weyl, self._act, self._shift = None, {}, {}
 
     def record(self, l_idx: int) -> LambdaParam:
         """Coset l_idx's record, built on its first request, when its weight
@@ -272,12 +281,10 @@ class Cosets:
             self._records[l_idx] = lam
         return lam
 
-    @property
+    @cached_property
     def lambdas(self) -> tuple[LambdaParam, ...]:
         """Every coset's record, in order (enumerate_lambda)."""
-        if not self._all:
-            self._all.append(tuple(map(self.record, range(len(self._keys)))))
-        return self._all[0]
+        return tuple(map(self.record, range(len(self._keys))))
 
     def alcove(self, l_idx: int) -> bool:
         """(p*box + rho_check, theta_L) <= p, with rho instead of rho_check in the super
@@ -319,15 +326,6 @@ class Cosets:
 
     # -- the shift map and the screening conditions --------------------------
 
-    def shifts(self, l_idx: int, word) -> list[tuple[int, ...]]:
-        """Labels of w ^ lambda = ceil(w(u)/p) - 1 (carry) for w each prefix
-        of the word, read from its right end."""
-        p, v, cols, out = self.case.p, self._u[l_idx], self.reflect_cols, []
-        for i in reversed(word):
-            v = reflect_labels(v, i, cols[i])
-            out.append(tuple((y - 1) // p for y in v))
-        return out
-
     def simple(self, l_idx: int) -> tuple[list[int], list[tuple[int, ...]]]:
         """(indices of s_i * lambda, labels of s_i ^ lambda) per i; carried on first use."""
         if l_idx not in self._simple:
@@ -349,21 +347,26 @@ class Cosets:
             raise ValueError("word is not a reduced word of the longest element")
         return word
 
-    def walk(self, l_idx: int, word=None) -> tuple[bool, list, list]:
+    def walk(self, l_idx: int, word=None) -> Walk:
         """Along a word of w0 (w0_word) read from its right end, the simple
         shifts composed by the cocycle s_i w ^ lambda = s_i(w ^ lambda) + s_i ^
-        (w * lambda): (whether every prefix's shift pairs to zero with the next
-        letter's coroot, every prefix's composed shift and plain sum of simple shifts)."""
-        cols, strong, acc = self.reflect_cols, True, (0,) * self.case.rank
-        composed, sums = [], [acc]
-        for i in reversed(self.w0_word(word)):
+        (w * lambda), each prefix checked in the same pass against its direct
+        shift ceil(w(u)/p) - 1 (carry)."""
+        p, cols, v = self.case.p, self.reflect_cols, self._u[l_idx]
+        strong, telescoped, bad = True, True, None
+        acc = total = (0,) * self.case.rank
+        for k, i in enumerate(reversed(self.w0_word(word))):
             act, shift = self.simple(l_idx)
             strong = strong and acc[i] == 0
             acc = tuple(map(add, reflect_labels(acc, i, cols[i]), shift[i]))
-            composed.append(acc)
-            sums.append(tuple(map(add, sums[-1], shift[i])))
+            total = tuple(map(add, total, shift[i]))
+            v = reflect_labels(v, i, cols[i])
+            direct = tuple((y - 1) // p for y in v)
+            telescoped = telescoped and total == direct
+            if bad is None and acc != direct:
+                bad = k
             l_idx = act[i]
-        return strong, composed, sums[1:]
+        return Walk(strong, telescoped, acc, bad)
 
     def conditions(self, l_idx: int) -> tuple[bool, bool, tuple[int, ...], bool]:
         """(weak, strong, labels of w0 ^ lambda, telescoped strong) of coset
@@ -379,12 +382,10 @@ class Cosets:
             (act, shift), r = self.simple(l_idx), self.case.rank
             weak = all(act[j] == l_idx or shift[j] == tuple(-(i == j) for i in range(r))
                        for j in range(r))
-            strong, composed, sums = self.walk(l_idx)
-            direct = self.shifts(l_idx, self.w0_word())
-            bad = next((k for k, (u, v) in enumerate(zip(composed, direct)) if u != v), None)
-            if bad is not None:
-                return bad
-            self._conditions[l_idx] = weak, strong, composed[-1], sums == direct
+            walked = self.walk(l_idx)
+            if walked.bad is not None:
+                return walked.bad
+            self._conditions[l_idx] = weak, walked.strong, walked.shift, walked.telescoped
         return None
 
     def root_shifts(self, l_idx: int) -> list[tuple[int, int]]:
@@ -396,37 +397,12 @@ class Cosets:
     def check_point(self, point, l_idx: int):
         """The coset check of a Cartan weight, on its labels: the weight lies
         in the Cartan support coset of coset l_idx, which has that coset's box
-        and class (the box's ceiling check runs once per digit range, at build)."""
+        and class (the box's ceiling holds by the digit ranges, see __init__)."""
         if self._bullet_of.get(self._class_key(point)) != self._keys[l_idx][0]:
             raise ValueError(f"weight with labels {point} is not in the Cartan support "
                              f"coset of {self.record(l_idx).label()}")
 
-
-@lru_cache(maxsize=None)
-def _cosets(case: ShiftCase) -> Cosets:
-    """The case's layout, shared by its system; a Ramond case reads super's."""
-    if case.variant is Variant.SUPER_RAMOND:
-        return _cosets(case._replace(variant=Variant.SUPER))
-    return Cosets(case)
-
-
-class ShiftSystem(Cosets):
-    """Tables over W per (type, family, p) for verify walls' full * sum,
-    w_act and shift_map, laid out by the Weyl enumeration; super and Ramond share one.
-
-    Row ``l`` holds, per Weyl element in enumeration order, the index of
-    ``w * lambda_l`` and the Dynkin labels of ``w ^ lambda_l``; it is filled
-    on first use by the cocycle over the layout's simple shifts, one step per
-    element of the enumeration.  Root coordinates appear only at the public
-    boundary.  The layout is the case's ``_cosets``.
-    """
-
-    def __init__(self, case: ShiftCase):
-        vars(self).update(vars(_cosets(case)))
-        self.weyl, self._key_index, self._steps = self.rs.weyl_table()
-        self._act, self._shift = {}, {}
-
-    # -- the action and the shift map ----------------------------------------
+    # -- the action and the shift map over W (system) ------------------------
 
     def row(self, l_idx: int) -> tuple[list[int], list[tuple[int, ...]]]:
         """(indices of w * lambda, labels of w ^ lambda) over W, in enumeration
@@ -461,13 +437,22 @@ class ShiftSystem(Cosets):
         return self.rs.from_labels(self.row(l_idx)[1][w_idx])
 
 
-_shared = lru_cache(maxsize=None)(ShiftSystem)
+@lru_cache(maxsize=None)
+def _cosets(case: ShiftCase) -> ShiftSystem:
+    """The case's shift system, with no Weyl group; a Ramond case reads super's."""
+    if case.variant is Variant.SUPER_RAMOND:
+        return _cosets(case._replace(variant=Variant.SUPER))
+    return ShiftSystem(case)
 
 
 @lru_cache(maxsize=None)
 def system(case: ShiftCase) -> ShiftSystem:
-    """The case's system; a Ramond case reads its super case's."""
-    return _shared(_cosets(case).case)
+    """The case's shift system (_cosets), with the Weyl enumeration that its
+    rows read attached on the first call."""
+    table = _cosets(case)
+    if table.weyl is None:
+        table.weyl, table._key_index, table._steps = table.rs.weyl_table()
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +486,7 @@ def check_strong(lam: LambdaParam, case: ShiftCase, word=None) -> bool:
     """Vanishing of every prefix pairing along a reduced word of w0."""
     table = _cosets(case)
     l_idx = table.index(lam.key())
-    return table.conditions(l_idx)[1] if word is None else table.walk(l_idx, word)[0]
+    return table.conditions(l_idx)[1] if word is None else table.walk(l_idx, word).strong
 
 
 def check_strong_all_words(lam: LambdaParam, case: ShiftCase) -> bool:
@@ -514,7 +499,7 @@ def check_strong_all_words(lam: LambdaParam, case: ShiftCase) -> bool:
     w_k^-1 alpha_{i_k}.  A reduced word's inversion roots are the positive
     roots its product sends to negative ones, each once; for w0 that is all
     of Phi+.  So every word's verdict is t(beta) = 0 for every beta > 0
-    (Cosets.root_shifts)."""
+    (ShiftSystem.root_shifts)."""
     table, strong = _cosets(case), check_strong(lam, case)
     if strong != all(t == 0 for t, _ in table.root_shifts(table.index(lam.key()))):
         raise WordDependenceError(
@@ -528,14 +513,11 @@ def check_strong_alt(lam: LambdaParam, case: ShiftCase, word=None) -> bool:
     sum of the simple shifts along it."""
     table = _cosets(case)
     l_idx = table.index(lam.key())
-    if word is None:
-        return table.conditions(l_idx)[3]
-    word = table.w0_word(word)
-    return table.walk(l_idx, word)[2] == table.shifts(l_idx, word)
+    return table.conditions(l_idx)[3] if word is None else table.walk(l_idx, word).telescoped
 
 
 def alcove_inequality(lam: LambdaParam, case: ShiftCase) -> bool:
-    """The alcove inequality of lam's coset (Cosets.alcove)."""
+    """The alcove inequality of lam's coset (ShiftSystem.alcove)."""
     table = _cosets(case)
     return table.alcove(table.index(lam.key()))
 
@@ -632,11 +614,11 @@ def _root_word(cartan, beta: tuple[int, ...], negative: int) -> tuple[int, list]
     return beta.index(1), [beta.index(1)] * negative + word
 
 
-def _verify(table: Cosets) -> ShiftReport:
+def _verify(table: ShiftSystem) -> ShiftReport:
     """The checks of verify_axioms on one layout, without W: counts and
     failures.  Per coset, the identity acts and shifts trivially; per simple
     direction, the simple shift's dichotomy and its sum with the moved
-    coset's.  Label i of w ^ lambda = ceil(w(u)/p) - 1 (Cosets.carry) is t(beta)
+    coset's.  Label i of w ^ lambda = ceil(w(u)/p) - 1 (ShiftSystem.carry) is t(beta)
     := ((u, beta^vee) - 1) // p, beta = w^-1 alpha_i; s_i w > w exactly when
     beta > 0, and every root is some w^-1 alpha_i.  So "ascent => pairing >=
     0, descent => pairing < 0" over Lambda x W x Pi is "t(beta) >= 0 exactly
@@ -675,7 +657,7 @@ def _verify(table: Cosets) -> ShiftReport:
     return report
 
 
-def _tables(report: ShiftReport, table: Cosets) -> ShiftReport:
+def _tables(report: ShiftReport, table: ShiftSystem) -> ShiftReport:
     """The weak, strong, alcove and w0-shift rows of every coset, read off
     the condition table once per layout (each w0 shift formatted once); the
     report gets copies."""

@@ -31,8 +31,10 @@
   located by that key, a batch at a time (``locate``) or one point at a time
   in separate passes (``locate_point``), against the layout's carry; the weak,
   strong and w0-shift conditions of a coset computed per call, walking the
-  canonical word each time (``conditions_per_call``), and the strong
-  condition walked along every reduced word of w0 (``strong_on_every_word``).
+  canonical word each time (``conditions_per_call``), the walk along a word
+  of w0 in two passes, the composed shifts listed first and each prefix's
+  direct shift after (``walk_two_pass``), and the strong condition walked
+  along every reduced word of w0 (``strong_on_every_word``).
 * The shift-map axioms checked exhaustively over Lambda x W x Pi on the W
   table's rows (``axioms_over_w``), the cocycle as one comparison of packed
   integers (``pack``) per (coset, element, letter), with the tables from
@@ -69,7 +71,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from operator import mul, sub
+from operator import add, mul, sub
 
 from shiftlab.alcove import (
     AffineWeight,
@@ -783,8 +785,9 @@ def dot_walk(case, lam, labels):
     stays in beta + Q, whose class key and box are those of beta, so the
     coset check runs once, on beta."""
     sys, quad, p = system(case), _form(case)[0], case.p
-    sys.check_point(labels, sys.index(lam.key()))
-    b = _coset_vector(case, lam)
+    l_idx = sys.index(lam.key())
+    sys.check_point(labels, l_idx)
+    b = _coset_vector(case, l_idx)
     g = [2 * p * sum(map(mul, row, b)) for row in quad]
     orbit = sys.orbit(tuple(c + 1 for c in labels))
     c0 = _value(quad, _identity_point(case, b, labels)) + sum(map(mul, g, orbit[0]))
@@ -922,6 +925,30 @@ def conditions_per_call(case, lam):
     if acc != shift[len(sys.weyl) - 1]:
         raise AssertionError("cocycle composition disagrees with the direct shift")
     return weak, strong, acc, telescoped
+
+
+def walk_two_pass(table, l_idx, word):
+    """ShiftSystem.walk's (strong, telescoped, labels of w0 ^ lambda, first
+    prefix whose composed shift is not the direct one, or None) along a word
+    of w0 read from its right end, in two passes over per-prefix lists: the
+    simple shifts composed by the cocycle and summed plainly, then the direct
+    shift ceil(w(u)/p) - 1 of each prefix w from its own reflections of u."""
+    cols, p, strong = table.reflect_cols, table.case.p, True
+    acc, at = (0,) * table.case.rank, l_idx
+    composed, sums = [], [acc]
+    for i in reversed(word):
+        act, shift = table.simple(at)
+        strong = strong and acc[i] == 0
+        acc = tuple(map(add, reflect_labels(acc, i, cols[i]), shift[i]))
+        composed.append(acc)
+        sums.append(tuple(map(add, sums[-1], shift[i])))
+        at = act[i]
+    v, direct = table._u[l_idx], []
+    for i in reversed(word):
+        v = reflect_labels(v, i, cols[i])
+        direct.append(tuple((y - 1) // p for y in v))
+    bad = next((k for k, (c, d) in enumerate(zip(composed, direct)) if c != d), None)
+    return strong, sums[1:] == direct, composed[-1], bad
 
 
 @lru_cache(maxsize=None)

@@ -59,14 +59,14 @@ from shiftlab.characters import (
     walg_vacuum_oracle,
     weight_space_char,
 )
-from shiftlab.liealg import CapExceededError, RootSystem, reflect_labels
+from shiftlab.liealg import CapExceededError, RootSystem, _enumerate_weyl_cached, reflect_labels
 from shiftlab.qseries import FermionKind, QSeries, convolve, eta_inv_pow, fermion_char
 from shiftlab.shift import (
+    ShiftSystem,
     Variant,
     _check_member,
     _cosets,
     _grid,
-    _shared,
     enumerate_lambda,
     make_case,
     system,
@@ -74,6 +74,11 @@ from shiftlab.shift import (
 
 A1P2 = make_case("A1", "nonsuper", 2)
 L0 = enumerate_lambda(A1P2)[0]
+
+
+def number(case, lam):
+    """The number of lam's coset, which the character helpers take."""
+    return _cosets(case).index(lam.key())
 
 
 @pytest.mark.parametrize("name", ALL_TYPES)
@@ -453,7 +458,7 @@ def assert_walk_matches_reference(case, lam, beta):
     assert walk_reference(case, lam, beta) == (orbit, dot, [])
     if min(labels) >= 0:
         signs = [(-1) ** w.length for w in system(case).weyl]
-        got = _below(case, _coset_vector(case, lam), labels, max(dot))
+        got = _below(case, _coset_vector(case, number(case, lam)), labels, max(dot))
         assert sorted(got) == sorted(zip(dot, signs, orbit))
 
 
@@ -710,7 +715,7 @@ def test_identity_term_is_the_least_dot_term(name, variant, m):
     case = make_case(name, variant, m)
     quad = _form(case)[0]
     for lam in enumerate_lambda(case):
-        b = _coset_vector(case, lam)
+        b = _coset_vector(case, number(case, lam))
         for labels in _betas(case, lam, range(4)):
             dot = dot_walk(case, lam, labels)[1]
             assert min(dot) == dot[0] == _value(quad, _identity_point(case, b, labels))
@@ -726,7 +731,8 @@ def test_height_bound_within_the_square_root_bound(name, variant, m):
         limit = order - case.central_charge / 24 + 2 - _tail(case, 0).base
         top = floor(limit * den)
         for lam in enumerate_lambda(case):
-            bound, b = _height_bound(case, lam, top), _coset_vector(case, lam)
+            b, bullet = _coset_vector(case, number(case, lam)), _grid(case)[2][lam.bullet_index]
+            bound = _height_bound(case, b, bullet, top)
             assert bound <= height_bound_sqrt(case, lam, limit)
             for labels in _betas(case, lam, range(bound, bound + 4)):
                 assert _value(quad, _identity_point(case, b, labels)) > top
@@ -754,7 +760,7 @@ def test_below_gives_the_full_walk_terms_up_to_top(name, variant, m):
     tops = [floor((order - case.central_charge / 24 + 2 - _tail(case, 0).base) * den)
             for order in (4, 10)]
     for lam in enumerate_lambda(case):
-        b = _coset_vector(case, lam)
+        b = _coset_vector(case, number(case, lam))
         for labels in _betas(case, lam, range(3)):
             orbit, dot = dot_walk(case, lam, labels)
             at = dict(zip(orbit, dot))
@@ -787,7 +793,7 @@ def assert_star_climb_matches_walk(case, lam, labels, top):
     # so its numerator, zeros dropped, is the walk's cut at top
     signs = [(-1) ** w.length for w in system(case).weyl]
     exps = _star_walk(case, lam, labels)
-    got = list(_star_below(case, lam, labels, top))
+    got = list(_star_below(case, number(case, lam), labels, top))
     assert sorted(got) == sorted((e, s) for e, s in zip(exps, signs) if e <= top)
     num = {}
     for e, sign in got:
@@ -802,7 +808,7 @@ def test_star_climb_gives_the_walk_terms_up_to_top(name, variant, m):
     # dominant alpha of height at most 2
     case = make_case(name, variant, m)
     for lam in enumerate_lambda(case):
-        b = _coset_vector(case, lam)
+        b = _coset_vector(case, number(case, lam))
         for labels in _betas(case, lam, range(3)):
             for order in (4, 10):
                 top = _reach(case, b, labels, _tail(case, order))
@@ -816,7 +822,7 @@ def test_star_climb_gives_the_walk_terms_property(spec, data):
     lam = data.draw(st.sampled_from(enumerate_lambda(case)))
     labels = data.draw(st.sampled_from(_betas(case, lam, range(4))))
     order = data.draw(st.integers(0, 16))
-    top = _reach(case, _coset_vector(case, lam), labels, _tail(case, order))
+    top = _reach(case, _coset_vector(case, number(case, lam)), labels, _tail(case, order))
     assert_star_climb_matches_walk(case, lam, labels, top)
 
 
@@ -1010,19 +1016,42 @@ def test_negative_order_is_rejected(call, order):
 
 @pytest.mark.parametrize("ramond_first", [False, True])
 def test_one_coset_layout_per_case(ramond_first):
-    # weight_space_char reads the W-free layout and the walks read the system; in
-    # either order they share one layout, which the super case shares too
+    # weight_space_char and the Ramond character's * climb read the W-free
+    # layout; in either order they share one, which the super case shares
+    # too, and system attaches one Weyl enumeration to it for both cases
     sup, ram = make_case("B2", "super", 2), make_case("B2", "ramond", 2)
-    system.cache_clear()
-    _shared.cache_clear()
-    _cosets.cache_clear()
+    for cache in (_enumerate_weyl_cached, system, _cosets):
+        cache.cache_clear()
     lam = enumerate_lambda(ram)[0]
     calls = [lambda: weight_space_char(lam, lam.bullet_up, ram, 4),
              lambda: multiplet_ramond_char(vzero(2), lam, ram, 4)]
     for call in calls[::-1] if ramond_first else calls:
         call()
-    layout, table = _cosets(ram), system(ram)
-    assert layout is _cosets(sup) and table is system(sup)
-    assert layout.lambdas is table.lambdas is enumerate_lambda(ram) is enumerate_lambda(sup)
-    assert layout._u is table._u
-    assert _cosets.cache_info().misses == 2 and _shared.cache_info().currsize == 1
+    layout = _cosets(ram)
+    assert layout is _cosets(sup) is system(ram) is system(sup)
+    assert layout.lambdas is enumerate_lambda(ram) is enumerate_lambda(sup)
+    assert _cosets.cache_info().misses == 2 and _enumerate_weyl_cached.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("name,variant,call", [
+    ("A2", "nonsuper", ft_char),
+    ("B2", "super", ft_char),
+    ("A2", "nonsuper", lambda lam, case, order: multiplet_char(vzero(2), lam, case, order)),
+    ("B2", "ramond", lambda lam, case, order: multiplet_char(vzero(2), lam, case, order)),
+], ids=["ft_char", "ft_char_super", "multiplet_char", "multiplet_char_ramond"])
+def test_a_character_call_numbers_its_coset_once(monkeypatch, name, variant, call):
+    # the coset's number is resolved once per public call and passed on:
+    # ft_char checks each kept weight against it, and multiplet_char's input
+    # check, coset vector and * climb read it; one index call for any number
+    # of checked weights
+    case = make_case(name, variant, 2)
+    lam = enumerate_lambda(case)[-1]
+    counts = {"index": 0, "check_point": 0}
+    for method in counts:
+        def counted(self, *args, _method=getattr(ShiftSystem, method), _name=method):
+            counts[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(ShiftSystem, method, counted)
+    call(lam, case, 10)
+    assert counts["index"] == 1
+    assert counts["check_point"] > 1

@@ -39,6 +39,7 @@ from oracles import (
     vscale,
     vsub,
     vzero,
+    walk_two_pass,
     weyl_matrix,
 )
 
@@ -52,13 +53,11 @@ from shiftlab.liealg import (
     weyl_order,
 )
 from shiftlab.shift import (
-    Cosets,
     InvalidCaseError,
     ShiftSystem,
     WordDependenceError,
     _cosets,
     _grid,
-    _shared,
     alcove_inequality,
     canonical_decompose,
     check_strong,
@@ -292,7 +291,7 @@ def test_records_on_demand_match_the_eager_transversal(data):
     name, variant, m = data.draw(st.sampled_from(RECORD_CASES))
     case = make_case(name, variant, m)
     twin = make_case(name, {"super": "ramond", "ramond": "super"}.get(variant, variant), m)
-    for cache in (system, _shared, _cosets):
+    for cache in (system, _cosets):
         cache.cache_clear()
     want = eager_transversal(case)
     where = {lamp.key(): i for i, lamp in enumerate(want)}
@@ -525,10 +524,10 @@ def fresh():
     """A fresh B2 m=2 layout to corrupt.  The layout and system caches, and
     with them the stored verifications and condition tables, are cleared
     before and after, so no other test sees the corrupted layout."""
-    for cache in (system, _shared, _cosets):
+    for cache in (system, _cosets):
         cache.cache_clear()
     yield _cosets(B2P4)
-    for cache in (system, _shared, _cosets):
+    for cache in (system, _cosets):
         cache.cache_clear()
 
 
@@ -549,7 +548,7 @@ def moved_start(table, l_idx):
 
 def negated_coroot(case, monkeypatch):
     """The cached coroot table with the highest root's coroot negated, which
-    swaps t(beta) and t(-beta) (Cosets.root_shifts); returns (its index,
+    swaps t(beta) and t(-beta) (ShiftSystem.root_shifts); returns (its index,
     the root)."""
     roots = list(shift_module._coroots(case.rs))
     k = max(range(len(roots)), key=lambda k: sum(roots[k][0]))
@@ -694,13 +693,14 @@ def test_cli_failure_records_carry_repro(fresh, monkeypatch, capsys, variant, fl
     l_idx = next(i for i, lamp in enumerate(table.lambdas) if alcove_inequality(lamp, case))
     word = case.rs.longest_element().word
     negated_coroot(case, monkeypatch)
-    walk = Cosets.walk
+    walk = ShiftSystem.walk
 
     def broken(self, at, along=None):
-        strong, *rest = walk(self, at, along)
-        return strong and not (at == l_idx and self.w0_word(along) == word), *rest
+        walked = walk(self, at, along)
+        flip = at == l_idx and self.w0_word(along) == word
+        return walked._replace(strong=walked.strong and not flip)
 
-    monkeypatch.setattr(Cosets, "walk", broken)
+    monkeypatch.setattr(ShiftSystem, "walk", broken)
     for command, extra in [("check axioms", ""), ("check weak-strong", ""), ("lambda", "")]:
         assert cli.main(f"{command} {flags}{extra}".split()) == 1
         failures = json.loads(capsys.readouterr().out)["failures"]
@@ -792,6 +792,71 @@ def test_rows_by_the_cocycle_match_the_located_orbits(name, variant, m):
 
 
 @pytest.mark.parametrize("name,variant,m", AGREEMENT_CASES)
+def test_one_pass_walk_matches_the_two_pass_oracle(name, variant, m):
+    # on every coset, along the canonical word: strong, telescoped, the
+    # composed w0 shift and the first prefix that does not compose (None on
+    # a sound layout), against the walk that lists every prefix first
+    table = _cosets(make_case(name, variant, m))
+    word = table.w0_word()
+    for l_idx in range(len(table._keys)):
+        assert table.walk(l_idx) == walk_two_pass(table, l_idx, word)
+
+
+def test_one_pass_walk_matches_the_oracle_on_every_word_of_w0():
+    # all 42 reduced words of w0 in B3 m=2, on every coset
+    case = make_case("B3", "nonsuper", 2)
+    table = _cosets(case)
+    words = case.rs.all_reduced_words(case.rs.longest_element())
+    assert len(words) == 42
+    for word in words:
+        for l_idx in range(len(table._keys)):
+            assert table.walk(l_idx, word) == walk_two_pass(table, l_idx, word)
+
+
+@pytest.mark.parametrize("corrupt", ["simple shift", "box labels"])
+def test_one_pass_walk_finds_the_oracles_bad_prefix(fresh, corrupt):
+    # simple shifts that no longer compose to the direct shift: one coset's
+    # simple shift at the canonical word's second letter moved off the
+    # carry, or the strong coset 0's box labels moved by p * alpha_1 after
+    # every simple shift was carried, which keeps its walk strong while no
+    # prefix's direct shift is the sum of its simple shifts.  Every coset's
+    # walk gives the oracle's four entries, and the condition walk raises
+    # where a prefix does not compose
+    word = fresh.w0_word()
+    if corrupt == "simple shift":
+        i, n = word[-2], fresh.simple(0)[0][word[-1]]
+        shift = fresh.simple(n)[1]
+        shift[i] = tuple(v + c for v, c in zip(shift[i], fresh.cols[i]))
+    else:
+        for l_idx in range(len(fresh._keys)):
+            fresh.simple(l_idx)
+        moved_start(fresh, 0)
+    got = [fresh.walk(l_idx) for l_idx in range(len(fresh._keys))]
+    assert got == [walk_two_pass(fresh, l_idx, word) for l_idx in range(len(fresh._keys))]
+    assert got[0].bad == (1 if corrupt == "simple shift" else 0)
+    if corrupt == "box labels":
+        assert got[0].strong and not got[0].telescoped
+    for l_idx, walked in enumerate(got):
+        assert fresh._walked(l_idx) == walked.bad
+        if walked.bad is not None:
+            with pytest.raises(AssertionError, match="cocycle composition disagrees"):
+                fresh.conditions(l_idx)
+
+
+def test_one_shift_system_per_layout():
+    # a super case and its Ramond case share one shift system, which carries
+    # no Weyl enumeration until system attaches it; system returns the layout
+    for cache in (system, _cosets):
+        cache.cache_clear()
+    sup, ram = make_case("B2", "super", 2), make_case("B2", "ramond", 2)
+    layout = _cosets(ram)
+    assert layout.weyl is None and layout._act == layout._shift == {}
+    assert system(sup) is system(ram) is _cosets(sup) is layout
+    assert layout.weyl == sup.rs.enumerate_weyl()
+    assert len(layout.weyl) == weyl_order(sup.rs.lie_type) == len(layout._key_index)
+
+
+@pytest.mark.parametrize("name,variant,m", AGREEMENT_CASES)
 def test_carry_matches_the_packed_numbering(name, variant, m):
     # on every coset, the identity and every simple direction: the carry of
     # v = s_i(u) against the oracle, which locates s_i(lambda + x) by its
@@ -851,11 +916,11 @@ def test_both_axiom_routes_flag_a_moved_start(fresh):
 
 def test_verify_axioms_reads_no_weyl_table():
     # on a fresh case the axioms enumerate no Weyl group and build no system
-    for cache in (_enumerate_weyl_cached, system, _shared, _cosets):
+    for cache in (_enumerate_weyl_cached, system, _cosets):
         cache.cache_clear()
     assert verify_axioms(make_case("B4", "super", 1)).ok
     assert _enumerate_weyl_cached.cache_info().currsize == 0
-    assert system.cache_info().currsize == _shared.cache_info().currsize == 0
+    assert system.cache_info().currsize == 0
 
 
 def test_oracle_refuses_labels_past_the_packing_guard(fresh):
@@ -1028,7 +1093,7 @@ def test_condition_path_enumerates_no_weyl_group(name, variant):
     # there, at m <= 2, strong <=> alcove holds only because no coset is
     # strong and none meets the alcove inequality (both sets are empty)
     case = make_case(name, variant, 2)
-    for cache in (_enumerate_weyl_cached, system, _shared, _cosets):
+    for cache in (_enumerate_weyl_cached, system, _cosets):
         cache.cache_clear()
     lamp, bounds = enumerate_lambda(case)[5], _grid(case)[1]
     table = _cosets(case)
@@ -1048,9 +1113,73 @@ def test_condition_path_enumerates_no_weyl_group(name, variant):
     assert (report.weak[5][1], report.strong[5][1]) == (weak, strong)
     assert report.w0_shifts[5][1] == [str(v) for v in shift]
     assert _enumerate_weyl_cached.cache_info().misses == 0
-    assert _shared.cache_info().currsize == 0
+    assert system.cache_info().currsize == 0
     if name != "B3":
         assert not any(ok for _, ok in report.strong + report.alcove)
+
+
+def digit_simplex(marks, most):
+    """Every digit vector k >= 1 with sum c_j k_j <= most for the marks c."""
+    if not marks:
+        yield ()
+        return
+    for k in range(1, (most - sum(marks[1:])) // marks[0] + 1):
+        for rest in digit_simplex(marks[1:], most - k * marks[0]):
+            yield (k, *rest)
+
+
+def walk_box(rs, p, u):
+    """(strong, labels of w0 ^ lambda) of a coset with box labels u, along
+    w0's canonical word read from its right end, on u alone: at each letter i
+    the simple shift is the carry t = ceil(s_i(u)/p) - 1 of the current box,
+    the shifts compose by the cocycle, and the box moves to s_i(u) - p t.
+    The composed shift is checked against the carry of w0(u)."""
+    cols, strong, acc = rs.reflect_cols(), True, (0,) * rs.rank
+    word, v = rs.longest_element().word, u
+    for i in reversed(word):
+        moved = reflect_labels(v, i, cols[i])
+        t = tuple((y - 1) // p for y in moved)
+        strong = strong and acc[i] == 0
+        acc = tuple(a + b for a, b in zip(reflect_labels(acc, i, cols[i]), t))
+        v = tuple(y - p * c for y, c in zip(moved, t))
+    assert acc == tuple((y - 1) // p for y in rs.reflect_along(word, u))
+    return strong, acc
+
+
+@pytest.mark.parametrize("name,ms,want", [
+    ("E6", range(11, 15), [3, 9, 27, 60]),
+    ("E7", range(17, 21), [2, 4, 12, 24]),
+    ("E8", range(29, 33), [1, 1, 3, 5]),
+])
+def test_strong_is_the_alcove_past_the_coset_cap(name, ms, want):
+    """Strong <=> alcove on E6-E8 where neither set is empty.
+
+    At m <= 3 on E7 and E8 both sets are empty, and the alcove needs p >=
+    h - 1 (11, 17, 29), past the layouts COSET_CAP admits.  So the walk runs
+    on box labels alone: the carry reads u and not the bullet, so one walk
+    serves the |P/Q| cosets of a box, and the strong cosets number |P/Q|
+    times the strong boxes.  Simply laced and nonsuper, x = rho_check/p has
+    x_j = 1, so u = k, the digits, each in 1..p.  The scan set is the digit
+    simplex sum c_j k_j <= p + max c, c the theta_L marks: the alcove sum c_j
+    k_j <= p and every box one digit step outside it, since lowering digit j
+    by one lowers the sum by c_j <= max c.  The marks sum to h - 1 > max c,
+    so every digit of the set stays at most p, and the set is nonempty at p
+    >= h - 1."""
+    rs = make_case(name, "nonsuper", 1).rs
+    marks, classes = rs.theta_L_marks, len(rs.minuscule_labels)
+    assert sum(marks) == rs.coxeter - 1 > max(marks)
+    counts = []
+    for m in ms:
+        strong_boxes = 0
+        for u in digit_simplex(marks, m + max(marks)):
+            assert max(u) <= m
+            strong, shift = walk_box(rs, m, u)
+            assert strong == (sum(map(mul, marks, u)) <= m)
+            if strong:
+                assert shift == (-1,) * rs.rank  # w0 ^ lambda = -rho
+                strong_boxes += 1
+        counts.append(classes * strong_boxes)
+    assert counts == want
 
 
 def test_alcove_threshold_at_zero():
@@ -1183,7 +1312,7 @@ def test_condition_table_matches_per_call_route(name, variant, m):
     # computation on the W table and the public checks, on every coset; the
     # simple shifts against the table's simple cells
     case = make_case(name, variant, m)
-    sys, table = system(case), Cosets(case)
+    sys, table = system(case), ShiftSystem(case)
     simple_idx = [row[0] for row in left_table(case.rs)]
     for l_idx, lamp in enumerate(table.lambdas):
         weak, strong, shift0, telescoped = want = conditions_per_call(case, lamp)
@@ -1207,7 +1336,7 @@ def test_ramond_report_reuses_the_super_verification():
     stored = _cosets(ram)._report
     verify_axioms(ram)
     assert _cosets(sup)._report is stored  # the checks ran once for both cases
-    for cache in (system, _shared, _cosets):
+    for cache in (system, _cosets):
         cache.cache_clear()
     fresh = verify_axioms(ram)
     assert (got.case_id, first.case_id) == ("B3:ramond:m=2", "B3:super:m=2")
@@ -1269,9 +1398,9 @@ def test_class_key_must_vanish_on_simple_roots(monkeypatch):
             key = key * self._det + sum(map(mul, col, labels)) % self._det
         return key
 
-    monkeypatch.setattr(Cosets, "_class_key", transposed)
+    monkeypatch.setattr(ShiftSystem, "_class_key", transposed)
     with pytest.raises(AssertionError, match="class key"):
-        Cosets(make_case("B2", "nonsuper", 1))
+        ShiftSystem(make_case("B2", "nonsuper", 1))
 
 
 CLASS_TYPES = [f"A{n}" for n in range(1, 8)] + [f"{x}{n}" for x in "BC" for n in range(2, 6)] \
@@ -1334,6 +1463,6 @@ def test_index_refuses_keys_off_the_layout():
 def test_cosets_refuse_a_shared_class_key(monkeypatch):
     # a key that drops the class would confuse the bullets, and with them
     # the cosets with the same box
-    monkeypatch.setattr(Cosets, "_class_key", lambda self, labels: 0)
+    monkeypatch.setattr(ShiftSystem, "_class_key", lambda self, labels: 0)
     with pytest.raises(AssertionError, match="two bullets of A2 share a class key"):
-        Cosets(make_case("A2", "nonsuper", 1))
+        ShiftSystem(make_case("A2", "nonsuper", 1))

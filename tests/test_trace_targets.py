@@ -29,6 +29,12 @@ for variant in ("super", "ramond"):
     other = shift.make_case("B2", variant, 2)
     shift.verify_axioms(other)
     shift.condition_report(other)
+# w_act and shift_map read the rows over W that system attaches, which runs
+# its span, both per-cell counters and the summary's probe of the systems
+for other in (case, shift.make_case("B2", "super", 2), shift.make_case("B2", "ramond", 2)):
+    w0, first = other.rs.longest_element(), shift.enumerate_lambda(other)[0]
+    shift.w_act(w0, first, other)
+    shift.shift_map(w0, first, other)
 lam = shift.enumerate_lambda(case)[0]
 characters.multiplet_char(vzero(2), lam, case, 6)
 characters.ft_char(lam, case, 3)
@@ -37,7 +43,9 @@ alcove.alcove_json(case, vzero(2), lam)
 alcove.dominant_reduce(affine_input(case, vzero(2), lam), case)
 alcove.y_alpha(vzero(2), lam.bullet_index, case)
 summary = tracer.summary()
-print(json.dumps({"missing": summary["missing"], "spans": sorted(summary["spans"])}))
+print(json.dumps({"missing": summary["missing"], "spans": sorted(summary["spans"]),
+                  "counters": {name: calls for name, (calls, *_) in summary["counters"].items()},
+                  "act_entries": summary["extra"]["shift.act_entries"]}))
 """
 
 
@@ -50,6 +58,9 @@ def test_every_tracer_target_is_found():
     got = json.loads(done.stdout.splitlines()[-1])
     assert got["missing"] == []
     # the ops ran under their spans, so the probes were exercised
-    assert {"shift.verify_axioms", "shift.condition_report", "characters.multiplet_char",
-            "characters.ft_char", "alcove.alcove_json", "alcove.dominant_reduce",
-            "alcove.y_alpha"} <= set(got["spans"])
+    assert {"shift.verify_axioms", "shift.condition_report", "shift.system",
+            "characters.multiplet_char", "characters.ft_char", "alcove.alcove_json",
+            "alcove.dominant_reduce", "alcove.y_alpha"} <= set(got["spans"])
+    assert got["counters"]["shift.act_index"] > 0
+    assert got["counters"]["shift.shift_value"] > 0
+    assert got["act_entries"] > 0

@@ -19,7 +19,7 @@ from math import gcd, lcm
 from operator import add, mul
 from typing import NamedTuple
 
-from .liealg import RootSystem, Vec, WeylElement, reflect_labels
+from .liealg import CapExceededError, RootSystem, Vec, WeylElement, reflect_labels
 from .shift import LambdaParam, ShiftCase, Variant, _cosets, _grid
 
 
@@ -206,14 +206,14 @@ def _reduce(case: ShiftCase, a0: tuple[int, ...], k: int):
     if k <= 0:
         raise ValueError("nonpositive shifted level; reduction undefined")
     bound = fam.lattice_scale * k
-    a, sigma = a0, (1,) * rs.rank
-    for _ in range(100000):
+    a, sigma, steps = a0, (1,) * rs.rank, 100000
+    for _ in range(steps):
         i = next((i for i, x in enumerate(a) if x < 0), None)
         if i is None and fam.top(a) <= bound:
             break
         a, sigma = fam.reflect(a, i, bound), fam.reflect(sigma, i)
-    else:  # pragma: no cover
-        raise RuntimeError("alcove walk failed to terminate")
+    else:  # the walk's length grows with the weight's distance from the chamber
+        raise CapExceededError(f"the alcove walk did not reach the chamber in {steps} steps")
     walls = [i for i, x in enumerate(a) if x == 0] + ([None] if fam.top(a) == bound else [])
     seen, frontier = {sigma}, {sigma}
     while frontier:

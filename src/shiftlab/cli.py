@@ -1,9 +1,9 @@
 """Command-line surface: exact, scriptable computations with JSON/CSV output.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
-error or out of memory, 3 a failed internal invariant.  Output is
-deterministic for a fixed configuration: dictionaries are emitted in fixed
-key order and every rational is rendered as "num/den".
+error, out of memory or an input too large to allocate, 3 a failed internal
+invariant.  Output is deterministic for a fixed configuration: dictionaries
+are emitted in fixed key order and every rational is rendered as "num/den".
 """
 
 from __future__ import annotations
@@ -175,11 +175,11 @@ def _failures_csv(report: shift.ShiftReport) -> str:
 def _alcove_independence_report(case: shift.ShiftCase) -> shift.ShiftReport:
     """y_alpha's digit independence and super closed form; a failure's repro
     prints its y, on the first strong coset with its bullet."""
-    report = shift.ShiftReport(case.case_id(), {"checks": 0})
+    report = shift.ShiftReport(case.case_id(), {"checks": 0}, ())
     alphas = _alphas(case.rs, 4)
     for b_idx in range(len(case.rs.minuscule_labels)):
-        label = next((lam.label() for lam in shift.enumerate_lambda(case)
-                      if lam.bullet_index == b_idx and shift.alcove_inequality(lam, case)), None)
+        label = next((shift._cosets(case).record(l_idx).label()
+                      for l_idx in alcove._strong_cosets(case, b_idx)), None)
         for alpha in alphas:
             report.counts["checks"] += 1
             repro = (_repro(case, "alcove")
@@ -266,7 +266,7 @@ def cmd_verify(args) -> int:
     failures: list[dict] = []
     checks = 0
     if args.target == "wchar":
-        lam0 = shift.enumerate_lambda(case)[0]
+        lam0 = shift._cosets(case).record(0)
         got = characters.multiplet_char((Fraction(0),) * case.rank, lam0, case, order)
         want = characters.walg_vacuum_oracle(case, order)
         checks += 1
@@ -289,7 +289,7 @@ def cmd_verify(args) -> int:
     elif args.target == "walls":
         # beta in the root-coordinate box, on the first coset, whose bullet
         # is zero: the labels of beta are Cartan * coords
-        lam0 = shift.enumerate_lambda(case)[0]
+        lam0 = shift._cosets(case).record(0)
         for coords in itertools.product(range(-2, 3), repeat=rs.rank):
             labels = tuple(sum(map(mul, row, coords)) for row in rs.cartan)
             # beta + rho is on a wall when its dominant form has a zero label
@@ -399,9 +399,9 @@ def main(argv=None) -> int:
         print(json.dumps({"error": "internal", "type": type(exc).__name__,
                           "message": str(exc)}), file=sys.stderr)
         return INTERNAL_ERROR
-    except MemoryError:
-        pass  # leaving the handler frees the traceback's frames, and what they hold
-    print("error: out of memory", file=sys.stderr)
+    except (MemoryError, OverflowError) as exc:  # OverflowError: a size past any index
+        memory = isinstance(exc, MemoryError)  # printed past the handler, once its frames are freed
+    print("error: out of memory" if memory else "error: input too large", file=sys.stderr)
     return USAGE_ERROR
 
 

@@ -18,6 +18,7 @@ Every representative is the unique element -bullet + box of its coset with
 ``ShiftSystem`` per layout holds the cosets: the screening conditions, the axiom
 checks and the characters' * climb read its simple shifts, and ``verify walls``,
 ``w_act`` and ``shift_map`` its rows over W, whose enumeration ``system`` attaches.
+Its ``rows``, one per coset, are the tables of its ``ShiftReport``s, not copied.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .liealg import (
 )
 
 COSET_CAP = 10**6  # the most cosets a layout may hold; it bounds their count, not memory:
-# `lambda --algebra A2 --m 100` peaks at 149 MB (`info`: 15 MB) over its 30,000 cosets
+# `lambda --algebra A2 --m 100` peaks at 140 MB (`info`: 15 MB) over its 30,000 cosets
 
 
 class Variant(enum.Enum):
@@ -254,7 +255,7 @@ class ShiftSystem:
             ranges = [range(s, p + 1, s) for s in x[:-1]] \
                 + [range(x[-1] * (1 + (sup and bullet[-1] % 2)), p + 1, x[-1] * (1 + sup))]
             self._boxes[b_idx] = count, ranges
-            count += prod(map(len, ranges))
+            count += prod((p - d.start) // d.step + 1 for d in ranges)  # len overflows past 2**63
         if count > COSET_CAP:
             raise CapExceededError(f"{case.case_id()}: {count} cosets exceed the cap {COSET_CAP}")
         # per coset in (minuscule index, digits) order: its key and u
@@ -264,7 +265,7 @@ class ShiftSystem:
             self._keys += [(b_idx, tuple(map(floordiv, u, x))) for u in product(*ranges)]
         self.reflect_cols, self._x, self._bullets = rs.reflect_cols(), x, bullets
         self._records = [None] * len(self._keys)
-        self._simple, self._conditions, self._rows, self._report = {}, {}, None, None
+        self._simple, self._conditions, self._report = {}, {}, None
         self.weyl, self._act, self._shift = None, {}, {}
 
     def record(self, l_idx: int) -> LambdaParam:
@@ -387,6 +388,20 @@ class ShiftSystem:
                 return walked.bad
             self._conditions[l_idx] = weak, walked.strong, walked.shift, walked.telescoped
         return None
+
+    @cached_property
+    def rows(self) -> tuple[tuple[str, bool, bool, bool, tuple[str, ...]], ...]:
+        """Per coset (label, weak, strong, alcove, root coordinates of w0 ^
+        lambda as str), read off the condition table once per layout, each
+        w0 shift formatted once; every report of the layout shares it."""
+        coords, rows = {}, []
+        for l_idx, (b_idx, digits) in enumerate(self._keys):
+            weak, strong, shift, _ = self.conditions(l_idx)
+            if shift not in coords:
+                coords[shift] = tuple(map(str, self.rs.from_labels(shift)))
+            rows.append((",".join(map(str, (b_idx, *digits))), weak, strong,
+                         self.alcove(l_idx), coords[shift]))
+        return tuple(rows)
 
     def root_shifts(self, l_idx: int) -> list[tuple[int, int]]:
         """(t(beta), t(-beta)) per positive root beta of _coroots (see _verify)."""
@@ -547,13 +562,12 @@ def screening_degree(i: int, lam: LambdaParam, case: ShiftCase) -> int | None:
 # ---------------------------------------------------------------------------
 
 class ShiftReport:
-    def __init__(self, case_id: str, counts: dict):
-        self.case_id, self.counts = case_id, counts
+    """A layout's counts, failure records and rows: the layout's own
+    ShiftSystem.rows, not copied, once the checks pass, and () before."""
+
+    def __init__(self, case_id: str, counts: dict, rows: tuple):
+        self.case_id, self.counts, self.rows = case_id, counts, rows
         self.failures: list = []
-        self.weak: list = []       # (label, bool)
-        self.strong: list = []
-        self.alcove: list = []
-        self.w0_shifts: list = []  # (label, coords)
 
     @property
     def ok(self) -> bool:
@@ -564,17 +578,16 @@ class ShiftReport:
             "case": self.case_id,
             "counts": self.counts,
             "failures": self.failures,
-            "weak": [{"lambda": k, "ok": v} for k, v in self.weak],
-            "strong": [{"lambda": k, "ok": v} for k, v in self.strong],
-            "alcove": [{"lambda": k, "ok": v} for k, v in self.alcove],
-            "w0_shift": [{"lambda": k, "value": v} for k, v in self.w0_shifts],
+            "weak": [{"lambda": k, "ok": wk} for k, wk, _, _, _ in self.rows],
+            "strong": [{"lambda": k, "ok": st} for k, _, st, _, _ in self.rows],
+            "alcove": [{"lambda": k, "ok": al} for k, _, _, al, _ in self.rows],
+            "w0_shift": [{"lambda": k, "value": list(sh)} for k, _, _, _, sh in self.rows],
         }
 
     def to_csv(self) -> str:
         rows = ["lambda,weak,strong,alcove,w0_shift"]
-        for (k, wk), (_, st), (_, al), (_, sh) in zip(self.weak, self.strong, self.alcove,
-                                                      self.w0_shifts):
-            rows.append(f"\"{k}\",{int(wk)},{int(st)},{int(al)},\"{sh}\"")
+        rows += [f"\"{k}\",{int(wk)},{int(st)},{int(al)},\"{list(sh)}\""
+                 for k, wk, st, al, sh in self.rows]
         return "\n".join(rows) + "\n"
 
 
@@ -584,15 +597,16 @@ def _fail(report: ShiftReport, check: str, label: str, **witness):
 
 def verify_axioms(case: ShiftCase) -> ShiftReport:
     """The shift-map axioms (_verify) with reproducible witnesses, and when
-    they pass the weak, strong, alcove and w0-shift tables.  They run once per
-    layout, shared by a super case and its Ramond case; each call gets a copy."""
+    they pass the layout's rows.  They run once per layout, shared by a super
+    case and its Ramond case; each call gets a copy of the counts and failures."""
     table = _cosets(case)
     if table._report is None:
         table._report = _verify(table)
-    report = ShiftReport(case.case_id(), dict(table._report.counts))
+    report = ShiftReport(case.case_id(), dict(table._report.counts),
+                         table.rows if table._report.ok else ())
     report.failures = [{k: list(v) if isinstance(v, list) else v for k, v in f.items()}
                        for f in table._report.failures]
-    return _tables(report, table) if report.ok else report
+    return report
 
 
 @lru_cache(maxsize=None)
@@ -630,7 +644,7 @@ def _verify(table: ShiftSystem) -> ShiftReport:
     case, rs, roots, word = table.case, table.rs, _coroots(table.rs), table.w0_word()
     report = ShiftReport(case.case_id(), {
         "lambdas": len(table._keys), "weyl": weyl_order(rs.lie_type), "rank": case.rank,
-        "checks": len(table._keys) * (1 + 3 * (case.rank + len(roots)))})
+        "checks": len(table._keys) * (1 + 3 * (case.rank + len(roots)))}, ())
     for l_idx, ((b_idx, digits), u) in enumerate(zip(table._keys, table._u)):
         label = ",".join(map(str, (b_idx, *digits)))  # the record's label
         if table.carry(b_idx, u) != (l_idx, (0,) * case.rank):
@@ -657,41 +671,22 @@ def _verify(table: ShiftSystem) -> ShiftReport:
     return report
 
 
-def _tables(report: ShiftReport, table: ShiftSystem) -> ShiftReport:
-    """The weak, strong, alcove and w0-shift rows of every coset, read off
-    the condition table once per layout (each w0 shift formatted once); the
-    report gets copies."""
-    if table._rows is None:
-        coords, rows = {}, ([], [], [], [])
-        for l_idx, (b_idx, digits) in enumerate(table._keys):
-            weak, strong, shift, _ = table.conditions(l_idx)
-            label = ",".join(map(str, (b_idx, *digits)))
-            if shift not in coords:
-                coords[shift] = [str(v) for v in table.rs.from_labels(shift)]
-            for row, value in zip(rows, (weak, strong, table.alcove(l_idx), coords[shift])):
-                row.append((label, value))
-        table._rows = rows
-    report.weak, report.strong, report.alcove, shifts = map(list, table._rows)
-    report.w0_shifts = [(label, list(coords)) for label, coords in shifts]
-    return report
-
-
 def condition_report(case: ShiftCase, all_words: bool = False) -> ShiftReport:
     """Weak/strong/alcove tables, with the strong <=> alcove equivalence
     enforced; with all_words, a coset whose canonical strong verdict is not
     every reduced word's (check_strong_all_words) is a failure record.  It
     reads no Weyl group."""
     table = _cosets(case)
-    report = _tables(ShiftReport(case.case_id(), {
-        "lambdas": len(table._keys), "weyl": weyl_order(case.rs.lie_type), "checks": 0,
-        "all_words": all_words}), table)
-    for l_idx, ((label, strong), (_, alc), (_, got)) in enumerate(zip(
-            report.strong, report.alcove, report.w0_shifts)):
+    report = ShiftReport(case.case_id(), {
+        "lambdas": len(table._keys), "weyl": weyl_order(case.rs.lie_type),
+        "checks": 3 * len(table._keys), "all_words": all_words}, table.rows)
+    for l_idx, (label, _, strong, alc, got) in enumerate(report.rows):
+        _, _, shift, telescoped = table.conditions(l_idx)
         if all_words and strong != all(t == 0 for t, _ in table.root_shifts(l_idx)):
             _fail(report, "strong-word-dependence", label)
         if strong != alc:
             _fail(report, "strong-alcove-mismatch", label, strong=strong, alcove=alc)
-        if table.conditions(l_idx)[3] != strong:
+        if telescoped != strong:
             _fail(report, "strong-alt-mismatch", label)
         if strong:
             # the closed form of w0 ^ lambda: a non-fixed coset's simple
@@ -702,7 +697,6 @@ def condition_report(case: ShiftCase, all_words: bool = False) -> ShiftReport:
             if frozen and case.rank != 1:
                 raise AssertionError(f"strong coset {label} has a frozen digit")
             want = tuple(-c for c in table.cols[0]) if frozen else (-1,) * case.rank
-            if table.conditions(l_idx)[2] != want:
+            if shift != want:
                 _fail(report, "w0-shift-target", label, got=list(got))
-        report.counts["checks"] += 3
     return report

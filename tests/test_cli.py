@@ -24,6 +24,7 @@ from shiftlab.liealg import DEFAULT_WEYL_CAP, weyl_order
 from shiftlab.shift import ShiftReport, _cosets, make_case
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+HUGE = str(2**64)  # past the largest index, 2**63 - 1
 
 
 def run(capsys, *argv):
@@ -424,6 +425,19 @@ def test_removed_surface_is_a_usage_error(capsys, argv):
     # a coset layout over the cap (CapExceededError), refused before it is built
     ["lambda", "--algebra", "A1", "--m", "99999999999"],
     ["check", "axioms", "--algebra", "A2", "--m", "100000"],
+    # ... also where a digit range is too long for len() (past 2**63)
+    *[[*command, "--algebra", "A2", "--m", HUGE, *extra]
+      for command, extra in [(["lambda"], []), (["check", "axioms"], []),
+                             (["char"], ["--lambda", "0,1,1"]),
+                             (["ftchar"], ["--lambda", "0,1,1"]),
+                             (["alcove"], ["--lambda", "0,1,1"]), (["verify", "wchar"], [])]],
+    # sizes too large to allocate (OverflowError)
+    ["char", "--algebra", "A1", "--m", "2", "--lambda", "0,1", "--order", HUGE],
+    ["ftchar", "--algebra", "A1", "--m", "2", "--lambda", "0,1", "--order", HUGE],
+    ["info", "--algebra", "A" + HUGE],
+    # a weight too far from the chamber for the alcove walk's step bound
+    ["alcove", "--algebra", "A1", "--m", "2", "--lambda", "0,1", "--alpha", "100000"],
+    ["alcove", "--algebra", "A2", "--m", "2", "--lambda", "0,1,1", "--alpha", "100000,0"],
 ])
 def test_bad_input_exits_2_without_traceback(argv):
     env = cli_env()
@@ -435,7 +449,7 @@ def test_bad_input_exits_2_without_traceback(argv):
 
 
 @pytest.mark.parametrize("argv", [
-    # each holds every coset's rows and then the whole report (about 160 MB
+    # each holds every coset's row and then the whole report (a 140 MB peak
     # unlimited), so it runs out of address space at 64 MiB
     ["lambda", "--algebra", "A2", "--m", "100"],
     ["check", "axioms", "--algebra", "A2", "--m", "100"],
@@ -471,12 +485,13 @@ _LABELS = st.one_of(
               st.lists(st.integers(1, 3), min_size=1, max_size=2)),
     st.lists(st.integers(-1, 4).map(str), min_size=1, max_size=4).map(",".join),
     st.sampled_from(["", "x", "0,,1", "1,a", " 0 , 1 "]))
+# HUGE fails at once; a large but feasible --order would make examples slow
 _FLAGS = {
     "variant": st.sampled_from(["nonsuper", "super", "ramond"]),
-    "m": st.integers(-1, 3).map(str),
-    "order": st.integers(-1, 4).map(str),
+    "m": st.one_of(st.integers(-1, 3).map(str), st.just(HUGE)),
+    "order": st.one_of(st.integers(-1, 4).map(str), st.just(HUGE)),
     "lambda": _LABELS,
-    "alpha": st.one_of(st.just("0"), _LABELS),
+    "alpha": st.one_of(st.sampled_from(["0", HUGE]), _LABELS),
     "kind": st.sampled_from(["ch", "sch", "ramond"]),
     # unwritable: a missing directory, and a directory
     "output": st.sampled_from([str(GOLDEN / "no-such-dir" / "out.json"), str(GOLDEN)]),

@@ -585,7 +585,7 @@ def test_axioms_report_simple_shifts(fresh, fixed):
     else:
         want = {"check": "pairing-minus-one", "lambda": label, "i": i + 1, "got": "-2"}
     assert want in report.failures
-    assert report.weak == report.strong == report.w0_shifts == []
+    assert report.rows == ()
 
 
 def test_axioms_report_pair_sum(fresh):
@@ -671,7 +671,7 @@ def test_w0_shift_refuses_a_row_that_does_not_compose(fresh):
     report = verify_axioms(B2P4)
     assert {"check": "cocycle", "lambda": fresh.lambdas[1].label(), "i": first + 1,
             "word": []} in report.failures
-    assert not report.ok and report.w0_shifts == []
+    assert not report.ok and report.rows == ()
     with pytest.raises(AssertionError, match="composition disagrees"):
         w0_shift(fresh.lambdas[1], B2P4)
 
@@ -1110,12 +1110,12 @@ def test_condition_path_enumerates_no_weyl_group(name, variant):
         assert screening_degree(i, lamp, case) == (d % bound or None)
     report = condition_report(case, all_words=name == "B3")
     assert report.ok and report.counts["weyl"] == weyl_order(case.rs.lie_type)
-    assert (report.weak[5][1], report.strong[5][1]) == (weak, strong)
-    assert report.w0_shifts[5][1] == [str(v) for v in shift]
+    assert report.rows[5] == (lamp.label(), weak, strong, alcove_inequality(lamp, case),
+                              tuple(map(str, shift)))
     assert _enumerate_weyl_cached.cache_info().misses == 0
     assert system.cache_info().currsize == 0
     if name != "B3":
-        assert not any(ok for _, ok in report.strong + report.alcove)
+        assert not any(strong or alc for _, _, strong, alc, _ in report.rows)
 
 
 def digit_simplex(marks, most):
@@ -1330,7 +1330,9 @@ def test_condition_table_matches_per_call_route(name, variant, m):
 def test_ramond_report_reuses_the_super_verification():
     # a Ramond case reads the verification of the layout it shares with its
     # super case; its report equals a fresh one in every field but the case,
-    # and no report shares a list with the stored verification or another
+    # and every report of a layout shares the layout's immutable rows, but no
+    # mutable counts, failures or JSON lists with the stored verification or
+    # another report
     sup, ram = make_case("B3", "super", 2), make_case("B3", "ramond", 2)
     first, got = verify_axioms(sup), verify_axioms(ram)
     stored = _cosets(ram)._report
@@ -1340,18 +1342,19 @@ def test_ramond_report_reuses_the_super_verification():
         cache.cache_clear()
     fresh = verify_axioms(ram)
     assert (got.case_id, first.case_id) == ("B3:ramond:m=2", "B3:super:m=2")
-    fields = ("counts", "failures", "weak", "strong", "alcove", "w0_shifts")
-    for name in fields:
+    for name in ("counts", "failures", "rows"):
         assert getattr(got, name) == getattr(fresh, name) == getattr(first, name), name
-        assert getattr(got, name) is not getattr(first, name)
+    assert got.counts is not first.counts and got.failures is not first.failures
     assert got.counts is not stored.counts and got.failures is not stored.failures
+    assert got.rows is first.rows and fresh.rows is _cosets(ram).rows
     want = {**fresh.to_json_dict(), "case": "B3:ramond:m=2"}
     assert got.to_json_dict() == want
     assert got.counts["checks"] == first.counts["checks"] > 0
-    assert all(a is not b for (_, a), (_, b) in zip(got.w0_shifts, first.w0_shifts))
-    # changing a report changes no later one
-    got.w0_shifts[0][1].append("x")
-    got.weak.clear()
+    # changing a report or its JSON changes no later one
+    for report in (got, verify_axioms(ram)):
+        report.to_json_dict()["w0_shift"][0]["value"].append("x")
+        report.counts.clear()
+        report.failures.append({"check": "x"})
     assert verify_axioms(ram).to_json_dict() == want
 
 

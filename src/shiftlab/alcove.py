@@ -253,7 +253,7 @@ def _input_labels(case: ShiftCase, alpha_labels, l_idx: int) -> tuple[int, ...]:
     u = p * labels(box + x) less p * labels(bullet + alpha + rho')."""
     table = _cosets(case)
     return tuple(u - case.p * (c + y + z) for u, c, y, z in zip(
-        table._u[l_idx], table._bullets[table._keys[l_idx][0]], alpha_labels,
+        table._u[l_idx], case.rs.minuscule_labels[table._b[l_idx]], alpha_labels,
         _family(case).inner_labels))
 
 
@@ -268,7 +268,7 @@ class DigitDependenceError(AssertionError):
 @lru_cache(maxsize=None)
 def _strong_cosets(case: ShiftCase, bullet_index: int) -> tuple[int, ...]:
     table = _cosets(case)
-    return tuple(i for i, (b, _) in enumerate(table._keys) if b == bullet_index and table.alcove(i))
+    return tuple(i for i, b in enumerate(table._b) if b == bullet_index and table.alcove(i))
 
 
 def mu_lambda(alpha: Vec, lam: LambdaParam, case: ShiftCase) -> AffineWeight:
@@ -322,7 +322,7 @@ def y_sigma(w: WeylElement, alpha: Vec, bullet_index: int,
     (beta + rho) - w(beta + rho)."""
     rs, c = case.rs, _family(case).lattice_scale
     alpha_labels = rs.integral_labels(alpha)
-    top = tuple(x + y + 1 for x, y in zip(alpha_labels, _grid(case)[2][bullet_index]))
+    top = tuple(x + y + 1 for x, y in zip(alpha_labels, rs.minuscule_labels[bullet_index]))
     trans = tuple(c * (x - y) for x, y in zip(top, rs.reflect_along(w.word, top)))
     base = _y_alpha_labels(case, alpha_labels, bullet_index)
     return _elt(rs, *_compose(rs, rs.identity_element(), trans, *base))

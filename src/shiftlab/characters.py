@@ -28,7 +28,6 @@ from .shift import (
     ShiftCase,
     Variant,
     _cosets,
-    _grid,
     system,
 )
 
@@ -120,7 +119,7 @@ def _check_multiplet_inputs(case: ShiftCase, alpha: Vec,
     dominant; the number of lam's coset)."""
     rs, table = case.rs, _cosets(case)
     if rs.in_root_lattice(alpha):
-        labels = tuple(map(add, rs.integral_labels(alpha), _grid(case)[2][lam.bullet_index]))
+        labels = tuple(map(add, rs.integral_labels(alpha), rs.minuscule_labels[lam.bullet_index]))
         if min(labels) >= 0:
             table.check_point(labels, l_idx := table.index(lam.key()))
             return labels, l_idx
@@ -329,7 +328,7 @@ def ft_char(lam: LambdaParam, case: ShiftCase, order: int) -> QSeries:
     tail, (quad, den, _) = _tail(case, order), _form(case)
     # a numerator e puts its term at q^(tail base + e/den)
     top = floor((cutoff + 2 - tail.base) * den)
-    b, bullet = _coset_vector(case, l_idx), _grid(case)[2][lam.bullet_index]
+    b, bullet = _coset_vector(case, l_idx), rs.minuscule_labels[lam.bullet_index]
     kept = [labels for h in range(_height_bound(case, b, bullet, top))
             for labels in (tuple(map(add, alpha, bullet)) for alpha in dominant_shell(rs, h))
             if _value(quad, _identity_point(case, b, labels)) <= top]

@@ -403,10 +403,10 @@ class RootSystem(NamedTuple):
         return self.element_from_word(a.word[::-1])
 
     def weyl_table(self) -> WeylTable:
-        return _enumerate_weyl_cached(self, DEFAULT_WEYL_CAP)
+        return _enumerate_weyl_cached(self)
 
-    def enumerate_weyl(self, cap: int = DEFAULT_WEYL_CAP) -> tuple[WeylElement, ...]:
-        return _enumerate_weyl_cached(self, cap).elements
+    def enumerate_weyl(self) -> tuple[WeylElement, ...]:
+        return _enumerate_weyl_cached(self).elements
 
     def parabolic_longest(self, nodes) -> WeylElement:
         """Longest element of the standard parabolic on the given nodes: the
@@ -589,16 +589,16 @@ class WeylTable(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _enumerate_weyl_cached(rs: RootSystem, cap: int) -> WeylTable:
+def _enumerate_weyl_cached(rs: RootSystem) -> WeylTable:
     """W by length, each element keyed by the Dynkin labels of w(rho).
 
     Prepending the least generator first to a level in lex order yields the
     next level in lex order of lex-minimal words; s_i w is longer than w
     exactly when label i of w(rho) is positive."""
     order = weyl_order(rs.lie_type)
-    if order > cap:
+    if order > DEFAULT_WEYL_CAP:
         raise CapExceededError(
-            f"|W({rs.lie_type})| = {order} exceeds the enumeration cap {cap}")
+            f"|W({rs.lie_type})| = {order} exceeds the enumeration cap {DEFAULT_WEYL_CAP}")
     r = rs.rank
     cols = rs.reflect_cols()
     ident = rs.identity_element()

@@ -45,7 +45,7 @@ from .liealg import (
 )
 
 COSET_CAP = 10**6  # the most cosets a layout may hold; it bounds their count, not memory:
-# `lambda --algebra A2 --m 100` peaks at 140 MB (`info`: 15 MB) over its 30,000 cosets
+# `lambda --algebra A2 --m 100` peaks at 136 MB (`info`: 15 MB) over its 30,000 cosets
 
 
 class Variant(enum.Enum):
@@ -134,18 +134,14 @@ class LambdaParam(NamedTuple):
 # decomposition and enumeration
 # ---------------------------------------------------------------------------
 
-def _check_member(mu: Vec, case: ShiftCase) -> None:
-    """Membership in (1/p)Q*: p*(mu, alpha_i) integral for all i."""
-    if any((case.p * sum(g * c for g, c in zip(row, mu))).denominator != 1
-           for row in case.rs.gram):
-        raise ValueError(f"{mu} is not in (1/p)Q* for p={case.p}")
-
-
 def _scaled_point(mu: Vec, case: ShiftCase) -> list[int]:
-    """p * labels(mu + x), integral for mu in (1/p)Q*."""
-    _check_member(mu, case)
-    labels, n = case.rs.scaled_labels(mu)
-    return [case.p * v // n + s for v, s in zip(labels, _grid(case)[0])]
+    """p * labels(mu + x) for mu in (1/p)Q*: p * (mu, alpha_i) = p * ell_i *
+    labels_i / lacing is integral for all i, and then so is p * labels_i."""
+    rs, p = case.rs, case.p
+    labels, n = rs.scaled_labels(mu)
+    if any(p * e * v % (rs.lacing * n) for e, v in zip(rs.ell, labels)):
+        raise ValueError(f"{mu} is not in (1/p)Q* for p={p}")
+    return [p * v // n + s for v, s in zip(labels, _grid(case)[0])]
 
 
 def canonical_decompose(mu: Vec, case: ShiftCase) -> tuple[Vec, Vec]:
@@ -160,18 +156,17 @@ def canonical_decompose(mu: Vec, case: ShiftCase) -> tuple[Vec, Vec]:
 
 
 @lru_cache(maxsize=None)
-def _grid(case: ShiftCase):
-    """(x, bounds, bullets): x = p * labels(x), which also scales digit k_i to
-    k_i * x_i = p * labels(box + x)_i, so that k_i runs up to p / x_i (p * d_i
-    in the nonsuper family, p in the super one); and the Dynkin labels of each
-    minuscule weight."""
+def _grid(case: ShiftCase) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(x, bounds): x = p * labels(x), which also scales digit k_i to k_i *
+    x_i = p * labels(box + x)_i, so that k_i runs up to p / x_i (p * d_i in
+    the nonsuper family, p in the super one)."""
     p, (x, n) = case.p, case.rs.scaled_labels(case.x)
     if any(p * v % n for v in x):
         raise AssertionError(f"the twist of {case.case_id()} has labels off the 1/{p} grid")
     x = tuple(p * v // n for v in x)
     if any(p % t for t in x):
         raise AssertionError(f"p={p} does not clear the root lengths")
-    return x, tuple(p // t for t in x), case.rs.minuscule_labels
+    return x, tuple(p // t for t in x)
 
 
 def lambda_from(case: ShiftCase, bullet_index: int, digits) -> LambdaParam:
@@ -184,7 +179,7 @@ def lambda_from(case: ShiftCase, bullet_index: int, digits) -> LambdaParam:
     bullet_index, digits = int(bullet_index), tuple(map(int, digits))
     if len(digits) != case.rank:
         raise ValueError("digit tuple has wrong length")
-    _, bounds, bullets = _grid(case)
+    bounds, bullets = _grid(case)[1], case.rs.minuscule_labels
     if not 0 <= bullet_index < len(bullets):
         raise ValueError(f"minuscule index {bullet_index} outside 0..{len(bullets) - 1}")
     for d, b in zip(digits, bounds):
@@ -214,10 +209,10 @@ def lambda_of_value(case: ShiftCase, mu: Vec) -> LambdaParam:
 # ---------------------------------------------------------------------------
 
 class ShiftSystem:
-    """The shift system of one coset layout Lambda: per coset its key (bullet index,
-    digits), its box labels u = p * labels(box + x) and its record (built on request).
-    The cosets are numbered mixed radix over each bullet's digit ranges, and one rule, the
-    carry, moves, locates and numbers them.  Internally an ambient vector is kept as its
+    """The shift system of one coset layout Lambda: per coset its bullet index, its box
+    labels u = p * labels(box + x), whose digits are u // x, and its record (built on
+    request).  The cosets are numbered mixed radix over each bullet's digit ranges, and one
+    rule, the carry, moves, locates and numbers them.  Internally an ambient vector is kept as its
     Dynkin labels scaled by p, which makes every vector of (1/p)Q* and the twist x
     integral.  The screening conditions, the axiom checks and the characters' * climb
     read its simple shifts and need no Weyl group.
@@ -231,7 +226,7 @@ class ShiftSystem:
         rs = self.rs = case.rs
         p, r = case.p, case.rank
         self.cols = rs.root_labels()
-        x, _, bullets = _grid(case)
+        x, bullets = _grid(case)[0], rs.minuscule_labels
         # the class in P/Q is det * C^{-1} applied to the labels, modulo det;
         # the fewest rows of it that tell the minuscule weights apart give it
         adj, self._det = rs.cartan_adjugate
@@ -258,13 +253,13 @@ class ShiftSystem:
             count += prod((p - d.start) // d.step + 1 for d in ranges)  # len overflows past 2**63
         if count > COSET_CAP:
             raise CapExceededError(f"{case.case_id()}: {count} cosets exceed the cap {COSET_CAP}")
-        # per coset in (minuscule index, digits) order: its key and u
-        self._keys, self._u = [], []
-        for b_idx, (_, ranges) in self._boxes.items():
+        # per coset in (minuscule index, digits) order: its bullet index and u
+        self._b, self._u = [], []
+        for b_idx, (start, ranges) in self._boxes.items():
             self._u += product(*ranges)
-            self._keys += [(b_idx, tuple(map(floordiv, u, x))) for u in product(*ranges)]
-        self.reflect_cols, self._x, self._bullets = rs.reflect_cols(), x, bullets
-        self._records = [None] * len(self._keys)
+            self._b += [b_idx] * (len(self._u) - start)
+        self.reflect_cols, self._x = rs.reflect_cols(), x
+        self._records = [None] * len(self._u)
         self._simple, self._conditions, self._report = {}, {}, None
         self.weyl, self._act, self._shift = None, {}, {}
 
@@ -272,10 +267,11 @@ class ShiftSystem:
         """Coset l_idx's record, built on its first request, when its weight
         round-trips: p * labels(value) = u - x - p * bullet."""
         if (lam := self._records[l_idx]) is None:
-            (b_idx, digits), p, rs = self._keys[l_idx], self.case.p, self.rs
-            bullet = self._bullets[b_idx]
-            a = [v - s - p * c for v, s, c in zip(self._u[l_idx], self._x, bullet)]
-            lam = LambdaParam(b_idx, rs.from_labels(bullet), digits, rs.from_labels(a, p))
+            b_idx, u, p, rs = self._b[l_idx], self._u[l_idx], self.case.p, self.rs
+            bullet = rs.minuscule_labels[b_idx]
+            a = [v - s - p * c for v, s, c in zip(u, self._x, bullet)]
+            lam = LambdaParam(b_idx, rs.from_labels(bullet), tuple(map(floordiv, u, self._x)),
+                              rs.from_labels(a, p))
             labels, n = rs.scaled_labels(lam.value)
             if any(p * v != n * w for v, w in zip(labels, a)):
                 raise AssertionError(f"{lam.label()} does not round-trip")
@@ -285,7 +281,11 @@ class ShiftSystem:
     @cached_property
     def lambdas(self) -> tuple[LambdaParam, ...]:
         """Every coset's record, in order (enumerate_lambda)."""
-        return tuple(map(self.record, range(len(self._keys))))
+        return tuple(map(self.record, range(len(self._u))))
+
+    def label(self, l_idx: int) -> str:
+        """Coset l_idx's record label: its bullet index and digits u // x."""
+        return ",".join(map(str, (self._b[l_idx], *map(floordiv, self._u[l_idx], self._x))))
 
     def alcove(self, l_idx: int) -> bool:
         """(p*box + rho_check, theta_L) <= p, with rho instead of rho_check in the super
@@ -320,9 +320,9 @@ class ShiftSystem:
         class of bullet - t (w ^ lambda = w(bullet) - bullet', and w(bullet) -
         bullet is in Q).  carry(0, a) locates the point mu with a = p *
         labels(mu + x): its bullet is -t."""
-        p = self.case.p
+        p, bullet = self.case.p, self.rs.minuscule_labels[b_idx]
         t = tuple((y - 1) // p for y in v)
-        b_idx = self._bullet_of[self._class_key(tuple(map(sub, self._bullets[b_idx], t)))]
+        b_idx = self._bullet_of[self._class_key(tuple(map(sub, bullet, t)))]
         return self._number(b_idx, [y - p * c for y, c in zip(v, t)]), t
 
     # -- the shift map and the screening conditions --------------------------
@@ -330,7 +330,7 @@ class ShiftSystem:
     def simple(self, l_idx: int) -> tuple[list[int], list[tuple[int, ...]]]:
         """(indices of s_i * lambda, labels of s_i ^ lambda) per i; carried on first use."""
         if l_idx not in self._simple:
-            u, b_idx = self._u[l_idx], self._keys[l_idx][0]
+            u, b_idx = self._u[l_idx], self._b[l_idx]
             act, shift = zip(*(self.carry(b_idx, reflect_labels(u, i, col))
                                for i, col in enumerate(self.reflect_cols)))
             self._simple[l_idx] = list(act), list(shift)
@@ -395,12 +395,11 @@ class ShiftSystem:
         lambda as str), read off the condition table once per layout, each
         w0 shift formatted once; every report of the layout shares it."""
         coords, rows = {}, []
-        for l_idx, (b_idx, digits) in enumerate(self._keys):
+        for l_idx in range(len(self._u)):
             weak, strong, shift, _ = self.conditions(l_idx)
             if shift not in coords:
                 coords[shift] = tuple(map(str, self.rs.from_labels(shift)))
-            rows.append((",".join(map(str, (b_idx, *digits))), weak, strong,
-                         self.alcove(l_idx), coords[shift]))
+            rows.append((self.label(l_idx), weak, strong, self.alcove(l_idx), coords[shift]))
         return tuple(rows)
 
     def root_shifts(self, l_idx: int) -> list[tuple[int, int]]:
@@ -413,7 +412,7 @@ class ShiftSystem:
         """The coset check of a Cartan weight, on its labels: the weight lies
         in the Cartan support coset of coset l_idx, which has that coset's box
         and class (the box's ceiling holds by the digit ranges, see __init__)."""
-        if self._bullet_of.get(self._class_key(point)) != self._keys[l_idx][0]:
+        if self._bullet_of.get(self._class_key(point)) != self._b[l_idx]:
             raise ValueError(f"weight with labels {point} is not in the Cartan support "
                              f"coset of {self.record(l_idx).label()}")
 
@@ -643,10 +642,10 @@ def _verify(table: ShiftSystem) -> ShiftReport:
     checks, N = |Phi+| (counts["checks"])."""
     case, rs, roots, word = table.case, table.rs, _coroots(table.rs), table.w0_word()
     report = ShiftReport(case.case_id(), {
-        "lambdas": len(table._keys), "weyl": weyl_order(rs.lie_type), "rank": case.rank,
-        "checks": len(table._keys) * (1 + 3 * (case.rank + len(roots)))}, ())
-    for l_idx, ((b_idx, digits), u) in enumerate(zip(table._keys, table._u)):
-        label = ",".join(map(str, (b_idx, *digits)))  # the record's label
+        "lambdas": len(table._u), "weyl": weyl_order(rs.lie_type), "rank": case.rank,
+        "checks": len(table._u) * (1 + 3 * (case.rank + len(roots)))}, ())
+    for l_idx, (b_idx, u) in enumerate(zip(table._b, table._u)):
+        label = table.label(l_idx)
         if table.carry(b_idx, u) != (l_idx, (0,) * case.rank):
             _fail(report, "identity", label)
         act, shift = table.simple(l_idx)
@@ -678,8 +677,8 @@ def condition_report(case: ShiftCase, all_words: bool = False) -> ShiftReport:
     reads no Weyl group."""
     table = _cosets(case)
     report = ShiftReport(case.case_id(), {
-        "lambdas": len(table._keys), "weyl": weyl_order(case.rs.lie_type),
-        "checks": 3 * len(table._keys), "all_words": all_words}, table.rows)
+        "lambdas": len(table._u), "weyl": weyl_order(case.rs.lie_type),
+        "checks": 3 * len(table._u), "all_words": all_words}, table.rows)
     for l_idx, (label, _, strong, alc, got) in enumerate(report.rows):
         _, _, shift, telescoped = table.conditions(l_idx)
         if all_words and strong != all(t == 0 for t, _ in table.root_shifts(l_idx)):

@@ -14,7 +14,9 @@
   one).
 * The transversal's records built eagerly, each weight round-tripped
   through ``scaled_labels`` (``eager_transversal``), against which the
-  layout's records, built on first request, are compared.
+  layout's records, built on first request, are compared; the digit grid
+  they are built over (``digit_grid``); membership in (1/p)Q* by the Gram
+  matrix (``check_member_gram``).
 * Coset representatives as ``Fraction`` vectors, decomposed by a ``Fraction``
   canonical decomposition (``canonical_decompose_fraction``), the p-scaled
   Dynkin labels read off them, the representative of a point's coset
@@ -107,7 +109,6 @@ from shiftlab.qseries import FermionKind, QSeries, _spread, check_order, convolv
 from shiftlab.shift import (
     LambdaParam,
     Variant,
-    _check_member,
     _grid,
     alcove_inequality,
     check_strong,
@@ -514,26 +515,40 @@ def fraction_lambda_from(case, bullet_index, digits) -> LambdaParam:
     return LambdaParam(bullet_index, bullet, tuple(digits), vadd(vneg(bullet), box))
 
 
-def eager_transversal(case) -> tuple[LambdaParam, ...]:
-    """Every coset's record built up front, in (minuscule index, digits)
-    order under the super family's parity rule: the weight from the labels
-    a - x, a = p * labels(lambda + x) = k_i x_i - p * bullet_i, by
-    from_labels, and its round trip through scaled_labels."""
-    rs, p = case.rs, case.p
-    x, bounds, bullets = _grid(case)
-    out = []
-    for b_idx, bullet in enumerate(bullets):
+def digit_grid(case):
+    """(bullet index, bullet labels, digits) of every coset, in (minuscule
+    index, digits) order under the super family's parity rule, enumerated
+    from the digit bounds alone."""
+    bounds = _grid(case)[1]
+    for b_idx, bullet in enumerate(case.rs.minuscule_labels):
         for digits in product(*(range(1, n + 1) for n in bounds)):
-            if case.variant.is_super and (digits[-1] + bullet[-1]) % 2 == 0:
-                continue
-            a = tuple(k * s - p * c for k, s, c in zip(digits, x, bullet))
-            lam = LambdaParam(b_idx, rs.minuscule[b_idx], digits,
-                              rs.from_labels(tuple(map(sub, a, x)), p))
-            labels, n = rs.scaled_labels(lam.value)
-            if any(p * v != n * (u - s) for v, u, s in zip(labels, a, x)):
-                raise AssertionError(f"{lam.label()} does not round-trip")
-            out.append(lam)
+            if not case.variant.is_super or (digits[-1] + bullet[-1]) % 2:
+                yield b_idx, bullet, digits
+
+
+def eager_transversal(case) -> tuple[LambdaParam, ...]:
+    """Every coset's record built up front over the digit grid: the weight
+    from the labels a - x, a = p * labels(lambda + x) = k_i x_i - p *
+    bullet_i, by from_labels, and its round trip through scaled_labels."""
+    rs, p, x = case.rs, case.p, _grid(case)[0]
+    out = []
+    for b_idx, bullet, digits in digit_grid(case):
+        a = tuple(k * s - p * c for k, s, c in zip(digits, x, bullet))
+        lam = LambdaParam(b_idx, rs.minuscule[b_idx], digits,
+                          rs.from_labels(tuple(map(sub, a, x)), p))
+        labels, n = rs.scaled_labels(lam.value)
+        if any(p * v != n * (u - s) for v, u, s in zip(labels, a, x)):
+            raise AssertionError(f"{lam.label()} does not round-trip")
+        out.append(lam)
     return tuple(out)
+
+
+def check_member_gram(mu, case) -> None:
+    """Membership in (1/p)Q* by the Gram matrix: p * (mu, alpha_i) integral
+    for all i, on Fraction pairings."""
+    if any((case.p * sum(g * c for g, c in zip(row, mu))).denominator != 1
+           for row in case.rs.gram):
+        raise ValueError(f"{mu} is not in (1/p)Q* for p={case.p}")
 
 
 def canonical_decompose_fraction(mu, case):
@@ -541,7 +556,7 @@ def canonical_decompose_fraction(mu, case):
     0 < (box + x, alpha_i^vee) <= 1, one fundamental weight at a time from
     Fraction copairings."""
     rs = case.rs
-    _check_member(mu, case)
+    check_member_gram(mu, case)
     bullet = vzero(rs.rank)
     for i in range(rs.rank):
         t = copairing(rs, vadd(mu, case.x), i)
@@ -821,7 +836,7 @@ def orbit_row(sys, l_idx):
     is linear, where bullet' is the bullet that locate finds for w(lambda +
     x).  The orbits of lambda + x = box + x - bullet and of the bullet are
     walked along the enumeration; the row is cached per (system, coset)."""
-    p, u, bullet = sys.case.p, sys._u[l_idx], sys._bullets[sys._keys[l_idx][0]]
+    p, u, bullet = sys.case.p, sys._u[l_idx], sys.rs.minuscule_labels[sys._b[l_idx]]
     act, bullets = locate(sys, sys.orbit(tuple(v - p * c for v, c in zip(u, bullet))))
     return act, [tuple(map(sub, wb, c)) for wb, c in zip(sys.orbit(bullet), bullets)]
 
@@ -838,17 +853,20 @@ def left_table(rs, count=None):
 
 @lru_cache(maxsize=None)
 def packed_numbering(table) -> dict:
-    """Packed key -> coset index of the layout's cosets, in order: the class
+    """Packed key -> coset index of the layout's cosets, numbered over the
+    digit grid (digit_grid), not read off the layout's box labels: the class
     key of the bullet, then the box labels k_i x_i of the digits radix p + 1
     (each in 1..p); AssertionError if two cosets share a key."""
-    p, x = table.case.p, _grid(table.case)[0]
+    case = table.case
+    p, x = case.p, _grid(case)[0]
     numbering = {}
-    for l_idx, (b_idx, digits) in enumerate(table._keys):
-        key = table._class_key(table._bullets[b_idx])
+    for _, bullet, digits in digit_grid(case):
+        key = table._class_key(bullet)
         for k, s in zip(digits, x):
             key = key * (p + 1) + k * s
-        if numbering.setdefault(key, l_idx) != l_idx:
-            raise AssertionError(f"two cosets of {table.case.case_id()} share a packed key")
+        if key in numbering:
+            raise AssertionError(f"two cosets of {case.case_id()} share a packed key")
+        numbering[key] = len(numbering)
     return numbering
 
 

@@ -3,6 +3,8 @@
 import importlib.util
 import json
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -132,8 +134,28 @@ def test_cold_runs_compare_stderr(tmp_path):
     wall, cpu, _, output = cold_runs.run_once(tmp_path / "change", tmp_path / "pycache",
                                               ["-m", "shiftlab.cli", "info", "--algebra", "Z9"])
     assert 0 < cpu <= wall
-    assert output[0] == 2 and output[1] == b""
-    assert output[2] == b"note\nerror: cannot parse Lie type 'Z9'\n"
+    assert output == (2, cold_runs.sha512(b"").digest(),
+                      cold_runs.sha512(b"note\nerror: cannot parse Lie type 'Z9'\n").digest())
+
+
+def test_cold_runs_peak_rss_is_the_childs_own(tmp_path):
+    # the tool as it runs, in a process of its own: after a command that
+    # prints about 5 MB (lambda on A2 m=100), info's recorded peak RSS is a
+    # lone info call's within 2 MB, since the tool keeps digests of the
+    # outputs it compares, not the outputs (a child's peak is at least its
+    # parent's resident set at the spawn)
+    def info_peaks(*commands):
+        out = tmp_path / "BENCH.json"
+        subprocess.run([sys.executable, str(ROOT / "tools" / "cold_runs.py"), "--runs", "1",
+                        "--into", str(out), str(ROOT), str(ROOT), *commands],
+                       stdout=subprocess.DEVNULL, check=True)
+        got = json.loads(out.read_text())["cold_cli"]["info --algebra A1"]
+        out.unlink()
+        return got["parent"]["peak_rss_mb"] + got["change"]["peak_rss_mb"]
+
+    alone = info_peaks("info --algebra A1")
+    after = info_peaks("lambda --algebra A2 --m 100", "info --algebra A1")
+    assert max(after) < min(alone) + 2
 
 
 @pytest.mark.parametrize("differ", [False, True])

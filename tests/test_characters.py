@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    check_member_gram,
     ALL_TYPES,
     alternating_sum,
     alternating_sum_dot,
@@ -64,9 +65,7 @@ from shiftlab.qseries import FermionKind, QSeries, convolve, eta_inv_pow, fermio
 from shiftlab.shift import (
     ShiftSystem,
     Variant,
-    _check_member,
     _cosets,
-    _grid,
     enumerate_lambda,
     make_case,
     system,
@@ -128,7 +127,7 @@ def test_family_reads_match_per_family_formulas(data):
     coeffs = data.draw(st.lists(st.integers(-8, 8), min_size=case.rank, max_size=case.rank))
     nu = tuple(sum(Fraction(n, p) * w[j] for n, w in zip(coeffs, rs.fund_coweights))
                for j in range(case.rank))
-    _check_member(nu, case)
+    check_member_gram(nu, case)
     assert (case.x, case.gamma, case.central_charge) == case_data_reference(case)
     assert fock_delta(nu, case) == fock_delta_reference(nu, case)
     assert fock_delta(nu, case) + norm_shift_reference(case) == \
@@ -703,7 +702,7 @@ RULE_CASES = ([("A1", "nonsuper", m) for m in (1, 2, 3)]
 
 def _betas(case, lam, heights):
     """Labels of beta = alpha + bullet for the dominant alpha of these heights."""
-    bullet = _grid(case)[2][lam.bullet_index]
+    bullet = case.rs.minuscule_labels[lam.bullet_index]
     return [tuple(map(add, alpha, bullet)) for h in heights
             for alpha in dominant_shell(case.rs, h)]
 
@@ -731,7 +730,8 @@ def test_height_bound_within_the_square_root_bound(name, variant, m):
         limit = order - case.central_charge / 24 + 2 - _tail(case, 0).base
         top = floor(limit * den)
         for lam in enumerate_lambda(case):
-            b, bullet = _coset_vector(case, number(case, lam)), _grid(case)[2][lam.bullet_index]
+            b = _coset_vector(case, number(case, lam))
+            bullet = case.rs.minuscule_labels[lam.bullet_index]
             bound = _height_bound(case, b, bullet, top)
             assert bound <= height_bound_sqrt(case, lam, limit)
             for labels in _betas(case, lam, range(bound, bound + 4)):

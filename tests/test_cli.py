@@ -122,6 +122,23 @@ def test_check_alcove_independence(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv,checks", [
+    (["--algebra", "E7", "--m", "1"], 0), (["--algebra", "D4", "--m", "1"], 0),
+    (["--algebra", "B3", "--variant", "super", "--m", "2"], 0),
+    (["--algebra", "B2", "--variant", "super", "--m", "2"], 3),
+    (["--algebra", "B2", "--variant", "super", "--m", "3"], 6),
+    (["--algebra", "A2", "--m", "2"], 12),
+])
+def test_alcove_independence_counts_the_checks_it_runs(capsys, monkeypatch, argv, checks):
+    # a (bullet, alpha) pair counts only when y_alpha runs on it, which needs
+    # a strong coset with that bullet; a layout with none on any bullet
+    # reports 0 checks and, with no failure, exits 0
+    calls, y_alpha = [], alcove.y_alpha
+    monkeypatch.setattr(alcove, "y_alpha", lambda *args: calls.append(args) or y_alpha(*args))
+    code, out, _ = run(capsys, "check", "alcove-independence", *argv)
+    assert code == 0 and json.loads(out)["counts"] == {"checks": checks} == {"checks": len(calls)}
+
+
 def test_alcove_independence_csv(capsys, monkeypatch):
     # a passing report prints the header alone and exits 0
     code, out, _ = run(capsys, "check", "alcove-independence", "--algebra", "B2",
@@ -449,7 +466,7 @@ def test_bad_input_exits_2_without_traceback(argv):
 
 
 @pytest.mark.parametrize("argv", [
-    # each holds every coset's row and then the whole report (a 140 MB peak
+    # each holds every coset's row and then the whole report (a 136 MB peak
     # unlimited), so it runs out of address space at 64 MiB
     ["lambda", "--algebra", "A2", "--m", "100"],
     ["check", "axioms", "--algebra", "A2", "--m", "100"],

@@ -25,6 +25,7 @@ from oracles import (
     weyl_matrix,
 )
 
+from shiftlab import liealg
 from shiftlab.liealg import (
     DEFAULT_WEYL_CAP,
     CapExceededError,
@@ -272,15 +273,24 @@ def test_enumeration_ends_at_the_longest_element(name):
     # the smaller types; the types past 50000 elements up to the cap (A8,
     # B7, C7, D7) take seconds and hundreds of MB each, and are left out
     rs = rs_of(name)
-    elems = _enumerate_weyl_cached.__wrapped__(rs, DEFAULT_WEYL_CAP).elements
+    elems = _enumerate_weyl_cached.__wrapped__(rs).elements
     assert len(elems) == weyl_order(rs.lie_type)
     assert elems[-1] == rs.longest_element()
 
 
-def test_enumeration_cap():
-    rs = rs_of("F4")
-    with pytest.raises(CapExceededError):
-        rs.enumerate_weyl(cap=100)
+def test_enumeration_cap(monkeypatch):
+    # |W(A9)| = 10! passes the cap: the enumeration refuses on the order
+    # alone, before it builds any element
+    rs = rs_of("A9")
+
+    def refuse(*args):
+        raise AssertionError("a Weyl element was built")
+
+    monkeypatch.setattr(liealg, "WeylElement", refuse)
+    assert weyl_order(rs.lie_type) == 3628800 > DEFAULT_WEYL_CAP
+    with pytest.raises(CapExceededError,
+                       match=r"^\|W\(A9\)\| = 3628800 exceeds the enumeration cap 1000000$"):
+        rs.enumerate_weyl()
 
 
 def test_reduced_words():

@@ -17,8 +17,10 @@ from oracles import (
     copairing,
     alcove_inequality_fraction,
     canonical_decompose_fraction,
+    check_member_gram,
     conditions_per_call,
     det_int,
+    digit_grid,
     eager_transversal,
     fraction_lambda_from,
     fraction_start,
@@ -58,6 +60,7 @@ from shiftlab.shift import (
     WordDependenceError,
     _cosets,
     _grid,
+    _scaled_point,
     alcove_inequality,
     canonical_decompose,
     check_strong,
@@ -336,7 +339,7 @@ def test_layout_cap_counts_every_coset(monkeypatch, name, variant, m):
     with pytest.raises(CapExceededError, match=f": {count} cosets exceed the cap {count - 1}$"):
         _cosets(case)
     monkeypatch.setattr(shift_module, "COSET_CAP", count)
-    assert len(_cosets(case)._keys) == count
+    assert len(_cosets(case)._u) == count
     _cosets.cache_clear()
 
 
@@ -798,7 +801,7 @@ def test_one_pass_walk_matches_the_two_pass_oracle(name, variant, m):
     # a sound layout), against the walk that lists every prefix first
     table = _cosets(make_case(name, variant, m))
     word = table.w0_word()
-    for l_idx in range(len(table._keys)):
+    for l_idx in range(len(table._u)):
         assert table.walk(l_idx) == walk_two_pass(table, l_idx, word)
 
 
@@ -809,7 +812,7 @@ def test_one_pass_walk_matches_the_oracle_on_every_word_of_w0():
     words = case.rs.all_reduced_words(case.rs.longest_element())
     assert len(words) == 42
     for word in words:
-        for l_idx in range(len(table._keys)):
+        for l_idx in range(len(table._u)):
             assert table.walk(l_idx, word) == walk_two_pass(table, l_idx, word)
 
 
@@ -828,11 +831,11 @@ def test_one_pass_walk_finds_the_oracles_bad_prefix(fresh, corrupt):
         shift = fresh.simple(n)[1]
         shift[i] = tuple(v + c for v, c in zip(shift[i], fresh.cols[i]))
     else:
-        for l_idx in range(len(fresh._keys)):
+        for l_idx in range(len(fresh._u)):
             fresh.simple(l_idx)
         moved_start(fresh, 0)
-    got = [fresh.walk(l_idx) for l_idx in range(len(fresh._keys))]
-    assert got == [walk_two_pass(fresh, l_idx, word) for l_idx in range(len(fresh._keys))]
+    got = [fresh.walk(l_idx) for l_idx in range(len(fresh._u))]
+    assert got == [walk_two_pass(fresh, l_idx, word) for l_idx in range(len(fresh._u))]
     assert got[0].bad == (1 if corrupt == "simple shift" else 0)
     if corrupt == "box labels":
         assert got[0].strong and not got[0].telescoped
@@ -864,8 +867,8 @@ def test_carry_matches_the_packed_numbering(name, variant, m):
     # simple shifts are the carry's
     table = _cosets(make_case(name, variant, m))
     p = table.case.p
-    for l_idx, ((b_idx, _), u) in enumerate(zip(table._keys, table._u)):
-        bullet = table._bullets[b_idx]
+    for l_idx, (b_idx, u) in enumerate(zip(table._b, table._u)):
+        bullet = table.rs.minuscule_labels[b_idx]
         a = tuple(v - p * c for v, c in zip(u, bullet))
         assert table.carry(b_idx, u) == (l_idx, (0,) * len(u))
         assert locate(table, [a]) == ([l_idx], [list(bullet)])
@@ -874,6 +877,56 @@ def test_carry_matches_the_packed_numbering(name, variant, m):
             (target,), (moved,) = locate(table, [reflect_labels(a, i, col)])
             want = target, tuple(map(sub, reflect_labels(bullet, i, col), moved))
             assert table.carry(b_idx, reflect_labels(u, i, col)) == want == (act[i], shift[i])
+
+
+@pytest.mark.parametrize("name,variant,m", AGREEMENT_CASES)
+def test_derived_digits_labels_and_records_match_the_packed_numbering(name, variant, m):
+    # the layout keeps per coset only its bullet index and box labels u, and
+    # reads the digits (u // x), the label and the record off them; the
+    # oracle numbers the digit grid itself by packed keys, and the eager
+    # transversal builds the records over that grid
+    case = make_case(name, variant, m)
+    table, p = _cosets(case), case.p
+    numbering, want = packed_numbering(table), eager_transversal(case)
+    assert len(table._b) == len(table._u) == len(numbering) == len(want)
+    for (b_idx, _, digits), (key, l_idx), ref in zip(digit_grid(case), numbering.items(), want):
+        packed = table._class_key(case.rs.minuscule_labels[table._b[l_idx]])
+        for v in table._u[l_idx]:
+            packed = packed * (p + 1) + v
+        assert packed == key and table._b[l_idx] == b_idx
+        assert table.record(l_idx) == ref and ref.digits == digits
+        assert table.label(l_idx) == ref.label() == table.rows[l_idx][0]
+
+
+# every length class and lacing, and the super family's odd p
+MEMBER_CASES = [(name, "nonsuper", m) for name in ("A1", "A2", "A3", "B2", "C2", "C3", "G2",
+                                                   "F4", "D4", "E6") for m in (1, 2, 3)] + \
+    [(f"B{r}", "super", m) for r in (1, 2, 3) for m in (1, 2, 3)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_scaled_point_refuses_exactly_the_gram_routes_non_members(data):
+    # mu in (1/p)Q* is decided on the integer labels (p * ell_i * labels_i
+    # divisible by lacing * their denominator); the oracle pairs mu with
+    # each simple root through the Gram matrix.  Root coordinates with
+    # denominators 1, 2, 3, 4, 6, p, 2p and 3p give members and non-members
+    # alike; a member's labels are p * labels(mu + x), a non-member's error
+    # is the oracle's
+    case = make_case(*data.draw(st.sampled_from(MEMBER_CASES)))
+    p, rs = case.p, case.rs
+    dens = st.sampled_from((1, 2, 3, 4, 6, p, 2 * p, 3 * p))
+    mu = tuple(Fraction(data.draw(st.integers(-12, 12)), data.draw(dens))
+               for _ in range(case.rank))
+    try:
+        check_member_gram(mu, case)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            _scaled_point(mu, case)
+        assert str(got.value) == str(exc)
+    else:
+        assert _scaled_point(mu, case) == \
+            [p * copairing(rs, vadd(mu, case.x), i) for i in range(case.rank)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -886,9 +939,9 @@ def test_carry_along_words_matches_the_oracle(data):
     # location of a = p * labels(mu + x)
     case = make_case(*data.draw(st.sampled_from(AGREEMENT_CASES)))
     table, p, rs = _cosets(case), case.p, case.rs
-    l_idx = data.draw(st.integers(0, len(table._keys) - 1))
-    (b_idx, _), u = table._keys[l_idx], table._u[l_idx]
-    bullet = table._bullets[b_idx]
+    l_idx = data.draw(st.integers(0, len(table._u) - 1))
+    b_idx, u = table._b[l_idx], table._u[l_idx]
+    bullet = rs.minuscule_labels[b_idx]
     w = data.draw(st.sampled_from(rs.enumerate_weyl()))
     word = w.word[:data.draw(st.integers(0, len(w.word)))]
     a = rs.reflect_along(word, tuple(v - p * c for v, c in zip(u, bullet)))
@@ -1286,8 +1339,8 @@ def test_orbit_location_matches_per_point_route(name, variant, m):
     # around the digit grid, where all three routes refuse the same points
     case = make_case(name, variant, m)
     sys, p = system(case), case.p
-    for l_idx, ((b_idx, _), u) in enumerate(zip(sys._keys, sys._u)):
-        orbit = sys.orbit(tuple(v - p * c for v, c in zip(u, sys._bullets[b_idx])))
+    for l_idx, (b_idx, u) in enumerate(zip(sys._b, sys._u)):
+        orbit = sys.orbit(tuple(v - p * c for v, c in zip(u, case.rs.minuscule_labels[b_idx])))
         want = [locate_point(sys, a) for a in orbit]
         assert locate(sys, orbit) == ([t for t, _ in want], [b for _, b in want])
         assert [sys.carry(0, a) for a in orbit] == [(t, tuple(-c for c in b)) for t, b in want]
@@ -1453,8 +1506,9 @@ def test_index_refuses_keys_off_the_layout():
     # B2 super m=2 (p = 3): the zero bullet takes odd last digits and the
     # spinor even ones; a key off its bullet's digit ranges, the parity
     # step included, and a bullet index the layout lacks are refused
-    table = _cosets(make_case("B2", "super", 2))
-    assert [table.index(key) for key in table._keys] == list(range(9))
+    case = make_case("B2", "super", 2)
+    table = _cosets(case)
+    assert [table.index((b, digits)) for b, _, digits in digit_grid(case)] == list(range(9))
     for key in [(0, (1, 2)), (1, (1, 1)), (1, (1, 3)), (0, (0, 1)), (0, (4, 1))]:
         with pytest.raises(AssertionError, match="off the digit grid"):
             table.index(key)

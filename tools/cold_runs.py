@@ -11,16 +11,19 @@ file gets, under ``cold_cli``, each side's wall times and their median, the
 CPU time of each run's process (user plus system, from ``wait4``, which is
 what perfbench's cli_cold takes as an op's latency) and their median, the
 peak RSS of each run's process, whether both sides gave the same exit code,
-stdout and stderr on every run, and the interpreter floor: the wall times of
-``python -c pass`` and their median.  A command already in the file is
+stdout and stderr on every run (compared by SHA-512 digests, so that no
+output is held), and the interpreter floor: the wall times of ``python -c
+pass`` and their median.  A command already in the file is
 replaced; the others stay.  The file is written in any case; the exit code
 is 1 if some command of the call gave different outputs, else 0.
 
 A child's peak RSS (``ru_maxrss``) is at least the resident set of this
 process when it spawned the child, since exec keeps the high-water mark, so
 ``peak_rss_mb`` reads about 13.6 MB for ``python -c pass`` from a small
-caller and about 133.6 MB from one that holds 120 MB.  Compare it between
-the two sides of one call only.
+caller and about 133.6 MB from one that holds 120 MB.  This process reads
+each child's stdout in chunks and keeps only digests, so it stays small
+whatever the commands print; compare the figure between the two sides of
+one call only.
 
     python3 tools/cold_runs.py --runs 3 --into BENCH_13.json ../parent . \\
         "check axioms --algebra E6 --m 1"
@@ -39,6 +42,13 @@ import tempfile
 import time
 from pathlib import Path
 
+# the lean builtin that the random module reads: hashlib would load OpenSSL,
+# which adds about 3.5 MB to this process and so to every child's peak RSS
+try:
+    from _sha2 import sha512
+except ImportError:  # Python < 3.12
+    from _sha512 import sha512
+
 
 def child_env(checkout: Path, pycache: Path) -> dict:
     """The environment of a process on the checkout: no PYTHON* variable of
@@ -54,21 +64,30 @@ def compile_checkout(checkout: Path, pycache: Path) -> None:
                    env=child_env(checkout, pycache), stdout=subprocess.DEVNULL, check=True)
 
 
+def digest(stream) -> bytes:
+    """SHA-512 of what is left to read of a binary stream, read in chunks."""
+    h = sha512()
+    while chunk := stream.read(1 << 16):
+        h.update(chunk)
+    return h.digest()
+
+
 def run_once(checkout: Path, pycache: Path,
              args: list[str]) -> tuple[float, float, float, tuple[int, bytes, bytes]]:
-    """(wall seconds, CPU seconds, peak RSS in MB, (exit code, stdout,
-    stderr)) of one process running ``python ARGS`` on the checkout."""
+    """(wall seconds, CPU seconds, peak RSS in MB, (exit code, SHA-512 of
+    stdout, SHA-512 of stderr)) of one process running ``python ARGS`` on
+    the checkout."""
     start = time.perf_counter()
     with tempfile.TemporaryFile() as err, subprocess.Popen(
             [sys.executable, *args], cwd=checkout, env=child_env(checkout, pycache),
             stdout=subprocess.PIPE, stderr=err) as proc:
-        out = proc.stdout.read()
+        out = digest(proc.stdout)
         # reap the child here, for its resource usage; Popen then sees the code
         _, status, usage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)
         wall = time.perf_counter() - start
         err.seek(0)
-        output = (proc.returncode, out, err.read())
+        output = (proc.returncode, out, digest(err))
     # ru_maxrss is in KB on Linux
     return wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024, output
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import floor, gcd, lcm
 from operator import add, mul, sub
 
@@ -41,15 +40,6 @@ def fock_delta(nu: Vec, case: ShiftCase) -> Fraction:
     sqrt(p)*nu under the conformal vector shifted by the background charge."""
     rs, p = case.rs, case.p
     return Fraction(p, 2) * rs.norm2(nu) - p * rs.pairing(nu, case.gamma)
-
-
-def _check_ramond(case: ShiftCase) -> None:
-    if not case.variant.is_super:
-        raise UnsupportedCaseError("Ramond weights exist only for the super family")
-    if case.rank > 2:
-        raise UnsupportedCaseError(
-            f"Ramond weights of {case.case_id()} (rank {case.rank}) are not "
-            f"checked against any independent construction")
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +69,9 @@ def _form(case: ShiftCase):
     (g, n), p, r = case.rs.label_form(), case.p, case.rank
     flow = (0,) * r
     if case.variant is Variant.SUPER_RAMOND:
-        _check_ramond(case)
+        if r > 2:
+            raise UnsupportedCaseError(f"Ramond weights of {case.case_id()} (rank {r}) are not "
+                                       f"checked against any independent construction")
         flow = tuple(int(i == r - 1) for i in range(r))
     # quad = g/(2pn) over the least common denominator of its entries
     k = gcd(2 * p * n, *(c for row in g for c in row))
@@ -290,20 +282,40 @@ def multiplet_ramond_char(alpha: Vec, lam: LambdaParam, case: ShiftCase,
 # full construction characters
 # ---------------------------------------------------------------------------
 
-def _height_bound(case: ShiftCase, b, bullet, top: int) -> int:
-    """The least height h >= 1 from which on no beta = alpha + bullet, alpha
-    dominant of height h, has an identity term Q(v) <= top.  For V with
-    labels v, H = det * height(V) = v.(column sums of adj) and Q(v) = den
-    |V|^2/2p, so Cauchy-Schwarz against rho_check gives den^2 H^2 <= 4 (p
-    det)^2 Q(rho_check) Q(v); H grows by p*det per unit of height of alpha."""
-    rs, (quad, den, _), p = case.rs, _form(case), case.p
-    adj, det = rs.cartan_adjugate
-    v = _identity_point(case, b, bullet)
-    most = 4 * (p * det) ** 2 * _value(quad, rs.rho_check_labels) * top
-    h, big_h = 1, sum(map(mul, map(sum, zip(*adj)), v)) + p * det
-    while big_h <= 0 or (den * big_h) ** 2 <= most:
-        h, big_h = h + 1, big_h + p * det
-    return h
+def dominant_down_set(rs, inside) -> list[tuple[int, ...]]:
+    """The Dynkin labels l >= 0 of the dominant root-lattice weights with
+    inside(l), for an inside that stays true when a label is lowered.  Each l
+    is reached once from 0, by raising a label at or after the last one
+    raised, and a branch ends at its first l outside; l lies in Q exactly
+    when adj.l = 0 mod det."""
+    (adj, det), zero = rs.cartan_adjugate, (0,) * rs.rank
+    found, stack = [], [(zero, 0)] if inside(zero) else []
+    while stack:
+        labels, last = stack.pop()
+        if not any(sum(map(mul, row, labels)) % det for row in adj):
+            found.append(labels)
+        for j in range(last, rs.rank):
+            if inside(up := (*labels[:j], labels[j] + 1, *labels[j + 1:])):
+                stack.append((up, j))
+    return found
+
+
+def _weights(case: ShiftCase, b, bullet, top: int) -> list[tuple[int, ...]]:
+    """The labels of beta = alpha + bullet, alpha dominant in Q, whose identity
+    term Q(v), v = p*labels(beta + rho) - b, is at most top.  v0 = v + flow =
+    p*(alpha + 1) - u is not negative and quad's entries are positive, so Q(v0)
+    grows in every label; as ||v|| >= ||v0|| - ||flow||, a walk's branch ends once
+    Q(v0) > (sqrt(top) + sqrt(Q(flow)))^2, which is Q(v) > top outside the Ramond sector."""
+    quad, _, flow = _form(case)
+    u, q_flow = [x - f - case.p * y for x, f, y in zip(b, flow, bullet)], _value(quad, flow)
+
+    def inside(alpha):
+        gap = _value(quad, _identity_point(case, u, alpha)) - top - q_flow
+        return gap <= 0 or gap * gap <= 4 * top * q_flow
+
+    betas = (tuple(map(add, alpha, bullet)) for alpha in dominant_down_set(case.rs, inside))
+    return [beta for beta in betas
+            if not q_flow or _value(quad, _identity_point(case, b, beta)) <= top]
 
 
 # ft_char refuses to sum more dominant weights than this below one cutoff
@@ -314,24 +326,21 @@ def ft_char(lam: LambdaParam, case: ShiftCase, order: int) -> QSeries:
     """Character of the full construction: the dimension-weighted sum of the
     multiplicity-space characters over dominant root-lattice weights.
 
-    Dominant weights are scanned by height up to _height_bound.  As b and
-    beta + rho are dominant, each sum's least term is its identity term: a
-    weight is included exactly when that term clears the cutoff with a
-    safety margin of 2.  The included weights' dot terms within that margin
-    (_below), weighted by dimension, are summed and multiplied by the shared
-    tail once; no Weyl table is read.
+    As b and beta + rho are dominant, each sum's least term is its identity
+    term: a weight is included exactly when that term clears the cutoff with
+    a safety margin of 2, and these weights form a down-set on the labels
+    (_weights).  The included weights' dot terms within that margin (_below),
+    weighted by dimension, are summed and multiplied by the shared tail once;
+    no Weyl table is read.
     """
     check_order(order)
     rs, table = case.rs, _cosets(case)
     l_idx = table.index(lam.key())
-    cutoff = order - case.central_charge / 24
-    tail, (quad, den, _) = _tail(case, order), _form(case)
+    cutoff, tail = order - case.central_charge / 24, _tail(case, order)
     # a numerator e puts its term at q^(tail base + e/den)
-    top = floor((cutoff + 2 - tail.base) * den)
+    top = floor((cutoff + 2 - tail.base) * _form(case)[1])
     b, bullet = _coset_vector(case, l_idx), rs.minuscule_labels[lam.bullet_index]
-    kept = [labels for h in range(_height_bound(case, b, bullet, top))
-            for labels in (tuple(map(add, alpha, bullet)) for alpha in dominant_shell(rs, h))
-            if _value(quad, _identity_point(case, b, labels)) <= top]
+    kept = _weights(case, b, bullet, top)
     if len(kept) > ALPHA_CAP:
         raise CapExceededError(f"more than {ALPHA_CAP} dominant weights below the cutoff")
     num: dict[int, int] = {}  # zero coefficients kept: they fix the cutoff
@@ -343,25 +352,6 @@ def ft_char(lam: LambdaParam, case: ShiftCase, order: int) -> QSeries:
     if not num:
         return QSeries.zero(cutoff)
     return _times_tail(case, num, tail).truncate(cutoff)
-
-
-@lru_cache(maxsize=None)
-def dominant_shell(rs, height: int) -> tuple[tuple[int, ...], ...]:
-    """The Dynkin labels l >= 0 of the dominant root-lattice weights of this
-    height, in lexicographic order of their root coordinates adj.l / det.
-
-    Column j of the adjugate sums to h_j = det * height(omega_j), so the
-    height fixes sum h_j l_j = det * height, and with it the last label; the
-    weight lies in Q exactly when adj.l = 0 mod det."""
-    adj, det = rs.cartan_adjugate
-    *h, h_last = [sum(col) for col in zip(*adj)]
-    found = []
-    for head in product(*(range(det * height // x + 1) for x in h)):
-        last, rest = divmod(det * height - sum(map(mul, h, head)), h_last)
-        coords = [sum(map(mul, row, (*head, last))) for row in adj]
-        if last >= 0 and not rest and not any(x % det for x in coords):
-            found.append((coords, (*head, last)))
-    return tuple(labels for _, labels in sorted(found))
 
 
 # ---------------------------------------------------------------------------

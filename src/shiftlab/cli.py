@@ -175,13 +175,13 @@ def _failures_csv(report: shift.ShiftReport) -> str:
 def _alcove_independence_report(case: shift.ShiftCase) -> shift.ShiftReport:
     """y_alpha's digit independence and super closed form on each bullet with a strong
     coset, which y_alpha needs; a failure's repro prints its y, on the first of them."""
-    report = shift.ShiftReport(case.case_id(), {"checks": 0}, ())
-    alphas = _alphas(case.rs, 4)
-    for b_idx in range(len(case.rs.minuscule_labels)):
-        strong = alcove._strong_cosets(case, b_idx)
-        if not strong:
-            continue
-        label = shift._cosets(case).label(strong[0])
+    strong = {b: shift._cosets(case).label(s[0]) for b in range(len(case.rs.minuscule_labels))
+              if (s := alcove._strong_cosets(case, b))}
+    if not strong:
+        raise alcove.WallReductionError(f"no bullet of {case.case_id()} has a strong coset, "
+                                        f"so alcove-independence has no y_alpha to check")
+    report, alphas = shift.ShiftReport(case.case_id(), {"checks": 0}, ()), _alphas(case.rs, 4)
+    for b_idx, label in strong.items():
         for alpha in alphas:
             report.counts["checks"] += 1
             repro = (_repro(case, "alcove")
@@ -202,9 +202,9 @@ def _alcove_independence_report(case: shift.ShiftCase) -> shift.ShiftReport:
 
 
 def _alphas(rs: liealg.RootSystem, heights: int) -> list:
-    """The dominant root-lattice weights of height below ``heights``: the
-    alpha that check alcove-independence and verify verma scan."""
-    return [rs.from_labels(a) for h in range(heights) for a in characters.dominant_shell(rs, h)]
+    """The dominant alpha in Q of height below ``heights``, by height and root coordinates."""
+    walk = characters.dominant_down_set(rs, lambda labels: sum(rs.from_labels(labels)) < heights)
+    return sorted(map(rs.from_labels, walk), key=lambda alpha: (sum(alpha), alpha))
 
 
 def cmd_char(args) -> int:

@@ -425,9 +425,8 @@ class RootSystem(NamedTuple):
             raise AssertionError(f"w0 of {self.lie_type} has length {w0.length}")
         return w0
 
-    def all_reduced_words(self, w: WeylElement,
-                          cap: int = DEFAULT_WORD_CAP) -> list[tuple[int, ...]]:
-        """Every reduced word of w, erroring past ``cap`` words."""
+    def all_reduced_words(self, w: WeylElement) -> list[tuple[int, ...]]:
+        """Every reduced word of w, erroring past DEFAULT_WORD_CAP words."""
         cols = self.reflect_cols()
         memo: dict[tuple[int, ...], list[tuple[int, ...]]] = {(1,) * self.rank: [()]}
 
@@ -437,9 +436,9 @@ class RootSystem(NamedTuple):
                 for i, a in enumerate(labels):
                     if a < 0:
                         words.extend((i,) + u for u in rec(reflect_labels(labels, i, cols[i])))
-                    if len(words) > cap:
-                        raise CapExceededError(
-                            f"more than {cap} reduced words for element of length {w.length}")
+                    if len(words) > DEFAULT_WORD_CAP:
+                        raise CapExceededError(f"more than {DEFAULT_WORD_CAP} reduced words "
+                                               f"for element of length {w.length}")
                 memo[labels] = words
             return memo[labels]
 

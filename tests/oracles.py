@@ -53,8 +53,9 @@
 * The closed form of w0 ^ lambda on the strong region as a ``Fraction``
   vector (``strong_w0_target``).
 * The dominant root-lattice weights of one height as the dominant part of
-  the nonnegative cone (``cone_shell``), the height bound of ``ft_char``'s
-  scan by ``Fraction`` square roots (``height_bound_sqrt``), and at p = 1
+  the nonnegative cone (``cone_shell``, ``dominant_alphas``), a height past
+  which no weight reaches ``ft_char``'s cutoff, by ``Fraction`` square roots
+  (``height_bound_sqrt``), and at p = 1
   the theta series of the coset in Q times the tail
   (``lattice_theta_char``).
 * The eta powers and free-fermion characters by the pentagonal recurrences,
@@ -93,7 +94,6 @@ from shiftlab.characters import (
     _tail,
     _times_tail,
     _value,
-    dominant_shell,
 )
 from shiftlab.liealg import (
     FIELDS,
@@ -639,8 +639,8 @@ def alcove_inequality_fraction(lam, case) -> bool:
 @lru_cache(maxsize=None)
 def cone_shell(rs, height: int) -> tuple:
     """Root-lattice vectors with nonnegative coordinates summing to height,
-    as Fraction tuples in lexicographic order: the cone that dominant_shell
-    enumerates the dominant part of."""
+    as Fraction tuples in lexicographic order: the cone whose dominant part
+    ft_char's walk and the CLI's alpha scans list."""
     r = rs.rank
 
     def rec(i: int, remaining: int):
@@ -656,9 +656,10 @@ def cone_shell(rs, height: int) -> tuple:
 
 def dominant_alphas(rs, max_height: int) -> list:
     """The dominant root-lattice weights of height <= max_height, in root
-    coordinates, by height and then in dominant_shell's order."""
-    return [rs.from_labels(labels) for h in range(max_height + 1)
-            for labels in dominant_shell(rs, h)]
+    coordinates, by height and then lexicographically: the dominant part of
+    the cone."""
+    return [alpha for h in range(max_height + 1) for alpha in cone_shell(rs, h)
+            if rs.is_dominant(alpha)]
 
 
 def height_bound_sqrt(case, lam, limit) -> int:

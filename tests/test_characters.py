@@ -1,5 +1,6 @@
 """Character layer: conformal weights, alternating sums, oracles."""
 
+import json
 from fractions import Fraction
 from itertools import product
 from math import floor
@@ -36,12 +37,11 @@ from oracles import (
     weyl_apply_matrix,
 )
 
-from shiftlab import characters
+from shiftlab import characters, cli
 from shiftlab.characters import (
     UnsupportedCaseError,
     _coset_vector,
     _form,
-    _height_bound,
     _below,
     _identity_point,
     _numerator,
@@ -50,7 +50,8 @@ from shiftlab.characters import (
     _star_walk,
     _tail,
     _value,
-    dominant_shell,
+    _weights,
+    dominant_down_set,
     fock_delta,
     ft_char,
     multiplet_char,
@@ -82,23 +83,43 @@ def number(case, lam):
 
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_dominant_shell_keeps_the_shell_order(name):
-    # the labels enumerated directly are those of the dominant vectors of the
-    # nonnegative cone, set and order (lexicographic in root coordinates)
+    # the dominant part of each shell (one height) of the nonnegative cone:
+    # the CLI's alpha, the walk on the labels below a height sorted by height
+    # and root coordinates, are those of the cone's shells in the cone's order
     rs = make_case(name, "nonsuper", 1).rs
-    for height in range(12 if rs.rank <= 4 else 9):
-        assert list(dominant_shell(rs, height)) == \
-            [rs.integral_labels(a) for a in cone_shell(rs, height) if rs.is_dominant(a)]
+    for heights in (1, 3, 4, 12 if rs.rank <= 4 else 9):
+        assert cli._alphas(rs, heights) == dominant_alphas(rs, heights - 1)
 
 
 @given(st.sampled_from(ALL_TYPES), st.integers(0, 14))
 @settings(max_examples=60, deadline=None)
 def test_dominant_shell_labels_lie_in_q_at_the_height(name, height):
+    # the walk below a height lists labels of dominant root-lattice weights
+    # of that height or less, each once
     rs = make_case(name, "nonsuper", 1).rs
-    for labels in dominant_shell(rs, height):
+    walk = dominant_down_set(rs, lambda labels: sum(rs.from_labels(labels)) <= height)
+    assert len(walk) == len(set(walk))
+    for labels in walk:
         coords = rs.from_labels(labels)
         assert len(labels) == rs.rank and min(labels) >= 0
-        assert all(x.denominator == 1 for x in coords) and sum(coords) == height
+        assert all(x.denominator == 1 for x in coords) and sum(coords) <= height
         assert rs.integral_labels(coords) == labels
+
+
+@given(st.sampled_from(ALL_TYPES), st.data())
+@settings(max_examples=60, deadline=None)
+def test_down_set_walk_lists_each_weight_in_q_once(name, data):
+    # inside: a weighted label sum at most a bound, closed when a label is
+    # lowered; the walk lists each l >= 0 inside with l in Q once, as a scan
+    # of the box that holds them finds them
+    rs = make_case(name, "nonsuper", 1).rs
+    weights = data.draw(st.lists(st.integers(1, 4), min_size=rs.rank, max_size=rs.rank))
+    bound = data.draw(st.integers(-1, 12 if rs.rank <= 4 else 4))
+    got = dominant_down_set(rs, lambda labels: sum(map(mul, weights, labels)) <= bound)
+    box = product(*(range(bound // w + 1) for w in weights)) if bound >= 0 else ()
+    want = [labels for labels in box if sum(map(mul, weights, labels)) <= bound
+            and all(x.denominator == 1 for x in rs.from_labels(labels))]
+    assert len(got) == len(set(got)) and sorted(got) == want
 
 
 # -- conformal weights ---------------------------------------------------------
@@ -565,9 +586,10 @@ def test_ramond_dot_route_every_coset(name, m):
 def test_ramond_unsupported_rank3():
     case = make_case("B3", "ramond", 2)
     lam = enumerate_lambda(case)[0]
-    with pytest.raises(UnsupportedCaseError):
+    refusal = r"^Ramond weights of B3:ramond:m=2 \(rank 3\) are not checked against any"
+    with pytest.raises(UnsupportedCaseError, match=refusal):
         weight_space_char(lam, lam.bullet_up, case, 5)
-    with pytest.raises(UnsupportedCaseError):
+    with pytest.raises(UnsupportedCaseError, match=refusal):
         multiplet_ramond_char(vzero(3), enumerate_lambda(case)[0], case, 5)
 
 
@@ -674,18 +696,38 @@ def test_ft_char_matches_add_chain(name, variant, m):
     # the dimension-weighted add chain of multiplet_char over the weights whose
     # lowest term, read off the Fraction route, lies within 2 of the cutoff
     case = make_case(name, variant, m)
-    rs = case.rs
-    order = 4
-    cutoff = order - case.central_charge / 24
     for lam in enumerate_lambda(case):
-        want = QSeries.zero(cutoff)
-        limit = cutoff + 2 - _tail(case, 0).base
-        for alpha in dominant_alphas(rs, height_bound_sqrt(case, lam, limit)):
-            if fraction_route(case, lam, alpha, order)[2] <= cutoff + 2:
-                dim = rs.weyl_dim(rs.integral_labels(vadd(alpha, lam.bullet_up)))
-                want = want.add(scale(multiplet_char(alpha, lam, case, order), dim))
-        got = ft_char(lam, case, order)
-        assert got.to_json_dict() == want.truncate(cutoff).to_json_dict()
+        assert ft_char(lam, case, 4).to_json_dict() == add_chain(case, lam, 4).to_json_dict()
+
+
+def add_chain(case, lam, order):
+    """The dimension-weighted add chain of multiplet_char over the dominant
+    alpha of the cone whose lowest term, read off the Fraction route, lies
+    within 2 of the cutoff, cut at the cutoff."""
+    rs, cutoff = case.rs, order - case.central_charge / 24
+    want = QSeries.zero(cutoff)
+    limit = cutoff + 2 - _tail(case, 0).base
+    for alpha in dominant_alphas(rs, height_bound_sqrt(case, lam, limit)):
+        if fraction_route(case, lam, alpha, order)[2] <= cutoff + 2:
+            dim = rs.weyl_dim(rs.integral_labels(vadd(alpha, lam.bullet_up)))
+            want = want.add(scale(multiplet_char(alpha, lam, case, order), dim))
+    return want.truncate(cutoff)
+
+
+def test_empty_walk_gives_the_zero_series():
+    # on A1 m=4 coset 1,1 at order 0 no dominant weight's identity term is
+    # within the cutoff's margin: the walk ends at its first weight, and
+    # ft_char returns the zero series at the cutoff -c/24, as the add chain does
+    case = make_case("A1", "nonsuper", 4)
+    lam = next(lam for lam in enumerate_lambda(case) if lam.label() == "1,1")
+    cutoff = -case.central_charge / 24
+    top = floor((cutoff + 2 - _tail(case, 0).base) * _form(case)[1])
+    b = _coset_vector(case, number(case, lam))
+    assert _weights(case, b, case.rs.minuscule_labels[lam.bullet_index], top) == []
+    got = ft_char(lam, case, 0)
+    assert got.is_zero and got.coeffs == () and got.cutoff == cutoff
+    assert got.to_json_dict() == add_chain(case, lam, 0).to_json_dict() \
+        == QSeries.zero(cutoff).to_json_dict()
 
 
 # -- the rules ft_char's scan relies on ---------------------------------------------
@@ -701,10 +743,11 @@ RULE_CASES = ([("A1", "nonsuper", m) for m in (1, 2, 3)]
 
 
 def _betas(case, lam, heights):
-    """Labels of beta = alpha + bullet for the dominant alpha of these heights."""
-    bullet = case.rs.minuscule_labels[lam.bullet_index]
-    return [tuple(map(add, alpha, bullet)) for h in heights
-            for alpha in dominant_shell(case.rs, h)]
+    """Labels of beta = alpha + bullet for the dominant alpha of the cone at
+    these heights."""
+    rs, bullet = case.rs, case.rs.minuscule_labels[lam.bullet_index]
+    return [tuple(map(add, rs.integral_labels(alpha), bullet)) for h in heights
+            for alpha in cone_shell(rs, h) if rs.is_dominant(alpha)]
 
 
 @pytest.mark.parametrize("name,variant,m", RULE_CASES)
@@ -721,9 +764,12 @@ def test_identity_term_is_the_least_dot_term(name, variant, m):
 
 
 @pytest.mark.parametrize("name,variant,m", RULE_CASES)
-def test_height_bound_within_the_square_root_bound(name, variant, m):
-    # the integer bound is at most the Fraction square-root one, and no weight
-    # within 3 heights past it has an identity term within the limit
+def test_walk_keeps_the_cones_weights(name, variant, m):
+    # ft_char's walk on the labels lists each beta = alpha + bullet, alpha
+    # dominant in Q, whose identity term is within top, and no other: the
+    # dominant part of the cone up to the square-root height bound, filtered
+    # by that term, at ft_char's tops for orders 4 and 10 (the Ramond flow
+    # included, where the walk's cut is not the term's own bound)
     case = make_case(name, variant, m)
     quad, den = _form(case)[:2]
     for order in (4, 10):
@@ -731,11 +777,11 @@ def test_height_bound_within_the_square_root_bound(name, variant, m):
         top = floor(limit * den)
         for lam in enumerate_lambda(case):
             b = _coset_vector(case, number(case, lam))
-            bullet = case.rs.minuscule_labels[lam.bullet_index]
-            bound = _height_bound(case, b, bullet, top)
-            assert bound <= height_bound_sqrt(case, lam, limit)
-            for labels in _betas(case, lam, range(bound, bound + 4)):
-                assert _value(quad, _identity_point(case, b, labels)) > top
+            heights = range(height_bound_sqrt(case, lam, limit) + 1)
+            want = [beta for beta in _betas(case, lam, heights)
+                    if _value(quad, _identity_point(case, b, beta)) <= top]
+            got = _weights(case, b, case.rs.minuscule_labels[lam.bullet_index], top)
+            assert sorted(got) == sorted(want)
 
 
 @pytest.mark.parametrize("name,variant,m", RULE_CASES)
@@ -782,6 +828,32 @@ def test_below_refuses_a_coset_vector_that_is_not_dominant():
     assert list(_below(case, [1, 1], (0, 0), 100))
     with pytest.raises(AssertionError, match="not dominant"):
         list(_below(case, [-1, 1], (0, 0), 100))
+
+
+def test_route_disagreement_is_a_failed_invariant(capsys):
+    # coset 0's first simple shift moved by alpha_1 off the carry (as
+    # moved_start moves box labels) keeps every moved point in its class, so
+    # only the * route's exponents move: multiplet_char raises, and the CLI
+    # exits 3 with one JSON line and nothing on stdout
+    case = make_case("B2", "nonsuper", 2)
+    argv = ["char", "--algebra", "B2", "--m", "2", "--lambda", "0,1,1", "--order", "10"]
+    for cache in (system, _cosets):
+        cache.cache_clear()
+    try:
+        table = _cosets(case)
+        assert table.label(0) == "0,1,1"
+        multiplet_char(vzero(2), table.record(0), case, 10)
+        shift = table.simple(0)[1]
+        shift[0] = tuple(map(add, shift[0], table.cols[0]))
+        with pytest.raises(AssertionError, match="^the two alternating-sum routes disagree$"):
+            multiplet_char(vzero(2), table.record(0), case, 10)
+        code, out = cli.main(argv), capsys.readouterr()
+    finally:
+        for cache in (system, _cosets):
+            cache.cache_clear()
+    assert (code, out.out, out.err.count("\n")) == (3, "", 1)
+    assert json.loads(out.err) == {"error": "internal", "type": "AssertionError",
+                                   "message": "the two alternating-sum routes disagree"}
 
 
 STAR_CASES = RULE_CASES + [spec for spec in REFERENCE_CASES

@@ -123,20 +123,36 @@ def test_check_alcove_independence(capsys):
 
 
 @pytest.mark.parametrize("argv,checks", [
-    (["--algebra", "E7", "--m", "1"], 0), (["--algebra", "D4", "--m", "1"], 0),
-    (["--algebra", "B3", "--variant", "super", "--m", "2"], 0),
     (["--algebra", "B2", "--variant", "super", "--m", "2"], 3),
     (["--algebra", "B2", "--variant", "super", "--m", "3"], 6),
     (["--algebra", "A2", "--m", "2"], 12),
 ])
 def test_alcove_independence_counts_the_checks_it_runs(capsys, monkeypatch, argv, checks):
     # a (bullet, alpha) pair counts only when y_alpha runs on it, which needs
-    # a strong coset with that bullet; a layout with none on any bullet
-    # reports 0 checks and, with no failure, exits 0
+    # a strong coset with that bullet: B2 super m=2 has one on one bullet of two
     calls, y_alpha = [], alcove.y_alpha
     monkeypatch.setattr(alcove, "y_alpha", lambda *args: calls.append(args) or y_alpha(*args))
     code, out, _ = run(capsys, "check", "alcove-independence", *argv)
     assert code == 0 and json.loads(out)["counts"] == {"checks": checks} == {"checks": len(calls)}
+
+
+@pytest.mark.parametrize("argv,case_id", [
+    (["--algebra", "E7", "--m", "1"], "E7:nonsuper:m=1"),
+    (["--algebra", "D4", "--m", "1"], "D4:nonsuper:m=1"),
+    (["--algebra", "B3", "--variant", "super", "--m", "2"], "B3:super:m=2"),
+])
+def test_alcove_independence_without_a_strong_coset_exits_2(capsys, monkeypatch, argv, case_id):
+    # no bullet has a strong coset, so no y_alpha could run: a report of 0
+    # checks would read as a pass, so the layout is refused before any alpha
+    # is listed, with one error line that names it
+    def refuse(*_):
+        raise AssertionError("an alpha was listed")
+
+    monkeypatch.setattr(cli, "_alphas", refuse)
+    monkeypatch.setattr(alcove, "y_alpha", refuse)
+    code, out, err = run(capsys, "check", "alcove-independence", *argv)
+    assert (code, out, err) == (2, "", f"error: no bullet of {case_id} has a strong coset, "
+                                       f"so alcove-independence has no y_alpha to check\n")
 
 
 def test_alcove_independence_csv(capsys, monkeypatch):

@@ -28,6 +28,7 @@ from oracles import (
 from shiftlab import liealg
 from shiftlab.liealg import (
     DEFAULT_WEYL_CAP,
+    DEFAULT_WORD_CAP,
     CapExceededError,
     InvalidTypeError,
     SimpleLieType,
@@ -300,8 +301,11 @@ def test_reduced_words():
     assert sorted(words) == [(0, 1, 0), (1, 0, 1)]
     rs2 = rs_of("B2")
     assert len(rs2.all_reduced_words(rs2.longest_element())) == 2
-    with pytest.raises(CapExceededError):
-        rs_of("B3").all_reduced_words(rs_of("B3").longest_element(), cap=3)
+    # w0 of A5 has 292,864 reduced words, past DEFAULT_WORD_CAP
+    rs5 = rs_of("A5")
+    with pytest.raises(CapExceededError, match=f"^more than {DEFAULT_WORD_CAP} reduced words "
+                                               f"for element of length 15$"):
+        rs5.all_reduced_words(rs5.longest_element())
 
 
 def test_exponents_tables():

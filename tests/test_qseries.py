@@ -236,6 +236,19 @@ def test_ring_laws(a, b, c):
     assert _trunc_eq(a.add(a.__neg__()), QSeries.zero(a.cutoff))
 
 
+@settings(max_examples=60, deadline=None)
+@given(series_strategy, series_strategy)
+def test_operators_are_the_named_methods(a, b):
+    # +, - and * are add, add of the negation and mul, not the tuple's
+    # concatenation and repetition; an int times a series is refused
+    assert isinstance(a + b, QSeries) and a + b == a.add(b)
+    assert a - b == a.add(-b) and -b == b.__neg__()
+    assert isinstance(a * b, QSeries) and a * b == a.mul(b)
+    assert len(a + b) == len(a * b) == len(QSeries._fields)
+    with pytest.raises(TypeError):
+        2 * a
+
+
 def test_truncation_bookkeeping():
     # binary ops truncate to the smallest compatible absolute order
     a = QSeries.make(0, 1, [1] * 11)            # known through q^10

@@ -713,6 +713,29 @@ def test_cli_failure_records_carry_repro(fresh, monkeypatch, capsys, variant, fl
     assert "strong-alcove-mismatch" in checks
 
 
+def test_w0_shift_off_its_closed_form_is_a_failure_record(fresh, monkeypatch, capsys):
+    # on the strong region w0 ^ lambda is -rho in labels; a strong coset's
+    # composed w0 shift moved by alpha_1, with its strong verdicts kept, is
+    # the one failure record, which shows the moved shift, and the CLI exits 1
+    l_idx = next(i for i, lamp in enumerate(fresh.lambdas) if alcove_inequality(lamp, B2P4))
+    label, conditions = fresh.lambdas[l_idx].label(), fresh.conditions
+    moved = tuple(-1 + c for c in fresh.cols[0])
+
+    def shifted(at):
+        weak, strong, shift, telescoped = conditions(at)
+        assert at != l_idx or shift == (-1, -1)
+        return weak, strong, moved if at == l_idx else shift, telescoped
+
+    monkeypatch.setattr(fresh, "conditions", shifted)
+    got = list(map(str, B2P4.rs.from_labels(moved)))
+    report = condition_report(B2P4)
+    assert report.failures == [{"check": "w0-shift-target", "lambda": label, "got": got}]
+    assert cli.main(["lambda", "--algebra", "B2", "--m", "2"]) == 1
+    repro = "shiftlab lambda --algebra B2 --variant nonsuper --m 2"
+    assert json.loads(capsys.readouterr().out)["failures"] == [
+        {"check": "w0-shift-target", "lambda": label, "got": got, "repro": repro}]
+
+
 def test_word_dependence_is_a_failure_record(fresh, monkeypatch, capsys):
     # every reduced word of w0 gives the verdict "t(beta) = 0 on every
     # positive root", read off root_shifts; a strong coset's first t moved to

@@ -15,9 +15,9 @@ and the twist p*x, which ``make_case`` fixes once; every other layer reads
 
 Every representative is the unique element -bullet + box of its coset with
 ``bullet`` minuscule and ``0 < (box + x, alpha_i^vee) <= 1`` for all i.  One
-``ShiftSystem`` per layout holds the cosets: the screening conditions, the axiom
-checks and the characters' * climb read its simple shifts, and ``verify walls``,
-``w_act`` and ``shift_map`` its rows over W, whose enumeration ``system`` attaches.
+``ShiftSystem`` per layout holds the cosets.  The screening conditions, the axiom
+checks and the * climb read its simple shifts, ``w_act`` and ``shift_map`` its carry
+(on E7 and E8 too), and ``verify walls`` alone its rows over W (``system``).
 Its ``rows``, one per coset, are the tables of its ``ShiftReport``s, not copied.
 """
 
@@ -215,11 +215,10 @@ class ShiftSystem:
     rule, the carry, moves, locates and numbers them.  Internally an ambient vector is kept as its
     Dynkin labels scaled by p, which makes every vector of (1/p)Q* and the twist x
     integral.  The screening conditions, the axiom checks and the characters' * climb
-    read its simple shifts and need no Weyl group.
-
-    ``system`` attaches the Weyl enumeration (``weyl``, ``_key_index``, ``_steps``)
-    that the rows over W (``row``) read for verify walls' full * sum, w_act and
-    shift_map.  Root coordinates appear only at the public boundary."""
+    read its simple shifts, and w_act and shift_map its carry, with no Weyl group; only
+    verify walls' full * sum reads the rows over W (``row``), on the enumeration that
+    ``system`` attaches (``weyl``, ``_steps``).  Root coordinates appear only at the
+    public boundary."""
 
     def __init__(self, case: ShiftCase):
         self.case = case
@@ -461,11 +460,9 @@ def _cosets(case: ShiftCase) -> ShiftSystem:
 
 @lru_cache(maxsize=None)
 def system(case: ShiftCase) -> ShiftSystem:
-    """The case's shift system (_cosets), with the Weyl enumeration that its
-    rows read attached on the first call."""
+    """The case's shift system (_cosets) with W's enumeration, for verify walls' rows."""
     table = _cosets(case)
-    if table.weyl is None:
-        table.weyl, table._key_index, table._steps = table.rs.weyl_table()
+    table.weyl, _, table._steps = table.rs.weyl_table()
     return table
 
 
@@ -473,14 +470,21 @@ def system(case: ShiftCase) -> ShiftSystem:
 # public operations
 # ---------------------------------------------------------------------------
 
+def _carried(w: WeylElement, lam: LambdaParam, case: ShiftCase) -> tuple[int, tuple[int, ...]]:
+    """ShiftSystem.carry of w(u) on lam's coset; ValueError unless w is one of W's."""
+    table, rs = _cosets(case), case.rs
+    if len(w.labels) != rs.rank or rs.element_from_labels(w.labels) != w:
+        raise ValueError(f"{w} is not an element of W({rs.lie_type})")
+    l_idx = table.index(lam.key())
+    return table.carry(table._b[l_idx], rs.reflect_along(w.word, table._u[l_idx]))
+
+
 def w_act(w: WeylElement, lam: LambdaParam, case: ShiftCase) -> LambdaParam:
-    sys = system(case)
-    return sys.record(sys.act_index(sys._key_index[w.labels], sys.index(lam.key())))
+    return _cosets(case).record(_carried(w, lam, case)[0])
 
 
 def shift_map(w: WeylElement, lam: LambdaParam, case: ShiftCase) -> Vec:
-    sys = system(case)
-    return sys.shift_value(sys._key_index[w.labels], sys.index(lam.key()))
+    return case.rs.from_labels(_carried(w, lam, case)[1])
 
 
 def is_fixed(i: int, lam: LambdaParam, case: ShiftCase) -> bool:

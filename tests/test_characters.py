@@ -789,7 +789,8 @@ def test_star_term_at_w_is_the_dot_term_at_w_inverse(name, variant, m):
     # the * route's term at w prices the same point as the dot route's at w^-1
     case = make_case(name, variant, m)
     rs, sys = case.rs, system(case)
-    inverse = [sys._key_index[rs.weyl_inv(w).labels] for w in sys.weyl]
+    where = {w.labels: k for k, w in enumerate(sys.weyl)}
+    inverse = [where[rs.weyl_inv(w).labels] for w in sys.weyl]
     for lam in enumerate_lambda(case):
         for labels in _betas(case, lam, range(2)):
             dot = dot_walk(case, lam, labels)[1]

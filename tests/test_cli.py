@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import test_readme
 
 from shiftlab import alcove, cli
 from shiftlab.alcove import AffineWeylElt
@@ -572,6 +573,76 @@ def test_exit_contract_on_generated_argv(argv):
     assert "Traceback" not in err.getvalue(), argv
     if code == 2:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
+
+
+# every verify and check argv that this file runs, parametrizations spelled
+# out; the two argvs of test_out_of_memory_exits_2_with_one_line are left
+# out, as that test runs them under their memory limit and asserts exit 2
+_VERIFICATION_ARGVS = [
+    "check axioms --algebra G2 --variant nonsuper --m 1",
+    "check axioms --algebra B2 --m 2 --format csv",
+    "check axioms --algebra E7 --m 2",
+    "check axioms --algebra E8 --m 2",
+    "check axioms --algebra B2 --variant super --m 2",
+    "check axioms --algebra A2 --m 100000",
+    f"check axioms --algebra A2 --m {HUGE}",
+    "check weak-strong --algebra B2 --variant nonsuper --m 2",
+    *[f"check weak-strong --algebra {name} --m {m}" for name, m in
+      [("A5", 1), ("B4", 1), ("C4", 1), ("D5", 1), ("F4", 1), ("E6", 1), ("E7", 2), ("E8", 2)]],
+    "check alcove-independence --algebra B2 --variant super --m 3",
+    "check alcove-independence --algebra B2 --variant super --m 2",
+    "check alcove-independence --algebra A2 --m 2",
+    "check alcove-independence --algebra E7 --m 1",
+    "check alcove-independence --algebra D4 --m 1",
+    "check alcove-independence --algebra B3 --variant super --m 2",
+    "check alcove-independence --algebra B2 --m 2 --format csv",
+    "check alcove-independence --algebra B1 --variant super --m 2",
+    *[f"check {suite} --algebra A2 --m 2 --format {fmt}" for suite in
+      ("weak-strong", "axioms", "alcove-independence") for fmt in ("json", "plain")],
+    *[f"check {suite} --algebra A2 --m 2 --word-cap={cap}" for suite, cap in
+      [("weak-strong", "1"), ("axioms", "1"), ("alcove-independence", "1"),
+       ("weak-strong", "0"), ("weak-strong", "-5")]],
+    "check shift-facts --algebra B2",
+    "check bogus --algebra B2",
+    "verify wchar --algebra A1 --m 2 --order 50",
+    "verify wchar --algebra A2 --m 2 --order 6",
+    *[f"verify wchar --algebra {name} --m 1 --order 6" for name in ("E6", "E7", "E8")],
+    "verify wchar --algebra A1 --format csv",
+    f"verify wchar --algebra A2 --m {HUGE}",
+    "verify verma --algebra B1 --variant super --m 2 --order 20",
+    "verify verma --algebra A1 --variant nonsuper --m 2",
+    "verify verma --algebra B1 --variant ramond --m 2",
+    "verify walls --algebra A2 --m 2 --order 6",
+    "verify walls --algebra A2 --m 2 --order 8",
+    *[f"verify walls --algebra {name} --variant ramond --m {m}"
+      for name in ("B2", "B3") for m in (2, 3)],
+]
+# and the ones in README's sh blocks
+_README_VERIFICATIONS = [" ".join(line.split()[1:]) for line in test_readme.COMMANDS
+                         if line.split()[1] in ("verify", "check")]
+# rank 1 has no wall point in Q, so verify walls checks nothing and exits 0
+# (ROADMAP items 21 and 23); mending it moves the benchmark's cli_cold digests
+_CHECKING_NOTHING = [
+    pytest.param(line, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP items 21 and 23: verify walls on rank 1 reports 0 checks"))
+    for line in ("verify walls --algebra A1 --m 2",
+                 "verify walls --algebra B1 --variant super --m 2")]
+
+
+@pytest.mark.parametrize("line", [*dict.fromkeys(_VERIFICATION_ARGVS + _README_VERIFICATIONS),
+                                  *_CHECKING_NOTHING])
+def test_every_verification_checks_something_or_exits_2(capsys, line):
+    # a verification that checked nothing and exits 0 reads as a pass
+    # (ROADMAP item 23): each run, in JSON, reports a check or is a usage error
+    try:
+        code = main([*shlex.split(line), "--format=json"])
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    out = capsys.readouterr().out
+    if code != 2:
+        data = json.loads(out)
+        checks = data["checks"] if "checks" in data else data["counts"]["checks"]
+        assert checks >= 1, out
 
 
 def test_every_flag_is_read():

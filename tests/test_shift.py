@@ -50,6 +50,7 @@ from shiftlab import shift as shift_module
 from shiftlab.liealg import (
     CapExceededError,
     RootSystem,
+    WeylElement,
     _enumerate_weyl_cached,
     reflect_labels,
     weyl_order,
@@ -284,6 +285,17 @@ RECORD_CASES = [(name, variant, m) for name in ("A1", "A2", "A3", "B1", "B2", "B
                 if variant == "nonsuper" or name.startswith("B")]
 
 
+# the rank <= 4 layouts of the sweep over W, every variant
+AGREEMENT_CASES = [
+    *[(name, "nonsuper", m) for name in ["A1", "A2", "A3", "B2", "B3", "C3", "G2"]
+      for m in (1, 2, 3)],
+    *[(name, variant, m) for name in ["B2", "B3"] for variant in ["super", "ramond"]
+      for m in (1, 2, 3)],
+    ("A4", "nonsuper", 1), ("D4", "nonsuper", 1), ("B4", "nonsuper", 1),
+    ("C4", "nonsuper", 1), ("F4", "nonsuper", 1), ("B4", "super", 1),
+]
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_records_on_demand_match_the_eager_transversal(data):
@@ -466,6 +478,81 @@ def test_simple_action_moves_along_coroot():
                 target = vscale(step, rs.simple_roots[i])
                 # equal modulo the root lattice (representatives are canonical)
                 assert rs.in_root_lattice(vsub(diff, target))
+
+
+@pytest.mark.parametrize("name,variant,m", AGREEMENT_CASES)
+def test_carry_route_matches_the_table_route(name, variant, m):
+    # w_act and shift_map carry w(u) along w's word; the rows over W compose
+    # the simple shifts by the cocycle along W's enumeration: the same record
+    # and shift on every coset and every w
+    case = make_case(name, variant, m)
+    sys = system(case)
+    for l_idx, lamp in enumerate(enumerate_lambda(case)):
+        act, shift = sys.row(l_idx)
+        for w_idx, w in enumerate(sys.weyl):
+            assert w_act(w, lamp, case) is sys.record(act[w_idx])
+            assert shift_map(w, lamp, case) == case.rs.from_labels(shift[w_idx])
+
+
+def test_carry_route_reads_no_weyl_table():
+    # as for the axioms: on fresh cases, the action and the shift map of w0
+    # and of every simple reflection enumerate no Weyl group and build no
+    # system, on B4 super and on E7, whose W exceeds the enumeration cap
+    for cache in (_enumerate_weyl_cached, system, _cosets):
+        cache.cache_clear()
+    for case in (make_case("B4", "super", 1), make_case("E7", "nonsuper", 2)):
+        rs = case.rs
+        elems = [rs.longest_element()] + [rs.element_from_word((i,)) for i in range(rs.rank)]
+        for lamp in enumerate_lambda(case):
+            for w in elems:
+                w_act(w, lamp, case)
+                shift_map(w, lamp, case)
+    assert _enumerate_weyl_cached.cache_info().currsize == 0
+    assert system.cache_info().currsize == 0
+
+
+E_CASES = [("E6", 2), ("E7", 2), ("E8", 1)]
+
+
+@pytest.mark.parametrize("name,m", E_CASES)
+def test_w0_shift_map_on_e_types(name, m):
+    # past the enumeration cap on E7 and E8: the carry of w0(u) is the
+    # shift that the walk along w0's canonical word composes, and w0, an
+    # involution, acts as one
+    case = make_case(name, "nonsuper", m)
+    w0 = case.rs.longest_element()
+    for lamp in enumerate_lambda(case):
+        assert shift_map(w0, lamp, case) == w0_shift(lamp, case), lamp.label()
+        assert w_act(w0, w_act(w0, lamp, case), case) is lamp
+
+
+@pytest.mark.parametrize("name,m", E_CASES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_group_action_law_on_e_types(name, m, data):
+    # (ab) * lambda = a * (b * lambda) on words drawn on E6-E8
+    case = make_case(name, "nonsuper", m)
+    rs = case.rs
+    words = st.lists(st.integers(0, rs.rank - 1), max_size=3 * rs.rank)
+    a, b = (rs.element_from_word(data.draw(words)) for _ in range(2))
+    lamp = data.draw(st.sampled_from(enumerate_lambda(case)))
+    assert w_act(rs.weyl_mul(a, b), lamp, case) == w_act(a, w_act(b, lamp, case), case)
+
+
+@pytest.mark.parametrize("name", ["A1", "B3", "E7"])
+def test_foreign_weyl_element_is_refused(name):
+    # an element whose labels its word does not give, or with a letter
+    # outside the nodes (a negative letter would index the nodes from the
+    # end), is no element of this W: both routes refuse it
+    case = make_case(name, "nonsuper", 1)
+    rs, r, lamp = case.rs, case.rank, enumerate_lambda(case)[0]
+    last = rs.element_from_word((r - 1,))
+    for w in (WeylElement((0,), (1,) * r), WeylElement((r,), last.labels),
+              WeylElement((-1,), last.labels), WeylElement((), (1,) * (r + 1)),
+              WeylElement((), (0,) * r)):
+        for route in (w_act, shift_map):
+            with pytest.raises(ValueError, match="W"):
+                route(w, lamp, case)
 
 
 # -- axioms and the report -------------------------------------------------------
@@ -765,16 +852,6 @@ def test_word_dependence_is_a_failure_record(fresh, monkeypatch, capsys):
 
 # -- the exhaustive walk over W (tests/oracles.py) --------------------------------
 
-AGREEMENT_CASES = [
-    *[(name, "nonsuper", m) for name in ["A1", "A2", "A3", "B2", "B3", "C3", "G2"]
-      for m in (1, 2, 3)],
-    *[(name, variant, m) for name in ["B2", "B3"] for variant in ["super", "ramond"]
-      for m in (1, 2, 3)],
-    ("A4", "nonsuper", 1), ("D4", "nonsuper", 1), ("B4", "nonsuper", 1),
-    ("C4", "nonsuper", 1), ("F4", "nonsuper", 1), ("B4", "super", 1),
-]
-
-
 @pytest.mark.parametrize("name,variant,m", AGREEMENT_CASES)
 def test_axioms_over_roots_match_the_walk_over_w(name, variant, m):
     # acceptance criterion 1's sweep and the rank-4 cases: both routes find
@@ -879,7 +956,7 @@ def test_one_shift_system_per_layout():
     assert layout.weyl is None and layout._act == layout._shift == {}
     assert system(sup) is system(ram) is _cosets(sup) is layout
     assert layout.weyl == sup.rs.enumerate_weyl()
-    assert len(layout.weyl) == weyl_order(sup.rs.lie_type) == len(layout._key_index)
+    assert len(layout.weyl) == weyl_order(sup.rs.lie_type) == len({w.labels for w in layout.weyl})
 
 
 @pytest.mark.parametrize("name,variant,m", AGREEMENT_CASES)

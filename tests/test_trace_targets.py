@@ -29,12 +29,12 @@ for variant in ("super", "ramond"):
     other = shift.make_case("B2", variant, 2)
     shift.verify_axioms(other)
     shift.condition_report(other)
-# w_act and shift_map read the rows over W that system attaches, which runs
-# its span, both per-cell counters and the summary's probe of the systems
+# the rows over W that system attaches, read cell by cell, run its span, both
+# per-cell counters and the summary's probe of the systems
 for other in (case, shift.make_case("B2", "super", 2), shift.make_case("B2", "ramond", 2)):
-    w0, first = other.rs.longest_element(), shift.enumerate_lambda(other)[0]
-    shift.w_act(w0, first, other)
-    shift.shift_map(w0, first, other)
+    table = shift.system(other)
+    table.act_index(len(table.weyl) - 1, 0)
+    table.shift_value(len(table.weyl) - 1, 0)
 lam = shift.enumerate_lambda(case)[0]
 characters.multiplet_char(vzero(2), lam, case, 6)
 characters.ft_char(lam, case, 3)

@@ -19,8 +19,9 @@ from math import gcd, lcm
 from operator import add, mul
 from typing import NamedTuple
 
+from .characters import _alphas
 from .liealg import CapExceededError, RootSystem, Vec, WeylElement, reflect_labels
-from .shift import LambdaParam, ShiftCase, Variant, _cosets, _grid
+from .shift import LambdaParam, ShiftCase, ShiftReport, Variant, _cosets, _grid, _repro
 
 
 class AffineWeight(NamedTuple):
@@ -358,3 +359,32 @@ def alcove_json(case: ShiftCase, alpha: Vec, lam: LambdaParam) -> dict:
         "y": y.describe(),
         "mu_lambda": red.describe(),
     }
+
+
+def check_independence(case: ShiftCase) -> ShiftReport:
+    """y_alpha's digit independence and super closed form on each bullet with a strong
+    coset, which y_alpha needs; a failure's repro prints its y, on the first of them."""
+    strong = {b: _cosets(case).label(s[0]) for b in range(len(case.rs.minuscule_labels))
+              if (s := _strong_cosets(case, b))}
+    if not strong:
+        raise WallReductionError(f"no bullet of {case.case_id()} has a strong coset, "
+                                 f"so alcove-independence has no y_alpha to check")
+    report, alphas = ShiftReport(case.case_id(), {"checks": 0}, ()), _alphas(case.rs, 4)
+    for b_idx, label in strong.items():
+        for alpha in alphas:
+            report.counts["checks"] += 1
+            repro = (_repro(case, "alcove")
+                     + f" --alpha {','.join(map(str, alpha))} --lambda {label}")
+            witness = {"bullet": b_idx, "alpha": [str(x) for x in alpha], "repro": repro}
+            try:
+                y = y_alpha(alpha, b_idx, case)
+            except DigitDependenceError as exc:
+                report.failures.append({"check": "digit-independence", **witness,
+                                        "detail": str(exc)})
+                continue
+            if case.variant.is_super:
+                cf = closed_form_y_super(alpha, b_idx, case)
+                if y != cf:
+                    report.failures.append({"check": "closed-form", **witness,
+                                            "got": y.describe(), "want": cf.describe()})
+    return report

@@ -10,25 +10,22 @@ The alternating Weyl sums run on integer Dynkin labels: the dot action on the
 fixed coset and the * action on moved cosets both climb from the identity
 term to the cutoff with no Weyl table, and the two sparse numerators are
 checked against each other before one is multiplied by the shared tail.
+The verify_* functions compare three more pairs of routes, each in a ShiftReport.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import floor, gcd, lcm
 from operator import add, mul, sub
 
 from .liealg import CapExceededError, Vec, reflect_labels
 from .qseries import (DEFAULT_GRID_CAP, FermionKind, GridBoundError, QSeries,
                       _eta_inv_fermion, check_order)
-from .shift import (
-    LambdaParam,
-    ShiftCase,
-    Variant,
-    _cosets,
-    system,
-)
+from .shift import (LambdaParam, ShiftCase, ShiftReport, Variant, _cosets, _fail,
+                    enumerate_lambda, system)
 
 
 class UnsupportedCaseError(ValueError):
@@ -300,6 +297,12 @@ def dominant_down_set(rs, inside) -> list[tuple[int, ...]]:
     return found
 
 
+def _alphas(rs, heights: int) -> list:
+    """The dominant alpha in Q of height below ``heights``, by height and root coordinates."""
+    walk = dominant_down_set(rs, lambda labels: sum(rs.from_labels(labels)) < heights)
+    return sorted(map(rs.from_labels, walk), key=lambda alpha: (sum(alpha), alpha))
+
+
 def _weights(case: ShiftCase, b, bullet, top: int) -> list[tuple[int, ...]]:
     """The labels of beta = alpha + bullet, alpha dominant in Q, whose identity
     term Q(v), v = p*labels(beta + rho) - b, is at most top.  v0 = v + flow =
@@ -327,18 +330,17 @@ def ft_char(lam: LambdaParam, case: ShiftCase, order: int) -> QSeries:
     multiplicity-space characters over dominant root-lattice weights.
 
     As b and beta + rho are dominant, each sum's least term is its identity
-    term: a weight is included exactly when that term clears the cutoff with
-    a safety margin of 2, and these weights form a down-set on the labels
-    (_weights).  The included weights' dot terms within that margin (_below),
-    weighted by dimension, are summed and multiplied by the shared tail once;
-    no Weyl table is read.
+    term: a weight is included exactly when that term is at or below the
+    cutoff, and these weights form a down-set on the labels (_weights).  The included
+    weights' dot terms below the cutoff (_below), weighted by dimension, are
+    summed and multiplied by the shared tail once; no Weyl table is read.
     """
     check_order(order)
     rs, table = case.rs, _cosets(case)
     l_idx = table.index(lam.key())
     cutoff, tail = order - case.central_charge / 24, _tail(case, order)
     # a numerator e puts its term at q^(tail base + e/den)
-    top = floor((cutoff + 2 - tail.base) * _form(case)[1])
+    top = floor((cutoff - tail.base) * _form(case)[1])
     b, bullet = _coset_vector(case, l_idx), rs.minuscule_labels[lam.bullet_index]
     kept = _weights(case, b, bullet, top)
     if len(kept) > ALPHA_CAP:
@@ -355,7 +357,7 @@ def ft_char(lam: LambdaParam, case: ShiftCase, order: int) -> QSeries:
 
 
 # ---------------------------------------------------------------------------
-# independent oracles and Verma characters
+# independent oracles, Verma characters and the verifications
 # ---------------------------------------------------------------------------
 
 def walg_vacuum_oracle(case: ShiftCase, order: int) -> QSeries:
@@ -401,3 +403,43 @@ def verma_char_super(mu: Vec, case: ShiftCase, order: int) -> QSeries:
     delta = fock_delta(tuple(Fraction(x, case.p) for x in mu), case)
     tail = _tail(case, order)
     return tail.qshift(delta - case.central_charge / 24 - tail.base)
+
+
+def verify_wchar(case: ShiftCase, order: int) -> ShiftReport:
+    """multiplet_char at the vacuum coset against walg_vacuum_oracle."""
+    report = ShiftReport(case.case_id(), {"checks": 1}, ())
+    got = multiplet_char((Fraction(0),) * case.rank, _cosets(case).record(0), case, order)
+    if not got.same_series(want := walg_vacuum_oracle(case, order)):
+        report.failures.append({"check": "wchar", "got": got.to_json_dict(),
+                                "want": want.to_json_dict()})
+    return report
+
+
+def verify_verma(case: ShiftCase, order: int) -> ShiftReport:
+    """verma_char_super at mu = p(lam - alpha) against the weight space at alpha +
+    bullet, on every coset and dominant alpha in Q of height below 3."""
+    report, alphas = ShiftReport(case.case_id(), {"checks": 0}, ()), _alphas(case.rs, 3)
+    for lam in enumerate_lambda(case):
+        for alpha in alphas:
+            mu = tuple(case.p * (v - a) for v, a in zip(lam.value, alpha))
+            got = verma_char_super(mu, case, order)
+            want = weight_space_char(lam, tuple(map(add, alpha, lam.bullet_up)), case, order)
+            report.counts["checks"] += 1
+            if not got.same_series(want):
+                _fail(report, "verma", lam.label(), alpha=[str(x) for x in alpha])
+    return report
+
+
+def verify_walls(case: ShiftCase, order: int) -> ShiftReport:
+    """_alternating_sum's cancellation at each wall weight beta in the root-coordinate
+    box [-2, 2]^rank, on the first coset, whose bullet is zero."""
+    report, lam0 = ShiftReport(case.case_id(), {"checks": 0}, ()), _cosets(case).record(0)
+    for coords in product(range(-2, 3), repeat=case.rank):
+        labels = tuple(sum(map(mul, row, coords)) for row in case.rs.cartan)
+        # beta + rho is on a wall when its dominant form has a zero label
+        if 0 not in case.rs.to_dominant(tuple(x + 1 for x in labels))[0]:
+            continue
+        report.counts["checks"] += 1
+        if not _alternating_sum(case, lam0, labels, order).is_zero:
+            report.failures.append({"check": "wall-vanishing", "beta": list(map(str, coords))})
+    return report

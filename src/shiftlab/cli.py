@@ -1,4 +1,5 @@
-"""Command-line surface: exact, scriptable computations with JSON/CSV output.
+"""Command-line surface: it parses and emits.  Each command calls the library once;
+``verify`` and ``check`` emit a library report, with a repro command per failure.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
 error, out of memory or an input too large to allocate, 3 a failed internal
@@ -9,12 +10,10 @@ are emitted in fixed key order and every rational is rendered as "num/den".
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
 from fractions import Fraction
-from operator import mul
 
 from . import alcove, characters, liealg, qseries, shift
 
@@ -127,7 +126,7 @@ def cmd_info(args) -> int:
 def cmd_lambda(args) -> int:
     case = _case(args)
     report = shift.condition_report(case, all_words=False)
-    return _verdict(args, report.to_json_dict(), _repro(case, "lambda"), report.to_csv)
+    return _verdict(args, report.to_json_dict(), shift._repro(case, "lambda"), report.to_csv)
 
 
 def cmd_check(args) -> int:
@@ -137,16 +136,10 @@ def cmd_check(args) -> int:
     elif args.suite == "weak-strong":
         report = shift.condition_report(case, all_words=True)
     else:  # alcove-independence; argparse restricts the choices
-        report = _alcove_independence_report(case)
+        report = alcove.check_independence(case)
     to_csv = ((lambda: _failures_csv(report)) if args.suite == "alcove-independence"
               else report.to_csv)
-    return _verdict(args, report.to_json_dict(), _repro(case, "check", args.suite), to_csv)
-
-
-def _repro(case: shift.ShiftCase, *command: str) -> str:
-    """The shiftlab command with the case's flags."""
-    return (f"shiftlab {' '.join(command)} --algebra {case.rs.lie_type} "
-            f"--variant {case.variant.value} --m {case.m}")
+    return _verdict(args, report.to_json_dict(), shift._repro(case, "check", args.suite), to_csv)
 
 
 def _verdict(args, payload: dict, repro: str, to_csv=None) -> int:
@@ -172,66 +165,29 @@ def _failures_csv(report: shift.ShiftReport) -> str:
     return out.getvalue()
 
 
-def _alcove_independence_report(case: shift.ShiftCase) -> shift.ShiftReport:
-    """y_alpha's digit independence and super closed form on each bullet with a strong
-    coset, which y_alpha needs; a failure's repro prints its y, on the first of them."""
-    strong = {b: shift._cosets(case).label(s[0]) for b in range(len(case.rs.minuscule_labels))
-              if (s := alcove._strong_cosets(case, b))}
-    if not strong:
-        raise alcove.WallReductionError(f"no bullet of {case.case_id()} has a strong coset, "
-                                        f"so alcove-independence has no y_alpha to check")
-    report, alphas = shift.ShiftReport(case.case_id(), {"checks": 0}, ()), _alphas(case.rs, 4)
-    for b_idx, label in strong.items():
-        for alpha in alphas:
-            report.counts["checks"] += 1
-            repro = (_repro(case, "alcove")
-                     + f" --alpha {','.join(map(str, alpha))} --lambda {label}")
-            witness = {"bullet": b_idx, "alpha": [str(x) for x in alpha], "repro": repro}
-            try:
-                y = alcove.y_alpha(alpha, b_idx, case)
-            except alcove.DigitDependenceError as exc:
-                report.failures.append({"check": "digit-independence", **witness,
-                                        "detail": str(exc)})
-                continue
-            if case.variant.is_super:
-                cf = alcove.closed_form_y_super(alpha, b_idx, case)
-                if y != cf:
-                    report.failures.append({"check": "closed-form", **witness,
-                                            "got": y.describe(), "want": cf.describe()})
-    return report
-
-
-def _alphas(rs: liealg.RootSystem, heights: int) -> list:
-    """The dominant alpha in Q of height below ``heights``, by height and root coordinates."""
-    walk = characters.dominant_down_set(rs, lambda labels: sum(rs.from_labels(labels)) < heights)
-    return sorted(map(rs.from_labels, walk), key=lambda alpha: (sum(alpha), alpha))
-
-
 def cmd_char(args) -> int:
     order = _order(args)
     case = _case(args)
     lam = _parse_lambda(case, args.lam)
     alpha = _parse_alpha(case, args.alpha)
-    kind = args.kind
-    if kind == "ch":
+    if args.kind == "ch":
         series = characters.multiplet_char(alpha, lam, case, order)
-    elif kind == "sch":
+    elif args.kind == "sch":
         series = characters.multiplet_superchar(alpha, lam, case, order)
     else:
         if case.variant is not shift.Variant.SUPER_RAMOND:
             raise ConfigError("--kind ramond requires --variant ramond")
         series = characters.multiplet_ramond_char(alpha, lam, case, order)
-    payload = {
+    _emit(args, {
         "case": case.case_id(),
         "alpha": [str(x) for x in alpha],
         "lambda": lam.label(),
-        "kind": kind,
+        "kind": args.kind,
         "central_charge": f"{case.central_charge.numerator}/"
                           f"{case.central_charge.denominator}",
         "strong": shift.alcove_inequality(lam, case),
         "series": series.to_json_dict(),
-    }
-    _emit(args, payload)
+    })
     return 0
 
 
@@ -240,14 +196,13 @@ def cmd_ftchar(args) -> int:
     case = _case(args)
     lam = _parse_lambda(case, args.lam)
     series = characters.ft_char(lam, case, order)
-    payload = {
+    _emit(args, {
         "case": case.case_id(),
         "lambda": lam.label(),
         "kind": "ft",
         "strong": shift.alcove_inequality(lam, case),
         "series": series.to_json_dict(),
-    }
-    _emit(args, payload)
+    })
     return 0
 
 
@@ -262,45 +217,11 @@ def cmd_alcove(args) -> int:
 def cmd_verify(args) -> int:
     order = _order(args)
     case = _case(args)
-    rs = case.rs
-    failures: list[dict] = []
-    checks = 0
-    if args.target == "wchar":
-        lam0 = shift._cosets(case).record(0)
-        got = characters.multiplet_char((Fraction(0),) * case.rank, lam0, case, order)
-        want = characters.walg_vacuum_oracle(case, order)
-        checks += 1
-        if not got.same_series(want):
-            failures.append({"check": "wchar",
-                             "got": got.to_json_dict(),
-                             "want": want.to_json_dict()})
-    elif args.target == "verma":
-        alphas = _alphas(rs, 3)
-        for lam in shift.enumerate_lambda(case):
-            for alpha in alphas:
-                mu = tuple(case.p * (v - a) for v, a in zip(lam.value, alpha))
-                got = characters.verma_char_super(mu, case, order)
-                want = characters.weight_space_char(
-                    lam, tuple(a + b for a, b in zip(alpha, lam.bullet_up)), case, order)
-                checks += 1
-                if not got.same_series(want):
-                    failures.append({"check": "verma", "lambda": lam.label(),
-                                     "alpha": [str(x) for x in alpha]})
-    elif args.target == "walls":
-        # beta in the root-coordinate box, on the first coset, whose bullet
-        # is zero: the labels of beta are Cartan * coords
-        lam0 = shift._cosets(case).record(0)
-        for coords in itertools.product(range(-2, 3), repeat=rs.rank):
-            labels = tuple(sum(map(mul, row, coords)) for row in rs.cartan)
-            # beta + rho is on a wall when its dominant form has a zero label
-            if 0 not in rs.to_dominant(tuple(x + 1 for x in labels))[0]:
-                continue
-            checks += 1
-            if not characters._alternating_sum(case, lam0, labels, order).is_zero:
-                failures.append({"check": "wall-vanishing", "beta": list(map(str, coords))})
-    return _verdict(args, {"case": case.case_id(), "target": args.target,
-                           "checks": checks, "failures": failures},
-                    _repro(case, "verify", args.target) + f" --order {order}")
+    report = {"wchar": characters.verify_wchar, "verma": characters.verify_verma,
+              "walls": characters.verify_walls}[args.target](case, order)
+    return _verdict(args, {"case": report.case_id, "target": args.target,
+                           "checks": report.counts["checks"], "failures": report.failures},
+                    shift._repro(case, "verify", args.target) + f" --order {order}")
 
 
 # ---------------------------------------------------------------------------

@@ -598,6 +598,12 @@ def _fail(report: ShiftReport, check: str, label: str, **witness):
     report.failures.append({"check": check, "lambda": label, **witness})
 
 
+def _repro(case: ShiftCase, *command: str) -> str:
+    """The shiftlab command with the case's flags."""
+    return (f"shiftlab {' '.join(command)} --algebra {case.rs.lie_type} "
+            f"--variant {case.variant.value} --m {case.m}")
+
+
 def verify_axioms(case: ShiftCase) -> ShiftReport:
     """The shift-map axioms (_verify) with reproducible witnesses, and when
     they pass the layout's rows.  They run once per layout, shared by a super

@@ -41,6 +41,7 @@ from shiftlab.alcove import (
     affine_inv,
     affine_mul,
     alcove_json,
+    check_independence,
     closed_form_y_super,
     dominant_reduce,
     dot_act,
@@ -422,3 +423,22 @@ def test_alcove_json_shape():
     assert d["family"] == "twisted"
     assert set(d["y"]) == {"word", "translation"}
     assert set(d["mu_lambda"]) == {"finite", "level", "delta"}
+
+
+# the layouts on which tests/test_cli.py and README run check alcove-independence
+@pytest.mark.parametrize("name,variant,m", [
+    ("B2", "super", 3), ("B2", "super", 2), ("A2", "nonsuper", 2), ("B2", "nonsuper", 2),
+    ("B1", "super", 2)])
+def test_check_independence_counts_a_check(name, variant, m):
+    report = check_independence(make_case(name, variant, m))
+    assert report.counts["checks"] >= 1 and report.ok, report.failures[:3]
+    assert report.case_id == f"{name}:{variant}:m={m}" and report.rows == ()
+
+
+@pytest.mark.parametrize("name,variant,m", [
+    ("E7", "nonsuper", 1), ("D4", "nonsuper", 1), ("B3", "super", 2)])
+def test_check_independence_without_a_strong_coset_raises(name, variant, m):
+    # no bullet has a strong coset, so y_alpha has nothing to run on
+    case = make_case(name, variant, m)
+    with pytest.raises(WallReductionError, match=f"no bullet of {case.case_id()} has a strong"):
+        check_independence(case)

@@ -40,6 +40,7 @@ from oracles import (
 from shiftlab import characters, cli
 from shiftlab.characters import (
     UnsupportedCaseError,
+    _alphas,
     _coset_vector,
     _form,
     _below,
@@ -57,6 +58,9 @@ from shiftlab.characters import (
     multiplet_char,
     multiplet_ramond_char,
     multiplet_superchar,
+    verify_verma,
+    verify_walls,
+    verify_wchar,
     verma_char_super,
     walg_vacuum_oracle,
     weight_space_char,
@@ -84,11 +88,11 @@ def number(case, lam):
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_dominant_shell_keeps_the_shell_order(name):
     # the dominant part of each shell (one height) of the nonnegative cone:
-    # the CLI's alpha, the walk on the labels below a height sorted by height
-    # and root coordinates, are those of the cone's shells in the cone's order
+    # the reports' alpha (_alphas), the walk on the labels below a height sorted
+    # by height and root coordinates, are those of the cone's shells in the cone's order
     rs = make_case(name, "nonsuper", 1).rs
     for heights in (1, 3, 4, 12 if rs.rank <= 4 else 9):
-        assert cli._alphas(rs, heights) == dominant_alphas(rs, heights - 1)
+        assert _alphas(rs, heights) == dominant_alphas(rs, heights - 1)
 
 
 @given(st.sampled_from(ALL_TYPES), st.integers(0, 14))
@@ -902,15 +906,17 @@ def test_star_climb_gives_the_walk_terms_property(spec, data):
 def _lattice_voa_cosets():
     # p = 1: m = 1 in the simply-laced nonsuper family and in the super one
     for name, variant in [("A1", "nonsuper"), ("A2", "nonsuper"), ("A3", "nonsuper"),
-                          ("A4", "nonsuper"), ("D4", "nonsuper"), ("B1", "super"),
-                          ("B2", "super"), ("B3", "super")]:
+                          ("A4", "nonsuper"), ("A5", "nonsuper"), ("D4", "nonsuper"),
+                          ("D5", "nonsuper"), ("B1", "super"), ("B2", "super"),
+                          ("B3", "super")]:
         for lam in enumerate_lambda(make_case(name, variant, 1)):
             marks = ()
             if lam.bullet_index and name != "A1":
                 marks = pytest.mark.xfail(strict=True, reason=(
                     "ft_char sums over dominant alpha, not over dominant "
                     "beta = alpha + bullet, and misses terms on the nonzero "
-                    "classes of A_n (n >= 2) and D_n (ROADMAP item 1)"))
+                    "classes of A_n (n >= 2), C_n (n >= 3), D_n, E6 and E7 "
+                    "(ROADMAP item 1)"))
             yield pytest.param(name, variant, lam.label(), marks=marks,
                                id=f"{name}-{variant}-{lam.label()}")
 
@@ -1128,3 +1134,33 @@ def test_a_character_call_numbers_its_coset_once(monkeypatch, name, variant, cal
     call(lam, case, 10)
     assert counts["index"] == 1
     assert counts["check_point"] > 1
+
+
+# the layouts on which tests/test_cli.py and README run each verify target,
+# with the order they pass (30 by default); each report counts a check.  Rank
+# 1 is left out: verify walls sums nothing there, which test_cli.py's
+# test_every_verification_checks_something_or_exits_2 holds as strict xfails
+@pytest.mark.parametrize("verify,name,variant,m,order", [
+    *[(verify_wchar, name, "nonsuper", m, order) for name, m, order in
+      [("A1", 2, 50), ("A2", 2, 6), ("E6", 1, 6), ("E7", 1, 6), ("E8", 1, 6), ("A1", 1, 30),
+       ("G2", 3, 30)]],
+    (verify_verma, "B1", "super", 2, 20),
+    (verify_verma, "B2", "super", 2, 30),
+    *[(verify_walls, "A2", "nonsuper", 2, order) for order in (6, 8, 30)],
+    *[(verify_walls, "B2", "ramond", m, 30) for m in (2, 3)],
+], ids=lambda value: getattr(value, "__name__", None))
+def test_every_verify_report_counts_a_check(verify, name, variant, m, order):
+    report = verify(make_case(name, variant, m), order)
+    assert report.counts["checks"] >= 1 and report.ok, report.failures[:3]
+    assert report.case_id == f"{name}:{variant}:m={m}" and report.rows == ()
+
+
+@pytest.mark.parametrize("verify,name,variant,message", [
+    # the Verma characters are the super family's; rank 3 has no checked Ramond weights
+    (verify_verma, "A1", "nonsuper", "Verma characters are for the super variant"),
+    (verify_verma, "B1", "ramond", "Verma characters are for the super variant"),
+    (verify_walls, "B3", "ramond", "Ramond weights of B3"),
+])
+def test_verify_report_outside_its_family_raises(verify, name, variant, message):
+    with pytest.raises(UnsupportedCaseError, match=message):
+        verify(make_case(name, variant, 2), 30)

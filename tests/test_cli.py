@@ -149,7 +149,7 @@ def test_alcove_independence_without_a_strong_coset_exits_2(capsys, monkeypatch,
     def refuse(*_):
         raise AssertionError("an alpha was listed")
 
-    monkeypatch.setattr(cli, "_alphas", refuse)
+    monkeypatch.setattr(alcove, "_alphas", refuse)
     monkeypatch.setattr(alcove, "y_alpha", refuse)
     code, out, err = run(capsys, "check", "alcove-independence", *argv)
     assert (code, out, err) == (2, "", f"error: no bullet of {case_id} has a strong coset, "
@@ -297,6 +297,10 @@ def test_verify_failures_carry_repro(capsys, monkeypatch, target, check):
     code, out, _ = run(capsys, "verify", target, "--algebra", "A2", "--m", "2", "--order", "6")
     failures = json.loads(out)["failures"]
     assert code == 1 and failures and {f["check"] for f in failures} == {check}
+    # the library report that the command prints fails the same way
+    report = getattr(characters, f"verify_{target}")(case, 6)
+    assert [{**f, "repro": None} for f in report.failures] == \
+        [{**f, "repro": None} for f in failures]
     repro = f"shiftlab verify {target} --algebra A2 --variant nonsuper --m 2 --order 6"
     assert {f["repro"] for f in failures} == {repro}
     assert run(capsys, *shlex.split(repro)[1:]) == (code, out, "")
@@ -683,6 +687,15 @@ GOLDEN_RUNS = [
     ("alcove_B1_super_m2.json",
      ["alcove", "--algebra", "B1", "--variant", "super", "--m", "2",
       "--alpha", "0", "--lambda", "0,1"]),
+    ("check_alcove_independence_B2_super_m3.json",
+     ["check", "alcove-independence", "--algebra", "B2", "--variant", "super", "--m", "3"]),
+    ("check_alcove_independence_B2_super_m3.csv",
+     ["check", "alcove-independence", "--algebra", "B2", "--variant", "super", "--m", "3",
+      "--format", "csv"]),
+    ("verify_verma_B2_super_m2.json",
+     ["verify", "verma", "--algebra", "B2", "--variant", "super", "--m", "2"]),
+    ("verify_walls_A2_m2.json",
+     ["verify", "walls", "--algebra", "A2", "--variant", "nonsuper", "--m", "2"]),
 ]
 
 

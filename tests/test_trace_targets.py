@@ -2,9 +2,9 @@
 
 A target that is renamed or removed does not fail a traced benchmark run:
 the tracer lists it in ``missing`` and its metrics read as null.  This runs
-the library ops of the benchmark workloads under the tracer, in a child
-process so that the patching stays out of the pytest process, and asserts
-that nothing is missing.
+the library ops of the benchmark workloads and one CLI verification under
+the tracer, in a child process so that the patching stays out of the pytest
+process, and asserts that nothing is missing.
 """
 
 import json
@@ -42,10 +42,19 @@ alcove.alcove_json(case, vzero(2), lam)
 # the reducer and y_alpha called directly, as the tests and the CLI call them
 alcove.dominant_reduce(affine_input(case, vzero(2), lam), case)
 alcove.y_alpha(vzero(2), lam.bullet_index, case)
+# the CLI's verma route, counted on its own: the counters' calls before it
+# are subtracted, so a loop that the patching no longer reaches reads 0
+import contextlib, io
+from shiftlab import cli
+before = {name: calls for name, (calls, *_) in tracer.counters.items()}
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["verify", "verma", "--algebra", "B2", "--variant", "super", "--m", "2"])
 summary = tracer.summary()
 print(json.dumps({"missing": summary["missing"], "spans": sorted(summary["spans"]),
                   "counters": {name: calls for name, (calls, *_) in summary["counters"].items()},
-                  "act_entries": summary["extra"]["shift.act_entries"]}))
+                  "verma": {name: calls - before.get(name, 0)
+                            for name, (calls, *_) in summary["counters"].items()},
+                  "verma_code": code, "act_entries": summary["extra"]["shift.act_entries"]}))
 """
 
 
@@ -64,3 +73,8 @@ def test_every_tracer_target_is_found():
     assert got["counters"]["shift.act_index"] > 0
     assert got["counters"]["shift.shift_value"] > 0
     assert got["act_entries"] > 0
+    # verify verma, run through cli.main, reaches both of its routes through
+    # the patched module globals of characters
+    assert got["verma_code"] == 0 and "cli.main" in got["spans"]
+    assert got["verma"]["characters.fock_delta"] > 0
+    assert got["verma"]["characters.weight_space_char"] > 0
